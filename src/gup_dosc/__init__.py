@@ -11,7 +11,6 @@ from .perturbation import (
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
-    exact_oracle,
     field_scan,
     first_order_shift,
     validation_report,
@@ -35,7 +34,6 @@ __all__ = [
     "critical_field",
     "degenerate_shift",
     "degeneracy_analysis",
-    "exact_oracle",
     "field_scan",
     "first_order_shift",
     "validation_report",

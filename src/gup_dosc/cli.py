@@ -241,6 +241,8 @@ def parse_config(argv=None) -> RunConfig:
                  "B_min", "B_max"):
         if values[name] is not None and not isinstance(values[name], (int, float)):
             raise UsageError(f"{name} must be a number, got {values[name]!r}")
+        if values[name] is not None and not math.isfinite(values[name]):
+            raise UsageError(f"{name} must be finite, got {values[name]!r}")
     for name in ("cutoff", "levels", "steps"):
         v = values[name]
         if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
@@ -391,7 +393,9 @@ def to_text(report: dict) -> str:
 def _histogram_cell(hist) -> str:
     if hist is None:
         return ""
-    return ";".join(f"{k}:{v}" for k, v in sorted(hist.items()))
+    return ";".join(
+        f"{k}:{v}" for k, v in sorted(hist.items(), key=lambda kv: int(kv[0]))
+    )
 
 
 def to_csv(report: dict) -> str:
@@ -636,6 +640,14 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(
             to_json({"error": str(exc), "kind": "computation"}).rstrip(),
+            file=sys.stderr,
+        )
+        return 3
+    except Exception as exc:  # an internal fault: report it, never a traceback
+        print(
+            to_json(
+                {"error": str(exc), "kind": "internal", "type": type(exc).__name__}
+            ).rstrip(),
             file=sys.stderr,
         )
         return 3

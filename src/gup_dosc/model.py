@@ -21,7 +21,7 @@ critical field wt = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class ModelParams:
     charge: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value}")
         if self.mass <= 0.0:
             raise UsageError(f"mass must be positive, got {self.mass}")
         if self.light_speed <= 0.0:
@@ -116,8 +120,9 @@ class ModelParams:
         """Oscillator frame for operator construction.
 
         Uses the reduced frequency when it is nonzero; exactly at the
-        critical field the bare frequency provides the basis scale and all
-        oscillator couplings carry an explicit factor of wt = 0.
+        critical field the bare frequency provides the basis scale, the
+        i m wt c zbar coupling and H' carry an explicit factor of wt = 0, and
+        only the kinetic 2 c p_z coupling survives.
         """
         freq = self.omega_tilde if self.omega_tilde != 0.0 else self.omega
         return OscParams(mass=self.mass, omega_tilde=freq, hbar=self.hbar)
@@ -236,3 +241,107 @@ def build_h_prime(
 def build_full(space: FockSpace, p: ModelParams) -> np.ndarray:
     """H0 + H'."""
     return build_h0(space, p) + build_h_prime(space, p)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One interior block of fixed J = n_a - n_b + [spin down].
+
+    `indices` are the flat `FockSpace` indices of the block's states in
+    ascending order (spin-up states first, each spin ordered by n_b), so
+    `matrix` equals the dense interior Hamiltonian restricted to them.
+    """
+
+    j: int
+    indices: np.ndarray
+    matrix: np.ndarray
+
+
+def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_a, n_b) with n_a - n_b = d and n_a + n_b <= top, ascending in n_b."""
+    n_b = np.arange(max(0, -d), (top - d) // 2 + 1)
+    return n_b + d, n_b
+
+
+def _couplings(p: ModelParams) -> tuple[complex, complex]:
+    """Coefficients (k_a, k_b) of the collapsed coupling K = k_a a† + k_b b.
+
+    K is the upper-right (down -> up) spinor block of H0. Structurally
+    vanishing coefficients are exact zeros: transcribing
+    2 c p_z + i m wt c zbar leaves a roundoff residue that can derail LAPACK.
+    """
+    wt = p.omega_tilde
+    c = p.light_speed
+    if wt > 0.0:
+        return 2.0 * c * math.sqrt(p.mass * wt * p.hbar), 0.0
+    if wt < 0.0:
+        return 0.0, -2j * c * math.sqrt(p.mass * -wt * p.hbar)
+    if p.omega == 0.0:
+        return 0.0, 0.0
+    # critical field: only the kinetic 2 c p_z term survives, in the bare frame
+    k = c * p.hbar / p.frame().length
+    return k, -1j * k
+
+
+def build_sectors(
+    space: FockSpace,
+    p: ModelParams,
+    strength: float | None = None,
+    margin: int = 2,
+) -> list[Sector]:
+    """Interior blocks of H0 + H' at deformation `strength`, one per J.
+
+    Built from closed-form ladder matrix elements on the interior
+    n_a + n_b <= cutoff - margin only; the full space is never allocated.
+    `strength` overrides p.gup_a and may be negative (see `build_h_prime`).
+    Each block holds
+
+      diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
+      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar i sqrt((n_a+1)(n_b+1))
+      coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
+    """
+    _require_spin(space)
+    if margin < 0 or margin > space.cutoff:
+        raise UsageError(f"margin {margin} invalid for cutoff {space.cutoff}")
+    top = space.cutoff - margin
+    a = p.gup_a if strength is None else strength
+    deform = -a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
+    k_a, k_b = _couplings(p)
+    mc2 = p.rest_energy
+    n_states = space.n_states
+    sectors = []
+    for j in range(-top, top + 2):
+        up_a, up_b = _diagonal_line(j, top)
+        dn_a, dn_b = _diagonal_line(j - 1, top)
+        u, v = len(up_b), len(dn_b)
+        h = np.zeros((u + v, u + v), dtype=np.complex128)
+        np.fill_diagonal(h, np.concatenate([mc2 + deform * (up_a + up_b + 1),
+                                            -mc2 + deform * (dn_a + dn_b + 1)]))
+        if deform != 0.0:
+            for lo, hi, n_a, n_b in ((0, u, up_a, up_b), (u, u + v, dn_a, dn_b)):
+                k = np.arange(lo, hi - 1)
+                pair = 1j * deform * np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
+                h[k + 1, k] = pair
+                h[k, k + 1] = pair.conjugate()
+        # up positions are n_b - up_b[0]; down state q sits at u + q
+        first_b = max(0, -j)
+        if k_a != 0.0:
+            # down (n_a, n_b) -> up (n_a + 1, n_b) while that stays interior
+            q = np.nonzero(dn_a + 1 + dn_b <= top)[0]
+            rows = dn_b[q] - first_b
+            coeff = k_a * np.sqrt(dn_a[q] + 1.0)
+            h[rows, u + q] = coeff
+            h[u + q, rows] = np.conjugate(coeff)
+        if k_b != 0.0:
+            # down (n_a, n_b) -> up (n_a, n_b - 1)
+            q = np.nonzero(dn_b >= 1)[0]
+            rows = dn_b[q] - 1 - first_b
+            coeff = k_b * np.sqrt(dn_b[q].astype(float))
+            h[rows, u + q] = coeff
+            h[u + q, rows] = np.conjugate(coeff)
+        indices = np.concatenate([
+            up_a * n_states + up_b,
+            space.spinless_dim + dn_a * n_states + dn_b,
+        ])
+        sectors.append(Sector(j=j, indices=indices, matrix=h))
+    return sectors

@@ -189,18 +189,33 @@ def eigh(a, tol: float = DEFAULT_EIGH_TOL) -> EigenDecomposition:
 
 
 def eigvalsh(a, tol: float = DEFAULT_EIGH_TOL) -> np.ndarray:
-    """Ascending eigenvalues only (trace-checked); cheaper than full `eigh`."""
-    del tol
+    """Ascending eigenvalues only; cheaper than full `eigh`.
+
+    Without eigenvectors there is no residual to check, so the first two
+    spectral moments are: sum(w) against the trace and sum(w^2) against the
+    squared Frobenius norm, the latter within tol * dim * max(1, ||A||_max)^2.
+    The second moment catches eigenvalues LAPACK returns wrong by far more
+    than roundoff while their sum still matches the trace.
+    """
+    if tol <= 0.0:
+        raise UsageError(f"eigvalsh tolerance must be positive, got {tol}")
     a = as_matrix(a)
     h = 0.5 * (a + a.conj().T)
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigensolver did not converge: {exc}") from exc
+    scale = max(1.0, norm_max(h))
     trace_gap = abs(np.sum(w) - np.trace(h).real)
-    if not trace_gap <= 1e-10 * len(w) * max(1.0, norm_max(h)):
+    if not trace_gap <= 1e-10 * len(w) * scale:
         raise ComputationError(
             f"eigenvalue sum deviates from trace by {trace_gap:.3e}"
+        )
+    moment_gap = abs(w @ w - np.vdot(h, h).real)
+    if not moment_gap <= tol * len(w) * scale ** 2:
+        raise ComputationError(
+            f"sum of squared eigenvalues deviates from the squared Frobenius "
+            f"norm by {moment_gap:.3e}"
         )
     return w
 

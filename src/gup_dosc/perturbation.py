@@ -16,6 +16,7 @@ flips from + to -; reports flag this.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,21 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import (
-    FockSpace,
-    angular_momentum,
-    compress,
-    ladder_a,
-    p_squared,
-    position_ops,
-)
+from .fock import FockSpace
 from .model import (
     NEGATIVE,
     POSITIVE,
     ModelParams,
     SpinorLevel,
-    build_h0,
-    build_h_prime,
+    build_sectors,
     landau_level,
     spinor_level,
 )
@@ -165,12 +158,14 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
 
 def _state_vector(
     space: FockSpace, p: ModelParams, n: int, branch: str, spectator: int
-) -> tuple[np.ndarray, dict]:
-    """Embedded eigenstate of the assembled H0 plus its basis descriptor.
+) -> tuple[dict, dict]:
+    """Nonzero amplitudes of an eigenstate of the assembled H0, plus its
+    basis descriptor.
 
-    For wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>;
-    for wt < 0 the modes swap roles and the lower component carries a phase i
-    fixed by the mirrored block structure.
+    Amplitudes are keyed by (spin_up, n_a, n_b). For wt > 0 the state is
+    c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for wt < 0 the modes swap
+    roles and the lower component carries a phase i fixed by the mirrored
+    block structure.
     """
     if not space.include_spin:
         raise UsageError("eigenstates require a spinful space")
@@ -180,32 +175,32 @@ def _state_vector(
     if not level_exists(p, n, branch):
         raise UsageError(f"level (n={n}, branch {branch}) does not exist here")
     level = operator_level(p, n, branch)
+    if spectator < 0:
+        raise UsageError(f"spectator quantum must be >= 0, got {spectator}")
     if n + spectator > space.cutoff - 2:
         raise UsageError(
             f"state (n={n}, spectator={spectator}) too close to cutoff "
             f"{space.cutoff}; raise the cutoff"
         )
-    vec = np.zeros(space.dim, dtype=np.complex128)
     upper: tuple[int, int] | None
     lower: tuple[int, int] | None
     if n == 0:
         # the undisplaced rest-energy level is a pure spinor component
         if wt > 0.0:
             upper, lower, lower_weight = (0, spectator), None, 0.0j
-            vec[space.index(0, spectator, spin_up=True)] = 1.0
         else:
             upper, lower, lower_weight = None, (spectator, 0), 1.0 + 0.0j
-            vec[space.index(spectator, 0, spin_up=False)] = 1.0
     elif wt > 0.0:
         upper, lower = (n, spectator), (n - 1, spectator)
         lower_weight = complex(level.d_n)
-        vec[space.index(n, spectator, spin_up=True)] = level.c_n
-        vec[space.index(n - 1, spectator, spin_up=False)] = lower_weight
     else:
         upper, lower = (spectator, n - 1), (spectator, n)
         lower_weight = 1j * level.d_n
-        vec[space.index(spectator, n - 1, spin_up=True)] = level.c_n
-        vec[space.index(spectator, n, spin_up=False)] = lower_weight
+    amplitudes: dict[tuple[bool, int, int], complex] = {}
+    if upper is not None:
+        amplitudes[(True, *upper)] = complex(level.c_n)
+    if lower is not None:
+        amplitudes[(False, *lower)] = lower_weight
     descriptor = {
         "upper_state": list(upper) if upper is not None else None,
         "upper_weight": float(level.c_n) if upper is not None else 0.0,
@@ -215,24 +210,46 @@ def _state_vector(
         "branch": branch,
         "spectator": spectator,
     }
-    return vec, descriptor
+    return amplitudes, descriptor
 
 
-def _p2_embedded(space: FockSpace, p: ModelParams) -> np.ndarray:
-    """p^2 on the spinful space (identity across the spinor factor)."""
-    sless = space.without_spin()
-    p2 = p_squared(sless, p.frame())
-    zero = np.zeros_like(p2)
-    return np.block([[p2, zero], [zero, p2]])
+# p^2 = m |wt| hbar [n_a + n_b + 1 + i(a† b† - a b)] and its ladder-form
+# pieces (fock.p_squared_ladder_form), each as (diagonal in (n_a, n_b) in
+# units of m |wt| hbar, whether the pair term i(a† b† - a b) enters):
+#   ladder    2 m w hbar (a†a + a a†)   = 2 (2 n_a + 1)
+#   position  -(m w)^2 z zbar           = -(n_a + n_b + 1) + i(a† b† - a b)
+#   angular   2 m w L_z                 = 2 (n_b - n_a)
+_P2 = (lambda n_a, n_b: float(n_a + n_b + 1), True)
+_P2_TERMS = {
+    "ladder": (lambda n_a, n_b: 2.0 * (2 * n_a + 1), False),
+    "position": (lambda n_a, n_b: -float(n_a + n_b + 1), True),
+    "angular": (lambda n_a, n_b: 2.0 * (n_b - n_a), False),
+}
 
 
-def _expectation(op: np.ndarray, vec: np.ndarray) -> float:
-    return float(np.real(vec.conj() @ (op @ vec)))
+def _p2_element(bra: dict, ket: dict, term=_P2) -> complex:
+    """<bra|T|ket> in units of m |wt| hbar, from closed-form ladder elements."""
+    diagonal, pair = term
+    total = 0j
+    for (spin_m, m_a, m_b), x in bra.items():
+        for (spin_n, n_a, n_b), y in ket.items():
+            if spin_m != spin_n:
+                continue
+            if (m_a, m_b) == (n_a, n_b):
+                element = diagonal(n_a, n_b)
+            elif pair and (m_a - n_a, m_b - n_b) == (1, 1):
+                element = 1j * math.sqrt(m_a * m_b)
+            elif pair and (m_a - n_a, m_b - n_b) == (-1, -1):
+                element = -1j * math.sqrt(n_a * n_b)
+            else:
+                continue
+            total += x.conjugate() * element * y
+    return total
 
 
-def _shift_scale(p: ModelParams) -> float:
-    """m hbar wt: divides <p^2> to express shifts in units of a c m hbar wt."""
-    return p.mass * p.hbar * p.omega_tilde
+def _shift(p: ModelParams, bra: dict, ket: dict, term=_P2) -> complex:
+    """-<bra|T|ket> / (m hbar wt): a matrix element of H' in shift units."""
+    return -math.copysign(1.0, p.omega_tilde) * _p2_element(bra, ket, term)
 
 
 def interior_spectrum(
@@ -241,39 +258,29 @@ def interior_spectrum(
     margin: int = 2,
     strength: float | None = None,
 ) -> np.ndarray:
-    """Ascending eigenvalues of the interior-projected full Hamiltonian."""
-    h = build_h0(space, p) + build_h_prime(space, p, strength=strength)
-    return eigvalsh(compress(h, space.interior_indices(margin)))
+    """Ascending eigenvalues of the interior-projected full Hamiltonian.
+
+    H0 and H' both conserve J = n_a - n_b + [spin down], so the spectrum is
+    the sorted union of the J-sector spectra (`build_sectors`).
+    """
+    sectors = build_sectors(space, p, strength=strength, margin=margin)
+    return np.sort(np.concatenate([eigvalsh(s.matrix) for s in sectors]))
 
 
 class _OracleSpectra:
-    """Cached interior spectra at the five stencil strengths around a = 0."""
+    """Interior spectra at the five stencil strengths around a = 0."""
 
     def __init__(self, space: FockSpace, p: ModelParams, margin: int = 2):
-        step = ORACLE_STEP / (p.mass * p.light_speed)
-        h0 = build_h0(space, p)
-        prime_unit = build_h_prime(space, p, strength=1.0)
-        idx = space.interior_indices(margin)
-        h0c = compress(h0, idx)
-        pc = compress(prime_unit, idx)
-        self.step = step
-        self.base = eigvalsh(h0c)
-        self.plus1 = eigvalsh(h0c + step * pc)
-        self.minus1 = eigvalsh(h0c - step * pc)
-        self.plus2 = eigvalsh(h0c + 2.0 * step * pc)
-        self.minus2 = eigvalsh(h0c - 2.0 * step * pc)
+        self.step = ORACLE_STEP / (p.mass * p.light_speed)
+        self.base, self.plus1, self.minus1, self.plus2, self.minus2 = (
+            interior_spectrum(space, p, margin, strength=k * self.step)
+            for k in (0.0, 1.0, -1.0, 2.0, -2.0)
+        )
 
 
-_ORACLE_CACHE: dict[tuple, _OracleSpectra] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _oracle_spectra(space: FockSpace, p: ModelParams, margin: int) -> _OracleSpectra:
-    key = (space, p, margin)
-    if key not in _ORACLE_CACHE:
-        if len(_ORACLE_CACHE) > 8:
-            _ORACLE_CACHE.clear()
-        _ORACLE_CACHE[key] = _OracleSpectra(space, p, margin)
-    return _ORACLE_CACHE[key]
+    return _OracleSpectra(space, p, margin)
 
 
 def oracle_slopes(
@@ -304,32 +311,6 @@ def oracle_slopes(
     slopes = (4.0 * d1 - d2) / 3.0
     unit = p.light_speed * p.mass * p.hbar * p.omega_tilde
     return sorted(float(s) / unit for s in slopes)
-
-
-def exact_oracle(
-    space: FockSpace,
-    p: ModelParams,
-    gup_steps: list[float],
-    margin: int = 2,
-) -> list[tuple[float, np.ndarray]]:
-    """Exact interior spectra at each deformation strength.
-
-    `gup_steps` must be sorted ascending with a leading zero, so the
-    undeformed spectrum always heads the output.
-    """
-    steps = list(gup_steps)
-    if not steps or steps[0] != 0.0:
-        raise UsageError("gup_steps must start at 0")
-    if any(s < 0.0 for s in steps) or any(
-        b < a for a, b in zip(steps, steps[1:])
-    ):
-        raise UsageError("gup_steps must be nonnegative and sorted ascending")
-    h0 = build_h0(space, p)
-    prime_unit = build_h_prime(space, p, strength=1.0)
-    idx = space.interior_indices(margin)
-    h0c = compress(h0, idx)
-    pc = compress(prime_unit, idx)
-    return [(s, eigvalsh(h0c + s * pc)) for s in steps]
 
 
 def _zero_coupling_report(p: ModelParams, label: str, size: int) -> PTReport:
@@ -376,32 +357,12 @@ def first_order_shift(
     label = f"n={level.n}, branch {level.branch}"
     if p.omega_tilde == 0.0:
         return _zero_coupling_report(p, label, 1)
-    vec, descriptor = _state_vector(space, p, level.n, level.branch, spectator)
-    p2 = _p2_embedded(space, p)
-    scale = _shift_scale(p)
-    mult = -_expectation(p2, vec) / scale
+    state, descriptor = _state_vector(space, p, level.n, level.branch, spectator)
+    mult = _shift(p, state, state).real
     energy = operator_level(p, level.n, level.branch).energy
-
-    # breakdown via the ladder-form decomposition, in the same shift units
-    sless = space.without_spin()
-    frame = p.frame()
-    a_op = ladder_a(sless)
-    z, zbar = position_ops(sless, frame)
-    w_eff = abs(p.omega_tilde)
-    t_ladder = (
-        2.0 * p.mass * w_eff * p.hbar * (a_op.conj().T @ a_op + a_op @ a_op.conj().T)
-    )
-    t_position = -((p.mass * w_eff) ** 2) * (z @ zbar)
-    t_angular = 2.0 * p.mass * w_eff * angular_momentum(sless, hbar=p.hbar)
-    zero = np.zeros_like(t_ladder)
-    breakdown = {}
-    for name, block in (
-        ("ladder", t_ladder),
-        ("position", t_position),
-        ("angular", t_angular),
-    ):
-        emb = np.block([[block, zero], [zero, block]])
-        breakdown[name] = -_expectation(emb, vec) / scale
+    breakdown = {
+        name: _shift(p, state, state, term).real for name, term in _P2_TERMS.items()
+    }
 
     flags: list[str] = []
     if p.omega_tilde < 0.0:
@@ -453,12 +414,12 @@ def degenerate_shift(
     )
     if p.omega_tilde == 0.0:
         return _zero_coupling_report(p, label, len(cluster))
-    vectors = []
+    states = []
     descriptors = []
     energies = []
     for m in cluster:
-        vec, desc = _state_vector(space, p, m.n, m.branch, m.spectator)
-        vectors.append(vec)
+        state, desc = _state_vector(space, p, m.n, m.branch, m.spectator)
+        states.append(state)
         descriptors.append(desc)
         energies.append(operator_level(p, m.n, m.branch).energy)
     spread = max(energies) - min(energies)
@@ -466,14 +427,10 @@ def degenerate_shift(
         raise UsageError(
             f"cluster members span {spread:.3e} in energy; not degenerate"
         )
-    p2 = _p2_embedded(space, p)
-    scale = _shift_scale(p)
-    g = len(cluster)
-    sub = np.empty((g, g), dtype=np.complex128)
-    images = [p2 @ v for v in vectors]
-    for i in range(g):
-        for j in range(g):
-            sub[i, j] = -(vectors[i].conj() @ images[j]) / scale
+    sub = np.array(
+        [[_shift(p, bra, ket) for ket in states] for bra in states],
+        dtype=np.complex128,
+    )
     decomp = eigh(sub)
     shifts = [float(w) for w in decomp.eigenvalues]
     energy = float(np.mean(energies))
@@ -594,19 +551,14 @@ def _scan_point(
             point["first_shift"] = 0.0
             point["n2_shifts"] = [0.0, 0.0, 0.0, 0.0]
         else:
-            p2 = _p2_embedded(space, p)
-            scale = _shift_scale(p)
-            unit = p.shift_unit
+            def shift_energy(n: int, branch: str, spectator: int) -> float:
+                state, _ = _state_vector(space, p, n, branch, spectator)
+                return _shift(p, state, state).real * p.shift_unit
+
             branch0 = POSITIVE if p.omega_tilde > 0.0 else NEGATIVE
-            v0, _ = _state_vector(space, p, 0, branch0, 0)
-            point["ground_shift"] = -_expectation(p2, v0) / scale * unit
-            v1, _ = _state_vector(space, p, 1, POSITIVE, 0)
-            point["first_shift"] = -_expectation(p2, v1) / scale * unit
-            n2 = []
-            for k in range(4):
-                v, _ = _state_vector(space, p, 2, POSITIVE, k)
-                n2.append(-_expectation(p2, v) / scale * unit)
-            point["n2_shifts"] = sorted(n2)
+            point["ground_shift"] = shift_energy(0, branch0, 0)
+            point["first_shift"] = shift_energy(1, POSITIVE, 0)
+            point["n2_shifts"] = sorted(shift_energy(2, POSITIVE, k) for k in range(4))
         before, after = degeneracy_analysis(
             space, p, degeneracy_window * p.rest_energy, margin=margin
         )

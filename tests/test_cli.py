@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
 
+from gup_dosc import cli, fock, model, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
 
@@ -254,3 +257,76 @@ def test_text_format_alignment(tmp_path):
     lines = text.split("\n")
     header = next(l for l in lines if l.startswith("n "))
     assert "analytic" in header and "multiplicity" in header
+
+
+@pytest.mark.parametrize("flag", ["--omega", "--B", "--gup-a"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_numbers_are_usage_errors(flag, value, capsys):
+    argv = ["spectrum", "--omega", "1", f"{flag}={value}", "--cutoff", "12"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def test_internal_failure_exit_three(monkeypatch, capsys):
+    def broken(config):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
+    assert main(["spectrum", "--omega", "1"] + FAST) == 3
+    body = json.loads(capsys.readouterr().err)
+    assert body == {"error": "float division by zero", "kind": "internal",
+                    "type": "ZeroDivisionError"}
+
+
+def test_scan_csv_histograms_sorted_numerically(tmp_path):
+    code, text = run_to_string(
+        ["scan", "--omega", "1", "--B-min", "0", "--B-max", "1", "--steps", "2",
+         "--cutoff", "14", "--levels", "4", "--format", "csv"],
+        tmp_path,
+        name="scan.csv",
+    )
+    assert code == 0
+    for row in list(csv.DictReader(io.StringIO(text))):
+        for key in ("degeneracy_counts_before", "degeneracy_counts_after"):
+            sizes = [int(cell.split(":")[0]) for cell in row[key].split(";")]
+            assert sizes == sorted(sizes)
+    assert row["degeneracy_counts_before"].startswith("1:2;2:2;3:2;")
+
+
+DENSE_ASSEMBLY = ("build_h0", "build_h_prime", "build_full", "compress",
+                  "p_squared", "position_ops", "momentum_ops", "ladder_a",
+                  "ladder_b", "embed_spinor")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega", "1", "--B", "1"],
+    ["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
+    ["degenerate", "--omega", "1", "--B", "3", "--gup-a", "1e-4"],
+    ["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
+     "--gup-a", "1e-4", "--format", "csv"],
+    ["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
+])
+def test_commands_never_assemble_dense_operators(argv, monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense full-space assembly on the command path")
+
+    for module in (fock, model, perturbation):
+        for name in DENSE_ASSEMBLY:
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    code, text = run_to_string(argv + FAST, tmp_path)
+    assert code == 0 and text
+
+
+def test_spectrum_beyond_dense_reach(tmp_path):
+    # one dense operator at cutoff 80 would take 13122^2 complex entries, 2.7 GB
+    code, text = run_to_string(
+        ["spectrum", "--omega", "1", "--B", "1", "--cutoff", "80", "--levels", "6",
+         "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    rows = json.loads(text)["levels"]
+    assert all(r["rel_error"] <= 1e-12 for r in rows)
+    assert [r["multiplicity"] for r in rows] == [79 - r["n"] for r in rows]

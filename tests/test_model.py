@@ -10,6 +10,7 @@ from gup_dosc.model import (
     build_full,
     build_h0,
     build_h_prime,
+    build_sectors,
     landau_level,
     reduced_frequency,
     spinor_level,
@@ -36,6 +37,15 @@ def test_params_validation():
         ModelParams(omega=1.0, mass=0.0)
     with pytest.raises(UsageError):
         ModelParams(omega=1.0, gup_a=-1e-5)
+
+
+@pytest.mark.parametrize(
+    "name", ["omega", "b_field", "gup_a", "mass", "light_speed", "hbar", "charge"]
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(UsageError, match=f"{name} must be finite"):
+        ModelParams(**{"omega": 1.0, name: value})
 
 
 def test_derived_quantities_recompute():
@@ -176,3 +186,54 @@ def test_over_critical_assembly_uses_magnitude_scale():
     # rest-energy towers on both signs, one physical and one a cutoff edge
     assert int(np.sum(np.abs(w + 1.0) < 1e-9)) == SPACE.cutoff - 1
     assert int(np.sum(np.abs(w - 1.0) < 1e-9)) == SPACE.cutoff - 1
+
+
+# wt > 0, wt < 0, and wt = 0 (where only the kinetic 2 c p_z coupling stays)
+SECTOR_FIELDS = [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 0.0)]
+
+
+def _sector_j(space, index):
+    n_a, n_b, spin_up = space.unpack(int(index))
+    return n_a - n_b + (0 if spin_up else 1)
+
+
+@pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
+@pytest.mark.parametrize("strength", [0.0, 1e-5, 1.0])
+def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
+    space = FockSpace(cutoff=10, include_spin=True)
+    p = ModelParams(omega=omega, b_field=b_field)
+    dense = build_h0(space, p) + build_h_prime(space, p, strength=strength)
+    sectors = build_sectors(space, p, strength=strength)
+    covered = np.sort(np.concatenate([s.indices for s in sectors]))
+    assert np.array_equal(covered, np.sort(space.interior_indices(2)))
+    for s in sectors:
+        assert all(_sector_j(space, i) == s.j for i in s.indices)
+        block = compress(dense, s.indices)
+        assert norm_max(s.matrix - block) <= 1e-13
+    if p.omega_tilde == 0.0:
+        # the surviving p_z coupling is present in both constructions
+        assert max(norm_max(s.matrix - np.diag(np.diag(s.matrix))) for s in sectors) > 1.0
+
+
+@pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
+def test_no_interior_element_crosses_a_sector(omega, b_field):
+    space = FockSpace(cutoff=10, include_spin=True)
+    p = ModelParams(omega=omega, b_field=b_field)
+    idx = space.interior_indices(2)
+    inner = compress(build_h0(space, p) + build_h_prime(space, p, strength=1.0), idx)
+    j = np.array([_sector_j(space, i) for i in idx])
+    assert np.all(inner[j[:, None] != j[None, :]] == 0.0)
+
+
+def test_sector_couplings_are_exact_zeros():
+    # only the collapsed coupling mixes the spinor components; every other
+    # down -> up element is an exact zero, not a roundoff residue
+    space = FockSpace(cutoff=8, include_spin=True)
+    for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
+        p = ModelParams(omega=1.0, b_field=b_field)
+        for s in build_sectors(space, p):
+            states = [space.unpack(int(i)) for i in s.indices]
+            for r, (n_a, n_b, row_up) in enumerate(states):
+                for q, (m_a, m_b, col_up) in enumerate(states):
+                    if row_up and not col_up and (n_a - m_a, n_b - m_b) != step:
+                        assert s.matrix[r, q] == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gup_dosc.errors import UsageError
+from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.numerics import (
     adjoint,
     as_matrix,
@@ -157,3 +157,32 @@ def test_dump_matrix_seventeen_digits_round_trip():
     text = dump_matrix(m)
     re_part, im_part = text[:-1].split("+")
     assert float(re_part) == x and float(im_part) == x
+
+
+def test_eigvalsh_never_silently_wrong_on_uncollapsed_sector():
+    # The J = -3 interior sector (n_a + n_b <= 14) of H0 at m = c = hbar = 1,
+    # wt = 0.75, written with the un-collapsed coupling coefficients: the b
+    # coupling i(wt l - 1/l) cancels only to roundoff. LAPACK has returned
+    # +-1.99999965 for the exact +-2 on this block; eigvalsh must either get
+    # the spectrum right or refuse.
+    wt = 0.75
+    ell = np.sqrt(1.0 / wt)
+    top, j = 14, -3
+    up = [(n_b + j, n_b) for n_b in range(-j, (top - j) // 2 + 1)]
+    down = [(n_b + j - 1, n_b) for n_b in range(1 - j, (top - j + 1) // 2 + 1)]
+    u = len(up)
+    h = np.diag([1.0] * u + [-1.0] * len(down)).astype(complex)
+    for q, (n_a, n_b) in enumerate(down):
+        if (n_a + 1, n_b) in up:
+            h[up.index((n_a + 1, n_b)), u + q] = (1 / ell + wt * ell) * np.sqrt(n_a + 1)
+        if (n_a, n_b - 1) in up:
+            h[up.index((n_a, n_b - 1)), u + q] = 1j * (wt * ell - 1 / ell) * np.sqrt(n_b)
+    h = h + np.triu(h, 1).conj().T
+    assert h.shape == (12, 12)
+    exact = [np.sqrt(1.0 + 4.0 * wt * n_a) for n_a, _ in up]
+    try:
+        w = eigvalsh(h)
+    except ComputationError:
+        return
+    assert np.allclose(w, sorted(exact + [-e for e in exact]), atol=1e-12, rtol=0)
+    assert np.min(np.abs(w - 2.0)) <= 1e-12 and np.min(np.abs(w + 2.0)) <= 1e-12

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import UsageError
-from gup_dosc.fock import FockSpace
+from gup_dosc.fock import (
+    FockSpace,
+    angular_momentum,
+    ladder_a,
+    p_squared,
+    position_ops,
+)
 from gup_dosc.model import ModelParams, spinor_level
 from gup_dosc.numerics import norm_max
 from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
     ClusterMember,
+    _state_vector,
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
-    exact_oracle,
     field_scan,
     first_order_shift,
     interior_spectrum,
@@ -123,27 +129,6 @@ def test_stored_block_shifts_eigenvector_and_trace():
 def test_scalar_cluster_matrix_gives_repeated_shift():
     r = shifts_of_matrix(2.5 * np.eye(4, dtype=complex))
     assert r.shifts == [2.5, 2.5, 2.5, 2.5]
-
-
-def test_exact_oracle_contract():
-    with pytest.raises(UsageError):
-        exact_oracle(SPACE, PARAMS, [1e-5, 2e-5])  # missing zero
-    with pytest.raises(UsageError):
-        exact_oracle(SPACE, PARAMS, [0.0, 2e-5, 1e-5])  # unsorted
-    steps = [0.0, 1e-5, 2e-5]
-    out = exact_oracle(SPACE, PARAMS, steps)
-    assert [s for s, _ in out] == steps
-    w0 = interior_spectrum(SPACE, PARAMS, strength=0.0)
-    assert np.array_equal(out[0][1], w0)
-    # Weyl bound: eigenvalue motion is capped by the perturbation norm
-    from gup_dosc.model import build_h_prime
-    from gup_dosc.fock import compress
-
-    unit = compress(build_h_prime(SPACE, PARAMS, strength=1.0),
-                    SPACE.interior_indices(2))
-    opnorm = float(np.max(np.abs(np.linalg.eigvalsh(unit))))
-    for s, w in out[1:]:
-        assert np.max(np.abs(w - w0)) <= s * opnorm * (1 + 1e-12)
 
 
 def test_oracle_slopes_match_whole_tower():
@@ -312,3 +297,49 @@ def test_validation_report_passes_with_allowlisted_rows():
     for n in range(5):
         for branch in ("+", "-"):
             assert by_row[f"level n={n} branch {branch}"]["status"] == "MATCH"
+
+
+def test_closed_form_shifts_match_dense_reference_algebra():
+    # the ladder-form pieces of p^2, built densely in `fock`, against the
+    # closed-form matrix elements used for shifts, breakdowns and clusters
+    space = FockSpace(cutoff=8, include_spin=True)
+    sless = space.without_spin()
+    for p in (PARAMS, ModelParams(omega=1.0, b_field=3.0, gup_a=1e-4)):
+        frame = p.frame()
+        w = abs(p.omega_tilde)
+        a_op = ladder_a(sless)
+        z, zbar = position_ops(sless, frame)
+        pieces = {
+            "ladder": 2.0 * p.mass * w * p.hbar
+            * (a_op.conj().T @ a_op + a_op @ a_op.conj().T),
+            "position": -((p.mass * w) ** 2) * (z @ zbar),
+            "angular": 2.0 * p.mass * w * angular_momentum(sless, hbar=p.hbar),
+        }
+        pieces = {k: np.kron(np.eye(2), v) for k, v in pieces.items()}
+        p2 = np.kron(np.eye(2), p_squared(sless, frame))
+        scale = p.mass * p.hbar * p.omega_tilde
+
+        def dense(vec, op, other=None):
+            other = vec if other is None else other
+            return -(vec.conj() @ op @ other) / scale
+
+        def vector(m):
+            vec = np.zeros(space.dim, dtype=complex)
+            state, _ = _state_vector(space, p, m.n, m.branch, m.spectator)
+            for (up, n_a, n_b), amp in state.items():
+                vec[space.index(n_a, n_b, spin_up=up)] = amp
+            return vec
+
+        branch0 = "+" if p.omega_tilde > 0 else "-"
+        for n, branch in ((0, branch0), (1, "+"), (1, "-")):
+            level = operator_level(p, n, branch)
+            r = first_order_shift(space, p, level, spectator=2, include_oracle=False)
+            vec = vector(ClusterMember(n, branch, 2))
+            assert r.shifts[0] == pytest.approx(dense(vec, p2).real, abs=1e-12)
+            for name, op in pieces.items():
+                assert r.breakdown[name] == pytest.approx(dense(vec, op).real, abs=1e-12)
+        cluster = level_cluster(space, p, n=2, size=4)
+        r = degenerate_shift(space, p, cluster, include_oracle=False)
+        vecs = [vector(m) for m in cluster]
+        ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
+        assert norm_max(r.subspace_matrix - ref) <= 1e-12
