@@ -3,7 +3,7 @@ with first-order minimal-length corrections."""
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, OscParams
-from .model import ModelParams, SpinorLevel, landau_level, reduced_frequency, spinor_level
+from .model import ModelParams, SpinorLevel, landau_level, spinor_level
 from .perturbation import (
     ClusterMember,
     PTReport,
@@ -26,7 +26,6 @@ __all__ = [
     "ModelParams",
     "SpinorLevel",
     "landau_level",
-    "reduced_frequency",
     "spinor_level",
     "ClusterMember",
     "PTReport",

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -530,8 +529,7 @@ def _run_correct(config: RunConfig) -> dict:
 def _run_degenerate(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
-    cluster = level_cluster(space, p, n=2, size=4)
-    result = degenerate_shift(space, p, cluster)
+    result = degenerate_shift(space, p, level_cluster(n=2, size=4))
     report = _report_header(config)
     report["cluster"] = _pt_report_dict(result)
     return report
@@ -546,13 +544,8 @@ def _run_scan(config: RunConfig) -> dict:
         config.b_min + (config.b_max - config.b_min) * i / (config.steps - 1)
         for i in range(config.steps)
     ]
-    workers = _max_workers()
     result = field_scan(
-        space,
-        p,
-        values,
-        degeneracy_window=config.tolerances["degeneracy_window"],
-        max_workers=workers,
+        space, p, values, degeneracy_window=config.tolerances["degeneracy_window"]
     )
     points = []
     for point in result.points:
@@ -584,19 +577,6 @@ def _run_validate(config: RunConfig) -> dict:
     report["own_block"] = _pt_report_dict(result["own_block"])
     report["stored_block"] = _pt_report_dict(result["stored_block"])
     return report
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("GUP_DOSC_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"GUP_DOSC_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise UsageError("GUP_DOSC_THREADS must be >= 1")
-    return workers
 
 
 _RUNNERS = {

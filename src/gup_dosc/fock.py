@@ -18,7 +18,9 @@ exactly.
 
 Truncation note: products of ladder operators corrupt matrix elements near
 the cutoff, so physics assertions are made on the interior projection
-n_a + n_b <= cutoff - margin (margin 2 covers every operator built here).
+n_a + n_b <= cutoff - INTERIOR_MARGIN. The margin is fixed at 2, which
+covers every operator built here; `interior_indices` takes it as a parameter
+only so that tests can build reference projections.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import numpy as np
 
 from .errors import UsageError
 from .numerics import adjoint, as_matrix
+
+# Boson quanta kept clear of the cutoff by the interior projection.
+INTERIOR_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class FockSpace:
             index %= self.spinless_dim
         return index // self.n_states, index % self.n_states, spin_up
 
-    def interior_indices(self, margin: int = 2) -> np.ndarray:
+    def interior_indices(self, margin: int = INTERIOR_MARGIN) -> np.ndarray:
         """Flat indices of states with n_a + n_b <= cutoff - margin."""
         if margin < 0 or margin > self.cutoff:
             raise UsageError(f"margin {margin} invalid for cutoff {self.cutoff}")

@@ -21,12 +21,13 @@ critical field wt = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ComputationError, UsageError
 from .fock import (
+    INTERIOR_MARGIN,
     FockSpace,
     OscParams,
     embed_spinor,
@@ -106,15 +107,7 @@ class ModelParams:
         )
 
     def with_field(self, b_field: float) -> "ModelParams":
-        return ModelParams(
-            omega=self.omega,
-            b_field=b_field,
-            gup_a=self.gup_a,
-            mass=self.mass,
-            light_speed=self.light_speed,
-            hbar=self.hbar,
-            charge=self.charge,
-        )
+        return replace(self, b_field=b_field)
 
     def frame(self) -> OscParams:
         """Oscillator frame for operator construction.
@@ -137,11 +130,6 @@ class SpinorLevel:
     energy: float
     c_n: float
     d_n: float
-
-
-def reduced_frequency(p: ModelParams) -> float:
-    """omega - |e| B / (2 m c)."""
-    return p.omega_tilde
 
 
 def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
@@ -238,11 +226,6 @@ def build_h_prime(
     return embed_spinor(block, block, zero, zero)
 
 
-def build_full(space: FockSpace, p: ModelParams) -> np.ndarray:
-    """H0 + H'."""
-    return build_h0(space, p) + build_h_prime(space, p)
-
-
 @dataclass(frozen=True)
 class Sector:
     """One interior block of fixed J = n_a - n_b + [spin down].
@@ -284,26 +267,25 @@ def _couplings(p: ModelParams) -> tuple[complex, complex]:
 
 
 def build_sectors(
-    space: FockSpace,
-    p: ModelParams,
-    strength: float | None = None,
-    margin: int = 2,
+    space: FockSpace, p: ModelParams, strength: float | None = None
 ) -> list[Sector]:
     """Interior blocks of H0 + H' at deformation `strength`, one per J.
 
     Built from closed-form ladder matrix elements on the interior
-    n_a + n_b <= cutoff - margin only; the full space is never allocated.
-    `strength` overrides p.gup_a and may be negative (see `build_h_prime`).
-    Each block holds
+    n_a + n_b <= cutoff - INTERIOR_MARGIN only; the full space is never
+    allocated. `strength` overrides p.gup_a and may be negative (see
+    `build_h_prime`). Each block holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar i sqrt((n_a+1)(n_b+1))
       coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
     """
     _require_spin(space)
-    if margin < 0 or margin > space.cutoff:
-        raise UsageError(f"margin {margin} invalid for cutoff {space.cutoff}")
-    top = space.cutoff - margin
+    top = space.cutoff - INTERIOR_MARGIN
+    if top < 0:
+        raise UsageError(
+            f"cutoff {space.cutoff} is below the interior margin {INTERIOR_MARGIN}"
+        )
     a = p.gup_a if strength is None else strength
     deform = -a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
     k_a, k_b = _couplings(p)

@@ -42,20 +42,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:
         )
 
 
-def mat_add(a, b) -> np.ndarray:
-    """Entrywise sum of two equal-dimension square matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_dim(a, b, "mat_add")
-    return a + b
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_dim(a, b, "mat_mul")
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose. An exact involution: adjoint(adjoint(a)) == a."""
     return as_matrix(a).conj().T.copy()

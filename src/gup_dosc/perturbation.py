@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import FockSpace
+from .fock import INTERIOR_MARGIN, FockSpace
 from .model import (
     NEGATIVE,
     POSITIVE,
@@ -111,19 +110,6 @@ def critical_field(p: ModelParams) -> float:
     return 2.0 * p.omega * p.mass * p.light_speed / p.charge
 
 
-def _mirror_params(p: ModelParams) -> ModelParams:
-    """Zero-field model with the same |wt|; used beyond the critical field."""
-    return ModelParams(
-        omega=abs(p.omega_tilde),
-        b_field=0.0,
-        gup_a=p.gup_a,
-        mass=p.mass,
-        light_speed=p.light_speed,
-        hbar=p.hbar,
-        charge=p.charge,
-    )
-
-
 def level_exists(p: ModelParams, n: int, branch: str) -> bool:
     """Whether level (n, branch) exists in the operator model at these params."""
     if n > 0:
@@ -141,7 +127,8 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
     wt = p.omega_tilde
     if wt >= 0.0:
         return spinor_level(p, n, branch)
-    mirror = _mirror_params(p)
+    # the zero-field model with the same |wt|
+    mirror = replace(p, omega=abs(wt), b_field=0.0)
     if n == 0:
         if branch == POSITIVE:
             raise UsageError(
@@ -177,7 +164,7 @@ def _state_vector(
     level = operator_level(p, n, branch)
     if spectator < 0:
         raise UsageError(f"spectator quantum must be >= 0, got {spectator}")
-    if n + spectator > space.cutoff - 2:
+    if n + spectator > space.cutoff - INTERIOR_MARGIN:
         raise UsageError(
             f"state (n={n}, spectator={spectator}) too close to cutoff "
             f"{space.cutoff}; raise the cutoff"
@@ -253,61 +240,49 @@ def _shift(p: ModelParams, bra: dict, ket: dict, term=_P2) -> complex:
 
 
 def interior_spectrum(
-    space: FockSpace,
-    p: ModelParams,
-    margin: int = 2,
-    strength: float | None = None,
+    space: FockSpace, p: ModelParams, strength: float | None = None
 ) -> np.ndarray:
     """Ascending eigenvalues of the interior-projected full Hamiltonian.
 
     H0 and H' both conserve J = n_a - n_b + [spin down], so the spectrum is
     the sorted union of the J-sector spectra (`build_sectors`).
     """
-    sectors = build_sectors(space, p, strength=strength, margin=margin)
+    sectors = build_sectors(space, p, strength=strength)
     return np.sort(np.concatenate([eigvalsh(s.matrix) for s in sectors]))
 
 
-class _OracleSpectra:
-    """Interior spectra at the five stencil strengths around a = 0."""
-
-    def __init__(self, space: FockSpace, p: ModelParams, margin: int = 2):
-        self.step = ORACLE_STEP / (p.mass * p.light_speed)
-        self.base, self.plus1, self.minus1, self.plus2, self.minus2 = (
-            interior_spectrum(space, p, margin, strength=k * self.step)
-            for k in (0.0, 1.0, -1.0, 2.0, -2.0)
-        )
-
-
 @functools.lru_cache(maxsize=8)
-def _oracle_spectra(space: FockSpace, p: ModelParams, margin: int) -> _OracleSpectra:
-    return _OracleSpectra(space, p, margin)
+def _oracle_spectra(
+    space: FockSpace, p: ModelParams
+) -> tuple[float, dict[int, np.ndarray]]:
+    """Stencil step h and the interior spectra at strengths k h, k = 0, ±1, ±2.
+
+    Keyed by k; k = 0 is the undeformed spectrum.
+    """
+    step = ORACLE_STEP / (p.mass * p.light_speed)
+    return step, {
+        k: interior_spectrum(space, p, strength=k * step) for k in (0, 1, -1, 2, -2)
+    }
 
 
-def oracle_slopes(
-    space: FockSpace,
-    p: ModelParams,
-    energy: float,
-    margin: int = 2,
-    window: float = CLUSTER_WINDOW,
-) -> list[float]:
+def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float]:
     """Ascending d(E)/d(a) for the cluster at `energy`, in shift units.
 
     Central differences through a = 0 with one Richardson step. Within a
     splitting cluster the ascending order at +a pairs with the descending
     order at -a; that pairing reconstructs the analytic branches.
     """
-    spectra = _oracle_spectra(space, p, margin)
-    win = window * p.rest_energy
-    w0 = spectra.base
+    h, spectra = _oracle_spectra(space, p)
+    win = CLUSTER_WINDOW * p.rest_energy
+    w0 = spectra[0]
     i0 = int(np.searchsorted(w0, energy - win, side="left"))
     i1 = int(np.searchsorted(w0, energy + win, side="right"))
     if i1 <= i0:
         raise ComputationError(
             f"no interior eigenvalue within {win:.3e} of {energy!r}"
         )
-    h = spectra.step
-    d1 = (spectra.plus1[i0:i1] - spectra.minus1[i0:i1][::-1]) / (2.0 * h)
-    d2 = (spectra.plus2[i0:i1] - spectra.minus2[i0:i1][::-1]) / (4.0 * h)
+    d1 = (spectra[1][i0:i1] - spectra[-1][i0:i1][::-1]) / (2.0 * h)
+    d2 = (spectra[2][i0:i1] - spectra[-2][i0:i1][::-1]) / (4.0 * h)
     slopes = (4.0 * d1 - d2) / 3.0
     unit = p.light_speed * p.mass * p.hbar * p.omega_tilde
     return sorted(float(s) / unit for s in slopes)
@@ -340,7 +315,6 @@ def first_order_shift(
     p: ModelParams,
     level: SpinorLevel,
     spectator: int = 0,
-    margin: int = 2,
     include_oracle: bool = True,
 ) -> PTReport:
     """Non-degenerate first-order correction <psi|H'|psi> for level n <= 1.
@@ -372,7 +346,7 @@ def first_order_shift(
         )
     slopes: list[float] = []
     if include_oracle:
-        all_slopes = oracle_slopes(space, p, energy, margin=margin)
+        all_slopes = oracle_slopes(space, p, energy)
         nearest = min(all_slopes, key=lambda s: abs(s - mult))
         slopes = [nearest]
         denom = max(abs(mult), 1e-30)
@@ -398,7 +372,6 @@ def degenerate_shift(
     space: FockSpace,
     p: ModelParams,
     cluster: list[ClusterMember],
-    margin: int = 2,
     include_oracle: bool = True,
 ) -> PTReport:
     """Diagonalize H' restricted to a degenerate cluster.
@@ -442,7 +415,7 @@ def degenerate_shift(
         )
     slopes: list[float] = []
     if include_oracle:
-        all_slopes = oracle_slopes(space, p, energy, margin=margin)
+        all_slopes = oracle_slopes(space, p, energy)
         for s in shifts:
             slopes.append(min(all_slopes, key=lambda x: abs(x - s)))
         tol = ORACLE_RTOL + ORACLE_STEP
@@ -480,17 +453,13 @@ def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport
     )
 
 
-def lowest_level_cluster(
-    space: FockSpace, p: ModelParams, size: int
-) -> list[ClusterMember]:
+def lowest_level_cluster(p: ModelParams, size: int) -> list[ClusterMember]:
     """The first `size` spectator members of the rest-energy level tower."""
     branch = POSITIVE if p.omega_tilde >= 0.0 else NEGATIVE
     return [ClusterMember(n=0, branch=branch, spectator=k) for k in range(size)]
 
 
-def level_cluster(
-    space: FockSpace, p: ModelParams, n: int, size: int, branch: str = POSITIVE
-) -> list[ClusterMember]:
+def level_cluster(n: int, size: int, branch: str = POSITIVE) -> list[ClusterMember]:
     """The first `size` spectator members of the level-n tower."""
     return [ClusterMember(n=n, branch=branch, spectator=k) for k in range(size)]
 
@@ -510,10 +479,7 @@ def spectral_clusters(
 
 
 def degeneracy_analysis(
-    space: FockSpace,
-    p: ModelParams,
-    energy_window: float,
-    margin: int = 2,
+    space: FockSpace, p: ModelParams, energy_window: float
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Multiplicity histograms of the interior spectrum before/after H'.
 
@@ -525,8 +491,8 @@ def degeneracy_analysis(
         raise UsageError(
             f"window {energy_window!r} below the numerical noise floor {floor!r}"
         )
-    before = interior_spectrum(space, p, margin=margin, strength=0.0)
-    after = interior_spectrum(space, p, margin=margin)
+    before = interior_spectrum(space, p, strength=0.0)
+    after = interior_spectrum(space, p)
     def hist(w: np.ndarray) -> dict[int, int]:
         counts: dict[int, int] = {}
         for _, size in spectral_clusters(w, energy_window):
@@ -537,30 +503,25 @@ def degeneracy_analysis(
 
 
 def _scan_point(
-    space: FockSpace,
-    base: ModelParams,
-    b_value: float,
-    margin: int,
-    degeneracy_window: float,
+    space: FockSpace, base: ModelParams, b_value: float, degeneracy_window: float
 ) -> dict:
     p = base.with_field(b_value)
     point: dict = {"B": b_value, "omega_tilde": p.omega_tilde}
     try:
-        if p.omega_tilde == 0.0:
-            point["ground_shift"] = 0.0
-            point["first_shift"] = 0.0
-            point["n2_shifts"] = [0.0, 0.0, 0.0, 0.0]
-        else:
-            def shift_energy(n: int, branch: str, spectator: int) -> float:
-                state, _ = _state_vector(space, p, n, branch, spectator)
-                return _shift(p, state, state).real * p.shift_unit
-
-            branch0 = POSITIVE if p.omega_tilde > 0.0 else NEGATIVE
-            point["ground_shift"] = shift_energy(0, branch0, 0)
-            point["first_shift"] = shift_energy(1, POSITIVE, 0)
-            point["n2_shifts"] = sorted(shift_energy(2, POSITIVE, k) for k in range(4))
+        branch0 = POSITIVE if p.omega_tilde >= 0.0 else NEGATIVE
+        for key, n, branch in (
+            ("ground_shift", 0, branch0),
+            ("first_shift", 1, POSITIVE),
+        ):
+            level = operator_level(p, n, branch)
+            report = first_order_shift(space, p, level, include_oracle=False)
+            point[key] = report.shifts_energy[0]
+        # a negative shift unit (wt < 0) reverses the order of the energies
+        cluster = degenerate_shift(space, p, level_cluster(n=2, size=4),
+                                   include_oracle=False)
+        point["n2_shifts"] = sorted(cluster.shifts_energy)
         before, after = degeneracy_analysis(
-            space, p, degeneracy_window * p.rest_energy, margin=margin
+            space, p, degeneracy_window * p.rest_energy
         )
         point["degeneracy_counts_before"] = before
         point["degeneracy_counts_after"] = after
@@ -573,34 +534,16 @@ def field_scan(
     space: FockSpace,
     base_params: ModelParams,
     b_values: list[float],
-    margin: int = 2,
     degeneracy_window: float = CLUSTER_WINDOW,
-    max_workers: int | None = None,
 ) -> ScanResult:
     """Sweep the magnetic field; one record per value, errors kept per point.
 
-    Points are independent and may run on a small thread pool; results are
-    assembled in input order regardless of completion order.
+    Points run in input order on the calling thread.
     """
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise UsageError("field values must be sorted ascending")
-    workers = max_workers or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(
-                pool.map(
-                    lambda b: _scan_point(
-                        space, base_params, b, margin, degeneracy_window
-                    ),
-                    values,
-                )
-            )
-    else:
-        points = [
-            _scan_point(space, base_params, b, margin, degeneracy_window)
-            for b in values
-        ]
+    points = [_scan_point(space, base_params, b, degeneracy_window) for b in values]
     critical = critical_field(base_params)
     in_range = values and values[0] <= critical <= values[-1]
     return ScanResult(points=points, critical_b=critical if in_range else None)
@@ -612,19 +555,18 @@ def _status(ok: bool, code: str | None = None) -> dict:
     return {"status": "DISCREPANCY", "code": code}
 
 
-def validation_report(
-    space: FockSpace, p: ModelParams, margin: int = 2
-) -> dict:
+def validation_report(space: FockSpace, p: ModelParams) -> dict:
     """Compare computed results against the stored reference values.
 
     Every row carries status MATCH or DISCREPANCY plus a code; codes in
     ALLOWLISTED_DISCREPANCIES are expected and do not fail validation.
     """
     rows: list[dict] = []
-    mc2 = p.rest_energy
 
-    # 1. closed-form levels against the exact interior spectrum
-    spectrum = interior_spectrum(space, p, margin=margin, strength=0.0)
+    # 1. closed-form levels against the exact interior spectrum, which is the
+    # undeformed base of the oracle stencil
+    _, spectra = _oracle_spectra(space, p)
+    spectrum = spectra[0]
     for n in range(5):
         for branch in (POSITIVE, NEGATIVE):
             analytic = landau_level(p, n, branch)
@@ -641,8 +583,7 @@ def validation_report(
             )
 
     # 2. ground-level shift and its oracle slope
-    ground = first_order_shift(space, p, spinor_level(p, 0, POSITIVE),
-                               margin=margin)
+    ground = first_order_shift(space, p, spinor_level(p, 0, POSITIVE))
     rows.append(
         {
             "row": "ground-shift",
@@ -670,8 +611,7 @@ def validation_report(
     )
 
     # 3. first excited level: stored value vs the oracle-consistent one
-    first = first_order_shift(space, p, spinor_level(p, 1, POSITIVE),
-                              margin=margin)
+    first = first_order_shift(space, p, spinor_level(p, 1, POSITIVE))
     rows.append(
         {
             "row": "first-excited-shift",
@@ -702,9 +642,7 @@ def validation_report(
     )
 
     # 4. degenerate block: own-basis matrix vs stored block
-    own = degenerate_shift(
-        space, p, level_cluster(space, p, n=2, size=4), margin=margin
-    )
+    own = degenerate_shift(space, p, level_cluster(n=2, size=4))
     stored = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK, "stored 4x4 block")
     own_set = np.array(own.shifts)
     stored_set = np.array(stored.shifts)

@@ -237,18 +237,6 @@ def test_computation_failure_exit_three(capsys):
     assert "branch collapse" in err
 
 
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("GUP_DOSC_THREADS", "zero")
-    code = main(["scan", "--omega", "1", "--B-min", "0", "--B-max", "1",
-                 "--steps", "2", "--cutoff", "10", "--levels", "4"])
-    assert code == 2
-    monkeypatch.setenv("GUP_DOSC_THREADS", "2")
-    code = main(["scan", "--omega", "1", "--B-min", "0", "--B-max", "1",
-                 "--steps", "2", "--cutoff", "10", "--levels", "4",
-                 "--output", "/dev/null"])
-    assert code == 0
-
-
 def test_text_format_alignment(tmp_path):
     code, text = run_to_string(
         ["spectrum", "--omega", "0.1", "--branch", "both"] + FAST, tmp_path
@@ -295,7 +283,7 @@ def test_scan_csv_histograms_sorted_numerically(tmp_path):
     assert row["degeneracy_counts_before"].startswith("1:2;2:2;3:2;")
 
 
-DENSE_ASSEMBLY = ("build_h0", "build_h_prime", "build_full", "compress",
+DENSE_ASSEMBLY = ("build_h0", "build_h_prime", "compress",
                   "p_squared", "position_ops", "momentum_ops", "ladder_a",
                   "ladder_b", "embed_spinor")
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.fock import FockSpace, compress
+from gup_dosc.fock import INTERIOR_MARGIN, FockSpace, compress
 from gup_dosc.model import (
     ModelParams,
-    build_full,
     build_h0,
     build_h_prime,
     build_sectors,
     landau_level,
-    reduced_frequency,
     spinor_level,
 )
 from gup_dosc.numerics import adjoint, eigvalsh, norm_max
@@ -25,9 +23,9 @@ def interior_eigs(h, space=SPACE, margin=2):
 
 
 def test_reduced_frequency():
-    assert reduced_frequency(ModelParams(omega=1.0, b_field=1.0)) == 0.5
-    assert reduced_frequency(ModelParams(omega=1.0, b_field=2.0)) == 0.0
-    assert reduced_frequency(ModelParams(omega=0.7, b_field=0.0)) == 0.7
+    assert ModelParams(omega=1.0, b_field=1.0).omega_tilde == 0.5
+    assert ModelParams(omega=1.0, b_field=2.0).omega_tilde == 0.0
+    assert ModelParams(omega=0.7, b_field=0.0).omega_tilde == 0.7
 
 
 def test_params_validation():
@@ -159,10 +157,11 @@ def test_h_prime_vanishes_at_critical_field():
 
 def test_full_hamiltonian():
     p0 = ModelParams(omega=0.1, gup_a=0.0)
-    assert np.array_equal(build_full(SPACE, p0), build_h0(SPACE, p0))
+    assert np.array_equal(build_h0(SPACE, p0) + build_h_prime(SPACE, p0),
+                          build_h0(SPACE, p0))
 
     p = ModelParams(omega=0.1, gup_a=1e-3)
-    h = build_full(SPACE, p)
+    h = build_h0(SPACE, p) + build_h_prime(SPACE, p)
     assert norm_max(h - adjoint(h)) == 0.0
     # H' is negative semidefinite, so no interior eigenvalue may rise
     w0 = interior_eigs(build_h0(SPACE, p))
@@ -237,3 +236,12 @@ def test_sector_couplings_are_exact_zeros():
                 for q, (m_a, m_b, col_up) in enumerate(states):
                     if row_up and not col_up and (n_a - m_a, n_b - m_b) != step:
                         assert s.matrix[r, q] == 0.0
+
+
+def test_build_sectors_rejects_cutoff_inside_margin():
+    p = ModelParams(omega=1.0)
+    with pytest.raises(UsageError, match="cutoff 1"):
+        build_sectors(FockSpace(cutoff=1), p)
+    # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
+    sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), p)
+    assert [s.matrix.shape for s in sectors] == [(1, 1), (1, 1)]

@@ -9,8 +9,6 @@ from gup_dosc.numerics import (
     dump_matrix,
     eigh,
     eigvalsh,
-    mat_add,
-    mat_mul,
     norm_max,
 )
 
@@ -37,32 +35,6 @@ def random_hermitian(dim, rng=RNG):
     return 0.5 * (a + a.conj().T)
 
 
-def test_mat_add_identity_cases():
-    eye = np.eye(2, dtype=complex)
-    assert np.array_equal(mat_add(eye, eye), 2 * eye)
-    a = random_hermitian(4)
-    assert np.array_equal(mat_add(a, np.zeros((4, 4))), a)
-    left = np.array([[1, 1j], [-1j, 1]])
-    right = np.array([[1, -1j], [1j, 1]])
-    assert np.array_equal(mat_add(left, right), np.diag([2.0, 2.0]).astype(complex))
-
-
-def test_mat_add_dimension_mismatch_names_both_dims():
-    with pytest.raises(UsageError, match="2.*3|3.*2"):
-        mat_add(np.eye(2), np.eye(3))
-
-
-def test_mat_mul_cases():
-    a = random_hermitian(3)
-    assert np.allclose(mat_mul(a, np.eye(3)), a, atol=0, rtol=0)
-    # three-level ladder: a·a† picks up the truncation-corrupted top entry
-    low = np.diag(np.sqrt([1.0, 2.0]), k=1).astype(complex)
-    assert np.allclose(mat_mul(low, adjoint(low)), np.diag([1.0, 2.0, 0.0]))
-    raise_ = np.array([[0, 1], [0, 0]], dtype=complex)
-    lower = np.array([[0, 0], [1, 0]], dtype=complex)
-    assert np.array_equal(mat_mul(raise_, lower), np.diag([1.0, 0.0]).astype(complex))
-
-
 def test_adjoint():
     m = np.array([[0, 1j], [0, 0]])
     assert np.array_equal(adjoint(m), np.array([[0, 0], [-1j, 0]]))
@@ -80,6 +52,11 @@ def test_commutator():
     assert np.allclose(commutator(sx, sy), 2j * sz, atol=1e-15)
     b = random_hermitian(4)
     assert np.allclose(commutator(a, b), -commutator(b, a), atol=0, rtol=0)
+
+
+def test_commutator_dimension_mismatch_names_both_dims():
+    with pytest.raises(UsageError, match="2.*3|3.*2"):
+        commutator(np.eye(2), np.eye(3))
 
 
 def test_eigh_closed_form_2x2():

@@ -12,6 +12,7 @@ from gup_dosc.fock import (
 from gup_dosc.model import ModelParams, spinor_level
 from gup_dosc.numerics import norm_max
 from gup_dosc.perturbation import (
+    ORACLE_RTOL,
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
     ClusterMember,
@@ -83,7 +84,7 @@ def test_degenerate_levels_are_rejected():
 
 
 def test_lowest_tower_shifts_are_distinct():
-    r = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(SPACE, PARAMS, 6))
+    r = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(PARAMS, 6))
     assert r.shifts == pytest.approx([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], abs=1e-12)
     assert len(set(np.round(r.shifts, 9))) == 6
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -91,7 +92,7 @@ def test_lowest_tower_shifts_are_distinct():
 
 
 def test_degenerate_cluster_matrix_is_diagonal_in_spectator_tower():
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(SPACE, PARAMS, n=2, size=4))
+    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=2, size=4))
     off = r.subspace_matrix - np.diag(np.diag(r.subspace_matrix))
     assert norm_max(off) <= 1e-13
     c2 = spinor_level(PARAMS, 2, "+").c_n
@@ -100,14 +101,14 @@ def test_degenerate_cluster_matrix_is_diagonal_in_spectator_tower():
 
 
 def test_degenerate_trace_identity():
-    r = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(SPACE, PARAMS, 5))
+    r = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(PARAMS, 5))
     assert sum(r.shifts) == pytest.approx(
         float(np.trace(r.subspace_matrix).real), abs=1e-12
     )
 
 
 def test_degenerate_eigenvvectors_unitary():
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(SPACE, PARAMS, n=2, size=4))
+    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=2, size=4))
     v = r.eigenvectors
     assert norm_max(v.conj().T @ v - np.eye(4)) <= 1e-10
 
@@ -135,7 +136,7 @@ def test_oracle_slopes_match_whole_tower():
     # internal PT-oracle consistency over the complete interior tower
     tower_size = SPACE.cutoff - 1  # interior spectators of the lowest level
     r = degenerate_shift(
-        SPACE, PARAMS, lowest_level_cluster(SPACE, PARAMS, tower_size),
+        SPACE, PARAMS, lowest_level_cluster(PARAMS, tower_size),
         include_oracle=False,
     )
     slopes = oracle_slopes(SPACE, PARAMS, 1.0)
@@ -208,13 +209,15 @@ def test_field_scan_rejects_unsorted_input():
         field_scan(SPACE, PARAMS, [1.0, 0.0])
 
 
-def test_field_scan_parallel_matches_serial():
-    space = FockSpace(cutoff=8, include_spin=True)
-    base = ModelParams(omega=1.0, gup_a=1e-4)
-    values = [0.0, 0.5, 1.0, 1.5]
-    serial = field_scan(space, base, values, max_workers=1)
-    parallel = field_scan(space, base, values, max_workers=3)
-    assert serial.points == parallel.points
+def test_state_headroom_is_the_interior_margin():
+    # n + spectator = 10 = cutoff - margin: the state lies in the interior
+    # the oracle diagonalizes, so shift and slope agree
+    level = spinor_level(PARAMS, 1, "+")
+    r = first_order_shift(SPACE, PARAMS, level, spectator=9)
+    assert r.discrepancy_flags == []
+    assert abs(r.oracle_slopes[0] - r.shifts[0]) <= ORACLE_RTOL * abs(r.shifts[0])
+    with pytest.raises(UsageError, match="cutoff 12"):
+        first_order_shift(SPACE, PARAMS, level, spectator=10)
 
 
 def test_over_critical_levels_mirror():
@@ -262,9 +265,9 @@ def test_linearity_in_deformation_strength():
     r2 = first_order_shift(SPACE, doubled, spinor_level(doubled, 1, "+"),
                            include_oracle=False)
     assert r2.shifts_energy[0] == pytest.approx(2.0 * r1.shifts_energy[0], rel=1e-12)
-    d1 = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(SPACE, PARAMS, 4),
+    d1 = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(PARAMS, 4),
                           include_oracle=False)
-    d2 = degenerate_shift(SPACE, doubled, lowest_level_cluster(SPACE, doubled, 4),
+    d2 = degenerate_shift(SPACE, doubled, lowest_level_cluster(doubled, 4),
                           include_oracle=False)
     for a, b in zip(d1.shifts_energy, d2.shifts_energy):
         assert b == pytest.approx(2.0 * a, rel=1e-12)
@@ -338,7 +341,7 @@ def test_closed_form_shifts_match_dense_reference_algebra():
             assert r.shifts[0] == pytest.approx(dense(vec, p2).real, abs=1e-12)
             for name, op in pieces.items():
                 assert r.breakdown[name] == pytest.approx(dense(vec, op).real, abs=1e-12)
-        cluster = level_cluster(space, p, n=2, size=4)
+        cluster = level_cluster(n=2, size=4)
         r = degenerate_shift(space, p, cluster, include_oracle=False)
         vecs = [vector(m) for m in cluster]
         ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
