@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,106 +47,90 @@ from .perturbation import (
     validation_report,
 )
 
-COMMANDS = ("spectrum", "correct", "degenerate", "scan", "validate")
 FORMATS = ("text", "json", "csv")
 BRANCH_CHOICES = (POSITIVE, NEGATIVE, "both")
 
-_DEFAULTS = {
-    "omega": None,  # required
-    "B": 0.0,
-    "gup_a": 0.0,
-    "mass": 1.0,
-    "light_speed": 1.0,
-    "hbar": 1.0,
-    "charge": 1.0,
-    "cutoff": 40,
-    "levels": 8,
-    "branch": POSITIVE,
-    "B_min": None,
-    "B_max": None,
-    "steps": None,
-    "format": "text",
-    "output": None,
-}
+
+@dataclass(frozen=True)
+class Option:
+    """One setting, named by its config key; a default of None means unset."""
+
+    key: str
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+    param: str | None = None  # the ModelParams field the value feeds
+    scan_only: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+# The one list of settings: flags, config keys, validation, ModelParams and
+# the config echo (in this order) all come from it.
+OPTIONS = (
+    Option("omega", float, None, "oscillator frequency", param="omega"),
+    Option("B", float, 0.0, "magnetic field", param="b_field"),
+    Option("gup_a", float, 0.0, "deformation parameter a", param="gup_a"),
+    Option("mass", float, 1.0, "particle mass (default 1)", param="mass"),
+    Option("light_speed", float, 1.0, "speed of light (default 1)", param="light_speed"),
+    Option("hbar", float, 1.0, "hbar (default 1)", param="hbar"),
+    Option("charge", float, 1.0, "charge magnitude (default 1)", param="charge"),
+    Option("cutoff", int, 40, "boson cutoff per mode (default 40)"),
+    Option("levels", int, 8, "levels to report (default 8)"),
+    Option("branch", str, POSITIVE, "energy branch", choices=BRANCH_CHOICES),
+    Option("format", str, "text", "output format", choices=FORMATS),
+    Option("output", str, None, "write the report to this path"),
+    Option("B_min", float, None, "lowest field", scan_only=True),
+    Option("B_max", float, None, "highest field", scan_only=True),
+    Option("steps", int, None, "number of field values (>= 2)", scan_only=True),
+)
 
 _TOLERANCE_KEYS = ("cluster_window", "degeneracy_window")
-_DEFAULT_TOLERANCES = {"cluster_window": CLUSTER_WINDOW, "degeneracy_window": CLUSTER_WINDOW}
 
 
 @dataclass
 class RunConfig:
+    """A resolved run; each setting reads as an attribute, e.g. `config.B_min`."""
+
     command: str
-    omega: float
-    b_field: float
-    gup_a: float
-    mass: float
-    light_speed: float
-    hbar: float
-    charge: float
-    cutoff: int
-    levels: int
-    branch: str
-    b_min: float | None
-    b_max: float | None
-    steps: int | None
-    format: str
-    output: str | None
-    tolerances: dict = field(default_factory=dict)
+    values: dict
+    tolerances: dict
+
+    def __getattr__(self, key: str):
+        try:
+            return self.__dict__["values"][key]
+        except KeyError:
+            raise AttributeError(key) from None
 
     def params(self) -> ModelParams:
-        return ModelParams(
-            omega=self.omega,
-            b_field=self.b_field,
-            gup_a=self.gup_a,
-            mass=self.mass,
-            light_speed=self.light_speed,
-            hbar=self.hbar,
-            charge=self.charge,
-        )
+        return ModelParams(**{o.param: self.values[o.key] for o in OPTIONS if o.param})
 
     def space(self) -> FockSpace:
         return FockSpace(cutoff=self.cutoff, include_spin=True)
 
     def echo(self) -> dict:
-        out = {
-            "command": self.command,
-            "omega": self.omega,
-            "B": self.b_field,
-            "gup_a": self.gup_a,
-            "mass": self.mass,
-            "light_speed": self.light_speed,
-            "hbar": self.hbar,
-            "charge": self.charge,
-            "cutoff": self.cutoff,
-            "levels": self.levels,
-            "branch": self.branch,
-            "format": self.format,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
-        if self.command == "scan":
-            out["B_min"] = self.b_min
-            out["B_max"] = self.b_max
-            out["steps"] = self.steps
+        # the output path says where the report goes, not what it holds
+        shared = [o for o in OPTIONS if not o.scan_only and o.key != "output"]
+        scan = [o for o in OPTIONS if o.scan_only and self.command == "scan"]
+        out = {"command": self.command}
+        out.update((o.key, self.values[o.key]) for o in shared)
+        out["tolerances"] = dict(sorted(self.tolerances.items()))
+        out.update((o.key, self.values[o.key]) for o in scan)
         return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def add(parser, options):
+        for o in options:
+            parser.add_argument(o.flag, dest=o.key, type=o.type, choices=o.choices,
+                                help=o.help)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (flags take precedence)")
-    common.add_argument("--omega", type=float, help="oscillator frequency")
-    common.add_argument("--B", type=float, dest="B", help="magnetic field")
-    common.add_argument("--gup-a", type=float, dest="gup_a",
-                        help="deformation parameter a")
-    common.add_argument("--mass", type=float, help="particle mass (default 1)")
-    common.add_argument("--light-speed", type=float, dest="light_speed",
-                        help="speed of light (default 1)")
-    common.add_argument("--hbar", type=float, help="hbar (default 1)")
-    common.add_argument("--charge", type=float, help="charge magnitude (default 1)")
-    common.add_argument("--cutoff", type=int, help="boson cutoff per mode (default 40)")
-    common.add_argument("--levels", type=int, help="levels to report (default 8)")
-    common.add_argument("--branch", choices=BRANCH_CHOICES, help="energy branch")
-    common.add_argument("--format", choices=FORMATS, help="output format")
-    common.add_argument("--output", help="write the report to this path")
+    add(common, [o for o in OPTIONS if not o.scan_only])
     common.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
                         help="tolerance override (repeatable)")
 
@@ -163,9 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("degenerate", parents=[common],
                    help="degenerate-cluster corrections for the second level")
     scan = sub.add_parser("scan", parents=[common], help="magnetic field sweep")
-    scan.add_argument("--B-min", type=float, dest="B_min", help="lowest field")
-    scan.add_argument("--B-max", type=float, dest="B_max", help="highest field")
-    scan.add_argument("--steps", type=int, help="number of field values (>= 2)")
+    add(scan, [o for o in OPTIONS if o.scan_only])
     sub.add_parser("validate", parents=[common],
                    help="compare against the stored reference values")
     return parser
@@ -181,7 +163,7 @@ def _load_config_file(path: str, command: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    known = set(_DEFAULTS) | {"command", "tolerances"}
+    known = {o.key for o in OPTIONS} | {"command", "tolerances"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -193,8 +175,29 @@ def _load_config_file(path: str, command: str) -> dict:
     return raw
 
 
+def _checked(o: Option, value):
+    """`value` converted to the option's type; UsageError naming the key if it is not one."""
+    if value is None:
+        return None
+    if o.choices is not None:
+        if value not in o.choices:
+            raise UsageError(f"{o.key} must be one of {o.choices}")
+    elif o.type is str:
+        if not isinstance(value, str):
+            raise UsageError(f"{o.key} must be a string, got {value!r}")
+    elif o.type is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise UsageError(f"{o.key} must be an integer, got {value!r}")
+    else:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"{o.key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise UsageError(f"{o.key} must be finite, got {value!r}")
+    return o.type(value)
+
+
 def _parse_tolerances(pairs, from_config: dict) -> dict:
-    tol = dict(_DEFAULT_TOLERANCES)
+    tol = dict.fromkeys(_TOLERANCE_KEYS, CLUSTER_WINDOW)
     config_tol = from_config.get("tolerances", {})
     if not isinstance(config_tol, dict):
         raise UsageError("tolerances must be a map")
@@ -210,9 +213,13 @@ def _parse_tolerances(pairs, from_config: dict) -> dict:
                 f"unknown tolerance {name!r}; known: {', '.join(_TOLERANCE_KEYS)}"
             )
         try:
+            if isinstance(value, bool):
+                raise TypeError(name)
             tol[name] = float(value)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"tolerance {name!r} is not a number: {value!r}") from exc
+        if not math.isfinite(tol[name]):
+            raise UsageError(f"tolerance {name!r} must be finite")
         if tol[name] <= 0.0:
             raise UsageError(f"tolerance {name!r} must be positive")
     return tol
@@ -224,32 +231,16 @@ def parse_config(argv=None) -> RunConfig:
     command = args.command
     file_values = _load_config_file(args.config, command) if args.config else {}
 
-    def pick(name: str):
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            return cli_value
-        if name in file_values:
-            return file_values[name]
-        return _DEFAULTS[name]
+    def pick(o: Option):
+        for value in (getattr(args, o.key, None), file_values.get(o.key)):
+            if value is not None:
+                return value
+        return o.default
 
-    values = {name: pick(name) for name in _DEFAULTS}
-    if values["omega"] is None:
+    raw = {o.key: pick(o) for o in OPTIONS}
+    if raw["omega"] is None:
         raise UsageError("--omega is required (or set omega in the config file)")
-
-    for name in ("omega", "B", "gup_a", "mass", "light_speed", "hbar", "charge",
-                 "B_min", "B_max"):
-        if values[name] is not None and not isinstance(values[name], (int, float)):
-            raise UsageError(f"{name} must be a number, got {values[name]!r}")
-        if values[name] is not None and not math.isfinite(values[name]):
-            raise UsageError(f"{name} must be finite, got {values[name]!r}")
-    for name in ("cutoff", "levels", "steps"):
-        v = values[name]
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-            raise UsageError(f"{name} must be an integer, got {v!r}")
-    if values["branch"] not in BRANCH_CHOICES:
-        raise UsageError(f"branch must be one of {BRANCH_CHOICES}")
-    if values["format"] not in FORMATS:
-        raise UsageError(f"format must be one of {FORMATS}")
+    values = {o.key: _checked(o, raw[o.key]) for o in OPTIONS}
     if values["levels"] < 0:
         raise UsageError("levels must be >= 0")
     if values["cutoff"] < values["levels"] + 4:
@@ -259,34 +250,15 @@ def parse_config(argv=None) -> RunConfig:
             f"{values['levels'] + 4} or lower --levels"
         )
     if command == "scan":
-        for name in ("B_min", "B_max", "steps"):
-            if values[name] is None:
-                raise UsageError(f"scan requires --{name.replace('_', '-')}")
+        for o in OPTIONS:
+            if o.scan_only and values[o.key] is None:
+                raise UsageError(f"scan requires {o.flag}")
         if values["steps"] < 2:
             raise UsageError("scan needs at least 2 steps")
         if not values["B_min"] <= values["B_max"]:
             raise UsageError("B-min must not exceed B-max")
 
-    tolerances = _parse_tolerances(args.tol, file_values)
-    return RunConfig(
-        command=command,
-        omega=float(values["omega"]),
-        b_field=float(values["B"]),
-        gup_a=float(values["gup_a"]),
-        mass=float(values["mass"]),
-        light_speed=float(values["light_speed"]),
-        hbar=float(values["hbar"]),
-        charge=float(values["charge"]),
-        cutoff=int(values["cutoff"]),
-        levels=int(values["levels"]),
-        branch=str(values["branch"]),
-        b_min=None if values["B_min"] is None else float(values["B_min"]),
-        b_max=None if values["B_max"] is None else float(values["B_max"]),
-        steps=None if values["steps"] is None else int(values["steps"]),
-        format=str(values["format"]),
-        output=values["output"],
-        tolerances=tolerances,
-    )
+    return RunConfig(command, values, _parse_tolerances(args.tol, file_values))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +381,11 @@ def to_csv(report: dict) -> str:
     ]
     writer.writerow(header)
     for point in report["points"]:
-        n2 = point.get("n2_shifts") or [None] * 4
-        row = [
-            _fmt_float(point["B"]),
-            _fmt_float(point["omega_tilde"]),
-            "" if point.get("ground_shift") is None else _fmt_float(point["ground_shift"]),
-            "" if point.get("first_shift") is None else _fmt_float(point["first_shift"]),
-        ]
-        row += ["" if s is None else _fmt_float(s) for s in n2]
-        row.append(_histogram_cell(point.get("degeneracy_counts_before")))
-        row.append(_histogram_cell(point.get("degeneracy_counts_after")))
+        numbers = [point["B"], point["omega_tilde"], point["ground_shift"],
+                   point["first_shift"], *(point["n2_shifts"] or [None] * 4)]
+        row = ["" if x is None else _fmt_float(x) for x in numbers]
+        row.append(_histogram_cell(point["degeneracy_counts_before"]))
+        row.append(_histogram_cell(point["degeneracy_counts_after"]))
         row.append(point.get("error", ""))
         writer.writerow(row)
     return buf.getvalue()
@@ -449,10 +416,6 @@ def _pt_report_dict(r: PTReport) -> dict:
 
 def _branches(config: RunConfig) -> tuple[str, ...]:
     return BRANCHES if config.branch == "both" else (config.branch,)
-
-
-def _histogram_json(hist: dict[int, int]) -> dict:
-    return {str(k): int(v) for k, v in sorted(hist.items())}
 
 
 def _report_header(config: RunConfig) -> dict:
@@ -538,29 +501,15 @@ def _run_degenerate(config: RunConfig) -> dict:
 def _run_scan(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
-    assert config.b_min is not None and config.b_max is not None
-    assert config.steps is not None
     values = [
-        config.b_min + (config.b_max - config.b_min) * i / (config.steps - 1)
+        config.B_min + (config.B_max - config.B_min) * i / (config.steps - 1)
         for i in range(config.steps)
     ]
     result = field_scan(
         space, p, values, degeneracy_window=config.tolerances["degeneracy_window"]
     )
-    points = []
-    for point in result.points:
-        row = {"B": point["B"], "omega_tilde": point["omega_tilde"]}
-        for key in ("ground_shift", "first_shift", "n2_shifts"):
-            row[key] = point.get(key)
-        for key in ("degeneracy_counts_before", "degeneracy_counts_after"):
-            row[key] = (
-                _histogram_json(point[key]) if key in point else None
-            )
-        if "error" in point:
-            row["error"] = point["error"]
-        points.append(row)
     report = _report_header(config)
-    report["points"] = points
+    report["points"] = result.points
     report["critical_B"] = result.critical_b
     return report
 
@@ -570,10 +519,8 @@ def _run_validate(config: RunConfig) -> dict:
     space = config.space()
     result = validation_report(space, p)
     report = _report_header(config)
-    report["rows"] = result["rows"]
-    report["allowlisted"] = result["allowlisted"]
-    report["unexpected_discrepancies"] = result["unexpected_discrepancies"]
-    report["passed"] = result["passed"]
+    for key in ("rows", "allowlisted", "unexpected_discrepancies", "passed"):
+        report[key] = result[key]
     report["own_block"] = _pt_report_dict(result["own_block"])
     report["stored_block"] = _pt_report_dict(result["stored_block"])
     return report

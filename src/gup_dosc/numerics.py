@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ComputationError, UsageError
 
-# Default bound on max_k ||A v_k - w_k v_k||_2 relative to max(1, ||A||_max * dim).
+# Bound on max_k ||A v_k - w_k v_k||_2 relative to max(1, ||A||_max * dim).
 DEFAULT_EIGH_TOL = 1e-10
 
 # Consecutive eigenvalues closer than this (times the same scale) are treated
@@ -125,7 +125,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(a, tol: float = DEFAULT_EIGH_TOL) -> EigenDecomposition:
+def eigh(a) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix with verified accuracy.
 
     The input is symmetrized via (a + a†)/2 before solving; the caller is
@@ -134,8 +134,6 @@ def eigh(a, tol: float = DEFAULT_EIGH_TOL) -> EigenDecomposition:
     or orthonormality contract cannot be met, and UsageError on non-finite
     input.
     """
-    if tol <= 0.0:
-        raise UsageError(f"eigh tolerance must be positive, got {tol}")
     a = as_matrix(a)
     h = 0.5 * (a + a.conj().T)
     scale = max(1.0, norm_max(h) * h.shape[0])
@@ -157,10 +155,9 @@ def eigh(a, tol: float = DEFAULT_EIGH_TOL) -> EigenDecomposition:
     residual = float(
         np.max(np.linalg.norm(h @ v - v * w[np.newaxis, :], axis=0))
     )
-    if not residual <= tol * scale:
-        raise ComputationError(
-            f"eigh residual {residual:.3e} exceeds bound {tol * scale:.3e}"
-        )
+    bound = DEFAULT_EIGH_TOL * scale
+    if not residual <= bound:
+        raise ComputationError(f"eigh residual {residual:.3e} exceeds bound {bound:.3e}")
     ortho = norm_max(v.conj().T @ v - np.eye(len(w)))
     if not ortho <= 1e-10:
         raise ComputationError(f"eigenvector orthonormality defect {ortho:.3e}")
@@ -174,17 +171,16 @@ def eigh(a, tol: float = DEFAULT_EIGH_TOL) -> EigenDecomposition:
     )
 
 
-def eigvalsh(a, tol: float = DEFAULT_EIGH_TOL) -> np.ndarray:
+def eigvalsh(a) -> np.ndarray:
     """Ascending eigenvalues only; cheaper than full `eigh`.
 
     Without eigenvectors there is no residual to check, so the first two
     spectral moments are: sum(w) against the trace and sum(w^2) against the
-    squared Frobenius norm, the latter within tol * dim * max(1, ||A||_max)^2.
+    squared Frobenius norm, the latter within
+    DEFAULT_EIGH_TOL * dim * max(1, ||A||_max)^2.
     The second moment catches eigenvalues LAPACK returns wrong by far more
     than roundoff while their sum still matches the trace.
     """
-    if tol <= 0.0:
-        raise UsageError(f"eigvalsh tolerance must be positive, got {tol}")
     a = as_matrix(a)
     h = 0.5 * (a + a.conj().T)
     try:
@@ -198,7 +194,7 @@ def eigvalsh(a, tol: float = DEFAULT_EIGH_TOL) -> np.ndarray:
             f"eigenvalue sum deviates from trace by {trace_gap:.3e}"
         )
     moment_gap = abs(w @ w - np.vdot(h, h).real)
-    if not moment_gap <= tol * len(w) * scale ** 2:
+    if not moment_gap <= DEFAULT_EIGH_TOL * len(w) * scale ** 2:
         raise ComputationError(
             f"sum of squared eigenvalues deviates from the squared Frobenius "
             f"norm by {moment_gap:.3e}"

@@ -453,12 +453,6 @@ def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport
     )
 
 
-def lowest_level_cluster(p: ModelParams, size: int) -> list[ClusterMember]:
-    """The first `size` spectator members of the rest-energy level tower."""
-    branch = POSITIVE if p.omega_tilde >= 0.0 else NEGATIVE
-    return [ClusterMember(n=0, branch=branch, spectator=k) for k in range(size)]
-
-
 def level_cluster(n: int, size: int, branch: str = POSITIVE) -> list[ClusterMember]:
     """The first `size` spectator members of the level-n tower."""
     return [ClusterMember(n=n, branch=branch, spectator=k) for k in range(size)]
@@ -506,7 +500,10 @@ def _scan_point(
     space: FockSpace, base: ModelParams, b_value: float, degeneracy_window: float
 ) -> dict:
     p = base.with_field(b_value)
-    point: dict = {"B": b_value, "omega_tilde": p.omega_tilde}
+    # every report key up front, in report order; a failed point keeps None
+    point: dict = {"B": b_value, "omega_tilde": p.omega_tilde, "ground_shift": None,
+                   "first_shift": None, "n2_shifts": None,
+                   "degeneracy_counts_before": None, "degeneracy_counts_after": None}
     try:
         branch0 = POSITIVE if p.omega_tilde >= 0.0 else NEGATIVE
         for key, n, branch in (

@@ -31,7 +31,7 @@ from gup_dosc.perturbation import (
     field_scan,
     first_order_shift,
     interior_spectrum,
-    lowest_level_cluster,
+    level_cluster,
     shifts_of_matrix,
     spectral_clusters,
 )
@@ -98,7 +98,7 @@ def test_criterion_5_degeneracy_lifting():
     space = FockSpace(cutoff=12, include_spin=True)
     p = ModelParams(omega=0.1, gup_a=1e-4)
     tower = degenerate_shift(
-        space, p, lowest_level_cluster(p, 6), include_oracle=False
+        space, p, level_cluster(n=0, size=6), include_oracle=False
     )
     expected = [-(k + 1.0) for k in reversed(range(6))]
     ok = np.allclose(tower.shifts, expected, atol=1e-10)
@@ -200,9 +200,9 @@ def test_criterion_9_linearity_and_determinism(tmp_path):
         ok = ok and abs(r2.shifts_energy[0] - 2.0 * r1.shifts_energy[0]) <= (
             1e-12 * abs(r2.shifts_energy[0])
         )
-        d1 = degenerate_shift(space, p1, lowest_level_cluster(p1, 4),
+        d1 = degenerate_shift(space, p1, level_cluster(n=0, size=4),
                               include_oracle=False)
-        d2 = degenerate_shift(space, p2, lowest_level_cluster(p2, 4),
+        d2 = degenerate_shift(space, p2, level_cluster(n=0, size=4),
                               include_oracle=False)
         for a_shift, b_shift in zip(d1.shifts_energy, d2.shifts_energy):
             ok = ok and abs(b_shift - 2.0 * a_shift) <= 1e-12 * abs(b_shift)

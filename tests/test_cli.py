@@ -206,18 +206,25 @@ def test_json_round_trip_values(tmp_path):
     assert to_json(json.loads(to_json(report))) == to_json(report)
 
 
-def test_config_echo_reproduces_report(tmp_path):
-    argv = ["scan", "--omega", "1", "--B-min", "0", "--B-max", "2", "--steps", "3",
-            "--gup-a", "1e-4", "--cutoff", "10", "--levels", "4",
-            "--format", "json"]
-    _, original = run_to_string(argv, tmp_path, "orig.json")
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega", "1", "--B", "1"],
+    ["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
+    ["degenerate", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
+    ["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
+     "--gup-a", "1e-4"],
+    ["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
+    ["spectrum", "--omega", "1", "--B", "1", "--tol", "cluster_window=1e-6",
+     "--tol", "degeneracy_window=2e-9"],
+    ["correct", "--omega", "1", "--B", "3", "--gup-a", "1e-4", "--branch", "both"],
+], ids=["spectrum", "correct", "degenerate", "scan", "validate", "tol", "branch-both"])
+def test_config_echo_reproduces_report(argv, tmp_path):
+    code, original = run_to_string(argv + FAST + ["--format", "json"], tmp_path,
+                                   "orig.json")
     echoed = json.loads(original)["config"]
     config_file = tmp_path / "echo.json"
     config_file.write_text(json.dumps(echoed))
-    _, reproduced = run_to_string(
-        ["scan", "--config", str(config_file)], tmp_path, "repro.json"
-    )
-    assert reproduced == original
+    assert run_to_string([argv[0], "--config", str(config_file)], tmp_path,
+                         "repro.json") == (code, original)
 
 
 def test_no_trailing_whitespace_in_json(tmp_path):
@@ -255,6 +262,45 @@ def test_non_finite_numbers_are_usage_errors(flag, value, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")
     assert "must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["cluster_window", "degeneracy_window"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_non_finite_tolerances_are_usage_errors(name, value, via, tmp_path, capsys):
+    argv = ["spectrum", "--omega", "1"] + FAST
+    if via == "flag":
+        argv += ["--tol", f"{name}={value}"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tolerances": {name: float(value)}}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: tolerance {name!r} must be finite\n"
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("omega", True, "omega"),
+    ("B", "1", "B"),
+    ("B_min", [0], "B_min"),
+    ("cutoff", 12.5, "cutoff"),
+    ("levels", False, "levels"),
+    ("steps", True, "steps"),
+    ("branch", 7, "branch"),
+    ("format", True, "format"),
+    ("output", -1, "output"),
+    ("tolerances", {"cluster_window": True}, "cluster_window"),
+])
+def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
+    values = {"omega": 1.0, "B_min": 0.0, "B_max": 1.0, "steps": 2, "cutoff": 12,
+              "levels": 4, key: value}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    assert main(["scan", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+    assert named in err and "Traceback" not in err
 
 
 def test_internal_failure_exit_three(monkeypatch, capsys):

@@ -25,7 +25,6 @@ from gup_dosc.perturbation import (
     interior_spectrum,
     level_cluster,
     level_exists,
-    lowest_level_cluster,
     operator_level,
     oracle_slopes,
     shifts_of_matrix,
@@ -84,7 +83,7 @@ def test_degenerate_levels_are_rejected():
 
 
 def test_lowest_tower_shifts_are_distinct():
-    r = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(PARAMS, 6))
+    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=6))
     assert r.shifts == pytest.approx([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], abs=1e-12)
     assert len(set(np.round(r.shifts, 9))) == 6
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -101,7 +100,7 @@ def test_degenerate_cluster_matrix_is_diagonal_in_spectator_tower():
 
 
 def test_degenerate_trace_identity():
-    r = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(PARAMS, 5))
+    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=5))
     assert sum(r.shifts) == pytest.approx(
         float(np.trace(r.subspace_matrix).real), abs=1e-12
     )
@@ -136,7 +135,7 @@ def test_oracle_slopes_match_whole_tower():
     # internal PT-oracle consistency over the complete interior tower
     tower_size = SPACE.cutoff - 1  # interior spectators of the lowest level
     r = degenerate_shift(
-        SPACE, PARAMS, lowest_level_cluster(PARAMS, tower_size),
+        SPACE, PARAMS, level_cluster(n=0, size=tower_size),
         include_oracle=False,
     )
     slopes = oracle_slopes(SPACE, PARAMS, 1.0)
@@ -265,9 +264,9 @@ def test_linearity_in_deformation_strength():
     r2 = first_order_shift(SPACE, doubled, spinor_level(doubled, 1, "+"),
                            include_oracle=False)
     assert r2.shifts_energy[0] == pytest.approx(2.0 * r1.shifts_energy[0], rel=1e-12)
-    d1 = degenerate_shift(SPACE, PARAMS, lowest_level_cluster(PARAMS, 4),
+    d1 = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=4),
                           include_oracle=False)
-    d2 = degenerate_shift(SPACE, doubled, lowest_level_cluster(doubled, 4),
+    d2 = degenerate_shift(SPACE, doubled, level_cluster(n=0, size=4),
                           include_oracle=False)
     for a, b in zip(d1.shifts_energy, d2.shifts_energy):
         assert b == pytest.approx(2.0 * a, rel=1e-12)
