@@ -2,7 +2,7 @@
 with first-order minimal-length corrections."""
 
 from .errors import ComputationError, UsageError
-from .fock import FockSpace, OscParams
+from .fock import FockSpace
 from .model import ModelParams, SpinorLevel, landau_level, spinor_level
 from .perturbation import (
     ClusterMember,
@@ -22,7 +22,6 @@ __all__ = [
     "ComputationError",
     "UsageError",
     "FockSpace",
-    "OscParams",
     "ModelParams",
     "SpinorLevel",
     "landau_level",

@@ -109,7 +109,7 @@ class RunConfig:
         return ModelParams(**{o.param: self.values[o.key] for o in OPTIONS if o.param})
 
     def space(self) -> FockSpace:
-        return FockSpace(cutoff=self.cutoff, include_spin=True)
+        return FockSpace(cutoff=self.cutoff)
 
     def echo(self) -> dict:
         # the output path says where the report goes, not what it holds
@@ -191,6 +191,10 @@ def _checked(o: Option, value):
     else:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"{o.key} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise UsageError(f"{o.key} is too large for a float") from None
         if not math.isfinite(value):
             raise UsageError(f"{o.key} must be finite, got {value!r}")
     return o.type(value)

@@ -1,4 +1,4 @@
-"""Physical parameters, the analytic level structure, and Hamiltonian assembly.
+"""Physical parameters, the analytic level structure, and the J-sector blocks.
 
 The unperturbed Hamiltonian couples the two spinor components through the
 dynamical boson mode only,
@@ -7,8 +7,8 @@ dynamical boson mode only,
           [ adjoint(from above), -m c^2                 ]]
 
 with wt the reduced frequency. The lower-left block is fixed to be the exact
-adjoint of the upper-right one; together with the commutator conventions in
-`fock` this pins Hermiticity and the closed-form level spectrum
+adjoint of the upper-right one; together with the commutator conventions of
+CONVENTIONS.md this pins Hermiticity and the closed-form level spectrum
 
     E_n(±) = ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2)).
 
@@ -26,16 +26,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import (
-    INTERIOR_MARGIN,
-    FockSpace,
-    OscParams,
-    embed_spinor,
-    momentum_ops,
-    p_squared,
-    position_ops,
-)
-from .numerics import adjoint
+from .fock import INTERIOR_MARGIN, FockSpace
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -76,6 +67,17 @@ class ModelParams:
             raise UsageError(f"oscillator frequency must be >= 0, got {self.omega}")
         if self.gup_a < 0.0:
             raise UsageError(f"deformation parameter must be >= 0, got {self.gup_a}")
+        # finite inputs can still give scales beyond the float range
+        for name in ("cyclotron_frequency", "omega_tilde", "rest_energy", "lam",
+                     "alpha_gup", "shift_unit"):
+            try:
+                value = getattr(self, name)
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not math.isfinite(value):
+                raise UsageError(
+                    f"derived {name} is not finite for these inputs, got {value}"
+                )
 
     @property
     def cyclotron_frequency(self) -> float:
@@ -108,17 +110,6 @@ class ModelParams:
 
     def with_field(self, b_field: float) -> "ModelParams":
         return replace(self, b_field=b_field)
-
-    def frame(self) -> OscParams:
-        """Oscillator frame for operator construction.
-
-        Uses the reduced frequency when it is nonzero; exactly at the
-        critical field the bare frequency provides the basis scale, the
-        i m wt c zbar coupling and H' carry an explicit factor of wt = 0, and
-        only the kinetic 2 c p_z coupling survives.
-        """
-        freq = self.omega_tilde if self.omega_tilde != 0.0 else self.omega
-        return OscParams(mass=self.mass, omega_tilde=freq, hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -180,63 +171,15 @@ def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
     return SpinorLevel(n=n, branch=branch, energy=energy, c_n=c, d_n=d)
 
 
-def _require_spin(space: FockSpace) -> None:
-    if not space.include_spin:
-        raise UsageError("Hamiltonian assembly requires a spinful space")
-
-
-def build_h0(space: FockSpace, p: ModelParams) -> np.ndarray:
-    """Assemble the unperturbed Hamiltonian on the truncated basis."""
-    _require_spin(space)
-    sless = space.without_spin()
-    mc2 = p.rest_energy
-    rest = mc2 * np.eye(sless.spinless_dim, dtype=np.complex128)
-    frame = p.frame()
-    if frame.omega_tilde == 0.0:
-        off = np.zeros_like(rest)
-    else:
-        _, zbar = position_ops(sless, frame)
-        pz, _ = momentum_ops(sless, frame)
-        off = (
-            2.0 * p.light_speed * pz
-            + 1j * p.mass * p.omega_tilde * p.light_speed * zbar
-        )
-    return embed_spinor(rest, -rest, off, adjoint(off))
-
-
-def build_h_prime(
-    space: FockSpace, p: ModelParams, strength: float | None = None
-) -> np.ndarray:
-    """Minimal-length perturbation -a c p^2 on both spinor components.
-
-    `strength` overrides p.gup_a; negative values are permitted here because
-    the finite-difference oracle extends the spectrum symmetrically through
-    a = 0. Identically zero at the critical field, where the ladder
-    representation of p^2 carries a vanishing prefactor.
-    """
-    _require_spin(space)
-    a = p.gup_a if strength is None else strength
-    sless = space.without_spin()
-    if a == 0.0 or p.omega_tilde == 0.0:
-        zero = np.zeros((sless.spinless_dim, sless.spinless_dim), dtype=np.complex128)
-        return embed_spinor(zero, zero, zero, zero)
-    p2 = p_squared(sless, p.frame())
-    block = -a * p.light_speed * p2
-    zero = np.zeros_like(block)
-    return embed_spinor(block, block, zero, zero)
-
-
 @dataclass(frozen=True)
 class Sector:
     """One interior block of fixed J = n_a - n_b + [spin down].
 
-    `indices` are the flat `FockSpace` indices of the block's states in
-    ascending order (spin-up states first, each spin ordered by n_b), so
-    `matrix` equals the dense interior Hamiltonian restricted to them.
+    Rows run over the spin-up states, then the spin-down states, each
+    ascending in n_b.
     """
 
     j: int
-    indices: np.ndarray
     matrix: np.ndarray
 
 
@@ -261,8 +204,9 @@ def _couplings(p: ModelParams) -> tuple[complex, complex]:
         return 0.0, -2j * c * math.sqrt(p.mass * -wt * p.hbar)
     if p.omega == 0.0:
         return 0.0, 0.0
-    # critical field: only the kinetic 2 c p_z term survives, in the bare frame
-    k = c * p.hbar / p.frame().length
+    # critical field: only the kinetic 2 c p_z term survives, in the bare
+    # frame of length sqrt(hbar / (m omega))
+    k = c * p.hbar / math.sqrt(p.hbar / (p.mass * p.omega))
     return k, -1j * k
 
 
@@ -273,14 +217,14 @@ def build_sectors(
 
     Built from closed-form ladder matrix elements on the interior
     n_a + n_b <= cutoff - INTERIOR_MARGIN only; the full space is never
-    allocated. `strength` overrides p.gup_a and may be negative (see
-    `build_h_prime`). Each block holds
+    allocated. `strength` overrides p.gup_a and may be negative: the
+    finite-difference oracle extends the spectrum symmetrically through
+    a = 0. Each block holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar i sqrt((n_a+1)(n_b+1))
       coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
     """
-    _require_spin(space)
     top = space.cutoff - INTERIOR_MARGIN
     if top < 0:
         raise UsageError(
@@ -290,7 +234,6 @@ def build_sectors(
     deform = -a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
     k_a, k_b = _couplings(p)
     mc2 = p.rest_energy
-    n_states = space.n_states
     sectors = []
     for j in range(-top, top + 2):
         up_a, up_b = _diagonal_line(j, top)
@@ -321,9 +264,5 @@ def build_sectors(
             coeff = k_b * np.sqrt(dn_b[q].astype(float))
             h[rows, u + q] = coeff
             h[u + q, rows] = np.conjugate(coeff)
-        indices = np.concatenate([
-            up_a * n_states + up_b,
-            space.spinless_dim + dn_a * n_states + dn_b,
-        ])
-        sectors.append(Sector(j=j, indices=indices, matrix=h))
+        sectors.append(Sector(j=j, matrix=h))
     return sectors

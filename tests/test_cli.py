@@ -1,10 +1,15 @@
 import csv
+import importlib
 import io
 import json
+import pathlib
+import re
+import warnings
 
 import pytest
 
-from gup_dosc import cli, fock, model, perturbation
+import gup_dosc
+from gup_dosc import cli
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
 
@@ -291,6 +296,9 @@ def test_non_finite_tolerances_are_usage_errors(name, value, via, tmp_path, caps
     ("format", True, "format"),
     ("output", -1, "output"),
     ("tolerances", {"cluster_window": True}, "cluster_window"),
+    # integers too large for a float
+    pytest.param("omega", 10 ** 400, "omega", id="omega-huge-int"),
+    pytest.param("B_min", 10 ** 400, "B_min", id="B_min-huge-int"),
 ])
 def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
     values = {"omega": 1.0, "B_min": 0.0, "B_max": 1.0, "steps": 2, "cutoff": 12,
@@ -301,6 +309,26 @@ def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--omega", "1", "--mass", "1e200", "--light-speed", "1e200"],
+     "rest_energy"),
+    (["correct", "--omega", "1e300", "--gup-a", "1e300"], "shift_unit"),
+    (["spectrum", "--omega", "1e200", "--hbar", "1e200"], "lam"),
+    (["spectrum", "--omega", "1", "--B", "1e300", "--charge", "1e300",
+      "--mass", "1e-300"], "cyclotron_frequency"),
+    (["spectrum", "--omega", "1", "--mass", "1e-200", "--light-speed", "1e-200"],
+     "cyclotron_frequency"),
+], ids=["rest-energy", "shift-unit", "lam", "cyclotron", "underflow"])
+def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--cutoff", "12", "--levels", "4"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+    assert named in err and "Traceback" not in err and "Warning" not in err
 
 
 def test_internal_failure_exit_three(monkeypatch, capsys):
@@ -329,9 +357,10 @@ def test_scan_csv_histograms_sorted_numerically(tmp_path):
     assert row["degeneracy_counts_before"].startswith("1:2;2:2;3:2;")
 
 
-DENSE_ASSEMBLY = ("build_h0", "build_h_prime", "compress",
-                  "p_squared", "position_ops", "momentum_ops", "ladder_a",
-                  "ladder_b", "embed_spinor")
+DENSE_ASSEMBLY = ("build_h0", "build_h_prime", "compress", "p_squared",
+                  "p_squared_ladder_form", "position_ops", "momentum_ops",
+                  "angular_momentum", "ladder_a", "ladder_b", "embed_spinor",
+                  "OscParams", "adjoint", "commutator")
 
 
 @pytest.mark.parametrize("argv", [
@@ -342,13 +371,14 @@ DENSE_ASSEMBLY = ("build_h0", "build_h_prime", "compress",
      "--gup-a", "1e-4", "--format", "csv"],
     ["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
 ])
-def test_commands_never_assemble_dense_operators(argv, monkeypatch, tmp_path):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense full-space assembly on the command path")
-
-    for module in (fock, model, perturbation):
-        for name in DENSE_ASSEMBLY:
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+def test_commands_never_assemble_dense_operators(argv, tmp_path):
+    # the dense reference algebra lives in tests/reference.py only
+    for path in sorted(pathlib.Path(gup_dosc.__file__).parent.glob("*.py")):
+        name = "gup_dosc" if path.stem == "__init__" else f"gup_dosc.{path.stem}"
+        module = importlib.import_module(name)
+        assert [n for n in DENSE_ASSEMBLY if hasattr(module, n)] == [], name
+        source = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(from|import)\s+[\w.]*reference\b", source, re.M), name
     code, text = run_to_string(argv + FAST, tmp_path)
     assert code == 0 and text
 

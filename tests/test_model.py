@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.fock import INTERIOR_MARGIN, FockSpace, compress
-from gup_dosc.model import (
-    ModelParams,
+from gup_dosc.fock import INTERIOR_MARGIN, FockSpace
+from gup_dosc.model import ModelParams, build_sectors, landau_level, spinor_level
+from gup_dosc.numerics import eigvalsh, norm_max
+from reference import (
+    Space,
+    adjoint,
     build_h0,
     build_h_prime,
-    build_sectors,
-    landau_level,
-    spinor_level,
+    compress,
+    sector_indices,
+    sector_j,
 )
-from gup_dosc.numerics import adjoint, eigvalsh, norm_max
 
-SPACE = FockSpace(cutoff=12, include_spin=True)
+SPACE = Space(cutoff=12, include_spin=True)
 
 
 def interior_eigs(h, space=SPACE, margin=2):
@@ -111,7 +113,7 @@ def test_landau_degeneracy_tower_grows_with_cutoff():
         e = landau_level(p, n, "+")
         mults = []
         for cutoff in (8, 10, 12):
-            space = FockSpace(cutoff=cutoff, include_spin=True)
+            space = Space(cutoff=cutoff, include_spin=True)
             w = interior_eigs(build_h0(space, p), space)
             mults.append(int(np.sum(np.abs(w - e) < 1e-9)))
         assert mults == [cutoff - 1 - n for cutoff in (8, 10, 12)]
@@ -125,7 +127,7 @@ def test_h0_spectrum_charge_conjugation_symmetric():
 
 def test_h0_free_limit_is_pure_rest_energy():
     p = ModelParams(omega=0.0, b_field=0.0)
-    h0 = build_h0(FockSpace(cutoff=4, include_spin=True), p)
+    h0 = build_h0(Space(cutoff=4, include_spin=True), p)
     assert norm_max(h0 - adjoint(h0)) == 0.0
     w = np.unique(np.round(eigvalsh(h0), 12))
     assert np.array_equal(w, [-1.0, 1.0])
@@ -191,23 +193,20 @@ def test_over_critical_assembly_uses_magnitude_scale():
 SECTOR_FIELDS = [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 0.0)]
 
 
-def _sector_j(space, index):
-    n_a, n_b, spin_up = space.unpack(int(index))
-    return n_a - n_b + (0 if spin_up else 1)
-
-
 @pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
 @pytest.mark.parametrize("strength", [0.0, 1e-5, 1.0])
 def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
-    space = FockSpace(cutoff=10, include_spin=True)
+    space = Space(cutoff=10, include_spin=True)
     p = ModelParams(omega=omega, b_field=b_field)
     dense = build_h0(space, p) + build_h_prime(space, p, strength=strength)
     sectors = build_sectors(space, p, strength=strength)
-    covered = np.sort(np.concatenate([s.indices for s in sectors]))
+    indices = {s.j: sector_indices(space, s.j) for s in sectors}
+    covered = np.sort(np.concatenate(list(indices.values())))
     assert np.array_equal(covered, np.sort(space.interior_indices(2)))
     for s in sectors:
-        assert all(_sector_j(space, i) == s.j for i in s.indices)
-        block = compress(dense, s.indices)
+        assert all(sector_j(space, i) == s.j for i in indices[s.j])
+        block = compress(dense, indices[s.j])
+        assert s.matrix.shape == block.shape
         assert norm_max(s.matrix - block) <= 1e-13
     if p.omega_tilde == 0.0:
         # the surviving p_z coupling is present in both constructions
@@ -216,22 +215,22 @@ def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
 
 @pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
 def test_no_interior_element_crosses_a_sector(omega, b_field):
-    space = FockSpace(cutoff=10, include_spin=True)
+    space = Space(cutoff=10, include_spin=True)
     p = ModelParams(omega=omega, b_field=b_field)
     idx = space.interior_indices(2)
     inner = compress(build_h0(space, p) + build_h_prime(space, p, strength=1.0), idx)
-    j = np.array([_sector_j(space, i) for i in idx])
+    j = np.array([sector_j(space, i) for i in idx])
     assert np.all(inner[j[:, None] != j[None, :]] == 0.0)
 
 
 def test_sector_couplings_are_exact_zeros():
     # only the collapsed coupling mixes the spinor components; every other
     # down -> up element is an exact zero, not a roundoff residue
-    space = FockSpace(cutoff=8, include_spin=True)
+    space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
         for s in build_sectors(space, p):
-            states = [space.unpack(int(i)) for i in s.indices]
+            states = [space.unpack(int(i)) for i in sector_indices(space, s.j)]
             for r, (n_a, n_b, row_up) in enumerate(states):
                 for q, (m_a, m_b, col_up) in enumerate(states):
                     if row_up and not col_up and (n_a - m_a, n_b - m_b) != step:

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.numerics import (
-    adjoint,
-    as_matrix,
-    commutator,
-    dump_matrix,
-    eigh,
-    eigvalsh,
-    norm_max,
-)
+from gup_dosc.numerics import as_matrix, dump_matrix, eigh, eigvalsh, norm_max
+from reference import adjoint, commutator
 
 RNG = np.random.default_rng(20240817)
 

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import UsageError
-from gup_dosc.fock import (
-    FockSpace,
-    angular_momentum,
-    ladder_a,
-    p_squared,
-    position_ops,
-)
+from gup_dosc.fock import FockSpace
 from gup_dosc.model import ModelParams, spinor_level
 from gup_dosc.numerics import norm_max
 from gup_dosc.perturbation import (
@@ -16,7 +10,6 @@ from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
     ClusterMember,
-    _state_vector,
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
@@ -31,8 +24,9 @@ from gup_dosc.perturbation import (
     spectral_clusters,
     validation_report,
 )
+from reference import Space, angular_momentum, frame, ladder_a, p_squared, position_ops
 
-SPACE = FockSpace(cutoff=12, include_spin=True)
+SPACE = FockSpace(cutoff=12)
 PARAMS = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
 
 # Frozen from the exact characteristic polynomial of the stored block.
@@ -118,6 +112,19 @@ def test_degenerate_mixed_energies_rejected():
         degenerate_shift(SPACE, PARAMS, cluster)
 
 
+def test_degenerate_cluster_is_distinct_states_of_one_level():
+    p = ModelParams(omega=1.0, b_field=1.0)
+    cluster = [ClusterMember(2, "+", 0), ClusterMember(2, "+", 0)]
+    with pytest.raises(UsageError, match="distinct"):
+        degenerate_shift(SPACE, p, cluster)
+    # levels 0 and 1 lie within the cluster window here, and the pair term
+    # of p^2 couples |0, 0> to |1, 1>: no diagonal cluster matrix exists
+    tiny = ModelParams(omega=1e-12, gup_a=1e-4)
+    cluster = [ClusterMember(0, "+", 0), ClusterMember(1, "+", 1)]
+    with pytest.raises(UsageError, match="one level"):
+        degenerate_shift(SPACE, tiny, cluster)
+
+
 def test_stored_block_shifts_eigenvector_and_trace():
     r = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)
     assert r.shifts == pytest.approx(BLOCK_SHIFTS, abs=1e-12)
@@ -178,7 +185,7 @@ def test_critical_field_formula():
 
 
 def test_field_scan_crosses_critical_point():
-    space = FockSpace(cutoff=10, include_spin=True)
+    space = FockSpace(cutoff=10)
     base = ModelParams(omega=1.0, gup_a=1e-4)
     scan = field_scan(space, base, [0.0, 1.0, 2.0, 3.0])
     assert [pt["omega_tilde"] for pt in scan.points] == [1.0, 0.5, 0.0, -0.5]
@@ -195,7 +202,7 @@ def test_field_scan_crosses_critical_point():
 def test_field_scan_keeps_errored_points():
     # cutoff too small for the second-level cluster: every point errors
     # but the record count is preserved
-    space = FockSpace(cutoff=4, include_spin=True)
+    space = FockSpace(cutoff=4)
     base = ModelParams(omega=1.0, gup_a=1e-4)
     scan = field_scan(space, base, [0.0, 1.0])
     assert len(scan.points) == 2
@@ -281,7 +288,7 @@ def test_shifts_vanish_at_critical_field():
 
 
 def test_validation_report_passes_with_allowlisted_rows():
-    space = FockSpace(cutoff=14, include_spin=True)
+    space = FockSpace(cutoff=14)
     p = ModelParams(omega=1.0, b_field=1.0, gup_a=1e-4)
     result = validation_report(space, p)
     assert result["passed"]
@@ -302,15 +309,16 @@ def test_validation_report_passes_with_allowlisted_rows():
 
 
 def test_closed_form_shifts_match_dense_reference_algebra():
-    # the ladder-form pieces of p^2, built densely in `fock`, against the
-    # closed-form matrix elements used for shifts, breakdowns and clusters
-    space = FockSpace(cutoff=8, include_spin=True)
+    # the ladder-form pieces of p^2, built densely in tests/reference.py,
+    # against the closed-form matrix elements used for shifts, breakdowns
+    # and clusters
+    space = Space(cutoff=8, include_spin=True)
     sless = space.without_spin()
     for p in (PARAMS, ModelParams(omega=1.0, b_field=3.0, gup_a=1e-4)):
-        frame = p.frame()
+        osc = frame(p)
         w = abs(p.omega_tilde)
         a_op = ladder_a(sless)
-        z, zbar = position_ops(sless, frame)
+        z, zbar = position_ops(sless, osc)
         pieces = {
             "ladder": 2.0 * p.mass * w * p.hbar
             * (a_op.conj().T @ a_op + a_op @ a_op.conj().T),
@@ -318,30 +326,34 @@ def test_closed_form_shifts_match_dense_reference_algebra():
             "angular": 2.0 * p.mass * w * angular_momentum(sless, hbar=p.hbar),
         }
         pieces = {k: np.kron(np.eye(2), v) for k, v in pieces.items()}
-        p2 = np.kron(np.eye(2), p_squared(sless, frame))
+        p2 = np.kron(np.eye(2), p_squared(sless, osc))
         scale = p.mass * p.hbar * p.omega_tilde
 
         def dense(vec, op, other=None):
             other = vec if other is None else other
             return -(vec.conj() @ op @ other) / scale
 
-        def vector(m):
+        def vector(desc):
+            # the dense state from the basis descriptor the report carries
             vec = np.zeros(space.dim, dtype=complex)
-            state, _ = _state_vector(space, p, m.n, m.branch, m.spectator)
-            for (up, n_a, n_b), amp in state.items():
-                vec[space.index(n_a, n_b, spin_up=up)] = amp
+            if desc["upper_state"] is not None:
+                vec[space.index(*desc["upper_state"], spin_up=True)] = desc["upper_weight"]
+            if desc["lower_state"] is not None:
+                vec[space.index(*desc["lower_state"], spin_up=False)] = complex(
+                    *desc["lower_weight"]
+                )
             return vec
 
         branch0 = "+" if p.omega_tilde > 0 else "-"
         for n, branch in ((0, branch0), (1, "+"), (1, "-")):
             level = operator_level(p, n, branch)
             r = first_order_shift(space, p, level, spectator=2, include_oracle=False)
-            vec = vector(ClusterMember(n, branch, 2))
+            vec = vector(r.subspace_basis[0])
             assert r.shifts[0] == pytest.approx(dense(vec, p2).real, abs=1e-12)
             for name, op in pieces.items():
                 assert r.breakdown[name] == pytest.approx(dense(vec, op).real, abs=1e-12)
         cluster = level_cluster(n=2, size=4)
         r = degenerate_shift(space, p, cluster, include_oracle=False)
-        vecs = [vector(m) for m in cluster]
+        vecs = [vector(desc) for desc in r.subspace_basis]
         ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
         assert norm_max(r.subspace_matrix - ref) <= 1e-12
