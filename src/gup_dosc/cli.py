@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import FockSpace
+from .fock import MAX_CUTOFF, FockSpace
 from .model import (
     BRANCHES,
     NEGATIVE,
@@ -78,7 +78,7 @@ OPTIONS = (
     Option("light_speed", float, 1.0, "speed of light (default 1)", param="light_speed"),
     Option("hbar", float, 1.0, "hbar (default 1)", param="hbar"),
     Option("charge", float, 1.0, "charge magnitude (default 1)", param="charge"),
-    Option("cutoff", int, 40, "boson cutoff per mode (default 40)"),
+    Option("cutoff", int, 40, f"boson cutoff per mode (default 40, at most {MAX_CUTOFF})"),
     Option("levels", int, 8, "levels to report (default 8)"),
     Option("branch", str, POSITIVE, "energy branch", choices=BRANCH_CHOICES),
     Option("format", str, "text", "output format", choices=FORMATS),

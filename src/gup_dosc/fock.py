@@ -20,6 +20,21 @@ from .errors import UsageError
 
 # Boson quanta kept clear of the cutoff by the interior projection.
 INTERIOR_MARGIN = 2
+# Largest accepted cutoff. Memory stays small there (one 8 MB block at a
+# time plus spectra of 8 MB each), but eigensolver work grows as cutoff^4:
+# 5e11 dim^3 per interior spectrum at the limit, and `validate` solves five.
+MAX_CUTOFF = 1000
+
+
+def sector_cost(cutoff: int) -> tuple[int, int]:
+    """(sum of dim^3 over the J-sector blocks, bytes of the largest block).
+
+    With T = cutoff - INTERIOR_MARGIN the 2T + 2 blocks have dimensions
+    1 .. T + 1, each twice, so sum dim^3 = (T+1)^2 (T+2)^2 / 2 (about
+    cutoff^4 / 2) and the largest float64 block takes 8 (T+1)^2 bytes.
+    """
+    t = cutoff - INTERIOR_MARGIN
+    return (t + 1) ** 2 * (t + 2) ** 2 // 2, 8 * (t + 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -31,3 +46,14 @@ class FockSpace:
     def __post_init__(self):
         if self.cutoff < 1:
             raise UsageError(f"cutoff must be >= 1, got {self.cutoff}")
+        if self.cutoff > MAX_CUTOFF:
+            # Decimal formats the estimate even where a float would overflow;
+            # imported here to keep it out of every run's start-up
+            from decimal import Decimal
+
+            work, block = map(Decimal, sector_cost(self.cutoff))
+            raise UsageError(
+                f"cutoff {self.cutoff} exceeds the limit {MAX_CUTOFF}: one interior "
+                f"spectrum would take {work:.1e} dim^3 of eigensolver work and "
+                f"{block:.1e} bytes for its largest block"
+            )

@@ -21,6 +21,7 @@ critical field wt = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -130,6 +131,10 @@ def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
     if branch not in BRANCHES:
         raise UsageError(f"branch must be '+' or '-', got {branch!r}")
     radicand = 1.0 + 4.0 * p.lam * n
+    if not math.isfinite(radicand):
+        raise UsageError(
+            f"1 + 4 lam n is not finite for level n={n} at lam = {p.lam!r}"
+        )
     if radicand < 0.0:
         raise ComputationError(
             f"branch collapse: level n={n} has no real energy at "
@@ -176,7 +181,8 @@ class Sector:
     """One interior block of fixed J = n_a - n_b + [spin down].
 
     Rows run over the spin-up states, then the spin-down states, each
-    ascending in n_b.
+    ascending in n_b. The block is real symmetric: its basis state
+    |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md, Sectors).
     """
 
     j: int
@@ -189,10 +195,12 @@ def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     return n_b + d, n_b
 
 
-def _couplings(p: ModelParams) -> tuple[complex, complex]:
+def _couplings(p: ModelParams) -> tuple[float, float]:
     """Coefficients (k_a, k_b) of the collapsed coupling K = k_a a† + k_b b.
 
-    K is the upper-right (down -> up) spinor block of H0. Structurally
+    K is the upper-right (down -> up) spinor block of H0, taken in the
+    i^{n_b}-phased basis, where b acts as i b: the -2 i c sqrt(m |wt| hbar) b
+    of wt < 0 and the -i c hbar / l b of wt = 0 become real. Structurally
     vanishing coefficients are exact zeros: transcribing
     2 c p_z + i m wt c zbar leaves a roundoff residue that can derail LAPACK.
     """
@@ -201,28 +209,30 @@ def _couplings(p: ModelParams) -> tuple[complex, complex]:
     if wt > 0.0:
         return 2.0 * c * math.sqrt(p.mass * wt * p.hbar), 0.0
     if wt < 0.0:
-        return 0.0, -2j * c * math.sqrt(p.mass * -wt * p.hbar)
+        return 0.0, 2.0 * c * math.sqrt(p.mass * -wt * p.hbar)
     if p.omega == 0.0:
         return 0.0, 0.0
     # critical field: only the kinetic 2 c p_z term survives, in the bare
     # frame of length sqrt(hbar / (m omega))
     k = c * p.hbar / math.sqrt(p.hbar / (p.mass * p.omega))
-    return k, -1j * k
+    return k, k
 
 
 def build_sectors(
     space: FockSpace, p: ModelParams, strength: float | None = None
-) -> list[Sector]:
+) -> Iterator[Sector]:
     """Interior blocks of H0 + H' at deformation `strength`, one per J.
 
     Built from closed-form ladder matrix elements on the interior
     n_a + n_b <= cutoff - INTERIOR_MARGIN only; the full space is never
-    allocated. `strength` overrides p.gup_a and may be negative: the
-    finite-difference oracle extends the spectrum symmetrically through
-    a = 0. Each block holds
+    allocated. The blocks are generated one at a time, ascending in J, so a
+    caller that consumes them in turn holds one block at a time. `strength`
+    overrides p.gup_a and may be negative: the finite-difference oracle
+    extends the spectrum symmetrically through a = 0. Each block is real
+    symmetric float64 in the i^{n_b}-phased basis and holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
-      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar i sqrt((n_a+1)(n_b+1))
+      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
       coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
     """
     top = space.cutoff - INTERIOR_MARGIN
@@ -233,36 +243,43 @@ def build_sectors(
     a = p.gup_a if strength is None else strength
     deform = -a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
     k_a, k_b = _couplings(p)
-    mc2 = p.rest_energy
-    sectors = []
-    for j in range(-top, top + 2):
-        up_a, up_b = _diagonal_line(j, top)
-        dn_a, dn_b = _diagonal_line(j - 1, top)
-        u, v = len(up_b), len(dn_b)
-        h = np.zeros((u + v, u + v), dtype=np.complex128)
-        np.fill_diagonal(h, np.concatenate([mc2 + deform * (up_a + up_b + 1),
-                                            -mc2 + deform * (dn_a + dn_b + 1)]))
-        if deform != 0.0:
-            for lo, hi, n_a, n_b in ((0, u, up_a, up_b), (u, u + v, dn_a, dn_b)):
-                k = np.arange(lo, hi - 1)
-                pair = 1j * deform * np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
-                h[k + 1, k] = pair
-                h[k, k + 1] = pair.conjugate()
-        # up positions are n_b - up_b[0]; down state q sits at u + q
-        first_b = max(0, -j)
-        if k_a != 0.0:
-            # down (n_a, n_b) -> up (n_a + 1, n_b) while that stays interior
-            q = np.nonzero(dn_a + 1 + dn_b <= top)[0]
-            rows = dn_b[q] - first_b
-            coeff = k_a * np.sqrt(dn_a[q] + 1.0)
-            h[rows, u + q] = coeff
-            h[u + q, rows] = np.conjugate(coeff)
-        if k_b != 0.0:
-            # down (n_a, n_b) -> up (n_a, n_b - 1)
-            q = np.nonzero(dn_b >= 1)[0]
-            rows = dn_b[q] - 1 - first_b
-            coeff = k_b * np.sqrt(dn_b[q].astype(float))
-            h[rows, u + q] = coeff
-            h[u + q, rows] = np.conjugate(coeff)
-        sectors.append(Sector(j=j, matrix=h))
-    return sectors
+    if not math.isfinite(max(k_a, k_b)):
+        raise UsageError(
+            f"derived oscillator coupling is not finite for these inputs, got "
+            f"{max(k_a, k_b)}"
+        )
+    return (_sector(j, top, p.rest_energy, deform, k_a, k_b)
+            for j in range(-top, top + 2))
+
+
+def _sector(j: int, top: int, mc2: float, deform: float, k_a: float,
+            k_b: float) -> Sector:
+    up_a, up_b = _diagonal_line(j, top)
+    dn_a, dn_b = _diagonal_line(j - 1, top)
+    u, v = len(up_b), len(dn_b)
+    h = np.zeros((u + v, u + v))
+    np.fill_diagonal(h, np.concatenate([mc2 + deform * (up_a + up_b + 1),
+                                        -mc2 + deform * (dn_a + dn_b + 1)]))
+    if deform != 0.0:
+        for lo, hi, n_a, n_b in ((0, u, up_a, up_b), (u, u + v, dn_a, dn_b)):
+            k = np.arange(lo, hi - 1)
+            pair = deform * np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
+            h[k + 1, k] = pair
+            h[k, k + 1] = pair
+    # up positions are n_b - up_b[0]; down state q sits at u + q
+    first_b = max(0, -j)
+    if k_a != 0.0:
+        # down (n_a, n_b) -> up (n_a + 1, n_b) while that stays interior
+        q = np.nonzero(dn_a + 1 + dn_b <= top)[0]
+        rows = dn_b[q] - first_b
+        coeff = k_a * np.sqrt(dn_a[q] + 1.0)
+        h[rows, u + q] = coeff
+        h[u + q, rows] = coeff
+    if k_b != 0.0:
+        # down (n_a, n_b) -> up (n_a, n_b - 1)
+        q = np.nonzero(dn_b >= 1)[0]
+        rows = dn_b[q] - 1 - first_b
+        coeff = k_b * np.sqrt(dn_b[q].astype(float))
+        h[rows, u + q] = coeff
+        h[u + q, rows] = coeff
+    return Sector(j=j, matrix=h)

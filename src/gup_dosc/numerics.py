@@ -1,7 +1,8 @@
-"""Dense complex linear algebra with explicit accuracy contracts.
+"""Dense linear algebra with explicit accuracy contracts.
 
-All matrices in this package are square ``numpy`` arrays of ``complex128``.
-The Hermitian eigensolver wraps LAPACK and enforces the residual,
+All matrices in this package are square ``numpy`` arrays: ``float64`` when
+the input is real (the J-sector blocks are real symmetric), ``complex128``
+otherwise. The Hermitian eigensolver wraps LAPACK and enforces the residual,
 orthonormality and trace contracts the physics modules rely on, and fixes
 the phase of every eigenvector so that reports are reproducible.
 """
@@ -19,13 +20,14 @@ DEFAULT_EIGH_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a square, finite complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Validate and return `a` as a square, finite array: float64 if real, else complex128."""
+    m = np.asarray(a)
+    m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise UsageError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise UsageError("matrix contains non-finite entries")
     return m
 
@@ -103,29 +105,34 @@ def eigvalsh(a) -> np.ndarray:
     """Ascending eigenvalues only; cheaper than full `eigh`.
 
     Without eigenvectors there is no residual to check, so the first two
-    spectral moments are: sum(w) against the trace and sum(w^2) against the
-    squared Frobenius norm, the latter within
-    DEFAULT_EIGH_TOL * dim * max(1, ||A||_max)^2.
-    The second moment catches eigenvalues LAPACK returns wrong by far more
-    than roundoff while their sum still matches the trace.
+    spectral moments are checked instead, in units of s = max(1, ||A||_max)
+    so that entries near the float range cannot overflow them: sum(w/s)
+    against tr(A/s) within 1e-10 * dim, and sum((w/s)^2) against ||A/s||_F^2
+    within DEFAULT_EIGH_TOL * dim. The second moment catches eigenvalues
+    LAPACK returns wrong by far more than roundoff while their sum still
+    matches the trace. Real input is solved as real symmetric, never
+    promoted to complex.
     """
     a = as_matrix(a)
-    h = 0.5 * (a + a.conj().T)
+    h = 0.5 * a
+    h = h + h.conj().T
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigensolver did not converge: {exc}") from exc
     scale = max(1.0, norm_max(h))
-    trace_gap = abs(np.sum(w) - np.trace(h).real)
-    if not trace_gap <= 1e-10 * len(w) * scale:
+    ws, hs = w / scale, h / scale
+    trace_gap = abs(np.sum(ws) - np.trace(hs).real)
+    if not trace_gap <= 1e-10 * len(w):
         raise ComputationError(
-            f"eigenvalue sum deviates from trace by {trace_gap:.3e}"
+            f"eigenvalue sum deviates from trace by {trace_gap:.3e} in units "
+            f"of {scale:.3e}"
         )
-    moment_gap = abs(w @ w - np.vdot(h, h).real)
-    if not moment_gap <= DEFAULT_EIGH_TOL * len(w) * scale ** 2:
+    moment_gap = abs(ws @ ws - np.vdot(hs, hs).real)
+    if not moment_gap <= DEFAULT_EIGH_TOL * len(w):
         raise ComputationError(
             f"sum of squared eigenvalues deviates from the squared Frobenius "
-            f"norm by {moment_gap:.3e}"
+            f"norm by {moment_gap:.3e} in units of {scale:.3e} squared"
         )
     return w
 

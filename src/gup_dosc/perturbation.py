@@ -226,7 +226,8 @@ def interior_spectrum(
     """Ascending eigenvalues of the interior-projected full Hamiltonian.
 
     H0 and H' both conserve J = n_a - n_b + [spin down], so the spectrum is
-    the sorted union of the J-sector spectra (`build_sectors`).
+    the sorted union of the J-sector spectra (`build_sectors`). The blocks
+    are solved as they are generated, so one block is held at a time.
     """
     sectors = build_sectors(space, p, strength=strength)
     return np.sort(np.concatenate([eigvalsh(s.matrix) for s in sectors]))

@@ -125,6 +125,18 @@ def sector_indices(space: Space, j: int) -> np.ndarray:
     )
 
 
+def sector_block(space: Space, dense: np.ndarray, j: int) -> np.ndarray:
+    """The J = j interior block of a dense operator in the basis of
+    `build_sectors`: each state |n_a, n_b, s> carries the phase i^{n_b}.
+
+    The phases are exact, [1, i, -1, -i][n_b % 4]; 1j ** n_b leaves roundoff
+    in the imaginary parts.
+    """
+    indices = sector_indices(space, j)
+    phase = np.array([1, 1j, -1, -1j])[[space.unpack(int(i))[1] % 4 for i in indices]]
+    return phase.conj()[:, None] * compress(dense, indices) * phase[None, :]
+
+
 @dataclass(frozen=True)
 class OscParams:
     """Oscillator frame: mass, frame frequency and hbar.

@@ -320,11 +320,17 @@ def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
       "--mass", "1e-300"], "cyclotron_frequency"),
     (["spectrum", "--omega", "1", "--mass", "1e-200", "--light-speed", "1e-200"],
      "cyclotron_frequency"),
-], ids=["rest-energy", "shift-unit", "lam", "cyclotron", "underflow"])
+    # finite derived scales whose closed-form radicand or coupling overflows
+    (["spectrum", "--omega", "1e308"], "lam"),
+    (["spectrum", "--omega", "1e300", "--mass", "1e10"], "coupling"),
+    (["spectrum", "--omega", "1", "--cutoff", "1001"], "cutoff 1001"),
+], ids=["rest-energy", "shift-unit", "lam", "cyclotron", "underflow", "radicand",
+        "coupling", "cutoff-cost"])
 def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(argv + ["--cutoff", "12", "--levels", "4"]) == 2
+        # the table's own flags come last, so they win
+        assert main([argv[0], "--cutoff", "12", "--levels", "4", *argv[1:]]) == 2
     assert caught == []
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.fock import INTERIOR_MARGIN, FockSpace
+from gup_dosc.fock import INTERIOR_MARGIN, MAX_CUTOFF, FockSpace, sector_cost
 from gup_dosc.model import ModelParams, build_sectors, landau_level, spinor_level
 from gup_dosc.numerics import eigvalsh, norm_max
 from reference import (
@@ -13,6 +13,7 @@ from reference import (
     build_h0,
     build_h_prime,
     compress,
+    sector_block,
     sector_indices,
     sector_j,
 )
@@ -199,13 +200,16 @@ def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
     space = Space(cutoff=10, include_spin=True)
     p = ModelParams(omega=omega, b_field=b_field)
     dense = build_h0(space, p) + build_h_prime(space, p, strength=strength)
-    sectors = build_sectors(space, p, strength=strength)
+    sectors = list(build_sectors(space, p, strength=strength))
     indices = {s.j: sector_indices(space, s.j) for s in sectors}
     covered = np.sort(np.concatenate(list(indices.values())))
     assert np.array_equal(covered, np.sort(space.interior_indices(2)))
     for s in sectors:
         assert all(sector_j(space, i) == s.j for i in indices[s.j])
-        block = compress(dense, indices[s.j])
+        # the dense block conjugated by the i^{n_b} phases is real symmetric
+        block = sector_block(space, dense, s.j)
+        assert norm_max(block.imag) == 0.0
+        assert s.matrix.dtype == np.float64
         assert s.matrix.shape == block.shape
         assert norm_max(s.matrix - block) <= 1e-13
     if p.omega_tilde == 0.0:
@@ -244,3 +248,21 @@ def test_build_sectors_rejects_cutoff_inside_margin():
     # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
     sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), p)
     assert [s.matrix.shape for s in sectors] == [(1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 7, 12, 40])
+def test_sector_cost_counts_the_built_blocks(cutoff):
+    dims = [len(s.matrix) for s in build_sectors(FockSpace(cutoff), ModelParams(omega=1.0))]
+    assert sector_cost(cutoff) == (sum(d ** 3 for d in dims), 8 * max(dims) ** 2)
+
+
+def test_cutoff_beyond_the_cost_limit_is_rejected():
+    # the closed form alone decides: no block is built
+    t = MAX_CUTOFF - INTERIOR_MARGIN
+    assert sector_cost(MAX_CUTOFF) == (((t + 1) * (t + 2)) ** 2 // 2, 8 * (t + 1) ** 2)
+    FockSpace(cutoff=MAX_CUTOFF)
+    with pytest.raises(UsageError, match=f"cutoff {MAX_CUTOFF + 1} exceeds the limit"):
+        FockSpace(cutoff=MAX_CUTOFF + 1)
+    # an estimate beyond the float range still formats
+    with pytest.raises(UsageError, match=r"5\.0e\+399 dim\^3"):
+        FockSpace(cutoff=10 ** 100)

@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.numerics import as_matrix, dump_matrix, eigh, eigvalsh, norm_max
 from reference import adjoint, commutator
@@ -106,6 +112,46 @@ def test_eigh_rejects_bad_input():
         eigh(np.array([[np.nan, 0], [0, 1.0]]))
     with pytest.raises(UsageError):
         eigh(np.ones((2, 3)))
+
+
+def test_eigvalsh_real_input_stays_real():
+    a = RNG.normal(size=(17, 17))
+    a = 0.5 * (a + a.T)
+    assert as_matrix(a).dtype == np.float64
+    assert as_matrix(a.astype(complex)).dtype == np.complex128
+    real = eigvalsh(a)
+    assert real.dtype == np.float64
+    assert norm_max(real - eigvalsh(a.astype(complex))) <= 1e-13
+
+
+def test_eigvalsh_moments_near_the_float_range():
+    # entries whose squares overflow: the moments are compared in units of
+    # the largest entry, so no overflow warning and no OverflowError
+    h = np.array([[0.0, 1e200], [1e200, 0.0]])
+    assert np.array_equal(eigvalsh(h), [-1e200, 1e200])
+    h = np.diag([1e308, -1e308])
+    assert np.array_equal(eigvalsh(h), [-1e308, 1e308])
+
+
+@pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
+def test_import_sets_one_blas_thread_by_default(setting, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    env["PYTHONPATH"] = str(pathlib.Path(gup_dosc.__file__).parents[1])
+    code = (
+        "import os, gup_dosc\n"
+        "tasks = '/proc/self/task'\n"
+        "n = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], n)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert out[0] == expected
+    if setting is None:
+        if out[1] == "None":
+            pytest.skip("thread count needs Linux /proc/self/task")
+        assert out[1] == "1"
 
 
 def test_eigvalsh_matches_eigh():
