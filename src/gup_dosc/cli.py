@@ -42,6 +42,7 @@ from .perturbation import (
     first_order_shift,
     interior_spectrum,
     level_cluster,
+    level_distances,
     level_exists,
     operator_level,
     validation_report,
@@ -442,13 +443,14 @@ def _run_spectrum(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
     window = config.tolerances["cluster_window"] * p.rest_energy
-    spectrum = interior_spectrum(space, p, strength=0.0)
+    spectrum = interior_spectrum(space, p, (0.0,))[0]
     rows = []
     for n in range(config.levels + 1):
         for branch in _branches(config):
             analytic = landau_level(p, n, branch)
-            nearest = float(spectrum[int(np.argmin(np.abs(spectrum - analytic)))])
-            multiplicity = int(np.sum(np.abs(spectrum - analytic) <= window))
+            distances = level_distances(spectrum, analytic)
+            nearest = float(spectrum[int(np.argmin(distances))])
+            multiplicity = int(np.sum(distances <= window))
             rel = abs(nearest - analytic) / max(abs(analytic), 1e-30)
             rows.append(
                 {

@@ -20,9 +20,11 @@ from .errors import UsageError
 
 # Boson quanta kept clear of the cutoff by the interior projection.
 INTERIOR_MARGIN = 2
-# Largest accepted cutoff. Memory stays small there (one 8 MB block at a
-# time plus spectra of 8 MB each), but eigensolver work grows as cutoff^4:
-# 5e11 dim^3 per interior spectrum at the limit, and `validate` solves five.
+# Largest accepted cutoff. Memory stays small there (one J-sector stack at a
+# time, of at most five 8 MB blocks when the oracle stencil solves its five
+# strengths together, plus spectra of 8 MB each), but eigensolver work grows
+# as cutoff^4: 5e11 dim^3 per interior spectrum at the limit, and `validate`
+# solves five.
 MAX_CUTOFF = 1000
 
 

@@ -21,7 +21,7 @@ critical field wt = 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -165,6 +165,11 @@ def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
                 "vanishes identically"
             )
         return SpinorLevel(n=0, branch=POSITIVE, energy=mc2, c_n=1.0, d_n=0.0)
+    if not math.isfinite(e_plus + mc2):
+        raise UsageError(
+            f"spinor weights of level n={n} are not finite: E_n + m c^2 "
+            f"overflows at rest energy {mc2!r}"
+        )
     if branch == POSITIVE:
         c = math.sqrt((e_plus + mc2) / (2.0 * e_plus))
         d = math.sqrt((e_plus - mc2) / (2.0 * e_plus))
@@ -178,15 +183,16 @@ def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
 
 @dataclass(frozen=True)
 class Sector:
-    """One interior block of fixed J = n_a - n_b + [spin down].
+    """One interior block of fixed J = n_a - n_b + [spin down], at each strength.
 
-    Rows run over the spin-up states, then the spin-down states, each
-    ascending in n_b. The block is real symmetric: its basis state
-    |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md, Sectors).
+    `stack[k]` is the block at the k-th requested deformation strength. Rows
+    run over the spin-up states, then the spin-down states, each ascending in
+    n_b. The blocks are real symmetric: the basis state |n_a, n_b, s> carries
+    the phase i^{n_b} (CONVENTIONS.md, Sectors).
     """
 
     j: int
-    matrix: np.ndarray
+    stack: np.ndarray
 
 
 def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,53 +225,57 @@ def _couplings(p: ModelParams) -> tuple[float, float]:
 
 
 def build_sectors(
-    space: FockSpace, p: ModelParams, strength: float | None = None
+    space: FockSpace, p: ModelParams, strengths: Sequence[float]
 ) -> Iterator[Sector]:
-    """Interior blocks of H0 + H' at deformation `strength`, one per J.
+    """Interior blocks of H0 + H' at each deformation strength, one stack per J.
 
     Built from closed-form ladder matrix elements on the interior
     n_a + n_b <= cutoff - INTERIOR_MARGIN only; the full space is never
-    allocated. The blocks are generated one at a time, ascending in J, so a
-    caller that consumes them in turn holds one block at a time. `strength`
-    overrides p.gup_a and may be negative: the finite-difference oracle
-    extends the spectrum symmetrically through a = 0. Each block is real
-    symmetric float64 in the i^{n_b}-phased basis and holds
+    allocated. The stacks are generated one at a time, ascending in J, so a
+    caller that consumes them in turn holds one stack of len(strengths)
+    blocks at a time. A strength may be negative: the finite-difference
+    oracle extends the spectrum symmetrically through a = 0. Each block is
+    real symmetric float64 in the i^{n_b}-phased basis and holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
       coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
+
+    Per J, the strength-independent part h (± m c^2 and K) and the
+    deformation pattern D (n_a + n_b + 1 and the pair root) are built once,
+    and block k is h + deform_k D with deform_k = -a_k c m |wt| hbar, the
+    same float operations as building each block alone. D is not built when
+    every deform_k is zero.
     """
     top = space.cutoff - INTERIOR_MARGIN
     if top < 0:
         raise UsageError(
             f"cutoff {space.cutoff} is below the interior margin {INTERIOR_MARGIN}"
         )
-    a = p.gup_a if strength is None else strength
-    deform = -a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
+    deforms = np.array(
+        [-a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar for a in strengths]
+    )
     k_a, k_b = _couplings(p)
     if not math.isfinite(max(k_a, k_b)):
         raise UsageError(
             f"derived oscillator coupling is not finite for these inputs, got "
             f"{max(k_a, k_b)}"
         )
-    return (_sector(j, top, p.rest_energy, deform, k_a, k_b)
+    return (_sector(j, top, p.rest_energy, deforms, k_a, k_b)
             for j in range(-top, top + 2))
 
 
-def _sector(j: int, top: int, mc2: float, deform: float, k_a: float,
+def _sector(j: int, top: int, mc2: float, deforms: np.ndarray, k_a: float,
             k_b: float) -> Sector:
     up_a, up_b = _diagonal_line(j, top)
     dn_a, dn_b = _diagonal_line(j - 1, top)
     u, v = len(up_b), len(dn_b)
-    h = np.zeros((u + v, u + v))
-    np.fill_diagonal(h, np.concatenate([mc2 + deform * (up_a + up_b + 1),
-                                        -mc2 + deform * (dn_a + dn_b + 1)]))
-    if deform != 0.0:
-        for lo, hi, n_a, n_b in ((0, u, up_a, up_b), (u, u + v, dn_a, dn_b)):
-            k = np.arange(lo, hi - 1)
-            pair = deform * np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
-            h[k + 1, k] = pair
-            h[k, k + 1] = pair
+    stack = np.zeros((len(deforms), u + v, u + v))
+    # the strength-independent part, built in the first block
+    h = stack[0]
+    diagonal = h.reshape(-1)[:: u + v + 1]
+    diagonal[:u] = mc2
+    diagonal[u:] = -mc2
     # up positions are n_b - up_b[0]; down state q sits at u + q
     first_b = max(0, -j)
     if k_a != 0.0:
@@ -282,4 +292,18 @@ def _sector(j: int, top: int, mc2: float, deform: float, k_a: float,
         coeff = k_b * np.sqrt(dn_b[q].astype(float))
         h[rows, u + q] = coeff
         h[u + q, rows] = coeff
-    return Sector(j=j, matrix=h)
+    stack[1:] = h
+    if deforms.any():
+        # the deformation pattern: n_a + n_b + 1 on the diagonal and the pair
+        # root beside it, added in place along the three diagonals
+        n_a, n_b = np.concatenate([up_a, dn_a]), np.concatenate([up_b, dn_b])
+        pair = np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
+        if u and v:
+            pair[u - 1] = 0.0  # the last spin-up state and the first spin-down one
+        n = u + v
+        flat = stack.reshape(len(deforms), n * n)
+        weight = deforms[:, np.newaxis]
+        flat[:, :: n + 1] += weight * (n_a + n_b + 1)
+        flat[:, 1 :: n + 1] += weight * pair
+        flat[:, n :: n + 1] += weight * pair
+    return Sector(j=j, stack=stack)

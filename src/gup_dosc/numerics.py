@@ -19,13 +19,16 @@ from .errors import ComputationError, UsageError
 DEFAULT_EIGH_TOL = 1e-10
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a square, finite array: float64 if real, else complex128."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return `a` as a square, finite array: float64 if real, else complex128.
+
+    With `stack`, `a` may also be a stack (..., n, n) of square matrices.
+    """
     m = np.asarray(a)
     m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise UsageError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise UsageError("matrix dimension must be at least 1")
     if not np.isfinite(m).all():
         raise UsageError("matrix contains non-finite entries")
@@ -104,36 +107,44 @@ def eigh(a) -> EigenDecomposition:
 def eigvalsh(a) -> np.ndarray:
     """Ascending eigenvalues only; cheaper than full `eigh`.
 
-    Without eigenvectors there is no residual to check, so the first two
-    spectral moments are checked instead, in units of s = max(1, ||A||_max)
-    so that entries near the float range cannot overflow them: sum(w/s)
-    against tr(A/s) within 1e-10 * dim, and sum((w/s)^2) against ||A/s||_F^2
-    within DEFAULT_EIGH_TOL * dim. The second moment catches eigenvalues
-    LAPACK returns wrong by far more than roundoff while their sum still
-    matches the trace. Real input is solved as real symmetric, never
-    promoted to complex.
+    `a` is one Hermitian matrix or a stack (..., n, n) of them, solved in one
+    LAPACK call; row k of the result belongs to matrix k, and each row is
+    bitwise what the matrix alone would give. Without eigenvectors there is
+    no residual to check, so the first two spectral moments of each matrix
+    are checked instead, in units of its s = max(1, ||A||_max) so that
+    entries near the float range cannot overflow them: sum(w/s) against
+    tr(A/s) within 1e-10 * n, and sum((w/s)^2) against ||A/s||_F^2 within
+    DEFAULT_EIGH_TOL * n. The second moment catches eigenvalues LAPACK
+    returns wrong by far more than roundoff while their sum still matches
+    the trace. Real input is solved as real symmetric, never promoted to
+    complex.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, stack=True)
     h = 0.5 * a
-    h = h + h.conj().T
+    h = h + h.swapaxes(-1, -2).conj()
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, norm_max(h))
-    ws, hs = w / scale, h / scale
-    trace_gap = abs(np.sum(ws) - np.trace(hs).real)
-    if not trace_gap <= 1e-10 * len(w):
-        raise ComputationError(
-            f"eigenvalue sum deviates from trace by {trace_gap:.3e} in units "
-            f"of {scale:.3e}"
-        )
-    moment_gap = abs(ws @ ws - np.vdot(hs, hs).real)
-    if not moment_gap <= DEFAULT_EIGH_TOL * len(w):
-        raise ComputationError(
-            f"sum of squared eigenvalues deviates from the squared Frobenius "
-            f"norm by {moment_gap:.3e} in units of {scale:.3e} squared"
-        )
+    n = w.shape[-1]
+    # s per matrix, shaped (..., 1, 1)
+    scale = np.abs(h).max(axis=(-2, -1), keepdims=True, initial=1.0)
+    hs, ws = h / scale, w / scale[..., 0]
+    trace_gap = np.abs(ws.sum(axis=-1) - hs.trace(axis1=-2, axis2=-1).real)
+    # ||A/s||_F^2 per matrix as one flattened row times its own adjoint
+    rows = hs.reshape(*hs.shape[:-2], 1, n * n)
+    frobenius = (rows.conj() @ rows.swapaxes(-1, -2))[..., 0, 0].real
+    moment_gap = np.abs((ws * ws).sum(axis=-1) - frobenius)
+    for gap, bound, message in (
+        (trace_gap, 1e-10 * n, "eigenvalue sum deviates from trace by {:.3e} in "
+                               "units of {:.3e}"),
+        (moment_gap, DEFAULT_EIGH_TOL * n,
+         "sum of squared eigenvalues deviates from the squared Frobenius norm by "
+         "{:.3e} in units of {:.3e} squared"),
+    ):
+        if not gap.max() <= bound:
+            k = int(np.argmin(gap <= bound))  # the first matrix that fails
+            raise ComputationError(message.format(gap.flat[k], scale.flat[k]))
     return w
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -221,16 +222,26 @@ def _shift(p: ModelParams, state: list, term=_P2) -> complex:
 
 
 def interior_spectrum(
-    space: FockSpace, p: ModelParams, strength: float | None = None
+    space: FockSpace, p: ModelParams, strengths: Sequence[float]
 ) -> np.ndarray:
     """Ascending eigenvalues of the interior-projected full Hamiltonian.
 
-    H0 and H' both conserve J = n_a - n_b + [spin down], so the spectrum is
-    the sorted union of the J-sector spectra (`build_sectors`). The blocks
-    are solved as they are generated, so one block is held at a time.
+    Row k is the spectrum at deformation strength strengths[k]. H0 and H'
+    both conserve J = n_a - n_b + [spin down], so each row is the sorted
+    union of the J-sector spectra (`build_sectors`). Each J-sector stack is
+    solved in one eigensolver call as it is generated, so one stack is held
+    at a time.
     """
-    sectors = build_sectors(space, p, strength=strength)
-    return np.sort(np.concatenate([eigvalsh(s.matrix) for s in sectors]))
+    sectors = build_sectors(space, p, strengths)
+    return np.sort(np.concatenate([eigvalsh(s.stack) for s in sectors], axis=-1),
+                   axis=-1)
+
+
+def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
+    """|spectrum - energy|. A distance beyond the float range, between
+    energies of opposite sign near it, is inf: as far as any distance gets."""
+    with np.errstate(over="ignore"):
+        return np.abs(spectrum - energy)
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,12 +250,12 @@ def _oracle_spectra(
 ) -> tuple[float, dict[int, np.ndarray]]:
     """Stencil step h and the interior spectra at strengths k h, k = 0, ±1, ±2.
 
-    Keyed by k; k = 0 is the undeformed spectrum.
+    Keyed by k; k = 0 is the undeformed spectrum. All five come from one
+    pass over the J-sectors.
     """
     step = ORACLE_STEP / (p.mass * p.light_speed)
-    return step, {
-        k: interior_spectrum(space, p, strength=k * step) for k in (0, 1, -1, 2, -2)
-    }
+    ks = (0, 1, -1, 2, -2)
+    return step, dict(zip(ks, interior_spectrum(space, p, [k * step for k in ks])))
 
 
 def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float]:
@@ -252,7 +263,9 @@ def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float
 
     Central differences through a = 0 with one Richardson step. Within a
     splitting cluster the ascending order at +a pairs with the descending
-    order at -a; that pairing reconstructs the analytic branches.
+    order at -a; that pairing reconstructs the analytic branches. Raises
+    UsageError when the differences over the step are not finite: the
+    deformation then moves the spectrum by less than its rounding.
     """
     h, spectra = _oracle_spectra(space, p)
     win = CLUSTER_WINDOW * p.rest_energy
@@ -263,9 +276,15 @@ def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float
         raise ComputationError(
             f"no interior eigenvalue within {win:.3e} of {energy!r}"
         )
-    d1 = (spectra[1][i0:i1] - spectra[-1][i0:i1][::-1]) / (2.0 * h)
-    d2 = (spectra[2][i0:i1] - spectra[-2][i0:i1][::-1]) / (4.0 * h)
-    slopes = (4.0 * d1 - d2) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = (spectra[1][i0:i1] - spectra[-1][i0:i1][::-1]) / (2.0 * h)
+        d2 = (spectra[2][i0:i1] - spectra[-2][i0:i1][::-1]) / (4.0 * h)
+        slopes = (4.0 * d1 - d2) / 3.0
+    if not np.isfinite(slopes).all():
+        raise UsageError(
+            f"oracle stencil step {h!r} is below the resolution of the spectrum "
+            f"at {energy!r}: its finite differences are not finite"
+        )
     unit = p.light_speed * p.mass * p.hbar * p.omega_tilde
     return sorted(float(s) / unit for s in slopes)
 
@@ -445,16 +464,17 @@ def level_cluster(n: int, size: int, branch: str = POSITIVE) -> list[ClusterMemb
 
 def spectral_clusters(
     spectrum: np.ndarray, window: float
-) -> list[tuple[float, int]]:
-    """(mean energy, multiplicity) for maximal runs closer than `window`."""
-    out: list[tuple[float, int]] = []
-    start = 0
-    w = np.asarray(spectrum)
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > window:
-            out.append((float(np.mean(w[start:k])), k - start))
-            start = k
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean energies, multiplicities) of the maximal runs closer than `window`.
+
+    A run breaks wherever `np.diff` of the ascending spectrum exceeds the
+    window; the infinite gaps before the first and after the last eigenvalue
+    bound the outer runs, and an empty spectrum has none.
+    """
+    w = np.asarray(spectrum, dtype=float)
+    bounds = np.flatnonzero(np.diff(w, prepend=-np.inf, append=np.inf) > window)
+    sizes = np.diff(bounds)
+    return np.add.reduceat(w, bounds[:-1]) / sizes, sizes
 
 
 def degeneracy_analysis(
@@ -464,20 +484,20 @@ def degeneracy_analysis(
 
     Returns {multiplicity: number of clusters} for the undeformed and the
     deformed Hamiltonian, clustered with the given absolute energy window.
+    Both spectra come from one pass over the J-sectors.
     """
     floor = 1e-12 * p.rest_energy
     if energy_window < floor:
         raise UsageError(
             f"window {energy_window!r} below the numerical noise floor {floor!r}"
         )
-    before = interior_spectrum(space, p, strength=0.0)
-    after = interior_spectrum(space, p)
-    def hist(w: np.ndarray) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, size in spectral_clusters(w, energy_window):
-            counts[size] = counts.get(size, 0) + 1
-        return dict(sorted(counts.items()))
 
+    def hist(w: np.ndarray) -> dict[int, int]:
+        _, multiplicities = spectral_clusters(w, energy_window)
+        sizes, counts = np.unique(multiplicities, return_counts=True)
+        return dict(zip(sizes.tolist(), counts.tolist()))
+
+    before, after = interior_spectrum(space, p, (0.0, p.gup_a))
     return hist(before), hist(after)
 
 
@@ -552,7 +572,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     for n in range(5):
         for branch in (POSITIVE, NEGATIVE):
             analytic = landau_level(p, n, branch)
-            nearest = float(spectrum[np.argmin(np.abs(spectrum - analytic))])
+            nearest = float(spectrum[np.argmin(level_distances(spectrum, analytic))])
             rel = abs(nearest - analytic) / max(abs(analytic), 1e-30)
             rows.append(
                 {

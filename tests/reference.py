@@ -11,6 +11,9 @@ transcription of CONVENTIONS.md here, with l = sqrt(hbar / (m |omega|)):
 
 Products of ladder operators corrupt matrix elements near the cutoff, so
 assertions are made on the interior projection (`Space.interior_indices`).
+
+The module also keeps the per-cluster loop that the degeneracy histograms of
+`gup_dosc.perturbation` are checked against (`spectral_clusters_loop`).
 """
 
 from __future__ import annotations
@@ -317,3 +320,25 @@ def build_h_prime(
     block = -a * p.light_speed * p2
     zero = np.zeros_like(block)
     return embed_spinor(block, block, zero, zero)
+
+
+def spectral_clusters_loop(spectrum, window: float) -> list[tuple[float, int]]:
+    """(mean energy, multiplicity) for maximal runs closer than `window`, one
+    cluster at a time: the loop that `perturbation.spectral_clusters`
+    replaced with one `np.diff` over the spectrum."""
+    out: list[tuple[float, int]] = []
+    start = 0
+    w = np.asarray(spectrum)
+    for k in range(1, len(w) + 1):
+        if k == len(w) or w[k] - w[k - 1] > window:
+            out.append((float(np.mean(w[start:k])), k - start))
+            start = k
+    return out
+
+
+def degeneracy_histogram_loop(spectrum, window: float) -> dict[int, int]:
+    """{multiplicity: number of clusters}, counted over `spectral_clusters_loop`."""
+    counts: dict[int, int] = {}
+    for _, size in spectral_clusters_loop(spectrum, window):
+        counts[size] = counts.get(size, 0) + 1
+    return dict(sorted(counts.items()))

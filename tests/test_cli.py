@@ -2,8 +2,11 @@ import csv
 import importlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -335,6 +338,32 @@ def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")
     assert named in err and "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command, code, named", [
+    ("spectrum", 0, None),
+    ("correct", 2, "oracle stencil step"),
+    ("validate", 2, "oracle stencil step"),
+    ("degenerate", 2, "spinor weights of level n=2"),
+])
+def test_rest_energy_near_the_float_maximum_runs_without_warnings(command, code, named):
+    # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
+    # step 1e-313 is below the spectrum's resolution, and E_n + m c^2 of an
+    # excited level overflows. Run with every warning an error, as a user
+    # with PYTHONWARNINGS=error would.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gup_dosc.cli", command,
+         "--omega", "1", "--mass", "1e308", "--cutoff", "12"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == code, out.stderr
+    if named is None:
+        assert out.stderr == "" and out.stdout
+    else:
+        assert out.stdout == ""
+        assert out.stderr.count("\n") == 1 and out.stderr.startswith("usage error:")
+        assert named in out.stderr
 
 
 def test_internal_failure_exit_three(monkeypatch, capsys):

@@ -199,22 +199,27 @@ SECTOR_FIELDS = [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 0.0)]
 def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
     space = Space(cutoff=10, include_spin=True)
     p = ModelParams(omega=omega, b_field=b_field)
-    dense = build_h0(space, p) + build_h_prime(space, p, strength=strength)
-    sectors = list(build_sectors(space, p, strength=strength))
+    # one stack per J holds the blocks at every strength, in the given order
+    strengths = (strength, 0.0, -2.0 * strength)
+    dense = [build_h0(space, p) + build_h_prime(space, p, strength=a) for a in strengths]
+    sectors = list(build_sectors(space, p, strengths))
     indices = {s.j: sector_indices(space, s.j) for s in sectors}
     covered = np.sort(np.concatenate(list(indices.values())))
     assert np.array_equal(covered, np.sort(space.interior_indices(2)))
     for s in sectors:
         assert all(sector_j(space, i) == s.j for i in indices[s.j])
-        # the dense block conjugated by the i^{n_b} phases is real symmetric
-        block = sector_block(space, dense, s.j)
-        assert norm_max(block.imag) == 0.0
-        assert s.matrix.dtype == np.float64
-        assert s.matrix.shape == block.shape
-        assert norm_max(s.matrix - block) <= 1e-13
+        assert s.stack.dtype == np.float64
+        assert len(s.stack) == len(strengths)
+        for matrix, h in zip(s.stack, dense):
+            # the dense block conjugated by the i^{n_b} phases is real symmetric
+            block = sector_block(space, h, s.j)
+            assert norm_max(block.imag) == 0.0
+            assert matrix.shape == block.shape
+            assert norm_max(matrix - block) <= 1e-13
     if p.omega_tilde == 0.0:
         # the surviving p_z coupling is present in both constructions
-        assert max(norm_max(s.matrix - np.diag(np.diag(s.matrix))) for s in sectors) > 1.0
+        assert max(norm_max(s.stack[0] - np.diag(np.diag(s.stack[0])))
+                   for s in sectors) > 1.0
 
 
 @pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
@@ -233,26 +238,27 @@ def test_sector_couplings_are_exact_zeros():
     space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
-        for s in build_sectors(space, p):
+        for s in build_sectors(space, p, (p.gup_a,)):
             states = [space.unpack(int(i)) for i in sector_indices(space, s.j)]
             for r, (n_a, n_b, row_up) in enumerate(states):
                 for q, (m_a, m_b, col_up) in enumerate(states):
                     if row_up and not col_up and (n_a - m_a, n_b - m_b) != step:
-                        assert s.matrix[r, q] == 0.0
+                        assert s.stack[0, r, q] == 0.0
 
 
 def test_build_sectors_rejects_cutoff_inside_margin():
     p = ModelParams(omega=1.0)
     with pytest.raises(UsageError, match="cutoff 1"):
-        build_sectors(FockSpace(cutoff=1), p)
+        build_sectors(FockSpace(cutoff=1), p, (0.0,))
     # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
-    sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), p)
-    assert [s.matrix.shape for s in sectors] == [(1, 1), (1, 1)]
+    sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), p, (0.0,))
+    assert [s.stack.shape for s in sectors] == [(1, 1, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 7, 12, 40])
 def test_sector_cost_counts_the_built_blocks(cutoff):
-    dims = [len(s.matrix) for s in build_sectors(FockSpace(cutoff), ModelParams(omega=1.0))]
+    sectors = build_sectors(FockSpace(cutoff), ModelParams(omega=1.0), (0.0,))
+    dims = [s.stack.shape[-1] for s in sectors]
     assert sector_cost(cutoff) == (sum(d ** 3 for d in dims), 8 * max(dims) ** 2)
 
 

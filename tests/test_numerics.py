@@ -8,6 +8,8 @@ import pytest
 
 import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
+from gup_dosc.fock import FockSpace
+from gup_dosc.model import ModelParams, build_sectors
 from gup_dosc.numerics import as_matrix, dump_matrix, eigh, eigvalsh, norm_max
 from reference import adjoint, commutator
 
@@ -173,12 +175,11 @@ def test_dump_matrix_seventeen_digits_round_trip():
     assert float(re_part) == x and float(im_part) == x
 
 
-def test_eigvalsh_never_silently_wrong_on_uncollapsed_sector():
-    # The J = -3 interior sector (n_a + n_b <= 14) of H0 at m = c = hbar = 1,
-    # wt = 0.75, written with the un-collapsed coupling coefficients: the b
-    # coupling i(wt l - 1/l) cancels only to roundoff. LAPACK has returned
-    # +-1.99999965 for the exact +-2 on this block; eigvalsh must either get
-    # the spectrum right or refuse.
+def _uncollapsed_sector():
+    """The J = -3 interior sector (n_a + n_b <= 14) of H0 at m = c = hbar = 1,
+    wt = 0.75, written with the un-collapsed coupling coefficients: the b
+    coupling i(wt l - 1/l) cancels only to roundoff. Returns the 12x12 block
+    and its exact spectrum."""
     wt = 0.75
     ell = np.sqrt(1.0 / wt)
     top, j = 14, -3
@@ -192,11 +193,76 @@ def test_eigvalsh_never_silently_wrong_on_uncollapsed_sector():
         if (n_a, n_b - 1) in up:
             h[up.index((n_a, n_b - 1)), u + q] = 1j * (wt * ell - 1 / ell) * np.sqrt(n_b)
     h = h + np.triu(h, 1).conj().T
-    assert h.shape == (12, 12)
     exact = [np.sqrt(1.0 + 4.0 * wt * n_a) for n_a, _ in up]
+    return h, sorted(exact + [-e for e in exact])
+
+
+def test_eigvalsh_never_silently_wrong_on_uncollapsed_sector():
+    # LAPACK has returned +-1.99999965 for the exact +-2 on this block;
+    # eigvalsh must either get the spectrum right or refuse.
+    h, exact = _uncollapsed_sector()
+    assert h.shape == (12, 12)
     try:
         w = eigvalsh(h)
     except ComputationError:
         return
-    assert np.allclose(w, sorted(exact + [-e for e in exact]), atol=1e-12, rtol=0)
+    assert np.allclose(w, exact, atol=1e-12, rtol=0)
     assert np.min(np.abs(w - 2.0)) <= 1e-12 and np.min(np.abs(w + 2.0)) <= 1e-12
+
+
+def test_eigvalsh_stack_never_silently_wrong_on_uncollapsed_sector():
+    # behind a benign block in one stack, the moment checks still see the
+    # uncollapsed block on its own
+    h, exact = _uncollapsed_sector()
+    benign = np.diag(np.arange(12.0)).astype(complex)
+    try:
+        w = eigvalsh(np.stack([benign, h]))
+    except ComputationError:
+        return
+    assert np.array_equal(w[0], np.arange(12.0))
+    assert np.allclose(w[1], exact, atol=1e-12, rtol=0)
+    assert np.min(np.abs(w[1] - 2.0)) <= 1e-12 and np.min(np.abs(w[1] + 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigvalsh_stack_equals_per_matrix_calls_bitwise(dtype):
+    rng = np.random.default_rng(7)
+    for shape in ((5, 17, 17), (2, 3, 6, 6), (1, 39, 39)):
+        a = rng.normal(size=shape)
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=shape)
+        a = a + np.swapaxes(a, -1, -2).conj()
+        w = eigvalsh(a)
+        assert w.shape == shape[:-1] and w.dtype == np.float64
+        for index in np.ndindex(*shape[:-2]):
+            assert np.array_equal(w[index], eigvalsh(a[index]))
+
+
+def test_eigvalsh_stack_of_sector_blocks_equals_per_block_calls_bitwise():
+    p = ModelParams(omega=1.0, b_field=1.0)
+    for sector in build_sectors(FockSpace(cutoff=40), p, (0.0, 1e-5, -2e-5)):
+        w = eigvalsh(sector.stack)
+        for k, block in enumerate(sector.stack):
+            assert np.array_equal(w[k], eigvalsh(block))
+
+
+def test_eigvalsh_stack_moments_near_the_float_range():
+    # each matrix is scaled by its own largest entry, so a benign block and
+    # blocks whose squares overflow share one stack without a warning
+    stack = np.array([[[1.0, 0.0], [0.0, 2.0]],
+                      [[0.0, 1e200], [1e200, 0.0]],
+                      [[1e308, 0.0], [0.0, -1e308]],
+                      [[-1e308, 1e307], [1e307, 0.5]]])
+    w = eigvalsh(stack)
+    assert np.array_equal(w[:3], [[1.0, 2.0], [-1e200, 1e200], [-1e308, 1e308]])
+    assert np.all(np.isfinite(w))
+
+
+def test_eigvalsh_stack_rejects_non_finite_and_non_square():
+    with pytest.raises(UsageError, match="non-finite"):
+        eigvalsh(np.stack([np.eye(3), np.diag([1.0, np.inf, 0.0])]))
+    with pytest.raises(UsageError, match="square"):
+        eigvalsh(np.ones((2, 3, 4)))
+    # eigh and dump_matrix take one matrix only
+    with pytest.raises(UsageError, match="square"):
+        eigh(np.ones((2, 3, 3)))

@@ -7,9 +7,11 @@ from gup_dosc.model import ModelParams, spinor_level
 from gup_dosc.numerics import norm_max
 from gup_dosc.perturbation import (
     ORACLE_RTOL,
+    ORACLE_STEP,
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
     ClusterMember,
+    _oracle_spectra,
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
@@ -24,7 +26,16 @@ from gup_dosc.perturbation import (
     spectral_clusters,
     validation_report,
 )
-from reference import Space, angular_momentum, frame, ladder_a, p_squared, position_ops
+from reference import (
+    Space,
+    angular_momentum,
+    degeneracy_histogram_loop,
+    frame,
+    ladder_a,
+    p_squared,
+    position_ops,
+    spectral_clusters_loop,
+)
 
 SPACE = FockSpace(cutoff=12)
 PARAMS = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
@@ -155,13 +166,12 @@ def test_degeneracy_analysis_splits_lowest_tower():
     before, after = degeneracy_analysis(SPACE, PARAMS, 1e-9)
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
-    w0 = interior_spectrum(SPACE, PARAMS, strength=0.0)
-    w1 = interior_spectrum(SPACE, PARAMS)
+    w0, w1 = interior_spectrum(SPACE, PARAMS, (0.0, PARAMS.gup_a))
     clusters0 = {
-        round(e, 9): m for e, m in spectral_clusters(w0, 1e-9)
+        round(e, 9): m for e, m in zip(*spectral_clusters(w0, 1e-9))
     }
     assert clusters0[1.0] == tower
-    clusters1 = [m for e, m in spectral_clusters(w1, 1e-9) if abs(e - 1.0) < 1e-3]
+    clusters1 = [m for e, m in zip(*spectral_clusters(w1, 1e-9)) if abs(e - 1.0) < 1e-3]
     assert max(clusters1) < tower  # the tower split
     assert sum(after.values()) > sum(before.values())
 
@@ -357,3 +367,40 @@ def test_closed_form_shifts_match_dense_reference_algebra():
         vecs = [vector(desc) for desc in r.subspace_basis]
         ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
         assert norm_max(r.subspace_matrix - ref) <= 1e-12
+
+
+# wt > 0, wt < 0 (mirrored towers) and wt = 0, where H' vanishes
+BATCH_PARAMS = [PARAMS, ModelParams(omega=0.1, b_field=0.3, gup_a=1e-4),
+                ModelParams(omega=0.1, b_field=0.2, gup_a=1e-4)]
+
+
+@pytest.mark.parametrize("p", BATCH_PARAMS)
+def test_interior_spectrum_rows_equal_one_strength_solves(p):
+    # the oracle stencil solves its five strengths in one pass over the
+    # J-sectors; each row must be bitwise the spectrum solved on its own
+    h = ORACLE_STEP / (p.mass * p.light_speed)
+    strengths = [k * h for k in (0, 1, -1, 2, -2)]
+    rows = interior_spectrum(SPACE, p, strengths)
+    assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
+    step, stencil = _oracle_spectra(SPACE, p)
+    assert step == h
+    for k, a, row in zip((0, 1, -1, 2, -2), strengths, rows):
+        assert np.array_equal(row, interior_spectrum(SPACE, p, (a,))[0])
+        assert np.array_equal(row, stencil[k])
+        assert np.all(np.diff(row) >= 0.0)
+
+
+@pytest.mark.parametrize("p", BATCH_PARAMS + [ModelParams(omega=0.1, gup_a=0.0)])
+@pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
+def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
+    before, after = degeneracy_analysis(SPACE, p, window)
+    w0, w1 = interior_spectrum(SPACE, p, (0.0, p.gup_a))
+    assert before == degeneracy_histogram_loop(w0, window)
+    assert after == degeneracy_histogram_loop(w1, window)
+    for w in (w0, w1):
+        means, sizes = spectral_clusters(w, window)
+        loop = spectral_clusters_loop(w, window)
+        assert sizes.tolist() == [m for _, m in loop]
+        assert np.allclose(means, [e for e, _ in loop], rtol=1e-15, atol=0.0)
+    means, sizes = spectral_clusters(np.array([]), window)
+    assert len(means) == len(sizes) == 0 and spectral_clusters_loop([], window) == []
