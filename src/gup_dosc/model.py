@@ -299,7 +299,7 @@ def _sector(j: int, top: int, mc2: float, deforms: np.ndarray, k_a: float,
         n_a, n_b = np.concatenate([up_a, dn_a]), np.concatenate([up_b, dn_b])
         pair = np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
         if u and v:
-            pair[u - 1] = 0.0  # the last spin-up state and the first spin-down one
+            pair[u - 1] = 0.0  # it does not flip the spin: last up, first down
         n = u + v
         flat = stack.reshape(len(deforms), n * n)
         weight = deforms[:, np.newaxis]
