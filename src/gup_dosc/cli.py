@@ -443,7 +443,7 @@ def _run_spectrum(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
     window = config.tolerances["cluster_window"] * p.rest_energy
-    spectrum = interior_spectrum(space, p, (0.0,))[0]
+    spectrum = interior_spectrum(space, [(p, 0.0)])[0]
     rows = []
     for n in range(config.levels + 1):
         for branch in _branches(config):

@@ -20,12 +20,17 @@ from .errors import UsageError
 
 # Boson quanta kept clear of the cutoff by the interior projection.
 INTERIOR_MARGIN = 2
-# Largest accepted cutoff. Memory stays small there (one J-sector stack at a
-# time, of at most five 8 MB blocks when the oracle stencil solves its five
-# strengths together, plus spectra of 8 MB each), but eigensolver work grows
-# as cutoff^4: 5e11 dim^3 per interior spectrum at the limit, and `validate`
-# solves five.
+# Largest accepted cutoff. Memory stays small there: one J-sector stack at a
+# time, its configs bounded by STACK_BYTES (a lone block may exceed it, 8 MB at
+# the limit), plus spectra of 8 MB each. Eigensolver work grows as cutoff^4:
+# 5e11 dim^3 per interior spectrum at the limit, and `validate` solves five.
 MAX_CUTOFF = 1000
+# Bytes of the largest block of one J-sector stack, summed over its configs:
+# configs beyond it go in further passes over the J-sectors (`stack_configs`).
+# 2 MiB keeps the five-strength oracle stencil one pass up to cutoff 229; a
+# scan pass with the eigensolver's copies of its stack and its spectra then
+# adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
+STACK_BYTES = 2 * 2 ** 20
 
 
 def sector_cost(cutoff: int) -> tuple[int, int]:
@@ -37,6 +42,12 @@ def sector_cost(cutoff: int) -> tuple[int, int]:
     """
     t = cutoff - INTERIOR_MARGIN
     return (t + 1) ** 2 * (t + 2) ** 2 // 2, 8 * (t + 1) ** 2
+
+
+def stack_configs(cutoff: int) -> int:
+    """How many configs one J-sector stack holds at this cutoff: as many as
+    fit in STACK_BYTES with the largest block, and at least one."""
+    return max(1, STACK_BYTES // max(1, sector_cost(cutoff)[1]))
 
 
 @dataclass(frozen=True)

@@ -183,16 +183,19 @@ def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
 
 @dataclass(frozen=True)
 class Sector:
-    """One interior block of fixed J = n_a - n_b + [spin down], at each strength.
+    """One interior block of fixed J = n_a - n_b + [spin down], for each config.
 
-    `stack[k]` is the block at the k-th requested deformation strength. Rows
-    run over the spin-up states, then the spin-down states, each ascending in
-    n_b. The blocks are real symmetric: the basis state |n_a, n_b, s> carries
-    the phase i^{n_b} (CONVENTIONS.md, Sectors).
+    A config is a (ModelParams, deformation strength) pair. `stack` holds one
+    block per distinct config, and `rows[k]` is the row of `stack` holding the
+    block of the k-th config: configs that give the same block share a row.
+    Each block runs over the spin-up states, then the spin-down states, each
+    ascending in n_b. The blocks are real symmetric: the basis state
+    |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md, Sectors).
     """
 
     j: int
     stack: np.ndarray
+    rows: np.ndarray
 
 
 def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,86 +227,117 @@ def _couplings(p: ModelParams) -> tuple[float, float]:
     return k, k
 
 
-def build_sectors(
-    space: FockSpace, p: ModelParams, strengths: Sequence[float]
-) -> Iterator[Sector]:
-    """Interior blocks of H0 + H' at each deformation strength, one stack per J.
-
-    Built from closed-form ladder matrix elements on the interior
-    n_a + n_b <= cutoff - INTERIOR_MARGIN only; the full space is never
-    allocated. The stacks are generated one at a time, ascending in J, so a
-    caller that consumes them in turn holds one stack of len(strengths)
-    blocks at a time. A strength may be negative: the finite-difference
-    oracle extends the spectrum symmetrically through a = 0. Each block is
-    real symmetric float64 in the i^{n_b}-phased basis and holds
-
-      diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
-      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
-      coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
-
-    Per J, the strength-independent part h (± m c^2 and K) and the
-    deformation pattern D (n_a + n_b + 1 and the pair root) are built once,
-    and block k is h + deform_k D with deform_k = -a_k c m |wt| hbar, the
-    same float operations as building each block alone. D is not built when
-    every deform_k is zero.
-    """
+def _interior_top(space: FockSpace) -> int:
+    """T = cutoff - INTERIOR_MARGIN, the largest interior n_a + n_b."""
     top = space.cutoff - INTERIOR_MARGIN
     if top < 0:
         raise UsageError(
             f"cutoff {space.cutoff} is below the interior margin {INTERIOR_MARGIN}"
         )
-    deforms = np.array(
-        [-a * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar for a in strengths]
-    )
+    return top
+
+
+def sector_terms(
+    space: FockSpace, p: ModelParams, strength: float
+) -> tuple[float, float, float, float]:
+    """(m c^2, k_a, k_b, deform) of one config's J-sector blocks.
+
+    deform = -a c m |wt| hbar weighs the deformation pattern. With
+    T = cutoff - INTERIOR_MARGIN, no block entry exceeds max(k_a, k_b)
+    sqrt(T + 1) off the diagonal or |m c^2| + |deform| (T + 1) on it; raises
+    UsageError when either bound is not finite, or the cutoff leaves no
+    interior.
+    """
+    top = _interior_top(space)
+    deform = -strength * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
     k_a, k_b = _couplings(p)
-    if not math.isfinite(max(k_a, k_b)):
+    coupling = max(k_a, k_b) * math.sqrt(top + 1)
+    if not math.isfinite(coupling):
         raise UsageError(
             f"derived oscillator coupling is not finite for these inputs, got "
-            f"{max(k_a, k_b)}"
+            f"{coupling}"
         )
-    return (_sector(j, top, p.rest_energy, deforms, k_a, k_b)
-            for j in range(-top, top + 2))
+    diagonal = abs(p.rest_energy) + abs(deform) * (top + 1)
+    if not math.isfinite(diagonal):
+        raise UsageError(
+            f"sector diagonal |m c^2| + |a c m wt hbar| (cutoff - 1) is not finite "
+            f"for these inputs at a = {strength!r}, got {diagonal}"
+        )
+    return p.rest_energy, k_a, k_b, deform
 
 
-def _sector(j: int, top: int, mc2: float, deforms: np.ndarray, k_a: float,
-            k_b: float) -> Sector:
+def build_sectors(
+    space: FockSpace, configs: Sequence[tuple[ModelParams, float]]
+) -> Iterator[Sector]:
+    """Interior blocks of H0 + H' for each config, one stack per J.
+
+    A config is a (ModelParams, deformation strength) pair; a strength may be
+    negative, as the finite-difference oracle extends the spectrum
+    symmetrically through a = 0. Built from closed-form ladder matrix
+    elements on the interior n_a + n_b <= cutoff - INTERIOR_MARGIN only; the
+    full space is never allocated. The stacks are generated one at a time,
+    ascending in J, so a caller that consumes them in turn holds one stack at
+    a time. Each block is real symmetric float64 in the i^{n_b}-phased basis
+    and holds
+
+      diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
+      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
+      coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
+
+    m c^2, k_a, k_b and deform = -a c m |wt| hbar are computed and checked
+    once per config (`sector_terms`), and configs with equal values share one
+    stack row (`Sector.rows`). Per J the index pattern is built once for every
+    row, and row k is h_k + deform_k D, with h_k the ± m c^2 and coupling part
+    and D the deformation pattern (n_a + n_b + 1 and the pair root): the same
+    float operations as building each block alone. D is not added when every
+    deform is zero.
+    """
+    top = _interior_top(space)
+    index: dict[tuple[float, float, float, float], int] = {}
+    rows = np.array([index.setdefault(sector_terms(space, p, a), len(index))
+                     for p, a in configs], dtype=np.intp)
+    # one (distinct config,) column per term; zeros compare equal, and
+    # h + (-0.0) D and h + 0.0 D are the same block
+    terms = np.array(list(index), dtype=float).reshape(-1, 4).T
+    return (_sector(j, top, rows, *terms) for j in range(-top, top + 2))
+
+
+def _sector(j: int, top: int, rows: np.ndarray, mc2: np.ndarray, k_a: np.ndarray,
+            k_b: np.ndarray, deform: np.ndarray) -> Sector:
     up_a, up_b = _diagonal_line(j, top)
     dn_a, dn_b = _diagonal_line(j - 1, top)
     u, v = len(up_b), len(dn_b)
-    stack = np.zeros((len(deforms), u + v, u + v))
-    # the strength-independent part, built in the first block
-    h = stack[0]
-    diagonal = h.reshape(-1)[:: u + v + 1]
-    diagonal[:u] = mc2
-    diagonal[u:] = -mc2
+    n = u + v
+    stack = np.zeros((len(mc2), n, n))
+    # every element is set through its flat index i n + k
+    flat = stack.reshape(len(mc2), n * n)
+    flat[:, : u * (n + 1) : n + 1] = mc2[:, np.newaxis]
+    flat[:, u * (n + 1) :: n + 1] = -mc2[:, np.newaxis]
     # up positions are n_b - up_b[0]; down state q sits at u + q
     first_b = max(0, -j)
-    if k_a != 0.0:
+    if k_a.any():
         # down (n_a, n_b) -> up (n_a + 1, n_b) while that stays interior
         q = np.nonzero(dn_a + 1 + dn_b <= top)[0]
-        rows = dn_b[q] - first_b
-        coeff = k_a * np.sqrt(dn_a[q] + 1.0)
-        h[rows, u + q] = coeff
-        h[u + q, rows] = coeff
-    if k_b != 0.0:
+        up = dn_b[q] - first_b
+        coeff = k_a[:, np.newaxis] * np.sqrt(dn_a[q] + 1.0)
+        flat[:, up * n + u + q] = coeff
+        flat[:, (u + q) * n + up] = coeff
+    if k_b.any():
         # down (n_a, n_b) -> up (n_a, n_b - 1)
         q = np.nonzero(dn_b >= 1)[0]
-        rows = dn_b[q] - 1 - first_b
-        coeff = k_b * np.sqrt(dn_b[q].astype(float))
-        h[rows, u + q] = coeff
-        h[u + q, rows] = coeff
-    stack[1:] = h
-    if deforms.any():
+        up = dn_b[q] - 1 - first_b
+        coeff = k_b[:, np.newaxis] * np.sqrt(dn_b[q].astype(float))
+        flat[:, up * n + u + q] = coeff
+        flat[:, (u + q) * n + up] = coeff
+    if deform.any():
         # the deformation pattern: n_a + n_b + 1 on the diagonal and the pair
         # root beside it, added in place along the three diagonals
         n_a, n_b = np.concatenate([up_a, dn_a]), np.concatenate([up_b, dn_b])
         pair = np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
         if u and v:
             pair[u - 1] = 0.0  # it does not flip the spin: last up, first down
-        n = u + v
-        flat = stack.reshape(len(deforms), n * n)
-        weight = deforms[:, np.newaxis]
+        weight = deform[:, np.newaxis]
         flat[:, :: n + 1] += weight * (n_a + n_b + 1)
         flat[:, 1 :: n + 1] += weight * pair
         flat[:, n :: n + 1] += weight * pair
-    return Sector(j=j, stack=stack)
+    return Sector(j=j, stack=stack, rows=rows)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import INTERIOR_MARGIN, FockSpace
+from .fock import INTERIOR_MARGIN, FockSpace, stack_configs
 from .model import (
     NEGATIVE,
     POSITIVE,
@@ -32,6 +32,7 @@ from .model import (
     SpinorLevel,
     build_sectors,
     landau_level,
+    sector_terms,
     spinor_level,
 )
 from .numerics import eigh, eigvalsh
@@ -222,19 +223,32 @@ def _shift(p: ModelParams, state: list, term=_P2) -> complex:
 
 
 def interior_spectrum(
-    space: FockSpace, p: ModelParams, strengths: Sequence[float]
+    space: FockSpace, configs: Sequence[tuple[ModelParams, float]]
 ) -> np.ndarray:
     """Ascending eigenvalues of the interior-projected full Hamiltonian.
 
-    Row k is the spectrum at deformation strength strengths[k]. H0 and H'
-    both conserve J = n_a - n_b + [spin down], so each row is the sorted
-    union of the J-sector spectra (`build_sectors`). Each J-sector stack is
-    solved in one eigensolver call as it is generated, so one stack is held
-    at a time.
+    Row k is the spectrum of configs[k], a (ModelParams, deformation
+    strength) pair. H0 and H' both conserve J = n_a - n_b + [spin down], so
+    each row is the sorted union of the J-sector spectra (`build_sectors`).
+    Each J-sector stack is solved in one eigensolver call as it is
+    generated, so one stack is held at a time; configs that give the same
+    blocks are solved once, and their rows are copied after the solve. The
+    configs go in consecutive chunks of `fock.stack_configs` configs, one
+    pass over the J-sectors each, which bounds a stack's bytes.
     """
-    sectors = build_sectors(space, p, strengths)
-    return np.sort(np.concatenate([eigvalsh(s.stack) for s in sectors], axis=-1),
-                   axis=-1)
+    size = stack_configs(space.cutoff)
+    return np.concatenate([_one_pass(space, configs[i:i + size])
+                           for i in range(0, len(configs), size)])
+
+
+def _one_pass(
+    space: FockSpace, configs: Sequence[tuple[ModelParams, float]]
+) -> np.ndarray:
+    sectors = build_sectors(space, configs)
+    return np.sort(
+        np.concatenate([eigvalsh(s.stack)[s.rows] for s in sectors], axis=-1),
+        axis=-1,
+    )
 
 
 def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
@@ -255,7 +269,8 @@ def _oracle_spectra(
     """
     step = ORACLE_STEP / (p.mass * p.light_speed)
     ks = (0, 1, -1, 2, -2)
-    return step, dict(zip(ks, interior_spectrum(space, p, [k * step for k in ks])))
+    spectra = interior_spectrum(space, [(p, k * step) for k in ks])
+    return step, dict(zip(ks, spectra))
 
 
 def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float]:
@@ -264,9 +279,15 @@ def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float
     Central differences through a = 0 with one Richardson step. Within a
     splitting cluster the ascending order at +a pairs with the descending
     order at -a; that pairing reconstructs the analytic branches. Raises
-    UsageError when the differences over the step are not finite: the
-    deformation then moves the spectrum by less than its rounding.
+    UsageError at the critical field, where the shift unit vanishes, and
+    when the differences over the step are not finite: the deformation then
+    moves the spectrum by less than its rounding.
     """
+    if p.omega_tilde == 0.0:
+        raise UsageError(
+            "oracle slopes are in units of a c m hbar wt, which vanish at the "
+            "critical field"
+        )
     h, spectra = _oracle_spectra(space, p)
     win = CLUSTER_WINDOW * p.rest_energy
     w0 = spectra[0]
@@ -477,6 +498,36 @@ def spectral_clusters(
     return np.add.reduceat(w, bounds[:-1]) / sizes, sizes
 
 
+def _check_window(p: ModelParams, energy_window: float) -> None:
+    floor = 1e-12 * p.rest_energy
+    if energy_window < floor:
+        raise UsageError(
+            f"window {energy_window!r} below the numerical noise floor {floor!r}"
+        )
+
+
+def _histogram(spectrum: np.ndarray, window: float) -> dict[int, int]:
+    _, multiplicities = spectral_clusters(spectrum, window)
+    sizes, counts = np.unique(multiplicities, return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
+
+
+def _degeneracy_histograms(
+    space: FockSpace, jobs: Sequence[tuple[ModelParams, float]]
+) -> list[tuple[dict[int, int], dict[int, int]]]:
+    """Before/after histograms of each (params, energy window) job.
+
+    All 2 len(jobs) spectra, at strengths 0 and p.gup_a, come from one call
+    to `interior_spectrum`.
+    """
+    spectra = interior_spectrum(
+        space, [(p, a) for p, _ in jobs for a in (0.0, p.gup_a)]
+    )
+    return [(_histogram(before, window), _histogram(after, window))
+            for (before, after), (_, window)
+            in zip(spectra.reshape(len(jobs), 2, -1), jobs)]
+
+
 def degeneracy_analysis(
     space: FockSpace, p: ModelParams, energy_window: float
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -484,29 +535,20 @@ def degeneracy_analysis(
 
     Returns {multiplicity: number of clusters} for the undeformed and the
     deformed Hamiltonian, clustered with the given absolute energy window.
-    Both spectra come from one pass over the J-sectors.
+    Both spectra come from one pass over the J-sectors (two above cutoff
+    513, where one block fills `fock.STACK_BYTES`).
     """
-    floor = 1e-12 * p.rest_energy
-    if energy_window < floor:
-        raise UsageError(
-            f"window {energy_window!r} below the numerical noise floor {floor!r}"
-        )
-
-    def hist(w: np.ndarray) -> dict[int, int]:
-        _, multiplicities = spectral_clusters(w, energy_window)
-        sizes, counts = np.unique(multiplicities, return_counts=True)
-        return dict(zip(sizes.tolist(), counts.tolist()))
-
-    before, after = interior_spectrum(space, p, (0.0, p.gup_a))
-    return hist(before), hist(after)
+    _check_window(p, energy_window)
+    (histograms,) = _degeneracy_histograms(space, [(p, energy_window)])
+    return histograms
 
 
 def _scan_point(
-    space: FockSpace, base: ModelParams, b_value: float, degeneracy_window: float
+    space: FockSpace, p: ModelParams, degeneracy_window: float
 ) -> dict:
-    p = base.with_field(b_value)
+    """A scan point's own steps: shifts, and the checks of its histograms."""
     # every report key up front, in report order; a failed point keeps None
-    point: dict = {"B": b_value, "omega_tilde": p.omega_tilde, "ground_shift": None,
+    point: dict = {"B": p.b_field, "omega_tilde": p.omega_tilde, "ground_shift": None,
                    "first_shift": None, "n2_shifts": None,
                    "degeneracy_counts_before": None, "degeneracy_counts_after": None}
     try:
@@ -522,11 +564,9 @@ def _scan_point(
         cluster = degenerate_shift(space, p, level_cluster(n=2, size=4),
                                    include_oracle=False)
         point["n2_shifts"] = sorted(cluster.shifts_energy)
-        before, after = degeneracy_analysis(
-            space, p, degeneracy_window * p.rest_energy
-        )
-        point["degeneracy_counts_before"] = before
-        point["degeneracy_counts_after"] = after
+        _check_window(p, degeneracy_window * p.rest_energy)
+        for a in (0.0, p.gup_a):
+            sector_terms(space, p, a)  # the errors the shared pass would raise
     except (UsageError, ComputationError) as exc:
         point["error"] = str(exc)
     return point
@@ -540,12 +580,34 @@ def field_scan(
 ) -> ScanResult:
     """Sweep the magnetic field; one record per value, errors kept per point.
 
-    Points run in input order on the calling thread.
+    Each point first runs its own steps in input order: its shifts and the
+    checks of its degeneracy histograms, and a point that fails records its
+    first error. The histograms of the remaining points then come from
+    shared passes over the J-sectors, each of as many points as
+    `fock.stack_configs` allows (every point solves two configs; identical
+    blocks, such as the two of a point at the critical field, are solved
+    once). An error raised inside a shared pass is recorded on every point
+    of that pass. Everything runs on the calling thread.
     """
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise UsageError("field values must be sorted ascending")
-    points = [_scan_point(space, base_params, b, degeneracy_window) for b in values]
+    params = [base_params.with_field(b) for b in values]
+    points = [_scan_point(space, p, degeneracy_window) for p in params]
+    pending = [(point, p) for point, p in zip(points, params) if "error" not in point]
+    size = max(1, stack_configs(space.cutoff) // 2)  # two configs per point
+    for i in range(0, len(pending), size):
+        group = pending[i:i + size]
+        jobs = [(p, degeneracy_window * p.rest_energy) for _, p in group]
+        try:
+            histograms = _degeneracy_histograms(space, jobs)
+        except (UsageError, ComputationError) as exc:
+            for point, _ in group:
+                point["error"] = str(exc)
+            continue
+        for (point, _), (before, after) in zip(group, histograms):
+            point["degeneracy_counts_before"] = before
+            point["degeneracy_counts_after"] = after
     critical = critical_field(base_params)
     in_range = values and values[0] <= critical <= values[-1]
     return ScanResult(points=points, critical_b=critical if in_range else None)

@@ -52,7 +52,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
     ok = True
     for lam in (0.05, 0.1, 0.5):
         p = ModelParams(omega=lam)
-        (w,) = interior_spectrum(space, p, (0.0,))
+        (w,) = interior_spectrum(space, [(p, 0.0)])
         for n in range(9):
             for branch in ("+", "-"):
                 e = landau_level(p, n, branch)
@@ -108,7 +108,7 @@ def test_criterion_5_degeneracy_lifting():
     ok = ok and len(set(np.round(tower.shifts, 8))) == 6
 
     before, after = degeneracy_analysis(space, p, 1e-9)
-    w0, w1 = interior_spectrum(space, p, (0.0, p.gup_a))
+    w0, w1 = interior_spectrum(space, [(p, 0.0), (p, p.gup_a)])
     lll_before = [m for e, m in zip(*spectral_clusters(w0, 1e-9)) if abs(e - 1.0) < 1e-6]
     lll_after = [
         m for e, m in zip(*spectral_clusters(w1, 1e-9)) if abs(e - 1.0) < 2e-3

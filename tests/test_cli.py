@@ -340,21 +340,30 @@ def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys)
     assert named in err and "Traceback" not in err and "Warning" not in err
 
 
-@pytest.mark.parametrize("command, code, named", [
-    ("spectrum", 0, None),
-    ("correct", 2, "oracle stencil step"),
-    ("validate", 2, "oracle stencil step"),
-    ("degenerate", 2, "spinor weights of level n=2"),
+HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    pytest.param(["spectrum", *HUGE_REST_ENERGY], 0, None, id="spectrum-0-None"),
+    pytest.param(["correct", *HUGE_REST_ENERGY], 2, "oracle stencil step",
+                 id="correct-2-oracle stencil step"),
+    pytest.param(["validate", *HUGE_REST_ENERGY], 2, "oracle stencil step",
+                 id="validate-2-oracle stencil step"),
+    pytest.param(["degenerate", *HUGE_REST_ENERGY], 2, "spinor weights of level n=2",
+                 id="degenerate-2-spinor weights of level n=2"),
+    pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
+                  "--gup-a", "1e307", "--cutoff", "40"], 0, None,
+                 id="scan-deformation-1e307"),
 ])
-def test_rest_energy_near_the_float_maximum_runs_without_warnings(command, code, named):
+def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
     # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
     # step 1e-313 is below the spectrum's resolution, and E_n + m c^2 of an
-    # excited level overflows. Run with every warning an error, as a user
-    # with PYTHONWARNINGS=error would.
+    # excited level overflows. a = 1e307: the sector diagonal overflows at
+    # every scan point off the critical field, and each records it. Run with
+    # every warning an error, as a user with PYTHONWARNINGS=error would.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "gup_dosc.cli", command,
-         "--omega", "1", "--mass", "1e308", "--cutoff", "12"],
+        [sys.executable, "-W", "error", "-m", "gup_dosc.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == code, out.stderr

@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.fock import INTERIOR_MARGIN, MAX_CUTOFF, FockSpace, sector_cost
+from gup_dosc.fock import (
+    INTERIOR_MARGIN,
+    MAX_CUTOFF,
+    STACK_BYTES,
+    FockSpace,
+    sector_cost,
+    stack_configs,
+)
 from gup_dosc.model import ModelParams, build_sectors, landau_level, spinor_level
 from gup_dosc.numerics import eigvalsh, norm_max
 from reference import (
@@ -199,18 +207,21 @@ SECTOR_FIELDS = [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 0.0)]
 def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
     space = Space(cutoff=10, include_spin=True)
     p = ModelParams(omega=omega, b_field=b_field)
-    # one stack per J holds the blocks at every strength, in the given order
+    # one stack per J holds the block of every config; configs with the same
+    # block (every strength zero, or wt = 0) share a row
     strengths = (strength, 0.0, -2.0 * strength)
+    same = strength == 0.0 or p.omega_tilde == 0.0
     dense = [build_h0(space, p) + build_h_prime(space, p, strength=a) for a in strengths]
-    sectors = list(build_sectors(space, p, strengths))
+    sectors = list(build_sectors(space, [(p, a) for a in strengths]))
     indices = {s.j: sector_indices(space, s.j) for s in sectors}
     covered = np.sort(np.concatenate(list(indices.values())))
     assert np.array_equal(covered, np.sort(space.interior_indices(2)))
     for s in sectors:
         assert all(sector_j(space, i) == s.j for i in indices[s.j])
         assert s.stack.dtype == np.float64
-        assert len(s.stack) == len(strengths)
-        for matrix, h in zip(s.stack, dense):
+        assert s.rows.tolist() == ([0, 0, 0] if same else [0, 1, 2])
+        assert len(s.stack) == (1 if same else 3)
+        for matrix, h in zip(s.stack[s.rows], dense):
             # the dense block conjugated by the i^{n_b} phases is real symmetric
             block = sector_block(space, h, s.j)
             assert norm_max(block.imag) == 0.0
@@ -238,7 +249,7 @@ def test_sector_couplings_are_exact_zeros():
     space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
-        for s in build_sectors(space, p, (p.gup_a,)):
+        for s in build_sectors(space, [(p, p.gup_a)]):
             states = [space.unpack(int(i)) for i in sector_indices(space, s.j)]
             for r, (n_a, n_b, row_up) in enumerate(states):
                 for q, (m_a, m_b, col_up) in enumerate(states):
@@ -249,17 +260,33 @@ def test_sector_couplings_are_exact_zeros():
 def test_build_sectors_rejects_cutoff_inside_margin():
     p = ModelParams(omega=1.0)
     with pytest.raises(UsageError, match="cutoff 1"):
-        build_sectors(FockSpace(cutoff=1), p, (0.0,))
+        build_sectors(FockSpace(cutoff=1), [(p, 0.0)])
     # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
-    sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), p, (0.0,))
+    sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), [(p, 0.0)])
     assert [s.stack.shape for s in sectors] == [(1, 1, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 7, 12, 40])
 def test_sector_cost_counts_the_built_blocks(cutoff):
-    sectors = build_sectors(FockSpace(cutoff), ModelParams(omega=1.0), (0.0,))
+    sectors = build_sectors(FockSpace(cutoff), [(ModelParams(omega=1.0), 0.0)])
     dims = [s.stack.shape[-1] for s in sectors]
     assert sector_cost(cutoff) == (sum(d ** 3 for d in dims), 8 * max(dims) ** 2)
+
+
+def test_stack_configs_fill_the_bound_without_building_a_block():
+    tracemalloc.start()
+    try:
+        for cutoff in range(INTERIOR_MARGIN, MAX_CUTOFF + 1):
+            k, block = stack_configs(cutoff), sector_cost(cutoff)[1]
+            # as many configs as fit, and a lone block beyond the bound alone
+            assert k >= 1 and (k + 1) * block > STACK_BYTES
+            assert k * block <= STACK_BYTES or k == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # the five-strength oracle stencil stays one pass at cutoff 200
+    assert stack_configs(200) >= 5
 
 
 def test_cutoff_beyond_the_cost_limit_is_rejected():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gup_dosc.errors import UsageError
-from gup_dosc.fock import FockSpace
-from gup_dosc.model import ModelParams, spinor_level
-from gup_dosc.numerics import norm_max
+from gup_dosc import fock, perturbation
+from gup_dosc.errors import ComputationError, UsageError
+from gup_dosc.fock import FockSpace, sector_cost, stack_configs
+from gup_dosc.model import ModelParams, build_sectors, spinor_level
+from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.perturbation import (
+    CLUSTER_WINDOW,
     ORACLE_RTOL,
     ORACLE_STEP,
     REFERENCE_DEGENERATE_BLOCK,
@@ -166,7 +168,7 @@ def test_degeneracy_analysis_splits_lowest_tower():
     before, after = degeneracy_analysis(SPACE, PARAMS, 1e-9)
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
-    w0, w1 = interior_spectrum(SPACE, PARAMS, (0.0, PARAMS.gup_a))
+    w0, w1 = interior_spectrum(SPACE, [(PARAMS, 0.0), (PARAMS, PARAMS.gup_a)])
     clusters0 = {
         round(e, 9): m for e, m in zip(*spectral_clusters(w0, 1e-9))
     }
@@ -380,12 +382,12 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
     # J-sectors; each row must be bitwise the spectrum solved on its own
     h = ORACLE_STEP / (p.mass * p.light_speed)
     strengths = [k * h for k in (0, 1, -1, 2, -2)]
-    rows = interior_spectrum(SPACE, p, strengths)
+    rows = interior_spectrum(SPACE, [(p, a) for a in strengths])
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
     step, stencil = _oracle_spectra(SPACE, p)
     assert step == h
     for k, a, row in zip((0, 1, -1, 2, -2), strengths, rows):
-        assert np.array_equal(row, interior_spectrum(SPACE, p, (a,))[0])
+        assert np.array_equal(row, interior_spectrum(SPACE, [(p, a)])[0])
         assert np.array_equal(row, stencil[k])
         assert np.all(np.diff(row) >= 0.0)
 
@@ -394,7 +396,7 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
 @pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
 def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
     before, after = degeneracy_analysis(SPACE, p, window)
-    w0, w1 = interior_spectrum(SPACE, p, (0.0, p.gup_a))
+    w0, w1 = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
     assert before == degeneracy_histogram_loop(w0, window)
     assert after == degeneracy_histogram_loop(w1, window)
     for w in (w0, w1):
@@ -406,3 +408,112 @@ def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
         assert np.allclose(means, [e for e, _ in loop], rtol=rtol, atol=0.0)
     means, sizes = spectral_clusters(np.array([]), window)
     assert len(means) == len(sizes) == 0 and spectral_clusters_loop([], window) == []
+
+
+def test_oracle_slopes_at_the_critical_field_are_a_usage_error():
+    # the slopes' unit a c m hbar wt vanishes there
+    p = ModelParams(omega=0.1, b_field=0.2, gup_a=1e-4)
+    assert p.omega_tilde == 0.0
+    with pytest.raises(UsageError, match="critical field"):
+        oracle_slopes(FockSpace(12), p, 1.0)
+
+
+# wt = 1, 0.5, 0 (the critical field, where H' vanishes) and -0.5
+SCAN_BASE = ModelParams(omega=1.0, gup_a=1e-4)
+SCAN_FIELDS = [0.0, 1.0, 2.0, 3.0]
+
+
+def _scan_configs():
+    """The configs whose spectra a scan over SCAN_FIELDS solves, in order."""
+    params = [SCAN_BASE.with_field(b) for b in SCAN_FIELDS]
+    return [(p, a) for p in params for a in (0.0, p.gup_a)]
+
+
+def _count_eigvalsh(monkeypatch) -> list[int]:
+    """Records the stack length of every eigvalsh call made by perturbation."""
+    calls = []
+
+    def counting(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(perturbation, "eigvalsh", counting)
+    return calls
+
+
+def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
+    configs = _scan_configs()
+    # the two configs of the critical field give one block: 7 rows for 8
+    sector = next(build_sectors(SPACE, configs))
+    assert len(sector.stack) == 7
+    assert sector.rows.tolist() == [0, 1, 2, 3, 4, 4, 5, 6]
+    rows = interior_spectrum(SPACE, configs)
+    assert rows.shape == (8, (SPACE.cutoff - 1) * SPACE.cutoff)
+    for config, row in zip(configs, rows):
+        assert np.array_equal(row, interior_spectrum(SPACE, [config])[0])
+
+
+def test_scan_histograms_equal_per_point_analysis():
+    scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    window = CLUSTER_WINDOW * SCAN_BASE.rest_energy
+    for pt in scan.points:
+        p = SCAN_BASE.with_field(pt["B"])
+        counts = (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"])
+        assert counts == degeneracy_analysis(SPACE, p, window)
+        spectra = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
+        assert counts == tuple(degeneracy_histogram_loop(w, window) for w in spectra)
+
+
+def test_a_scan_solves_each_sector_once(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    # 2 T + 2 = 22 J-sectors at cutoff 12, each one stack of 7 distinct
+    # configs; one pass per point would make 4 x 22 calls
+    assert calls == [7] * 22
+
+
+def test_one_config_per_stack_changes_no_row(monkeypatch):
+    configs = _scan_configs()
+    rows = interior_spectrum(SPACE, configs)
+    scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    monkeypatch.setattr(fock, "STACK_BYTES", sector_cost(SPACE.cutoff)[1])
+    assert stack_configs(SPACE.cutoff) == 1
+    calls = _count_eigvalsh(monkeypatch)
+    assert np.array_equal(interior_spectrum(SPACE, configs), rows)
+    assert calls == [1] * 8 * 22  # one pass per config
+    assert field_scan(SPACE, SCAN_BASE, SCAN_FIELDS).points == scan.points
+
+
+def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
+    def failing(a):
+        raise ComputationError("eigensolver did not converge")
+
+    monkeypatch.setattr(perturbation, "eigvalsh", failing)
+    scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    for pt in scan.points:
+        assert pt["error"] == "eigensolver did not converge"
+        assert pt["n2_shifts"] is not None and pt["degeneracy_counts_before"] is None
+    # a point's own first error comes before the shared pass; at the
+    # critical field the shifts are zero reports, and only the pass fails;
+    # at cutoff 5 the n = 2 cluster no longer fits
+    scan = field_scan(FockSpace(cutoff=5), SCAN_BASE, SCAN_FIELDS)
+    assert [pt["error"] for pt in scan.points] == [
+        "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"] * 2 + [
+        "eigensolver did not converge",
+        "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"]
+
+
+def test_scan_points_report_an_overflowing_deformation():
+    # a = 1e307: the sector diagonal 1 + a m c |wt| hbar (cutoff - 1) exceeds
+    # the float range except at the critical field, where H' vanishes
+    base = ModelParams(omega=1.0, gup_a=1e307)
+    scan = field_scan(FockSpace(cutoff=40), base, SCAN_FIELDS)
+    for pt in scan.points:
+        assert pt["n2_shifts"] is not None
+        if pt["B"] == 2.0:
+            assert "error" not in pt
+            assert pt["degeneracy_counts_before"] == {4: 380, 20: 2}
+            assert pt["degeneracy_counts_after"] == {4: 380, 20: 2}
+        else:
+            assert pt["error"].startswith("sector diagonal")
+            assert pt["degeneracy_counts_after"] is None
