@@ -19,6 +19,7 @@ from .fock import FockSpace
 from .model import ModelParams, SpinorLevel, landau_level, spinor_level
 from .perturbation import (
     ClusterMember,
+    Oracle,
     PTReport,
     ScanResult,
     critical_field,
@@ -40,6 +41,7 @@ __all__ = [
     "landau_level",
     "spinor_level",
     "ClusterMember",
+    "Oracle",
     "PTReport",
     "ScanResult",
     "critical_field",

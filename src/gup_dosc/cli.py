@@ -35,6 +35,7 @@ from .model import (
 from .numerics import dump_matrix
 from .perturbation import (
     CLUSTER_WINDOW,
+    Oracle,
     PTReport,
     critical_field,
     degenerate_shift,
@@ -44,12 +45,14 @@ from .perturbation import (
     level_cluster,
     level_distances,
     level_exists,
-    operator_level,
     validation_report,
 )
 
 FORMATS = ("text", "json", "csv")
 BRANCH_CHOICES = (POSITIVE, NEGATIVE, "both")
+# Largest accepted --steps: far above any scan in use (README's largest has 16
+# steps), and checked before the list of field values is built.
+MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,8 @@ OPTIONS = (
     Option("output", str, None, "write the report to this path"),
     Option("B_min", float, None, "lowest field", scan_only=True),
     Option("B_max", float, None, "highest field", scan_only=True),
-    Option("steps", int, None, "number of field values (>= 2)", scan_only=True),
+    Option("steps", int, None, f"number of field values (at least 2, at most {MAX_STEPS})",
+           scan_only=True),
 )
 
 _TOLERANCE_KEYS = ("cluster_window", "degeneracy_window")
@@ -260,6 +264,8 @@ def parse_config(argv=None) -> RunConfig:
                 raise UsageError(f"scan requires {o.flag}")
         if values["steps"] < 2:
             raise UsageError("scan needs at least 2 steps")
+        if values["steps"] > MAX_STEPS:
+            raise UsageError(f"steps {values['steps']} exceeds the limit {MAX_STEPS}")
         if not values["B_min"] <= values["B_max"]:
             raise UsageError("B-min must not exceed B-max")
 
@@ -475,6 +481,7 @@ def _run_spectrum(config: RunConfig) -> dict:
 def _run_correct(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
+    oracle = Oracle(space, p)
     reports = []
     for n in (0, 1):
         for branch in _branches(config):
@@ -488,8 +495,8 @@ def _run_correct(config: RunConfig) -> dict:
                     }
                 )
                 continue
-            level = operator_level(p, n, branch)
-            reports.append(_pt_report_dict(first_order_shift(space, p, level)))
+            result = oracle.check(first_order_shift(space, p, n, branch))
+            reports.append(_pt_report_dict(result))
     report = _report_header(config)
     report["corrections"] = reports
     return report
@@ -498,7 +505,7 @@ def _run_correct(config: RunConfig) -> dict:
 def _run_degenerate(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
-    result = degenerate_shift(space, p, level_cluster(n=2, size=4))
+    result = Oracle(space, p).check(degenerate_shift(space, p, level_cluster(n=2, size=4)))
     report = _report_header(config)
     report["cluster"] = _pt_report_dict(result)
     return report

@@ -38,6 +38,9 @@ from .model import (
 from .numerics import eigh, eigvalsh
 
 SHIFT_UNITS = "a·c·m·ħ·ω̃"
+# Flag of every shift report beyond the critical field.
+OVER_CRITICAL = ("over-critical: operator spectrum follows |wt| with mirrored "
+                 "branches; closed-form levels use the signed frequency")
 
 # Window for locating unperturbed clusters, in units of m c^2.
 CLUSTER_WINDOW = 1e-9
@@ -147,8 +150,9 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
 
 def _state_vector(
     space: FockSpace, p: ModelParams, n: int, branch: str, spectator: int
-) -> tuple[list[tuple[complex, int, int]], dict]:
-    """Nonzero amplitudes of an eigenstate of H0, plus its basis descriptor.
+) -> tuple[list[tuple[complex, int, int]], dict, float]:
+    """Nonzero amplitudes of an eigenstate of H0, its basis descriptor and
+    its level energy.
 
     Amplitudes are (weight, n_a, n_b), the upper spinor component first. For
     wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for
@@ -196,7 +200,7 @@ def _state_vector(
         "branch": branch,
         "spectator": spectator,
     }
-    return amplitudes, descriptor
+    return amplitudes, descriptor, level.energy
 
 
 # p^2 = m |wt| hbar [n_a + n_b + 1 + i(a† b† - a b)] and its ladder-form
@@ -236,6 +240,8 @@ def interior_spectrum(
     configs go in consecutive chunks of `fock.stack_configs` configs, one
     pass over the J-sectors each, which bounds a stack's bytes.
     """
+    if not configs:  # no rows of (cutoff - 1) cutoff interior eigenvalues
+        return np.empty((0, (space.cutoff - 1) * space.cutoff))
     size = stack_configs(space.cutoff)
     return np.concatenate([_one_pass(space, configs[i:i + size])
                            for i in range(0, len(configs), size)])
@@ -258,56 +264,79 @@ def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
         return np.abs(spectrum - energy)
 
 
-@functools.lru_cache(maxsize=8)
-def _oracle_spectra(
-    space: FockSpace, p: ModelParams
-) -> tuple[float, dict[int, np.ndarray]]:
-    """Stencil step h and the interior spectra at strengths k h, k = 0, ±1, ±2.
-
-    Keyed by k; k = 0 is the undeformed spectrum. All five come from one
-    pass over the J-sectors.
+class Oracle:
+    """The finite-difference oracle of one parameter set: a run makes one and
+    passes each of its shift reports through `check`. The stencil, built on
+    first use, is held by this object alone, never shared between runs.
     """
-    step = ORACLE_STEP / (p.mass * p.light_speed)
-    ks = (0, 1, -1, 2, -2)
-    spectra = interior_spectrum(space, [(p, k * step) for k in ks])
-    return step, dict(zip(ks, spectra))
 
+    def __init__(self, space: FockSpace, p: ModelParams):
+        self.space = space
+        self.p = p
+        self.step = ORACLE_STEP / (p.mass * p.light_speed)
 
-def oracle_slopes(space: FockSpace, p: ModelParams, energy: float) -> list[float]:
-    """Ascending d(E)/d(a) for the cluster at `energy`, in shift units.
+    @functools.cached_property
+    def spectra(self) -> dict[int, np.ndarray]:
+        """Interior spectra at strengths k h, k = 0, ±1, ±2, keyed by k; k = 0
+        is the undeformed spectrum. All five come from one pass over the J-sectors."""
+        ks = (0, 1, -1, 2, -2)
+        rows = interior_spectrum(self.space, [(self.p, k * self.step) for k in ks])
+        return dict(zip(ks, rows))
 
-    Central differences through a = 0 with one Richardson step. Within a
-    splitting cluster the ascending order at +a pairs with the descending
-    order at -a; that pairing reconstructs the analytic branches. Raises
-    UsageError at the critical field, where the shift unit vanishes, and
-    when the differences over the step are not finite: the deformation then
-    moves the spectrum by less than its rounding.
-    """
-    if p.omega_tilde == 0.0:
-        raise UsageError(
-            "oracle slopes are in units of a c m hbar wt, which vanish at the "
-            "critical field"
-        )
-    h, spectra = _oracle_spectra(space, p)
-    win = CLUSTER_WINDOW * p.rest_energy
-    w0 = spectra[0]
-    i0 = int(np.searchsorted(w0, energy - win, side="left"))
-    i1 = int(np.searchsorted(w0, energy + win, side="right"))
-    if i1 <= i0:
-        raise ComputationError(
-            f"no interior eigenvalue within {win:.3e} of {energy!r}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1 = (spectra[1][i0:i1] - spectra[-1][i0:i1][::-1]) / (2.0 * h)
-        d2 = (spectra[2][i0:i1] - spectra[-2][i0:i1][::-1]) / (4.0 * h)
-        slopes = (4.0 * d1 - d2) / 3.0
-    if not np.isfinite(slopes).all():
-        raise UsageError(
-            f"oracle stencil step {h!r} is below the resolution of the spectrum "
-            f"at {energy!r}: its finite differences are not finite"
-        )
-    unit = p.light_speed * p.mass * p.hbar * p.omega_tilde
-    return sorted(float(s) / unit for s in slopes)
+    def slopes(self, energy: float) -> list[float]:
+        """Ascending d(E)/d(a) for the cluster at `energy`, in shift units.
+
+        Central differences through a = 0 with one Richardson step. Within a
+        splitting cluster the ascending order at +a pairs with the descending
+        order at -a; that pairing reconstructs the analytic branches. Raises
+        UsageError at the critical field, where the shift unit vanishes, and
+        when the differences over the step are not finite: the deformation
+        then moves the spectrum by less than its rounding.
+        """
+        p = self.p
+        if p.omega_tilde == 0.0:
+            raise UsageError(
+                "oracle slopes are in units of a c m hbar wt, which vanish at the "
+                "critical field"
+            )
+        h, spectra = self.step, self.spectra
+        win = CLUSTER_WINDOW * p.rest_energy
+        w0 = spectra[0]
+        i0 = int(np.searchsorted(w0, energy - win, side="left"))
+        i1 = int(np.searchsorted(w0, energy + win, side="right"))
+        if i1 <= i0:
+            raise ComputationError(
+                f"no interior eigenvalue within {win:.3e} of {energy!r}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = (spectra[1][i0:i1] - spectra[-1][i0:i1][::-1]) / (2.0 * h)
+            d2 = (spectra[2][i0:i1] - spectra[-2][i0:i1][::-1]) / (4.0 * h)
+            slopes = (4.0 * d1 - d2) / 3.0
+        if not np.isfinite(slopes).all():
+            raise UsageError(
+                f"oracle stencil step {h!r} is below the resolution of the spectrum "
+                f"at {energy!r}: its finite differences are not finite"
+            )
+        unit = p.light_speed * p.mass * p.hbar * p.omega_tilde
+        return sorted(float(s) / unit for s in slopes)
+
+    def check(self, report: PTReport) -> PTReport:
+        """Set each shift's nearest slope at the report's unperturbed energy,
+        flag each shift further than ORACLE_RTOL + ORACLE_STEP (relative) from
+        it, and return `report`. At the critical field, where every shift is
+        identically zero, the report is returned unchanged and nothing is built.
+        """
+        if self.p.omega_tilde == 0.0:
+            return report
+        slopes = self.slopes(report.unperturbed_energy)
+        report.oracle_slopes = [min(slopes, key=lambda o: abs(o - s))
+                                for s in report.shifts]
+        for s, o in zip(report.shifts, report.oracle_slopes):
+            if abs(s - o) / max(abs(s), 1e-30) > ORACLE_RTOL + ORACLE_STEP:
+                report.discrepancy_flags.append(
+                    f"oracle slope {o!r} disagrees with shift {s!r}"
+                )
+        return report
 
 
 def _zero_coupling_report(p: ModelParams, label: str, size: int) -> PTReport:
@@ -335,45 +364,28 @@ def _zero_coupling_report(p: ModelParams, label: str, size: int) -> PTReport:
 def first_order_shift(
     space: FockSpace,
     p: ModelParams,
-    level: SpinorLevel,
+    n: int,
+    branch: str = POSITIVE,
     spectator: int = 0,
-    include_oracle: bool = True,
 ) -> PTReport:
     """Non-degenerate first-order correction <psi|H'|psi> for level n <= 1.
 
     The report carries the three-term breakdown of <p^2> (ladder, position,
-    angular-momentum pieces) and the matching finite-difference oracle slope.
+    angular-momentum pieces) and no oracle slopes; `Oracle.check` adds them.
     Levels with n >= 2 are degenerate beyond their spectator tower and must
     go through `degenerate_shift`.
     """
-    if level.n >= 2:
-        raise UsageError(
-            f"level n={level.n} is degenerate; use degenerate_shift"
-        )
-    label = f"n={level.n}, branch {level.branch}"
+    if n >= 2:
+        raise UsageError(f"level n={n} is degenerate; use degenerate_shift")
+    label = f"n={n}, branch {branch}"
     if p.omega_tilde == 0.0:
+        # the level must exist with finite spinor weights even where every
+        # shift vanishes
+        operator_level(p, n, branch)
         return _zero_coupling_report(p, label, 1)
-    state, descriptor = _state_vector(space, p, level.n, level.branch, spectator)
+    state, descriptor, energy = _state_vector(space, p, n, branch, spectator)
     mult = _shift(p, state).real
-    energy = operator_level(p, level.n, level.branch).energy
     breakdown = {name: _shift(p, state, term).real for name, term in _P2_TERMS.items()}
-
-    flags: list[str] = []
-    if p.omega_tilde < 0.0:
-        flags.append(
-            "over-critical: operator spectrum follows |wt| with mirrored "
-            "branches; closed-form levels use the signed frequency"
-        )
-    slopes: list[float] = []
-    if include_oracle:
-        all_slopes = oracle_slopes(space, p, energy)
-        nearest = min(all_slopes, key=lambda s: abs(s - mult))
-        slopes = [nearest]
-        denom = max(abs(mult), 1e-30)
-        if abs(nearest - mult) / denom > ORACLE_RTOL + ORACLE_STEP:
-            flags.append(
-                f"oracle slope {nearest!r} disagrees with shift {mult!r}"
-            )
     return PTReport(
         cluster_label=label,
         unperturbed_energy=energy,
@@ -382,24 +394,22 @@ def first_order_shift(
         subspace_matrix=np.array([[mult]], dtype=np.complex128),
         shifts=[mult],
         shifts_energy=[mult * p.shift_unit],
-        oracle_slopes=slopes,
-        discrepancy_flags=flags,
+        oracle_slopes=[],
+        discrepancy_flags=[OVER_CRITICAL] if p.omega_tilde < 0.0 else [],
         breakdown=breakdown,
     )
 
 
 def degenerate_shift(
-    space: FockSpace,
-    p: ModelParams,
-    cluster: list[ClusterMember],
-    include_oracle: bool = True,
+    space: FockSpace, p: ModelParams, cluster: list[ClusterMember]
 ) -> PTReport:
     """Diagonalize H' restricted to a degenerate cluster.
 
     Cluster members must be distinct spectator states of one level (n,
     branch); shifts come back ascending with the diagonalizing (unitary)
-    eigenvector set in the cluster basis. The pair term of p^2 connects no
-    two states of one level's tower, so the cluster matrix is diagonal.
+    eigenvector set in the cluster basis, and no oracle slopes
+    (`Oracle.check` adds them). The pair term of p^2 connects no two states
+    of one level's tower, so the cluster matrix is diagonal.
     """
     if not cluster:
         raise UsageError("cluster must contain at least one member")
@@ -410,14 +420,9 @@ def degenerate_shift(
     )
     if p.omega_tilde == 0.0:
         return _zero_coupling_report(p, label, len(cluster))
-    states = []
-    descriptors = []
-    energies = []
-    for m in cluster:
-        state, desc = _state_vector(space, p, m.n, m.branch, m.spectator)
-        states.append(state)
-        descriptors.append(desc)
-        energies.append(operator_level(p, m.n, m.branch).energy)
+    states, descriptors, energies = zip(
+        *(_state_vector(space, p, m.n, m.branch, m.spectator) for m in cluster)
+    )
     spread = max(energies) - min(energies)
     if spread > CLUSTER_WINDOW * p.rest_energy:
         raise UsageError(
@@ -431,32 +436,16 @@ def degenerate_shift(
     np.fill_diagonal(sub, [_shift(p, state) for state in states])
     decomp = eigh(sub)
     shifts = [float(w) for w in decomp.eigenvalues]
-    energy = float(np.mean(energies))
-    flags: list[str] = []
-    if p.omega_tilde < 0.0:
-        flags.append(
-            "over-critical: operator spectrum follows |wt| with mirrored "
-            "branches; closed-form levels use the signed frequency"
-        )
-    slopes: list[float] = []
-    if include_oracle:
-        all_slopes = oracle_slopes(space, p, energy)
-        for s in shifts:
-            slopes.append(min(all_slopes, key=lambda x: abs(x - s)))
-        tol = ORACLE_RTOL + ORACLE_STEP
-        for s, o in zip(shifts, slopes):
-            if abs(s - o) / max(abs(s), 1e-30) > tol:
-                flags.append(f"oracle slope {o!r} disagrees with shift {s!r}")
     return PTReport(
         cluster_label=label,
-        unperturbed_energy=energy,
+        unperturbed_energy=float(np.mean(energies)),
         method="degenerate",
-        subspace_basis=descriptors,
+        subspace_basis=list(descriptors),
         subspace_matrix=sub,
         shifts=shifts,
         shifts_energy=[s * p.shift_unit for s in shifts],
-        oracle_slopes=slopes,
-        discrepancy_flags=flags,
+        oracle_slopes=[],
+        discrepancy_flags=[OVER_CRITICAL] if p.omega_tilde < 0.0 else [],
         eigenvectors=decomp.eigenvectors,
     )
 
@@ -557,12 +546,9 @@ def _scan_point(
             ("ground_shift", 0, branch0),
             ("first_shift", 1, POSITIVE),
         ):
-            level = operator_level(p, n, branch)
-            report = first_order_shift(space, p, level, include_oracle=False)
-            point[key] = report.shifts_energy[0]
+            point[key] = first_order_shift(space, p, n, branch).shifts_energy[0]
         # a negative shift unit (wt < 0) reverses the order of the energies
-        cluster = degenerate_shift(space, p, level_cluster(n=2, size=4),
-                                   include_oracle=False)
+        cluster = degenerate_shift(space, p, level_cluster(n=2, size=4))
         point["n2_shifts"] = sorted(cluster.shifts_energy)
         _check_window(p, degeneracy_window * p.rest_energy)
         for a in (0.0, p.gup_a):
@@ -629,8 +615,8 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
 
     # 1. closed-form levels against the exact interior spectrum, which is the
     # undeformed base of the oracle stencil
-    _, spectra = _oracle_spectra(space, p)
-    spectrum = spectra[0]
+    oracle = Oracle(space, p)
+    spectrum = oracle.spectra[0]
     for n in range(5):
         for branch in (POSITIVE, NEGATIVE):
             analytic = landau_level(p, n, branch)
@@ -647,7 +633,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
             )
 
     # 2. ground-level shift and its oracle slope
-    ground = first_order_shift(space, p, spinor_level(p, 0, POSITIVE))
+    ground = oracle.check(first_order_shift(space, p, 0, POSITIVE))
     rows.append(
         {
             "row": "ground-shift",
@@ -675,7 +661,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     )
 
     # 3. first excited level: stored value vs the oracle-consistent one
-    first = first_order_shift(space, p, spinor_level(p, 1, POSITIVE))
+    first = oracle.check(first_order_shift(space, p, 1, POSITIVE))
     rows.append(
         {
             "row": "first-excited-shift",
@@ -706,7 +692,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     )
 
     # 4. degenerate block: own-basis matrix vs stored block
-    own = degenerate_shift(space, p, level_cluster(n=2, size=4))
+    own = oracle.check(degenerate_shift(space, p, level_cluster(n=2, size=4)))
     stored = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK, "stored 4x4 block")
     own_set = np.array(own.shifts)
     stored_set = np.array(stored.shifts)

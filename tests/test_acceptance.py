@@ -11,11 +11,12 @@ import numpy as np
 
 from gup_dosc.cli import main
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import ModelParams, landau_level, spinor_level
+from gup_dosc.model import ModelParams, landau_level
 from gup_dosc.numerics import eigh, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
+    Oracle,
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
@@ -64,7 +65,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
 def test_criterion_2_ground_state_correction():
     space = FockSpace(cutoff=PRODUCTION_CUTOFF)
     p = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
-    r = first_order_shift(space, p, spinor_level(p, 0, "+"))
+    r = Oracle(space, p).check(first_order_shift(space, p, 0, "+"))
     ok = abs(r.shifts[0] - (-1.0)) <= 1e-10
     slope = r.oracle_slopes[0]
     ok = ok and abs(slope - (-1.0)) <= 1e-6
@@ -100,9 +101,7 @@ def test_criterion_4_critical_field():
 def test_criterion_5_degeneracy_lifting():
     space = FockSpace(cutoff=12)
     p = ModelParams(omega=0.1, gup_a=1e-4)
-    tower = degenerate_shift(
-        space, p, level_cluster(n=0, size=6), include_oracle=False
-    )
+    tower = degenerate_shift(space, p, level_cluster(n=0, size=6))
     expected = [-(k + 1.0) for k in reversed(range(6))]
     ok = np.allclose(tower.shifts, expected, atol=1e-10)
     ok = ok and len(set(np.round(tower.shifts, 8))) == 6
@@ -195,17 +194,13 @@ def test_criterion_9_linearity_and_determinism(tmp_path):
     ok = True
     for params_pair in ((single, double),):
         p1, p2 = params_pair
-        r1 = first_order_shift(space, p1, spinor_level(p1, 1, "+"),
-                               include_oracle=False)
-        r2 = first_order_shift(space, p2, spinor_level(p2, 1, "+"),
-                               include_oracle=False)
+        r1 = first_order_shift(space, p1, 1, "+")
+        r2 = first_order_shift(space, p2, 1, "+")
         ok = ok and abs(r2.shifts_energy[0] - 2.0 * r1.shifts_energy[0]) <= (
             1e-12 * abs(r2.shifts_energy[0])
         )
-        d1 = degenerate_shift(space, p1, level_cluster(n=0, size=4),
-                              include_oracle=False)
-        d2 = degenerate_shift(space, p2, level_cluster(n=0, size=4),
-                              include_oracle=False)
+        d1 = degenerate_shift(space, p1, level_cluster(n=0, size=4))
+        d2 = degenerate_shift(space, p2, level_cluster(n=0, size=4))
         for a_shift, b_shift in zip(d1.shifts_energy, d2.shifts_energy):
             ok = ok and abs(b_shift - 2.0 * a_shift) <= 1e-12 * abs(b_shift)
 

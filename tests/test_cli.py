@@ -74,6 +74,21 @@ def test_scan_range_required():
     )
 
 
+def test_steps_above_the_limit_are_usage_errors(monkeypatch, tmp_path, capsys):
+    # rejected while the config is parsed, before any field value is listed
+    monkeypatch.setitem(cli._RUNNERS, "scan", lambda config: pytest.fail("scan ran"))
+    scan = ["scan", "--omega", "1", "--B-min", "0", "--B-max", "3"]
+    assert parse_config(scan + ["--steps", str(cli.MAX_STEPS)]).steps == cli.MAX_STEPS
+    with pytest.raises(UsageError, match="steps 10001 exceeds the limit 10000"):
+        parse_config(scan + ["--steps", str(cli.MAX_STEPS + 1)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 10 ** 30}))
+    for argv in (["--steps", str(10 ** 30)], ["--config", str(config)]):
+        assert main(scan + argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: steps {10 ** 30} exceeds the limit 10000\n"
+
+
 def test_unknown_tolerance_rejected():
     assert main(["spectrum", "--omega", "1", "--tol", "bogus=1e-9"]) == 2
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gup_dosc import fock, perturbation
+from gup_dosc.cli import main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
 from gup_dosc.model import ModelParams, build_sectors, spinor_level
@@ -13,7 +14,7 @@ from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
     ClusterMember,
-    _oracle_spectra,
+    Oracle,
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
@@ -23,7 +24,6 @@ from gup_dosc.perturbation import (
     level_cluster,
     level_exists,
     operator_level,
-    oracle_slopes,
     shifts_of_matrix,
     spectral_clusters,
     validation_report,
@@ -47,7 +47,7 @@ BLOCK_SHIFTS = [-8.7307879247336544, -8.0, -7.3192108377341745, 2.04999876246782
 
 
 def test_ground_shift_is_minus_one():
-    r = first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 0, "+"))
+    r = Oracle(SPACE, PARAMS).check(first_order_shift(SPACE, PARAMS, 0, "+"))
     assert r.shifts == [-1.0]
     assert r.shifts_energy[0] == pytest.approx(-PARAMS.shift_unit, rel=1e-14)
     assert abs(r.oracle_slopes[0] - (-1.0)) <= 1e-6
@@ -55,7 +55,7 @@ def test_ground_shift_is_minus_one():
 
 
 def test_ground_breakdown_sums_to_total():
-    r = first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 0, "+"))
+    r = first_order_shift(SPACE, PARAMS, 0, "+")
     total = sum(r.breakdown.values())
     assert total == pytest.approx(r.shifts[0], abs=1e-12)
     # pure upper state: no orbital angular momentum contribution
@@ -66,15 +66,16 @@ def test_first_excited_shift_spinor_weighted():
     # independent ladder-algebra oracle: <p^2> = c1^2 (2 m w h) + d1^2 (m w h)
     level = spinor_level(PARAMS, 1, "+")
     expected = -(1.0 + level.c_n ** 2)
-    r = first_order_shift(SPACE, PARAMS, level)
+    r = Oracle(SPACE, PARAMS).check(first_order_shift(SPACE, PARAMS, 1, "+"))
     assert r.shifts[0] == pytest.approx(expected, abs=1e-13)
     assert abs(r.oracle_slopes[0] - r.shifts[0]) <= 1e-6 * abs(r.shifts[0])
     assert not r.discrepancy_flags
 
 
 def test_both_branches_reported_independently():
-    plus = first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 1, "+"))
-    minus = first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 1, "-"))
+    oracle = Oracle(SPACE, PARAMS)
+    plus = oracle.check(first_order_shift(SPACE, PARAMS, 1, "+"))
+    minus = oracle.check(first_order_shift(SPACE, PARAMS, 1, "-"))
     c_plus = spinor_level(PARAMS, 1, "+").c_n
     c_minus = spinor_level(PARAMS, 1, "-").c_n
     assert plus.shifts[0] == pytest.approx(-(1.0 + c_plus ** 2), abs=1e-13)
@@ -86,11 +87,12 @@ def test_both_branches_reported_independently():
 
 def test_degenerate_levels_are_rejected():
     with pytest.raises(UsageError, match="degenerate_shift"):
-        first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 2, "+"))
+        first_order_shift(SPACE, PARAMS, 2, "+")
 
 
 def test_lowest_tower_shifts_are_distinct():
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=6))
+    r = Oracle(SPACE, PARAMS).check(
+        degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=6)))
     assert r.shifts == pytest.approx([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], abs=1e-12)
     assert len(set(np.round(r.shifts, 9))) == 6
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -154,11 +156,8 @@ def test_scalar_cluster_matrix_gives_repeated_shift():
 def test_oracle_slopes_match_whole_tower():
     # internal PT-oracle consistency over the complete interior tower
     tower_size = SPACE.cutoff - 1  # interior spectators of the lowest level
-    r = degenerate_shift(
-        SPACE, PARAMS, level_cluster(n=0, size=tower_size),
-        include_oracle=False,
-    )
-    slopes = oracle_slopes(SPACE, PARAMS, 1.0)
+    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=tower_size))
+    slopes = Oracle(SPACE, PARAMS).slopes(1.0)
     assert len(slopes) == tower_size
     for s, o in zip(r.shifts, slopes):
         assert abs(s - o) <= 1e-6 * abs(s)
@@ -230,12 +229,12 @@ def test_field_scan_rejects_unsorted_input():
 def test_state_headroom_is_the_interior_margin():
     # n + spectator = 10 = cutoff - margin: the state lies in the interior
     # the oracle diagonalizes, so shift and slope agree
-    level = spinor_level(PARAMS, 1, "+")
-    r = first_order_shift(SPACE, PARAMS, level, spectator=9)
+    r = Oracle(SPACE, PARAMS).check(
+        first_order_shift(SPACE, PARAMS, 1, "+", spectator=9))
     assert r.discrepancy_flags == []
     assert abs(r.oracle_slopes[0] - r.shifts[0]) <= ORACLE_RTOL * abs(r.shifts[0])
     with pytest.raises(UsageError, match="cutoff 12"):
-        first_order_shift(SPACE, PARAMS, level, spectator=10)
+        first_order_shift(SPACE, PARAMS, 1, "+", spectator=10)
 
 
 def test_over_critical_levels_mirror():
@@ -245,7 +244,7 @@ def test_over_critical_levels_mirror():
     assert level_exists(p, 0, "-")
     level = operator_level(p, 0, "-")
     assert level.energy == -p.rest_energy
-    r = first_order_shift(SPACE, p, level)
+    r = Oracle(SPACE, p).check(first_order_shift(SPACE, p, 0, "-"))
     # natural-unit shift is still negative and proportional to |wt|
     assert r.shifts_energy[0] == pytest.approx(
         -p.gup_a * abs(p.omega_tilde), rel=1e-12
@@ -262,38 +261,30 @@ def test_shift_units_scaling_invariance():
         ModelParams(omega=0.1, gup_a=1e-4, light_speed=3.0),
         ModelParams(omega=0.05, gup_a=1e-4, hbar=2.0),
     ):
-        r = first_order_shift(
-            SPACE, params, spinor_level(params, 0, "+"), include_oracle=False
-        )
+        r = first_order_shift(SPACE, params, 0, "+")
         assert r.shifts[0] == pytest.approx(-1.0, abs=1e-12)
     # lambda-matched parameter sets agree on every dimensionless shift
     matched = ModelParams(omega=0.2, gup_a=1e-4, mass=2.0)  # lambda = 0.1
     assert matched.lam == pytest.approx(PARAMS.lam, abs=1e-15)
-    r1 = first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 1, "+"),
-                           include_oracle=False)
-    r2 = first_order_shift(SPACE, matched, spinor_level(matched, 1, "+"),
-                           include_oracle=False)
+    r1 = first_order_shift(SPACE, PARAMS, 1, "+")
+    r2 = first_order_shift(SPACE, matched, 1, "+")
     assert r1.shifts[0] == pytest.approx(r2.shifts[0], abs=1e-12)
 
 
 def test_linearity_in_deformation_strength():
     doubled = ModelParams(omega=0.1, gup_a=2e-4)
-    r1 = first_order_shift(SPACE, PARAMS, spinor_level(PARAMS, 1, "+"),
-                           include_oracle=False)
-    r2 = first_order_shift(SPACE, doubled, spinor_level(doubled, 1, "+"),
-                           include_oracle=False)
+    r1 = first_order_shift(SPACE, PARAMS, 1, "+")
+    r2 = first_order_shift(SPACE, doubled, 1, "+")
     assert r2.shifts_energy[0] == pytest.approx(2.0 * r1.shifts_energy[0], rel=1e-12)
-    d1 = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=4),
-                          include_oracle=False)
-    d2 = degenerate_shift(SPACE, doubled, level_cluster(n=0, size=4),
-                          include_oracle=False)
+    d1 = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=4))
+    d2 = degenerate_shift(SPACE, doubled, level_cluster(n=0, size=4))
     for a, b in zip(d1.shifts_energy, d2.shifts_energy):
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
 
 def test_shifts_vanish_at_critical_field():
     p = ModelParams(omega=1.0, b_field=2.0, gup_a=1e-3)
-    r = first_order_shift(SPACE, p, spinor_level(p, 0, "+"))
+    r = Oracle(SPACE, p).check(first_order_shift(SPACE, p, 0, "+"))
     assert r.shifts == [0.0] and r.shifts_energy == [0.0]
     assert r.oracle_slopes == [0.0]
     assert any("critical field" in f for f in r.discrepancy_flags)
@@ -358,14 +349,13 @@ def test_closed_form_shifts_match_dense_reference_algebra():
 
         branch0 = "+" if p.omega_tilde > 0 else "-"
         for n, branch in ((0, branch0), (1, "+"), (1, "-")):
-            level = operator_level(p, n, branch)
-            r = first_order_shift(space, p, level, spectator=2, include_oracle=False)
+            r = first_order_shift(space, p, n, branch, spectator=2)
             vec = vector(r.subspace_basis[0])
             assert r.shifts[0] == pytest.approx(dense(vec, p2).real, abs=1e-12)
             for name, op in pieces.items():
                 assert r.breakdown[name] == pytest.approx(dense(vec, op).real, abs=1e-12)
         cluster = level_cluster(n=2, size=4)
-        r = degenerate_shift(space, p, cluster, include_oracle=False)
+        r = degenerate_shift(space, p, cluster)
         vecs = [vector(desc) for desc in r.subspace_basis]
         ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
         assert norm_max(r.subspace_matrix - ref) <= 1e-12
@@ -384,8 +374,9 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
     strengths = [k * h for k in (0, 1, -1, 2, -2)]
     rows = interior_spectrum(SPACE, [(p, a) for a in strengths])
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
-    step, stencil = _oracle_spectra(SPACE, p)
-    assert step == h
+    oracle = Oracle(SPACE, p)
+    assert oracle.step == h
+    stencil = oracle.spectra
     for k, a, row in zip((0, 1, -1, 2, -2), strengths, rows):
         assert np.array_equal(row, interior_spectrum(SPACE, [(p, a)])[0])
         assert np.array_equal(row, stencil[k])
@@ -415,7 +406,7 @@ def test_oracle_slopes_at_the_critical_field_are_a_usage_error():
     p = ModelParams(omega=0.1, b_field=0.2, gup_a=1e-4)
     assert p.omega_tilde == 0.0
     with pytest.raises(UsageError, match="critical field"):
-        oracle_slopes(FockSpace(12), p, 1.0)
+        Oracle(FockSpace(12), p).slopes(1.0)
 
 
 # wt = 1, 0.5, 0 (the critical field, where H' vanishes) and -0.5
@@ -470,6 +461,31 @@ def test_a_scan_solves_each_sector_once(monkeypatch):
     # 2 T + 2 = 22 J-sectors at cutoff 12, each one stack of 7 distinct
     # configs; one pass per point would make 4 x 22 calls
     assert calls == [7] * 22
+
+
+def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
+    calls = _count_eigvalsh(monkeypatch)
+
+    def run(command, b):
+        calls.clear()
+        assert main([command, "--omega", "1", "--B", b, "--gup-a", "1e-4", "--cutoff",
+                     "12", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
+        return calls
+
+    # one stack of the five stencil strengths per J-sector, 22 at cutoff 12:
+    # a second run in the same process solves them again, and validate's
+    # level rows and its three oracle checks share one stencil
+    for command in ("correct", "correct", "validate"):
+        assert run(command, "1") == [5] * 22
+    # at the critical field every shift vanishes and no stencil is built
+    for command in ("correct", "degenerate"):
+        assert run(command, "2") == []
+
+
+def test_no_configs_give_no_rows():
+    rows = interior_spectrum(SPACE, [])
+    assert rows.shape == (0, (SPACE.cutoff - 1) * SPACE.cutoff)
+    assert rows.dtype == np.float64
 
 
 def test_one_config_per_stack_changes_no_row(monkeypatch):
