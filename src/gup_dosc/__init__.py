@@ -19,7 +19,6 @@ from .fock import FockSpace
 from .model import ModelParams, SpinorLevel, landau_level, spinor_level
 from .perturbation import (
     ClusterMember,
-    Oracle,
     PTReport,
     ScanResult,
     critical_field,
@@ -27,6 +26,7 @@ from .perturbation import (
     degeneracy_analysis,
     field_scan,
     first_order_shift,
+    oracle_check,
     validation_report,
 )
 
@@ -41,7 +41,6 @@ __all__ = [
     "landau_level",
     "spinor_level",
     "ClusterMember",
-    "Oracle",
     "PTReport",
     "ScanResult",
     "critical_field",
@@ -49,6 +48,7 @@ __all__ = [
     "degeneracy_analysis",
     "field_scan",
     "first_order_shift",
+    "oracle_check",
     "validation_report",
     "__version__",
 ]

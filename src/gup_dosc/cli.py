@@ -35,7 +35,6 @@ from .model import (
 from .numerics import dump_matrix
 from .perturbation import (
     CLUSTER_WINDOW,
-    Oracle,
     PTReport,
     critical_field,
     degenerate_shift,
@@ -45,6 +44,7 @@ from .perturbation import (
     level_cluster,
     level_distances,
     level_exists,
+    oracle_check,
     validation_report,
 )
 
@@ -481,7 +481,6 @@ def _run_spectrum(config: RunConfig) -> dict:
 def _run_correct(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
-    oracle = Oracle(space, p)
     reports = []
     for n in (0, 1):
         for branch in _branches(config):
@@ -495,7 +494,7 @@ def _run_correct(config: RunConfig) -> dict:
                     }
                 )
                 continue
-            result = oracle.check(first_order_shift(space, p, n, branch))
+            result = oracle_check(space, p, first_order_shift(space, p, n, branch))
             reports.append(_pt_report_dict(result))
     report = _report_header(config)
     report["corrections"] = reports
@@ -505,7 +504,7 @@ def _run_correct(config: RunConfig) -> dict:
 def _run_degenerate(config: RunConfig) -> dict:
     p = config.params()
     space = config.space()
-    result = Oracle(space, p).check(degenerate_shift(space, p, level_cluster(n=2, size=4)))
+    result = oracle_check(space, p, degenerate_shift(space, p, level_cluster(n=2, size=4)))
     report = _report_header(config)
     report["cluster"] = _pt_report_dict(result)
     return report

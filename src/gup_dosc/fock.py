@@ -23,7 +23,8 @@ INTERIOR_MARGIN = 2
 # Largest accepted cutoff. Memory stays small there: one J-sector stack at a
 # time, its configs bounded by STACK_BYTES (a lone block may exceed it, 8 MB at
 # the limit), plus spectra of 8 MB each. Eigensolver work grows as cutoff^4:
-# 5e11 dim^3 per interior spectrum at the limit, and `validate` solves five.
+# 5e11 dim^3 per interior spectrum at the limit, one for `validate`. The
+# oracle solves only the J-sectors of its states, cutoff^3 each.
 MAX_CUTOFF = 1000
 # Bytes of the largest block of one J-sector stack, summed over its configs:
 # configs beyond it go in further passes over the J-sectors (`stack_configs`).

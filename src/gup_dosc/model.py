@@ -21,7 +21,7 @@ critical field wt = 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -267,18 +267,21 @@ def sector_terms(
 
 
 def build_sectors(
-    space: FockSpace, configs: Sequence[tuple[ModelParams, float]]
+    space: FockSpace,
+    configs: Sequence[tuple[ModelParams, float]],
+    js: Iterable[int] | None = None,
 ) -> Iterator[Sector]:
-    """Interior blocks of H0 + H' for each config, one stack per J.
+    """Interior blocks of H0 + H' for each config, one stack per J in `js`
+    (every J-sector, ascending, by default).
 
     A config is a (ModelParams, deformation strength) pair; a strength may be
     negative, as the finite-difference oracle extends the spectrum
     symmetrically through a = 0. Built from closed-form ladder matrix
     elements on the interior n_a + n_b <= cutoff - INTERIOR_MARGIN only; the
     full space is never allocated. The stacks are generated one at a time,
-    ascending in J, so a caller that consumes them in turn holds one stack at
-    a time. Each block is real symmetric float64 in the i^{n_b}-phased basis
-    and holds
+    in the order of `js`, so a caller that consumes them in turn holds one
+    stack at a time. Each block is real symmetric float64 in the
+    i^{n_b}-phased basis and holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
@@ -299,7 +302,9 @@ def build_sectors(
     # one (distinct config,) column per term; zeros compare equal, and
     # h + (-0.0) D and h + 0.0 D are the same block
     terms = np.array(list(index), dtype=float).reshape(-1, 4).T
-    return (_sector(j, top, rows, *terms) for j in range(-top, top + 2))
+    if js is None:
+        js = range(-top, top + 2)
+    return (_sector(j, top, rows, *terms) for j in js)
 
 
 def _sector(j: int, top: int, rows: np.ndarray, mc2: np.ndarray, k_a: np.ndarray,

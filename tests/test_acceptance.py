@@ -16,7 +16,6 @@ from gup_dosc.numerics import eigh, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
-    Oracle,
     critical_field,
     degenerate_shift,
     degeneracy_analysis,
@@ -24,6 +23,7 @@ from gup_dosc.perturbation import (
     first_order_shift,
     interior_spectrum,
     level_cluster,
+    oracle_check,
     shifts_of_matrix,
     spectral_clusters,
 )
@@ -65,7 +65,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
 def test_criterion_2_ground_state_correction():
     space = FockSpace(cutoff=PRODUCTION_CUTOFF)
     p = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
-    r = Oracle(space, p).check(first_order_shift(space, p, 0, "+"))
+    r = oracle_check(space, p, first_order_shift(space, p, 0, "+"))
     ok = abs(r.shifts[0] - (-1.0)) <= 1e-10
     slope = r.oracle_slopes[0]
     ok = ok and abs(slope - (-1.0)) <= 1e-6

@@ -390,6 +390,25 @@ def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, na
         assert named in out.stderr
 
 
+def test_levels_closer_than_the_oracle_window_are_usage_errors(capsys):
+    # omega = 1e-12: neighbouring levels of one J-sector lie 2e-12 m c^2 apart,
+    # inside the 1e-9 m c^2 window, so the stencil cannot single out the state
+    assert main(["correct", "--omega", "1e-12", "--gup-a", "1e-4", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: oracle stencil step")
+    assert "J-sector 0 " in err
+
+
+def test_critical_field_reports_carry_their_level_energy(tmp_path):
+    code, text = run_to_string(["correct", "--omega", "1", "--B", "2", "--gup-a", "1e-4",
+                                "--branch", "both", "--format", "json", *FAST], tmp_path)
+    assert code == 0
+    energies = {r["cluster_label"]: r.get("unperturbed_energy")
+                for r in json.loads(text)["corrections"]}
+    assert energies == {"n=0, branch +": 1, "n=0, branch -": None,
+                        "n=1, branch +": 1, "n=1, branch -": -1}
+
+
 def test_internal_failure_exit_three(monkeypatch, capsys):
     def broken(config):
         raise ZeroDivisionError("float division by zero")
