@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import ComputationError, UsageError
 from .fock import MAX_CUTOFF, FockSpace
-from .model import (
-    BRANCHES,
-    NEGATIVE,
-    POSITIVE,
-    ModelParams,
-    landau_level,
-)
+from .model import BRANCHES, NEGATIVE, POSITIVE, ModelParams
 from .numerics import dump_matrix
 from .perturbation import (
     CLUSTER_WINDOW,
@@ -40,10 +34,9 @@ from .perturbation import (
     degenerate_shift,
     field_scan,
     first_order_shift,
-    interior_spectrum,
     level_cluster,
-    level_distances,
     level_exists,
+    level_rows,
     oracle_check,
     validation_report,
 )
@@ -112,9 +105,6 @@ class RunConfig:
 
     def params(self) -> ModelParams:
         return ModelParams(**{o.param: self.values[o.key] for o in OPTIONS if o.param})
-
-    def space(self) -> FockSpace:
-        return FockSpace(cutoff=self.cutoff)
 
     def echo(self) -> dict:
         # the output path says where the report goes, not what it holds
@@ -429,8 +419,7 @@ def _branches(config: RunConfig) -> tuple[str, ...]:
     return BRANCHES if config.branch == "both" else (config.branch,)
 
 
-def _report_header(config: RunConfig) -> dict:
-    p = config.params()
+def _report_header(config: RunConfig, p: ModelParams) -> dict:
     return {
         "command": config.command,
         "config": config.echo(),
@@ -445,30 +434,12 @@ def _report_header(config: RunConfig) -> dict:
     }
 
 
-def _run_spectrum(config: RunConfig) -> dict:
-    p = config.params()
-    space = config.space()
+# Each runner returns the keys its command adds after the report header.
+
+def _run_spectrum(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
     window = config.tolerances["cluster_window"] * p.rest_energy
-    spectrum = interior_spectrum(space, [(p, 0.0)])[0]
-    rows = []
-    for n in range(config.levels + 1):
-        for branch in _branches(config):
-            analytic = landau_level(p, n, branch)
-            distances = level_distances(spectrum, analytic)
-            nearest = float(spectrum[int(np.argmin(distances))])
-            multiplicity = int(np.sum(distances <= window))
-            rel = abs(nearest - analytic) / max(abs(analytic), 1e-30)
-            rows.append(
-                {
-                    "n": n,
-                    "branch": branch,
-                    "analytic": analytic,
-                    "exact_nearest": nearest,
-                    "rel_error": rel,
-                    "multiplicity": multiplicity,
-                }
-            )
-    report = _report_header(config)
+    rows = level_rows(space, p, config.levels, _branches(config), window)
+    report = {}
     if p.omega_tilde < 0.0:
         report["note"] = (
             "over-critical field: closed-form levels use the signed reduced "
@@ -478,41 +449,29 @@ def _run_spectrum(config: RunConfig) -> dict:
     return report
 
 
-def _run_correct(config: RunConfig) -> dict:
-    p = config.params()
-    space = config.space()
-    reports = []
-    for n in (0, 1):
-        for branch in _branches(config):
-            if not level_exists(p, n, branch):
-                reports.append(
-                    {
-                        "cluster_label": f"n={n}, branch {branch}",
-                        "absent": True,
-                        "reason": "level does not exist on this side of the "
-                                  "critical field",
-                    }
-                )
-                continue
-            result = oracle_check(space, p, first_order_shift(space, p, n, branch))
-            reports.append(_pt_report_dict(result))
-    report = _report_header(config)
-    report["corrections"] = reports
-    return report
+def _run_correct(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    states = [(n, branch) for n in (0, 1) for branch in _branches(config)]
+    present = [s for s in states if level_exists(p, *s)]
+    # each shift is built after the one before has passed its oracle check
+    checked = oracle_check(space, p, (first_order_shift(space, p, *s) for s in present))
+    results = dict(zip(present, checked))
+    return {"corrections": [
+        _pt_report_dict(results[(n, branch)]) if (n, branch) in results else {
+            "cluster_label": f"n={n}, branch {branch}",
+            "absent": True,
+            "reason": "level does not exist on this side of the critical field",
+        }
+        for n, branch in states
+    ]}
 
 
-def _run_degenerate(config: RunConfig) -> dict:
-    p = config.params()
-    space = config.space()
-    result = oracle_check(space, p, degenerate_shift(space, p, level_cluster(n=2, size=4)))
-    report = _report_header(config)
-    report["cluster"] = _pt_report_dict(result)
-    return report
+def _run_degenerate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    (result,) = oracle_check(
+        space, p, [degenerate_shift(space, p, level_cluster(n=2, size=4))])
+    return {"cluster": _pt_report_dict(result)}
 
 
-def _run_scan(config: RunConfig) -> dict:
-    p = config.params()
-    space = config.space()
+def _run_scan(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
     values = [
         config.B_min + (config.B_max - config.B_min) * i / (config.steps - 1)
         for i in range(config.steps)
@@ -520,19 +479,13 @@ def _run_scan(config: RunConfig) -> dict:
     result = field_scan(
         space, p, values, degeneracy_window=config.tolerances["degeneracy_window"]
     )
-    report = _report_header(config)
-    report["points"] = result.points
-    report["critical_B"] = result.critical_b
-    return report
+    return {"points": result.points, "critical_B": result.critical_b}
 
 
-def _run_validate(config: RunConfig) -> dict:
-    p = config.params()
-    space = config.space()
+def _run_validate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
     result = validation_report(space, p)
-    report = _report_header(config)
-    for key in ("rows", "allowlisted", "unexpected_discrepancies", "passed"):
-        report[key] = result[key]
+    report = {key: result[key]
+              for key in ("rows", "allowlisted", "unexpected_discrepancies", "passed")}
     report["own_block"] = _pt_report_dict(result["own_block"])
     report["stored_block"] = _pt_report_dict(result["stored_block"])
     return report
@@ -557,7 +510,9 @@ def render(report: dict, fmt: str) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one command; emits the report and returns the exit status."""
-    report = _RUNNERS[config.command](config)
+    p = config.params()
+    report = _report_header(config, p)
+    report.update(_RUNNERS[config.command](config, p, FockSpace(cutoff=config.cutoff)))
     payload = render(report, config.format)
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="") as fh:

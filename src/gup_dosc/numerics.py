@@ -109,9 +109,11 @@ def eigvalsh(a) -> np.ndarray:
 
     `a` is one Hermitian matrix or a stack (..., n, n) of them, solved in one
     LAPACK call; row k of the result belongs to matrix k, and each row is
-    bitwise what the matrix alone would give. Without eigenvectors there is
-    no residual to check, so the first two spectral moments of each matrix
-    are checked instead, in units of its s = max(1, ||A||_max) so that
+    bitwise what the matrix alone would give. Each matrix must be exactly
+    Hermitian: it is not symmetrized, LAPACK reads only its lower triangle,
+    and the moment checks read all of it. Without eigenvectors there is no
+    residual to check, so the first two spectral moments of each matrix are
+    checked instead, in units of its s = max(1, ||A||_max) so that
     entries near the float range cannot overflow them: sum(w/s) against
     tr(A/s) within 1e-10 * n, and sum((w/s)^2) against ||A/s||_F^2 within
     DEFAULT_EIGH_TOL * n. The second moment catches eigenvalues LAPACK
@@ -119,9 +121,7 @@ def eigvalsh(a) -> np.ndarray:
     the trace. Real input is solved as real symmetric, never promoted to
     complex.
     """
-    a = as_matrix(a, stack=True)
-    h = 0.5 * a
-    h = h + h.swapaxes(-1, -2).conj()
+    h = as_matrix(a, stack=True)
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:

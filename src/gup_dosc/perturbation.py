@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ComputationError, UsageError
 from .fock import INTERIOR_MARGIN, FockSpace, stack_configs
 from .model import (
+    BRANCHES,
     NEGATIVE,
     POSITIVE,
     ModelParams,
@@ -269,6 +270,38 @@ def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
         return np.abs(spectrum - energy)
 
 
+def level_rows(
+    space: FockSpace,
+    p: ModelParams,
+    levels: int,
+    branches: Sequence[str],
+    window: float,
+) -> list[dict]:
+    """Closed-form levels n = 0 .. levels against the exact a = 0 spectrum.
+
+    One row per (n, branch), n outermost: the closed-form energy
+    (`landau_level`), the nearest eigenvalue of the interior spectrum, their
+    relative error, and the number of eigenvalues within `window` of the
+    closed-form energy.
+    """
+    spectrum = interior_spectrum(space, [(p, 0.0)])[0]
+    rows = []
+    for n in range(levels + 1):
+        for branch in branches:
+            analytic = landau_level(p, n, branch)
+            distances = level_distances(spectrum, analytic)
+            nearest = float(spectrum[int(np.argmin(distances))])
+            rows.append({
+                "n": n,
+                "branch": branch,
+                "analytic": analytic,
+                "exact_nearest": nearest,
+                "rel_error": abs(nearest - analytic) / max(abs(analytic), 1e-30),
+                "multiplicity": int(np.sum(distances <= window)),
+            })
+    return rows
+
+
 def _sector_j(descriptor: dict) -> int:
     """J = n_a - n_b + [spin down] of a state from its basis descriptor."""
     if descriptor["upper_state"] is not None:
@@ -278,12 +311,11 @@ def _sector_j(descriptor: dict) -> int:
     return n_a - n_b + 1
 
 
-def _sector_slope(space: FockSpace, p: ModelParams, j: int, energy: float) -> float:
+def _sector_slope(p: ModelParams, h: float, j: int, w: np.ndarray,
+                  energy: float) -> float:
     """d(E)/d(a) of the one eigenvalue of J-sector j near `energy`, in shift
-    units: central differences through a = 0 at strengths 0, ±h, ±2h with
-    one Richardson step."""
-    h = ORACLE_STEP / (p.mass * p.light_speed)
-    w = interior_spectrum(space, [(p, k * h) for k in (0, 1, -1, 2, -2)], [j])
+    units, from the sector's spectra `w` at strengths 0, h, -h, 2h, -2h:
+    central differences through a = 0 with one Richardson step."""
     win = CLUSTER_WINDOW * p.rest_energy
     hits = np.flatnonzero(level_distances(w[0], energy) <= win)
     if len(hits) == 0:
@@ -308,35 +340,49 @@ def _sector_slope(space: FockSpace, p: ModelParams, j: int, energy: float) -> fl
     return slope / (p.light_speed * p.mass * p.hbar * p.omega_tilde)
 
 
-def oracle_check(space: FockSpace, p: ModelParams, report: PTReport) -> PTReport:
+def oracle_check(
+    space: FockSpace, p: ModelParams, reports: Iterable[PTReport]
+) -> list[PTReport]:
     """Set each shift's finite-difference slope, flag each shift further than
-    ORACLE_RTOL + ORACLE_STEP (relative) from it, and return `report`.
+    ORACLE_RTOL + ORACLE_STEP (relative) from it, and return the reports.
 
-    Shift i belongs to the member that column i of `report.eigenvectors`
-    picks out, or to the single state of a non-degenerate report. Its slope
-    is that of the one eigenvalue of the member's own J-sector within
-    CLUSTER_WINDOW m c^2 of the unperturbed energy; only those J-sectors are
-    solved, each once. Raises ComputationError when such a block holds no
-    eigenvalue there, and UsageError when it holds several, which the
-    stencil step cannot tell apart, or when the finite differences are not
-    finite. At the critical field, where every shift is identically zero
-    and the slopes' unit a c m hbar wt vanishes, the report is returned
-    unchanged and nothing is solved.
+    `reports` are all the shift reports of one command; each is checked
+    before the next is taken, so a generator of reports stops at the first
+    that fails. Shift i belongs to the member that column i of the report's
+    `eigenvectors` picks out, or to the single state of a non-degenerate
+    report. Its slope is that of the one eigenvalue of the member's own
+    J-sector within CLUSTER_WINDOW m c^2 of the unperturbed energy. Only
+    those J-sectors are solved, each once per call, and nothing is kept
+    after it. Raises ComputationError when such a block holds no eigenvalue
+    there, and UsageError when it holds several, which the stencil step
+    cannot tell apart, or when the finite differences are not finite. At the
+    critical field, where every shift is identically zero and the slopes'
+    unit a c m hbar wt vanishes, the reports are returned unchanged and
+    nothing is solved.
     """
     if p.omega_tilde == 0.0:
-        return report
-    members = ([0] if report.eigenvectors is None
-               else np.argmax(np.abs(report.eigenvectors), axis=0))
-    js = [_sector_j(report.subspace_basis[m]) for m in members]
-    slopes = {j: _sector_slope(space, p, j, report.unperturbed_energy)
-              for j in dict.fromkeys(js)}
-    report.oracle_slopes = [slopes[j] for j in js]
-    for s, o in zip(report.shifts, report.oracle_slopes):
-        if abs(s - o) / max(abs(s), 1e-30) > ORACLE_RTOL + ORACLE_STEP:
-            report.discrepancy_flags.append(
-                f"oracle slope {o!r} disagrees with shift {s!r}"
-            )
-    return report
+        return list(reports)
+    h = ORACLE_STEP / (p.mass * p.light_speed)
+    strengths = [(p, k * h) for k in (0, 1, -1, 2, -2)]
+    stencils: dict[int, np.ndarray] = {}
+    checked = []
+    for report in reports:
+        members = ([0] if report.eigenvectors is None
+                   else np.argmax(np.abs(report.eigenvectors), axis=0))
+        js = [_sector_j(report.subspace_basis[m]) for m in members]
+        slopes = {}
+        for j in dict.fromkeys(js):
+            if j not in stencils:
+                stencils[j] = interior_spectrum(space, strengths, [j])
+            slopes[j] = _sector_slope(p, h, j, stencils[j], report.unperturbed_energy)
+        report.oracle_slopes = [slopes[j] for j in js]
+        for s, o in zip(report.shifts, report.oracle_slopes):
+            if abs(s - o) / max(abs(s), 1e-30) > ORACLE_RTOL + ORACLE_STEP:
+                report.discrepancy_flags.append(
+                    f"oracle slope {o!r} disagrees with shift {s!r}"
+                )
+        checked.append(report)
+    return checked
 
 
 def _zero_coupling_report(label: str, energy: float, size: int) -> PTReport:
@@ -441,7 +487,7 @@ def degenerate_shift(
     shifts = [float(w) for w in decomp.eigenvalues]
     return PTReport(
         cluster_label=label,
-        unperturbed_energy=float(np.mean(energies)),
+        unperturbed_energy=energies[0],
         method="degenerate",
         subspace_basis=list(descriptors),
         subspace_matrix=sub,
@@ -470,9 +516,9 @@ def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport
     )
 
 
-def level_cluster(n: int, size: int, branch: str = POSITIVE) -> list[ClusterMember]:
-    """The first `size` spectator members of the level-n tower."""
-    return [ClusterMember(n=n, branch=branch, spectator=k) for k in range(size)]
+def level_cluster(n: int, size: int) -> list[ClusterMember]:
+    """The first `size` spectator members of the level-(n, +) tower."""
+    return [ClusterMember(n=n, spectator=k) for k in range(size)]
 
 
 def spectral_clusters(
@@ -612,25 +658,23 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     table: list[tuple] = []
 
     # 1. closed-form levels against the exact interior spectrum
-    spectrum = interior_spectrum(space, [(p, 0.0)])[0]
-    for n in range(5):
-        for branch in (POSITIVE, NEGATIVE):
-            analytic = landau_level(p, n, branch)
-            nearest = float(spectrum[np.argmin(level_distances(spectrum, analytic))])
-            rel = abs(nearest - analytic) / max(abs(analytic), 1e-30)
-            table.append((f"level n={n} branch {branch}", nearest, analytic,
-                          f"relative error {rel:.3e}", rel <= 1e-8,
-                          f"level-{n}-{branch}"))
+    for r in level_rows(space, p, 4, BRANCHES, CLUSTER_WINDOW * p.rest_energy):
+        n, branch, rel = r["n"], r["branch"], r["rel_error"]
+        table.append((f"level n={n} branch {branch}", r["exact_nearest"], r["analytic"],
+                      f"relative error {rel:.3e}", rel <= 1e-8, f"level-{n}-{branch}"))
 
     # 2. ground-level shift and its oracle slope; 3. first excited level:
-    # stored value vs the oracle-consistent one
-    ground = oracle_check(space, p, first_order_shift(space, p, 0, POSITIVE))
-    first = oracle_check(space, p, first_order_shift(space, p, 1, POSITIVE))
+    # stored value vs the oracle-consistent one; 4. degenerate block:
+    # own-basis matrix vs stored block. The reports are built lazily, each
+    # after the one before has passed its oracle check.
+    ground, first, own = oracle_check(space, p, (
+        first_order_shift(space, p, n, POSITIVE) if n < 2
+        else degenerate_shift(space, p, level_cluster(n=2, size=4))
+        for n in range(3)
+    ))
     (g,), (g_slope,) = ground.shifts, ground.oracle_slopes
     (f,), (f_slope,) = first.shifts, first.oracle_slopes
 
-    # 4. degenerate block: own-basis matrix vs stored block
-    own = oracle_check(space, p, degenerate_shift(space, p, level_cluster(n=2, size=4)))
     stored = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK, "stored 4x4 block")
     own_set, stored_set = np.array(own.shifts), np.array(stored.shifts)
     printed = np.array(sorted(REFERENCE_DEGENERATE_SHIFTS))

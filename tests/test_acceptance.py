@@ -65,7 +65,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
 def test_criterion_2_ground_state_correction():
     space = FockSpace(cutoff=PRODUCTION_CUTOFF)
     p = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
-    r = oracle_check(space, p, first_order_shift(space, p, 0, "+"))
+    (r,) = oracle_check(space, p, [first_order_shift(space, p, 0, "+")])
     ok = abs(r.shifts[0] - (-1.0)) <= 1e-10
     slope = r.oracle_slopes[0]
     ok = ok and abs(slope - (-1.0)) <= 1e-6

@@ -366,6 +366,9 @@ HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
                  id="validate-2-oracle stencil step"),
     pytest.param(["degenerate", *HUGE_REST_ENERGY], 2, "spinor weights of level n=2",
                  id="degenerate-2-spinor weights of level n=2"),
+    pytest.param(["degenerate", "--omega", "1", "--mass", "5e307", "--cutoff", "12"], 2,
+                 "cannot tell apart the 5 eigenvalues of J-sector -1",
+                 id="degenerate-mass-5e307-2-oracle stencil step"),
     pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
                   "--gup-a", "1e307", "--cutoff", "40"], 0, None,
                  id="scan-deformation-1e307"),
@@ -373,9 +376,12 @@ HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
 def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
     # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
     # step 1e-313 is below the spectrum's resolution, and E_n + m c^2 of an
-    # excited level overflows. a = 1e307: the sector diagonal overflows at
-    # every scan point off the critical field, and each records it. Run with
-    # every warning an error, as a user with PYTHONWARNINGS=error would.
+    # excited level overflows. m c^2 = 5e307: the n = 2 cluster reports its
+    # members' shared level energy, where their sum would overflow, and the
+    # oracle step 2e-313 is again below the resolution. a = 1e307: the sector
+    # diagonal overflows at every scan point off the critical field, and each
+    # records it. Run with every warning an error, as a user with
+    # PYTHONWARNINGS=error would.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-W", "error", "-m", "gup_dosc.cli", *argv],
@@ -388,6 +394,23 @@ def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, na
         assert out.stdout == ""
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("usage error:")
         assert named in out.stderr
+
+
+@pytest.mark.parametrize("b", ["0", "1"])
+def test_spectrum_and_validate_share_their_level_rows(tmp_path, b):
+    argv = ["--omega", "1", "--B", b, "--gup-a", "1e-4", "--branch", "both",
+            "--format", "json", *FAST]
+    reports = {}
+    for command in ("spectrum", "validate"):
+        code, text = run_to_string([command, *argv], tmp_path, f"{command}.json")
+        assert code == 0
+        reports[command] = json.loads(text)
+    spectrum = {(r["n"], r["branch"]): (r["analytic"], r["exact_nearest"])
+                for r in reports["spectrum"]["levels"]}
+    validate = {(int(n), branch): (r["reference"], r["computed"])
+                for r in reports["validate"]["rows"]
+                for n, branch in re.findall(r"^level n=(\d+) branch ([+-])$", r["row"])}
+    assert len(spectrum) == 10 and validate == spectrum
 
 
 def test_levels_closer_than_the_oracle_window_are_usage_errors(capsys):
@@ -410,7 +433,7 @@ def test_critical_field_reports_carry_their_level_energy(tmp_path):
 
 
 def test_internal_failure_exit_three(monkeypatch, capsys):
-    def broken(config):
+    def broken(config, p, space):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)

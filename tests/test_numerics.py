@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ def test_eigvalsh_stack_moments_near_the_float_range():
     w = eigvalsh(stack)
     assert np.array_equal(w[:3], [[1.0, 2.0], [-1e200, 1e200], [-1e308, 1e308]])
     assert np.all(np.isfinite(w))
+
+
+def test_eigvalsh_holds_no_copy_of_its_stack():
+    # 18 blocks of 119 states, about one 2 MiB J-sector stack at cutoff 120;
+    # the moment checks take one scaled copy and nothing else
+    a = np.random.default_rng(3).normal(size=(18, 119, 119))
+    a = a + a.swapaxes(-1, -2)
+    tracemalloc.start()
+    try:
+        eigvalsh(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * a.nbytes
 
 
 def test_eigvalsh_stack_rejects_non_finite_and_non_square():

@@ -47,7 +47,7 @@ BLOCK_SHIFTS = [-8.7307879247336544, -8.0, -7.3192108377341745, 2.04999876246782
 
 
 def test_ground_shift_is_minus_one():
-    r = oracle_check(SPACE, PARAMS, first_order_shift(SPACE, PARAMS, 0, "+"))
+    (r,) = oracle_check(SPACE, PARAMS, [first_order_shift(SPACE, PARAMS, 0, "+")])
     assert r.shifts == [-1.0]
     assert r.shifts_energy[0] == pytest.approx(-PARAMS.shift_unit, rel=1e-14)
     assert abs(r.oracle_slopes[0] - (-1.0)) <= 1e-6
@@ -66,15 +66,15 @@ def test_first_excited_shift_spinor_weighted():
     # independent ladder-algebra oracle: <p^2> = c1^2 (2 m w h) + d1^2 (m w h)
     level = spinor_level(PARAMS, 1, "+")
     expected = -(1.0 + level.c_n ** 2)
-    r = oracle_check(SPACE, PARAMS, first_order_shift(SPACE, PARAMS, 1, "+"))
+    (r,) = oracle_check(SPACE, PARAMS, [first_order_shift(SPACE, PARAMS, 1, "+")])
     assert r.shifts[0] == pytest.approx(expected, abs=1e-13)
     assert abs(r.oracle_slopes[0] - r.shifts[0]) <= 1e-6 * abs(r.shifts[0])
     assert not r.discrepancy_flags
 
 
 def test_both_branches_reported_independently():
-    plus = oracle_check(SPACE, PARAMS, first_order_shift(SPACE, PARAMS, 1, "+"))
-    minus = oracle_check(SPACE, PARAMS, first_order_shift(SPACE, PARAMS, 1, "-"))
+    plus, minus = oracle_check(SPACE, PARAMS, [first_order_shift(SPACE, PARAMS, 1, b)
+                                               for b in ("+", "-")])
     c_plus = spinor_level(PARAMS, 1, "+").c_n
     c_minus = spinor_level(PARAMS, 1, "-").c_n
     assert plus.shifts[0] == pytest.approx(-(1.0 + c_plus ** 2), abs=1e-13)
@@ -90,8 +90,8 @@ def test_degenerate_levels_are_rejected():
 
 
 def test_lowest_tower_shifts_are_distinct():
-    r = oracle_check(SPACE, PARAMS,
-                     degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=6)))
+    (r,) = oracle_check(SPACE, PARAMS,
+                        [degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=6))])
     assert r.shifts == pytest.approx([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], abs=1e-12)
     assert len(set(np.round(r.shifts, 9))) == 6
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -156,8 +156,8 @@ def test_oracle_slopes_match_whole_tower():
     # internal PT-oracle consistency over the complete interior tower: member
     # k sits alone in J-sector -k, so each shift meets its own block's slope
     tower_size = SPACE.cutoff - 1  # interior spectators of the lowest level
-    r = oracle_check(SPACE, PARAMS,
-                     degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=tower_size)))
+    (r,) = oracle_check(
+        SPACE, PARAMS, [degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=tower_size))])
     assert r.discrepancy_flags == []
     assert len(r.oracle_slopes) == tower_size
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -169,7 +169,7 @@ def test_oracle_flags_shifts_paired_with_another_members_sector():
     # over all its slopes accepts; each must meet its own member's slope
     r = degenerate_shift(SPACE, PARAMS, level_cluster(n=2, size=4))
     r.shifts[0], r.shifts[1] = r.shifts[1], r.shifts[0]
-    r = oracle_check(SPACE, PARAMS, r)
+    (r,) = oracle_check(SPACE, PARAMS, [r])
     flagged = [f for f in r.discrepancy_flags if "disagrees" in f]
     assert len(flagged) == 2
     assert sorted(r.oracle_slopes) == pytest.approx(sorted(r.shifts), rel=1e-6)
@@ -241,7 +241,8 @@ def test_field_scan_rejects_unsorted_input():
 def test_state_headroom_is_the_interior_margin():
     # n + spectator = 10 = cutoff - margin: the state lies in the interior
     # the oracle diagonalizes, so shift and slope agree
-    r = oracle_check(SPACE, PARAMS, first_order_shift(SPACE, PARAMS, 1, "+", spectator=9))
+    (r,) = oracle_check(SPACE, PARAMS,
+                        [first_order_shift(SPACE, PARAMS, 1, "+", spectator=9)])
     assert r.discrepancy_flags == []
     assert abs(r.oracle_slopes[0] - r.shifts[0]) <= ORACLE_RTOL * abs(r.shifts[0])
     with pytest.raises(UsageError, match="cutoff 12"):
@@ -255,7 +256,7 @@ def test_over_critical_levels_mirror():
     assert level_exists(p, 0, "-")
     level = operator_level(p, 0, "-")
     assert level.energy == -p.rest_energy
-    r = oracle_check(SPACE, p, first_order_shift(SPACE, p, 0, "-"))
+    (r,) = oracle_check(SPACE, p, [first_order_shift(SPACE, p, 0, "-")])
     # natural-unit shift is still negative and proportional to |wt|
     assert r.shifts_energy[0] == pytest.approx(
         -p.gup_a * abs(p.omega_tilde), rel=1e-12
@@ -295,14 +296,14 @@ def test_linearity_in_deformation_strength():
 
 def test_shifts_vanish_at_critical_field():
     p = ModelParams(omega=1.0, b_field=2.0, gup_a=1e-3)
-    r = oracle_check(SPACE, p, first_order_shift(SPACE, p, 0, "+"))
+    (r,) = oracle_check(SPACE, p, [first_order_shift(SPACE, p, 0, "+")])
     assert r.shifts == [0.0] and r.shifts_energy == [0.0]
     assert r.oracle_slopes == [0.0]
     assert any("critical field" in f for f in r.discrepancy_flags)
     # each report keeps the level energy of its states, -m c^2 on branch -
     assert r.unperturbed_energy == p.rest_energy
     assert first_order_shift(SPACE, p, 1, "-").unperturbed_energy == -p.rest_energy
-    cluster = level_cluster(n=2, size=4, branch="-")
+    cluster = [ClusterMember(n=2, branch="-", spectator=k) for k in range(4)]
     assert degenerate_shift(SPACE, p, cluster).unperturbed_energy == -p.rest_energy
 
 
@@ -480,15 +481,15 @@ def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
                      "12", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
         return calls
 
-    # one stack of the five stencil strengths per J-sector of each reported
-    # state, J = 0, 1 and 1 for (n=0, +), (n=1, +) and (n=1, -): a second run
-    # in the same process solves them again
+    # one stack of the five stencil strengths per distinct J-sector of the
+    # reported states: J = 0 for (n=0, +), and J = 1 once for both (n=1, +)
+    # and (n=1, -); a second run in the same process solves them again
     for command in ("correct", "correct"):
-        assert run(command, "1") == [5, 5, 5]
-    # validate's a = 0 level rows solve all 22 J-sectors at cutoff 12, then
-    # its ground (J = 0), first excited (J = 1) and four n = 2 states
-    # (J = 2, 1, 0, -1) each solve their own stencil
-    assert run("validate", "1") == [1] * 22 + [5] * 6
+        assert run(command, "1") == [5, 5]
+    # validate's a = 0 level rows solve all 22 J-sectors at cutoff 12; its
+    # ground (J = 0), first excited (J = 1) and four n = 2 states
+    # (J = 2, 1, 0, -1) then need four distinct stencils
+    assert run("validate", "1") == [1] * 22 + [5] * 4
     # at the critical field every shift vanishes and no stencil is built
     for command in ("correct", "degenerate"):
         assert run(command, "2") == []
@@ -505,10 +506,11 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
 
     monkeypatch.setattr(perturbation, "build_sectors", recording)
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
-                 "400", "--output", str(tmp_path / "report")]) == 0
-    # J = 0 and 1, of (n=0, +) and (n=1, +), are the largest blocks, 399
-    # states: five configs of one exceed STACK_BYTES, so each goes in five
-    # one-config passes; the other 796 J-sectors are never built
+                 "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
+    # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
+    # blocks, 399 states: five configs of one exceed STACK_BYTES, so each
+    # goes in five one-config passes, and J = 1 is built for one branch
+    # only; the other 796 J-sectors are never built
     assert stack_configs(400) == 1
     assert stacks == [(0, 1)] * 5 + [(1, 1)] * 5
 
