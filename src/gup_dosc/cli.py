@@ -248,6 +248,8 @@ def parse_config(argv=None) -> RunConfig:
             f"levels {values['levels']}; raise --cutoff to at least "
             f"{values['levels'] + 4} or lower --levels"
         )
+    if values["format"] == "csv" and command != "scan":
+        raise UsageError("csv output is defined for the scan command only")
     if command == "scan":
         for o in OPTIONS:
             if o.scan_only and values[o.key] is None:
@@ -371,8 +373,6 @@ def _histogram_cell(hist) -> str:
 
 
 def to_csv(report: dict) -> str:
-    if report["command"] != "scan":
-        raise UsageError("csv output is defined for the scan command only")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = [
@@ -515,8 +515,11 @@ def run(config: RunConfig) -> int:
     report.update(_RUNNERS[config.command](config, p, FockSpace(cutoff=config.cutoff)))
     payload = render(report, config.format)
     if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(config.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {config.output}: {exc}") from exc
     else:
         sys.stdout.write(payload)
     if config.command == "validate" and not report["passed"]:

@@ -181,23 +181,6 @@ def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
     return SpinorLevel(n=n, branch=branch, energy=energy, c_n=c, d_n=d)
 
 
-@dataclass(frozen=True)
-class Sector:
-    """One interior block of fixed J = n_a - n_b + [spin down], for each config.
-
-    A config is a (ModelParams, deformation strength) pair. `stack` holds one
-    block per distinct config, and `rows[k]` is the row of `stack` holding the
-    block of the k-th config: configs that give the same block share a row.
-    Each block runs over the spin-up states, then the spin-down states, each
-    ascending in n_b. The blocks are real symmetric: the basis state
-    |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md, Sectors).
-    """
-
-    j: int
-    stack: np.ndarray
-    rows: np.ndarray
-
-
 def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """(n_a, n_b) with n_a - n_b = d and n_a + n_b <= top, ascending in n_b."""
     n_b = np.arange(max(0, -d), (top - d) // 2 + 1)
@@ -270,18 +253,23 @@ def build_sectors(
     space: FockSpace,
     configs: Sequence[tuple[ModelParams, float]],
     js: Iterable[int] | None = None,
-) -> Iterator[Sector]:
-    """Interior blocks of H0 + H' for each config, one stack per J in `js`
-    (every J-sector, ascending, by default).
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """(rows, stacks): the interior blocks of H0 + H' for each config, one
+    stack per J = n_a - n_b + [spin down] in `js` (every J-sector, ascending,
+    by default).
 
     A config is a (ModelParams, deformation strength) pair; a strength may be
     negative, as the finite-difference oracle extends the spectrum
     symmetrically through a = 0. Built from closed-form ladder matrix
     elements on the interior n_a + n_b <= cutoff - INTERIOR_MARGIN only; the
-    full space is never allocated. The stacks are generated one at a time,
-    in the order of `js`, so a caller that consumes them in turn holds one
-    stack at a time. Each block is real symmetric float64 in the
-    i^{n_b}-phased basis and holds
+    full space is never allocated. Every config is checked on the call; the
+    stacks are generated one at a time, in the order of `js`, so a caller
+    that consumes them in turn holds one stack at a time. A stack holds one
+    block per distinct config, and `rows[k]` is the row of configs[k] in
+    every stack. Each block runs over the spin-up states, then the spin-down
+    states, each ascending in n_b; it is real symmetric
+    float64 in the basis where |n_a, n_b, s> carries the phase i^{n_b}
+    (CONVENTIONS.md, Sectors), and holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
@@ -289,10 +277,10 @@ def build_sectors(
 
     m c^2, k_a, k_b and deform = -a c m |wt| hbar are computed and checked
     once per config (`sector_terms`), and configs with equal values share one
-    stack row (`Sector.rows`). Per J the index pattern is built once for every
-    row, and row k is h_k + deform_k D, with h_k the ± m c^2 and coupling part
-    and D the deformation pattern (n_a + n_b + 1 and the pair root): the same
-    float operations as building each block alone. D is not added when every
+    row. Per J the index pattern is built once for every row, and row k is
+    h_k + deform_k D, with h_k the ± m c^2 and coupling part and D the
+    deformation pattern (n_a + n_b + 1 and the pair root): the same float
+    operations as building each block alone. D is not added when every
     deform is zero.
     """
     top = _interior_top(space)
@@ -304,11 +292,11 @@ def build_sectors(
     terms = np.array(list(index), dtype=float).reshape(-1, 4).T
     if js is None:
         js = range(-top, top + 2)
-    return (_sector(j, top, rows, *terms) for j in js)
+    return rows, (_sector(j, top, *terms) for j in js)
 
 
-def _sector(j: int, top: int, rows: np.ndarray, mc2: np.ndarray, k_a: np.ndarray,
-            k_b: np.ndarray, deform: np.ndarray) -> Sector:
+def _sector(j: int, top: int, mc2: np.ndarray, k_a: np.ndarray, k_b: np.ndarray,
+            deform: np.ndarray) -> np.ndarray:
     up_a, up_b = _diagonal_line(j, top)
     dn_a, dn_b = _diagonal_line(j - 1, top)
     u, v = len(up_b), len(dn_b)
@@ -345,4 +333,4 @@ def _sector(j: int, top: int, rows: np.ndarray, mc2: np.ndarray, k_a: np.ndarray
         flat[:, :: n + 1] += weight * (n_a + n_b + 1)
         flat[:, 1 :: n + 1] += weight * pair
         flat[:, n :: n + 1] += weight * pair
-    return Sector(j=j, stack=stack, rows=rows)
+    return stack

@@ -256,11 +256,9 @@ def _one_pass(
     configs: Sequence[tuple[ModelParams, float]],
     js: Iterable[int] | None,
 ) -> np.ndarray:
-    sectors = build_sectors(space, configs, js)
-    return np.sort(
-        np.concatenate([eigvalsh(s.stack)[s.rows] for s in sectors], axis=-1),
-        axis=-1,
-    )
+    rows, stacks = build_sectors(space, configs, js)
+    spectra = np.concatenate([eigvalsh(stack) for stack in stacks], axis=-1)
+    return np.sort(spectra[rows], axis=-1)
 
 
 def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
@@ -282,8 +280,10 @@ def level_rows(
     One row per (n, branch), n outermost: the closed-form energy
     (`landau_level`), the nearest eigenvalue of the interior spectrum, their
     relative error, and the number of eigenvalues within `window` of the
-    closed-form energy.
+    closed-form energy. A window below the noise floor raises UsageError
+    before anything is solved.
     """
+    _check_window(p, window)
     spectrum = interior_spectrum(space, [(p, 0.0)])[0]
     rows = []
     for n in range(levels + 1):
@@ -385,26 +385,66 @@ def oracle_check(
     return checked
 
 
-def _zero_coupling_report(label: str, energy: float, size: int) -> PTReport:
-    """The report of `size` states at the critical field, at their level energy."""
-    flags = [
-        "critical field: oscillator coupling vanishes, all corrections are "
-        "identically zero"
-    ]
+def _shift_report(space: FockSpace, p: ModelParams, label: str,
+                  members: Sequence[ClusterMember], degenerate: bool) -> PTReport:
+    """The first-order report of `members`, states of one level (n, branch).
+
+    A degenerate report diagonalizes the members' cluster matrix; a
+    non-degenerate one, of a single member, carries the three-term breakdown
+    of <p^2>. At the critical field every shift is identically zero and so
+    is every oracle slope; elsewhere the slopes are left to `oracle_check`.
+    """
+    size = len(members)
+    if p.omega_tilde == 0.0:
+        # every member's level must exist with finite spinor weights even
+        # where every shift vanishes; the members of one level share its energy
+        energies = [operator_level(p, m.n, m.branch).energy for m in members]
+        basis: Sequence[dict] = []
+        sub = np.zeros((size, size), dtype=np.complex128)
+        # a unit of +0.0: the shift unit is -0.0 for a = -0.0
+        shifts, unit, slopes = [0.0] * size, 0.0, [0.0] * size
+        vectors = np.eye(size, dtype=np.complex128)
+        breakdown = dict.fromkeys(_P2_TERMS, 0.0)
+        flags = ["critical field: oscillator coupling vanishes, all corrections are "
+                 "identically zero"]
+    else:
+        states, basis, energies = zip(
+            *(_state_vector(space, p, m.n, m.branch, m.spectator) for m in members)
+        )
+        spread = max(energies) - min(energies)
+        if spread > CLUSTER_WINDOW * p.rest_energy:
+            raise UsageError(
+                f"cluster members span {spread:.3e} in energy; not degenerate"
+            )
+        if len({(m.n, m.branch) for m in members}) > 1:
+            # near-degenerate levels at tiny wt: the pair term would couple them
+            raise UsageError("cluster members must share one level (n, branch)")
+        if degenerate:
+            # an off-diagonal element is -sign(wt) times an empty sum 0j
+            sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
+            np.fill_diagonal(sub, [_shift(p, state) for state in states])
+            decomp = eigh(sub)
+            shifts, vectors = [float(w) for w in decomp.eigenvalues], decomp.eigenvectors
+        else:
+            (state,) = states
+            shifts = [_shift(p, state).real]
+            sub = np.array([shifts], dtype=np.complex128)
+            breakdown = {name: _shift(p, state, term).real
+                         for name, term in _P2_TERMS.items()}
+        unit, slopes = p.shift_unit, []
+        flags = [OVER_CRITICAL] if p.omega_tilde < 0.0 else []
     return PTReport(
         cluster_label=label,
-        unperturbed_energy=energy,
-        method="nondegenerate" if size == 1 else "degenerate",
-        subspace_basis=[],
-        subspace_matrix=np.zeros((size, size), dtype=np.complex128),
-        shifts=[0.0] * size,
-        shifts_energy=[0.0] * size,
-        oracle_slopes=[0.0] * size,
+        unperturbed_energy=energies[0],
+        method="degenerate" if degenerate else "nondegenerate",
+        subspace_basis=list(basis),
+        subspace_matrix=sub,
+        shifts=shifts,
+        shifts_energy=[s * unit for s in shifts],
+        oracle_slopes=slopes,
         discrepancy_flags=flags,
-        breakdown={"ladder": 0.0, "position": 0.0, "angular": 0.0}
-        if size == 1
-        else None,
-        eigenvectors=None if size == 1 else np.eye(size, dtype=np.complex128),
+        breakdown=None if degenerate else breakdown,
+        eigenvectors=vectors if degenerate else None,
     )
 
 
@@ -424,26 +464,8 @@ def first_order_shift(
     """
     if n >= 2:
         raise UsageError(f"level n={n} is degenerate; use degenerate_shift")
-    label = f"n={n}, branch {branch}"
-    if p.omega_tilde == 0.0:
-        # the level must exist with finite spinor weights even where every
-        # shift vanishes
-        return _zero_coupling_report(label, operator_level(p, n, branch).energy, 1)
-    state, descriptor, energy = _state_vector(space, p, n, branch, spectator)
-    mult = _shift(p, state).real
-    breakdown = {name: _shift(p, state, term).real for name, term in _P2_TERMS.items()}
-    return PTReport(
-        cluster_label=label,
-        unperturbed_energy=energy,
-        method="nondegenerate",
-        subspace_basis=[descriptor],
-        subspace_matrix=np.array([[mult]], dtype=np.complex128),
-        shifts=[mult],
-        shifts_energy=[mult * p.shift_unit],
-        oracle_slopes=[],
-        discrepancy_flags=[OVER_CRITICAL] if p.omega_tilde < 0.0 else [],
-        breakdown=breakdown,
-    )
+    return _shift_report(space, p, f"n={n}, branch {branch}",
+                         [ClusterMember(n, branch, spectator)], degenerate=False)
 
 
 def degenerate_shift(
@@ -464,39 +486,7 @@ def degenerate_shift(
     label = "cluster " + ", ".join(
         f"(n={m.n},{m.branch},k={m.spectator})" for m in cluster
     )
-    if p.omega_tilde == 0.0:
-        # every member's level must exist with finite spinor weights; the
-        # members of one level share its energy
-        energies = [operator_level(p, m.n, m.branch).energy for m in cluster]
-        return _zero_coupling_report(label, energies[0], len(cluster))
-    states, descriptors, energies = zip(
-        *(_state_vector(space, p, m.n, m.branch, m.spectator) for m in cluster)
-    )
-    spread = max(energies) - min(energies)
-    if spread > CLUSTER_WINDOW * p.rest_energy:
-        raise UsageError(
-            f"cluster members span {spread:.3e} in energy; not degenerate"
-        )
-    if len({(m.n, m.branch) for m in cluster}) > 1:
-        # near-degenerate levels at tiny wt: the pair term would couple them
-        raise UsageError("cluster members must share one level (n, branch)")
-    # an off-diagonal element is -sign(wt) times an empty sum 0j
-    sub = np.full((len(states), len(states)), -math.copysign(1.0, p.omega_tilde) * 0j)
-    np.fill_diagonal(sub, [_shift(p, state) for state in states])
-    decomp = eigh(sub)
-    shifts = [float(w) for w in decomp.eigenvalues]
-    return PTReport(
-        cluster_label=label,
-        unperturbed_energy=energies[0],
-        method="degenerate",
-        subspace_basis=list(descriptors),
-        subspace_matrix=sub,
-        shifts=shifts,
-        shifts_energy=[s * p.shift_unit for s in shifts],
-        oracle_slopes=[],
-        discrepancy_flags=[OVER_CRITICAL] if p.omega_tilde < 0.0 else [],
-        eigenvectors=decomp.eigenvectors,
-    )
+    return _shift_report(space, p, label, cluster, degenerate=True)
 
 
 def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport:
@@ -581,9 +571,7 @@ def degeneracy_analysis(
     return histograms
 
 
-def _scan_point(
-    space: FockSpace, p: ModelParams, degeneracy_window: float
-) -> dict:
+def _scan_point(space: FockSpace, p: ModelParams) -> dict:
     """A scan point's own steps: shifts, and the checks of its histograms."""
     # every report key up front, in report order; a failed point keeps None
     point: dict = {"B": p.b_field, "omega_tilde": p.omega_tilde, "ground_shift": None,
@@ -599,7 +587,6 @@ def _scan_point(
         # a negative shift unit (wt < 0) reverses the order of the energies
         cluster = degenerate_shift(space, p, level_cluster(n=2, size=4))
         point["n2_shifts"] = sorted(cluster.shifts_energy)
-        _check_window(p, degeneracy_window * p.rest_energy)
         for a in (0.0, p.gup_a):
             sector_terms(space, p, a)  # the errors the shared pass would raise
     except (UsageError, ComputationError) as exc:
@@ -615,20 +602,23 @@ def field_scan(
 ) -> ScanResult:
     """Sweep the magnetic field; one record per value, errors kept per point.
 
-    Each point first runs its own steps in input order: its shifts and the
-    checks of its degeneracy histograms, and a point that fails records its
-    first error. The histograms of the remaining points then come from
-    shared passes over the J-sectors, each of as many points as
-    `fock.stack_configs` allows (every point solves two configs; identical
-    blocks, such as the two of a point at the critical field, are solved
-    once). An error raised inside a shared pass is recorded on every point
-    of that pass. Everything runs on the calling thread.
+    The degeneracy window, in units of m c^2, which no field changes, is
+    checked against the noise floor once, before the first point; a window
+    below it raises UsageError. Each point then runs its own steps in input
+    order: its shifts and the checks of its degeneracy histograms, and a
+    point that fails records its first error. The histograms of the
+    remaining points then come from shared passes over the J-sectors, each
+    of as many points as `fock.stack_configs` allows (every point solves two
+    configs; identical blocks, such as the two of a point at the critical
+    field, are solved once). An error raised inside a shared pass is
+    recorded on every point of that pass.
     """
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise UsageError("field values must be sorted ascending")
+    _check_window(base_params, degeneracy_window * base_params.rest_energy)
     params = [base_params.with_field(b) for b in values]
-    points = [_scan_point(space, p, degeneracy_window) for p in params]
+    points = [_scan_point(space, p) for p in params]
     pending = [(point, p) for point, p in zip(points, params) if "error" not in point]
     size = max(1, stack_configs(space.cutoff) // 2)  # two configs per point
     for i in range(0, len(pending), size):

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import gup_dosc
-from gup_dosc import cli
+from gup_dosc import cli, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
 
@@ -180,8 +180,37 @@ def test_scan_csv_schema(tmp_path):
     assert critical_row[2] == "0"
 
 
-def test_csv_only_for_scan(tmp_path):
+def test_csv_only_for_scan(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(perturbation, "eigvalsh", lambda a: calls.append(a))
+    # rejected with the configuration, before any spectrum is solved
     assert main(["spectrum", "--omega", "1", "--format", "csv"] + FAST) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == "usage error: csv output is defined for the scan command only\n"
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert main(["spectrum", "--omega", "1", "--output", str(path)] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: cannot write output file")
+    assert str(path) in err and not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--B-min", "0", "--B-max", "3", "--steps", "3",
+     "--tol", "degeneracy_window=1e-20"],
+    ["spectrum", "--tol", "cluster_window=1e-20"],
+], ids=["scan-degeneracy-window", "spectrum-cluster-window"])
+def test_windows_below_the_noise_floor_are_usage_errors(argv, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(perturbation, "eigvalsh", lambda a: calls.append(a))
+    # one line for the whole run, before any spectrum is solved
+    assert main([argv[0], "--omega", "1", *FAST, *argv[1:]]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == "usage error: window 1e-20 below the numerical noise floor 1e-12\n"
 
 
 def test_scan_json_has_critical_field(tmp_path):

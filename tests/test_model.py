@@ -33,6 +33,12 @@ def interior_eigs(h, space=SPACE, margin=2):
     return eigvalsh(compress(h, space.interior_indices(margin)))
 
 
+def all_js(space):
+    """Every J-sector of the interior, ascending: the default of `build_sectors`."""
+    top = space.cutoff - INTERIOR_MARGIN
+    return range(-top, top + 2)
+
+
 def test_reduced_frequency():
     assert ModelParams(omega=1.0, b_field=1.0).omega_tilde == 0.5
     assert ModelParams(omega=1.0, b_field=2.0).omega_tilde == 0.0
@@ -212,25 +218,26 @@ def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
     strengths = (strength, 0.0, -2.0 * strength)
     same = strength == 0.0 or p.omega_tilde == 0.0
     dense = [build_h0(space, p) + build_h_prime(space, p, strength=a) for a in strengths]
-    sectors = list(build_sectors(space, [(p, a) for a in strengths]))
-    indices = {s.j: sector_indices(space, s.j) for s in sectors}
+    rows, stacks = build_sectors(space, [(p, a) for a in strengths])
+    sectors = dict(zip(all_js(space), stacks))
+    indices = {j: sector_indices(space, j) for j in sectors}
     covered = np.sort(np.concatenate(list(indices.values())))
     assert np.array_equal(covered, np.sort(space.interior_indices(2)))
-    for s in sectors:
-        assert all(sector_j(space, i) == s.j for i in indices[s.j])
-        assert s.stack.dtype == np.float64
-        assert s.rows.tolist() == ([0, 0, 0] if same else [0, 1, 2])
-        assert len(s.stack) == (1 if same else 3)
-        for matrix, h in zip(s.stack[s.rows], dense):
+    assert rows.tolist() == ([0, 0, 0] if same else [0, 1, 2])
+    for j, stack in sectors.items():
+        assert all(sector_j(space, i) == j for i in indices[j])
+        assert stack.dtype == np.float64
+        assert len(stack) == (1 if same else 3)
+        for matrix, h in zip(stack[rows], dense):
             # the dense block conjugated by the i^{n_b} phases is real symmetric
-            block = sector_block(space, h, s.j)
+            block = sector_block(space, h, j)
             assert norm_max(block.imag) == 0.0
             assert matrix.shape == block.shape
             assert norm_max(matrix - block) <= 1e-13
     if p.omega_tilde == 0.0:
         # the surviving p_z coupling is present in both constructions
-        assert max(norm_max(s.stack[0] - np.diag(np.diag(s.stack[0])))
-                   for s in sectors) > 1.0
+        assert max(norm_max(stack[0] - np.diag(np.diag(stack[0])))
+                   for stack in sectors.values()) > 1.0
 
 
 @pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
@@ -249,12 +256,13 @@ def test_sector_couplings_are_exact_zeros():
     space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
-        for s in build_sectors(space, [(p, p.gup_a)]):
-            states = [space.unpack(int(i)) for i in sector_indices(space, s.j)]
+        _, stacks = build_sectors(space, [(p, p.gup_a)])
+        for j, stack in zip(all_js(space), stacks):
+            states = [space.unpack(int(i)) for i in sector_indices(space, j)]
             for r, (n_a, n_b, row_up) in enumerate(states):
                 for q, (m_a, m_b, col_up) in enumerate(states):
                     if row_up and not col_up and (n_a - m_a, n_b - m_b) != step:
-                        assert s.stack[0, r, q] == 0.0
+                        assert stack[0, r, q] == 0.0
 
 
 def test_build_sectors_rejects_cutoff_inside_margin():
@@ -262,14 +270,14 @@ def test_build_sectors_rejects_cutoff_inside_margin():
     with pytest.raises(UsageError, match="cutoff 1"):
         build_sectors(FockSpace(cutoff=1), [(p, 0.0)])
     # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
-    sectors = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), [(p, 0.0)])
-    assert [s.stack.shape for s in sectors] == [(1, 1, 1), (1, 1, 1)]
+    _, stacks = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), [(p, 0.0)])
+    assert [stack.shape for stack in stacks] == [(1, 1, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 7, 12, 40])
 def test_sector_cost_counts_the_built_blocks(cutoff):
-    sectors = build_sectors(FockSpace(cutoff), [(ModelParams(omega=1.0), 0.0)])
-    dims = [s.stack.shape[-1] for s in sectors]
+    _, stacks = build_sectors(FockSpace(cutoff), [(ModelParams(omega=1.0), 0.0)])
+    dims = [stack.shape[-1] for stack in stacks]
     assert sector_cost(cutoff) == (sum(d ** 3 for d in dims), 8 * max(dims) ** 2)
 
 

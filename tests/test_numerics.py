@@ -241,9 +241,10 @@ def test_eigvalsh_stack_equals_per_matrix_calls_bitwise(dtype):
 
 def test_eigvalsh_stack_of_sector_blocks_equals_per_block_calls_bitwise():
     p = ModelParams(omega=1.0, b_field=1.0)
-    for sector in build_sectors(FockSpace(cutoff=40), [(p, a) for a in (0.0, 1e-5, -2e-5)]):
-        w = eigvalsh(sector.stack)
-        for k, block in enumerate(sector.stack):
+    _, stacks = build_sectors(FockSpace(cutoff=40), [(p, a) for a in (0.0, 1e-5, -2e-5)])
+    for stack in stacks:
+        w = eigvalsh(stack)
+        for k, block in enumerate(stack):
             assert np.array_equal(w[k], eigvalsh(block))
 
 

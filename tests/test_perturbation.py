@@ -6,7 +6,7 @@ from gup_dosc.cli import main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
 from gup_dosc.model import ModelParams, build_sectors, spinor_level
-from gup_dosc.numerics import eigvalsh, norm_max
+from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     CLUSTER_WINDOW,
     ORACLE_RTOL,
@@ -294,6 +294,25 @@ def test_linearity_in_deformation_strength():
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
 
+@pytest.mark.parametrize("b_field, off_diagonal", [(1.0, "-0+0i"), (2.0, "0+0i"),
+                                                   (3.0, "0+0i")])
+def test_shift_reports_keep_their_kind_and_signed_zeros(b_field, off_diagonal):
+    p = ModelParams(omega=1.0, b_field=b_field, gup_a=1e-4)
+    # a one-member cluster is a degenerate report, with 1x1 eigenvectors,
+    # on either side of the critical field and at it
+    one = degenerate_shift(SPACE, p, level_cluster(n=2, size=1))
+    assert one.method == "degenerate" and one.breakdown is None
+    assert one.eigenvectors.shape == (1, 1)
+    level = first_order_shift(SPACE, p, 1)
+    assert level.method == "nondegenerate" and level.eigenvectors is None
+    assert list(level.breakdown) == ["ladder", "position", "angular"]
+    # an off-diagonal element of the cluster matrix is -sign(wt) 0j, and a
+    # plain zero at the critical field
+    pair = degenerate_shift(SPACE, p, level_cluster(n=2, size=2)).subspace_matrix
+    entries = [row.split() for row in dump_matrix(pair).split("\n")]
+    assert entries[0][1] == entries[1][0] == off_diagonal
+
+
 def test_shifts_vanish_at_critical_field():
     p = ModelParams(omega=1.0, b_field=2.0, gup_a=1e-3)
     (r,) = oracle_check(SPACE, p, [first_order_shift(SPACE, p, 0, "+")])
@@ -444,9 +463,9 @@ def _count_eigvalsh(monkeypatch) -> list[int]:
 def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
     configs = _scan_configs()
     # the two configs of the critical field give one block: 7 rows for 8
-    sector = next(build_sectors(SPACE, configs))
-    assert len(sector.stack) == 7
-    assert sector.rows.tolist() == [0, 1, 2, 3, 4, 4, 5, 6]
+    sector_rows, stacks = build_sectors(SPACE, configs)
+    assert len(next(stacks)) == 7
+    assert sector_rows.tolist() == [0, 1, 2, 3, 4, 4, 5, 6]
     rows = interior_spectrum(SPACE, configs)
     assert rows.shape == (8, (SPACE.cutoff - 1) * SPACE.cutoff)
     for config, row in zip(configs, rows):
@@ -499,10 +518,15 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
         monkeypatch, tmp_path):
     stacks = []
 
-    def recording(space, configs, js=None):
-        for sector in build_sectors(space, configs, js):
-            stacks.append((sector.j, len(sector.stack)))
-            yield sector
+    def recording(space, configs, js):
+        rows, built = build_sectors(space, configs, js)
+
+        def record():
+            for j, stack in zip(js, built):
+                stacks.append((j, len(stack)))
+                yield stack
+
+        return rows, record()
 
     monkeypatch.setattr(perturbation, "build_sectors", recording)
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
