@@ -20,10 +20,8 @@ from .model import ModelParams, SpinorLevel, landau_level, spinor_level
 from .perturbation import (
     ClusterMember,
     PTReport,
-    ScanResult,
     critical_field,
     degenerate_shift,
-    degeneracy_analysis,
     field_scan,
     first_order_shift,
     oracle_check,
@@ -42,10 +40,8 @@ __all__ = [
     "spinor_level",
     "ClusterMember",
     "PTReport",
-    "ScanResult",
     "critical_field",
     "degenerate_shift",
-    "degeneracy_analysis",
     "field_scan",
     "first_order_shift",
     "oracle_check",

@@ -242,7 +242,8 @@ def parse_config(argv=None) -> RunConfig:
     values = {o.key: _checked(o, raw[o.key]) for o in OPTIONS}
     if values["levels"] < 0:
         raise UsageError("levels must be >= 0")
-    if values["cutoff"] < values["levels"] + 4:
+    # only spectrum reports levels; the other commands echo the setting
+    if command == "spectrum" and values["cutoff"] < values["levels"] + 4:
         raise UsageError(
             f"cutoff {values['cutoff']} leaves no interior headroom for "
             f"levels {values['levels']}; raise --cutoff to at least "
@@ -476,10 +477,10 @@ def _run_scan(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
         config.B_min + (config.B_max - config.B_min) * i / (config.steps - 1)
         for i in range(config.steps)
     ]
-    result = field_scan(
+    points, critical_b = field_scan(
         space, p, values, degeneracy_window=config.tolerances["degeneracy_window"]
     )
-    return {"points": result.points, "critical_B": result.critical_b}
+    return {"points": points, "critical_B": critical_b}
 
 
 def _run_validate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:

@@ -9,8 +9,6 @@ the phase of every eigenvector so that reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ComputationError, UsageError
@@ -40,21 +38,6 @@ def norm_max(a) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Result of `eigh`.
-
-    eigenvalues   -- real, ascending.
-    eigenvectors  -- k-th column pairs with the k-th eigenvalue; columns
-                     orthonormal and deterministically phased.
-    residual_norm -- max_k ||A v_k - w_k v_k||_2 over all pairs.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual_norm: float
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive."""
     out = vecs.copy()
@@ -67,10 +50,13 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(a) -> EigenDecomposition:
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix with verified accuracy.
 
-    The input is symmetrized via (a + a†)/2 before solving; the caller is
+    Returns (eigenvalues, eigenvectors) as `np.linalg.eigh` does: the
+    eigenvalues real and ascending, column k of the eigenvectors paired with
+    eigenvalue k, the columns orthonormal and deterministically phased. The
+    input is symmetrized via (a + a†)/2 before solving; the caller is
     responsible for passing a matrix that is Hermitian to within roundoff.
     Raises ComputationError (carrying the achieved residual) if the residual
     or orthonormality contract cannot be met, and UsageError on non-finite
@@ -99,9 +85,7 @@ def eigh(a) -> EigenDecomposition:
         raise ComputationError(
             f"eigenvalue sum deviates from trace by {trace_gap:.3e}"
         )
-    return EigenDecomposition(
-        eigenvalues=w, eigenvectors=v, residual_norm=residual
-    )
+    return w, v
 
 
 def eigvalsh(a) -> np.ndarray:

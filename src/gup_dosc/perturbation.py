@@ -103,14 +103,6 @@ class PTReport:
     eigenvectors: np.ndarray | None = None
 
 
-@dataclass
-class ScanResult:
-    """Field sweep: one record per requested field value."""
-
-    points: list[dict]
-    critical_b: float | None
-
-
 def critical_field(p: ModelParams) -> float:
     """Field at which the reduced frequency vanishes: 2 omega m c / |e|."""
     return 2.0 * p.omega * p.mass * p.light_speed / p.charge
@@ -423,8 +415,8 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
             # an off-diagonal element is -sign(wt) times an empty sum 0j
             sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
             np.fill_diagonal(sub, [_shift(p, state) for state in states])
-            decomp = eigh(sub)
-            shifts, vectors = [float(w) for w in decomp.eigenvalues], decomp.eigenvectors
+            values, vectors = eigh(sub)
+            shifts = [float(w) for w in values]
         else:
             (state,) = states
             shifts = [_shift(p, state).real]
@@ -491,18 +483,18 @@ def degenerate_shift(
 
 def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport:
     """Shifts of an externally supplied cluster matrix (already in shift units)."""
-    decomp = eigh(block)
+    values, vectors = eigh(block)
     return PTReport(
         cluster_label=label,
         unperturbed_energy=math.nan,
         method="degenerate",
         subspace_basis=[],
         subspace_matrix=np.asarray(block, dtype=np.complex128),
-        shifts=[float(w) for w in decomp.eigenvalues],
+        shifts=[float(w) for w in values],
         shifts_energy=[],
         oracle_slopes=[],
         discrepancy_flags=[],
-        eigenvectors=decomp.eigenvectors,
+        eigenvectors=vectors,
     )
 
 
@@ -540,37 +532,6 @@ def _histogram(spectrum: np.ndarray, window: float) -> dict[int, int]:
     return dict(zip(sizes.tolist(), counts.tolist()))
 
 
-def _degeneracy_histograms(
-    space: FockSpace, jobs: Sequence[tuple[ModelParams, float]]
-) -> list[tuple[dict[int, int], dict[int, int]]]:
-    """Before/after histograms of each (params, energy window) job.
-
-    All 2 len(jobs) spectra, at strengths 0 and p.gup_a, come from one call
-    to `interior_spectrum`.
-    """
-    spectra = interior_spectrum(
-        space, [(p, a) for p, _ in jobs for a in (0.0, p.gup_a)]
-    )
-    return [(_histogram(before, window), _histogram(after, window))
-            for (before, after), (_, window)
-            in zip(spectra.reshape(len(jobs), 2, -1), jobs)]
-
-
-def degeneracy_analysis(
-    space: FockSpace, p: ModelParams, energy_window: float
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Multiplicity histograms of the interior spectrum before/after H'.
-
-    Returns {multiplicity: number of clusters} for the undeformed and the
-    deformed Hamiltonian, clustered with the given absolute energy window.
-    Both spectra come from one pass over the J-sectors (two above cutoff
-    513, where one block fills `fock.STACK_BYTES`).
-    """
-    _check_window(p, energy_window)
-    (histograms,) = _degeneracy_histograms(space, [(p, energy_window)])
-    return histograms
-
-
 def _scan_point(space: FockSpace, p: ModelParams) -> dict:
     """A scan point's own steps: shifts, and the checks of its histograms."""
     # every report key up front, in report order; a failed point keeps None
@@ -599,8 +560,10 @@ def field_scan(
     base_params: ModelParams,
     b_values: list[float],
     degeneracy_window: float = CLUSTER_WINDOW,
-) -> ScanResult:
-    """Sweep the magnetic field; one record per value, errors kept per point.
+) -> tuple[list[dict], float | None]:
+    """Sweep the magnetic field: (points, critical field), one point per
+    value, errors kept per point, and the critical field None unless it lies
+    within the values.
 
     The degeneracy window, in units of m c^2, which no field changes, is
     checked against the noise floor once, before the first point; a window
@@ -608,34 +571,37 @@ def field_scan(
     order: its shifts and the checks of its degeneracy histograms, and a
     point that fails records its first error. The histograms of the
     remaining points then come from shared passes over the J-sectors, each
-    of as many points as `fock.stack_configs` allows (every point solves two
-    configs; identical blocks, such as the two of a point at the critical
-    field, are solved once). An error raised inside a shared pass is
+    of as many points as `fock.stack_configs` allows, which bounds how many
+    spectra are held at once (every point solves two configs, at strengths 0
+    and a; identical blocks, such as the two of a point at the critical
+    field, are solved once). Each histogram is {multiplicity: number of
+    clusters} of one spectrum. An error raised inside a shared pass is
     recorded on every point of that pass.
     """
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise UsageError("field values must be sorted ascending")
-    _check_window(base_params, degeneracy_window * base_params.rest_energy)
+    window = degeneracy_window * base_params.rest_energy
+    _check_window(base_params, window)
     params = [base_params.with_field(b) for b in values]
     points = [_scan_point(space, p) for p in params]
     pending = [(point, p) for point, p in zip(points, params) if "error" not in point]
     size = max(1, stack_configs(space.cutoff) // 2)  # two configs per point
     for i in range(0, len(pending), size):
         group = pending[i:i + size]
-        jobs = [(p, degeneracy_window * p.rest_energy) for _, p in group]
         try:
-            histograms = _degeneracy_histograms(space, jobs)
+            spectra = interior_spectrum(
+                space, [(p, a) for _, p in group for a in (0.0, p.gup_a)])
         except (UsageError, ComputationError) as exc:
             for point, _ in group:
                 point["error"] = str(exc)
             continue
-        for (point, _), (before, after) in zip(group, histograms):
-            point["degeneracy_counts_before"] = before
-            point["degeneracy_counts_after"] = after
+        for (point, _), (before, after) in zip(group, spectra.reshape(len(group), 2, -1)):
+            point["degeneracy_counts_before"] = _histogram(before, window)
+            point["degeneracy_counts_after"] = _histogram(after, window)
     critical = critical_field(base_params)
     in_range = values and values[0] <= critical <= values[-1]
-    return ScanResult(points=points, critical_b=critical if in_range else None)
+    return points, critical if in_range else None
 
 
 def validation_report(space: FockSpace, p: ModelParams) -> dict:

@@ -62,6 +62,22 @@ def test_cutoff_headroom_rule():
         parse_config(["spectrum", "--omega", "1", "--levels", "40", "--cutoff", "20"])
 
 
+def test_only_spectrum_needs_headroom_for_its_levels(tmp_path, capsys):
+    # degenerate never reads --levels: the default 8 at cutoff 10 changes
+    # nothing but the echoed setting
+    argv = ["degenerate", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff", "10"]
+    code, default = run_to_string(argv, tmp_path, "default.txt")
+    assert code == 0
+    code, zero = run_to_string(argv + ["--levels", "0"], tmp_path, "zero.txt")
+    assert code == 0
+    assert default.replace("  levels: 8\n", "  levels: 0\n", 1) == zero
+    assert default != zero
+    assert main(["spectrum", "--omega", "1", "--cutoff", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: cutoff 10 leaves no interior headroom for levels 8; raise "
+        "--cutoff to at least 12 or lower --levels\n")
+
+
 def test_missing_omega_is_usage_error():
     assert main(["spectrum"]) == 2
 

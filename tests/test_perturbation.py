@@ -16,7 +16,6 @@ from gup_dosc.perturbation import (
     ClusterMember,
     critical_field,
     degenerate_shift,
-    degeneracy_analysis,
     field_scan,
     first_order_shift,
     interior_spectrum,
@@ -175,8 +174,16 @@ def test_oracle_flags_shifts_paired_with_another_members_sector():
     assert sorted(r.oracle_slopes) == pytest.approx(sorted(r.shifts), rel=1e-6)
 
 
+def _histograms(space, p, window):
+    """(before, after) degeneracy histograms of a one-point scan at p's field,
+    with the absolute energy window `window`."""
+    (point,), _ = field_scan(space, p, [p.b_field], window / p.rest_energy)
+    assert "error" not in point
+    return point["degeneracy_counts_before"], point["degeneracy_counts_after"]
+
+
 def test_degeneracy_analysis_splits_lowest_tower():
-    before, after = degeneracy_analysis(SPACE, PARAMS, 1e-9)
+    before, after = _histograms(SPACE, PARAMS, 1e-9)
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
     w0, w1 = interior_spectrum(SPACE, [(PARAMS, 0.0), (PARAMS, PARAMS.gup_a)])
@@ -191,13 +198,13 @@ def test_degeneracy_analysis_splits_lowest_tower():
 
 def test_degeneracy_analysis_identity_without_deformation():
     p0 = ModelParams(omega=0.1, gup_a=0.0)
-    before, after = degeneracy_analysis(SPACE, p0, 1e-9)
+    before, after = _histograms(SPACE, p0, 1e-9)
     assert before == after
 
 
 def test_degeneracy_window_floor():
     with pytest.raises(UsageError, match="noise floor"):
-        degeneracy_analysis(SPACE, PARAMS, 1e-16)
+        field_scan(SPACE, PARAMS, [0.0], 1e-16 / PARAMS.rest_energy)
 
 
 def test_critical_field_formula():
@@ -210,10 +217,10 @@ def test_critical_field_formula():
 def test_field_scan_crosses_critical_point():
     space = FockSpace(cutoff=10)
     base = ModelParams(omega=1.0, gup_a=1e-4)
-    scan = field_scan(space, base, [0.0, 1.0, 2.0, 3.0])
-    assert [pt["omega_tilde"] for pt in scan.points] == [1.0, 0.5, 0.0, -0.5]
-    assert scan.critical_b == 2.0
-    for pt in scan.points:
+    points, critical_b = field_scan(space, base, [0.0, 1.0, 2.0, 3.0])
+    assert [pt["omega_tilde"] for pt in points] == [1.0, 0.5, 0.0, -0.5]
+    assert critical_b == 2.0
+    for pt in points:
         wt = pt["omega_tilde"]
         if wt >= 0.0:
             assert pt["ground_shift"] == pytest.approx(
@@ -227,10 +234,10 @@ def test_field_scan_keeps_errored_points():
     # but the record count is preserved
     space = FockSpace(cutoff=4)
     base = ModelParams(omega=1.0, gup_a=1e-4)
-    scan = field_scan(space, base, [0.0, 1.0])
-    assert len(scan.points) == 2
-    assert all("error" in pt for pt in scan.points)
-    assert all("B" in pt and "omega_tilde" in pt for pt in scan.points)
+    points, _ = field_scan(space, base, [0.0, 1.0])
+    assert len(points) == 2
+    assert all("error" in pt for pt in points)
+    assert all("B" in pt and "omega_tilde" in pt for pt in points)
 
 
 def test_field_scan_rejects_unsorted_input():
@@ -422,7 +429,7 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
 @pytest.mark.parametrize("p", BATCH_PARAMS + [ModelParams(omega=0.1, gup_a=0.0)])
 @pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
 def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
-    before, after = degeneracy_analysis(SPACE, p, window)
+    before, after = _histograms(SPACE, p, window)
     w0, w1 = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
     assert before == degeneracy_histogram_loop(w0, window)
     assert after == degeneracy_histogram_loop(w1, window)
@@ -473,12 +480,13 @@ def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
 
 
 def test_scan_histograms_equal_per_point_analysis():
-    scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    points, _ = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     window = CLUSTER_WINDOW * SCAN_BASE.rest_energy
-    for pt in scan.points:
+    for pt in points:
         p = SCAN_BASE.with_field(pt["B"])
         counts = (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"])
-        assert counts == degeneracy_analysis(SPACE, p, window)
+        # the point scanned alone, in a pass of its own
+        assert counts == _histograms(SPACE, p, window)
         spectra = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
         assert counts == tuple(degeneracy_histogram_loop(w, window) for w in spectra)
 
@@ -554,7 +562,11 @@ def test_one_config_per_stack_changes_no_row(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     assert np.array_equal(interior_spectrum(SPACE, configs), rows)
     assert calls == [1] * 8 * 22  # one pass per config
-    assert field_scan(SPACE, SCAN_BASE, SCAN_FIELDS).points == scan.points
+    calls.clear()
+    # a group of one point, whose two configs then go in a pass each: no
+    # two configs share a stack, not even the critical field's equal blocks
+    assert field_scan(SPACE, SCAN_BASE, SCAN_FIELDS) == scan
+    assert calls == [1] * 8 * 22
 
 
 def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
@@ -562,26 +574,47 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
         raise ComputationError("eigensolver did not converge")
 
     monkeypatch.setattr(perturbation, "eigvalsh", failing)
-    scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    for pt in scan.points:
+    points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    assert critical_b == 2.0
+    for pt in points:
         assert pt["error"] == "eigensolver did not converge"
         assert pt["n2_shifts"] is not None and pt["degeneracy_counts_before"] is None
     # a point's own first error comes before the shared pass; at the
     # critical field the shifts are zero reports, and only the pass fails;
     # at cutoff 5 the n = 2 cluster no longer fits
-    scan = field_scan(FockSpace(cutoff=5), SCAN_BASE, SCAN_FIELDS)
-    assert [pt["error"] for pt in scan.points] == [
+    points, _ = field_scan(FockSpace(cutoff=5), SCAN_BASE, SCAN_FIELDS)
+    assert [pt["error"] for pt in points] == [
         "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"] * 2 + [
         "eigensolver did not converge",
         "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"]
+    # four configs per stack: the scan goes in two passes of two points
+    # each, and a failure of the second is recorded on its points only
+    monkeypatch.setattr(fock, "STACK_BYTES", 4 * sector_cost(SPACE.cutoff)[1])
+    calls = []
+
+    def second_pass_fails(a):
+        calls.append(len(a))
+        if len(calls) > 22:  # 22 J-sectors at cutoff 12 per pass
+            raise ComputationError("eigensolver did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(perturbation, "eigvalsh", second_pass_fails)
+    points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    assert calls == [4] * 22 + [3]  # the critical field's two blocks are one
+    assert [pt.get("error") for pt in points] == [None, None] + [
+        "eigensolver did not converge"] * 2
+    for pt in points[:2]:  # each histogram counts every interior state
+        for key in ("degeneracy_counts_before", "degeneracy_counts_after"):
+            assert sum(m * k for m, k in pt[key].items()) == 11 * 12
+    assert [pt["degeneracy_counts_after"] for pt in points[2:]] == [None, None]
 
 
 def test_scan_points_report_an_overflowing_deformation():
     # a = 1e307: the sector diagonal 1 + a m c |wt| hbar (cutoff - 1) exceeds
     # the float range except at the critical field, where H' vanishes
     base = ModelParams(omega=1.0, gup_a=1e307)
-    scan = field_scan(FockSpace(cutoff=40), base, SCAN_FIELDS)
-    for pt in scan.points:
+    points, _ = field_scan(FockSpace(cutoff=40), base, SCAN_FIELDS)
+    for pt in points:
         assert pt["n2_shifts"] is not None
         if pt["B"] == 2.0:
             assert "error" not in pt
