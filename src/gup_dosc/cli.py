@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -550,6 +551,15 @@ def main(argv=None) -> int:
         )
         return 3
 
+
+# Move everything imported so far, numpy's module heap above all, to the
+# permanent generation, which the cyclic collector never traverses: a run
+# frees little of it, and the collections at interpreter exit cost about
+# 22 ms CPU per process over it (a bare `import gup_dosc.cli` 197 -> 175 ms,
+# `validate` at cutoff 40 194 -> 179 ms; medians of 21 spawns on a 2-vCPU
+# VM). Done on importing the CLI, not the package, so a library user's GC is
+# untouched.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -22,8 +22,9 @@ from .errors import UsageError
 INTERIOR_MARGIN = 2
 # Largest accepted cutoff. Memory stays small there: one J-sector stack at a
 # time, its configs bounded by STACK_BYTES (a lone block may exceed it, 8 MB at
-# the limit), plus spectra of 8 MB each. Eigensolver work grows as cutoff^4:
-# 5e11 dim^3 per interior spectrum at the limit, one for `validate`. The
+# the limit), plus spectra of 8 MB each; an a = 0 spectrum's 2x2 blocks take
+# 16 MB. Eigensolver work of a dense spectrum (a != 0, or the critical field)
+# grows as cutoff^4: 5e11 dim^3 at the limit, and as cutoff^2 at a = 0. The
 # oracle solves only the J-sectors of its states, cutoff^3 each.
 MAX_CUTOFF = 1000
 # Bytes of the largest block of one J-sector stack, summed over its configs:

@@ -249,6 +249,54 @@ def sector_terms(
     return p.rest_energy, k_a, k_b, deform
 
 
+def paired(terms: tuple[float, float, float, float]) -> bool:
+    """Whether the J-sector blocks of a config with these `sector_terms` are a
+    direct sum of 2x2 and 1x1 blocks (`pair_sectors`): no deformation, and
+    one coupling, as at a = 0 off the critical field."""
+    _, k_a, k_b, deform = terms
+    return deform == 0.0 and (k_a == 0.0) != (k_b == 0.0)
+
+
+def pair_sectors(
+    space: FockSpace,
+    terms: tuple[float, float, float, float],
+    js: Sequence[int] | None = None,
+) -> tuple[np.ndarray, int, int]:
+    """(pairs, ups, downs): the J-sector blocks of a `paired` config, over the
+    J in `js` (every J-sector by default), as the blocks they are a sum of.
+
+    With one coupling and no deformation, K = k_a a† (wt > 0) or k_b b
+    (wt < 0) couples each spin-down state (n_a, n_b) to at most one spin-up
+    state, (n_a + 1, n_b) or (n_a, n_b - 1), and no two to the same one; the
+    pair lies in J-sector n_a - n_b + 1. `pairs` stacks one block
+    [[m c^2, kappa], [kappa, -m c^2]] per coupled pair, with kappa =
+    k_a sqrt(n_a + 1) or k_b sqrt(n_b) of the down state, the same float
+    operations as `build_sectors`. Every other state is a 1x1 block: `ups`
+    spin-up states at m c^2 and `downs` spin-down states at -m c^2.
+    """
+    top = _interior_top(space)
+    mc2, k_a, k_b, _ = terms
+    # every interior (n_a, n_b), n_a + n_b <= top
+    quanta = np.arange(top + 1)
+    n_a, n_b = np.nonzero(np.add.outer(quanta, quanta) <= top)
+    if k_a:
+        coupled = n_a + n_b < top  # the up state n_a + 1 stays interior
+        kappa = k_a * np.sqrt(n_a + 1.0)
+    else:
+        coupled = n_b >= 1
+        kappa = k_b * np.sqrt(n_b.astype(float))
+    # J of |n_a, n_b, up> is n_a - n_b, and of |n_a, n_b, down> one more
+    if js is None:
+        up = down = np.ones(len(n_a), dtype=bool)
+    else:
+        up, down = np.isin(n_a - n_b, js), np.isin(n_a - n_b + 1, js)
+    kappa = kappa[down & coupled]
+    pairs = np.empty((len(kappa), 2, 2))
+    pairs[:, 0, 0], pairs[:, 1, 1] = mc2, -mc2
+    pairs[:, 0, 1] = pairs[:, 1, 0] = kappa
+    return pairs, int(up.sum()) - len(kappa), int(down.sum()) - len(kappa)
+
+
 def build_sectors(
     space: FockSpace,
     configs: Sequence[tuple[ModelParams, float]],

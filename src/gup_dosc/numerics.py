@@ -126,7 +126,7 @@ def eigvalsh(a) -> np.ndarray:
          "sum of squared eigenvalues deviates from the squared Frobenius norm by "
          "{:.3e} in units of {:.3e} squared"),
     ):
-        if not gap.max() <= bound:
+        if not np.all(gap <= bound):
             k = int(np.argmin(gap <= bound))  # the first matrix that fails
             raise ComputationError(message.format(gap.flat[k], scale.flat[k]))
     return w

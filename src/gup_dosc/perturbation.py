@@ -33,6 +33,8 @@ from .model import (
     SpinorLevel,
     build_sectors,
     landau_level,
+    pair_sectors,
+    paired,
     sector_terms,
     spinor_level,
 )
@@ -228,29 +230,43 @@ def interior_spectrum(
 
     Row k is the spectrum of configs[k], a (ModelParams, deformation
     strength) pair. H0 and H' both conserve J = n_a - n_b + [spin down], so
-    each row is the sorted union of the J-sector spectra (`build_sectors`),
-    over every J-sector or over those in `js`. Each J-sector stack is solved
-    in one eigensolver call as it is generated, so one stack is held at a
-    time; configs that give the same blocks are solved once, and their rows
-    are copied after the solve. The configs go in consecutive chunks of
-    `fock.stack_configs` configs, one pass over the J-sectors each, which
-    bounds a stack's bytes.
+    each row is the sorted union of the J-sector spectra, over every
+    J-sector or over those in `js`. Every config is checked first
+    (`sector_terms`), and configs with equal terms give equal blocks: each
+    distinct one is solved once, and its row is copied to every config
+    that shares it. A `paired` config, at a = 0 off the critical field,
+    takes its 2x2 blocks (`pair_sectors`), all such configs' pairs in one
+    eigensolver call, plus its +-m c^2 singles. Every other config goes
+    through `build_sectors`, whose J-sector stacks are solved one call each
+    as they are generated, so one stack is held at a time; these configs go
+    in consecutive chunks of `fock.stack_configs`, one pass over the
+    J-sectors each, which bounds a stack's bytes.
     """
     if not configs:  # no rows of (cutoff - 1) cutoff interior eigenvalues
         return np.empty((0, (space.cutoff - 1) * space.cutoff))
+    if js is not None:
+        js = list(js)
+    terms = [sector_terms(space, p, a) for p, a in configs]
+    # one config per distinct terms: zeros compare equal, and h + (-0.0) D
+    # and h + 0.0 D are the same block
+    distinct = dict(zip(terms, configs))
+    spectra: dict[tuple, np.ndarray] = {}
+    pairs = [t for t in distinct if paired(t)]
+    if pairs:
+        built = [pair_sectors(space, t, js) for t in pairs]
+        w = eigvalsh(np.concatenate([stack for stack, _, _ in built]))
+        ends = np.cumsum([len(stack) for stack, _, _ in built])[:-1]
+        for t, (_, ups, downs), part in zip(pairs, built, np.split(w, ends)):
+            singles = np.repeat([t[0], -t[0]], [ups, downs])
+            spectra[t] = np.sort(np.concatenate([part.ravel(), singles]))
+    dense = [t for t in distinct if not paired(t)]
     size = stack_configs(space.cutoff)
-    return np.concatenate([_one_pass(space, configs[i:i + size], js)
-                           for i in range(0, len(configs), size)])
-
-
-def _one_pass(
-    space: FockSpace,
-    configs: Sequence[tuple[ModelParams, float]],
-    js: Iterable[int] | None,
-) -> np.ndarray:
-    rows, stacks = build_sectors(space, configs, js)
-    spectra = np.concatenate([eigvalsh(stack) for stack in stacks], axis=-1)
-    return np.sort(spectra[rows], axis=-1)
+    for i in range(0, len(dense), size):
+        chunk = dense[i:i + size]
+        _, stacks = build_sectors(space, [distinct[t] for t in chunk], js)
+        w = np.concatenate([eigvalsh(stack) for stack in stacks], axis=-1)
+        spectra.update(zip(chunk, np.sort(w, axis=-1)))
+    return np.array([spectra[t] for t in terms])
 
 
 def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:

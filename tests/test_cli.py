@@ -540,3 +540,20 @@ def test_spectrum_beyond_dense_reach(tmp_path):
     rows = json.loads(text)["levels"]
     assert all(r["rel_error"] <= 1e-12 for r in rows)
     assert [r["multiplicity"] for r in rows] == [79 - r["n"] for r in rows]
+
+
+def test_only_the_cli_freezes_the_import_heap():
+    # gc.freeze is a side effect of importing the command-line module alone:
+    # a library import leaves the collector as it found it
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
+    code = (
+        "import gc, gup_dosc\n"
+        "print(gc.get_freeze_count())\n"
+        "import gup_dosc.cli\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    library, command_line = map(int, out)
+    assert library == 0
+    assert command_line > 0

@@ -5,7 +5,7 @@ from gup_dosc import fock, perturbation
 from gup_dosc.cli import main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
-from gup_dosc.model import ModelParams, build_sectors, spinor_level
+from gup_dosc.model import ModelParams, build_sectors, paired, sector_terms, spinor_level
 from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     CLUSTER_WINDOW,
@@ -494,9 +494,12 @@ def test_scan_histograms_equal_per_point_analysis():
 def test_a_scan_solves_each_sector_once(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    # 2 T + 2 = 22 J-sectors at cutoff 12, each one stack of 7 distinct
-    # configs; one pass per point would make 4 x 22 calls
-    assert calls == [7] * 22
+    # the a = 0 configs off the critical field (B = 0, 1, 3) are T (T + 1) / 2
+    # = 55 2x2 blocks each at cutoff 12 (T = 10), all in one call; the other
+    # 4 distinct configs (the critical field's two blocks are one) go in one
+    # stack per J-sector, 2 T + 2 = 22 of them; one pass per point would
+    # make 4 x 22 dense calls
+    assert calls == [3 * 55] + [4] * 22
 
 
 def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
@@ -508,15 +511,18 @@ def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
                      "12", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
         return calls
 
-    # one stack of the five stencil strengths per distinct J-sector of the
-    # reported states: J = 0 for (n=0, +), and J = 1 once for both (n=1, +)
-    # and (n=1, -); a second run in the same process solves them again
+    # one stencil per distinct J-sector of the reported states: J = 0 for
+    # (n=0, +), and J = 1 once for both (n=1, +) and (n=1, -); a second run
+    # in the same process solves them again. Each stencil is its a = 0
+    # strength's 2x2 blocks (5 of them in J = 0 and in J = 1 at cutoff 12)
+    # and one stack of the four other strengths
     for command in ("correct", "correct"):
-        assert run(command, "1") == [5, 5]
-    # validate's a = 0 level rows solve all 22 J-sectors at cutoff 12; its
-    # ground (J = 0), first excited (J = 1) and four n = 2 states
-    # (J = 2, 1, 0, -1) then need four distinct stencils
-    assert run("validate", "1") == [1] * 22 + [5] * 4
+        assert run(command, "1") == [5, 4, 5, 4]
+    # validate's a = 0 level rows are the 55 2x2 blocks of all 22 J-sectors
+    # at cutoff 12, in one call; its ground (J = 0), first excited (J = 1)
+    # and four n = 2 states (by ascending shift J = -1, 0, 1, 2) then need
+    # four distinct stencils, J = -1 with 4 pairs
+    assert run("validate", "1") == [55] + [5, 4] * 2 + [4, 4] + [5, 4]
     # at the critical field every shift vanishes and no stencil is built
     for command in ("correct", "degenerate"):
         assert run(command, "2") == []
@@ -540,11 +546,89 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
     # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
-    # blocks, 399 states: five configs of one exceed STACK_BYTES, so each
-    # goes in five one-config passes, and J = 1 is built for one branch
-    # only; the other 796 J-sectors are never built
+    # blocks, 399 states: the four a != 0 configs of one exceed STACK_BYTES,
+    # so each goes in four one-config passes (the a = 0 one takes its 2x2
+    # blocks, and builds no block), and J = 1 is built for one branch only;
+    # the other 796 J-sectors are never built
     assert stack_configs(400) == 1
-    assert stacks == [(0, 1)] * 5 + [(1, 1)] * 5
+    assert stacks == [(0, 1)] * 4 + [(1, 1)] * 4
+
+
+def _dense_rows(space, configs, js=None):
+    """Sorted rows of the `build_sectors` blocks, each J-stack in one eigvalsh
+    call: the dense path, whatever the configs."""
+    _, stacks = build_sectors(space, configs, js)
+    return np.sort(np.concatenate([eigvalsh(s) for s in stacks], axis=-1), axis=-1)
+
+
+@pytest.mark.parametrize("cutoff", [4, 12, 40])
+@pytest.mark.parametrize("b_field", [1.0, 3.0])  # wt = 0.5 and wt = -0.5
+def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
+    space = FockSpace(cutoff)
+    p = ModelParams(omega=1.0, b_field=b_field, gup_a=1e-4)
+    (terms,) = {sector_terms(space, p, a) for a in (0.0, -0.0)}
+    assert paired(terms)
+    top = cutoff - fock.INTERIOR_MARGIN
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(perturbation, "eigvalsh", recording)
+    # every J-sector, the two outermost ones and the two at J = 0, 1, alone
+    # and together
+    for js in (None, [-top], [top + 1], [0, 1], [-top, 0, 1, top + 1]):
+        shapes.clear()
+        (row,) = interior_spectrum(space, [(p, 0.0)], js)
+        (dense,) = _dense_rows(space, [(p, 0.0)], js)
+        assert row.shape == dense.shape and np.all(np.diff(row) >= 0.0)
+        assert np.max(np.abs(row - dense), initial=0.0) <= 1e-12
+        # one call of 2x2 blocks, no J-block built
+        ((pairs, two, also_two),) = shapes
+        assert two == also_two == 2
+        if js is None:
+            assert pairs == top * (top + 1) // 2
+    # the a = 0 spectrum is the same on either side of the critical field:
+    # the pair roots k sqrt(i), i = 1 .. T, each T - i + 1 times, mirror
+    mirror = ModelParams(omega=1.0, b_field=4.0 - b_field)
+    assert np.array_equal(interior_spectrum(space, [(p, 0.0)]),
+                          interior_spectrum(space, [(mirror, 0.0)]))
+
+
+@pytest.mark.parametrize("p, a", [
+    (ModelParams(omega=1.0, b_field=2.0), 0.0),  # wt = 0: both couplings
+    (ModelParams(omega=0.0), 0.0),  # no coupling at all
+    (ModelParams(omega=1.0, b_field=1.0), 1e-4),
+    (ModelParams(omega=1.0, b_field=3.0), -1e-4),
+], ids=["critical-field", "no-coupling", "wt-positive-deformed", "wt-negative-deformed"])
+def test_unpaired_configs_take_the_dense_blocks(p, a, monkeypatch):
+    space = FockSpace(cutoff=12)
+    assert not paired(sector_terms(space, p, a))
+    shapes = []
+
+    def recording(h):
+        shapes.append(h.shape)
+        return eigvalsh(h)
+
+    monkeypatch.setattr(perturbation, "eigvalsh", recording)
+    row = interior_spectrum(space, [(p, a)])
+    # one one-config stack per J-sector, of its full dimension
+    _, stacks = build_sectors(space, [(p, a)])
+    assert shapes == [stack.shape for stack in stacks]
+    assert np.array_equal(row, _dense_rows(space, [(p, a)]))
+
+
+@pytest.mark.parametrize("cutoff", [40, 200])
+def test_paired_scan_histograms_equal_the_dense_ones(cutoff):
+    space = FockSpace(cutoff)
+    fields = [1.0, 2.0, 3.0]  # across the critical field B = 2
+    points, critical_b = field_scan(space, SCAN_BASE, fields)
+    assert critical_b == 2.0
+    window = CLUSTER_WINDOW * SCAN_BASE.rest_energy
+    for pt in points:
+        (before,) = _dense_rows(space, [(SCAN_BASE.with_field(pt["B"]), 0.0)])
+        assert pt["degeneracy_counts_before"] == degeneracy_histogram_loop(before, window)
 
 
 def test_no_configs_give_no_rows():
@@ -561,12 +645,16 @@ def test_one_config_per_stack_changes_no_row(monkeypatch):
     assert stack_configs(SPACE.cutoff) == 1
     calls = _count_eigvalsh(monkeypatch)
     assert np.array_equal(interior_spectrum(SPACE, configs), rows)
-    assert calls == [1] * 8 * 22  # one pass per config
+    # the three paired a = 0 configs' 55 2x2 blocks each in one call, then
+    # one pass per distinct other config: the critical field's two are one
+    assert calls == [3 * 55] + [1] * 4 * 22
     calls.clear()
-    # a group of one point, whose two configs then go in a pass each: no
-    # two configs share a stack, not even the critical field's equal blocks
+    # a group of one point: its a = 0 config's 2x2 blocks, then its a != 0
+    # config in a pass of its own; the critical field's two equal configs
+    # are one, solved once, although no two configs share a stack
     assert field_scan(SPACE, SCAN_BASE, SCAN_FIELDS) == scan
-    assert calls == [1] * 8 * 22
+    one_point = [55] + [1] * 22
+    assert calls == one_point * 2 + [1] * 22 + one_point
 
 
 def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
@@ -594,13 +682,15 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
 
     def second_pass_fails(a):
         calls.append(len(a))
-        if len(calls) > 22:  # 22 J-sectors at cutoff 12 per pass
+        # one call of 2x2 blocks and 22 J-sectors at cutoff 12 per pass
+        if len(calls) > 1 + 22:
             raise ComputationError("eigensolver did not converge")
         return eigvalsh(a)
 
     monkeypatch.setattr(perturbation, "eigvalsh", second_pass_fails)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    assert calls == [4] * 22 + [3]  # the critical field's two blocks are one
+    # the second pass fails on its first call, the 55 2x2 blocks of B = 3
+    assert calls == [2 * 55] + [2] * 22 + [55]
     assert [pt.get("error") for pt in points] == [None, None] + [
         "eigensolver did not converge"] * 2
     for pt in points[:2]:  # each histogram counts every interior state
