@@ -56,14 +56,12 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) as `np.linalg.eigh` does: the
     eigenvalues real and ascending, column k of the eigenvectors paired with
     eigenvalue k, the columns orthonormal and deterministically phased. The
-    input is symmetrized via (a + a†)/2 before solving; the caller is
-    responsible for passing a matrix that is Hermitian to within roundoff.
-    Raises ComputationError (carrying the achieved residual) if the residual
-    or orthonormality contract cannot be met, and UsageError on non-finite
-    input.
+    matrix must be exactly Hermitian, as for `eigvalsh`: it is not
+    symmetrized, so one that is not fails the residual check. Raises
+    ComputationError (carrying the achieved residual) if the residual or
+    orthonormality contract cannot be met, and UsageError on non-finite input.
     """
-    a = as_matrix(a)
-    h = 0.5 * (a + a.conj().T)
+    h = as_matrix(a)
     scale = max(1.0, norm_max(h) * h.shape[0])
     try:
         w, v = np.linalg.eigh(h)

@@ -397,10 +397,11 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
                   members: Sequence[ClusterMember], degenerate: bool) -> PTReport:
     """The first-order report of `members`, states of one level (n, branch).
 
-    A degenerate report diagonalizes the members' cluster matrix; a
-    non-degenerate one, of a single member, carries the three-term breakdown
-    of <p^2>. At the critical field every shift is identically zero and so
-    is every oracle slope; elsewhere the slopes are left to `oracle_check`.
+    Both kinds sort the members' diagonal cluster matrix; a degenerate report
+    carries the sorting permutation as its eigenvectors, a non-degenerate one,
+    of a single member, the three-term breakdown of <p^2>. At the critical
+    field every shift is identically zero and so is every oracle slope;
+    elsewhere the slopes are left to `oracle_check`.
     """
     size = len(members)
     if p.omega_tilde == 0.0:
@@ -427,20 +428,21 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         if len({(m.n, m.branch) for m in members}) > 1:
             # near-degenerate levels at tiny wt: the pair term would couple them
             raise UsageError("cluster members must share one level (n, branch)")
-        if degenerate:
-            # an off-diagonal element is -sign(wt) times an empty sum 0j
-            sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
-            np.fill_diagonal(sub, [_shift(p, state) for state in states])
-            values, vectors = eigh(sub)
-            shifts = [float(w) for w in values]
-        else:
+        # an off-diagonal element is -sign(wt) times an empty sum 0j
+        sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
+        np.fill_diagonal(sub, [_shift(p, state) for state in states])
+        order = np.argsort(sub.diagonal().real, kind="stable")
+        shifts = sub.diagonal().real[order].tolist()
+        vectors = np.eye(size, dtype=np.complex128)[:, order]
+        if not degenerate:
             (state,) = states
-            shifts = [_shift(p, state).real]
-            sub = np.array([shifts], dtype=np.complex128)
             breakdown = {name: _shift(p, state, term).real
                          for name, term in _P2_TERMS.items()}
         unit, slopes = p.shift_unit, []
         flags = [OVER_CRITICAL] if p.omega_tilde < 0.0 else []
+        if not all(math.isfinite(s * unit) for s in shifts):
+            raise UsageError(f"shift energy of level (n={members[0].n}, branch "
+                             f"{members[0].branch}) overflows at the unit {unit!r}")
     return PTReport(
         cluster_label=label,
         unperturbed_energy=energies[0],
@@ -479,13 +481,13 @@ def first_order_shift(
 def degenerate_shift(
     space: FockSpace, p: ModelParams, cluster: list[ClusterMember]
 ) -> PTReport:
-    """Diagonalize H' restricted to a degenerate cluster.
+    """First-order shifts of a degenerate cluster: H' restricted to it.
 
     Cluster members must be distinct spectator states of one level (n,
-    branch); shifts come back ascending with the diagonalizing (unitary)
-    eigenvector set in the cluster basis, and no oracle slopes
-    (`oracle_check` adds them). The pair term of p^2 connects no two states
-    of one level's tower, so the cluster matrix is diagonal.
+    branch). The pair term of p^2 connects no two states of one tower, so
+    the cluster matrix is diagonal and no eigensolver runs: the shifts are
+    its diagonal ascending, the eigenvectors the permutation that sorts it.
+    There are no oracle slopes (`oracle_check` adds them).
     """
     if not cluster:
         raise UsageError("cluster must contain at least one member")
@@ -519,19 +521,18 @@ def level_cluster(n: int, size: int) -> list[ClusterMember]:
     return [ClusterMember(n=n, spectator=k) for k in range(size)]
 
 
-def spectral_clusters(
-    spectrum: np.ndarray, window: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mean energies, multiplicities) of the maximal runs closer than `window`.
+def spectral_clusters(spectrum: np.ndarray, window: float) -> np.ndarray:
+    """Multiplicities of the maximal runs closer than `window`, lowest first.
 
-    A run breaks wherever `np.diff` of the ascending spectrum exceeds the
-    window; the infinite gaps before the first and after the last eigenvalue
-    bound the outer runs, and an empty spectrum has none.
+    A run breaks wherever `np.diff` of the ascending spectrum, inf where it
+    overflows, exceeds the window; the infinite gaps before the first and
+    after the last eigenvalue bound the outer runs, and an empty spectrum
+    has none.
     """
     w = np.asarray(spectrum, dtype=float)
-    bounds = np.flatnonzero(np.diff(w, prepend=-np.inf, append=np.inf) > window)
-    sizes = np.diff(bounds)
-    return np.add.reduceat(w, bounds[:-1]) / sizes, sizes
+    with np.errstate(over="ignore"):
+        gaps = np.diff(w, prepend=-np.inf, append=np.inf)
+    return np.diff(np.flatnonzero(gaps > window))
 
 
 def _check_window(p: ModelParams, energy_window: float) -> None:
@@ -543,8 +544,7 @@ def _check_window(p: ModelParams, energy_window: float) -> None:
 
 
 def _histogram(spectrum: np.ndarray, window: float) -> dict[int, int]:
-    _, multiplicities = spectral_clusters(spectrum, window)
-    sizes, counts = np.unique(multiplicities, return_counts=True)
+    sizes, counts = np.unique(spectral_clusters(spectrum, window), return_counts=True)
     return dict(zip(sizes.tolist(), counts.tolist()))
 
 

@@ -324,8 +324,9 @@ def build_h_prime(
 
 def spectral_clusters_loop(spectrum, window: float) -> list[tuple[float, int]]:
     """(mean energy, multiplicity) for maximal runs closer than `window`, one
-    cluster at a time: the loop that `perturbation.spectral_clusters`
-    replaced with one `np.diff` over the spectrum."""
+    cluster at a time: the loop whose multiplicities
+    `perturbation.spectral_clusters` takes from one `np.diff` over the
+    spectrum."""
     out: list[tuple[float, int]] = []
     start = 0
     w = np.asarray(spectrum)

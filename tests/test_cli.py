@@ -417,6 +417,16 @@ HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
     pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
                   "--gup-a", "1e307", "--cutoff", "40"], 0, None,
                  id="scan-deformation-1e307"),
+    pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "3",
+                  "--gup-a", "1e300", "--mass", "1e7", "--cutoff", "8"], 0, None,
+                 id="scan-clusters-near-1e308"),
+    pytest.param(["degenerate", "--omega", "1", "--B", "1", "--gup-a", "1e300", "--mass",
+                  "3e7", "--cutoff", "8"], 2, "shift energy of level (n=2, branch +)",
+                 id="degenerate-shift-energy-overflow"),
+    pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "3",
+                  "--gup-a", "1e300", "--mass", "3e7", "--cutoff", "8", "--format", "json"],
+                 0, "shift energy of level (n=2, branch +)",
+                 id="scan-shift-energy-overflow"),
 ])
 def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
     # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
@@ -425,16 +435,23 @@ def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, na
     # members' shared level energy, where their sum would overflow, and the
     # oracle step 2e-313 is again below the resolution. a = 1e307: the sector
     # diagonal overflows at every scan point off the critical field, and each
-    # records it. Run with every warning an error, as a user with
-    # PYTHONWARNINGS=error would.
+    # records it. a = 1e300 with m = 1e7: the spectra reach -1e308, where a
+    # cluster's eigenvalue sum would overflow; with m = 3e7 the n = 2 shift
+    # energies overflow, so degenerate fails and each scan point records it.
+    # Run with every warning an error, as a user with PYTHONWARNINGS=error
+    # would.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-W", "error", "-m", "gup_dosc.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == code, out.stderr
-    if named is None:
+    if code == 0:
         assert out.stderr == "" and out.stdout
+        if named is not None:  # every point records the error, and no -inf
+            points = json.loads(out.stdout)["points"]
+            assert all(named in point["error"] for point in points)
+            assert all(point["n2_shifts"] is None for point in points)
     else:
         assert out.stdout == ""
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("usage error:")

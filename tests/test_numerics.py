@@ -117,6 +117,13 @@ def test_eigh_rejects_bad_input():
         eigh(np.ones((2, 3)))
 
 
+def test_eigh_rejects_a_matrix_that_is_not_hermitian():
+    # LAPACK reads the lower triangle, the identity here; the residual check
+    # reads the whole matrix and finds the 5 above the diagonal
+    with pytest.raises(ComputationError, match="residual"):
+        eigh(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
 def test_eigvalsh_real_input_stays_real():
     a = RNG.normal(size=(17, 17))
     a = 0.5 * (a + a.T)

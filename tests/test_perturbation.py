@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,11 +189,9 @@ def test_degeneracy_analysis_splits_lowest_tower():
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
     w0, w1 = interior_spectrum(SPACE, [(PARAMS, 0.0), (PARAMS, PARAMS.gup_a)])
-    clusters0 = {
-        round(e, 9): m for e, m in zip(*spectral_clusters(w0, 1e-9))
-    }
+    clusters0 = {round(e, 9): m for e, m in spectral_clusters_loop(w0, 1e-9)}
     assert clusters0[1.0] == tower
-    clusters1 = [m for e, m in zip(*spectral_clusters(w1, 1e-9)) if abs(e - 1.0) < 1e-3]
+    clusters1 = [m for e, m in spectral_clusters_loop(w1, 1e-9) if abs(e - 1.0) < 1e-3]
     assert max(clusters1) < tower  # the tower split
     assert sum(after.values()) > sum(before.values())
 
@@ -301,10 +301,15 @@ def test_linearity_in_deformation_strength():
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
 
-@pytest.mark.parametrize("b_field, off_diagonal", [(1.0, "-0+0i"), (2.0, "0+0i"),
-                                                   (3.0, "0+0i")])
-def test_shift_reports_keep_their_kind_and_signed_zeros(b_field, off_diagonal):
-    p = ModelParams(omega=1.0, b_field=b_field, gup_a=1e-4)
+@pytest.mark.parametrize("omega, b_field, off_diagonal", [
+    pytest.param(1.0, 1.0, "-0+0i", id="1.0--0+0i"),
+    pytest.param(1.0, 2.0, "0+0i", id="2.0-0+0i"),
+    pytest.param(1.0, 3.0, "0+0i", id="3.0-0+0i"),
+    # beyond the critical field 0.6, where the diagonal ascends in k
+    pytest.param(0.3, 1.0, "0+0i", id="omega-0.3-1.0-0+0i"),
+])
+def test_shift_reports_keep_their_kind_and_signed_zeros(omega, b_field, off_diagonal):
+    p = ModelParams(omega=omega, b_field=b_field, gup_a=1e-4)
     # a one-member cluster is a degenerate report, with 1x1 eigenvectors,
     # on either side of the critical field and at it
     one = degenerate_shift(SPACE, p, level_cluster(n=2, size=1))
@@ -318,6 +323,15 @@ def test_shift_reports_keep_their_kind_and_signed_zeros(b_field, off_diagonal):
     pair = degenerate_shift(SPACE, p, level_cluster(n=2, size=2)).subspace_matrix
     entries = [row.split() for row in dump_matrix(pair).split("\n")]
     assert entries[0][1] == entries[1][0] == off_diagonal
+    # no eigensolver: the shifts are the diagonal sorted, bit for bit, and
+    # the eigenvectors the identity's columns in that order, every zero +0
+    for r in (one, degenerate_shift(SPACE, p, level_cluster(n=2, size=4))):
+        diagonal = r.subspace_matrix.diagonal().real
+        assert r.shifts == sorted(diagonal.tolist())
+        permutation = np.eye(len(diagonal), dtype=complex)[:, np.argsort(diagonal,
+                                                                         kind="stable")]
+        assert dump_matrix(r.eigenvectors) == dump_matrix(permutation)
+        assert np.array_equal(r.eigenvectors, permutation)
 
 
 def test_shifts_vanish_at_critical_field():
@@ -434,14 +448,10 @@ def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
     assert before == degeneracy_histogram_loop(w0, window)
     assert after == degeneracy_histogram_loop(w1, window)
     for w in (w0, w1):
-        means, sizes = spectral_clusters(w, window)
-        loop = spectral_clusters_loop(w, window)
-        assert sizes.tolist() == [m for _, m in loop]
-        # a sum of m same-sign terms in another order moves by at most m ulp
-        rtol = sizes.max() * np.finfo(float).eps
-        assert np.allclose(means, [e for e, _ in loop], rtol=rtol, atol=0.0)
-    means, sizes = spectral_clusters(np.array([]), window)
-    assert len(means) == len(sizes) == 0 and spectral_clusters_loop([], window) == []
+        sizes = spectral_clusters(w, window)
+        assert sizes.tolist() == [m for _, m in spectral_clusters_loop(w, window)]
+    sizes = spectral_clusters(np.array([]), window)
+    assert len(sizes) == 0 and spectral_clusters_loop([], window) == []
 
 
 # wt = 1, 0.5, 0 (the critical field, where H' vanishes) and -0.5
@@ -489,6 +499,25 @@ def test_scan_histograms_equal_per_point_analysis():
         assert counts == _histograms(SPACE, p, window)
         spectra = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
         assert counts == tuple(degeneracy_histogram_loop(w, window) for w in spectra)
+
+
+def test_a_scan_near_the_float_maximum_runs_without_warnings():
+    # a c m hbar wt = 1e307 at B = 0: the n = 2 shift energies stay finite,
+    # and the spectra reach -1e308, where the sum of one cluster's
+    # eigenvalues would overflow; a histogram reads only the cluster sizes
+    base = ModelParams(omega=1.0, gup_a=1e300, mass=1e7)
+    space = FockSpace(cutoff=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, _ = field_scan(space, base, [0.0, 1.5, 3.0])
+    window = CLUSTER_WINDOW * base.rest_energy
+    for pt in points:
+        assert "error" not in pt
+        p = base.with_field(pt["B"])
+        spectra = interior_spectrum(space, [(p, 0.0), (p, p.gup_a)])
+        with np.errstate(over="ignore"):  # the loop's cluster means overflow
+            loop = tuple(degeneracy_histogram_loop(w, window) for w in spectra)
+        assert (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"]) == loop
 
 
 def test_a_scan_solves_each_sector_once(monkeypatch):

@@ -1,0 +1,88 @@
+"""Property tests: drawn inputs against the invariants of the closed-form paths.
+
+Every draw is derandomized, so a run tests the same examples each time, and
+the example counts are bounded to keep the suite fast.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gup_dosc.fock import FockSpace
+from gup_dosc.model import BRANCHES, ModelParams
+from gup_dosc.perturbation import (
+    ClusterMember,
+    critical_field,
+    degenerate_shift,
+    spectral_clusters,
+)
+from reference import spectral_clusters_loop
+
+SPACE = FockSpace(cutoff=12)
+FLOAT_MAX = np.finfo(float).max
+
+DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+scales = st.floats(0.1, 10.0)
+
+
+@st.composite
+def model_params(draw):
+    """(omega, B, m, c, hbar, |e|, a), B on either side of the critical field."""
+    base = ModelParams(omega=draw(scales), mass=draw(scales), light_speed=draw(scales),
+                       hbar=draw(scales), charge=draw(scales),
+                       gup_a=draw(st.just(0.0) | st.floats(1e-8, 1e-2)))
+    ratio = draw(st.floats(0.0, 0.9) | st.floats(1.1, 3.0))  # B / B_c
+    return base.with_field(ratio * critical_field(base))
+
+
+@DRAWS
+@given(p=model_params(), n=st.integers(1, 3), branch=st.sampled_from(BRANCHES),
+       size=st.integers(1, 5))
+def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
+    cluster = [ClusterMember(n, branch, k) for k in range(size)]
+    r = degenerate_shift(SPACE, p, cluster)
+    matrix = r.subspace_matrix
+    diagonal = matrix.diagonal().real
+    assert np.all(matrix[~np.eye(size, dtype=bool)] == 0.0)
+    assert r.shifts == sorted(diagonal.tolist())
+    # the eigenvectors permute the cluster basis: column i picks the member
+    # whose diagonal entry is shift i
+    assert np.array_equal(np.abs(r.eigenvectors), np.abs(r.eigenvectors) ** 2)
+    assert np.array_equal(r.eigenvectors.sum(axis=0), np.ones(size))
+    assert np.array_equal(r.eigenvectors.sum(axis=1), np.ones(size))
+    members = np.argmax(np.abs(r.eigenvectors), axis=0)
+    assert diagonal[members].tolist() == r.shifts
+    assert r.shifts_energy == [s * p.shift_unit for s in r.shifts]
+
+
+# a spectrum: moderate energies, which repeat so that clusters form, and
+# energies near either end of the float range, whose gaps and sums overflow;
+# without moderate ones, the two ends of the range are neighbours
+moderate = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]) | st.floats(-10.0, 10.0)
+extreme = (st.floats(-FLOAT_MAX, -1e307) | st.floats(1e307, FLOAT_MAX)
+           | st.sampled_from([-FLOAT_MAX, FLOAT_MAX]))
+
+
+@st.composite
+def spectra_and_windows(draw):
+    """An ascending spectrum and a window, at times one of its own finite
+    gaps, where a run must not break."""
+    values = draw(st.just([]) | st.lists(moderate, max_size=30))
+    values += draw(st.lists(extreme, max_size=6))
+    spectrum = np.sort(np.array(values, dtype=float))
+    with np.errstate(over="ignore"):
+        gaps = [g for g in np.diff(spectrum).tolist() if 0.0 < g < np.inf]
+    windows = st.sampled_from([1e-12, 1e-9, 1e-3, 1.0, 1e307])
+    return spectrum, draw(windows | st.sampled_from(gaps) if gaps else windows)
+
+
+@DRAWS
+@given(drawn=spectra_and_windows())
+def test_cluster_sizes_equal_the_per_cluster_loop(drawn):
+    spectrum, window = drawn
+    sizes = spectral_clusters(spectrum, window)
+    assert sizes.sum() == len(spectrum)
+    with np.errstate(over="ignore"):  # the loop's gaps and means may overflow
+        loop = spectral_clusters_loop(spectrum, window)
+    assert sizes.tolist() == [m for _, m in loop]
