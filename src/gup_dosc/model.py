@@ -70,7 +70,7 @@ class ModelParams:
             raise UsageError(f"deformation parameter must be >= 0, got {self.gup_a}")
         # finite inputs can still give scales beyond the float range
         for name in ("cyclotron_frequency", "omega_tilde", "rest_energy", "lam",
-                     "alpha_gup", "shift_unit"):
+                     "alpha_gup", "shift_unit", "critical_field"):
             try:
                 value = getattr(self, name)
             except (OverflowError, ZeroDivisionError):
@@ -108,6 +108,11 @@ class ModelParams:
         return (
             self.gup_a * self.light_speed * self.mass * self.hbar * self.omega_tilde
         )
+
+    @property
+    def critical_field(self) -> float:
+        """Field at which the reduced frequency vanishes: 2 omega m c / |e|."""
+        return 2.0 * self.omega * self.mass * self.light_speed / self.charge
 
     def with_field(self, b_field: float) -> "ModelParams":
         return replace(self, b_field=b_field)
@@ -299,48 +304,39 @@ def pair_sectors(
 
 def build_sectors(
     space: FockSpace,
-    configs: Sequence[tuple[ModelParams, float]],
+    terms: Sequence[tuple[float, float, float, float]],
     js: Iterable[int] | None = None,
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """(rows, stacks): the interior blocks of H0 + H' for each config, one
-    stack per J = n_a - n_b + [spin down] in `js` (every J-sector, ascending,
-    by default).
+) -> Iterator[np.ndarray]:
+    """The interior blocks of H0 + H' for each of `terms`, one stack per
+    J = n_a - n_b + [spin down] in `js` (every J-sector, ascending, by
+    default); row k of every stack is the block of terms[k].
 
-    A config is a (ModelParams, deformation strength) pair; a strength may be
-    negative, as the finite-difference oracle extends the spectrum
-    symmetrically through a = 0. Built from closed-form ladder matrix
+    Each of `terms` is the (m c^2, k_a, k_b, deform) of one config
+    (`sector_terms`), checked there. Built from closed-form ladder matrix
     elements on the interior n_a + n_b <= cutoff - INTERIOR_MARGIN only; the
-    full space is never allocated. Every config is checked on the call; the
-    stacks are generated one at a time, in the order of `js`, so a caller
-    that consumes them in turn holds one stack at a time. A stack holds one
-    block per distinct config, and `rows[k]` is the row of configs[k] in
-    every stack. Each block runs over the spin-up states, then the spin-down
-    states, each ascending in n_b; it is real symmetric
-    float64 in the basis where |n_a, n_b, s> carries the phase i^{n_b}
-    (CONVENTIONS.md, Sectors), and holds
+    full space is never allocated. The stacks are generated one at a time,
+    in the order of `js`, so a caller that consumes them in turn holds one
+    stack at a time. Each block runs over the spin-up states, then the
+    spin-down states, each ascending in n_b; it is real symmetric float64 in
+    the basis where |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md,
+    Sectors), and holds
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
       coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
 
-    m c^2, k_a, k_b and deform = -a c m |wt| hbar are computed and checked
-    once per config (`sector_terms`), and configs with equal values share one
-    row. Per J the index pattern is built once for every row, and row k is
+    Per J the index pattern is built once for every row, and row k is
     h_k + deform_k D, with h_k the ± m c^2 and coupling part and D the
     deformation pattern (n_a + n_b + 1 and the pair root): the same float
     operations as building each block alone. D is not added when every
     deform is zero.
     """
     top = _interior_top(space)
-    index: dict[tuple[float, float, float, float], int] = {}
-    rows = np.array([index.setdefault(sector_terms(space, p, a), len(index))
-                     for p, a in configs], dtype=np.intp)
-    # one (distinct config,) column per term; zeros compare equal, and
-    # h + (-0.0) D and h + 0.0 D are the same block
-    terms = np.array(list(index), dtype=float).reshape(-1, 4).T
+    # one (row,) column per term
+    columns = np.array(terms, dtype=float).reshape(-1, 4).T
     if js is None:
         js = range(-top, top + 2)
-    return rows, (_sector(j, top, *terms) for j in js)
+    return (_sector(j, top, *columns) for j in js)
 
 
 def _sector(j: int, top: int, mc2: np.ndarray, k_a: np.ndarray, k_b: np.ndarray,

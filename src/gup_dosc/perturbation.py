@@ -106,8 +106,8 @@ class PTReport:
 
 
 def critical_field(p: ModelParams) -> float:
-    """Field at which the reduced frequency vanishes: 2 omega m c / |e|."""
-    return 2.0 * p.omega * p.mass * p.light_speed / p.charge
+    """Field at which the reduced frequency vanishes (`ModelParams.critical_field`)."""
+    return p.critical_field
 
 
 def level_exists(p: ModelParams, n: int, branch: str) -> bool:
@@ -229,42 +229,38 @@ def interior_spectrum(
     """Ascending eigenvalues of the interior-projected full Hamiltonian.
 
     Row k is the spectrum of configs[k], a (ModelParams, deformation
-    strength) pair. H0 and H' both conserve J = n_a - n_b + [spin down], so
+    strength) pair; a strength may be negative, as the oracle's stencil runs
+    through a = 0. H0 and H' both conserve J = n_a - n_b + [spin down], so
     each row is the sorted union of the J-sector spectra, over every
-    J-sector or over those in `js`. Every config is checked first
-    (`sector_terms`), and configs with equal terms give equal blocks: each
-    distinct one is solved once, and its row is copied to every config
-    that shares it. A `paired` config, at a = 0 off the critical field,
-    takes its 2x2 blocks (`pair_sectors`), all such configs' pairs in one
-    eigensolver call, plus its +-m c^2 singles. Every other config goes
+    J-sector or over those in `js`. Each config is reduced to its block
+    terms once (`sector_terms`, which checks it), and configs with equal
+    terms give equal blocks: each distinct terms is solved once, and its row
+    is copied to every config that shares it. Terms that are `paired`, at
+    a = 0 off the critical field, take their 2x2 blocks (`pair_sectors`) in
+    one eigensolver call, plus their +-m c^2 singles. All other terms go
     through `build_sectors`, whose J-sector stacks are solved one call each
-    as they are generated, so one stack is held at a time; these configs go
-    in consecutive chunks of `fock.stack_configs`, one pass over the
-    J-sectors each, which bounds a stack's bytes.
+    as they are generated, so one stack is held at a time; they go in
+    consecutive chunks of `fock.stack_configs`, one pass over the J-sectors
+    each, which bounds a stack's bytes.
     """
     if not configs:  # no rows of (cutoff - 1) cutoff interior eigenvalues
         return np.empty((0, (space.cutoff - 1) * space.cutoff))
     if js is not None:
         js = list(js)
     terms = [sector_terms(space, p, a) for p, a in configs]
-    # one config per distinct terms: zeros compare equal, and h + (-0.0) D
-    # and h + 0.0 D are the same block
-    distinct = dict(zip(terms, configs))
+    # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
+    distinct = list(dict.fromkeys(terms))
     spectra: dict[tuple, np.ndarray] = {}
-    pairs = [t for t in distinct if paired(t)]
-    if pairs:
-        built = [pair_sectors(space, t, js) for t in pairs]
-        w = eigvalsh(np.concatenate([stack for stack, _, _ in built]))
-        ends = np.cumsum([len(stack) for stack, _, _ in built])[:-1]
-        for t, (_, ups, downs), part in zip(pairs, built, np.split(w, ends)):
-            singles = np.repeat([t[0], -t[0]], [ups, downs])
-            spectra[t] = np.sort(np.concatenate([part.ravel(), singles]))
+    for t in filter(paired, distinct):
+        pairs, ups, downs = pair_sectors(space, t, js)
+        singles = np.repeat([t[0], -t[0]], [ups, downs])
+        spectra[t] = np.sort(np.concatenate([eigvalsh(pairs).ravel(), singles]))
     dense = [t for t in distinct if not paired(t)]
     size = stack_configs(space.cutoff)
     for i in range(0, len(dense), size):
         chunk = dense[i:i + size]
-        _, stacks = build_sectors(space, [distinct[t] for t in chunk], js)
-        w = np.concatenate([eigvalsh(stack) for stack in stacks], axis=-1)
+        w = np.concatenate([eigvalsh(stack) for stack in build_sectors(space, chunk, js)],
+                           axis=-1)
         spectra.update(zip(chunk, np.sort(w, axis=-1)))
     return np.array([spectra[t] for t in terms])
 

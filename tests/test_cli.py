@@ -384,8 +384,8 @@ def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
     (["spectrum", "--omega", "1", "--mass", "1e-200", "--light-speed", "1e-200"],
      "cyclotron_frequency"),
     # finite derived scales whose closed-form radicand or coupling overflows
-    (["spectrum", "--omega", "1e308"], "lam"),
-    (["spectrum", "--omega", "1e300", "--mass", "1e10"], "coupling"),
+    (["spectrum", "--omega", "1", "--hbar", "1e308"], "lam"),
+    (["spectrum", "--omega", "1e200", "--mass", "1e100", "--hbar", "1e100"], "coupling"),
     (["spectrum", "--omega", "1", "--cutoff", "1001"], "cutoff 1001"),
 ], ids=["rest-energy", "shift-unit", "lam", "cyclotron", "underflow", "radicand",
         "coupling", "cutoff-cost"])
@@ -400,7 +400,8 @@ def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys)
     assert named in err and "Traceback" not in err and "Warning" not in err
 
 
-HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
+# m c^2 = 1e308 with a finite critical field, 5e307
+HUGE_REST_ENERGY = ["--omega", "0.25", "--mass", "1e308", "--cutoff", "12"]
 
 
 @pytest.mark.parametrize("argv, code, named", [
@@ -411,6 +412,8 @@ HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
                  id="validate-2-oracle stencil step"),
     pytest.param(["degenerate", *HUGE_REST_ENERGY], 2, "spinor weights of level n=2",
                  id="degenerate-2-spinor weights of level n=2"),
+    pytest.param(["spectrum", "--omega", "1", "--mass", "1e308", "--cutoff", "12"], 2,
+                 "critical_field", id="spectrum-critical-field-overflow"),
     pytest.param(["degenerate", "--omega", "1", "--mass", "5e307", "--cutoff", "12"], 2,
                  "cannot tell apart the 5 eigenvalues of J-sector -1",
                  id="degenerate-mass-5e307-2-oracle stencil step"),
@@ -431,7 +434,8 @@ HUGE_REST_ENERGY = ["--omega", "1", "--mass", "1e308", "--cutoff", "12"]
 def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
     # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
     # step 1e-313 is below the spectrum's resolution, and E_n + m c^2 of an
-    # excited level overflows. m c^2 = 5e307: the n = 2 cluster reports its
+    # excited level overflows; at omega = 1 its critical field, 2e308, is
+    # beyond the float range. m c^2 = 5e307: the n = 2 cluster reports its
     # members' shared level energy, where their sum would overflow, and the
     # oracle step 2e-313 is again below the resolution. a = 1e307: the sector
     # diagonal overflows at every scan point off the critical field, and each
@@ -557,6 +561,22 @@ def test_spectrum_beyond_dense_reach(tmp_path):
     rows = json.loads(text)["levels"]
     assert all(r["rel_error"] <= 1e-12 for r in rows)
     assert [r["multiplicity"] for r in rows] == [79 - r["n"] for r in rows]
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
+    for argv in (["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
+                  "--gup-a", "1e-4"], ["validate", "--omega", "1", "--B", "1",
+                                      "--gup-a", "1e-4"]):
+        reports = {
+            threads: subprocess.run(
+                [sys.executable, "-m", "gup_dosc.cli", *argv, "--cutoff", "12",
+                 "--format", "json"],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                capture_output=True, timeout=120).stdout
+            for threads in ("1", "2")
+        }
+        assert reports["1"] and reports["1"] == reports["2"]
 
 
 def test_only_the_cli_freezes_the_import_heap():

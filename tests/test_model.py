@@ -13,7 +13,13 @@ from gup_dosc.fock import (
     sector_cost,
     stack_configs,
 )
-from gup_dosc.model import ModelParams, build_sectors, landau_level, spinor_level
+from gup_dosc.model import (
+    ModelParams,
+    build_sectors,
+    landau_level,
+    sector_terms,
+    spinor_level,
+)
 from gup_dosc.numerics import eigvalsh, norm_max
 from reference import (
     Space,
@@ -213,22 +219,23 @@ SECTOR_FIELDS = [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 0.0)]
 def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
     space = Space(cutoff=10, include_spin=True)
     p = ModelParams(omega=omega, b_field=b_field)
-    # one stack per J holds the block of every config; configs with the same
-    # block (every strength zero, or wt = 0) share a row
+    # one stack per J holds the block of every config's terms; configs with
+    # the same block (every strength zero, or wt = 0) have equal terms
     strengths = (strength, 0.0, -2.0 * strength)
     same = strength == 0.0 or p.omega_tilde == 0.0
     dense = [build_h0(space, p) + build_h_prime(space, p, strength=a) for a in strengths]
-    rows, stacks = build_sectors(space, [(p, a) for a in strengths])
+    terms = [sector_terms(space, p, a) for a in strengths]
+    assert len(set(terms)) == (1 if same else 3)
+    stacks = build_sectors(space, terms)
     sectors = dict(zip(all_js(space), stacks))
     indices = {j: sector_indices(space, j) for j in sectors}
     covered = np.sort(np.concatenate(list(indices.values())))
     assert np.array_equal(covered, np.sort(space.interior_indices(2)))
-    assert rows.tolist() == ([0, 0, 0] if same else [0, 1, 2])
     for j, stack in sectors.items():
         assert all(sector_j(space, i) == j for i in indices[j])
         assert stack.dtype == np.float64
-        assert len(stack) == (1 if same else 3)
-        for matrix, h in zip(stack[rows], dense):
+        assert len(stack) == 3
+        for matrix, h in zip(stack, dense):
             # the dense block conjugated by the i^{n_b} phases is real symmetric
             block = sector_block(space, h, j)
             assert norm_max(block.imag) == 0.0
@@ -256,7 +263,7 @@ def test_sector_couplings_are_exact_zeros():
     space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
-        _, stacks = build_sectors(space, [(p, p.gup_a)])
+        stacks = build_sectors(space, [sector_terms(space, p, p.gup_a)])
         for j, stack in zip(all_js(space), stacks):
             states = [space.unpack(int(i)) for i in sector_indices(space, j)]
             for r, (n_a, n_b, row_up) in enumerate(states):
@@ -267,16 +274,21 @@ def test_sector_couplings_are_exact_zeros():
 
 def test_build_sectors_rejects_cutoff_inside_margin():
     p = ModelParams(omega=1.0)
+    space = FockSpace(cutoff=INTERIOR_MARGIN)
+    terms = sector_terms(space, p, 0.0)
     with pytest.raises(UsageError, match="cutoff 1"):
-        build_sectors(FockSpace(cutoff=1), [(p, 0.0)])
+        sector_terms(FockSpace(cutoff=1), p, 0.0)
+    with pytest.raises(UsageError, match="cutoff 1"):
+        build_sectors(FockSpace(cutoff=1), [terms])
     # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
-    _, stacks = build_sectors(FockSpace(cutoff=INTERIOR_MARGIN), [(p, 0.0)])
+    stacks = build_sectors(space, [terms])
     assert [stack.shape for stack in stacks] == [(1, 1, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 7, 12, 40])
 def test_sector_cost_counts_the_built_blocks(cutoff):
-    _, stacks = build_sectors(FockSpace(cutoff), [(ModelParams(omega=1.0), 0.0)])
+    space = FockSpace(cutoff)
+    stacks = build_sectors(space, [sector_terms(space, ModelParams(omega=1.0), 0.0)])
     dims = [stack.shape[-1] for stack in stacks]
     assert sector_cost(cutoff) == (sum(d ** 3 for d in dims), 8 * max(dims) ** 2)
 

@@ -10,7 +10,7 @@ import pytest
 import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import ModelParams, build_sectors
+from gup_dosc.model import ModelParams, build_sectors, sector_terms
 from gup_dosc.numerics import as_matrix, dump_matrix, eigh, eigvalsh, norm_max
 from reference import adjoint, commutator
 
@@ -248,7 +248,8 @@ def test_eigvalsh_stack_equals_per_matrix_calls_bitwise(dtype):
 
 def test_eigvalsh_stack_of_sector_blocks_equals_per_block_calls_bitwise():
     p = ModelParams(omega=1.0, b_field=1.0)
-    _, stacks = build_sectors(FockSpace(cutoff=40), [(p, a) for a in (0.0, 1e-5, -2e-5)])
+    space = FockSpace(cutoff=40)
+    stacks = build_sectors(space, [sector_terms(space, p, a) for a in (0.0, 1e-5, -2e-5)])
     for stack in stacks:
         w = eigvalsh(stack)
         for k, block in enumerate(stack):

@@ -479,10 +479,9 @@ def _count_eigvalsh(monkeypatch) -> list[int]:
 
 def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
     configs = _scan_configs()
-    # the two configs of the critical field give one block: 7 rows for 8
-    sector_rows, stacks = build_sectors(SPACE, configs)
-    assert len(next(stacks)) == 7
-    assert sector_rows.tolist() == [0, 1, 2, 3, 4, 4, 5, 6]
+    # the two configs of the critical field have equal terms: 7 for 8
+    terms = [sector_terms(SPACE, p, a) for p, a in configs]
+    assert terms[4] == terms[5] and len(set(terms)) == 7
     rows = interior_spectrum(SPACE, configs)
     assert rows.shape == (8, (SPACE.cutoff - 1) * SPACE.cutoff)
     for config, row in zip(configs, rows):
@@ -524,11 +523,37 @@ def test_a_scan_solves_each_sector_once(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     # the a = 0 configs off the critical field (B = 0, 1, 3) are T (T + 1) / 2
-    # = 55 2x2 blocks each at cutoff 12 (T = 10), all in one call; the other
-    # 4 distinct configs (the critical field's two blocks are one) go in one
-    # stack per J-sector, 2 T + 2 = 22 of them; one pass per point would
-    # make 4 x 22 dense calls
-    assert calls == [3 * 55] + [4] * 22
+    # = 55 2x2 blocks each at cutoff 12 (T = 10), one call per config; the
+    # other 4 distinct configs (the critical field's two blocks are one) go
+    # in one stack per J-sector, 2 T + 2 = 22 of them; one pass per point
+    # would make 4 x 22 dense calls
+    assert calls == [55] * 3 + [4] * 22
+
+
+def test_each_config_is_reduced_to_its_terms_once(monkeypatch):
+    reduced, built = [], []
+
+    def reducing(space, p, a):
+        reduced.append((p, a))
+        return sector_terms(space, p, a)
+
+    def building(space, terms, js):
+        built.append(list(terms))
+        return build_sectors(space, terms, js)
+
+    monkeypatch.setattr(perturbation, "sector_terms", reducing)
+    monkeypatch.setattr(perturbation, "build_sectors", building)
+    configs = _scan_configs()
+    rows = interior_spectrum(SPACE, configs)
+    assert reduced == configs
+    # the three paired a = 0 configs take their 2x2 blocks; the other five,
+    # the critical field's two among them, are 4 distinct terms in one pass
+    (dense,) = built
+    assert len(set(dense)) == len(dense) == 4
+    terms = [sector_terms(SPACE, p, a) for p, a in configs]
+    assert set(dense) == {t for t in terms if not paired(t)}
+    # the critical field's two configs share one row
+    assert terms[4] == terms[5] and np.array_equal(rows[4], rows[5])
 
 
 def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
@@ -561,15 +586,10 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
         monkeypatch, tmp_path):
     stacks = []
 
-    def recording(space, configs, js):
-        rows, built = build_sectors(space, configs, js)
-
-        def record():
-            for j, stack in zip(js, built):
-                stacks.append((j, len(stack)))
-                yield stack
-
-        return rows, record()
+    def recording(space, terms, js):
+        for j, stack in zip(js, build_sectors(space, terms, js)):
+            stacks.append((j, len(stack)))
+            yield stack
 
     monkeypatch.setattr(perturbation, "build_sectors", recording)
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
@@ -586,7 +606,7 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
 def _dense_rows(space, configs, js=None):
     """Sorted rows of the `build_sectors` blocks, each J-stack in one eigvalsh
     call: the dense path, whatever the configs."""
-    _, stacks = build_sectors(space, configs, js)
+    stacks = build_sectors(space, [sector_terms(space, p, a) for p, a in configs], js)
     return np.sort(np.concatenate([eigvalsh(s) for s in stacks], axis=-1), axis=-1)
 
 
@@ -643,7 +663,7 @@ def test_unpaired_configs_take_the_dense_blocks(p, a, monkeypatch):
     monkeypatch.setattr(perturbation, "eigvalsh", recording)
     row = interior_spectrum(space, [(p, a)])
     # one one-config stack per J-sector, of its full dimension
-    _, stacks = build_sectors(space, [(p, a)])
+    stacks = build_sectors(space, [sector_terms(space, p, a)])
     assert shapes == [stack.shape for stack in stacks]
     assert np.array_equal(row, _dense_rows(space, [(p, a)]))
 
@@ -674,9 +694,9 @@ def test_one_config_per_stack_changes_no_row(monkeypatch):
     assert stack_configs(SPACE.cutoff) == 1
     calls = _count_eigvalsh(monkeypatch)
     assert np.array_equal(interior_spectrum(SPACE, configs), rows)
-    # the three paired a = 0 configs' 55 2x2 blocks each in one call, then
+    # each paired a = 0 config's 55 2x2 blocks in a call of its own, then
     # one pass per distinct other config: the critical field's two are one
-    assert calls == [3 * 55] + [1] * 4 * 22
+    assert calls == [55] * 3 + [1] * 4 * 22
     calls.clear()
     # a group of one point: its a = 0 config's 2x2 blocks, then its a != 0
     # config in a pass of its own; the critical field's two equal configs
@@ -711,15 +731,16 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
 
     def second_pass_fails(a):
         calls.append(len(a))
-        # one call of 2x2 blocks and 22 J-sectors at cutoff 12 per pass
-        if len(calls) > 1 + 22:
+        # the first pass: a call of 2x2 blocks for each of its two paired
+        # configs, then 22 J-sectors at cutoff 12
+        if len(calls) > 2 + 22:
             raise ComputationError("eigensolver did not converge")
         return eigvalsh(a)
 
     monkeypatch.setattr(perturbation, "eigvalsh", second_pass_fails)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     # the second pass fails on its first call, the 55 2x2 blocks of B = 3
-    assert calls == [2 * 55] + [2] * 22 + [55]
+    assert calls == [55, 55] + [2] * 22 + [55]
     assert [pt.get("error") for pt in points] == [None, None] + [
         "eigensolver did not converge"] * 2
     for pt in points[:2]:  # each histogram counts every interior state

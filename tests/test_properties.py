@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import BRANCHES, ModelParams
+from gup_dosc.model import BRANCHES, ModelParams, build_sectors, paired, sector_terms
+from gup_dosc.numerics import eigvalsh
 from gup_dosc.perturbation import (
     ClusterMember,
     critical_field,
     degenerate_shift,
+    interior_spectrum,
     spectral_clusters,
 )
 from reference import spectral_clusters_loop
@@ -54,6 +56,20 @@ def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
     members = np.argmax(np.abs(r.eigenvectors), axis=0)
     assert diagonal[members].tolist() == r.shifts
     assert r.shifts_energy == [s * p.shift_unit for s in r.shifts]
+
+
+@DRAWS
+@given(p=model_params())
+def test_pair_spectra_equal_the_dense_blocks(p):
+    # a = 0 off the critical field: the 2x2 blocks and singles of
+    # `pair_sectors` against the J-sector blocks they are a sum of
+    terms = sector_terms(SPACE, p, 0.0)
+    assert paired(terms)
+    (row,) = interior_spectrum(SPACE, [(p, 0.0)])
+    dense = np.sort(np.concatenate([eigvalsh(stack)[0]
+                                    for stack in build_sectors(SPACE, [terms])]))
+    assert row.shape == dense.shape
+    assert np.max(np.abs(row - dense)) <= 1e-12 * max(1.0, abs(p.rest_energy))
 
 
 # a spectrum: moderate energies, which repeat so that clusters form, and
