@@ -218,6 +218,8 @@ def _parse_tolerances(pairs, from_config: dict) -> dict:
             tol[name] = float(value)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"tolerance {name!r} is not a number: {value!r}") from exc
+        except OverflowError:
+            raise UsageError(f"tolerance {name!r} is too large for a float") from None
         if not math.isfinite(tol[name]):
             raise UsageError(f"tolerance {name!r} must be finite")
         if tol[name] <= 0.0:

@@ -22,16 +22,16 @@ from .errors import UsageError
 INTERIOR_MARGIN = 2
 # Largest accepted cutoff. Memory stays small there: one J-sector stack at a
 # time, its configs bounded by STACK_BYTES (a lone block may exceed it, 8 MB at
-# the limit), plus spectra of 8 MB each; an a = 0 spectrum's 2x2 blocks take
-# 16 MB. Eigensolver work of a dense spectrum (a != 0, or the critical field)
-# grows as cutoff^4: 5e11 dim^3 at the limit, and as cutoff^2 at a = 0. The
+# the limit), plus spectra of 8 MB each. Eigensolver work of a dense spectrum
+# (a != 0, or the critical field) grows as cutoff^4: 5e11 dim^3 at the limit.
+# An a = 0 spectrum off the critical field is closed form, cutoff^2 work. The
 # oracle solves only the J-sectors of its states, cutoff^3 each.
 MAX_CUTOFF = 1000
 # Bytes of the largest block of one J-sector stack, summed over its configs:
 # configs beyond it go in further passes over the J-sectors (`stack_configs`).
-# 2 MiB keeps the five-strength oracle stencil one pass up to cutoff 229; a
-# scan pass with the eigensolver's copies of its stack and its spectra then
-# adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
+# 2 MiB keeps the oracle stencil's four a != 0 strengths one pass up to cutoff
+# 257; a scan pass with the eigensolver's copies of its stack and its spectra
+# then adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
 STACK_BYTES = 2 * 2 ** 20
 
 

@@ -20,6 +20,7 @@ critical field wt = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
@@ -231,75 +232,79 @@ def sector_terms(
     """(m c^2, k_a, k_b, deform) of one config's J-sector blocks.
 
     deform = -a c m |wt| hbar weighs the deformation pattern. With
-    T = cutoff - INTERIOR_MARGIN, no block entry exceeds max(k_a, k_b)
-    sqrt(T + 1) off the diagonal or |m c^2| + |deform| (T + 1) on it; raises
-    UsageError when either bound is not finite, or the cutoff leaves no
-    interior.
+    T = cutoff - INTERIOR_MARGIN, no block entry exceeds the coupling
+    max(k_a, k_b) sqrt(T + 1) off the diagonal or |m c^2| + |deform| (T + 1)
+    on it, and no 2x2 block of `pair_spectrum` has an eigenvalue beyond
+    hypot(m c^2, coupling); raises UsageError when a bound is not finite, or
+    the cutoff leaves no interior.
     """
     top = _interior_top(space)
     deform = -strength * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
     k_a, k_b = _couplings(p)
     coupling = max(k_a, k_b) * math.sqrt(top + 1)
-    if not math.isfinite(coupling):
-        raise UsageError(
-            f"derived oscillator coupling is not finite for these inputs, got "
-            f"{coupling}"
-        )
-    diagonal = abs(p.rest_energy) + abs(deform) * (top + 1)
-    if not math.isfinite(diagonal):
-        raise UsageError(
-            f"sector diagonal |m c^2| + |a c m wt hbar| (cutoff - 1) is not finite "
-            f"for these inputs at a = {strength!r}, got {diagonal}"
-        )
+    for bound, message in (
+        (coupling, "derived oscillator coupling is not finite for these inputs"),
+        (abs(p.rest_energy) + abs(deform) * (top + 1),
+         "sector diagonal |m c^2| + |a c m wt hbar| (cutoff - 1) is not finite "
+         f"for these inputs at a = {strength!r}"),
+        (math.hypot(p.rest_energy, coupling),
+         "pair eigenvalue bound hypot(m c^2, coupling) is not finite for these inputs"),
+    ):
+        if not math.isfinite(bound):
+            raise UsageError(f"{message}, got {bound}")
     return p.rest_energy, k_a, k_b, deform
 
 
 def paired(terms: tuple[float, float, float, float]) -> bool:
     """Whether the J-sector blocks of a config with these `sector_terms` are a
-    direct sum of 2x2 and 1x1 blocks (`pair_sectors`): no deformation, and
+    direct sum of 2x2 and 1x1 blocks (`pair_spectrum`): no deformation, and
     one coupling, as at a = 0 off the critical field."""
     _, k_a, k_b, deform = terms
     return deform == 0.0 and (k_a == 0.0) != (k_b == 0.0)
 
 
-def pair_sectors(
+def _links(n_a: np.ndarray, n_b: np.ndarray, top: int) -> Iterator[tuple]:
+    """(link, up n_b, root) of each term of K = k_a a† + k_b b on the spin-down
+    states (n_a, n_b), k_a's first: a† takes a down state to up (n_a + 1, n_b)
+    while that stays interior, with root sqrt(n_a + 1), and b takes it to up
+    (n_a, n_b - 1), with root sqrt(n_b). `link` marks the down states a term
+    moves; each term is computed as it is drawn."""
+    yield n_a + n_b < top, n_b, np.sqrt(n_a + 1.0)
+    yield n_b >= 1, n_b - 1, np.sqrt(n_b.astype(float))
+
+
+def pair_spectrum(
     space: FockSpace,
     terms: tuple[float, float, float, float],
     js: Sequence[int] | None = None,
-) -> tuple[np.ndarray, int, int]:
-    """(pairs, ups, downs): the J-sector blocks of a `paired` config, over the
-    J in `js` (every J-sector by default), as the blocks they are a sum of.
+) -> np.ndarray:
+    """The ascending spectrum of a `paired` config over the J in `js` (every
+    J-sector by default), in closed form.
 
-    With one coupling and no deformation, K = k_a a† (wt > 0) or k_b b
-    (wt < 0) couples each spin-down state (n_a, n_b) to at most one spin-up
-    state, (n_a + 1, n_b) or (n_a, n_b - 1), and no two to the same one; the
-    pair lies in J-sector n_a - n_b + 1. `pairs` stacks one block
-    [[m c^2, kappa], [kappa, -m c^2]] per coupled pair, with kappa =
-    k_a sqrt(n_a + 1) or k_b sqrt(n_b) of the down state, the same float
-    operations as `build_sectors`. Every other state is a 1x1 block: `ups`
-    spin-up states at m c^2 and `downs` spin-down states at -m c^2.
+    With one coupling and no deformation, K (`_links`) couples each spin-down
+    state to at most one spin-up state, and no two to the same one; the pair
+    lies in J-sector n_a - n_b + 1 of its down state. It is the block
+    [[m c^2, kappa], [kappa, -m c^2]], kappa = k_a sqrt(n_a + 1) or
+    k_b sqrt(n_b) (the same float operations as `build_sectors`), with
+    eigenvalues +-hypot(m c^2, kappa). Every other state is a 1x1 block: a
+    spin-up state at m c^2 or a spin-down state at -m c^2.
     """
     top = _interior_top(space)
     mc2, k_a, k_b, _ = terms
     # every interior (n_a, n_b), n_a + n_b <= top
     quanta = np.arange(top + 1)
     n_a, n_b = np.nonzero(np.add.outer(quanta, quanta) <= top)
-    if k_a:
-        coupled = n_a + n_b < top  # the up state n_a + 1 stays interior
-        kappa = k_a * np.sqrt(n_a + 1.0)
-    else:
-        coupled = n_b >= 1
-        kappa = k_b * np.sqrt(n_b.astype(float))
-    # J of |n_a, n_b, up> is n_a - n_b, and of |n_a, n_b, down> one more
-    if js is None:
-        up = down = np.ones(len(n_a), dtype=bool)
-    else:
-        up, down = np.isin(n_a - n_b, js), np.isin(n_a - n_b + 1, js)
-    kappa = kappa[down & coupled]
-    pairs = np.empty((len(kappa), 2, 2))
-    pairs[:, 0, 0], pairs[:, 1, 1] = mc2, -mc2
-    pairs[:, 0, 1] = pairs[:, 1, 0] = kappa
-    return pairs, int(up.sum()) - len(kappa), int(down.sum()) - len(kappa)
+    # the one coupling's term; k_a's is dropped before k_b's is computed
+    link, to_b, root = next(itertools.compress(_links(n_a, n_b, top), (k_a, k_b)))
+    ups = downs = len(n_a)
+    if js is not None:  # J of |n_a, n_b, up> is n_a - n_b, and of down one more
+        down = np.isin(n_a - n_b + 1, js)
+        ups, downs = np.count_nonzero(np.isin(n_a - n_b, js)), np.count_nonzero(down)
+        link &= down
+    levels = np.hypot(mc2, (k_a or k_b) * root[link])
+    del n_a, n_b, link, to_b, root  # the grid is not held with the spectrum
+    singles = np.repeat([mc2, -mc2], [ups - len(levels), downs - len(levels)])
+    return np.sort(np.concatenate([-levels, levels, singles]))
 
 
 def build_sectors(
@@ -323,7 +328,7 @@ def build_sectors(
 
       diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
-      coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`)
+      coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`, `_links`)
 
     Per J the index pattern is built once for every row, and row k is
     h_k + deform_k D, with h_k the ± m c^2 and coupling part and D the
@@ -352,20 +357,13 @@ def _sector(j: int, top: int, mc2: np.ndarray, k_a: np.ndarray, k_b: np.ndarray,
     flat[:, u * (n + 1) :: n + 1] = -mc2[:, np.newaxis]
     # up positions are n_b - up_b[0]; down state q sits at u + q
     first_b = max(0, -j)
-    if k_a.any():
-        # down (n_a, n_b) -> up (n_a + 1, n_b) while that stays interior
-        q = np.nonzero(dn_a + 1 + dn_b <= top)[0]
-        up = dn_b[q] - first_b
-        coeff = k_a[:, np.newaxis] * np.sqrt(dn_a[q] + 1.0)
-        flat[:, up * n + u + q] = coeff
-        flat[:, (u + q) * n + up] = coeff
-    if k_b.any():
-        # down (n_a, n_b) -> up (n_a, n_b - 1)
-        q = np.nonzero(dn_b >= 1)[0]
-        up = dn_b[q] - 1 - first_b
-        coeff = k_b[:, np.newaxis] * np.sqrt(dn_b[q].astype(float))
-        flat[:, up * n + u + q] = coeff
-        flat[:, (u + q) * n + up] = coeff
+    for (link, to_b, root), k in zip(_links(dn_a, dn_b, top), (k_a, k_b)):
+        if k.any():
+            q = np.nonzero(link)[0]
+            up = to_b[q] - first_b
+            coeff = k[:, np.newaxis] * root[q]
+            flat[:, up * n + u + q] = coeff
+            flat[:, (u + q) * n + up] = coeff
     if deform.any():
         # the deformation pattern: n_a + n_b + 1 on the diagonal and the pair
         # root beside it, added in place along the three diagonals

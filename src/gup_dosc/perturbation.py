@@ -33,7 +33,7 @@ from .model import (
     SpinorLevel,
     build_sectors,
     landau_level,
-    pair_sectors,
+    pair_spectrum,
     paired,
     sector_terms,
     spinor_level,
@@ -236,8 +236,8 @@ def interior_spectrum(
     terms once (`sector_terms`, which checks it), and configs with equal
     terms give equal blocks: each distinct terms is solved once, and its row
     is copied to every config that shares it. Terms that are `paired`, at
-    a = 0 off the critical field, take their 2x2 blocks (`pair_sectors`) in
-    one eigensolver call, plus their +-m c^2 singles. All other terms go
+    a = 0 off the critical field, take their spectrum in closed form
+    (`pair_spectrum`), with no eigensolver call. All other terms go
     through `build_sectors`, whose J-sector stacks are solved one call each
     as they are generated, so one stack is held at a time; they go in
     consecutive chunks of `fock.stack_configs`, one pass over the J-sectors
@@ -250,11 +250,7 @@ def interior_spectrum(
     terms = [sector_terms(space, p, a) for p, a in configs]
     # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
     distinct = list(dict.fromkeys(terms))
-    spectra: dict[tuple, np.ndarray] = {}
-    for t in filter(paired, distinct):
-        pairs, ups, downs = pair_sectors(space, t, js)
-        singles = np.repeat([t[0], -t[0]], [ups, downs])
-        spectra[t] = np.sort(np.concatenate([eigvalsh(pairs).ravel(), singles]))
+    spectra = {t: pair_spectrum(space, t, js) for t in distinct if paired(t)}
     dense = [t for t in distinct if not paired(t)]
     size = stack_configs(space.cutoff)
     for i in range(0, len(dense), size):

@@ -362,6 +362,8 @@ def test_non_finite_tolerances_are_usage_errors(name, value, via, tmp_path, caps
     # integers too large for a float
     pytest.param("omega", 10 ** 400, "omega", id="omega-huge-int"),
     pytest.param("B_min", 10 ** 400, "B_min", id="B_min-huge-int"),
+    pytest.param("tolerances", {"cluster_window": 10 ** 400}, "cluster_window",
+                 id="tolerance-huge-int"),
 ])
 def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
     values = {"omega": 1.0, "B_min": 0.0, "B_max": 1.0, "steps": 2, "cutoff": 12,
@@ -402,6 +404,10 @@ def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys)
 
 # m c^2 = 1e308 with a finite critical field, 5e307
 HUGE_REST_ENERGY = ["--omega", "0.25", "--mass", "1e308", "--cutoff", "12"]
+# m c^2 = 1.2e308 and a coupling of 1.5e308, each finite; the eigenvalue
+# hypot of an a = 0 pair block is not
+HUGE_PAIR = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar",
+             "4.1e306", "--cutoff", "12"]
 
 
 @pytest.mark.parametrize("argv, code, named", [
@@ -430,6 +436,10 @@ HUGE_REST_ENERGY = ["--omega", "0.25", "--mass", "1e308", "--cutoff", "12"]
                   "--gup-a", "1e300", "--mass", "3e7", "--cutoff", "8", "--format", "json"],
                  0, "shift energy of level (n=2, branch +)",
                  id="scan-shift-energy-overflow"),
+    pytest.param(["spectrum", *HUGE_PAIR, "--levels", "2"], 2,
+                 "hypot(m c^2, coupling)", id="spectrum-pair-eigenvalue-overflow"),
+    pytest.param(["validate", *HUGE_PAIR, "--gup-a", "0"], 2,
+                 "hypot(m c^2, coupling)", id="validate-pair-eigenvalue-overflow"),
 ])
 def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
     # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
@@ -442,6 +452,8 @@ def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, na
     # records it. a = 1e300 with m = 1e7: the spectra reach -1e308, where a
     # cluster's eigenvalue sum would overflow; with m = 3e7 the n = 2 shift
     # energies overflow, so degenerate fails and each scan point records it.
+    # m c^2 = 1.2e308 with a coupling of 1.5e308: the a = 0 pair eigenvalues
+    # overflow, and that bound is a usage error before anything is solved.
     # Run with every warning an error, as a user with PYTHONWARNINGS=error
     # would.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))

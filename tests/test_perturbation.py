@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -522,12 +523,11 @@ def test_a_scan_near_the_float_maximum_runs_without_warnings():
 def test_a_scan_solves_each_sector_once(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    # the a = 0 configs off the critical field (B = 0, 1, 3) are T (T + 1) / 2
-    # = 55 2x2 blocks each at cutoff 12 (T = 10), one call per config; the
-    # other 4 distinct configs (the critical field's two blocks are one) go
-    # in one stack per J-sector, 2 T + 2 = 22 of them; one pass per point
-    # would make 4 x 22 dense calls
-    assert calls == [55] * 3 + [4] * 22
+    # the a = 0 configs off the critical field (B = 0, 1, 3) are closed form,
+    # with no eigensolver call; the other 4 distinct configs (the critical
+    # field's two blocks are one) go in one stack per J-sector, 2 T + 2 = 22
+    # of them at cutoff 12 (T = 10); one pass per point would make 4 x 22
+    assert calls == [4] * 22
 
 
 def test_each_config_is_reduced_to_its_terms_once(monkeypatch):
@@ -546,7 +546,7 @@ def test_each_config_is_reduced_to_its_terms_once(monkeypatch):
     configs = _scan_configs()
     rows = interior_spectrum(SPACE, configs)
     assert reduced == configs
-    # the three paired a = 0 configs take their 2x2 blocks; the other five,
+    # the three paired a = 0 configs are closed form; the other five,
     # the critical field's two among them, are 4 distinct terms in one pass
     (dense,) = built
     assert len(set(dense)) == len(dense) == 4
@@ -567,16 +567,14 @@ def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
 
     # one stencil per distinct J-sector of the reported states: J = 0 for
     # (n=0, +), and J = 1 once for both (n=1, +) and (n=1, -); a second run
-    # in the same process solves them again. Each stencil is its a = 0
-    # strength's 2x2 blocks (5 of them in J = 0 and in J = 1 at cutoff 12)
-    # and one stack of the four other strengths
+    # in the same process solves them again. Each stencil is one stack of
+    # its four a != 0 strengths; its a = 0 strength is closed form
     for command in ("correct", "correct"):
-        assert run(command, "1") == [5, 4, 5, 4]
-    # validate's a = 0 level rows are the 55 2x2 blocks of all 22 J-sectors
-    # at cutoff 12, in one call; its ground (J = 0), first excited (J = 1)
-    # and four n = 2 states (by ascending shift J = -1, 0, 1, 2) then need
-    # four distinct stencils, J = -1 with 4 pairs
-    assert run("validate", "1") == [55] + [5, 4] * 2 + [4, 4] + [5, 4]
+        assert run(command, "1") == [4, 4]
+    # validate's a = 0 level rows are closed form; its ground (J = 0), first
+    # excited (J = 1) and four n = 2 states (by ascending shift J = -1, 0, 1,
+    # 2) then need four distinct stencils
+    assert run("validate", "1") == [4] * 4
     # at the critical field every shift vanishes and no stencil is built
     for command in ("correct", "degenerate"):
         assert run(command, "2") == []
@@ -596,8 +594,8 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
     # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
     # blocks, 399 states: the four a != 0 configs of one exceed STACK_BYTES,
-    # so each goes in four one-config passes (the a = 0 one takes its 2x2
-    # blocks, and builds no block), and J = 1 is built for one branch only;
+    # so each goes in four one-config passes (the a = 0 one is closed form,
+    # and builds no block), and J = 1 is built for one branch only;
     # the other 796 J-sectors are never built
     assert stack_configs(400) == 1
     assert stacks == [(0, 1)] * 4 + [(1, 1)] * 4
@@ -618,26 +616,16 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
     (terms,) = {sector_terms(space, p, a) for a in (0.0, -0.0)}
     assert paired(terms)
     top = cutoff - fock.INTERIOR_MARGIN
-    shapes = []
-
-    def recording(a):
-        shapes.append(a.shape)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(perturbation, "eigvalsh", recording)
+    calls = _count_eigvalsh(monkeypatch)
     # every J-sector, the two outermost ones and the two at J = 0, 1, alone
     # and together
     for js in (None, [-top], [top + 1], [0, 1], [-top, 0, 1, top + 1]):
-        shapes.clear()
         (row,) = interior_spectrum(space, [(p, 0.0)], js)
+        # closed form: no eigensolver call and no J-block built
+        assert calls == []
         (dense,) = _dense_rows(space, [(p, 0.0)], js)
         assert row.shape == dense.shape and np.all(np.diff(row) >= 0.0)
         assert np.max(np.abs(row - dense), initial=0.0) <= 1e-12
-        # one call of 2x2 blocks, no J-block built
-        ((pairs, two, also_two),) = shapes
-        assert two == also_two == 2
-        if js is None:
-            assert pairs == top * (top + 1) // 2
     # the a = 0 spectrum is the same on either side of the critical field:
     # the pair roots k sqrt(i), i = 1 .. T, each T - i + 1 times, mirror
     mirror = ModelParams(omega=1.0, b_field=4.0 - b_field)
@@ -680,6 +668,22 @@ def test_paired_scan_histograms_equal_the_dense_ones(cutoff):
         assert pt["degeneracy_counts_before"] == degeneracy_histogram_loop(before, window)
 
 
+def test_a_paired_spectrum_holds_no_block_stack():
+    # a = 0 at cutoff 300, on either side of the critical field: the closed
+    # form holds its row and index arrays over the (n_a, n_b) grid, never a
+    # stack of blocks (9x the row before)
+    space = FockSpace(cutoff=300)
+    for b_field in (1.0, 3.0):
+        config = (ModelParams(omega=1.0, b_field=b_field), 0.0)
+        tracemalloc.start()
+        try:
+            (row,) = interior_spectrum(space, [config])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * row.nbytes
+
+
 def test_no_configs_give_no_rows():
     rows = interior_spectrum(SPACE, [])
     assert rows.shape == (0, (SPACE.cutoff - 1) * SPACE.cutoff)
@@ -694,16 +698,15 @@ def test_one_config_per_stack_changes_no_row(monkeypatch):
     assert stack_configs(SPACE.cutoff) == 1
     calls = _count_eigvalsh(monkeypatch)
     assert np.array_equal(interior_spectrum(SPACE, configs), rows)
-    # each paired a = 0 config's 55 2x2 blocks in a call of its own, then
-    # one pass per distinct other config: the critical field's two are one
-    assert calls == [55] * 3 + [1] * 4 * 22
+    # the paired a = 0 configs are closed form, then one pass per distinct
+    # other config: the critical field's two are one
+    assert calls == [1] * 4 * 22
     calls.clear()
-    # a group of one point: its a = 0 config's 2x2 blocks, then its a != 0
-    # config in a pass of its own; the critical field's two equal configs
-    # are one, solved once, although no two configs share a stack
+    # a group of one point: its a != 0 config in a pass of its own, its a = 0
+    # config in closed form; the critical field's two equal configs are one,
+    # solved once, although no two configs share a stack
     assert field_scan(SPACE, SCAN_BASE, SCAN_FIELDS) == scan
-    one_point = [55] + [1] * 22
-    assert calls == one_point * 2 + [1] * 22 + one_point
+    assert calls == [1] * 22 * 4
 
 
 def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
@@ -731,16 +734,17 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
 
     def second_pass_fails(a):
         calls.append(len(a))
-        # the first pass: a call of 2x2 blocks for each of its two paired
-        # configs, then 22 J-sectors at cutoff 12
-        if len(calls) > 2 + 22:
+        # the first pass: 22 J-sectors at cutoff 12, its two paired configs
+        # in closed form
+        if len(calls) > 22:
             raise ComputationError("eigensolver did not converge")
         return eigvalsh(a)
 
     monkeypatch.setattr(perturbation, "eigvalsh", second_pass_fails)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    # the second pass fails on its first call, the 55 2x2 blocks of B = 3
-    assert calls == [55, 55] + [2] * 22 + [55]
+    # the second pass fails on its first call, J-sector -10 of its two
+    # distinct configs, the critical field's and B = 3's a != 0 one
+    assert calls == [2] * 22 + [2]
     assert [pt.get("error") for pt in points] == [None, None] + [
         "eigensolver did not converge"] * 2
     for pt in points[:2]:  # each histogram counts every interior state

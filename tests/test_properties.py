@@ -61,8 +61,8 @@ def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
 @DRAWS
 @given(p=model_params())
 def test_pair_spectra_equal_the_dense_blocks(p):
-    # a = 0 off the critical field: the 2x2 blocks and singles of
-    # `pair_sectors` against the J-sector blocks they are a sum of
+    # a = 0 off the critical field: the closed-form pairs and singles of
+    # `pair_spectrum` against the J-sector blocks they are a sum of
     terms = sector_terms(SPACE, p, 0.0)
     assert paired(terms)
     (row,) = interior_spectrum(SPACE, [(p, 0.0)])
@@ -70,6 +70,16 @@ def test_pair_spectra_equal_the_dense_blocks(p):
                                     for stack in build_sectors(SPACE, [terms])]))
     assert row.shape == dense.shape
     assert np.max(np.abs(row - dense)) <= 1e-12 * max(1.0, abs(p.rest_energy))
+
+
+@DRAWS
+@given(p=model_params())
+def test_pair_spectra_are_symmetric_under_negation(p):
+    # a = 0 off the critical field: each pair gives +-hypot(m c^2, kappa), and
+    # the m c^2 and -m c^2 singles are equally many, so E -> -E maps the
+    # interior spectrum onto itself exactly
+    (row,) = interior_spectrum(SPACE, [(p, 0.0)])
+    assert np.array_equal(row, -row[::-1])
 
 
 # a spectrum: moderate energies, which repeat so that clusters form, and
