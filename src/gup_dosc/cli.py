@@ -118,19 +118,25 @@ class RunConfig:
         return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subcommands' included, are one-line usage errors."""
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     def add(parser, options):
         for o in options:
             parser.add_argument(o.flag, dest=o.key, type=o.type, choices=o.choices,
                                 help=o.help)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file (flags take precedence)")
     add(common, [o for o in OPTIONS if not o.scan_only])
     common.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
                         help="tolerance override (repeatable)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gup-dosc",
         description="Spectral solver for a planar relativistic oscillator in a "
                     "magnetic field with minimal-length corrections",

@@ -136,18 +136,13 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
                 "the negative branch"
             )
         ref = spinor_level(mirror, 0, POSITIVE)
-        return SpinorLevel(n=0, branch=NEGATIVE, energy=-ref.energy, c_n=ref.c_n,
-                           d_n=ref.d_n)
-    ref = spinor_level(mirror, n, branch)
-    return SpinorLevel(n=n, branch=branch, energy=ref.energy, c_n=ref.c_n,
-                       d_n=ref.d_n)
+        return replace(ref, branch=NEGATIVE, energy=-ref.energy)
+    return spinor_level(mirror, n, branch)
 
 
-def _state_vector(
-    space: FockSpace, p: ModelParams, n: int, branch: str, spectator: int
-) -> tuple[list[tuple[complex, int, int]], dict, float]:
-    """Nonzero amplitudes of an eigenstate of H0, its basis descriptor and
-    its level energy.
+def _state_vector(p: ModelParams, member: ClusterMember, level: SpinorLevel) -> tuple:
+    """Nonzero amplitudes of a checked member, an eigenstate of H0 off the
+    critical field, and its basis descriptor; `level` is its operator level.
 
     Amplitudes are (weight, n_a, n_b), the upper spinor component first. For
     wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for
@@ -155,18 +150,7 @@ def _state_vector(
     fixed by the mirrored block structure.
     """
     wt = p.omega_tilde
-    if wt == 0.0:
-        raise UsageError("eigenstates are not oscillator-like at the critical field")
-    if not level_exists(p, n, branch):
-        raise UsageError(f"level (n={n}, branch {branch}) does not exist here")
-    level = operator_level(p, n, branch)
-    if spectator < 0:
-        raise UsageError(f"spectator quantum must be >= 0, got {spectator}")
-    if n + spectator > space.cutoff - INTERIOR_MARGIN:
-        raise UsageError(
-            f"state (n={n}, spectator={spectator}) too close to cutoff "
-            f"{space.cutoff}; raise the cutoff"
-        )
+    n, branch, spectator = member.n, member.branch, member.spectator
     upper: tuple[int, int] | None
     lower: tuple[int, int] | None
     if n == 0:
@@ -195,7 +179,7 @@ def _state_vector(
         "branch": branch,
         "spectator": spectator,
     }
-    return amplitudes, descriptor, level.energy
+    return amplitudes, descriptor
 
 
 # p^2 = m |wt| hbar [n_a + n_b + 1 + i(a† b† - a b)] and its ladder-form
@@ -389,17 +373,32 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
                   members: Sequence[ClusterMember], degenerate: bool) -> PTReport:
     """The first-order report of `members`, states of one level (n, branch).
 
-    Both kinds sort the members' diagonal cluster matrix; a degenerate report
+    Every member is checked first, on both sides of the critical field. Both
+    kinds sort the members' diagonal cluster matrix; a degenerate report
     carries the sorting permutation as its eigenvectors, a non-degenerate one,
     of a single member, the three-term breakdown of <p^2>. At the critical
     field every shift is identically zero and so is every oracle slope;
     elsewhere the slopes are left to `oracle_check`.
     """
     size = len(members)
+    levels = []
+    for m in members:
+        if not level_exists(p, m.n, m.branch):
+            raise UsageError(f"level (n={m.n}, branch {m.branch}) does not exist here")
+        levels.append(operator_level(p, m.n, m.branch))
+        if m.spectator < 0:
+            raise UsageError(f"spectator quantum must be >= 0, got {m.spectator}")
+        if m.n + m.spectator > space.cutoff - INTERIOR_MARGIN:
+            raise UsageError(f"state (n={m.n}, spectator={m.spectator}) too close to "
+                             f"cutoff {space.cutoff}; raise the cutoff")
+    energies = [level.energy for level in levels]
+    spread = max(energies) - min(energies)
+    if spread > CLUSTER_WINDOW * p.rest_energy:
+        raise UsageError(f"cluster members span {spread:.3e} in energy; not degenerate")
+    if len({(m.n, m.branch) for m in members}) > 1:
+        # near-degenerate levels at tiny wt: the pair term would couple them
+        raise UsageError("cluster members must share one level (n, branch)")
     if p.omega_tilde == 0.0:
-        # every member's level must exist with finite spinor weights even
-        # where every shift vanishes; the members of one level share its energy
-        energies = [operator_level(p, m.n, m.branch).energy for m in members]
         basis: Sequence[dict] = []
         sub = np.zeros((size, size), dtype=np.complex128)
         # a unit of +0.0: the shift unit is -0.0 for a = -0.0
@@ -409,17 +408,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         flags = ["critical field: oscillator coupling vanishes, all corrections are "
                  "identically zero"]
     else:
-        states, basis, energies = zip(
-            *(_state_vector(space, p, m.n, m.branch, m.spectator) for m in members)
-        )
-        spread = max(energies) - min(energies)
-        if spread > CLUSTER_WINDOW * p.rest_energy:
-            raise UsageError(
-                f"cluster members span {spread:.3e} in energy; not degenerate"
-            )
-        if len({(m.n, m.branch) for m in members}) > 1:
-            # near-degenerate levels at tiny wt: the pair term would couple them
-            raise UsageError("cluster members must share one level (n, branch)")
+        states, basis = zip(*(_state_vector(p, m, level) for m, level in zip(members, levels)))
         # an off-diagonal element is -sign(wt) times an empty sum 0j
         sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
         np.fill_diagonal(sub, [_shift(p, state) for state in states])
@@ -547,7 +536,7 @@ def _scan_point(space: FockSpace, p: ModelParams) -> dict:
                    "first_shift": None, "n2_shifts": None,
                    "degeneracy_counts_before": None, "degeneracy_counts_after": None}
     try:
-        branch0 = POSITIVE if p.omega_tilde >= 0.0 else NEGATIVE
+        branch0 = POSITIVE if level_exists(p, 0, POSITIVE) else NEGATIVE
         for key, n, branch in (
             ("ground_shift", 0, branch0),
             ("first_shift", 1, POSITIVE),
@@ -646,8 +635,12 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     image = REFERENCE_DEGENERATE_BLOCK @ vec
     vec_err = float(np.max(np.abs(image - REFERENCE_DEGENERATE_EIGENVECTOR_SHIFT * vec)))
 
-    # 5. critical field
+    # 5. critical field, against the field where |e| B / (m c) reaches 2 omega, exact
+    # so nothing underflows; wt there is a difference of terms of size omega
+    from fractions import Fraction  # here, since only validate needs it
     bc = critical_field(p)
+    per_field = Fraction(p.charge) / (Fraction(p.mass) * Fraction(p.light_speed))
+    bc_ref = float(2 * Fraction(p.omega) / per_field)
     wt_at_bc = p.with_field(bc).omega_tilde
 
     table += [
@@ -673,9 +666,9 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
         ("degenerate-block-eigenvector", vec_err, 0.0,
          "(-1, 1, 0, 0) must map to -8 times itself",
          vec_err <= 1e-12, "degenerate-block-eigenvector"),
-        ("critical-field", bc, 2.0 * p.omega * p.mass * p.light_speed / p.charge,
-         f"reduced frequency at the critical field: {wt_at_bc!r}",
-         abs(wt_at_bc) <= 1e-12, "critical-field"),
+        ("critical-field", bc, bc_ref, f"reduced frequency at the critical field: {wt_at_bc!r}",
+         math.isclose(bc, bc_ref, rel_tol=1e-12) and abs(wt_at_bc) <= 1e-12 * p.omega,
+         "critical-field"),
     ]
     rows = [{"row": row, "computed": computed, "reference": reference, "detail": detail,
              "status": "MATCH" if ok else "DISCREPANCY", "code": None if ok else code}

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import gup_dosc
-from gup_dosc import cli, perturbation
+from gup_dosc import cli, fock, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
 
@@ -330,6 +330,121 @@ def test_non_finite_numbers_are_usage_errors(flag, value, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")
     assert "must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--omega", "1", "--cutoff", "nan"],
+     "argument --cutoff: invalid int value: 'nan'"),
+    (["spectrum", "--omega", "abc"], "argument --omega: invalid float value: 'abc'"),
+    (["spectrum", "--omega", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+    ([], "the following arguments are required: command"),
+    # Python versions word the list of choices differently
+    (["bogus", "--omega", "1"], "argument command: invalid choice: 'bogus'"),
+    (["spectrum", "--omega", "1", "--branch", "x"], "argument --branch: invalid choice: 'x'"),
+], ids=["int-nan", "float-abc", "unknown-flag", "no-command", "unknown-command",
+        "unknown-branch"])
+def test_argument_errors_are_one_line_usage_errors(argv, named, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"usage error: {named}")
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["scan", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage: gup-dosc" in capsys.readouterr().out
+
+
+# B = 2 is the critical field; validate beyond it is ROADMAP item 2
+@pytest.mark.parametrize("argv, b, named", [
+    *((["correct", "--cutoff", "2"], b, "state (n=1, spectator=0) too close to cutoff 2")
+      for b in ("1", "2", "3")),
+    *((["degenerate", "--cutoff", "4"], b, "state (n=2, spectator=1) too close to cutoff 4")
+      for b in ("1", "2", "3")),
+    *((["validate", "--gup-a", "1e-4", "--cutoff", "4"], b,
+       "state (n=2, spectator=1) too close to cutoff 4") for b in ("1", "2")),
+])
+def test_states_beyond_the_cutoff_are_usage_errors_on_both_sides(argv, b, named, capsys):
+    assert main([*argv, "--omega", "1", "--B", b]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: {named}; raise the cutoff\n"
+
+
+def test_the_critical_field_row_scales_with_omega(tmp_path):
+    # the reduced frequency at the critical field is a difference of two
+    # terms of size omega = 1e4: its roundoff, -1.8e-12, is relative to omega
+    code, text = run_to_string(["validate", "--omega", "1e4", "--mass", "0.7",
+                                "--light-speed", "7", "--B", "1", "--gup-a", "1e-4",
+                                "--cutoff", "12", "--format", "json"], tmp_path)
+    report = json.loads(text)
+    assert code == 0 and report["unexpected_discrepancies"] == []
+    (row,) = [r for r in report["rows"] if r["row"] == "critical-field"]
+    assert row["status"] == "MATCH" and row["computed"] == row["reference"] == 98000
+    assert row["detail"].endswith("-1.8189894035458565e-12")
+
+
+# The numeric input table: each numeric setting, as a flag and as a config
+# key, takes each of these values, the other settings at TABLE_BASE.
+TABLE_VALUES = [2.0, 0, -1, float("nan"), float("inf"), 10 ** 400, 1e308, 5e-324]
+TABLE_IDS = ["finite", "zero", "negative", "nan", "inf", "huge-int", "huge-float",
+             "subnormal"]
+TABLE_BASE = {"omega": 1.0, "B": 1.0, "gup_a": 1e-4}
+TABLE_COMMANDS = {"spectrum": [], "correct": [], "degenerate": [], "validate": [],
+                  "scan": ["--B-min", "0", "--B-max", "3", "--steps", "3"]}
+
+
+def _table_settings(values, via, tmp_path) -> list[str]:
+    if via == "flag":
+        return [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))  # nan and inf as NaN and Infinity
+    return ["--config", str(config)]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", TABLE_VALUES, ids=TABLE_IDS)
+@pytest.mark.parametrize("key", ["omega", "B", "gup_a", "mass", "light_speed", "hbar",
+                                 "charge"])
+def test_every_numeric_input_exits_cleanly(key, value, via, tmp_path, capsys):
+    settings = _table_settings(dict(TABLE_BASE, **{key: value}), via, tmp_path)
+    for command, extra in TABLE_COMMANDS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, *extra, "--cutoff", "12", *settings])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        # B = 1 lies beyond the critical field at these omegas, where the level
+        # rows still compare against the signed reduced frequency (ROADMAP
+        # item 2): a known computation failure
+        collapse = (command in ("spectrum", "validate") and key == "omega"
+                    and value in (0, 5e-324))
+        assert (code == 3) == collapse, (command, err)
+        if code == 3:
+            assert "branch collapse" in json.loads(err)["error"]
+        elif code == 2:
+            assert err.count("\n") == 1 and err.startswith("usage error:"), err
+        else:
+            assert code == 0 or (code == 1 and command == "validate")
+            assert out and err == ""
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", TABLE_VALUES, ids=TABLE_IDS)
+@pytest.mark.parametrize("key", ["cutoff", "levels", "steps"])
+def test_every_integer_input_parses_or_is_a_usage_error(key, value, via, tmp_path):
+    # parsed only: a large cutoff or --steps is never run
+    values = {"omega": 1.0, "cutoff": 12, "levels": 4, key: value}
+    for command, extra in TABLE_COMMANDS.items():
+        argv = [command, *extra, *_table_settings(values, via, tmp_path)]
+        try:
+            config = parse_config(argv)
+            fock.FockSpace(config.cutoff)
+        except UsageError:
+            continue
+        assert type(getattr(config, key)) is int and config.levels >= 0
+        assert command != "scan" or 2 <= config.steps <= cli.MAX_STEPS
 
 
 @pytest.mark.parametrize("name", ["cluster_window", "degeneracy_window"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -215,6 +216,23 @@ def test_critical_field_formula():
     assert p.with_field(critical_field(p)).omega_tilde == 0.0
 
 
+@pytest.mark.parametrize("params", [
+    dict(omega=0.0, charge=1e-300, mass=1e30, gup_a=1e-4),
+    # lambda = 0.1: validate reaches its critical-field row
+    dict(omega=1e-20, charge=5e-324, mass=1e11, light_speed=1e-10, hbar=1e10, gup_a=1e-5),
+], ids=["zero-omega", "resolved-levels"])
+def test_the_critical_field_row_holds_where_the_cyclotron_rate_underflows(params):
+    # |e| / (m c) underflows to 0 in floats, where dividing by it would raise
+    # ZeroDivisionError; the reference field is exact, and B_c correct
+    p = ModelParams(**params)
+    assert p.charge / (p.mass * p.light_speed) == 0.0
+    result = validation_report(SPACE, p)
+    (row,) = [r for r in result["rows"] if r["row"] == "critical-field"]
+    assert row["status"] == "MATCH" and row["computed"] == critical_field(p)
+    assert row["reference"] == pytest.approx(row["computed"], rel=1e-15)
+    assert "critical-field" not in result["unexpected_discrepancies"]
+
+
 def test_field_scan_crosses_critical_point():
     space = FockSpace(cutoff=10)
     base = ModelParams(omega=1.0, gup_a=1e-4)
@@ -346,6 +364,25 @@ def test_shifts_vanish_at_critical_field():
     assert first_order_shift(SPACE, p, 1, "-").unperturbed_energy == -p.rest_energy
     cluster = [ClusterMember(n=2, branch="-", spectator=k) for k in range(4)]
     assert degenerate_shift(SPACE, p, cluster).unperturbed_energy == -p.rest_energy
+
+
+@pytest.mark.parametrize("b_field", [1.0, 2.0, 3.0])  # wt = 0.5, 0 and -0.5
+def test_members_are_checked_on_both_sides_of_the_critical_field(b_field):
+    p = ModelParams(omega=1.0, b_field=b_field, gup_a=1e-4)
+    absent = "+" if b_field > 2.0 else "-"  # the rest-energy level's other branch
+    with pytest.raises(UsageError, match=re.escape(
+            f"level (n=0, branch {absent}) does not exist here")):
+        first_order_shift(SPACE, p, 0, absent)
+    with pytest.raises(UsageError, match="spectator quantum must be >= 0, got -1"):
+        first_order_shift(SPACE, p, 1, "+", spectator=-1)
+    with pytest.raises(UsageError, match=re.escape(
+            "state (n=1, spectator=10) too close to cutoff 12")):
+        first_order_shift(SPACE, p, 1, "+", spectator=10)
+    # at the critical field both levels sit at m c^2, and only the one-level
+    # check tells them apart
+    mixed = [ClusterMember(1, "+", 0), ClusterMember(2, "+", 0)]
+    with pytest.raises(UsageError, match="one level" if b_field == 2.0 else "not degenerate"):
+        degenerate_shift(SPACE, p, mixed)
 
 
 def test_validation_report_passes_with_allowlisted_rows():
@@ -719,14 +756,12 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
     for pt in points:
         assert pt["error"] == "eigensolver did not converge"
         assert pt["n2_shifts"] is not None and pt["degeneracy_counts_before"] is None
-    # a point's own first error comes before the shared pass; at the
-    # critical field the shifts are zero reports, and only the pass fails;
-    # at cutoff 5 the n = 2 cluster no longer fits
+    # a point's own first error comes before the shared pass: at cutoff 5
+    # the n = 2 cluster no longer fits, and its members are checked at the
+    # critical field too, where the shifts are zero reports
     points, _ = field_scan(FockSpace(cutoff=5), SCAN_BASE, SCAN_FIELDS)
     assert [pt["error"] for pt in points] == [
-        "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"] * 2 + [
-        "eigensolver did not converge",
-        "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"]
+        "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"] * 4
     # four configs per stack: the scan goes in two passes of two points
     # each, and a failure of the second is recorded on its points only
     monkeypatch.setattr(fock, "STACK_BYTES", 4 * sector_cost(SPACE.cutoff)[1])

@@ -17,6 +17,7 @@ from gup_dosc.perturbation import (
     degenerate_shift,
     interior_spectrum,
     spectral_clusters,
+    validation_report,
 )
 from reference import spectral_clusters_loop
 
@@ -80,6 +81,30 @@ def test_pair_spectra_are_symmetric_under_negation(p):
     # interior spectrum onto itself exactly
     (row,) = interior_spectrum(SPACE, [(p, 0.0)])
     assert np.array_equal(row, -row[::-1])
+
+
+def _validation_statuses(p):
+    return [(r["row"], r["status"]) for r in validation_report(SPACE, p)["rows"]]
+
+
+def _units_params(mass, light_speed, hbar, charge):
+    """omega = 0.2 m c^2 / hbar, B = B_c / 2 and a = 1e-4 / (m c): lambda =
+    0.1 and alpha = 1e-4 in every system of units."""
+    p = ModelParams(omega=0.2 * mass * light_speed ** 2 / hbar, mass=mass,
+                    light_speed=light_speed, hbar=hbar, charge=charge,
+                    gup_a=1e-4 / (mass * light_speed))
+    return p.with_field(0.5 * critical_field(p))
+
+
+NATURAL_STATUSES = _validation_statuses(_units_params(1.0, 1.0, 1.0, 1.0))
+unit = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-4 .. 1e4
+
+
+@DRAWS
+@given(mass=unit, light_speed=unit, hbar=unit, charge=unit)
+def test_validation_does_not_depend_on_the_units(mass, light_speed, hbar, charge):
+    p = _units_params(mass, light_speed, hbar, charge)
+    assert _validation_statuses(p) == NATURAL_STATUSES
 
 
 # a spectrum: moderate energies, which repeat so that clusters form, and
