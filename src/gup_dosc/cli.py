@@ -447,8 +447,8 @@ def _report_header(config: RunConfig, p: ModelParams) -> dict:
 # Each runner returns the keys its command adds after the report header.
 
 def _run_spectrum(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
-    window = config.tolerances["cluster_window"] * p.rest_energy
-    rows = level_rows(space, p, config.levels, _branches(config), window)
+    rows = level_rows(space, p, config.levels, _branches(config),
+                      config.tolerances["cluster_window"])
     report = {}
     if p.omega_tilde < 0.0:
         report["note"] = (

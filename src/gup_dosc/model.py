@@ -16,6 +16,10 @@ The minimal-length correction enters as H' = -a c p^2 on both spinor
 components. In the ladder representation p^2 carries an overall m |wt| hbar
 prefactor, so H' (and every first-order shift) vanishes identically at the
 critical field wt = 0.
+
+Below `ModelParams` everything is in units of m c^2: off the critical field
+the blocks depend only on lam = hbar wt / (m c^2) and alpha = a m c, and
+energies are formed only where a result is reported.
 """
 
 from __future__ import annotations
@@ -130,12 +134,8 @@ class SpinorLevel:
     d_n: float
 
 
-def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
-    """Closed-form level energy ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2))."""
-    if n < 0:
-        raise UsageError(f"level index must be >= 0, got {n}")
-    if branch not in BRANCHES:
-        raise UsageError(f"branch must be '+' or '-', got {branch!r}")
+def _level_root(p: ModelParams, n: int) -> float:
+    """sqrt(1 + 4 lam n): the positive energy of level n in units of m c^2."""
     radicand = 1.0 + 4.0 * p.lam * n
     if not math.isfinite(radicand):
         raise UsageError(
@@ -146,44 +146,46 @@ def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
             f"branch collapse: level n={n} has no real energy at "
             f"reduced frequency {p.omega_tilde}"
         )
-    sign = 1.0 if branch == POSITIVE else -1.0
-    return sign * p.rest_energy * math.sqrt(radicand)
+    return math.sqrt(radicand)
+
+
+def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
+    """Closed-form level energy ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2))."""
+    if n < 0:
+        raise UsageError(f"level index must be >= 0, got {n}")
+    if branch not in BRANCHES:
+        raise UsageError(f"branch must be '+' or '-', got {branch!r}")
+    energy = (1.0 if branch == POSITIVE else -1.0) * p.rest_energy * _level_root(p, n)
+    if not math.isfinite(energy):
+        raise UsageError(f"energy of level n={n} overflows at m c^2 = {p.rest_energy!r}")
+    return energy
 
 
 def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
     """Analytic eigenstate data for level n.
 
-    Weights: c_n(±) = ± sqrt((E_n + m c^2) / (2 E_n)) with E_n the positive
-    branch energy (upper sign for +), d_n(±) = sqrt((E_n -+ m c^2) / (2 E_n)).
-    The ground level is a pure upper-component state; its negative-branch
-    partner has identically vanishing weight and does not exist.
+    Weights: with e = sqrt(1 + 4 lam n) the positive-branch energy in units
+    of m c^2, c_n(±) = ± sqrt((e ± 1) / (2 e)) (upper sign for +) and
+    d_n(±) = sqrt((e -+ 1) / (2 e)). The ground level is a pure
+    upper-component state; its negative-branch partner has identically
+    vanishing weight and does not exist.
     """
-    e_plus = landau_level(p, n, POSITIVE)
-    if e_plus <= 0.0:
+    energy = landau_level(p, n, branch)
+    e = _level_root(p, n)
+    if e == 0.0:
         raise ComputationError(
             f"branch collapse: level n={n} at reduced frequency {p.omega_tilde}"
         )
-    mc2 = p.rest_energy
     if n == 0:
         if branch == NEGATIVE:
             raise UsageError(
                 "the ground level has no negative branch: its weight "
                 "vanishes identically"
             )
-        return SpinorLevel(n=0, branch=POSITIVE, energy=mc2, c_n=1.0, d_n=0.0)
-    if not math.isfinite(e_plus + mc2):
-        raise UsageError(
-            f"spinor weights of level n={n} are not finite: E_n + m c^2 "
-            f"overflows at rest energy {mc2!r}"
-        )
-    if branch == POSITIVE:
-        c = math.sqrt((e_plus + mc2) / (2.0 * e_plus))
-        d = math.sqrt((e_plus - mc2) / (2.0 * e_plus))
-        energy = e_plus
-    else:
-        c = -math.sqrt((e_plus - mc2) / (2.0 * e_plus))
-        d = math.sqrt((e_plus + mc2) / (2.0 * e_plus))
-        energy = -e_plus
+        return SpinorLevel(n=0, branch=POSITIVE, energy=energy, c_n=1.0, d_n=0.0)
+    upper = math.sqrt((e + 1.0) / (2.0 * e))
+    lower = math.sqrt((e - 1.0) / (2.0 * e))
+    c, d = (upper, lower) if branch == POSITIVE else (-lower, upper)
     return SpinorLevel(n=n, branch=branch, energy=energy, c_n=c, d_n=d)
 
 
@@ -194,7 +196,8 @@ def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _couplings(p: ModelParams) -> tuple[float, float]:
-    """Coefficients (k_a, k_b) of the collapsed coupling K = k_a a† + k_b b.
+    """Coefficients (k_a, k_b), in units of m c^2, of the collapsed coupling
+    K = k_a a† + k_b b.
 
     K is the upper-right (down -> up) spinor block of H0, taken in the
     i^{n_b}-phased basis, where b acts as i b: the -2 i c sqrt(m |wt| hbar) b
@@ -203,16 +206,15 @@ def _couplings(p: ModelParams) -> tuple[float, float]:
     2 c p_z + i m wt c zbar leaves a roundoff residue that can derail LAPACK.
     """
     wt = p.omega_tilde
-    c = p.light_speed
-    if wt > 0.0:
-        return 2.0 * c * math.sqrt(p.mass * wt * p.hbar), 0.0
-    if wt < 0.0:
-        return 0.0, 2.0 * c * math.sqrt(p.mass * -wt * p.hbar)
+    if wt != 0.0:
+        k = 2.0 * math.sqrt(abs(p.lam))
+        return (k, 0.0) if wt > 0.0 else (0.0, k)
     if p.omega == 0.0:
         return 0.0, 0.0
-    # critical field: only the kinetic 2 c p_z term survives, in the bare
-    # frame of length sqrt(hbar / (m omega))
-    k = c * p.hbar / math.sqrt(p.hbar / (p.mass * p.omega))
+    # critical field: only the kinetic 2 c p_z term survives, c hbar / l in the
+    # bare frame of length l = sqrt(hbar / (m omega)); sqrt(hbar omega / (m c^2))
+    # is taken one factor at a time, as hbar / (m omega) can leave the float range
+    k = math.sqrt(p.hbar) * math.sqrt(p.omega) / (math.sqrt(p.mass) * p.light_speed)
     return k, k
 
 
@@ -227,39 +229,37 @@ def _interior_top(space: FockSpace) -> int:
 
 
 def sector_terms(
-    space: FockSpace, p: ModelParams, strength: float
-) -> tuple[float, float, float, float]:
-    """(m c^2, k_a, k_b, deform) of one config's J-sector blocks.
+    space: FockSpace, p: ModelParams, alpha: float
+) -> tuple[float, float, float]:
+    """(k_a, k_b, deform) of one config's J-sector blocks, in units of m c^2,
+    at the deformation strength alpha = a m c.
 
-    deform = -a c m |wt| hbar weighs the deformation pattern. With
+    deform = -alpha |lam| weighs the deformation pattern. With
     T = cutoff - INTERIOR_MARGIN, no block entry exceeds the coupling
-    max(k_a, k_b) sqrt(T + 1) off the diagonal or |m c^2| + |deform| (T + 1)
-    on it, and no 2x2 block of `pair_spectrum` has an eigenvalue beyond
-    hypot(m c^2, coupling); raises UsageError when a bound is not finite, or
-    the cutoff leaves no interior.
+    max(k_a, k_b) sqrt(T + 1) off the diagonal or 1 + |deform| (T + 1) on
+    it; raises UsageError when a bound is not finite, or the cutoff leaves
+    no interior.
     """
     top = _interior_top(space)
-    deform = -strength * p.light_speed * p.mass * abs(p.omega_tilde) * p.hbar
+    deform = -alpha * abs(p.lam)
     k_a, k_b = _couplings(p)
-    coupling = max(k_a, k_b) * math.sqrt(top + 1)
     for bound, message in (
-        (coupling, "derived oscillator coupling is not finite for these inputs"),
-        (abs(p.rest_energy) + abs(deform) * (top + 1),
-         "sector diagonal |m c^2| + |a c m wt hbar| (cutoff - 1) is not finite "
-         f"for these inputs at a = {strength!r}"),
-        (math.hypot(p.rest_energy, coupling),
-         "pair eigenvalue bound hypot(m c^2, coupling) is not finite for these inputs"),
+        (max(k_a, k_b) * math.sqrt(top + 1),
+         "derived oscillator coupling is not finite for these inputs"),
+        (1.0 + abs(deform) * (top + 1),
+         "sector diagonal 1 + |alpha lam| (cutoff - 1) is not finite for these "
+         f"inputs at alpha = a m c = {alpha!r}"),
     ):
         if not math.isfinite(bound):
-            raise UsageError(f"{message}, got {bound}")
-    return p.rest_energy, k_a, k_b, deform
+            raise UsageError(f"{message}, got {bound} m c^2")
+    return k_a, k_b, deform
 
 
-def paired(terms: tuple[float, float, float, float]) -> bool:
+def paired(terms: tuple[float, float, float]) -> bool:
     """Whether the J-sector blocks of a config with these `sector_terms` are a
     direct sum of 2x2 and 1x1 blocks (`pair_spectrum`): no deformation, and
     one coupling, as at a = 0 off the critical field."""
-    _, k_a, k_b, deform = terms
+    k_a, k_b, deform = terms
     return deform == 0.0 and (k_a == 0.0) != (k_b == 0.0)
 
 
@@ -275,22 +275,22 @@ def _links(n_a: np.ndarray, n_b: np.ndarray, top: int) -> Iterator[tuple]:
 
 def pair_spectrum(
     space: FockSpace,
-    terms: tuple[float, float, float, float],
+    terms: tuple[float, float, float],
     js: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """The ascending spectrum of a `paired` config over the J in `js` (every
-    J-sector by default), in closed form.
+    """The ascending spectrum, in units of m c^2, of a `paired` config over
+    the J in `js` (every J-sector by default), in closed form.
 
     With one coupling and no deformation, K (`_links`) couples each spin-down
     state to at most one spin-up state, and no two to the same one; the pair
     lies in J-sector n_a - n_b + 1 of its down state. It is the block
-    [[m c^2, kappa], [kappa, -m c^2]], kappa = k_a sqrt(n_a + 1) or
-    k_b sqrt(n_b) (the same float operations as `build_sectors`), with
-    eigenvalues +-hypot(m c^2, kappa). Every other state is a 1x1 block: a
-    spin-up state at m c^2 or a spin-down state at -m c^2.
+    [[1, kappa], [kappa, -1]], kappa = k_a sqrt(n_a + 1) or k_b sqrt(n_b)
+    (the same float operations as `build_sectors`), with eigenvalues
+    +-hypot(1, kappa). Every other state is a 1x1 block: a spin-up state at
+    1 or a spin-down state at -1.
     """
     top = _interior_top(space)
-    mc2, k_a, k_b, _ = terms
+    k_a, k_b, _ = terms
     # every interior (n_a, n_b), n_a + n_b <= top
     quanta = np.arange(top + 1)
     n_a, n_b = np.nonzero(np.add.outer(quanta, quanta) <= top)
@@ -301,22 +301,23 @@ def pair_spectrum(
         down = np.isin(n_a - n_b + 1, js)
         ups, downs = np.count_nonzero(np.isin(n_a - n_b, js)), np.count_nonzero(down)
         link &= down
-    levels = np.hypot(mc2, (k_a or k_b) * root[link])
+    levels = np.hypot(1.0, (k_a or k_b) * root[link])
     del n_a, n_b, link, to_b, root  # the grid is not held with the spectrum
-    singles = np.repeat([mc2, -mc2], [ups - len(levels), downs - len(levels)])
+    singles = np.repeat([1.0, -1.0], [ups - len(levels), downs - len(levels)])
     return np.sort(np.concatenate([-levels, levels, singles]))
 
 
 def build_sectors(
     space: FockSpace,
-    terms: Sequence[tuple[float, float, float, float]],
+    terms: Sequence[tuple[float, float, float]],
     js: Iterable[int] | None = None,
 ) -> Iterator[np.ndarray]:
-    """The interior blocks of H0 + H' for each of `terms`, one stack per
-    J = n_a - n_b + [spin down] in `js` (every J-sector, ascending, by
-    default); row k of every stack is the block of terms[k].
+    """The interior blocks of H0 + H', in units of m c^2, for each of
+    `terms`, one stack per J = n_a - n_b + [spin down] in `js` (every
+    J-sector, ascending, by default); row k of every stack is the block of
+    terms[k].
 
-    Each of `terms` is the (m c^2, k_a, k_b, deform) of one config
+    Each of `terms` is the (k_a, k_b, deform) of one config
     (`sector_terms`), checked there. Built from closed-form ladder matrix
     elements on the interior n_a + n_b <= cutoff - INTERIOR_MARGIN only; the
     full space is never allocated. The stacks are generated one at a time,
@@ -326,35 +327,35 @@ def build_sectors(
     the basis where |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md,
     Sectors), and holds
 
-      diagonal   ± m c^2 - a c m |wt| hbar (n_a + n_b + 1)
-      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -a c m |wt| hbar sqrt((n_a+1)(n_b+1))
+      diagonal   ± 1 - alpha |lam| (n_a + n_b + 1)
+      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -alpha |lam| sqrt((n_a+1)(n_b+1))
       coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`, `_links`)
 
     Per J the index pattern is built once for every row, and row k is
-    h_k + deform_k D, with h_k the ± m c^2 and coupling part and D the
+    h_k + deform_k D, with h_k the ± 1 and coupling part and D the
     deformation pattern (n_a + n_b + 1 and the pair root): the same float
     operations as building each block alone. D is not added when every
     deform is zero.
     """
     top = _interior_top(space)
     # one (row,) column per term
-    columns = np.array(terms, dtype=float).reshape(-1, 4).T
+    columns = np.array(terms, dtype=float).reshape(-1, 3).T
     if js is None:
         js = range(-top, top + 2)
     return (_sector(j, top, *columns) for j in js)
 
 
-def _sector(j: int, top: int, mc2: np.ndarray, k_a: np.ndarray, k_b: np.ndarray,
+def _sector(j: int, top: int, k_a: np.ndarray, k_b: np.ndarray,
             deform: np.ndarray) -> np.ndarray:
     up_a, up_b = _diagonal_line(j, top)
     dn_a, dn_b = _diagonal_line(j - 1, top)
     u, v = len(up_b), len(dn_b)
     n = u + v
-    stack = np.zeros((len(mc2), n, n))
+    stack = np.zeros((len(k_a), n, n))
     # every element is set through its flat index i n + k
-    flat = stack.reshape(len(mc2), n * n)
-    flat[:, : u * (n + 1) : n + 1] = mc2[:, np.newaxis]
-    flat[:, u * (n + 1) :: n + 1] = -mc2[:, np.newaxis]
+    flat = stack.reshape(len(k_a), n * n)
+    flat[:, : u * (n + 1) : n + 1] = 1.0
+    flat[:, u * (n + 1) :: n + 1] = -1.0
     # up positions are n_b - up_b[0]; down state q sits at u + q
     first_b = max(0, -j)
     for (link, to_b, root), k in zip(_links(dn_a, dn_b, top), (k_a, k_b)):

@@ -210,22 +210,23 @@ def interior_spectrum(
     configs: Sequence[tuple[ModelParams, float]],
     js: Iterable[int] | None = None,
 ) -> np.ndarray:
-    """Ascending eigenvalues of the interior-projected full Hamiltonian.
+    """Ascending eigenvalues, in units of m c^2, of the interior-projected
+    full Hamiltonian.
 
-    Row k is the spectrum of configs[k], a (ModelParams, deformation
-    strength) pair; a strength may be negative, as the oracle's stencil runs
-    through a = 0. H0 and H' both conserve J = n_a - n_b + [spin down], so
-    each row is the sorted union of the J-sector spectra, over every
-    J-sector or over those in `js`. Each config is reduced to its block
-    terms once (`sector_terms`, which checks it), and configs with equal
-    terms give equal blocks: each distinct terms is solved once, and its row
-    is copied to every config that shares it. Terms that are `paired`, at
-    a = 0 off the critical field, take their spectrum in closed form
-    (`pair_spectrum`), with no eigensolver call. All other terms go
-    through `build_sectors`, whose J-sector stacks are solved one call each
-    as they are generated, so one stack is held at a time; they go in
-    consecutive chunks of `fock.stack_configs`, one pass over the J-sectors
-    each, which bounds a stack's bytes.
+    Row k is the spectrum of configs[k], a (ModelParams, alpha = a m c) pair;
+    alpha may be negative, as the oracle's stencil runs through a = 0. H0
+    and H' both conserve J = n_a - n_b + [spin down], so each row is the
+    sorted union of the J-sector spectra, over every J-sector or over those
+    in `js`. Each config is reduced to its block terms once (`sector_terms`,
+    which checks it), and configs with equal terms give equal blocks: each
+    distinct terms is solved once, and its row is copied to every config
+    that shares it. Terms that are `paired`, at a = 0 off the critical
+    field, take their spectrum in closed form (`pair_spectrum`), with no
+    eigensolver call. All other terms go through `build_sectors`, whose
+    J-sector stacks are solved one call each as they are generated, so one
+    stack is held at a time; they go in consecutive chunks of
+    `fock.stack_configs`, one pass over the J-sectors each, which bounds a
+    stack's bytes.
     """
     if not configs:  # no rows of (cutoff - 1) cutoff interior eigenvalues
         return np.empty((0, (space.cutoff - 1) * space.cutoff))
@@ -263,18 +264,22 @@ def level_rows(
 
     One row per (n, branch), n outermost: the closed-form energy
     (`landau_level`), the nearest eigenvalue of the interior spectrum, their
-    relative error, and the number of eigenvalues within `window` of the
-    closed-form energy. A window below the noise floor raises UsageError
-    before anything is solved.
+    relative error, and the number of eigenvalues within `window`, in units
+    of m c^2, of the closed-form energy. A window below the noise floor
+    raises UsageError before anything is solved; so does a nearest
+    eigenvalue whose energy is beyond the float range.
     """
-    _check_window(p, window)
+    _check_window(window)
     spectrum = interior_spectrum(space, [(p, 0.0)])[0]
     rows = []
     for n in range(levels + 1):
         for branch in branches:
             analytic = landau_level(p, n, branch)
-            distances = level_distances(spectrum, analytic)
-            nearest = float(spectrum[int(np.argmin(distances))])
+            distances = level_distances(spectrum, analytic / p.rest_energy)
+            nearest = float(spectrum[int(np.argmin(distances))]) * p.rest_energy
+            if not math.isfinite(nearest):
+                raise UsageError(f"the exact eigenvalue nearest level (n={n}, branch "
+                                 f"{branch}) overflows at rest energy {p.rest_energy!r}")
             rows.append({
                 "n": n,
                 "branch": branch,
@@ -295,21 +300,20 @@ def _sector_j(descriptor: dict) -> int:
     return n_a - n_b + 1
 
 
-def _sector_slope(p: ModelParams, h: float, j: int, w: np.ndarray,
-                  energy: float) -> float:
+def _sector_slope(p: ModelParams, j: int, w: np.ndarray, energy: float) -> float:
     """d(E)/d(a) of the one eigenvalue of J-sector j near `energy`, in shift
-    units, from the sector's spectra `w` at strengths 0, h, -h, 2h, -2h:
-    central differences through a = 0 with one Richardson step."""
-    win = CLUSTER_WINDOW * p.rest_energy
-    hits = np.flatnonzero(level_distances(w[0], energy) <= win)
+    units, from the sector's spectra `w`, in units of m c^2, at alpha = 0, h,
+    -h, 2h, -2h with h = ORACLE_STEP: central differences through a = 0 with
+    one Richardson step, d(E / m c^2)/d(alpha) / lam."""
+    h, level = ORACLE_STEP, energy / p.rest_energy
+    hits = np.flatnonzero(level_distances(w[0], level) <= CLUSTER_WINDOW)
+    near = f"within {CLUSTER_WINDOW:.3e} m c^2 of {level!r} m c^2"
     if len(hits) == 0:
-        raise ComputationError(
-            f"no eigenvalue of J-sector {j} within {win:.3e} of {energy!r}"
-        )
+        raise ComputationError(f"no eigenvalue of J-sector {j} {near}")
     if len(hits) > 1:
         raise UsageError(
-            f"oracle stencil step {h!r} cannot tell apart the {len(hits)} eigenvalues "
-            f"of J-sector {j} within {win:.3e} of {energy!r}"
+            f"oracle stencil step {h!r}/(m c) cannot tell apart the {len(hits)} "
+            f"eigenvalues of J-sector {j} {near}"
         )
     (i,) = hits
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,10 +322,10 @@ def _sector_slope(p: ModelParams, h: float, j: int, w: np.ndarray,
         slope = float((4.0 * d1 - d2) / 3.0)
     if not math.isfinite(slope):
         raise UsageError(
-            f"oracle stencil step {h!r} is below the resolution of the spectrum "
-            f"at {energy!r}: its finite differences are not finite"
+            f"oracle stencil step {h!r}/(m c) is below the resolution of the "
+            f"spectrum at {level!r} m c^2: its finite differences are not finite"
         )
-    return slope / (p.light_speed * p.mass * p.hbar * p.omega_tilde)
+    return slope / p.lam
 
 
 def oracle_check(
@@ -346,8 +350,7 @@ def oracle_check(
     """
     if p.omega_tilde == 0.0:
         return list(reports)
-    h = ORACLE_STEP / (p.mass * p.light_speed)
-    strengths = [(p, k * h) for k in (0, 1, -1, 2, -2)]
+    strengths = [(p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
     stencils: dict[int, np.ndarray] = {}
     checked = []
     for report in reports:
@@ -358,7 +361,7 @@ def oracle_check(
         for j in dict.fromkeys(js):
             if j not in stencils:
                 stencils[j] = interior_spectrum(space, strengths, [j])
-            slopes[j] = _sector_slope(p, h, j, stencils[j], report.unperturbed_energy)
+            slopes[j] = _sector_slope(p, j, stencils[j], report.unperturbed_energy)
         report.oracle_slopes = [slopes[j] for j in js]
         for s, o in zip(report.shifts, report.oracle_slopes):
             if abs(s - o) / max(abs(s), 1e-30) > ORACLE_RTOL + ORACLE_STEP:
@@ -391,10 +394,6 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         if m.n + m.spectator > space.cutoff - INTERIOR_MARGIN:
             raise UsageError(f"state (n={m.n}, spectator={m.spectator}) too close to "
                              f"cutoff {space.cutoff}; raise the cutoff")
-    energies = [level.energy for level in levels]
-    spread = max(energies) - min(energies)
-    if spread > CLUSTER_WINDOW * p.rest_energy:
-        raise UsageError(f"cluster members span {spread:.3e} in energy; not degenerate")
     if len({(m.n, m.branch) for m in members}) > 1:
         # near-degenerate levels at tiny wt: the pair term would couple them
         raise UsageError("cluster members must share one level (n, branch)")
@@ -426,7 +425,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
                              f"{members[0].branch}) overflows at the unit {unit!r}")
     return PTReport(
         cluster_label=label,
-        unperturbed_energy=energies[0],
+        unperturbed_energy=levels[0].energy,
         method="degenerate" if degenerate else "nondegenerate",
         subspace_basis=list(basis),
         subspace_matrix=sub,
@@ -516,12 +515,10 @@ def spectral_clusters(spectrum: np.ndarray, window: float) -> np.ndarray:
     return np.diff(np.flatnonzero(gaps > window))
 
 
-def _check_window(p: ModelParams, energy_window: float) -> None:
-    floor = 1e-12 * p.rest_energy
-    if energy_window < floor:
-        raise UsageError(
-            f"window {energy_window!r} below the numerical noise floor {floor!r}"
-        )
+def _check_window(window: float) -> None:
+    """Raise UsageError for a window, in units of m c^2, below the noise floor."""
+    if window < 1e-12:
+        raise UsageError(f"window {window!r} below the numerical noise floor 1e-12")
 
 
 def _histogram(spectrum: np.ndarray, window: float) -> dict[int, int]:
@@ -545,8 +542,8 @@ def _scan_point(space: FockSpace, p: ModelParams) -> dict:
         # a negative shift unit (wt < 0) reverses the order of the energies
         cluster = degenerate_shift(space, p, level_cluster(n=2, size=4))
         point["n2_shifts"] = sorted(cluster.shifts_energy)
-        for a in (0.0, p.gup_a):
-            sector_terms(space, p, a)  # the errors the shared pass would raise
+        for alpha in (0.0, p.alpha_gup):
+            sector_terms(space, p, alpha)  # the errors the shared pass would raise
     except (UsageError, ComputationError) as exc:
         point["error"] = str(exc)
     return point
@@ -569,8 +566,8 @@ def field_scan(
     point that fails records its first error. The histograms of the
     remaining points then come from shared passes over the J-sectors, each
     of as many points as `fock.stack_configs` allows, which bounds how many
-    spectra are held at once (every point solves two configs, at strengths 0
-    and a; identical blocks, such as the two of a point at the critical
+    spectra are held at once (every point solves two configs, at alpha = 0
+    and a m c; identical blocks, such as the two of a point at the critical
     field, are solved once). Each histogram is {multiplicity: number of
     clusters} of one spectrum. An error raised inside a shared pass is
     recorded on every point of that pass.
@@ -578,8 +575,7 @@ def field_scan(
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise UsageError("field values must be sorted ascending")
-    window = degeneracy_window * base_params.rest_energy
-    _check_window(base_params, window)
+    _check_window(degeneracy_window)
     params = [base_params.with_field(b) for b in values]
     points = [_scan_point(space, p) for p in params]
     pending = [(point, p) for point, p in zip(points, params) if "error" not in point]
@@ -588,14 +584,14 @@ def field_scan(
         group = pending[i:i + size]
         try:
             spectra = interior_spectrum(
-                space, [(p, a) for _, p in group for a in (0.0, p.gup_a)])
+                space, [(p, a) for _, p in group for a in (0.0, p.alpha_gup)])
         except (UsageError, ComputationError) as exc:
             for point, _ in group:
                 point["error"] = str(exc)
             continue
         for (point, _), (before, after) in zip(group, spectra.reshape(len(group), 2, -1)):
-            point["degeneracy_counts_before"] = _histogram(before, window)
-            point["degeneracy_counts_after"] = _histogram(after, window)
+            point["degeneracy_counts_before"] = _histogram(before, degeneracy_window)
+            point["degeneracy_counts_after"] = _histogram(after, degeneracy_window)
     critical = critical_field(base_params)
     in_range = values and values[0] <= critical <= values[-1]
     return points, critical if in_range else None
@@ -611,7 +607,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     table: list[tuple] = []
 
     # 1. closed-form levels against the exact interior spectrum
-    for r in level_rows(space, p, 4, BRANCHES, CLUSTER_WINDOW * p.rest_energy):
+    for r in level_rows(space, p, 4, BRANCHES, CLUSTER_WINDOW):
         n, branch, rel = r["n"], r["branch"], r["rel_error"]
         table.append((f"level n={n} branch {branch}", r["exact_nearest"], r["analytic"],
                       f"relative error {rel:.3e}", rel <= 1e-8, f"level-{n}-{branch}"))

@@ -105,7 +105,7 @@ def test_criterion_5_degeneracy_lifting():
     ok = np.allclose(tower.shifts, expected, atol=1e-10)
     ok = ok and len(set(np.round(tower.shifts, 8))) == 6
 
-    w0, w1 = interior_spectrum(space, [(p, 0.0), (p, p.gup_a)])
+    w0, w1 = interior_spectrum(space, [(p, 0.0), (p, p.alpha_gup)])
     lll_before = [m for e, m in spectral_clusters_loop(w0, 1e-9) if abs(e - 1.0) < 1e-6]
     lll_after = [m for e, m in spectral_clusters_loop(w1, 1e-9) if abs(e - 1.0) < 2e-3]
     ok = ok and lll_before == [space.cutoff - 1]

@@ -500,9 +500,12 @@ def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
       "--mass", "1e-300"], "cyclotron_frequency"),
     (["spectrum", "--omega", "1", "--mass", "1e-200", "--light-speed", "1e-200"],
      "cyclotron_frequency"),
-    # finite derived scales whose closed-form radicand or coupling overflows
+    # finite derived scales whose closed-form radicand or coupling overflows;
+    # (omega, hbar, m) = (2^1000, 2^1000, 2^-1000) at B = B_c = 2 has the
+    # coupling 2^1500 m c^2
     (["spectrum", "--omega", "1", "--hbar", "1e308"], "lam"),
-    (["spectrum", "--omega", "1e200", "--mass", "1e100", "--hbar", "1e100"], "coupling"),
+    (["spectrum", "--omega", "1.0715086071862673e+301", "--hbar", "1.0715086071862673e+301",
+      "--mass", "9.332636185032189e-302", "--B", "2"], "coupling"),
     (["spectrum", "--omega", "1", "--cutoff", "1001"], "cutoff 1001"),
 ], ids=["rest-energy", "shift-unit", "lam", "cyclotron", "underflow", "radicand",
         "coupling", "cutoff-cost"])
@@ -519,10 +522,12 @@ def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys)
 
 # m c^2 = 1e308 with a finite critical field, 5e307
 HUGE_REST_ENERGY = ["--omega", "0.25", "--mass", "1e308", "--cutoff", "12"]
-# m c^2 = 1.2e308 and a coupling of 1.5e308, each finite; the eigenvalue
-# hypot of an a = 0 pair block is not
+# m c^2 = 1.2e308 with lambda = 0.034, whose n <= 2 energies are finite
 HUGE_PAIR = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar",
              "4.1e306", "--cutoff", "12"]
+# m c^2 = 1.2e308 with lambda = 0.083, whose n = 4 energy, 1.8e308, is not
+HUGE_LEVEL = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar",
+              "1e307", "--cutoff", "12", "--levels", "4"]
 
 
 @pytest.mark.parametrize("argv, code, named", [
@@ -531,8 +536,8 @@ HUGE_PAIR = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar"
                  id="correct-2-oracle stencil step"),
     pytest.param(["validate", *HUGE_REST_ENERGY], 2, "oracle stencil step",
                  id="validate-2-oracle stencil step"),
-    pytest.param(["degenerate", *HUGE_REST_ENERGY], 2, "spinor weights of level n=2",
-                 id="degenerate-2-spinor weights of level n=2"),
+    pytest.param(["degenerate", *HUGE_REST_ENERGY], 2, "oracle stencil step",
+                 id="degenerate-2-oracle stencil step"),
     pytest.param(["spectrum", "--omega", "1", "--mass", "1e308", "--cutoff", "12"], 2,
                  "critical_field", id="spectrum-critical-field-overflow"),
     pytest.param(["degenerate", "--omega", "1", "--mass", "5e307", "--cutoff", "12"], 2,
@@ -551,24 +556,30 @@ HUGE_PAIR = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar"
                   "--gup-a", "1e300", "--mass", "3e7", "--cutoff", "8", "--format", "json"],
                  0, "shift energy of level (n=2, branch +)",
                  id="scan-shift-energy-overflow"),
-    pytest.param(["spectrum", *HUGE_PAIR, "--levels", "2"], 2,
-                 "hypot(m c^2, coupling)", id="spectrum-pair-eigenvalue-overflow"),
-    pytest.param(["validate", *HUGE_PAIR, "--gup-a", "0"], 2,
-                 "hypot(m c^2, coupling)", id="validate-pair-eigenvalue-overflow"),
+    pytest.param(["spectrum", *HUGE_PAIR, "--levels", "2"], 0, None,
+                 id="spectrum-pair-eigenvalues-near-1e308"),
+    pytest.param(["validate", *HUGE_PAIR, "--gup-a", "0"], 0, None,
+                 id="validate-pair-eigenvalues-near-1e308"),
+    pytest.param(["spectrum", *HUGE_LEVEL], 2, "energy of level n=4 overflows",
+                 id="spectrum-level-energy-overflow"),
+    pytest.param(["validate", *HUGE_LEVEL, "--gup-a", "0"], 2,
+                 "energy of level n=4 overflows", id="validate-level-energy-overflow"),
 ])
 def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
-    # m c^2 = 1e308: level distances across the spectrum overflow, the oracle
-    # step 1e-313 is below the spectrum's resolution, and E_n + m c^2 of an
-    # excited level overflows; at omega = 1 its critical field, 2e308, is
-    # beyond the float range. m c^2 = 5e307: the n = 2 cluster reports its
-    # members' shared level energy, where their sum would overflow, and the
-    # oracle step 2e-313 is again below the resolution. a = 1e307: the sector
-    # diagonal overflows at every scan point off the critical field, and each
-    # records it. a = 1e300 with m = 1e7: the spectra reach -1e308, where a
-    # cluster's eigenvalue sum would overflow; with m = 3e7 the n = 2 shift
+    # m c^2 = 1e308: lambda = 2.5e-309, so the n = 2 levels of a J-sector lie
+    # closer than the oracle's window of 1e-9 m c^2; at omega = 1 its critical
+    # field, 2e308, is beyond the float range. m c^2 = 5e307: the n = 2
+    # cluster reports its members' shared level energy, where their sum would
+    # overflow, and the oracle again cannot single out its state. a = 1e307:
+    # the sector diagonal overflows at every scan point off the critical
+    # field, and each records it. a = 1e300 with m = 1e7: the eigenvalues
+    # reach -1e308 in energy, where a cluster's eigenvalue sum would
+    # overflow, and the scan needs only cluster sizes; with m = 3e7 the n = 2 shift
     # energies overflow, so degenerate fails and each scan point records it.
-    # m c^2 = 1.2e308 with a coupling of 1.5e308: the a = 0 pair eigenvalues
-    # overflow, and that bound is a usage error before anything is solved.
+    # m c^2 = 1.2e308: the a = 0 pair eigenvalues, about 1.1 m c^2 at
+    # lambda = 0.034, are solved in units of m c^2 and every reported energy
+    # is finite; at lambda = 0.083 the n = 4 energy overflows as it is
+    # converted, which is a usage error.
     # Run with every warning an error, as a user with PYTHONWARNINGS=error
     # would.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
@@ -587,6 +598,31 @@ def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, na
         assert out.stdout == ""
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("usage error:")
         assert named in out.stderr
+
+
+# B = B_c where hbar / (m omega) underflows to 0 (a coupling of 1e-150 m c^2)
+# and where it overflows (1e150 m c^2); the coupling is taken one factor at a
+# time (`test_critical_field_coupling_is_sqrt_hbar_omega_over_m_c2`)
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega", "1e150", "--mass", "1e150", "--hbar", "1e-300",
+     "--B", "2e300", "--levels", "4"],
+    ["scan", "--omega", "1e150", "--mass", "1e150", "--hbar", "1e-300",
+     "--B-min", "0", "--B-max", "2e300", "--steps", "2"],
+    ["spectrum", "--omega", "1e-10", "--mass", "1e-10", "--hbar", "1e300",
+     "--B", "2.0000000000000002e-20", "--levels", "4"],
+], ids=["spectrum-underflow", "scan-underflow", "spectrum-overflow"])
+def test_critical_field_coupling_at_extreme_scales_runs(argv, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_to_string([*argv, "--cutoff", "12", "--format", "json"],
+                                   tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    report = json.loads(text)
+    if argv[0] == "scan":
+        assert [point.get("error") for point in report["points"]] == [None, None]
+        assert report["points"][1]["omega_tilde"] == 0.0
+    else:
+        assert report["derived"]["omega_tilde"] == 0.0 and len(report["levels"]) == 5
 
 
 @pytest.mark.parametrize("b", ["0", "1"])

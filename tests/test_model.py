@@ -214,17 +214,31 @@ def test_over_critical_assembly_uses_magnitude_scale():
 SECTOR_FIELDS = [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (0.7, 0.0)]
 
 
-@pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
+# each field in natural units, and in the units (m, c, hbar, |e|) =
+# (3, 1.7, 0.9, 1.3), where m c^2 = 8.67
+SECTOR_CASES = [
+    pytest.param(omega, b_field, units, id=f"{omega}-{b_field}{suffix}")
+    for units, suffix in (((1.0, 1.0, 1.0, 1.0), ""), ((3.0, 1.7, 0.9, 1.3), "-units"))
+    for omega, b_field in SECTOR_FIELDS
+]
+
+
+@pytest.mark.parametrize("omega, b_field, units", SECTOR_CASES)
 @pytest.mark.parametrize("strength", [0.0, 1e-5, 1.0])
-def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
+def test_sectors_equal_dense_interior_blocks(omega, b_field, strength, units):
     space = Space(cutoff=10, include_spin=True)
-    p = ModelParams(omega=omega, b_field=b_field)
+    mass, light_speed, hbar, charge = units
+    # the field at the same fraction of the critical field in every unit system
+    p = ModelParams(omega=omega, b_field=b_field * mass * light_speed / charge,
+                    mass=mass, light_speed=light_speed, hbar=hbar, charge=charge)
     # one stack per J holds the block of every config's terms; configs with
     # the same block (every strength zero, or wt = 0) have equal terms
     strengths = (strength, 0.0, -2.0 * strength)
     same = strength == 0.0 or p.omega_tilde == 0.0
-    dense = [build_h0(space, p) + build_h_prime(space, p, strength=a) for a in strengths]
-    terms = [sector_terms(space, p, a) for a in strengths]
+    # the dense reference in energy, the blocks in units of m c^2
+    dense = [(build_h0(space, p) + build_h_prime(space, p, strength=a)) / p.rest_energy
+             for a in strengths]
+    terms = [sector_terms(space, p, a * mass * light_speed) for a in strengths]
     assert len(set(terms)) == (1 if same else 3)
     stacks = build_sectors(space, terms)
     sectors = dict(zip(all_js(space), stacks))
@@ -243,8 +257,9 @@ def test_sectors_equal_dense_interior_blocks(omega, b_field, strength):
             assert norm_max(matrix - block) <= 1e-13
     if p.omega_tilde == 0.0:
         # the surviving p_z coupling is present in both constructions
+        k_a, _, _ = terms[0]
         assert max(norm_max(stack[0] - np.diag(np.diag(stack[0])))
-                   for stack in sectors.values()) > 1.0
+                   for stack in sectors.values()) > k_a
 
 
 @pytest.mark.parametrize("omega, b_field", SECTOR_FIELDS)
@@ -263,7 +278,7 @@ def test_sector_couplings_are_exact_zeros():
     space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
-        stacks = build_sectors(space, [sector_terms(space, p, p.gup_a)])
+        stacks = build_sectors(space, [sector_terms(space, p, p.alpha_gup)])
         for j, stack in zip(all_js(space), stacks):
             states = [space.unpack(int(i)) for i in sector_indices(space, j)]
             for r, (n_a, n_b, row_up) in enumerate(states):

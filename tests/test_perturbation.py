@@ -125,7 +125,7 @@ def test_degenerate_eigenvvectors_unitary():
 
 def test_degenerate_mixed_energies_rejected():
     cluster = [ClusterMember(n=0, spectator=0), ClusterMember(n=1, spectator=0)]
-    with pytest.raises(UsageError, match="not degenerate"):
+    with pytest.raises(UsageError, match="one level"):
         degenerate_shift(SPACE, PARAMS, cluster)
 
 
@@ -180,8 +180,8 @@ def test_oracle_flags_shifts_paired_with_another_members_sector():
 
 def _histograms(space, p, window):
     """(before, after) degeneracy histograms of a one-point scan at p's field,
-    with the absolute energy window `window`."""
-    (point,), _ = field_scan(space, p, [p.b_field], window / p.rest_energy)
+    with the window `window` in units of m c^2."""
+    (point,), _ = field_scan(space, p, [p.b_field], window)
     assert "error" not in point
     return point["degeneracy_counts_before"], point["degeneracy_counts_after"]
 
@@ -190,7 +190,7 @@ def test_degeneracy_analysis_splits_lowest_tower():
     before, after = _histograms(SPACE, PARAMS, 1e-9)
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
-    w0, w1 = interior_spectrum(SPACE, [(PARAMS, 0.0), (PARAMS, PARAMS.gup_a)])
+    w0, w1 = interior_spectrum(SPACE, [(PARAMS, 0.0), (PARAMS, PARAMS.alpha_gup)])
     clusters0 = {round(e, 9): m for e, m in spectral_clusters_loop(w0, 1e-9)}
     assert clusters0[1.0] == tower
     clusters1 = [m for e, m in spectral_clusters_loop(w1, 1e-9) if abs(e - 1.0) < 1e-3]
@@ -206,7 +206,7 @@ def test_degeneracy_analysis_identity_without_deformation():
 
 def test_degeneracy_window_floor():
     with pytest.raises(UsageError, match="noise floor"):
-        field_scan(SPACE, PARAMS, [0.0], 1e-16 / PARAMS.rest_energy)
+        field_scan(SPACE, PARAMS, [0.0], 1e-16)
 
 
 def test_critical_field_formula():
@@ -378,10 +378,10 @@ def test_members_are_checked_on_both_sides_of_the_critical_field(b_field):
     with pytest.raises(UsageError, match=re.escape(
             "state (n=1, spectator=10) too close to cutoff 12")):
         first_order_shift(SPACE, p, 1, "+", spectator=10)
-    # at the critical field both levels sit at m c^2, and only the one-level
-    # check tells them apart
+    # at the critical field both levels sit at m c^2; on every side the
+    # one-level check tells them apart
     mixed = [ClusterMember(1, "+", 0), ClusterMember(2, "+", 0)]
-    with pytest.raises(UsageError, match="one level" if b_field == 2.0 else "not degenerate"):
+    with pytest.raises(UsageError, match="one level"):
         degenerate_shift(SPACE, p, mixed)
 
 
@@ -466,8 +466,7 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
     # the oracle stencil solves its five strengths in one pass over its
     # J-sectors; each row must be bitwise the spectrum solved on its own, and
     # the J-sector rows must be bitwise pieces of the whole spectrum
-    h = ORACLE_STEP / (p.mass * p.light_speed)
-    configs = [(p, k * h) for k in (0, 1, -1, 2, -2)]
+    configs = [(p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
     rows = interior_spectrum(SPACE, configs)
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
     for config, row in zip(configs, rows):
@@ -482,7 +481,7 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
 @pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
 def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
     before, after = _histograms(SPACE, p, window)
-    w0, w1 = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
+    w0, w1 = interior_spectrum(SPACE, [(p, 0.0), (p, p.alpha_gup)])
     assert before == degeneracy_histogram_loop(w0, window)
     assert after == degeneracy_histogram_loop(w1, window)
     for w in (w0, w1):
@@ -500,7 +499,7 @@ SCAN_FIELDS = [0.0, 1.0, 2.0, 3.0]
 def _scan_configs():
     """The configs whose spectra a scan over SCAN_FIELDS solves, in order."""
     params = [SCAN_BASE.with_field(b) for b in SCAN_FIELDS]
-    return [(p, a) for p in params for a in (0.0, p.gup_a)]
+    return [(p, a) for p in params for a in (0.0, p.alpha_gup)]
 
 
 def _count_eigvalsh(monkeypatch) -> list[int]:
@@ -528,32 +527,32 @@ def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
 
 def test_scan_histograms_equal_per_point_analysis():
     points, _ = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    window = CLUSTER_WINDOW * SCAN_BASE.rest_energy
+    window = CLUSTER_WINDOW
     for pt in points:
         p = SCAN_BASE.with_field(pt["B"])
         counts = (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"])
         # the point scanned alone, in a pass of its own
         assert counts == _histograms(SPACE, p, window)
-        spectra = interior_spectrum(SPACE, [(p, 0.0), (p, p.gup_a)])
+        spectra = interior_spectrum(SPACE, [(p, 0.0), (p, p.alpha_gup)])
         assert counts == tuple(degeneracy_histogram_loop(w, window) for w in spectra)
 
 
 def test_a_scan_near_the_float_maximum_runs_without_warnings():
     # a c m hbar wt = 1e307 at B = 0: the n = 2 shift energies stay finite,
-    # and the spectra reach -1e308, where the sum of one cluster's
-    # eigenvalues would overflow; a histogram reads only the cluster sizes
+    # and the eigenvalues reach -1e308 in energy, -1e301 m c^2; the scan's
+    # window and spectra are in units of m c^2, and a histogram reads only
+    # the cluster sizes
     base = ModelParams(omega=1.0, gup_a=1e300, mass=1e7)
     space = FockSpace(cutoff=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points, _ = field_scan(space, base, [0.0, 1.5, 3.0])
-    window = CLUSTER_WINDOW * base.rest_energy
+    window = CLUSTER_WINDOW
     for pt in points:
         assert "error" not in pt
         p = base.with_field(pt["B"])
-        spectra = interior_spectrum(space, [(p, 0.0), (p, p.gup_a)])
-        with np.errstate(over="ignore"):  # the loop's cluster means overflow
-            loop = tuple(degeneracy_histogram_loop(w, window) for w in spectra)
+        spectra = interior_spectrum(space, [(p, 0.0), (p, p.alpha_gup)])
+        loop = tuple(degeneracy_histogram_loop(w, window) for w in spectra)
         assert (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"]) == loop
 
 
@@ -699,7 +698,7 @@ def test_paired_scan_histograms_equal_the_dense_ones(cutoff):
     fields = [1.0, 2.0, 3.0]  # across the critical field B = 2
     points, critical_b = field_scan(space, SCAN_BASE, fields)
     assert critical_b == 2.0
-    window = CLUSTER_WINDOW * SCAN_BASE.rest_energy
+    window = CLUSTER_WINDOW
     for pt in points:
         (before,) = _dense_rows(space, [(SCAN_BASE.with_field(pt["B"]), 0.0)])
         assert pt["degeneracy_counts_before"] == degeneracy_histogram_loop(before, window)

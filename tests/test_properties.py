@@ -4,10 +4,13 @@ Every draw is derandomized, so a run tests the same examples each time, and
 the example counts are bounded to keep the suite fast.
 """
 
+from decimal import Context, Decimal
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
 from gup_dosc.model import BRANCHES, ModelParams, build_sectors, paired, sector_terms
 from gup_dosc.numerics import eigvalsh
@@ -70,14 +73,14 @@ def test_pair_spectra_equal_the_dense_blocks(p):
     dense = np.sort(np.concatenate([eigvalsh(stack)[0]
                                     for stack in build_sectors(SPACE, [terms])]))
     assert row.shape == dense.shape
-    assert np.max(np.abs(row - dense)) <= 1e-12 * max(1.0, abs(p.rest_energy))
+    assert np.max(np.abs(row - dense)) <= 1e-12
 
 
 @DRAWS
 @given(p=model_params())
 def test_pair_spectra_are_symmetric_under_negation(p):
-    # a = 0 off the critical field: each pair gives +-hypot(m c^2, kappa), and
-    # the m c^2 and -m c^2 singles are equally many, so E -> -E maps the
+    # a = 0 off the critical field: each pair gives +-hypot(1, kappa) m c^2,
+    # and the m c^2 and -m c^2 singles are equally many, so E -> -E maps the
     # interior spectrum onto itself exactly
     (row,) = interior_spectrum(SPACE, [(p, 0.0)])
     assert np.array_equal(row, -row[::-1])
@@ -105,6 +108,52 @@ unit = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-4 ..
 def test_validation_does_not_depend_on_the_units(mass, light_speed, hbar, charge):
     p = _units_params(mass, light_speed, hbar, charge)
     assert _validation_statuses(p) == NATURAL_STATUSES
+
+
+@DRAWS
+@given(omega=unit, mass=unit, light_speed=unit, hbar=unit, charge=unit,
+       gup_a=st.just(0.0) | st.floats(1e-8, 1e-2),
+       ratio=st.floats(0.0, 0.9) | st.floats(1.1, 3.0))
+def test_blocks_depend_on_the_units_only_through_lam_and_alpha(
+        omega, mass, light_speed, hbar, charge, gup_a, ratio):
+    # off the critical field, the block terms of any unit system are bitwise
+    # those of natural units with the reduced frequency lam
+    base = ModelParams(omega=omega, mass=mass, light_speed=light_speed, hbar=hbar,
+                       charge=charge, gup_a=gup_a)
+    p = base.with_field(ratio * critical_field(base))
+    lam = p.lam
+    natural = (ModelParams(omega=lam) if lam >= 0.0
+               else ModelParams(omega=0.0, b_field=-2.0 * lam))
+    assert natural.omega_tilde == lam
+    terms = sector_terms(SPACE, p, p.alpha_gup)
+    assert ([t.hex() for t in terms]
+            == [t.hex() for t in sector_terms(SPACE, natural, p.alpha_gup)])
+
+
+wide = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+
+
+@DRAWS
+@given(omega=wide, mass=wide, light_speed=wide, hbar=wide, charge=wide)
+# hbar / (m omega) underflows to 0, and overflows
+@example(omega=1e150, mass=1e150, light_speed=1.0, hbar=1e-300, charge=1.0)
+@example(omega=1e-10, mass=1e-10, light_speed=1.0, hbar=1e300, charge=1.0)
+def test_critical_field_coupling_is_sqrt_hbar_omega_over_m_c2(
+        omega, mass, light_speed, hbar, charge):
+    try:
+        base = ModelParams(omega=omega, mass=mass, light_speed=light_speed, hbar=hbar,
+                           charge=charge)
+        p = base.with_field(critical_field(base))
+    except UsageError:  # a derived scale beyond the float range
+        assume(False)
+    assume(p.omega_tilde == 0.0)  # the field rounded onto B_c exactly
+    k_a, k_b, deform = sector_terms(SPACE, p, 0.0)
+    ctx = Context(prec=50)
+    exact = ctx.divide(ctx.multiply(Decimal(hbar), Decimal(omega)),
+                       ctx.multiply(Decimal(mass), ctx.power(Decimal(light_speed), 2)))
+    exact = ctx.sqrt(exact)
+    assert k_a == k_b and deform == 0.0
+    assert abs(Decimal(k_a) - exact) <= Decimal(1e-15) * exact
 
 
 # a spectrum: moderate energies, which repeat so that clusters form, and
