@@ -30,6 +30,7 @@ from .model import BRANCHES, NEGATIVE, POSITIVE, ModelParams
 from .numerics import dump_matrix
 from .perturbation import (
     CLUSTER_WINDOW,
+    SHIFT_UNITS,
     PTReport,
     critical_field,
     degenerate_shift,
@@ -203,31 +204,30 @@ def _checked(o: Option, value):
 
 
 def _parse_tolerances(pairs, from_config: dict) -> dict:
-    tol = dict.fromkeys(_TOLERANCE_KEYS, CLUSTER_WINDOW)
-    config_tol = from_config.get("tolerances", {})
-    if not isinstance(config_tol, dict):
+    """Config-file tolerances (numbers, null for the default) under `--tol NAME=FLOAT`."""
+    config_tol = from_config.get("tolerances")
+    if not isinstance(config_tol, (dict, type(None))):
         raise UsageError("tolerances must be a map")
-    merged = dict(config_tol)
+    overrides = {}
     for item in pairs or []:
         if "=" not in item:
             raise UsageError(f"tolerance override {item!r} must be NAME=VALUE")
-        name, value = item.split("=", 1)
-        merged[name] = value
-    for name, value in merged.items():
+        name, text = item.split("=", 1)
+        overrides[name] = text
+    tol = dict.fromkeys(_TOLERANCE_KEYS, CLUSTER_WINDOW)
+    for name, value in {**(config_tol or {}), **overrides}.items():
         if name not in _TOLERANCE_KEYS:
             raise UsageError(
                 f"unknown tolerance {name!r}; known: {', '.join(_TOLERANCE_KEYS)}"
             )
-        try:
-            if isinstance(value, bool):
-                raise TypeError(name)
-            tol[name] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"tolerance {name!r} is not a number: {value!r}") from exc
-        except OverflowError:
-            raise UsageError(f"tolerance {name!r} is too large for a float") from None
-        if not math.isfinite(tol[name]):
-            raise UsageError(f"tolerance {name!r} must be finite")
+        if name in overrides:
+            try:
+                value = float(value)
+            except ValueError:
+                raise UsageError(f"tolerance {name!r} is not a number: {value!r}") from None
+        value = _checked(Option(f"tolerance {name!r}", float, None, ""), value)
+        if value is not None:
+            tol[name] = value
         if tol[name] <= 0.0:
             raise UsageError(f"tolerance {name!r} must be positive")
     return tol
@@ -410,7 +410,7 @@ def _pt_report_dict(r: PTReport) -> dict:
         "cluster_label": r.cluster_label,
         "unperturbed_energy": None if math.isnan(r.unperturbed_energy) else r.unperturbed_energy,
         "method": r.method,
-        "shift_units": r.shift_units,
+        "shift_units": SHIFT_UNITS,
         "shifts": list(r.shifts),
         "shifts_energy": list(r.shifts_energy),
         "oracle_slopes": list(r.oracle_slopes),

@@ -8,7 +8,7 @@ J-sector with respect to the deformation parameter (Richardson-extrapolated
 central differences through a = 0).
 
 Shift bookkeeping: `shifts` are dimensionless multiples of the natural
-correction scale a c m hbar wt (`shift_units`); `shifts_energy` are the same
+correction scale a c m hbar wt (`SHIFT_UNITS`); `shifts_energy` are the same
 numbers converted to energy for the configured deformation strength. Beyond
 the critical field wt flips sign, the level structure mirrors between the
 two boson modes, and the branch carrying the undisplaced rest-energy level
@@ -100,7 +100,6 @@ class PTReport:
     shifts_energy: list[float]
     oracle_slopes: list[float]
     discrepancy_flags: list[str]
-    shift_units: str = SHIFT_UNITS
     breakdown: dict | None = None
     eigenvectors: np.ndarray | None = None
 
@@ -118,23 +117,21 @@ def level_exists(p: ModelParams, n: int, branch: str) -> bool:
 
 
 def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
-    """Level data consistent with the assembled operators.
+    """Level data consistent with the assembled operators, and the level
+    gate: a level that `level_exists` denies raises UsageError.
 
     For wt >= 0 this equals `spinor_level` exactly. For wt < 0 the operator
     spectrum follows |wt| with the rest-energy level mirrored to the negative
     branch, so weights are evaluated at |wt| and the ground level flips sign.
     """
+    if not level_exists(p, n, branch):
+        raise UsageError(f"level (n={n}, branch {branch}) does not exist here")
     wt = p.omega_tilde
     if wt >= 0.0:
         return spinor_level(p, n, branch)
     # the zero-field model with the same |wt|
     mirror = replace(p, omega=abs(wt), b_field=0.0)
     if n == 0:
-        if branch == POSITIVE:
-            raise UsageError(
-                "beyond the critical field the rest-energy level sits on "
-                "the negative branch"
-            )
         ref = spinor_level(mirror, 0, POSITIVE)
         return replace(ref, branch=NEGATIVE, energy=-ref.energy)
     return spinor_level(mirror, n, branch)
@@ -328,11 +325,16 @@ def _sector_slope(p: ModelParams, j: int, w: np.ndarray, energy: float) -> float
     return slope / p.lam
 
 
+def _agrees(slope: float, shift: float) -> bool:
+    """Whether an oracle slope agrees with its shift to ORACLE_RTOL relative."""
+    return abs(slope - shift) <= ORACLE_RTOL * abs(shift)
+
+
 def oracle_check(
     space: FockSpace, p: ModelParams, reports: Iterable[PTReport]
 ) -> list[PTReport]:
-    """Set each shift's finite-difference slope, flag each shift further than
-    ORACLE_RTOL + ORACLE_STEP (relative) from it, and return the reports.
+    """Set each shift's finite-difference slope, flag each shift it does not
+    agree with (`_agrees`), and return the reports.
 
     `reports` are all the shift reports of one command; each is checked
     before the next is taken, so a generator of reports stops at the first
@@ -364,7 +366,7 @@ def oracle_check(
             slopes[j] = _sector_slope(p, j, stencils[j], report.unperturbed_energy)
         report.oracle_slopes = [slopes[j] for j in js]
         for s, o in zip(report.shifts, report.oracle_slopes):
-            if abs(s - o) / max(abs(s), 1e-30) > ORACLE_RTOL + ORACLE_STEP:
+            if not _agrees(o, s):
                 report.discrepancy_flags.append(
                     f"oracle slope {o!r} disagrees with shift {s!r}"
                 )
@@ -386,8 +388,6 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
     size = len(members)
     levels = []
     for m in members:
-        if not level_exists(p, m.n, m.branch):
-            raise UsageError(f"level (n={m.n}, branch {m.branch}) does not exist here")
         levels.append(operator_level(p, m.n, m.branch))
         if m.spectator < 0:
             raise UsageError(f"spectator quantum must be >= 0, got {m.spectator}")
@@ -401,8 +401,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         basis: Sequence[dict] = []
         sub = np.zeros((size, size), dtype=np.complex128)
         # a unit of +0.0: the shift unit is -0.0 for a = -0.0
-        shifts, unit, slopes = [0.0] * size, 0.0, [0.0] * size
-        vectors = np.eye(size, dtype=np.complex128)
+        unit, slopes = 0.0, [0.0] * size
         breakdown = dict.fromkeys(_P2_TERMS, 0.0)
         flags = ["critical field: oscillator coupling vanishes, all corrections are "
                  "identically zero"]
@@ -411,18 +410,18 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         # an off-diagonal element is -sign(wt) times an empty sum 0j
         sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
         np.fill_diagonal(sub, [_shift(p, state) for state in states])
-        order = np.argsort(sub.diagonal().real, kind="stable")
-        shifts = sub.diagonal().real[order].tolist()
-        vectors = np.eye(size, dtype=np.complex128)[:, order]
         if not degenerate:
             (state,) = states
             breakdown = {name: _shift(p, state, term).real
                          for name, term in _P2_TERMS.items()}
         unit, slopes = p.shift_unit, []
         flags = [OVER_CRITICAL] if p.omega_tilde < 0.0 else []
-        if not all(math.isfinite(s * unit) for s in shifts):
-            raise UsageError(f"shift energy of level (n={members[0].n}, branch "
-                             f"{members[0].branch}) overflows at the unit {unit!r}")
+    order = np.argsort(sub.diagonal().real, kind="stable")
+    shifts = sub.diagonal().real[order].tolist()
+    vectors = np.eye(size, dtype=np.complex128)[:, order]
+    if not all(math.isfinite(s * unit) for s in shifts):
+        raise UsageError(f"shift energy of level (n={members[0].n}, branch "
+                         f"{members[0].branch}) overflows at the unit {unit!r}")
     return PTReport(
         cluster_label=label,
         unperturbed_energy=levels[0].energy,
@@ -644,14 +643,14 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
          abs(g - REFERENCE_GROUND_SHIFT) <= 1e-10, "ground-shift"),
         ("ground-shift-oracle", g_slope, g,
          "finite-difference slope of the exact spectrum",
-         abs(g_slope - g) <= ORACLE_RTOL * abs(g), "ground-shift-oracle"),
+         _agrees(g_slope, g), "ground-shift-oracle"),
         ("first-excited-shift", f, REFERENCE_FIRST_EXCITED_SHIFT,
          "stored reference value is not reproduced by the pinned constructions; "
          "both values shown",
          abs(f - REFERENCE_FIRST_EXCITED_SHIFT) <= 1e-6, "first-excited-shift"),
         ("first-excited-oracle", f_slope, f,
          "internal consistency of shift vs exact spectrum slope",
-         abs(f_slope - f) <= ORACLE_RTOL * abs(f), "first-excited-oracle"),
+         _agrees(f_slope, f), "first-excited-oracle"),
         ("degenerate-block-basis", own_set.tolist(), stored_set.tolist(),
          "own-basis cluster matrix is diagonal in the spectator tower; stored "
          "block uses an unreconstructible basis",

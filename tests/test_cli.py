@@ -460,7 +460,20 @@ def test_non_finite_tolerances_are_usage_errors(name, value, via, tmp_path, caps
         argv += ["--config", str(config)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"usage error: tolerance {name!r} must be finite\n"
+    assert err == f"usage error: tolerance {name!r} must be finite, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("tolerances", [None, {"cluster_window": None},
+                                        {"degeneracy_window": None, "cluster_window": 1e-9}])
+def test_null_tolerances_take_their_defaults(tolerances, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"omega": 1.0, "tolerances": tolerances}))
+    argv = ["spectrum", *FAST, "--format", "json"]
+    code, text = run_to_string([*argv, "--config", str(config)], tmp_path)
+    assert code == 0
+    assert json.loads(text)["config"]["tolerances"] == {
+        "cluster_window": 1e-9, "degeneracy_window": 1e-9}
+    assert (code, text) == run_to_string([*argv, "--omega", "1"], tmp_path, "default.txt")
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -479,6 +492,9 @@ def test_non_finite_tolerances_are_usage_errors(name, value, via, tmp_path, caps
     pytest.param("B_min", 10 ** 400, "B_min", id="B_min-huge-int"),
     pytest.param("tolerances", {"cluster_window": 10 ** 400}, "cluster_window",
                  id="tolerance-huge-int"),
+    # a tolerance is a JSON number, as omega is; only --tol reads text
+    pytest.param("tolerances", {"cluster_window": "1e-9"}, "cluster_window",
+                 id="tolerance-string"),
 ])
 def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
     values = {"omega": 1.0, "B_min": 0.0, "B_max": 1.0, "steps": 2, "cutoff": 12,
@@ -649,6 +665,24 @@ def test_levels_closer_than_the_oracle_window_are_usage_errors(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error: oracle stencil step")
     assert "J-sector 0 " in err
+
+
+def test_correct_and_validate_give_one_oracle_verdict(tmp_path):
+    # at omega = 1e6 and m = 0.7 the n = 1 slope misses its shift by 2.8e-6
+    # relative, beyond ORACLE_RTOL = 1e-6; whatever the gap, the two commands
+    # give one verdict on each slope
+    argv = ["--omega", "1e6", "--mass", "0.7", "--B", "1", "--gup-a", "1e-4",
+            "--cutoff", "12", "--format", "json"]
+    code, text = run_to_string(["correct", *argv], tmp_path)
+    assert code == 0
+    corrections = json.loads(text)["corrections"]
+    code, text = run_to_string(["validate", *argv], tmp_path, "validate.json")
+    rows = {r["row"]: r for r in json.loads(text)["rows"]}
+    for report, row in zip(corrections, ("ground-shift-oracle", "first-excited-oracle")):
+        (slope,), (shift,) = report["oracle_slopes"], report["shifts"]
+        assert (rows[row]["computed"], rows[row]["reference"]) == (slope, shift)
+        flag = f"oracle slope {slope!r} disagrees with shift {shift!r}"
+        assert (flag in report["discrepancy_flags"]) == (rows[row]["status"] == "DISCREPANCY")
 
 
 def test_critical_field_reports_carry_their_level_energy(tmp_path):

@@ -12,13 +12,25 @@ from hypothesis import strategies as st
 
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import BRANCHES, ModelParams, build_sectors, paired, sector_terms
+from gup_dosc.model import (
+    BRANCHES,
+    NEGATIVE,
+    POSITIVE,
+    ModelParams,
+    build_sectors,
+    paired,
+    sector_terms,
+)
 from gup_dosc.numerics import eigvalsh
 from gup_dosc.perturbation import (
     ClusterMember,
+    _agrees,
     critical_field,
     degenerate_shift,
+    first_order_shift,
     interior_spectrum,
+    level_cluster,
+    oracle_check,
     spectral_clusters,
     validation_report,
 )
@@ -108,6 +120,35 @@ unit = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-4 ..
 def test_validation_does_not_depend_on_the_units(mass, light_speed, hbar, charge):
     p = _units_params(mass, light_speed, hbar, charge)
     assert _validation_statuses(p) == NATURAL_STATUSES
+
+
+milli = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-3 .. 1e3
+
+
+@DRAWS
+@given(mass=milli, light_speed=milli, hbar=milli, charge=milli,
+       abs_lam=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),  # over 0.1 .. 10
+       ratio=st.floats(0.0, 0.9) | st.floats(1.1, 3.0))
+def test_oracle_agrees_with_every_shift_near_lam_one(
+        mass, light_speed, hbar, charge, abs_lam, ratio):
+    # wt = omega (1 - B / B_c), so omega sets |lam| on either side of B_c
+    rest = mass * light_speed ** 2
+    base = ModelParams(omega=abs_lam * rest / (hbar * abs(1.0 - ratio)), mass=mass,
+                       light_speed=light_speed, hbar=hbar, charge=charge,
+                       gup_a=1e-4 / (mass * light_speed))
+    p = base.with_field(ratio * critical_field(base))
+    assert np.isclose(abs(p.lam), abs_lam) and (p.lam > 0.0) == (ratio < 1.0)
+    ground = POSITIVE if p.lam > 0.0 else NEGATIVE
+    reports = oracle_check(SPACE, p, [
+        first_order_shift(SPACE, p, 0, ground),
+        first_order_shift(SPACE, p, 1, POSITIVE),
+        first_order_shift(SPACE, p, 1, NEGATIVE),
+        degenerate_shift(SPACE, p, level_cluster(n=2, size=4)),
+    ])
+    for r in reports:
+        assert not [f for f in r.discrepancy_flags if f.startswith("oracle slope")]
+        assert len(r.oracle_slopes) == len(r.shifts)
+        assert all(_agrees(o, s) for o, s in zip(r.oracle_slopes, r.shifts))
 
 
 @DRAWS
