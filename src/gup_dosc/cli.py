@@ -170,7 +170,7 @@ def _load_config_file(path: str, command: str) -> dict:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    if "command" in raw and raw["command"] != command:
+    if raw.get("command") is not None and raw["command"] != command:
         raise UsageError(
             f"config file command {raw['command']!r} does not match "
             f"invoked command {command!r}"
@@ -251,13 +251,6 @@ def parse_config(argv=None) -> RunConfig:
     values = {o.key: _checked(o, raw[o.key]) for o in OPTIONS}
     if values["levels"] < 0:
         raise UsageError("levels must be >= 0")
-    # only spectrum reports levels; the other commands echo the setting
-    if command == "spectrum" and values["cutoff"] < values["levels"] + 4:
-        raise UsageError(
-            f"cutoff {values['cutoff']} leaves no interior headroom for "
-            f"levels {values['levels']}; raise --cutoff to at least "
-            f"{values['levels'] + 4} or lower --levels"
-        )
     if values["format"] == "csv" and command != "scan":
         raise UsageError("csv output is defined for the scan command only")
     if command == "scan":
@@ -270,6 +263,10 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"steps {values['steps']} exceeds the limit {MAX_STEPS}")
         if not values["B_min"] <= values["B_max"]:
             raise UsageError("B-min must not exceed B-max")
+        # the largest product the field grid forms (`_run_scan`)
+        if not math.isfinite((values["B_max"] - values["B_min"]) * (values["steps"] - 1)):
+            raise UsageError("--B-min, --B-max and --steps span a field grid beyond "
+                             "the float range: (B-max - B-min) (steps - 1) overflows")
 
     return RunConfig(command, values, _parse_tolerances(args.tol, file_values))
 

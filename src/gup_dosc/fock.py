@@ -4,12 +4,14 @@ The planar problem is represented on two chiral boson modes `a` and `b`
 (occupation numbers n_a, n_b, each truncated at `cutoff`) tensored with a
 two-component spinor. Mode `a` is the dynamical mode that enters the
 oscillator Hamiltonian; mode `b` carries the level degeneracy. The operator
-conventions are listed in CONVENTIONS.md.
+conventions are listed in CONVENTIONS.md. This module builds no operators:
+it holds the cutoff, its interior and their costs.
 
 Truncation note: products of ladder operators corrupt matrix elements near
 the cutoff, so every computation works on the interior
-n_a + n_b <= cutoff - INTERIOR_MARGIN. The margin is fixed at 2, which
-covers every quadratic operator of the model.
+n_a + n_b <= T = cutoff - INTERIOR_MARGIN (`FockSpace.top`). The margin is
+fixed at 2, which covers every quadratic operator of the model, and a state
+(n, spectator k) of the model fits when n + k <= T.
 """
 
 from __future__ import annotations
@@ -54,13 +56,16 @@ def stack_configs(cutoff: int) -> int:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated |n_a, n_b> ⊗ spinor basis: each mode keeps 0..cutoff quanta."""
+    """Truncated |n_a, n_b> ⊗ spinor basis: each mode keeps 0..cutoff quanta,
+    and computations use the interior n_a + n_b <= `top`."""
 
     cutoff: int
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise UsageError(f"cutoff must be >= 1, got {self.cutoff}")
+        if self.cutoff < INTERIOR_MARGIN:
+            raise UsageError(
+                f"cutoff {self.cutoff} is below the interior margin {INTERIOR_MARGIN}"
+            )
         if self.cutoff > MAX_CUTOFF:
             # Decimal formats the estimate even where a float would overflow;
             # imported here to keep it out of every run's start-up
@@ -72,3 +77,8 @@ class FockSpace:
                 f"spectrum would take {work:.1e} dim^3 of eigensolver work and "
                 f"{block:.1e} bytes for its largest block"
             )
+
+    @property
+    def top(self) -> int:
+        """T = cutoff - INTERIOR_MARGIN, the largest interior n_a + n_b."""
+        return self.cutoff - INTERIOR_MARGIN

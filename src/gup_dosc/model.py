@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import INTERIOR_MARGIN, FockSpace
+from .fock import FockSpace
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -218,35 +218,23 @@ def _couplings(p: ModelParams) -> tuple[float, float]:
     return k, k
 
 
-def _interior_top(space: FockSpace) -> int:
-    """T = cutoff - INTERIOR_MARGIN, the largest interior n_a + n_b."""
-    top = space.cutoff - INTERIOR_MARGIN
-    if top < 0:
-        raise UsageError(
-            f"cutoff {space.cutoff} is below the interior margin {INTERIOR_MARGIN}"
-        )
-    return top
-
-
 def sector_terms(
     space: FockSpace, p: ModelParams, alpha: float
 ) -> tuple[float, float, float]:
     """(k_a, k_b, deform) of one config's J-sector blocks, in units of m c^2,
     at the deformation strength alpha = a m c.
 
-    deform = -alpha |lam| weighs the deformation pattern. With
-    T = cutoff - INTERIOR_MARGIN, no block entry exceeds the coupling
-    max(k_a, k_b) sqrt(T + 1) off the diagonal or 1 + |deform| (T + 1) on
-    it; raises UsageError when a bound is not finite, or the cutoff leaves
-    no interior.
+    deform = -alpha |lam| weighs the deformation pattern. With T =
+    `space.top`, no block entry exceeds the coupling max(k_a, k_b) sqrt(T + 1)
+    off the diagonal or 1 + |deform| (T + 1) on it; raises UsageError when a
+    bound is not finite.
     """
-    top = _interior_top(space)
     deform = -alpha * abs(p.lam)
     k_a, k_b = _couplings(p)
     for bound, message in (
-        (max(k_a, k_b) * math.sqrt(top + 1),
+        (max(k_a, k_b) * math.sqrt(space.top + 1),
          "derived oscillator coupling is not finite for these inputs"),
-        (1.0 + abs(deform) * (top + 1),
+        (1.0 + abs(deform) * (space.top + 1),
          "sector diagonal 1 + |alpha lam| (cutoff - 1) is not finite for these "
          f"inputs at alpha = a m c = {alpha!r}"),
     ):
@@ -289,7 +277,7 @@ def pair_spectrum(
     +-hypot(1, kappa). Every other state is a 1x1 block: a spin-up state at
     1 or a spin-down state at -1.
     """
-    top = _interior_top(space)
+    top = space.top
     k_a, k_b, _ = terms
     # every interior (n_a, n_b), n_a + n_b <= top
     quanta = np.arange(top + 1)
@@ -319,13 +307,13 @@ def build_sectors(
 
     Each of `terms` is the (k_a, k_b, deform) of one config
     (`sector_terms`), checked there. Built from closed-form ladder matrix
-    elements on the interior n_a + n_b <= cutoff - INTERIOR_MARGIN only; the
-    full space is never allocated. The stacks are generated one at a time,
-    in the order of `js`, so a caller that consumes them in turn holds one
-    stack at a time. Each block runs over the spin-up states, then the
-    spin-down states, each ascending in n_b; it is real symmetric float64 in
-    the basis where |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md,
-    Sectors), and holds
+    elements on the interior n_a + n_b <= `space.top` only; the full space
+    is never allocated. The stacks are generated one at a time, in the order
+    of `js`, so a caller that consumes them in turn holds one stack at a
+    time. Each block runs over the spin-up states, then the spin-down
+    states, each ascending in n_b; it is real symmetric float64 in the basis
+    where |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md, Sectors),
+    and holds
 
       diagonal   ± 1 - alpha |lam| (n_a + n_b + 1)
       pair       <n_a+1, n_b+1| H' |n_a, n_b> = -alpha |lam| sqrt((n_a+1)(n_b+1))
@@ -337,7 +325,7 @@ def build_sectors(
     operations as building each block alone. D is not added when every
     deform is zero.
     """
-    top = _interior_top(space)
+    top = space.top
     # one (row,) column per term
     columns = np.array(terms, dtype=float).reshape(-1, 3).T
     if js is None:

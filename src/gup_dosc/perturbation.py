@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import INTERIOR_MARGIN, FockSpace, stack_configs
+from .fock import FockSpace, stack_configs
 from .model import (
     BRANCHES,
     NEGATIVE,
@@ -102,6 +102,9 @@ class PTReport:
     discrepancy_flags: list[str]
     breakdown: dict | None = None
     eigenvectors: np.ndarray | None = None
+    # J = n_a - n_b + [spin down] of each shift's state, in shift order; empty
+    # where no state is built (the critical field, an external block)
+    sectors: list[int] = field(default_factory=list)
 
 
 def critical_field(p: ModelParams) -> float:
@@ -137,9 +140,17 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
     return spinor_level(mirror, n, branch)
 
 
+def _check_headroom(space: FockSpace, n: int, spectator: int) -> None:
+    """UsageError unless the state (n, spectator) fits: n + spectator <= `space.top`."""
+    if n + spectator > space.top:
+        raise UsageError(f"state (n={n}, spectator={spectator}) too close to "
+                         f"cutoff {space.cutoff}; raise the cutoff")
+
+
 def _state_vector(p: ModelParams, member: ClusterMember, level: SpinorLevel) -> tuple:
     """Nonzero amplitudes of a checked member, an eigenstate of H0 off the
-    critical field, and its basis descriptor; `level` is its operator level.
+    critical field, its basis descriptor and its J-sector; `level` is its
+    operator level.
 
     Amplitudes are (weight, n_a, n_b), the upper spinor component first. For
     wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for
@@ -176,7 +187,9 @@ def _state_vector(p: ModelParams, member: ClusterMember, level: SpinorLevel) -> 
         "branch": branch,
         "spectator": spectator,
     }
-    return amplitudes, descriptor
+    # both components lie in one J-sector: J = n_a - n_b, and one more down
+    j = upper[0] - upper[1] if upper is not None else lower[0] - lower[1] + 1
+    return amplitudes, descriptor, j
 
 
 # p^2 = m |wt| hbar [n_a + n_b + 1 + i(a† b† - a b)] and its ladder-form
@@ -225,8 +238,8 @@ def interior_spectrum(
     `fock.stack_configs`, one pass over the J-sectors each, which bounds a
     stack's bytes.
     """
-    if not configs:  # no rows of (cutoff - 1) cutoff interior eigenvalues
-        return np.empty((0, (space.cutoff - 1) * space.cutoff))
+    if not configs:  # no rows of (T + 1)(T + 2) interior eigenvalues
+        return np.empty((0, (space.top + 1) * (space.top + 2)))
     if js is not None:
         js = list(js)
     terms = [sector_terms(space, p, a) for p, a in configs]
@@ -262,11 +275,12 @@ def level_rows(
     One row per (n, branch), n outermost: the closed-form energy
     (`landau_level`), the nearest eigenvalue of the interior spectrum, their
     relative error, and the number of eigenvalues within `window`, in units
-    of m c^2, of the closed-form energy. A window below the noise floor
-    raises UsageError before anything is solved; so does a nearest
-    eigenvalue whose energy is beyond the float range.
+    of m c^2, of the closed-form energy. A window below the noise floor, or a
+    level n = `levels` outside the interior, raises UsageError before
+    anything is solved; so does a nearest eigenvalue beyond the float range.
     """
     _check_window(window)
+    _check_headroom(space, levels, 0)
     spectrum = interior_spectrum(space, [(p, 0.0)])[0]
     rows = []
     for n in range(levels + 1):
@@ -286,15 +300,6 @@ def level_rows(
                 "multiplicity": int(np.sum(distances <= window)),
             })
     return rows
-
-
-def _sector_j(descriptor: dict) -> int:
-    """J = n_a - n_b + [spin down] of a state from its basis descriptor."""
-    if descriptor["upper_state"] is not None:
-        n_a, n_b = descriptor["upper_state"]
-        return n_a - n_b
-    n_a, n_b = descriptor["lower_state"]
-    return n_a - n_b + 1
 
 
 def _sector_slope(p: ModelParams, j: int, w: np.ndarray, energy: float) -> float:
@@ -338,17 +343,15 @@ def oracle_check(
 
     `reports` are all the shift reports of one command; each is checked
     before the next is taken, so a generator of reports stops at the first
-    that fails. Shift i belongs to the member that column i of the report's
-    `eigenvectors` picks out, or to the single state of a non-degenerate
-    report. Its slope is that of the one eigenvalue of the member's own
-    J-sector within CLUSTER_WINDOW m c^2 of the unperturbed energy. Only
-    those J-sectors are solved, each once per call, and nothing is kept
-    after it. Raises ComputationError when such a block holds no eigenvalue
-    there, and UsageError when it holds several, which the stencil step
-    cannot tell apart, or when the finite differences are not finite. At the
-    critical field, where every shift is identically zero and the slopes'
-    unit a c m hbar wt vanishes, the reports are returned unchanged and
-    nothing is solved.
+    that fails. The slope of shift i is that of the one eigenvalue of its
+    state's J-sector, `sectors[i]`, within CLUSTER_WINDOW m c^2 of the
+    unperturbed energy. Only those J-sectors are solved, each once per call,
+    and nothing is kept after it. Raises ComputationError when such a block
+    holds no eigenvalue there, and UsageError when it holds several, which
+    the stencil step cannot tell apart, or when the finite differences are
+    not finite. At the critical field, where every shift is identically zero
+    and the slopes' unit a c m hbar wt vanishes, the reports are returned
+    unchanged and nothing is solved.
     """
     if p.omega_tilde == 0.0:
         return list(reports)
@@ -356,15 +359,12 @@ def oracle_check(
     stencils: dict[int, np.ndarray] = {}
     checked = []
     for report in reports:
-        members = ([0] if report.eigenvectors is None
-                   else np.argmax(np.abs(report.eigenvectors), axis=0))
-        js = [_sector_j(report.subspace_basis[m]) for m in members]
         slopes = {}
-        for j in dict.fromkeys(js):
+        for j in dict.fromkeys(report.sectors):
             if j not in stencils:
                 stencils[j] = interior_spectrum(space, strengths, [j])
             slopes[j] = _sector_slope(p, j, stencils[j], report.unperturbed_energy)
-        report.oracle_slopes = [slopes[j] for j in js]
+        report.oracle_slopes = [slopes[j] for j in report.sectors]
         for s, o in zip(report.shifts, report.oracle_slopes):
             if not _agrees(o, s):
                 report.discrepancy_flags.append(
@@ -382,8 +382,8 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
     kinds sort the members' diagonal cluster matrix; a degenerate report
     carries the sorting permutation as its eigenvectors, a non-degenerate one,
     of a single member, the three-term breakdown of <p^2>. At the critical
-    field every shift is identically zero and so is every oracle slope;
-    elsewhere the slopes are left to `oracle_check`.
+    field every shift, and every oracle slope, is identically zero; elsewhere
+    the report names each shift's J-sector, for `oracle_check`'s slopes.
     """
     size = len(members)
     levels = []
@@ -391,14 +391,12 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         levels.append(operator_level(p, m.n, m.branch))
         if m.spectator < 0:
             raise UsageError(f"spectator quantum must be >= 0, got {m.spectator}")
-        if m.n + m.spectator > space.cutoff - INTERIOR_MARGIN:
-            raise UsageError(f"state (n={m.n}, spectator={m.spectator}) too close to "
-                             f"cutoff {space.cutoff}; raise the cutoff")
+        _check_headroom(space, m.n, m.spectator)
     if len({(m.n, m.branch) for m in members}) > 1:
         # near-degenerate levels at tiny wt: the pair term would couple them
         raise UsageError("cluster members must share one level (n, branch)")
     if p.omega_tilde == 0.0:
-        basis: Sequence[dict] = []
+        basis, js = [], []
         sub = np.zeros((size, size), dtype=np.complex128)
         # a unit of +0.0: the shift unit is -0.0 for a = -0.0
         unit, slopes = 0.0, [0.0] * size
@@ -406,7 +404,8 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         flags = ["critical field: oscillator coupling vanishes, all corrections are "
                  "identically zero"]
     else:
-        states, basis = zip(*(_state_vector(p, m, level) for m, level in zip(members, levels)))
+        states, basis, js = zip(*(_state_vector(p, m, level)
+                                  for m, level in zip(members, levels)))
         # an off-diagonal element is -sign(wt) times an empty sum 0j
         sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
         np.fill_diagonal(sub, [_shift(p, state) for state in states])
@@ -418,6 +417,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         flags = [OVER_CRITICAL] if p.omega_tilde < 0.0 else []
     order = np.argsort(sub.diagonal().real, kind="stable")
     shifts = sub.diagonal().real[order].tolist()
+    sectors = [js[i] for i in order] if js else []
     vectors = np.eye(size, dtype=np.complex128)[:, order]
     if not all(math.isfinite(s * unit) for s in shifts):
         raise UsageError(f"shift energy of level (n={members[0].n}, branch "
@@ -434,6 +434,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         discrepancy_flags=flags,
         breakdown=None if degenerate else breakdown,
         eigenvectors=vectors if degenerate else None,
+        sectors=sectors,
     )
 
 

@@ -57,9 +57,28 @@ def test_config_command_mismatch_rejected(tmp_path):
         parse_config(["spectrum", "--config", str(config)])
 
 
-def test_cutoff_headroom_rule():
-    with pytest.raises(UsageError, match="raise --cutoff"):
-        parse_config(["spectrum", "--omega", "1", "--levels", "40", "--cutoff", "20"])
+def test_config_command_null_is_unset(tmp_path):
+    # a null value counts as unset, the command's as every other's
+    null, absent = tmp_path / "null.json", tmp_path / "absent.json"
+    null.write_text(json.dumps({"command": None, "omega": 1.0}))
+    absent.write_text(json.dumps({"omega": 1.0}))
+    argv = ["spectrum", *FAST]
+    code, text = run_to_string([*argv, "--config", str(null)], tmp_path)
+    assert code == 0
+    assert (code, text) == run_to_string([*argv, "--config", str(absent)], tmp_path,
+                                         "absent.txt")
+
+
+def test_cutoff_headroom_rule(monkeypatch, capsys):
+    # level 40 does not fit in the interior n_a + n_b <= 18 of cutoff 20: the
+    # config parses, and the level rows reject it before anything is solved
+    argv = ["spectrum", "--omega", "1", "--levels", "40", "--cutoff", "20"]
+    assert parse_config(argv).levels == 40
+    monkeypatch.setattr(perturbation, "interior_spectrum",
+                        lambda *args: pytest.fail("a spectrum was solved"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage error: state (n=40, spectator=0) too close to cutoff 20; raise the cutoff\n")
 
 
 def test_only_spectrum_needs_headroom_for_its_levels(tmp_path, capsys):
@@ -72,10 +91,34 @@ def test_only_spectrum_needs_headroom_for_its_levels(tmp_path, capsys):
     assert code == 0
     assert default.replace("  levels: 8\n", "  levels: 0\n", 1) == zero
     assert default != zero
-    assert main(["spectrum", "--omega", "1", "--cutoff", "10"]) == 2
+    # the default levels 8 need n = 8 in the interior: cutoff 10 and no less
+    assert main(["spectrum", "--omega", "1", "--cutoff", "10"]) == 0
+    assert main(["spectrum", "--omega", "1", "--cutoff", "9"]) == 2
     assert capsys.readouterr().err == (
-        "usage error: cutoff 10 leaves no interior headroom for levels 8; raise "
-        "--cutoff to at least 12 or lower --levels\n")
+        "usage error: state (n=8, spectator=0) too close to cutoff 9; raise the cutoff\n")
+
+
+@pytest.mark.parametrize("levels", [0, 4, 8])
+@pytest.mark.parametrize("b", ["0", "1"])
+def test_spectrum_reaches_the_interior_top(levels, b, tmp_path):
+    # cutoff = levels + 2: the highest level fills the interior n_a + n_b <= levels
+    code, text = run_to_string(["spectrum", "--omega", "1", "--B", b, "--branch", "both",
+                                "--levels", str(levels), "--cutoff", str(levels + 2),
+                                "--format", "json"], tmp_path)
+    assert code == 0
+    rows = json.loads(text)["levels"]
+    assert max(r["n"] for r in rows) == levels
+    assert all(r["rel_error"] <= 1e-8 and r["multiplicity"] >= 1 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "correct", "degenerate", "scan",
+                                     "validate"])
+@pytest.mark.parametrize("cutoff", ["0", "1"])
+def test_cutoffs_inside_the_margin_are_usage_errors(command, cutoff, capsys):
+    extra = ["--B-min", "0", "--B-max", "3", "--steps", "3"] if command == "scan" else []
+    assert main([command, *extra, "--omega", "1", "--gup-a", "1e-4", "--cutoff", cutoff]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"usage error: cutoff {cutoff} is below the interior margin 2\n"
 
 
 def test_missing_omega_is_usage_error():
@@ -103,6 +146,23 @@ def test_steps_above_the_limit_are_usage_errors(monkeypatch, tmp_path, capsys):
         assert main(scan + argv) == 2
         err = capsys.readouterr().err
         assert err == f"usage error: steps {10 ** 30} exceeds the limit 10000\n"
+
+
+@pytest.mark.parametrize("b_min, b_max, steps", [
+    ("0", "1e308", "3"), ("-1e308", "1e308", "3"), ("0", "1e305", "10000")])
+def test_field_grids_beyond_the_float_range_are_usage_errors(b_min, b_max, steps):
+    # the grid forms (B-max - B-min) i before it divides by steps - 1: rejected
+    # while the config is parsed, where the product would overflow
+    scan = ["scan", "--omega", "1", f"--B-min={b_min}", f"--B-max={b_max}", "--cutoff", "8"]
+    with pytest.raises(UsageError, match=re.escape(
+            "--B-min, --B-max and --steps span a field grid beyond the float range")):
+        parse_config([*scan, "--steps", steps])
+
+
+def test_the_widest_finite_field_grid_parses():
+    config = parse_config(["scan", "--omega", "1", "--B-min=-1e307", "--B-max", "1e308",
+                           "--steps", "2"])
+    assert (config.B_max - config.B_min) * (config.steps - 1) == 1.1e308
 
 
 def test_unknown_tolerance_rejected():
@@ -363,8 +423,9 @@ def test_help_still_exits_zero(capsys):
       for b in ("1", "2", "3")),
     *((["degenerate", "--cutoff", "4"], b, "state (n=2, spectator=1) too close to cutoff 4")
       for b in ("1", "2", "3")),
+    # validate checks its level rows, n = 0 .. 4, first
     *((["validate", "--gup-a", "1e-4", "--cutoff", "4"], b,
-       "state (n=2, spectator=1) too close to cutoff 4") for b in ("1", "2")),
+       "state (n=4, spectator=0) too close to cutoff 4") for b in ("1", "2")),
 ])
 def test_states_beyond_the_cutoff_are_usage_errors_on_both_sides(argv, b, named, capsys):
     assert main([*argv, "--omega", "1", "--B", b]) == 2

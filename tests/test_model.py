@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -287,15 +288,21 @@ def test_sector_couplings_are_exact_zeros():
                         assert stack[0, r, q] == 0.0
 
 
+@pytest.mark.parametrize("cutoff", [-1, 0, 1])
+def test_fock_space_rejects_cutoff_inside_margin(cutoff):
+    with pytest.raises(UsageError, match=re.escape(
+            f"cutoff {cutoff} is below the interior margin {INTERIOR_MARGIN}")):
+        FockSpace(cutoff=cutoff)
+
+
 def test_build_sectors_rejects_cutoff_inside_margin():
+    # no space without an interior is built (`FockSpace`), so none reaches
+    # the blocks; the smallest cutoff with one, T = 0, has one state per
+    # spin, n_a = n_b = 0
     p = ModelParams(omega=1.0)
     space = FockSpace(cutoff=INTERIOR_MARGIN)
+    assert space.top == 0 and FockSpace(cutoff=40).top == 38
     terms = sector_terms(space, p, 0.0)
-    with pytest.raises(UsageError, match="cutoff 1"):
-        sector_terms(FockSpace(cutoff=1), p, 0.0)
-    with pytest.raises(UsageError, match="cutoff 1"):
-        build_sectors(FockSpace(cutoff=1), [terms])
-    # the smallest cutoff with an interior: one state per spin, n_a = n_b = 0
     stacks = build_sectors(space, [terms])
     assert [stack.shape for stack in stacks] == [(1, 1, 1), (1, 1, 1)]
 

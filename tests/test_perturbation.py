@@ -25,6 +25,7 @@ from gup_dosc.perturbation import (
     interior_spectrum,
     level_cluster,
     level_exists,
+    level_rows,
     operator_level,
     oracle_check,
     shifts_of_matrix,
@@ -273,6 +274,20 @@ def test_state_headroom_is_the_interior_margin():
     assert abs(r.oracle_slopes[0] - r.shifts[0]) <= ORACLE_RTOL * abs(r.shifts[0])
     with pytest.raises(UsageError, match="cutoff 12"):
         first_order_shift(SPACE, PARAMS, 1, "+", spectator=10)
+
+
+def test_level_rows_stop_at_the_interior_top(monkeypatch):
+    # cutoff 10 leaves the interior n_a + n_b <= 8: level 8 (spectator 0) is
+    # exact, and level 9 is rejected before anything is solved
+    space, p = FockSpace(cutoff=10), ModelParams(omega=1.0, b_field=1.0)
+    rows = level_rows(space, p, 8, ("+", "-"), CLUSTER_WINDOW)
+    assert [(r["n"], r["branch"]) for r in rows[-2:]] == [(8, "+"), (8, "-")]
+    assert all(r["rel_error"] <= 1e-15 and r["multiplicity"] == 1 for r in rows[-2:])
+    monkeypatch.setattr(perturbation, "interior_spectrum",
+                        lambda *args: pytest.fail("a spectrum was solved"))
+    with pytest.raises(UsageError, match=re.escape(
+            "state (n=9, spectator=0) too close to cutoff 10; raise the cutoff")):
+        level_rows(space, p, 9, ("+",), CLUSTER_WINDOW)
 
 
 def test_over_critical_levels_mirror():

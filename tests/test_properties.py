@@ -4,12 +4,17 @@ Every draw is derandomized, so a run tests the same examples each time, and
 the example counts are bounded to keep the suite fast.
 """
 
+import json
+import pathlib
+import tempfile
 from decimal import Context, Decimal
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
 from gup_dosc.model import (
@@ -72,6 +77,16 @@ def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
     members = np.argmax(np.abs(r.eigenvectors), axis=0)
     assert diagonal[members].tolist() == r.shifts
     assert r.shifts_energy == [s * p.shift_unit for s in r.shifts]
+    # each shift names the J-sector of its member's dominant basis state
+    assert r.sectors == [_dominant_j(r.subspace_basis[m]) for m in members]
+
+
+def _dominant_j(state: dict) -> int:
+    """J = n_a - n_b + [spin down] of a basis descriptor's larger component."""
+    upper, lower = state["upper_state"], state["lower_state"]
+    if upper is not None and abs(state["upper_weight"]) >= abs(complex(*state["lower_weight"])):
+        return upper[0] - upper[1]
+    return lower[0] - lower[1] + 1
 
 
 @DRAWS
@@ -227,3 +242,58 @@ def test_cluster_sizes_equal_the_per_cluster_loop(drawn):
     with np.errstate(over="ignore"):  # the loop's gaps and means may overflow
         loop = spectral_clusters_loop(spectrum, window)
     assert sizes.tolist() == [m for _, m in loop]
+
+
+FORMATS = {"spectrum": ["text", "json"], "correct": ["text", "json"],
+           "degenerate": ["text", "json"], "validate": ["text", "json"],
+           "scan": ["text", "json", "csv"]}
+# The least cutoff whose interior holds every state a command reports: n = 1
+# for correct, and the n = 2 cluster's spectator 3 for degenerate and validate.
+LEAST_CUTOFF = {"spectrum": 2, "correct": 3, "degenerate": 7, "validate": 7, "scan": 2}
+
+
+@st.composite
+def invocations(draw, command):
+    """argv of `command`: units, omega, B on either side of B_c, a, the
+    branch, the levels and a cutoff from levels + 2 (or the command's least)
+    to 12."""
+    base = ModelParams(omega=draw(scales), mass=draw(scales), light_speed=draw(scales),
+                       hbar=draw(scales), charge=draw(scales),
+                       gup_a=draw(st.just(0.0) | st.floats(1e-8, 1e-2)))
+    b = draw(st.floats(0.0, 0.9) | st.floats(1.1, 3.0)) * critical_field(base)
+    levels = draw(st.integers(0, 6))
+    values = dict(omega=base.omega, mass=base.mass, light_speed=base.light_speed,
+                  hbar=base.hbar, charge=base.charge, gup_a=base.gup_a,
+                  branch=draw(st.sampled_from(["+", "-", "both"])), levels=levels,
+                  cutoff=draw(st.integers(max(levels + 2, LEAST_CUTOFF[command]), 12)),
+                  format=draw(st.sampled_from(FORMATS[command])))
+    if command == "scan":
+        values.update(B_min=0.0, B_max=b, steps=draw(st.integers(2, 3)))
+    else:
+        values["B"] = b
+    return [command, *(f"--{k.replace('_', '-')}={v}" for k, v in values.items())]
+
+
+def _report(argv: list[str], path: pathlib.Path) -> tuple[int, str | None]:
+    path.unlink(missing_ok=True)
+    code = main([*argv, "--output", str(path)])
+    return code, path.read_text(encoding="utf-8") if path.exists() else None
+
+
+# six draws per command, 30 in all
+@pytest.mark.parametrize("command", sorted(FORMATS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_reports_are_deterministic_and_the_config_echo_reproduces_them(command, data):
+    argv = data.draw(invocations(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        out, echo = pathlib.Path(tmp, "report"), pathlib.Path(tmp, "echo.json")
+        code, report = _report(argv, out)
+        if code not in (0, 1):  # no report to reproduce
+            return
+        assert _report(argv, out) == (code, report)
+        config = parse_config(argv)
+        if config.format == "json":  # the echo the report carries
+            assert json.loads(report)["config"] == config.echo()
+        echo.write_text(json.dumps(config.echo()), encoding="utf-8")
+        assert _report([argv[0], "--config", str(echo)], out) == (code, report)
