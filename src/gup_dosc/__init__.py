@@ -18,7 +18,6 @@ from .errors import ComputationError, UsageError
 from .fock import FockSpace
 from .model import ModelParams, SpinorLevel, landau_level, spinor_level
 from .perturbation import (
-    ClusterMember,
     PTReport,
     critical_field,
     degenerate_shift,
@@ -38,7 +37,6 @@ __all__ = [
     "SpinorLevel",
     "landau_level",
     "spinor_level",
-    "ClusterMember",
     "PTReport",
     "critical_field",
     "degenerate_shift",

@@ -36,7 +36,6 @@ from .perturbation import (
     degenerate_shift,
     field_scan,
     first_order_shift,
-    level_cluster,
     level_exists,
     level_rows,
     oracle_check,
@@ -473,8 +472,7 @@ def _run_correct(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
 
 
 def _run_degenerate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
-    (result,) = oracle_check(
-        space, p, [degenerate_shift(space, p, level_cluster(n=2, size=4))])
+    (result,) = oracle_check(space, p, [degenerate_shift(space, p, 2, range(4))])
     return {"cluster": _pt_report_dict(result)}
 
 

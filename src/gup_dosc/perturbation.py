@@ -78,15 +78,6 @@ ALLOWLISTED_DISCREPANCIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ClusterMember:
-    """One degenerate-cluster member: level index, branch, spectator quantum."""
-
-    n: int
-    branch: str = POSITIVE
-    spectator: int = 0
-
-
 @dataclass
 class PTReport:
     """One perturbation-theory result with its oracle cross-check."""
@@ -147,10 +138,10 @@ def _check_headroom(space: FockSpace, n: int, spectator: int) -> None:
                          f"cutoff {space.cutoff}; raise the cutoff")
 
 
-def _state_vector(p: ModelParams, member: ClusterMember, level: SpinorLevel) -> tuple:
-    """Nonzero amplitudes of a checked member, an eigenstate of H0 off the
-    critical field, its basis descriptor and its J-sector; `level` is its
-    operator level.
+def _state_vector(p: ModelParams, level: SpinorLevel, spectator: int) -> tuple:
+    """Nonzero amplitudes of the checked state (n, branch, spectator) of an
+    operator level, an eigenstate of H0 off the critical field, its basis
+    descriptor and its J-sector.
 
     Amplitudes are (weight, n_a, n_b), the upper spinor component first. For
     wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for
@@ -158,7 +149,7 @@ def _state_vector(p: ModelParams, member: ClusterMember, level: SpinorLevel) -> 
     fixed by the mirrored block structure.
     """
     wt = p.omega_tilde
-    n, branch, spectator = member.n, member.branch, member.spectator
+    n = level.n
     upper: tuple[int, int] | None
     lower: tuple[int, int] | None
     if n == 0:
@@ -184,7 +175,7 @@ def _state_vector(p: ModelParams, member: ClusterMember, level: SpinorLevel) -> 
         "lower_state": list(lower) if lower is not None else None,
         "lower_weight": [lower_weight.real, lower_weight.imag],
         "n": n,
-        "branch": branch,
+        "branch": level.branch,
         "spectator": spectator,
     }
     # both components lie in one J-sector: J = n_a - n_b, and one more down
@@ -374,27 +365,26 @@ def oracle_check(
     return checked
 
 
-def _shift_report(space: FockSpace, p: ModelParams, label: str,
-                  members: Sequence[ClusterMember], degenerate: bool) -> PTReport:
-    """The first-order report of `members`, states of one level (n, branch).
+def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: str,
+                  spectators: Sequence[int], degenerate: bool) -> PTReport:
+    """The first-order report of the states of level (n, branch) with the
+    given spectator quanta.
 
-    Every member is checked first, on both sides of the critical field. Both
-    kinds sort the members' diagonal cluster matrix; a degenerate report
-    carries the sorting permutation as its eigenvectors, a non-degenerate one,
-    of a single member, the three-term breakdown of <p^2>. At the critical
-    field every shift, and every oracle slope, is identically zero; elsewhere
-    the report names each shift's J-sector, for `oracle_check`'s slopes.
+    The level is looked up once, through the level gate `operator_level`,
+    and every spectator quantum is checked next, on both sides of the
+    critical field. Both kinds sort the states' diagonal cluster matrix; a
+    degenerate report carries the sorting permutation as its eigenvectors, a
+    non-degenerate one, of a single state, the three-term breakdown of
+    <p^2>. At the critical field every shift, and every oracle slope, is
+    identically zero; elsewhere the report names each shift's J-sector, for
+    `oracle_check`'s slopes.
     """
-    size = len(members)
-    levels = []
-    for m in members:
-        levels.append(operator_level(p, m.n, m.branch))
-        if m.spectator < 0:
-            raise UsageError(f"spectator quantum must be >= 0, got {m.spectator}")
-        _check_headroom(space, m.n, m.spectator)
-    if len({(m.n, m.branch) for m in members}) > 1:
-        # near-degenerate levels at tiny wt: the pair term would couple them
-        raise UsageError("cluster members must share one level (n, branch)")
+    size = len(spectators)
+    level = operator_level(p, n, branch)
+    for k in spectators:
+        if k < 0:
+            raise UsageError(f"spectator quantum must be >= 0, got {k}")
+        _check_headroom(space, n, k)
     if p.omega_tilde == 0.0:
         basis, js = [], []
         sub = np.zeros((size, size), dtype=np.complex128)
@@ -404,8 +394,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
         flags = ["critical field: oscillator coupling vanishes, all corrections are "
                  "identically zero"]
     else:
-        states, basis, js = zip(*(_state_vector(p, m, level)
-                                  for m, level in zip(members, levels)))
+        states, basis, js = zip(*(_state_vector(p, level, k) for k in spectators))
         # an off-diagonal element is -sign(wt) times an empty sum 0j
         sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
         np.fill_diagonal(sub, [_shift(p, state) for state in states])
@@ -420,11 +409,11 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str,
     sectors = [js[i] for i in order] if js else []
     vectors = np.eye(size, dtype=np.complex128)[:, order]
     if not all(math.isfinite(s * unit) for s in shifts):
-        raise UsageError(f"shift energy of level (n={members[0].n}, branch "
-                         f"{members[0].branch}) overflows at the unit {unit!r}")
+        raise UsageError(f"shift energy of level (n={n}, branch {branch}) "
+                         f"overflows at the unit {unit!r}")
     return PTReport(
         cluster_label=label,
-        unperturbed_energy=levels[0].energy,
+        unperturbed_energy=level.energy,
         method="degenerate" if degenerate else "nondegenerate",
         subspace_basis=list(basis),
         subspace_matrix=sub,
@@ -454,29 +443,33 @@ def first_order_shift(
     """
     if n >= 2:
         raise UsageError(f"level n={n} is degenerate; use degenerate_shift")
-    return _shift_report(space, p, f"n={n}, branch {branch}",
-                         [ClusterMember(n, branch, spectator)], degenerate=False)
+    return _shift_report(space, p, f"n={n}, branch {branch}", n, branch, [spectator],
+                         degenerate=False)
 
 
 def degenerate_shift(
-    space: FockSpace, p: ModelParams, cluster: list[ClusterMember]
+    space: FockSpace,
+    p: ModelParams,
+    n: int,
+    spectators: Iterable[int],
+    branch: str = POSITIVE,
 ) -> PTReport:
-    """First-order shifts of a degenerate cluster: H' restricted to it.
+    """First-order shifts of a degenerate cluster: H' restricted to the
+    states of level (n, branch) with the given distinct spectator quanta.
 
-    Cluster members must be distinct spectator states of one level (n,
-    branch). The pair term of p^2 connects no two states of one tower, so
-    the cluster matrix is diagonal and no eigensolver runs: the shifts are
-    its diagonal ascending, the eigenvectors the permutation that sorts it.
-    There are no oracle slopes (`oracle_check` adds them).
+    The cluster lists its states in the order of `spectators`. The pair term
+    of p^2 connects no two states of one tower, so the cluster matrix is
+    diagonal and no eigensolver runs: the shifts are its diagonal ascending,
+    the eigenvectors the permutation that sorts it. There are no oracle
+    slopes (`oracle_check` adds them).
     """
-    if not cluster:
+    spectators = list(spectators)
+    if not spectators:
         raise UsageError("cluster must contain at least one member")
-    if len(set(cluster)) != len(cluster):
+    if len(set(spectators)) != len(spectators):
         raise UsageError("cluster members must be distinct")
-    label = "cluster " + ", ".join(
-        f"(n={m.n},{m.branch},k={m.spectator})" for m in cluster
-    )
-    return _shift_report(space, p, label, cluster, degenerate=True)
+    label = "cluster " + ", ".join(f"(n={n},{branch},k={k})" for k in spectators)
+    return _shift_report(space, p, label, n, branch, spectators, degenerate=True)
 
 
 def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport:
@@ -494,11 +487,6 @@ def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport
         discrepancy_flags=[],
         eigenvectors=vectors,
     )
-
-
-def level_cluster(n: int, size: int) -> list[ClusterMember]:
-    """The first `size` spectator members of the level-(n, +) tower."""
-    return [ClusterMember(n=n, spectator=k) for k in range(size)]
 
 
 def spectral_clusters(spectrum: np.ndarray, window: float) -> np.ndarray:
@@ -540,7 +528,7 @@ def _scan_point(space: FockSpace, p: ModelParams) -> dict:
         ):
             point[key] = first_order_shift(space, p, n, branch).shifts_energy[0]
         # a negative shift unit (wt < 0) reverses the order of the energies
-        cluster = degenerate_shift(space, p, level_cluster(n=2, size=4))
+        cluster = degenerate_shift(space, p, 2, range(4))
         point["n2_shifts"] = sorted(cluster.shifts_energy)
         for alpha in (0.0, p.alpha_gup):
             sector_terms(space, p, alpha)  # the errors the shared pass would raise
@@ -618,7 +606,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     # after the one before has passed its oracle check.
     ground, first, own = oracle_check(space, p, (
         first_order_shift(space, p, n, POSITIVE) if n < 2
-        else degenerate_shift(space, p, level_cluster(n=2, size=4))
+        else degenerate_shift(space, p, 2, range(4))
         for n in range(3)
     ))
     (g,), (g_slope,) = ground.shifts, ground.oracle_slopes

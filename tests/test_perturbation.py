@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -9,21 +11,20 @@ from gup_dosc import fock, perturbation
 from gup_dosc.cli import main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
-from gup_dosc.model import ModelParams, build_sectors, paired, sector_terms, spinor_level
+from gup_dosc.model import BRANCHES, ModelParams, build_sectors, paired, sector_terms, spinor_level
 from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     CLUSTER_WINDOW,
     ORACLE_RTOL,
     ORACLE_STEP,
+    PTReport,
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,
-    ClusterMember,
     critical_field,
     degenerate_shift,
     field_scan,
     first_order_shift,
     interior_spectrum,
-    level_cluster,
     level_exists,
     level_rows,
     operator_level,
@@ -95,7 +96,7 @@ def test_degenerate_levels_are_rejected():
 
 def test_lowest_tower_shifts_are_distinct():
     (r,) = oracle_check(SPACE, PARAMS,
-                        [degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=6))])
+                        [degenerate_shift(SPACE, PARAMS, 0, range(6))])
     assert r.shifts == pytest.approx([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], abs=1e-12)
     assert len(set(np.round(r.shifts, 9))) == 6
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -103,7 +104,7 @@ def test_lowest_tower_shifts_are_distinct():
 
 
 def test_degenerate_cluster_matrix_is_diagonal_in_spectator_tower():
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=2, size=4))
+    r = degenerate_shift(SPACE, PARAMS, 2, range(4))
     off = r.subspace_matrix - np.diag(np.diag(r.subspace_matrix))
     assert norm_max(off) <= 1e-13
     c2 = spinor_level(PARAMS, 2, "+").c_n
@@ -112,35 +113,47 @@ def test_degenerate_cluster_matrix_is_diagonal_in_spectator_tower():
 
 
 def test_degenerate_trace_identity():
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=5))
+    r = degenerate_shift(SPACE, PARAMS, 0, range(5))
     assert sum(r.shifts) == pytest.approx(
         float(np.trace(r.subspace_matrix).real), abs=1e-12
     )
 
 
-def test_degenerate_eigenvvectors_unitary():
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=2, size=4))
+def test_degenerate_eigenvectors_unitary():
+    r = degenerate_shift(SPACE, PARAMS, 2, range(4))
     v = r.eigenvectors
     assert norm_max(v.conj().T @ v - np.eye(4)) <= 1e-10
 
 
-def test_degenerate_mixed_energies_rejected():
-    cluster = [ClusterMember(n=0, spectator=0), ClusterMember(n=1, spectator=0)]
-    with pytest.raises(UsageError, match="one level"):
-        degenerate_shift(SPACE, PARAMS, cluster)
-
-
 def test_degenerate_cluster_is_distinct_states_of_one_level():
     p = ModelParams(omega=1.0, b_field=1.0)
-    cluster = [ClusterMember(2, "+", 0), ClusterMember(2, "+", 0)]
     with pytest.raises(UsageError, match="distinct"):
-        degenerate_shift(SPACE, p, cluster)
-    # levels 0 and 1 lie within the cluster window here, and the pair term
-    # of p^2 couples |0, 0> to |1, 1>: no diagonal cluster matrix exists
-    tiny = ModelParams(omega=1e-12, gup_a=1e-4)
-    cluster = [ClusterMember(0, "+", 0), ClusterMember(1, "+", 1)]
-    with pytest.raises(UsageError, match="one level"):
-        degenerate_shift(SPACE, tiny, cluster)
+        degenerate_shift(SPACE, p, 2, [0, 0])
+    with pytest.raises(UsageError, match="at least one member"):
+        degenerate_shift(SPACE, p, 2, [])
+
+
+@pytest.mark.parametrize("b_field", [1.0, 2.0, 3.0])  # wt = 0.5, 0 and -0.5
+def test_both_report_kinds_go_through_one_level_path(b_field):
+    # a one-state cluster is the non-degenerate report of that state in all
+    # but its kind: method, breakdown, eigenvectors and label
+    p = ModelParams(omega=1.0, b_field=b_field, gup_a=1e-4)
+    # the matrix is compared below, through its dump, which keeps signed zeros
+    apart = {"cluster_label", "method", "breakdown", "eigenvectors", "subspace_matrix"}
+    compared = [f.name for f in dataclasses.fields(PTReport) if f.name not in apart]
+    for n, branch, k in itertools.product((0, 1), BRANCHES, (0, 2)):
+        if not level_exists(p, n, branch):
+            continue
+        one = first_order_shift(SPACE, p, n, branch, k)
+        cluster = degenerate_shift(SPACE, p, n, [k], branch)
+        for name in compared:
+            assert repr(getattr(cluster, name)) == repr(getattr(one, name)), name
+        assert dump_matrix(cluster.subspace_matrix) == dump_matrix(one.subspace_matrix)
+        assert cluster.cluster_label == f"cluster (n={n},{branch},k={k})"
+    # the spectators keep their given order in the label and the basis
+    r = degenerate_shift(SPACE, ModelParams(omega=1.0, b_field=1.0), 2, [3, 0, 1])
+    assert r.cluster_label == "cluster (n=2,+,k=3), (n=2,+,k=0), (n=2,+,k=1)"
+    assert [state["spectator"] for state in r.subspace_basis] == [3, 0, 1]
 
 
 def test_stored_block_shifts_eigenvector_and_trace():
@@ -161,7 +174,7 @@ def test_oracle_slopes_match_whole_tower():
     # k sits alone in J-sector -k, so each shift meets its own block's slope
     tower_size = SPACE.cutoff - 1  # interior spectators of the lowest level
     (r,) = oracle_check(
-        SPACE, PARAMS, [degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=tower_size))])
+        SPACE, PARAMS, [degenerate_shift(SPACE, PARAMS, 0, range(tower_size))])
     assert r.discrepancy_flags == []
     assert len(r.oracle_slopes) == tower_size
     for s, o in zip(r.shifts, r.oracle_slopes):
@@ -171,7 +184,7 @@ def test_oracle_slopes_match_whole_tower():
 def test_oracle_flags_shifts_paired_with_another_members_sector():
     # swapped shifts keep the cluster's set of shifts, which a nearest match
     # over all its slopes accepts; each must meet its own member's slope
-    r = degenerate_shift(SPACE, PARAMS, level_cluster(n=2, size=4))
+    r = degenerate_shift(SPACE, PARAMS, 2, range(4))
     r.shifts[0], r.shifts[1] = r.shifts[1], r.shifts[0]
     (r,) = oracle_check(SPACE, PARAMS, [r])
     flagged = [f for f in r.discrepancy_flags if "disagrees" in f]
@@ -187,7 +200,7 @@ def _histograms(space, p, window):
     return point["degeneracy_counts_before"], point["degeneracy_counts_after"]
 
 
-def test_degeneracy_analysis_splits_lowest_tower():
+def test_field_scan_histograms_split_lowest_tower():
     before, after = _histograms(SPACE, PARAMS, 1e-9)
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
@@ -199,7 +212,7 @@ def test_degeneracy_analysis_splits_lowest_tower():
     assert sum(after.values()) > sum(before.values())
 
 
-def test_degeneracy_analysis_identity_without_deformation():
+def test_field_scan_histograms_identical_without_deformation():
     p0 = ModelParams(omega=0.1, gup_a=0.0)
     before, after = _histograms(SPACE, p0, 1e-9)
     assert before == after
@@ -329,8 +342,8 @@ def test_linearity_in_deformation_strength():
     r1 = first_order_shift(SPACE, PARAMS, 1, "+")
     r2 = first_order_shift(SPACE, doubled, 1, "+")
     assert r2.shifts_energy[0] == pytest.approx(2.0 * r1.shifts_energy[0], rel=1e-12)
-    d1 = degenerate_shift(SPACE, PARAMS, level_cluster(n=0, size=4))
-    d2 = degenerate_shift(SPACE, doubled, level_cluster(n=0, size=4))
+    d1 = degenerate_shift(SPACE, PARAMS, 0, range(4))
+    d2 = degenerate_shift(SPACE, doubled, 0, range(4))
     for a, b in zip(d1.shifts_energy, d2.shifts_energy):
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
@@ -346,7 +359,7 @@ def test_shift_reports_keep_their_kind_and_signed_zeros(omega, b_field, off_diag
     p = ModelParams(omega=omega, b_field=b_field, gup_a=1e-4)
     # a one-member cluster is a degenerate report, with 1x1 eigenvectors,
     # on either side of the critical field and at it
-    one = degenerate_shift(SPACE, p, level_cluster(n=2, size=1))
+    one = degenerate_shift(SPACE, p, 2, range(1))
     assert one.method == "degenerate" and one.breakdown is None
     assert one.eigenvectors.shape == (1, 1)
     level = first_order_shift(SPACE, p, 1)
@@ -354,12 +367,12 @@ def test_shift_reports_keep_their_kind_and_signed_zeros(omega, b_field, off_diag
     assert list(level.breakdown) == ["ladder", "position", "angular"]
     # an off-diagonal element of the cluster matrix is -sign(wt) 0j, and a
     # plain zero at the critical field
-    pair = degenerate_shift(SPACE, p, level_cluster(n=2, size=2)).subspace_matrix
+    pair = degenerate_shift(SPACE, p, 2, range(2)).subspace_matrix
     entries = [row.split() for row in dump_matrix(pair).split("\n")]
     assert entries[0][1] == entries[1][0] == off_diagonal
     # no eigensolver: the shifts are the diagonal sorted, bit for bit, and
     # the eigenvectors the identity's columns in that order, every zero +0
-    for r in (one, degenerate_shift(SPACE, p, level_cluster(n=2, size=4))):
+    for r in (one, degenerate_shift(SPACE, p, 2, range(4))):
         diagonal = r.subspace_matrix.diagonal().real
         assert r.shifts == sorted(diagonal.tolist())
         permutation = np.eye(len(diagonal), dtype=complex)[:, np.argsort(diagonal,
@@ -377,8 +390,7 @@ def test_shifts_vanish_at_critical_field():
     # each report keeps the level energy of its states, -m c^2 on branch -
     assert r.unperturbed_energy == p.rest_energy
     assert first_order_shift(SPACE, p, 1, "-").unperturbed_energy == -p.rest_energy
-    cluster = [ClusterMember(n=2, branch="-", spectator=k) for k in range(4)]
-    assert degenerate_shift(SPACE, p, cluster).unperturbed_energy == -p.rest_energy
+    assert degenerate_shift(SPACE, p, 2, range(4), "-").unperturbed_energy == -p.rest_energy
 
 
 @pytest.mark.parametrize("b_field", [1.0, 2.0, 3.0])  # wt = 0.5, 0 and -0.5
@@ -393,11 +405,6 @@ def test_members_are_checked_on_both_sides_of_the_critical_field(b_field):
     with pytest.raises(UsageError, match=re.escape(
             "state (n=1, spectator=10) too close to cutoff 12")):
         first_order_shift(SPACE, p, 1, "+", spectator=10)
-    # at the critical field both levels sit at m c^2; on every side the
-    # one-level check tells them apart
-    mixed = [ClusterMember(1, "+", 0), ClusterMember(2, "+", 0)]
-    with pytest.raises(UsageError, match="one level"):
-        degenerate_shift(SPACE, p, mixed)
 
 
 def test_validation_report_passes_with_allowlisted_rows():
@@ -464,8 +471,7 @@ def test_closed_form_shifts_match_dense_reference_algebra():
             assert r.shifts[0] == pytest.approx(dense(vec, p2).real, abs=1e-12)
             for name, op in pieces.items():
                 assert r.breakdown[name] == pytest.approx(dense(vec, op).real, abs=1e-12)
-        cluster = level_cluster(n=2, size=4)
-        r = degenerate_shift(space, p, cluster)
+        r = degenerate_shift(space, p, 2, range(4))
         vecs = [vector(desc) for desc in r.subspace_basis]
         ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
         assert norm_max(r.subspace_matrix - ref) <= 1e-12

@@ -5,8 +5,10 @@ the example counts are bounded to keep the suite fast.
 """
 
 import json
+import math
 import pathlib
 import tempfile
+from dataclasses import replace
 from decimal import Context, Decimal
 
 import numpy as np
@@ -28,13 +30,12 @@ from gup_dosc.model import (
 )
 from gup_dosc.numerics import eigvalsh
 from gup_dosc.perturbation import (
-    ClusterMember,
     _agrees,
     critical_field,
     degenerate_shift,
     first_order_shift,
     interior_spectrum,
-    level_cluster,
+    level_exists,
     oracle_check,
     spectral_clusters,
     validation_report,
@@ -63,8 +64,7 @@ def model_params(draw):
 @given(p=model_params(), n=st.integers(1, 3), branch=st.sampled_from(BRANCHES),
        size=st.integers(1, 5))
 def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
-    cluster = [ClusterMember(n, branch, k) for k in range(size)]
-    r = degenerate_shift(SPACE, p, cluster)
+    r = degenerate_shift(SPACE, p, n, range(size), branch)
     matrix = r.subspace_matrix
     diagonal = matrix.diagonal().real
     assert np.all(matrix[~np.eye(size, dtype=bool)] == 0.0)
@@ -79,6 +79,26 @@ def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
     assert r.shifts_energy == [s * p.shift_unit for s in r.shifts]
     # each shift names the J-sector of its member's dominant basis state
     assert r.sectors == [_dominant_j(r.subspace_basis[m]) for m in members]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(p=model_params(), n=st.integers(0, 3), branch=st.sampled_from(BRANCHES),
+       spectators=st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+       t=st.floats(0.5, 2.0))
+# the critical field, where every shift and shift energy is zero
+@example(p=ModelParams(omega=1.0, b_field=2.0, gup_a=1e-4), n=2, branch=POSITIVE,
+         spectators=[0, 1], t=1.5)
+def test_shifts_are_linear_in_a(p, n, branch, spectators, t):
+    # shifts are in units of a c m hbar wt, so a enters only through the unit
+    assume(level_exists(p, n, branch))
+    r = degenerate_shift(SPACE, p, n, spectators, branch)
+    scaled = degenerate_shift(SPACE, replace(p, gup_a=t * p.gup_a), n, spectators, branch)
+    assert repr(scaled.shifts) == repr(r.shifts)
+    assert scaled.sectors == r.sectors
+    assert all(math.isclose(e2, t * e1, rel_tol=1e-12, abs_tol=0.0)
+               for e1, e2 in zip(r.shifts_energy, scaled.shifts_energy, strict=True))
+    if p.omega_tilde == 0.0:
+        assert r.shifts_energy == r.shifts == [0.0] * len(spectators)
 
 
 def _dominant_j(state: dict) -> int:
@@ -158,7 +178,7 @@ def test_oracle_agrees_with_every_shift_near_lam_one(
         first_order_shift(SPACE, p, 0, ground),
         first_order_shift(SPACE, p, 1, POSITIVE),
         first_order_shift(SPACE, p, 1, NEGATIVE),
-        degenerate_shift(SPACE, p, level_cluster(n=2, size=4)),
+        degenerate_shift(SPACE, p, 2, range(4)),
     ])
     for r in reports:
         assert not [f for f in r.discrepancy_flags if f.startswith("oracle slope")]
