@@ -1,4 +1,4 @@
-"""Physical parameters, the analytic level structure, and the J-sector blocks.
+"""Physical parameters, analytic levels, and the J-sector blocks and spectra.
 
 The unperturbed Hamiltonian couples the two spinor components through the
 dynamical boson mode only,
@@ -32,7 +32,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ComputationError, UsageError
-from .fock import FockSpace
+from .fock import FockSpace, stack_configs
+from .numerics import eigvalsh
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -365,3 +366,38 @@ def _sector(j: int, top: int, k_a: np.ndarray, k_b: np.ndarray,
         flat[:, 1 :: n + 1] += weight * pair
         flat[:, n :: n + 1] += weight * pair
     return stack
+
+
+def interior_spectrum(
+    space: FockSpace,
+    terms: Sequence[tuple[float, float, float]],
+    js: Iterable[int] | None = None,
+) -> np.ndarray:
+    """Ascending eigenvalues, in units of m c^2, of the interior-projected
+    full Hamiltonian for each of `terms`, the `sector_terms` of one config
+    each: the one solver entry, and its route table.
+
+    H0 and H' both conserve J, so row k is the sorted union of the J-sector
+    spectra of terms[k], over every J-sector or over those in `js`. Each
+    distinct terms is solved once, and its row copied to every config that
+    shares it. `paired` terms, at a = 0 off the critical field, are closed
+    form (`pair_spectrum`), with no eigensolver call. All others go through
+    `build_sectors` in consecutive chunks of `fock.stack_configs`, one pass
+    over the J-sectors each, and each J-stack is solved in one `eigvalsh`
+    call as it is generated, so one stack of bounded bytes is held at a time.
+    """
+    if not terms:  # no rows of (T + 1)(T + 2) interior eigenvalues
+        return np.empty((0, (space.top + 1) * (space.top + 2)))
+    if js is not None:
+        js = list(js)
+    # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
+    distinct = list(dict.fromkeys(terms))
+    spectra = {t: pair_spectrum(space, t, js) for t in distinct if paired(t)}
+    dense = [t for t in distinct if not paired(t)]
+    size = stack_configs(space.cutoff)
+    for i in range(0, len(dense), size):
+        chunk = dense[i:i + size]
+        w = np.concatenate([eigvalsh(stack) for stack in build_sectors(space, chunk, js)],
+                           axis=-1)
+        spectra.update(zip(chunk, np.sort(w, axis=-1)))
+    return np.array([spectra[t] for t in terms])

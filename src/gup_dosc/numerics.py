@@ -3,8 +3,8 @@
 All matrices in this package are square ``numpy`` arrays: ``float64`` when
 the input is real (the J-sector blocks are real symmetric), ``complex128``
 otherwise. The Hermitian eigensolver wraps LAPACK and enforces the residual,
-orthonormality and trace contracts the physics modules rely on, and fixes
-the phase of every eigenvector so that reports are reproducible.
+orthonormality and spectral-moment contracts the physics modules rely on,
+and fixes the phase of every eigenvector so that reports are reproducible.
 """
 
 from __future__ import annotations
@@ -50,64 +50,16 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix with verified accuracy.
+def _check_moments(h: np.ndarray, w: np.ndarray) -> None:
+    """ComputationError unless the eigenvalues `w` of each matrix A of `h`,
+    one matrix or a stack (..., n, n), match its first two spectral moments.
 
-    Returns (eigenvalues, eigenvectors) as `np.linalg.eigh` does: the
-    eigenvalues real and ascending, column k of the eigenvectors paired with
-    eigenvalue k, the columns orthonormal and deterministically phased. The
-    matrix must be exactly Hermitian, as for `eigvalsh`: it is not
-    symmetrized, so one that is not fails the residual check. Raises
-    ComputationError (carrying the achieved residual) if the residual or
-    orthonormality contract cannot be met, and UsageError on non-finite input.
+    They are compared in units of s = max(1, ||A||_max), so that entries near
+    the float range cannot overflow them: sum(w/s) against tr(A/s) within
+    1e-10 * n, and sum((w/s)^2) against ||A/s||_F^2 within DEFAULT_EIGH_TOL
+    * n. The second moment catches eigenvalues LAPACK returns wrong by far
+    more than roundoff while their sum still matches the trace.
     """
-    h = as_matrix(a)
-    scale = max(1.0, norm_max(h) * h.shape[0])
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"eigensolver did not converge: {exc}") from exc
-    v = _fix_phases(v)
-
-    residual = float(
-        np.max(np.linalg.norm(h @ v - v * w[np.newaxis, :], axis=0))
-    )
-    bound = DEFAULT_EIGH_TOL * scale
-    if not residual <= bound:
-        raise ComputationError(f"eigh residual {residual:.3e} exceeds bound {bound:.3e}")
-    ortho = norm_max(v.conj().T @ v - np.eye(len(w)))
-    if not ortho <= 1e-10:
-        raise ComputationError(f"eigenvector orthonormality defect {ortho:.3e}")
-    trace_gap = abs(np.sum(w) - np.trace(h).real)
-    if not trace_gap <= 1e-10 * len(w) * max(1.0, norm_max(h)):
-        raise ComputationError(
-            f"eigenvalue sum deviates from trace by {trace_gap:.3e}"
-        )
-    return w, v
-
-
-def eigvalsh(a) -> np.ndarray:
-    """Ascending eigenvalues only; cheaper than full `eigh`.
-
-    `a` is one Hermitian matrix or a stack (..., n, n) of them, solved in one
-    LAPACK call; row k of the result belongs to matrix k, and each row is
-    bitwise what the matrix alone would give. Each matrix must be exactly
-    Hermitian: it is not symmetrized, LAPACK reads only its lower triangle,
-    and the moment checks read all of it. Without eigenvectors there is no
-    residual to check, so the first two spectral moments of each matrix are
-    checked instead, in units of its s = max(1, ||A||_max) so that
-    entries near the float range cannot overflow them: sum(w/s) against
-    tr(A/s) within 1e-10 * n, and sum((w/s)^2) against ||A/s||_F^2 within
-    DEFAULT_EIGH_TOL * n. The second moment catches eigenvalues LAPACK
-    returns wrong by far more than roundoff while their sum still matches
-    the trace. Real input is solved as real symmetric, never promoted to
-    complex.
-    """
-    h = as_matrix(a, stack=True)
-    try:
-        w = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"eigensolver did not converge: {exc}") from exc
     n = w.shape[-1]
     # s per matrix, shaped (..., 1, 1)
     scale = np.abs(h).max(axis=(-2, -1), keepdims=True, initial=1.0)
@@ -127,6 +79,57 @@ def eigvalsh(a) -> np.ndarray:
         if not np.all(gap <= bound):
             k = int(np.argmin(gap <= bound))  # the first matrix that fails
             raise ComputationError(message.format(gap.flat[k], scale.flat[k]))
+
+
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a Hermitian matrix with verified accuracy.
+
+    Returns (eigenvalues, eigenvectors) as `np.linalg.eigh` does: the
+    eigenvalues real and ascending, column k of the eigenvectors paired with
+    eigenvalue k, the columns orthonormal and deterministically phased. The
+    matrix must be exactly Hermitian, as for `eigvalsh`: it is not
+    symmetrized, so one that is not fails the moment check. Raises
+    ComputationError (carrying the achieved residual) if the moment
+    (`_check_moments`), residual or orthonormality contract cannot be met,
+    and UsageError on non-finite input.
+    """
+    h = as_matrix(a)
+    scale = max(1.0, norm_max(h) * h.shape[0])
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(f"eigensolver did not converge: {exc}") from exc
+    _check_moments(h, w)
+    v = _fix_phases(v)
+
+    residual = float(np.max(np.linalg.norm(h @ v - v * w[np.newaxis, :], axis=0)))
+    bound = DEFAULT_EIGH_TOL * scale
+    if not residual <= bound:
+        raise ComputationError(f"eigh residual {residual:.3e} exceeds bound {bound:.3e}")
+    ortho = norm_max(v.conj().T @ v - np.eye(len(w)))
+    if not ortho <= 1e-10:
+        raise ComputationError(f"eigenvector orthonormality defect {ortho:.3e}")
+    return w, v
+
+
+def eigvalsh(a) -> np.ndarray:
+    """Ascending eigenvalues only; cheaper than full `eigh`.
+
+    `a` is one Hermitian matrix or a stack (..., n, n) of them, solved in one
+    LAPACK call; row k of the result belongs to matrix k, and each row is
+    bitwise what the matrix alone would give. Each matrix must be exactly
+    Hermitian: it is not symmetrized, LAPACK reads only its lower triangle,
+    and the moment checks read all of it. Without eigenvectors there is no
+    residual to check; the first two spectral moments of each matrix are
+    (`_check_moments`). Real input is solved as real symmetric, never
+    promoted to complex.
+    """
+    h = as_matrix(a, stack=True)
+    try:
+        w = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(f"eigensolver did not converge: {exc}") from exc
+    _check_moments(h, w)
     return w
 
 

@@ -31,14 +31,12 @@ from .model import (
     POSITIVE,
     ModelParams,
     SpinorLevel,
-    build_sectors,
+    interior_spectrum,
     landau_level,
-    pair_spectrum,
-    paired,
     sector_terms,
     spinor_level,
 )
-from .numerics import eigh, eigvalsh
+from .numerics import eigh
 
 SHIFT_UNITS = "a·c·m·ħ·ω̃"
 # Flag of every shift report beyond the critical field.
@@ -206,47 +204,6 @@ def _shift(p: ModelParams, state: list, term=_P2) -> complex:
     return -math.copysign(1.0, p.omega_tilde) * total
 
 
-def interior_spectrum(
-    space: FockSpace,
-    configs: Sequence[tuple[ModelParams, float]],
-    js: Iterable[int] | None = None,
-) -> np.ndarray:
-    """Ascending eigenvalues, in units of m c^2, of the interior-projected
-    full Hamiltonian.
-
-    Row k is the spectrum of configs[k], a (ModelParams, alpha = a m c) pair;
-    alpha may be negative, as the oracle's stencil runs through a = 0. H0
-    and H' both conserve J = n_a - n_b + [spin down], so each row is the
-    sorted union of the J-sector spectra, over every J-sector or over those
-    in `js`. Each config is reduced to its block terms once (`sector_terms`,
-    which checks it), and configs with equal terms give equal blocks: each
-    distinct terms is solved once, and its row is copied to every config
-    that shares it. Terms that are `paired`, at a = 0 off the critical
-    field, take their spectrum in closed form (`pair_spectrum`), with no
-    eigensolver call. All other terms go through `build_sectors`, whose
-    J-sector stacks are solved one call each as they are generated, so one
-    stack is held at a time; they go in consecutive chunks of
-    `fock.stack_configs`, one pass over the J-sectors each, which bounds a
-    stack's bytes.
-    """
-    if not configs:  # no rows of (T + 1)(T + 2) interior eigenvalues
-        return np.empty((0, (space.top + 1) * (space.top + 2)))
-    if js is not None:
-        js = list(js)
-    terms = [sector_terms(space, p, a) for p, a in configs]
-    # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
-    distinct = list(dict.fromkeys(terms))
-    spectra = {t: pair_spectrum(space, t, js) for t in distinct if paired(t)}
-    dense = [t for t in distinct if not paired(t)]
-    size = stack_configs(space.cutoff)
-    for i in range(0, len(dense), size):
-        chunk = dense[i:i + size]
-        w = np.concatenate([eigvalsh(stack) for stack in build_sectors(space, chunk, js)],
-                           axis=-1)
-        spectra.update(zip(chunk, np.sort(w, axis=-1)))
-    return np.array([spectra[t] for t in terms])
-
-
 def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
     """|spectrum - energy|. A distance beyond the float range, between
     energies of opposite sign near it, is inf: as far as any distance gets."""
@@ -272,7 +229,7 @@ def level_rows(
     """
     _check_window(window)
     _check_headroom(space, levels, 0)
-    spectrum = interior_spectrum(space, [(p, 0.0)])[0]
+    spectrum = interior_spectrum(space, [sector_terms(space, p, 0.0)])[0]
     rows = []
     for n in range(levels + 1):
         for branch in branches:
@@ -336,17 +293,18 @@ def oracle_check(
     before the next is taken, so a generator of reports stops at the first
     that fails. The slope of shift i is that of the one eigenvalue of its
     state's J-sector, `sectors[i]`, within CLUSTER_WINDOW m c^2 of the
-    unperturbed energy. Only those J-sectors are solved, each once per call,
-    and nothing is kept after it. Raises ComputationError when such a block
-    holds no eigenvalue there, and UsageError when it holds several, which
-    the stencil step cannot tell apart, or when the finite differences are
-    not finite. At the critical field, where every shift is identically zero
-    and the slopes' unit a c m hbar wt vanishes, the reports are returned
-    unchanged and nothing is solved.
+    unperturbed energy. The five stencil strengths are reduced to their
+    block terms once, and only those J-sectors are solved, each once per
+    call; nothing is kept after it. Raises ComputationError when such a
+    block holds no eigenvalue there, and UsageError when it holds several,
+    which the stencil step cannot tell apart, or when the finite differences
+    are not finite. At the critical field, where every shift is identically
+    zero and the slopes' unit a c m hbar wt vanishes, the reports are
+    returned unchanged and nothing is solved.
     """
     if p.omega_tilde == 0.0:
         return list(reports)
-    strengths = [(p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
+    strengths = [sector_terms(space, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
     stencils: dict[int, np.ndarray] = {}
     checked = []
     for report in reports:
@@ -504,7 +462,10 @@ def spectral_clusters(spectrum: np.ndarray, window: float) -> np.ndarray:
 
 
 def _check_window(window: float) -> None:
-    """Raise UsageError for a window, in units of m c^2, below the noise floor."""
+    """Raise UsageError unless a window, in units of m c^2, is finite and at
+    least the noise floor."""
+    if not math.isfinite(window):
+        raise UsageError(f"window {window!r} is not finite")
     if window < 1e-12:
         raise UsageError(f"window {window!r} below the numerical noise floor 1e-12")
 
@@ -514,8 +475,9 @@ def _histogram(spectrum: np.ndarray, window: float) -> dict[int, int]:
     return dict(zip(sizes.tolist(), counts.tolist()))
 
 
-def _scan_point(space: FockSpace, p: ModelParams) -> dict:
-    """A scan point's own steps: shifts, and the checks of its histograms."""
+def _scan_point(space: FockSpace, p: ModelParams) -> tuple[dict, list]:
+    """A scan point's own steps: (point, the block terms of its configs at
+    alpha = 0 and a m c), with no terms once the point records an error."""
     # every report key up front, in report order; a failed point keeps None
     point: dict = {"B": p.b_field, "omega_tilde": p.omega_tilde, "ground_shift": None,
                    "first_shift": None, "n2_shifts": None,
@@ -530,11 +492,10 @@ def _scan_point(space: FockSpace, p: ModelParams) -> dict:
         # a negative shift unit (wt < 0) reverses the order of the energies
         cluster = degenerate_shift(space, p, 2, range(4))
         point["n2_shifts"] = sorted(cluster.shifts_energy)
-        for alpha in (0.0, p.alpha_gup):
-            sector_terms(space, p, alpha)  # the errors the shared pass would raise
+        return point, [sector_terms(space, p, alpha) for alpha in (0.0, p.alpha_gup)]
     except (UsageError, ComputationError) as exc:
         point["error"] = str(exc)
-    return point
+    return point, []
 
 
 def field_scan(
@@ -548,14 +509,14 @@ def field_scan(
     within the values.
 
     The degeneracy window, in units of m c^2, which no field changes, is
-    checked against the noise floor once, before the first point; a window
-    below it raises UsageError. Each point then runs its own steps in input
-    order: its shifts and the checks of its degeneracy histograms, and a
-    point that fails records its first error. The histograms of the
-    remaining points then come from shared passes over the J-sectors, each
-    of as many points as `fock.stack_configs` allows, which bounds how many
-    spectra are held at once (every point solves two configs, at alpha = 0
-    and a m c; identical blocks, such as the two of a point at the critical
+    checked once, before the first point; one that is not finite or is below
+    the noise floor raises UsageError. Each point then runs its own steps in
+    input order: its shifts and the reduction of its two configs, at alpha =
+    0 and a m c, to their block terms, and a point that fails records its
+    first error. The histograms of the remaining points then come from
+    shared passes over the J-sectors, each of as many points as
+    `fock.stack_configs` allows, which bounds how many spectra are held at
+    once (identical blocks, such as the two of a point at the critical
     field, are solved once). Each histogram is {multiplicity: number of
     clusters} of one spectrum. An error raised inside a shared pass is
     recorded on every point of that pass.
@@ -564,15 +525,13 @@ def field_scan(
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise UsageError("field values must be sorted ascending")
     _check_window(degeneracy_window)
-    params = [base_params.with_field(b) for b in values]
-    points = [_scan_point(space, p) for p in params]
-    pending = [(point, p) for point, p in zip(points, params) if "error" not in point]
+    scanned = [_scan_point(space, base_params.with_field(b)) for b in values]
+    pending = [(point, terms) for point, terms in scanned if "error" not in point]
     size = max(1, stack_configs(space.cutoff) // 2)  # two configs per point
     for i in range(0, len(pending), size):
         group = pending[i:i + size]
         try:
-            spectra = interior_spectrum(
-                space, [(p, a) for _, p in group for a in (0.0, p.alpha_gup)])
+            spectra = interior_spectrum(space, [t for _, terms in group for t in terms])
         except (UsageError, ComputationError) as exc:
             for point, _ in group:
                 point["error"] = str(exc)
@@ -582,7 +541,7 @@ def field_scan(
             point["degeneracy_counts_after"] = _histogram(after, degeneracy_window)
     critical = critical_field(base_params)
     in_range = values and values[0] <= critical <= values[-1]
-    return points, critical if in_range else None
+    return [point for point, _ in scanned], critical if in_range else None
 
 
 def validation_report(space: FockSpace, p: ModelParams) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 
 from gup_dosc.cli import main
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import ModelParams, landau_level
+from gup_dosc.model import ModelParams, interior_spectrum, landau_level, sector_terms
 from gup_dosc.numerics import eigh, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
@@ -20,7 +20,6 @@ from gup_dosc.perturbation import (
     degenerate_shift,
     field_scan,
     first_order_shift,
-    interior_spectrum,
     oracle_check,
     shifts_of_matrix,
 )
@@ -51,7 +50,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
     ok = True
     for lam in (0.05, 0.1, 0.5):
         p = ModelParams(omega=lam)
-        (w,) = interior_spectrum(space, [(p, 0.0)])
+        (w,) = interior_spectrum(space, [sector_terms(space, p, 0.0)])
         for n in range(9):
             for branch in ("+", "-"):
                 e = landau_level(p, n, branch)
@@ -104,7 +103,7 @@ def test_criterion_5_degeneracy_lifting():
     ok = np.allclose(tower.shifts, expected, atol=1e-10)
     ok = ok and len(set(np.round(tower.shifts, 8))) == 6
 
-    w0, w1 = interior_spectrum(space, [(p, 0.0), (p, p.alpha_gup)])
+    w0, w1 = interior_spectrum(space, [sector_terms(space, p, a) for a in (0.0, p.alpha_gup)])
     lll_before = [m for e, m in spectral_clusters_loop(w0, 1e-9) if abs(e - 1.0) < 1e-6]
     lll_after = [m for e, m in spectral_clusters_loop(w1, 1e-9) if abs(e - 1.0) < 2e-3]
     ok = ok and lll_before == [space.cutoff - 1]

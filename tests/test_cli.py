@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import gup_dosc
-from gup_dosc import cli, fock, perturbation
+from gup_dosc import cli, fock, model, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
 
@@ -258,7 +258,7 @@ def test_scan_csv_schema(tmp_path):
 
 def test_csv_only_for_scan(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(perturbation, "eigvalsh", lambda a: calls.append(a))
+    monkeypatch.setattr(model, "eigvalsh", lambda a: calls.append(a))
     # rejected with the configuration, before any spectrum is solved
     assert main(["spectrum", "--omega", "1", "--format", "csv"] + FAST) == 2
     assert calls == []
@@ -281,7 +281,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 ], ids=["scan-degeneracy-window", "spectrum-cluster-window"])
 def test_windows_below_the_noise_floor_are_usage_errors(argv, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(perturbation, "eigvalsh", lambda a: calls.append(a))
+    monkeypatch.setattr(model, "eigvalsh", lambda a: calls.append(a))
     # one line for the whole run, before any spectrum is solved
     assert main([argv[0], "--omega", "1", *FAST, *argv[1:]]) == 2
     assert calls == []

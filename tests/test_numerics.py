@@ -118,10 +118,21 @@ def test_eigh_rejects_bad_input():
 
 
 def test_eigh_rejects_a_matrix_that_is_not_hermitian():
-    # LAPACK reads the lower triangle, the identity here; the residual check
-    # reads the whole matrix and finds the 5 above the diagonal
-    with pytest.raises(ComputationError, match="residual"):
+    # LAPACK reads the lower triangle, the identity here; the second-moment
+    # check, which comes before the residual one, reads the whole matrix and
+    # finds the 5 above the diagonal
+    with pytest.raises(ComputationError, match="squared Frobenius norm"):
         eigh(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
+def test_eigh_checks_the_second_moment(monkeypatch):
+    # eigenvalues with the right trace, 4, and the wrong second moment, 8
+    # against 10, next to the right eigenvectors: eigh holds eigvalsh's
+    # moment contract, and checks it before the residual
+    h = np.diag([1.0, 3.0])
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([2.0, 2.0]), np.eye(2)))
+    with pytest.raises(ComputationError, match="^sum of squared eigenvalues deviates"):
+        eigh(h)
 
 
 def test_eigvalsh_real_input_stays_real():

@@ -7,11 +7,19 @@ import warnings
 import numpy as np
 import pytest
 
-from gup_dosc import fock, perturbation
+from gup_dosc import fock, model, perturbation
 from gup_dosc.cli import main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
-from gup_dosc.model import BRANCHES, ModelParams, build_sectors, paired, sector_terms, spinor_level
+from gup_dosc.model import (
+    BRANCHES,
+    ModelParams,
+    build_sectors,
+    interior_spectrum,
+    paired,
+    sector_terms,
+    spinor_level,
+)
 from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
 from gup_dosc.perturbation import (
     CLUSTER_WINDOW,
@@ -24,7 +32,6 @@ from gup_dosc.perturbation import (
     degenerate_shift,
     field_scan,
     first_order_shift,
-    interior_spectrum,
     level_exists,
     level_rows,
     operator_level,
@@ -200,11 +207,17 @@ def _histograms(space, p, window):
     return point["degeneracy_counts_before"], point["degeneracy_counts_after"]
 
 
+def _point_spectra(space, p):
+    """The spectra a scan point at p solves, at a = 0 and a = p.gup_a, in
+    units of m c^2."""
+    return interior_spectrum(space, [sector_terms(space, p, a) for a in (0.0, p.alpha_gup)])
+
+
 def test_field_scan_histograms_split_lowest_tower():
     before, after = _histograms(SPACE, PARAMS, 1e-9)
     tower = SPACE.cutoff - 1
     assert before.get(tower, 0) >= 2  # rest-energy towers on both signs
-    w0, w1 = interior_spectrum(SPACE, [(PARAMS, 0.0), (PARAMS, PARAMS.alpha_gup)])
+    w0, w1 = _point_spectra(SPACE, PARAMS)
     clusters0 = {round(e, 9): m for e, m in spectral_clusters_loop(w0, 1e-9)}
     assert clusters0[1.0] == tower
     clusters1 = [m for e, m in spectral_clusters_loop(w1, 1e-9) if abs(e - 1.0) < 1e-3]
@@ -221,6 +234,17 @@ def test_field_scan_histograms_identical_without_deformation():
 def test_degeneracy_window_floor():
     with pytest.raises(UsageError, match="noise floor"):
         field_scan(SPACE, PARAMS, [0.0], 1e-16)
+
+
+@pytest.mark.parametrize("window", [np.nan, np.inf])
+def test_a_window_that_is_not_finite_is_a_usage_error(window):
+    # NaN and +inf both pass a bare floor test, and would give empty
+    # histograms and level rows of multiplicity 0
+    message = f"window {window!r} is not finite"
+    with pytest.raises(UsageError, match=message):
+        field_scan(FockSpace(8), ModelParams(omega=1.0, gup_a=1e-4), [0.0, 1.0], window)
+    with pytest.raises(UsageError, match=message):
+        level_rows(SPACE, PARAMS, 2, BRANCHES, window)
 
 
 def test_critical_field_formula():
@@ -487,14 +511,14 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
     # the oracle stencil solves its five strengths in one pass over its
     # J-sectors; each row must be bitwise the spectrum solved on its own, and
     # the J-sector rows must be bitwise pieces of the whole spectrum
-    configs = [(p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
-    rows = interior_spectrum(SPACE, configs)
+    terms = [sector_terms(SPACE, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
+    rows = interior_spectrum(SPACE, terms)
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
-    for config, row in zip(configs, rows):
-        assert np.array_equal(row, interior_spectrum(SPACE, [config])[0])
+    for t, row in zip(terms, rows):
+        assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
         assert np.all(np.diff(row) >= 0.0)
     top = SPACE.cutoff - fock.INTERIOR_MARGIN
-    sectors = [interior_spectrum(SPACE, configs, [j]) for j in range(-top, top + 2)]
+    sectors = [interior_spectrum(SPACE, terms, [j]) for j in range(-top, top + 2)]
     assert np.array_equal(np.sort(np.concatenate(sectors, axis=-1), axis=-1), rows)
 
 
@@ -502,7 +526,7 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
 @pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
 def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
     before, after = _histograms(SPACE, p, window)
-    w0, w1 = interior_spectrum(SPACE, [(p, 0.0), (p, p.alpha_gup)])
+    w0, w1 = _point_spectra(SPACE, p)
     assert before == degeneracy_histogram_loop(w0, window)
     assert after == degeneracy_histogram_loop(w1, window)
     for w in (w0, w1):
@@ -518,32 +542,36 @@ SCAN_FIELDS = [0.0, 1.0, 2.0, 3.0]
 
 
 def _scan_configs():
-    """The configs whose spectra a scan over SCAN_FIELDS solves, in order."""
+    """The (params, alpha) configs a scan over SCAN_FIELDS reduces, in order."""
     params = [SCAN_BASE.with_field(b) for b in SCAN_FIELDS]
     return [(p, a) for p in params for a in (0.0, p.alpha_gup)]
 
 
+def _scan_terms():
+    """The block terms whose spectra a scan over SCAN_FIELDS solves, in order."""
+    return [sector_terms(SPACE, p, a) for p, a in _scan_configs()]
+
+
 def _count_eigvalsh(monkeypatch) -> list[int]:
-    """Records the stack length of every eigvalsh call made by perturbation."""
+    """Records the stack length of every eigvalsh call made by the solver."""
     calls = []
 
     def counting(a):
         calls.append(len(a))
         return eigvalsh(a)
 
-    monkeypatch.setattr(perturbation, "eigvalsh", counting)
+    monkeypatch.setattr(model, "eigvalsh", counting)
     return calls
 
 
 def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
-    configs = _scan_configs()
     # the two configs of the critical field have equal terms: 7 for 8
-    terms = [sector_terms(SPACE, p, a) for p, a in configs]
+    terms = _scan_terms()
     assert terms[4] == terms[5] and len(set(terms)) == 7
-    rows = interior_spectrum(SPACE, configs)
+    rows = interior_spectrum(SPACE, terms)
     assert rows.shape == (8, (SPACE.cutoff - 1) * SPACE.cutoff)
-    for config, row in zip(configs, rows):
-        assert np.array_equal(row, interior_spectrum(SPACE, [config])[0])
+    for t, row in zip(terms, rows):
+        assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
 
 
 def test_scan_histograms_equal_per_point_analysis():
@@ -554,7 +582,7 @@ def test_scan_histograms_equal_per_point_analysis():
         counts = (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"])
         # the point scanned alone, in a pass of its own
         assert counts == _histograms(SPACE, p, window)
-        spectra = interior_spectrum(SPACE, [(p, 0.0), (p, p.alpha_gup)])
+        spectra = _point_spectra(SPACE, p)
         assert counts == tuple(degeneracy_histogram_loop(w, window) for w in spectra)
 
 
@@ -572,7 +600,7 @@ def test_a_scan_near_the_float_maximum_runs_without_warnings():
     for pt in points:
         assert "error" not in pt
         p = base.with_field(pt["B"])
-        spectra = interior_spectrum(space, [(p, 0.0), (p, p.alpha_gup)])
+        spectra = _point_spectra(space, p)
         loop = tuple(degeneracy_histogram_loop(w, window) for w in spectra)
         assert (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"]) == loop
 
@@ -587,7 +615,7 @@ def test_a_scan_solves_each_sector_once(monkeypatch):
     assert calls == [4] * 22
 
 
-def test_each_config_is_reduced_to_its_terms_once(monkeypatch):
+def test_each_config_is_reduced_to_its_terms_once(monkeypatch, tmp_path):
     reduced, built = [], []
 
     def reducing(space, p, a):
@@ -599,18 +627,31 @@ def test_each_config_is_reduced_to_its_terms_once(monkeypatch):
         return build_sectors(space, terms, js)
 
     monkeypatch.setattr(perturbation, "sector_terms", reducing)
-    monkeypatch.setattr(perturbation, "build_sectors", building)
-    configs = _scan_configs()
-    rows = interior_spectrum(SPACE, configs)
-    assert reduced == configs
+    monkeypatch.setattr(model, "build_sectors", building)
+    field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
+    assert reduced == _scan_configs()
     # the three paired a = 0 configs are closed form; the other five,
     # the critical field's two among them, are 4 distinct terms in one pass
     (dense,) = built
     assert len(set(dense)) == len(dense) == 4
-    terms = [sector_terms(SPACE, p, a) for p, a in configs]
+    terms = _scan_terms()
     assert set(dense) == {t for t in terms if not paired(t)}
     # the critical field's two configs share one row
+    rows = interior_spectrum(SPACE, terms)
     assert terms[4] == terms[5] and np.array_equal(rows[4], rows[5])
+    # a command reduces each config once, where it makes it: validate its
+    # a = 0 level rows' one and the oracle's five stencil strengths, a scan
+    # two per point, and correct and degenerate the five stencil strengths
+    for argv, count in (
+        (["validate", "--B", "1"], 6),
+        (["scan", "--B-min", "0", "--B-max", "3", "--steps", "4"], 8),
+        (["correct", "--B", "1", "--branch", "both"], 5),
+        (["degenerate", "--B", "1"], 5),
+    ):
+        reduced.clear()
+        assert main([*argv, "--omega", "1", "--gup-a", "1e-4", "--cutoff", "40",
+                     "--output", str(tmp_path / "report")]) == 0
+        assert len(reduced) == count, argv
 
 
 def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
@@ -646,7 +687,7 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
             stacks.append((j, len(stack)))
             yield stack
 
-    monkeypatch.setattr(perturbation, "build_sectors", recording)
+    monkeypatch.setattr(model, "build_sectors", recording)
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
     # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
@@ -658,10 +699,10 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
     assert stacks == [(0, 1)] * 4 + [(1, 1)] * 4
 
 
-def _dense_rows(space, configs, js=None):
+def _dense_rows(space, terms, js=None):
     """Sorted rows of the `build_sectors` blocks, each J-stack in one eigvalsh
-    call: the dense path, whatever the configs."""
-    stacks = build_sectors(space, [sector_terms(space, p, a) for p, a in configs], js)
+    call: the dense path, whatever the terms."""
+    stacks = build_sectors(space, terms, js)
     return np.sort(np.concatenate([eigvalsh(s) for s in stacks], axis=-1), axis=-1)
 
 
@@ -677,17 +718,17 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
     # every J-sector, the two outermost ones and the two at J = 0, 1, alone
     # and together
     for js in (None, [-top], [top + 1], [0, 1], [-top, 0, 1, top + 1]):
-        (row,) = interior_spectrum(space, [(p, 0.0)], js)
+        (row,) = interior_spectrum(space, [terms], js)
         # closed form: no eigensolver call and no J-block built
         assert calls == []
-        (dense,) = _dense_rows(space, [(p, 0.0)], js)
+        (dense,) = _dense_rows(space, [terms], js)
         assert row.shape == dense.shape and np.all(np.diff(row) >= 0.0)
         assert np.max(np.abs(row - dense), initial=0.0) <= 1e-12
     # the a = 0 spectrum is the same on either side of the critical field:
     # the pair roots k sqrt(i), i = 1 .. T, each T - i + 1 times, mirror
     mirror = ModelParams(omega=1.0, b_field=4.0 - b_field)
-    assert np.array_equal(interior_spectrum(space, [(p, 0.0)]),
-                          interior_spectrum(space, [(mirror, 0.0)]))
+    assert np.array_equal(interior_spectrum(space, [terms]),
+                          interior_spectrum(space, [sector_terms(space, mirror, 0.0)]))
 
 
 @pytest.mark.parametrize("p, a", [
@@ -698,19 +739,20 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
 ], ids=["critical-field", "no-coupling", "wt-positive-deformed", "wt-negative-deformed"])
 def test_unpaired_configs_take_the_dense_blocks(p, a, monkeypatch):
     space = FockSpace(cutoff=12)
-    assert not paired(sector_terms(space, p, a))
+    terms = sector_terms(space, p, a)
+    assert not paired(terms)
     shapes = []
 
     def recording(h):
         shapes.append(h.shape)
         return eigvalsh(h)
 
-    monkeypatch.setattr(perturbation, "eigvalsh", recording)
-    row = interior_spectrum(space, [(p, a)])
+    monkeypatch.setattr(model, "eigvalsh", recording)
+    row = interior_spectrum(space, [terms])
     # one one-config stack per J-sector, of its full dimension
-    stacks = build_sectors(space, [sector_terms(space, p, a)])
+    stacks = build_sectors(space, [terms])
     assert shapes == [stack.shape for stack in stacks]
-    assert np.array_equal(row, _dense_rows(space, [(p, a)]))
+    assert np.array_equal(row, _dense_rows(space, [terms]))
 
 
 @pytest.mark.parametrize("cutoff", [40, 200])
@@ -721,7 +763,7 @@ def test_paired_scan_histograms_equal_the_dense_ones(cutoff):
     assert critical_b == 2.0
     window = CLUSTER_WINDOW
     for pt in points:
-        (before,) = _dense_rows(space, [(SCAN_BASE.with_field(pt["B"]), 0.0)])
+        (before,) = _dense_rows(space, [sector_terms(space, SCAN_BASE.with_field(pt["B"]), 0.0)])
         assert pt["degeneracy_counts_before"] == degeneracy_histogram_loop(before, window)
 
 
@@ -731,10 +773,10 @@ def test_a_paired_spectrum_holds_no_block_stack():
     # stack of blocks (9x the row before)
     space = FockSpace(cutoff=300)
     for b_field in (1.0, 3.0):
-        config = (ModelParams(omega=1.0, b_field=b_field), 0.0)
+        terms = sector_terms(space, ModelParams(omega=1.0, b_field=b_field), 0.0)
         tracemalloc.start()
         try:
-            (row,) = interior_spectrum(space, [config])
+            (row,) = interior_spectrum(space, [terms])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -748,13 +790,13 @@ def test_no_configs_give_no_rows():
 
 
 def test_one_config_per_stack_changes_no_row(monkeypatch):
-    configs = _scan_configs()
-    rows = interior_spectrum(SPACE, configs)
+    terms = _scan_terms()
+    rows = interior_spectrum(SPACE, terms)
     scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     monkeypatch.setattr(fock, "STACK_BYTES", sector_cost(SPACE.cutoff)[1])
     assert stack_configs(SPACE.cutoff) == 1
     calls = _count_eigvalsh(monkeypatch)
-    assert np.array_equal(interior_spectrum(SPACE, configs), rows)
+    assert np.array_equal(interior_spectrum(SPACE, terms), rows)
     # the paired a = 0 configs are closed form, then one pass per distinct
     # other config: the critical field's two are one
     assert calls == [1] * 4 * 22
@@ -770,7 +812,7 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
     def failing(a):
         raise ComputationError("eigensolver did not converge")
 
-    monkeypatch.setattr(perturbation, "eigvalsh", failing)
+    monkeypatch.setattr(model, "eigvalsh", failing)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     assert critical_b == 2.0
     for pt in points:
@@ -795,7 +837,7 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
             raise ComputationError("eigensolver did not converge")
         return eigvalsh(a)
 
-    monkeypatch.setattr(perturbation, "eigvalsh", second_pass_fails)
+    monkeypatch.setattr(model, "eigvalsh", second_pass_fails)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     # the second pass fails on its first call, J-sector -10 of its two
     # distinct configs, the critical field's and B = 3's a != 0 one

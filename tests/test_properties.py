@@ -25,6 +25,7 @@ from gup_dosc.model import (
     POSITIVE,
     ModelParams,
     build_sectors,
+    interior_spectrum,
     paired,
     sector_terms,
 )
@@ -34,7 +35,6 @@ from gup_dosc.perturbation import (
     critical_field,
     degenerate_shift,
     first_order_shift,
-    interior_spectrum,
     level_exists,
     oracle_check,
     spectral_clusters,
@@ -116,7 +116,7 @@ def test_pair_spectra_equal_the_dense_blocks(p):
     # `pair_spectrum` against the J-sector blocks they are a sum of
     terms = sector_terms(SPACE, p, 0.0)
     assert paired(terms)
-    (row,) = interior_spectrum(SPACE, [(p, 0.0)])
+    (row,) = interior_spectrum(SPACE, [terms])
     dense = np.sort(np.concatenate([eigvalsh(stack)[0]
                                     for stack in build_sectors(SPACE, [terms])]))
     assert row.shape == dense.shape
@@ -129,7 +129,7 @@ def test_pair_spectra_are_symmetric_under_negation(p):
     # a = 0 off the critical field: each pair gives +-hypot(1, kappa) m c^2,
     # and the m c^2 and -m c^2 singles are equally many, so E -> -E maps the
     # interior spectrum onto itself exactly
-    (row,) = interior_spectrum(SPACE, [(p, 0.0)])
+    (row,) = interior_spectrum(SPACE, [sector_terms(SPACE, p, 0.0)])
     assert np.array_equal(row, -row[::-1])
 
 
