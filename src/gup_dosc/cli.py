@@ -9,38 +9,32 @@ text tables), so identical configurations give identical bytes.
 
 Exit codes: 0 success, 1 validation discrepancy outside the allowlist,
 2 usage error, 3 computation failure.
+
+This module loads no numpy. The parser, `ModelParams` and `FockSpace` check
+every input first, so an input error or `--help` exits before numpy's import;
+`run` imports the solver stack only once they have passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ComputationError, UsageError
 from .fock import MAX_CUTOFF, FockSpace
-from .model import BRANCHES, NEGATIVE, POSITIVE, ModelParams
-from .numerics import dump_matrix
-from .perturbation import (
-    CLUSTER_WINDOW,
-    SHIFT_UNITS,
-    PTReport,
-    critical_field,
-    degenerate_shift,
-    field_scan,
-    first_order_shift,
-    level_exists,
-    level_rows,
-    oracle_check,
-    validation_report,
-)
+from .params import BRANCHES, CLUSTER_WINDOW, NEGATIVE, POSITIVE, ModelParams
+
+if TYPE_CHECKING:
+    from .perturbation import PTReport
 
 FORMATS = ("text", "json", "csv")
 BRANCH_CHOICES = (POSITIVE, NEGATIVE, "both")
@@ -303,9 +297,10 @@ def _json_emit(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    # numpy registers its integer and floating scalars with these ABCs
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -319,7 +314,7 @@ def to_json(report: dict) -> str:
 def _text_value(v, digits: int = 12) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
         s = _fmt_float(float(v), digits)
         return s if s != "null" else "-"
     if isinstance(v, (list, tuple)):
@@ -399,9 +394,12 @@ def to_csv(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report builders
+# report builders; each imports the solver names it calls, loaded by `run`
 
 def _pt_report_dict(r: PTReport) -> dict:
+    from .numerics import dump_matrix
+    from .perturbation import SHIFT_UNITS
+
     out = {
         "cluster_label": r.cluster_label,
         "unperturbed_energy": None if math.isnan(r.unperturbed_energy) else r.unperturbed_energy,
@@ -434,7 +432,7 @@ def _report_header(config: RunConfig, p: ModelParams) -> dict:
             "cyclotron_frequency": p.cyclotron_frequency,
             "lambda": p.lam,
             "alpha_gup": p.alpha_gup,
-            "critical_field": critical_field(p),
+            "critical_field": p.critical_field,
             "shift_unit_energy": p.shift_unit,
         },
     }
@@ -443,6 +441,8 @@ def _report_header(config: RunConfig, p: ModelParams) -> dict:
 # Each runner returns the keys its command adds after the report header.
 
 def _run_spectrum(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    from .perturbation import level_rows
+
     rows = level_rows(space, p, config.levels, _branches(config),
                       config.tolerances["cluster_window"])
     report = {}
@@ -456,6 +456,8 @@ def _run_spectrum(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
 
 
 def _run_correct(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    from .perturbation import first_order_shift, level_exists, oracle_check
+
     states = [(n, branch) for n in (0, 1) for branch in _branches(config)]
     present = [s for s in states if level_exists(p, *s)]
     # each shift is built after the one before has passed its oracle check
@@ -472,11 +474,15 @@ def _run_correct(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
 
 
 def _run_degenerate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    from .perturbation import degenerate_shift, oracle_check
+
     (result,) = oracle_check(space, p, [degenerate_shift(space, p, 2, range(4))])
     return {"cluster": _pt_report_dict(result)}
 
 
 def _run_scan(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    from .perturbation import field_scan
+
     values = [
         config.B_min + (config.B_max - config.B_min) * i / (config.steps - 1)
         for i in range(config.steps)
@@ -488,6 +494,8 @@ def _run_scan(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
 
 
 def _run_validate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
+    from .perturbation import validation_report
+
     result = validation_report(space, p)
     report = {key: result[key]
               for key in ("rows", "allowlisted", "unexpected_discrepancies", "passed")}
@@ -513,11 +521,31 @@ def render(report: dict, fmt: str) -> str:
     return to_text(report)
 
 
+@functools.cache
+def _load_solver() -> None:
+    """Import the solver stack, numpy with it, and freeze the import heap, once
+    per process.
+
+    The freeze moves everything imported so far, numpy's module heap above
+    all, to the permanent generation, which the cyclic collector never
+    traverses: a run frees little of it, and the collections at interpreter
+    exit cost about 22 ms CPU per process over it (`validate` at cutoff 40
+    194 -> 179 ms, medians of 21 spawns on a 2-vCPU VM). Done in a command
+    run only, so a library user's GC is untouched.
+    """
+    from . import perturbation  # and with it model, numerics and numpy
+
+    gc.freeze()
+
+
 def run(config: RunConfig) -> int:
     """Execute one command; emits the report and returns the exit status."""
+    # the last input checks: the physical scales, then the cutoff
     p = config.params()
+    space = FockSpace(cutoff=config.cutoff)
+    _load_solver()
     report = _report_header(config, p)
-    report.update(_RUNNERS[config.command](config, p, FockSpace(cutoff=config.cutoff)))
+    report.update(_RUNNERS[config.command](config, p, space))
     payload = render(report, config.format)
     if config.output:
         try:
@@ -554,15 +582,6 @@ def main(argv=None) -> int:
         )
         return 3
 
-
-# Move everything imported so far, numpy's module heap above all, to the
-# permanent generation, which the cyclic collector never traverses: a run
-# frees little of it, and the collections at interpreter exit cost about
-# 22 ms CPU per process over it (a bare `import gup_dosc.cli` 197 -> 175 ms,
-# `validate` at cutoff 40 194 -> 179 ms; medians of 21 spawns on a 2-vCPU
-# VM). Done on importing the CLI, not the package, so a library user's GC is
-# untouched.
-gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,4 @@
-"""Physical parameters, analytic levels, and the J-sector blocks and spectra.
+"""The J-sector blocks of the Hamiltonian and their spectra.
 
 The unperturbed Hamiltonian couples the two spinor components through the
 dynamical boson mode only,
@@ -8,9 +8,8 @@ dynamical boson mode only,
 
 with wt the reduced frequency. The lower-left block is fixed to be the exact
 adjoint of the upper-right one; together with the commutator conventions of
-CONVENTIONS.md this pins Hermiticity and the closed-form level spectrum
-
-    E_n(±) = ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2)).
+CONVENTIONS.md this pins Hermiticity and the closed-form level spectrum of
+`params.landau_level`.
 
 The minimal-length correction enters as H' = -a c p^2 on both spinor
 components. In the ladder representation p^2 carries an overall m |wt| hbar
@@ -27,167 +26,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ComputationError, UsageError
+from .errors import UsageError
 from .fock import FockSpace, stack_configs
 from .numerics import eigvalsh
-
-POSITIVE = "+"
-NEGATIVE = "-"
-BRANCHES = (POSITIVE, NEGATIVE)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical inputs plus derived dimensionless quantities.
-
-    Defaults give natural units (m = c = hbar = |e| = 1); reports quote
-    energies in units of m c^2 and first-order shifts in units of
-    a c m hbar wt.
-    """
-
-    omega: float
-    b_field: float = 0.0
-    gup_a: float = 0.0
-    mass: float = 1.0
-    light_speed: float = 1.0
-    hbar: float = 1.0
-    charge: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise UsageError(f"{f.name} must be finite, got {value}")
-        if self.mass <= 0.0:
-            raise UsageError(f"mass must be positive, got {self.mass}")
-        if self.light_speed <= 0.0:
-            raise UsageError(f"light speed must be positive, got {self.light_speed}")
-        if self.hbar <= 0.0:
-            raise UsageError(f"hbar must be positive, got {self.hbar}")
-        if self.charge <= 0.0:
-            raise UsageError(f"charge magnitude must be positive, got {self.charge}")
-        if self.omega < 0.0:
-            raise UsageError(f"oscillator frequency must be >= 0, got {self.omega}")
-        if self.gup_a < 0.0:
-            raise UsageError(f"deformation parameter must be >= 0, got {self.gup_a}")
-        # finite inputs can still give scales beyond the float range
-        for name in ("cyclotron_frequency", "omega_tilde", "rest_energy", "lam",
-                     "alpha_gup", "shift_unit", "critical_field"):
-            try:
-                value = getattr(self, name)
-            except (OverflowError, ZeroDivisionError):
-                value = math.inf
-            if not math.isfinite(value):
-                raise UsageError(
-                    f"derived {name} is not finite for these inputs, got {value}"
-                )
-
-    @property
-    def cyclotron_frequency(self) -> float:
-        return self.charge * self.b_field / (self.mass * self.light_speed)
-
-    @property
-    def omega_tilde(self) -> float:
-        return self.omega - 0.5 * self.cyclotron_frequency
-
-    @property
-    def rest_energy(self) -> float:
-        return self.mass * self.light_speed ** 2
-
-    @property
-    def lam(self) -> float:
-        """Dimensionless level-spacing parameter hbar wt / (m c^2)."""
-        return self.hbar * self.omega_tilde / self.rest_energy
-
-    @property
-    def alpha_gup(self) -> float:
-        """Dimensionless deformation strength a m c."""
-        return self.gup_a * self.mass * self.light_speed
-
-    @property
-    def shift_unit(self) -> float:
-        """The natural scale of first-order corrections, a c m hbar wt."""
-        return (
-            self.gup_a * self.light_speed * self.mass * self.hbar * self.omega_tilde
-        )
-
-    @property
-    def critical_field(self) -> float:
-        """Field at which the reduced frequency vanishes: 2 omega m c / |e|."""
-        return 2.0 * self.omega * self.mass * self.light_speed / self.charge
-
-    def with_field(self, b_field: float) -> "ModelParams":
-        return replace(self, b_field=b_field)
-
-
-@dataclass(frozen=True)
-class SpinorLevel:
-    """One analytic level: quantum number, branch, energy and spinor weights."""
-
-    n: int
-    branch: str
-    energy: float
-    c_n: float
-    d_n: float
-
-
-def _level_root(p: ModelParams, n: int) -> float:
-    """sqrt(1 + 4 lam n): the positive energy of level n in units of m c^2."""
-    radicand = 1.0 + 4.0 * p.lam * n
-    if not math.isfinite(radicand):
-        raise UsageError(
-            f"1 + 4 lam n is not finite for level n={n} at lam = {p.lam!r}"
-        )
-    if radicand < 0.0:
-        raise ComputationError(
-            f"branch collapse: level n={n} has no real energy at "
-            f"reduced frequency {p.omega_tilde}"
-        )
-    return math.sqrt(radicand)
-
-
-def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
-    """Closed-form level energy ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2))."""
-    if n < 0:
-        raise UsageError(f"level index must be >= 0, got {n}")
-    if branch not in BRANCHES:
-        raise UsageError(f"branch must be '+' or '-', got {branch!r}")
-    energy = (1.0 if branch == POSITIVE else -1.0) * p.rest_energy * _level_root(p, n)
-    if not math.isfinite(energy):
-        raise UsageError(f"energy of level n={n} overflows at m c^2 = {p.rest_energy!r}")
-    return energy
-
-
-def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
-    """Analytic eigenstate data for level n.
-
-    Weights: with e = sqrt(1 + 4 lam n) the positive-branch energy in units
-    of m c^2, c_n(±) = ± sqrt((e ± 1) / (2 e)) (upper sign for +) and
-    d_n(±) = sqrt((e -+ 1) / (2 e)). The ground level is a pure
-    upper-component state; its negative-branch partner has identically
-    vanishing weight and does not exist.
-    """
-    energy = landau_level(p, n, branch)
-    e = _level_root(p, n)
-    if e == 0.0:
-        raise ComputationError(
-            f"branch collapse: level n={n} at reduced frequency {p.omega_tilde}"
-        )
-    if n == 0:
-        if branch == NEGATIVE:
-            raise UsageError(
-                "the ground level has no negative branch: its weight "
-                "vanishes identically"
-            )
-        return SpinorLevel(n=0, branch=POSITIVE, energy=energy, c_n=1.0, d_n=0.0)
-    upper = math.sqrt((e + 1.0) / (2.0 * e))
-    lower = math.sqrt((e - 1.0) / (2.0 * e))
-    c, d = (upper, lower) if branch == POSITIVE else (-lower, upper)
-    return SpinorLevel(n=n, branch=branch, energy=energy, c_n=c, d_n=d)
+# perfbench/verify.py reads the closed-form levels from here too
+from .params import ModelParams, landau_level, spinor_level
 
 
 def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:

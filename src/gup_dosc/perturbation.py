@@ -25,26 +25,24 @@ import numpy as np
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
-from .model import (
+from .model import interior_spectrum, sector_terms
+from .numerics import eigh
+from .params import (
     BRANCHES,
+    CLUSTER_WINDOW,
     NEGATIVE,
     POSITIVE,
     ModelParams,
     SpinorLevel,
-    interior_spectrum,
     landau_level,
-    sector_terms,
     spinor_level,
 )
-from .numerics import eigh
 
 SHIFT_UNITS = "a·c·m·ħ·ω̃"
 # Flag of every shift report beyond the critical field.
 OVER_CRITICAL = ("over-critical: operator spectrum follows |wt| with mirrored "
                  "branches; closed-form levels use the signed frequency")
 
-# Window for locating unperturbed clusters, in units of m c^2.
-CLUSTER_WINDOW = 1e-9
 # Deformation steps (in units of alpha = a m c) for the oracle stencil.
 ORACLE_STEP = 1e-5
 # Relative agreement demanded between a shift and its oracle slope.

@@ -25,8 +25,8 @@ import numpy as np
 
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import INTERIOR_MARGIN, FockSpace
-from gup_dosc.model import ModelParams
 from gup_dosc.numerics import as_matrix
+from gup_dosc.params import ModelParams
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:

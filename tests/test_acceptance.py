@@ -11,8 +11,9 @@ import numpy as np
 
 from gup_dosc.cli import main
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import ModelParams, interior_spectrum, landau_level, sector_terms
+from gup_dosc.model import interior_spectrum, sector_terms
 from gup_dosc.numerics import eigh, eigvalsh, norm_max
+from gup_dosc.params import ModelParams, landau_level
 from gup_dosc.perturbation import (
     REFERENCE_DEGENERATE_BLOCK,
     REFERENCE_DEGENERATE_EIGENVECTOR,

@@ -838,17 +838,97 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
 
 
 def test_only_the_cli_freezes_the_import_heap():
-    # gc.freeze is a side effect of importing the command-line module alone:
-    # a library import leaves the collector as it found it
+    # gc.freeze is a side effect of a command run alone, once its input is
+    # checked and numpy is loaded: a library import or call leaves the
+    # collector as it found it, and a second run in the process freezes nothing
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     code = (
-        "import gc, gup_dosc\n"
-        "print(gc.get_freeze_count())\n"
-        "import gup_dosc.cli\n"
-        "print(gc.get_freeze_count())\n"
+        "import gc, json, os\n"
+        "import gup_dosc\n"
+        "from gup_dosc import cli\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "gup_dosc.first_order_shift(gup_dosc.FockSpace(12),\n"
+        "                           gup_dosc.ModelParams(1.0, b_field=1.0, gup_a=1e-4), 0)\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "argv = ['spectrum', '--omega', '1', '--cutoff', '12', '--output', os.devnull]\n"
+        "assert cli.main(argv) == 0\n"
+        "import numpy\n"
+        "frozen = id(vars(numpy)) not in {id(o) for o in gc.get_objects()}\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "assert cli.main(argv) == 0\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "print(json.dumps([counts, frozen]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout.split()
-    library, command_line = map(int, out)
-    assert library == 0
-    assert command_line > 0
+                         capture_output=True, text=True, timeout=60).stdout
+    (imported, library, first_run, second_run), numpy_frozen = json.loads(out)
+    assert imported == library == 0
+    assert first_run > 0 and numpy_frozen
+    assert second_run == first_run
+
+
+# Input errors that the parser, ModelParams or FockSpace reject, and --help:
+# each is answered before numpy loads.
+NUMPY_FREE_EXITS = [
+    ["spectrum", "--omega", "nan"],
+    ["spectrum", "--omega", "1", "--mass", "-1"],
+    ["spectrum", "--omega", "1", "--cutoff", "1001"],
+    ["spectrum", "--omega", "1", "--cutoff", "1"],
+    ["spectrum", "--omega", "1", "--cutoff", "12", "--format", "csv"],
+    ["scan", "--omega", "1", "--B-min", "0", "--B-max", "1e308", "--steps", "3"],
+    ["--help"],
+    ["scan", "--help"],
+]
+
+
+def test_the_parse_path_loads_no_numpy():
+    # the CLI import, parse_config on every perfbench workload's argv and each
+    # of NUMPY_FREE_EXITS leave numpy unloaded; every usage error still exits
+    # 2 with one "usage error:" line, and --help exits 0
+    root = pathlib.Path(gup_dosc.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import contextlib, io, json, random, sys\n"
+        "from gup_dosc import cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import run as bench\n"
+        "for name, workload in sorted(bench.WORKLOADS.items()):\n"
+        "    for call in workload(random.Random(f'{name}:1')):\n"
+        "        cli.parse_config(bench._argv(call))\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "exits = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            status = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            status = exc.code\n"
+        "    exits.append([status, err.getvalue()])\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps([loaded, exits]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench"), json.dumps(NUMPY_FREE_EXITS)],
+        env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+    loaded, exits = json.loads(out)
+    assert loaded == [False] * (2 + len(NUMPY_FREE_EXITS))
+    for argv, (status, err) in zip(NUMPY_FREE_EXITS, exits):
+        if "--help" in argv:
+            assert (status, err) == (0, ""), argv
+        else:
+            assert status == 2, argv
+            assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+
+
+def test_every_public_name_resolves():
+    # the solver names load on first use (PEP 562) and are perturbation's own
+    namespace = {}
+    exec("from gup_dosc import *", namespace)
+    for name in gup_dosc.__all__:
+        assert getattr(gup_dosc, name) is namespace[name], name
+    for name in ("PTReport", "critical_field", "field_scan", "validation_report"):
+        assert namespace[name] is getattr(perturbation, name)
+    with pytest.raises(AttributeError, match="has no attribute 'build_h0'"):
+        gup_dosc.build_h0

@@ -14,14 +14,9 @@ from gup_dosc.fock import (
     sector_cost,
     stack_configs,
 )
-from gup_dosc.model import (
-    ModelParams,
-    build_sectors,
-    landau_level,
-    sector_terms,
-    spinor_level,
-)
+from gup_dosc.model import build_sectors, sector_terms
 from gup_dosc.numerics import eigvalsh, norm_max
+from gup_dosc.params import ModelParams, landau_level, spinor_level
 from reference import (
     Space,
     adjoint,

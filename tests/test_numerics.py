@@ -10,8 +10,9 @@ import pytest
 import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import ModelParams, build_sectors, sector_terms
+from gup_dosc.model import build_sectors, sector_terms
 from gup_dosc.numerics import as_matrix, dump_matrix, eigh, eigvalsh, norm_max
+from gup_dosc.params import ModelParams
 from reference import adjoint, commutator
 
 RNG = np.random.default_rng(20240817)
@@ -161,18 +162,19 @@ def test_import_sets_one_blas_thread_by_default(setting, expected):
         env["OPENBLAS_NUM_THREADS"] = setting
     env["PYTHONPATH"] = str(pathlib.Path(gup_dosc.__file__).parents[1])
     code = (
-        "import os, gup_dosc\n"
+        # the package itself loads no numpy; model does, through the package
+        "import os, sys, gup_dosc.model\n"
         "tasks = '/proc/self/task'\n"
         "n = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'], n)\n"
+        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], n)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout.split()
-    assert out[0] == expected
+    assert out[:2] == ["True", expected]
     if setting is None:
-        if out[1] == "None":
+        if out[2] == "None":
             pytest.skip("thread count needs Linux /proc/self/task")
-        assert out[1] == "1"
+        assert out[2] == "1"
 
 
 def test_eigvalsh_matches_eigh():

@@ -11,18 +11,10 @@ from gup_dosc import fock, model, perturbation
 from gup_dosc.cli import main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
-from gup_dosc.model import (
-    BRANCHES,
-    ModelParams,
-    build_sectors,
-    interior_spectrum,
-    paired,
-    sector_terms,
-    spinor_level,
-)
+from gup_dosc.model import build_sectors, interior_spectrum, paired, sector_terms
 from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
+from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, spinor_level
 from gup_dosc.perturbation import (
-    CLUSTER_WINDOW,
     ORACLE_RTOL,
     ORACLE_STEP,
     PTReport,

@@ -19,17 +19,9 @@ from hypothesis import strategies as st
 from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import (
-    BRANCHES,
-    NEGATIVE,
-    POSITIVE,
-    ModelParams,
-    build_sectors,
-    interior_spectrum,
-    paired,
-    sector_terms,
-)
+from gup_dosc.model import build_sectors, interior_spectrum, paired, sector_terms
 from gup_dosc.numerics import eigvalsh
+from gup_dosc.params import BRANCHES, NEGATIVE, POSITIVE, ModelParams
 from gup_dosc.perturbation import (
     _agrees,
     critical_field,
