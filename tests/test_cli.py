@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import io
@@ -5,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -15,6 +17,9 @@ import gup_dosc
 from gup_dosc import cli, fock, model, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
+
+import corpus
+import diff_parent
 
 FAST = ["--cutoff", "12", "--levels", "4"]
 
@@ -382,55 +387,32 @@ def test_text_format_alignment(tmp_path):
     assert "analytic" in header and "multiplicity" in header
 
 
-@pytest.mark.parametrize("flag", ["--omega", "--B", "--gup-a"])
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-def test_non_finite_numbers_are_usage_errors(flag, value, capsys):
-    argv = ["spectrum", "--omega", "1", f"{flag}={value}", "--cutoff", "12"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("usage error:")
-    assert "must be finite" in err and "Traceback" not in err
+def _run_in_process(argv) -> tuple[int, str, str]:
+    """(status, stdout, stderr) of main(argv), with no warning raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:  # --help
+            status = exc.code
+    assert [str(w.message) for w in caught] == []
+    return status, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["spectrum", "--omega", "1", "--cutoff", "nan"],
-     "argument --cutoff: invalid int value: 'nan'"),
-    (["spectrum", "--omega", "abc"], "argument --omega: invalid float value: 'abc'"),
-    (["spectrum", "--omega", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
-    ([], "the following arguments are required: command"),
-    # Python versions word the list of choices differently
-    (["bogus", "--omega", "1"], "argument command: invalid choice: 'bogus'"),
-    (["spectrum", "--omega", "1", "--branch", "x"], "argument --branch: invalid choice: 'x'"),
-], ids=["int-nan", "float-abc", "unknown-flag", "no-command", "unknown-command",
-        "unknown-branch"])
-def test_argument_errors_are_one_line_usage_errors(argv, named, capsys):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"usage error: {named}")
+def _corpus_test(section):
+    @pytest.mark.parametrize("row", [pytest.param(row, id=row.id) for row in corpus.rows()
+                                     if row.section == section])
+    def test(row):
+        corpus.check(row, *_run_in_process(row.argv))
+    return test
 
 
-def test_help_still_exits_zero(capsys):
-    for argv in (["--help"], ["scan", "--help"]):
-        with pytest.raises(SystemExit) as exit_:
-            main(argv)
-        assert exit_.value.code == 0
-        assert "usage: gup-dosc" in capsys.readouterr().out
-
-
-# B = 2 is the critical field; validate beyond it is ROADMAP item 2
-@pytest.mark.parametrize("argv, b, named", [
-    *((["correct", "--cutoff", "2"], b, "state (n=1, spectator=0) too close to cutoff 2")
-      for b in ("1", "2", "3")),
-    *((["degenerate", "--cutoff", "4"], b, "state (n=2, spectator=1) too close to cutoff 4")
-      for b in ("1", "2", "3")),
-    # validate checks its level rows, n = 0 .. 4, first
-    *((["validate", "--gup-a", "1e-4", "--cutoff", "4"], b,
-       "state (n=4, spectator=0) too close to cutoff 4") for b in ("1", "2")),
-])
-def test_states_beyond_the_cutoff_are_usage_errors_on_both_sides(argv, b, named, capsys):
-    assert main([*argv, "--omega", "1", "--B", b]) == 2
-    err = capsys.readouterr().err
-    assert err == f"usage error: {named}; raise the cutoff\n"
+# Each [name] section of tests/commands.txt runs as the test `name`, one
+# pytest id per row
+for _section in dict.fromkeys(row.section for row in corpus.rows()):
+    globals()[_section] = _corpus_test(_section)
 
 
 def test_the_critical_field_row_scales_with_omega(tmp_path):
@@ -566,140 +548,6 @@ def test_config_values_are_type_checked(key, value, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")
     assert named in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv, named", [
-    (["spectrum", "--omega", "1", "--mass", "1e200", "--light-speed", "1e200"],
-     "rest_energy"),
-    (["correct", "--omega", "1e300", "--gup-a", "1e300"], "shift_unit"),
-    (["spectrum", "--omega", "1e200", "--hbar", "1e200"], "lam"),
-    (["spectrum", "--omega", "1", "--B", "1e300", "--charge", "1e300",
-      "--mass", "1e-300"], "cyclotron_frequency"),
-    (["spectrum", "--omega", "1", "--mass", "1e-200", "--light-speed", "1e-200"],
-     "cyclotron_frequency"),
-    # finite derived scales whose closed-form radicand or coupling overflows;
-    # (omega, hbar, m) = (2^1000, 2^1000, 2^-1000) at B = B_c = 2 has the
-    # coupling 2^1500 m c^2
-    (["spectrum", "--omega", "1", "--hbar", "1e308"], "lam"),
-    (["spectrum", "--omega", "1.0715086071862673e+301", "--hbar", "1.0715086071862673e+301",
-      "--mass", "9.332636185032189e-302", "--B", "2"], "coupling"),
-    (["spectrum", "--omega", "1", "--cutoff", "1001"], "cutoff 1001"),
-], ids=["rest-energy", "shift-unit", "lam", "cyclotron", "underflow", "radicand",
-        "coupling", "cutoff-cost"])
-def test_derived_scales_beyond_float_range_are_usage_errors(argv, named, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # the table's own flags come last, so they win
-        assert main([argv[0], "--cutoff", "12", "--levels", "4", *argv[1:]]) == 2
-    assert caught == []
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("usage error:")
-    assert named in err and "Traceback" not in err and "Warning" not in err
-
-
-# m c^2 = 1e308 with a finite critical field, 5e307
-HUGE_REST_ENERGY = ["--omega", "0.25", "--mass", "1e308", "--cutoff", "12"]
-# m c^2 = 1.2e308 with lambda = 0.034, whose n <= 2 energies are finite
-HUGE_PAIR = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar",
-             "4.1e306", "--cutoff", "12"]
-# m c^2 = 1.2e308 with lambda = 0.083, whose n = 4 energy, 1.8e308, is not
-HUGE_LEVEL = ["--omega", "1", "--light-speed", "1.0954451150103322e154", "--hbar",
-              "1e307", "--cutoff", "12", "--levels", "4"]
-
-
-@pytest.mark.parametrize("argv, code, named", [
-    pytest.param(["spectrum", *HUGE_REST_ENERGY], 0, None, id="spectrum-0-None"),
-    pytest.param(["correct", *HUGE_REST_ENERGY], 2, "oracle stencil step",
-                 id="correct-2-oracle stencil step"),
-    pytest.param(["validate", *HUGE_REST_ENERGY], 2, "oracle stencil step",
-                 id="validate-2-oracle stencil step"),
-    pytest.param(["degenerate", *HUGE_REST_ENERGY], 2, "oracle stencil step",
-                 id="degenerate-2-oracle stencil step"),
-    pytest.param(["spectrum", "--omega", "1", "--mass", "1e308", "--cutoff", "12"], 2,
-                 "critical_field", id="spectrum-critical-field-overflow"),
-    pytest.param(["degenerate", "--omega", "1", "--mass", "5e307", "--cutoff", "12"], 2,
-                 "cannot tell apart the 5 eigenvalues of J-sector -1",
-                 id="degenerate-mass-5e307-2-oracle stencil step"),
-    pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
-                  "--gup-a", "1e307", "--cutoff", "40"], 0, None,
-                 id="scan-deformation-1e307"),
-    pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "3",
-                  "--gup-a", "1e300", "--mass", "1e7", "--cutoff", "8"], 0, None,
-                 id="scan-clusters-near-1e308"),
-    pytest.param(["degenerate", "--omega", "1", "--B", "1", "--gup-a", "1e300", "--mass",
-                  "3e7", "--cutoff", "8"], 2, "shift energy of level (n=2, branch +)",
-                 id="degenerate-shift-energy-overflow"),
-    pytest.param(["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "3",
-                  "--gup-a", "1e300", "--mass", "3e7", "--cutoff", "8", "--format", "json"],
-                 0, "shift energy of level (n=2, branch +)",
-                 id="scan-shift-energy-overflow"),
-    pytest.param(["spectrum", *HUGE_PAIR, "--levels", "2"], 0, None,
-                 id="spectrum-pair-eigenvalues-near-1e308"),
-    pytest.param(["validate", *HUGE_PAIR, "--gup-a", "0"], 0, None,
-                 id="validate-pair-eigenvalues-near-1e308"),
-    pytest.param(["spectrum", *HUGE_LEVEL], 2, "energy of level n=4 overflows",
-                 id="spectrum-level-energy-overflow"),
-    pytest.param(["validate", *HUGE_LEVEL, "--gup-a", "0"], 2,
-                 "energy of level n=4 overflows", id="validate-level-energy-overflow"),
-])
-def test_rest_energy_near_the_float_maximum_runs_without_warnings(argv, code, named):
-    # m c^2 = 1e308: lambda = 2.5e-309, so the n = 2 levels of a J-sector lie
-    # closer than the oracle's window of 1e-9 m c^2; at omega = 1 its critical
-    # field, 2e308, is beyond the float range. m c^2 = 5e307: the n = 2
-    # cluster reports its members' shared level energy, where their sum would
-    # overflow, and the oracle again cannot single out its state. a = 1e307:
-    # the sector diagonal overflows at every scan point off the critical
-    # field, and each records it. a = 1e300 with m = 1e7: the eigenvalues
-    # reach -1e308 in energy, where a cluster's eigenvalue sum would
-    # overflow, and the scan needs only cluster sizes; with m = 3e7 the n = 2 shift
-    # energies overflow, so degenerate fails and each scan point records it.
-    # m c^2 = 1.2e308: the a = 0 pair eigenvalues, about 1.1 m c^2 at
-    # lambda = 0.034, are solved in units of m c^2 and every reported energy
-    # is finite; at lambda = 0.083 the n = 4 energy overflows as it is
-    # converted, which is a usage error.
-    # Run with every warning an error, as a user with PYTHONWARNINGS=error
-    # would.
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "gup_dosc.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == code, out.stderr
-    if code == 0:
-        assert out.stderr == "" and out.stdout
-        if named is not None:  # every point records the error, and no -inf
-            points = json.loads(out.stdout)["points"]
-            assert all(named in point["error"] for point in points)
-            assert all(point["n2_shifts"] is None for point in points)
-    else:
-        assert out.stdout == ""
-        assert out.stderr.count("\n") == 1 and out.stderr.startswith("usage error:")
-        assert named in out.stderr
-
-
-# B = B_c where hbar / (m omega) underflows to 0 (a coupling of 1e-150 m c^2)
-# and where it overflows (1e150 m c^2); the coupling is taken one factor at a
-# time (`test_critical_field_coupling_is_sqrt_hbar_omega_over_m_c2`)
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--omega", "1e150", "--mass", "1e150", "--hbar", "1e-300",
-     "--B", "2e300", "--levels", "4"],
-    ["scan", "--omega", "1e150", "--mass", "1e150", "--hbar", "1e-300",
-     "--B-min", "0", "--B-max", "2e300", "--steps", "2"],
-    ["spectrum", "--omega", "1e-10", "--mass", "1e-10", "--hbar", "1e300",
-     "--B", "2.0000000000000002e-20", "--levels", "4"],
-], ids=["spectrum-underflow", "scan-underflow", "spectrum-overflow"])
-def test_critical_field_coupling_at_extreme_scales_runs(argv, tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, text = run_to_string([*argv, "--cutoff", "12", "--format", "json"],
-                                   tmp_path)
-    assert code == 0 and capsys.readouterr().err == ""
-    report = json.loads(text)
-    if argv[0] == "scan":
-        assert [point.get("error") for point in report["points"]] == [None, None]
-        assert report["points"][1]["omega_tilde"] == 0.0
-    else:
-        assert report["derived"]["omega_tilde"] == 0.0 and len(report["levels"]) == 5
 
 
 @pytest.mark.parametrize("b", ["0", "1"])
@@ -867,24 +715,11 @@ def test_only_the_cli_freezes_the_import_heap():
     assert second_run == first_run
 
 
-# Input errors that the parser, ModelParams or FockSpace reject, and --help:
-# each is answered before numpy loads.
-NUMPY_FREE_EXITS = [
-    ["spectrum", "--omega", "nan"],
-    ["spectrum", "--omega", "1", "--mass", "-1"],
-    ["spectrum", "--omega", "1", "--cutoff", "1001"],
-    ["spectrum", "--omega", "1", "--cutoff", "1"],
-    ["spectrum", "--omega", "1", "--cutoff", "12", "--format", "csv"],
-    ["scan", "--omega", "1", "--B-min", "0", "--B-max", "1e308", "--steps", "3"],
-    ["--help"],
-    ["scan", "--help"],
-]
-
-
 def test_the_parse_path_loads_no_numpy():
     # the CLI import, parse_config on every perfbench workload's argv and each
-    # of NUMPY_FREE_EXITS leave numpy unloaded; every usage error still exits
-    # 2 with one "usage error:" line, and --help exits 0
+    # numpy-free row of tests/commands.txt leave numpy unloaded, and each row
+    # passes its checks
+    rows = [row for row in corpus.rows() if "numpy-free" in row.tags]
     root = pathlib.Path(gup_dosc.__file__).parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
@@ -899,27 +734,44 @@ def test_the_parse_path_loads_no_numpy():
         "loaded.append('numpy' in sys.modules)\n"
         "exits = []\n"
         "for argv in json.loads(sys.argv[2]):\n"
-        "    err = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "        try:\n"
         "            status = cli.main(argv)\n"
         "        except SystemExit as exc:\n"
         "            status = exc.code\n"
-        "    exits.append([status, err.getvalue()])\n"
+        "    exits.append([status, out.getvalue(), err.getvalue()])\n"
         "    loaded.append('numpy' in sys.modules)\n"
         "print(json.dumps([loaded, exits]))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(root / "perfbench"), json.dumps(NUMPY_FREE_EXITS)],
+        [sys.executable, "-c", code, str(root / "perfbench"),
+         json.dumps([row.argv for row in rows])],
         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
     loaded, exits = json.loads(out)
-    assert loaded == [False] * (2 + len(NUMPY_FREE_EXITS))
-    for argv, (status, err) in zip(NUMPY_FREE_EXITS, exits):
-        if "--help" in argv:
-            assert (status, err) == (0, ""), argv
-        else:
-            assert status == 2, argv
-            assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+    assert loaded == [False] * (2 + len(rows))
+    for row, run in zip(rows, exits):
+        corpus.check(row, *run)
+
+
+def test_diff_parent_reports_exactly_the_runs_whose_bytes_differ(tmp_path):
+    src = pathlib.Path(gup_dosc.__file__).parents[1]
+    same, changed = tmp_path / "same", tmp_path / "changed"
+    for copy in (same, changed):
+        shutil.copytree(src / "gup_dosc", copy / "gup_dosc",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    # perturbation.OVER_CRITICAL flags every shift report beyond the critical field
+    module = changed / "gup_dosc" / "perturbation.py"
+    source = module.read_text(encoding="utf-8")
+    module.write_text(source.replace('"over-critical: ', '"beyond B_c: ', 1), encoding="utf-8")
+    assert module.read_text(encoding="utf-8") != source
+    rows = [corpus.parse(line) for line in (
+        "0 correct --omega 1 --B 3 --gup-a 1e-4 --cutoff 12 --format json",
+        "0 correct --omega 1 --B 1 --gup-a 1e-4 --cutoff 12 --format json",
+        "2 spectrum --omega nan")]
+    assert list(diff_parent.differences(rows, src, same)) == []
+    ((argv, lines),) = diff_parent.differences(rows, src, changed)
+    assert argv == rows[0].argv and len(lines) == 1 and "beyond B_c: " in lines[0]
 
 
 def test_every_public_name_resolves():
