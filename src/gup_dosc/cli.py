@@ -460,8 +460,7 @@ def _run_correct(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
 
     states = [(n, branch) for n in (0, 1) for branch in _branches(config)]
     present = [s for s in states if level_exists(p, *s)]
-    # each shift is built after the one before has passed its oracle check
-    checked = oracle_check(space, p, (first_order_shift(space, p, *s) for s in present))
+    checked = oracle_check(space, p, [first_order_shift(space, p, *s) for s in present])
     results = dict(zip(present, checked))
     return {"corrections": [
         _pt_report_dict(results[(n, branch)]) if (n, branch) in results else {

@@ -95,7 +95,9 @@ class PTReport:
 
 
 def critical_field(p: ModelParams) -> float:
-    """Field at which the reduced frequency vanishes (`ModelParams.critical_field`)."""
+    """Field at which the reduced frequency vanishes: `ModelParams.critical_field`,
+    kept as a public name, which perfbench/verify.py imports; the package
+    reads the property."""
     return p.critical_field
 
 
@@ -220,14 +222,16 @@ def level_rows(
 
     One row per (n, branch), n outermost: the closed-form energy
     (`landau_level`), the nearest eigenvalue of the interior spectrum, their
-    relative error, and the number of eigenvalues within `window`, in units
-    of m c^2, of the closed-form energy. A window below the noise floor, or a
-    level n = `levels` outside the interior, raises UsageError before
-    anything is solved; so does a nearest eigenvalue beyond the float range.
+    relative error, over an energy of at least 1e-30 m c^2, and the number
+    of eigenvalues within `window`, in units of m c^2, of the closed-form
+    energy. A window below the noise floor, or a level n = `levels` outside
+    the interior, raises UsageError before anything is solved; so does a
+    nearest eigenvalue beyond the float range.
     """
     _check_window(window)
     _check_headroom(space, levels, 0)
     spectrum = interior_spectrum(space, [sector_terms(space, p, 0.0)])[0]
+    floor = 1e-30 * p.rest_energy
     rows = []
     for n in range(levels + 1):
         for branch in branches:
@@ -242,7 +246,7 @@ def level_rows(
                 "branch": branch,
                 "analytic": analytic,
                 "exact_nearest": nearest,
-                "rel_error": abs(nearest - analytic) / max(abs(analytic), 1e-30),
+                "rel_error": abs(nearest - analytic) / max(abs(analytic), floor),
                 "multiplicity": int(np.sum(distances <= window)),
             })
     return rows
@@ -282,43 +286,36 @@ def _agrees(slope: float, shift: float) -> bool:
 
 
 def oracle_check(
-    space: FockSpace, p: ModelParams, reports: Iterable[PTReport]
+    space: FockSpace, p: ModelParams, reports: Sequence[PTReport]
 ) -> list[PTReport]:
     """Set each shift's finite-difference slope, flag each shift it does not
-    agree with (`_agrees`), and return the reports.
+    agree with (`_agrees`), and return the reports as a list.
 
-    `reports` are all the shift reports of one command; each is checked
-    before the next is taken, so a generator of reports stops at the first
-    that fails. The slope of shift i is that of the one eigenvalue of its
-    state's J-sector, `sectors[i]`, within CLUSTER_WINDOW m c^2 of the
-    unperturbed energy. The five stencil strengths are reduced to their
-    block terms once, and only those J-sectors are solved, each once per
-    call; nothing is kept after it. Raises ComputationError when such a
-    block holds no eigenvalue there, and UsageError when it holds several,
-    which the stencil step cannot tell apart, or when the finite differences
-    are not finite. At the critical field, where every shift is identically
-    zero and the slopes' unit a c m hbar wt vanishes, the reports are
-    returned unchanged and nothing is solved.
+    `reports` are all the built shift reports of one command. The slope of
+    shift i is that of the one eigenvalue of its state's J-sector,
+    `sectors[i]`, within CLUSTER_WINDOW m c^2 of the unperturbed energy.
+    Every J-sector the reports name is solved once, at the five stencil
+    strengths reduced to their block terms once, before any slope is taken;
+    nothing is kept after the call. A report that names no sector, as every
+    report at the critical field, keeps its slopes. Raises ComputationError
+    when such a block holds no eigenvalue there, and UsageError when it holds
+    several, which the stencil step cannot tell apart, or when the finite
+    differences are not finite.
     """
-    if p.omega_tilde == 0.0:
-        return list(reports)
-    strengths = [sector_terms(space, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
-    stencils: dict[int, np.ndarray] = {}
-    checked = []
-    for report in reports:
-        slopes = {}
-        for j in dict.fromkeys(report.sectors):
-            if j not in stencils:
-                stencils[j] = interior_spectrum(space, strengths, [j])
-            slopes[j] = _sector_slope(p, j, stencils[j], report.unperturbed_energy)
-        report.oracle_slopes = [slopes[j] for j in report.sectors]
+    named = [report for report in reports if report.sectors]
+    js = dict.fromkeys(j for report in named for j in report.sectors)
+    if js:
+        strengths = [sector_terms(space, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
+        stencils = {j: interior_spectrum(space, strengths, [j]) for j in js}
+    for report in named:
+        report.oracle_slopes = [_sector_slope(p, j, stencils[j], report.unperturbed_energy)
+                                for j in report.sectors]
         for s, o in zip(report.shifts, report.oracle_slopes):
             if not _agrees(o, s):
                 report.discrepancy_flags.append(
                     f"oracle slope {o!r} disagrees with shift {s!r}"
                 )
-        checked.append(report)
-    return checked
+    return list(reports)
 
 
 def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: str,
@@ -537,7 +534,7 @@ def field_scan(
         for (point, _), (before, after) in zip(group, spectra.reshape(len(group), 2, -1)):
             point["degeneracy_counts_before"] = _histogram(before, degeneracy_window)
             point["degeneracy_counts_after"] = _histogram(after, degeneracy_window)
-    critical = critical_field(base_params)
+    critical = base_params.critical_field
     in_range = values and values[0] <= critical <= values[-1]
     return [point for point, _ in scanned], critical if in_range else None
 
@@ -559,13 +556,12 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
 
     # 2. ground-level shift and its oracle slope; 3. first excited level:
     # stored value vs the oracle-consistent one; 4. degenerate block:
-    # own-basis matrix vs stored block. The reports are built lazily, each
-    # after the one before has passed its oracle check.
-    ground, first, own = oracle_check(space, p, (
-        first_order_shift(space, p, n, POSITIVE) if n < 2
-        else degenerate_shift(space, p, 2, range(4))
-        for n in range(3)
-    ))
+    # own-basis matrix vs stored block
+    ground, first, own = oracle_check(space, p, [
+        first_order_shift(space, p, 0, POSITIVE),
+        first_order_shift(space, p, 1, POSITIVE),
+        degenerate_shift(space, p, 2, range(4)),
+    ])
     (g,), (g_slope,) = ground.shifts, ground.oracle_slopes
     (f,), (f_slope,) = first.shifts, first.oracle_slopes
 
@@ -579,7 +575,7 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     # 5. critical field, against the field where |e| B / (m c) reaches 2 omega, exact
     # so nothing underflows; wt there is a difference of terms of size omega
     from fractions import Fraction  # here, since only validate needs it
-    bc = critical_field(p)
+    bc = p.critical_field
     per_field = Fraction(p.charge) / (Fraction(p.mass) * Fraction(p.light_speed))
     bc_ref = float(2 * Fraction(p.omega) / per_field)
     wt_at_bc = p.with_field(bc).omega_tilde

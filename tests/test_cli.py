@@ -84,6 +84,30 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "usage error: state (n=40, spectator=0) too close to cutoff 20; raise the cutoff\n")
+    # correct builds both its shift reports before the oracle solves a
+    # stencil: the n = 1 state does not fit in the interior n_a + n_b <= 0
+    assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
+                 "--cutoff", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: state (n=1, spectator=0) too close to cutoff 2; raise the cutoff\n")
+
+
+def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch, capsys):
+    # the n = 2 cluster's spectator 3 does not fit in the interior
+    # n_a + n_b <= 4 of cutoff 6: the level rows' one whole spectrum (js None)
+    # is solved before the usage error, and no oracle stencil
+    solved = []
+
+    def recording(space, terms, js=None):
+        solved.append(js)
+        return model.interior_spectrum(space, terms, js)
+
+    monkeypatch.setattr(perturbation, "interior_spectrum", recording)
+    assert main(["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
+                 "--cutoff", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: state (n=2, spectator=3) too close to cutoff 6; raise the cutoff\n")
+    assert solved == [None]
 
 
 def test_only_spectrum_needs_headroom_for_its_levels(tmp_path, capsys):
@@ -140,7 +164,7 @@ def test_scan_range_required():
 
 def test_steps_above_the_limit_are_usage_errors(monkeypatch, tmp_path, capsys):
     # rejected while the config is parsed, before any field value is listed
-    monkeypatch.setitem(cli._RUNNERS, "scan", lambda config: pytest.fail("scan ran"))
+    monkeypatch.setitem(cli._RUNNERS, "scan", lambda *args: pytest.fail("scan ran"))
     scan = ["scan", "--omega", "1", "--B-min", "0", "--B-max", "3"]
     assert parse_config(scan + ["--steps", str(cli.MAX_STEPS)]).steps == cli.MAX_STEPS
     with pytest.raises(UsageError, match="steps 10001 exceeds the limit 10000"):
@@ -340,19 +364,16 @@ def test_json_round_trip_values(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--omega", "1", "--B", "1"],
-    ["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
-    ["degenerate", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
-    ["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
-     "--gup-a", "1e-4"],
-    ["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4"],
-    ["spectrum", "--omega", "1", "--B", "1", "--tol", "cluster_window=1e-6",
-     "--tol", "degeneracy_window=2e-9"],
-    ["correct", "--omega", "1", "--B", "3", "--gup-a", "1e-4", "--branch", "both"],
-], ids=["spectrum", "correct", "degenerate", "scan", "validate", "tol", "branch-both"])
+    # each README example as the README writes it, one id per command
+    *(pytest.param(list(row.argv), id=row.argv[0])
+      for row in corpus.rows() if "readme" in row.tags),
+    pytest.param(["spectrum", "--omega", "1", "--B", "1", "--tol", "cluster_window=1e-6",
+                  "--tol", "degeneracy_window=2e-9", *FAST], id="tol"),
+    pytest.param(["correct", "--omega", "1", "--B", "3", "--gup-a", "1e-4",
+                  "--branch", "both", *FAST], id="branch-both"),
+])
 def test_config_echo_reproduces_report(argv, tmp_path):
-    code, original = run_to_string(argv + FAST + ["--format", "json"], tmp_path,
-                                   "orig.json")
+    code, original = run_to_string(argv + ["--format", "json"], tmp_path, "orig.json")
     echoed = json.loads(original)["config"]
     config_file = tmp_path / "echo.json"
     config_file.write_text(json.dumps(echoed))

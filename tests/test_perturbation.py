@@ -319,6 +319,19 @@ def test_level_rows_stop_at_the_interior_top(monkeypatch):
         level_rows(space, p, 9, ("+",), CLUSTER_WINDOW)
 
 
+def test_level_rows_relative_errors_do_not_depend_on_the_units():
+    # m c^2 = hbar = 1e-40 keeps lambda = 0.5: each level's relative error is
+    # the natural units' roundoff, not shrunk by an absolute energy floor
+    scaled = ModelParams(omega=0.5, mass=1e-40, hbar=1e-40)
+    natural = ModelParams(omega=0.5)
+    assert scaled.lam == natural.lam
+    errors = [[r["rel_error"] for r in level_rows(SPACE, p, 8, BRANCHES, CLUSTER_WINDOW)]
+              for p in (scaled, natural)]
+    assert max(errors[1]) > 0.0
+    for a, b in zip(*errors):
+        assert b / 4 <= a <= 4 * b
+
+
 def test_over_critical_levels_mirror():
     p = ModelParams(omega=0.1, b_field=0.3, gup_a=1e-4)  # wt = -0.05
     assert p.omega_tilde == pytest.approx(-0.05)
