@@ -18,23 +18,16 @@ every input first, so an input error or `--help` exits before numpy's import;
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import io
-import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ComputationError, UsageError
 from .fock import MAX_CUTOFF, FockSpace
-from .params import BRANCHES, CLUSTER_WINDOW, NEGATIVE, POSITIVE, ModelParams
-
-if TYPE_CHECKING:
-    from .perturbation import PTReport
+from .params import BRANCHES, CLUSTER_WINDOW, NEGATIVE, POSITIVE, ModelParams, _Value
 
 FORMATS = ("text", "json", "csv")
 BRANCH_CHOICES = (POSITIVE, NEGATIVE, "both")
@@ -43,8 +36,7 @@ BRANCH_CHOICES = (POSITIVE, NEGATIVE, "both")
 MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(_Value):
     """One setting, named by its config key; a default of None means unset."""
 
     key: str
@@ -84,13 +76,13 @@ OPTIONS = (
 _TOLERANCE_KEYS = ("cluster_window", "degeneracy_window")
 
 
-@dataclass
 class RunConfig:
     """A resolved run; each setting reads as an attribute, e.g. `config.B_min`."""
 
-    command: str
-    values: dict
-    tolerances: dict
+    def __init__(self, command: str, values: dict, tolerances: dict):
+        self.command = command
+        self.values = values
+        self.tolerances = tolerances
 
     def __getattr__(self, key: str):
         try:
@@ -118,6 +110,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     def add(parser, options):
         for o in options:
@@ -150,11 +143,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str, command: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -276,6 +273,8 @@ def _fmt_float(x: float, digits: int = 17) -> str:
 
 
 def _json_emit(obj, indent: int = 0) -> str:
+    import json
+
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -374,6 +373,8 @@ def _histogram_cell(hist) -> str:
 
 
 def to_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = [
@@ -396,7 +397,8 @@ def to_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # report builders; each imports the solver names it calls, loaded by `run`
 
-def _pt_report_dict(r: PTReport) -> dict:
+def _pt_report_dict(r) -> dict:
+    """The report form of a `perturbation.PTReport`."""
     from .numerics import dump_matrix
     from .perturbation import SHIFT_UNITS
 

@@ -16,9 +16,8 @@ fixed at 2, which covers every quadratic operator of the model, and a state
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError
+from .params import _Value
 
 # Boson quanta kept clear of the cutoff by the interior projection.
 INTERIOR_MARGIN = 2
@@ -54,14 +53,13 @@ def stack_configs(cutoff: int) -> int:
     return max(1, STACK_BYTES // max(1, sector_cost(cutoff)[1]))
 
 
-@dataclass(frozen=True)
-class FockSpace:
+class FockSpace(_Value):
     """Truncated |n_a, n_b> ⊗ spinor basis: each mode keeps 0..cutoff quanta,
     and computations use the interior n_a + n_b <= `top`."""
 
     cutoff: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.cutoff < INTERIOR_MARGIN:
             raise UsageError(
                 f"cutoff {self.cutoff} is below the interior margin {INTERIOR_MARGIN}"

@@ -13,7 +13,6 @@ input before the solver stack is imported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 
 from .errors import ComputationError, UsageError
 
@@ -24,8 +23,48 @@ BRANCHES = (POSITIVE, NEGATIVE)
 CLUSTER_WINDOW = 1e-9
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Value:
+    """Base of the immutable value types, in place of frozen dataclasses, whose
+    import loads inspect, ast and dis. The fields are the annotated class
+    attributes, a value being the default, after those of the bases. Instances
+    run `_check`, compare, hash and print by type and fields, and pickle."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = (*cls._fields, *cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        values = {k: getattr(type(self), k) for k in self._fields if hasattr(type(self), k)}
+        values.update(zip(self._fields, args), **kwargs)
+        if len(args) > len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update((k, values[k]) for k in self._fields)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise UsageError for fields that do not make a valid value."""
+
+    def replace(self, **changes):
+        """A copy with `changes`, built and checked anew."""
+        return type(self)(**{**vars(self), **changes})
+
+    def __setattr__(self, key, value=None):
+        raise AttributeError(f"cannot assign to field {key!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ModelParams(_Value):
     """Physical inputs plus derived dimensionless quantities.
 
     Defaults give natural units (m = c = hbar = |e| = 1); reports quote
@@ -41,11 +80,10 @@ class ModelParams:
     hbar: float = 1.0
     charge: float = 1.0
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def _check(self):
+        for name, value in vars(self).items():
             if not math.isfinite(value):
-                raise UsageError(f"{f.name} must be finite, got {value}")
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.mass <= 0.0:
             raise UsageError(f"mass must be positive, got {self.mass}")
         if self.light_speed <= 0.0:
@@ -105,11 +143,10 @@ class ModelParams:
         return 2.0 * self.omega * self.mass * self.light_speed / self.charge
 
     def with_field(self, b_field: float) -> "ModelParams":
-        return replace(self, b_field=b_field)
+        return self.replace(b_field=b_field)
 
 
-@dataclass(frozen=True)
-class SpinorLevel:
+class SpinorLevel(_Value):
     """One analytic level: quantum number, branch, energy and spinor weights."""
 
     n: int

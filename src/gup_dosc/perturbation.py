@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,10 +122,10 @@ def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
     if wt >= 0.0:
         return spinor_level(p, n, branch)
     # the zero-field model with the same |wt|
-    mirror = replace(p, omega=abs(wt), b_field=0.0)
+    mirror = p.replace(omega=abs(wt), b_field=0.0)
     if n == 0:
         ref = spinor_level(mirror, 0, POSITIVE)
-        return replace(ref, branch=NEGATIVE, energy=-ref.energy)
+        return ref.replace(branch=NEGATIVE, energy=-ref.energy)
     return spinor_level(mirror, n, branch)
 
 
@@ -573,11 +573,12 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     vec_err = float(np.max(np.abs(image - REFERENCE_DEGENERATE_EIGENVECTOR_SHIFT * vec)))
 
     # 5. critical field, against the field where |e| B / (m c) reaches 2 omega, exact
-    # so nothing underflows; wt there is a difference of terms of size omega
-    from fractions import Fraction  # here, since only validate needs it
+    # so nothing underflows: 2 omega m c / |e| as one ratio of integers, whose
+    # true division rounds correctly; wt there is a difference of terms of size omega
     bc = p.critical_field
-    per_field = Fraction(p.charge) / (Fraction(p.mass) * Fraction(p.light_speed))
-    bc_ref = float(2 * Fraction(p.omega) / per_field)
+    (w, dw), (m, dm), (c, dc), (q, dq) = (
+        x.as_integer_ratio() for x in (p.omega, p.mass, p.light_speed, p.charge))
+    bc_ref = 2 * w * m * c * dq / (dw * dm * dc * q)
     wt_at_bc = p.with_field(bc).omega_tilde
 
     table += [

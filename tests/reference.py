@@ -48,7 +48,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
 class Space(FockSpace):
     """Truncated |n_a, n_b> ⊗ spinor basis with a fixed flat index order.
 

@@ -1,10 +1,13 @@
 import contextlib
+import copy
 import csv
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
+import pickle
 import re
 import shutil
 import subprocess
@@ -17,6 +20,7 @@ import gup_dosc
 from gup_dosc import cli, fock, model, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
+from gup_dosc.params import CLUSTER_WINDOW, ModelParams, SpinorLevel
 
 import corpus
 import diff_parent
@@ -736,43 +740,134 @@ def test_only_the_cli_freezes_the_import_heap():
     assert second_run == first_run
 
 
+# modules the parse path must not load: numpy, and the standard-library modules
+# that the value types, the emitters and validate's reference used to pull in
+LEAN = ("numpy", "inspect", "dataclasses", "json", "csv", "typing", "fractions", "decimal")
+
+
 def test_the_parse_path_loads_no_numpy():
-    # the CLI import, parse_config on every perfbench workload's argv and each
-    # numpy-free row of tests/commands.txt leave numpy unloaded, and each row
-    # passes its checks
+    # the CLI import and parse_config on every perfbench workload's argv and
+    # each numpy-free row of tests/commands.txt load none of LEAN; running the
+    # rows loads no numpy, and only decimal besides, which formats the message
+    # of a cutoff above the limit (`FockSpace`); each row passes its checks.
+    # The child runs without site, where no .pth file preloads typing, and
+    # reads its argv lists as tab-separated lines, not JSON
     rows = [row for row in corpus.rows() if "numpy-free" in row.tags]
     root = pathlib.Path(gup_dosc.__file__).parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    workloads = json.loads(subprocess.run(
+        [sys.executable, "-c",
+         "import json, random, sys\n"
+         "sys.path.insert(0, sys.argv[1])\n"
+         "import run as bench\n"
+         "print(json.dumps([bench._argv(call)\n"
+         "                  for name, workload in sorted(bench.WORKLOADS.items())\n"
+         "                  for call in workload(random.Random(f'{name}:1'))]))\n",
+         str(root / "perfbench")],
+        env=env, check=True, capture_output=True, text=True, timeout=60).stdout)
     code = (
-        "import contextlib, io, json, random, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded():\n"
+        f"    return [m for m in {LEAN!r} if m in sys.modules and m not in before]\n"
         "from gup_dosc import cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import run as bench\n"
-        "for name, workload in sorted(bench.WORKLOADS.items()):\n"
-        "    for call in workload(random.Random(f'{name}:1')):\n"
-        "        cli.parse_config(bench._argv(call))\n"
-        "loaded.append('numpy' in sys.modules)\n"
-        "exits = []\n"
-        "for argv in json.loads(sys.argv[2]):\n"
+        "found = [loaded()]\n"
+        "argvs = [line.split('\\t') if line else [] for line in sys.stdin.read().split('\\n')]\n"
+        "rows = argvs[int(sys.argv[1]):]\n"
+        "import contextlib, io\n"
+        "def quiet(call, argv):\n"
         "    out, err = io.StringIO(), io.StringIO()\n"
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "        try:\n"
-        "            status = cli.main(argv)\n"
-        "        except SystemExit as exc:\n"
-        "            status = exc.code\n"
-        "    exits.append([status, out.getvalue(), err.getvalue()])\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(json.dumps([loaded, exits]))\n"
+        "            status = call(argv)\n"
+        "        except (cli.UsageError, SystemExit) as exc:\n"
+        "            status = getattr(exc, 'code', None)\n"
+        "    return [status, out.getvalue(), err.getvalue()]\n"
+        "for argv in argvs[:int(sys.argv[1])]:\n"
+        "    cli.parse_config(argv)\n"
+        "for argv in rows:\n"
+        "    quiet(cli.parse_config, argv)\n"
+        "found.append(loaded())\n"
+        "exits = [quiet(cli.main, argv) for argv in rows]\n"
+        "found.append(loaded())\n"
+        "import json\n"
+        "print(json.dumps([found, exits]))\n"
     )
+    argvs = [*workloads, *(row.argv for row in rows)]
+    assert all("\t" not in arg and "\n" not in arg for argv in argvs for arg in argv)
     out = subprocess.run(
-        [sys.executable, "-c", code, str(root / "perfbench"),
-         json.dumps([row.argv for row in rows])],
+        [sys.executable, "-S", "-c", code, str(len(workloads))],
+        input="\n".join("\t".join(argv) for argv in argvs),
         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
-    loaded, exits = json.loads(out)
-    assert loaded == [False] * (2 + len(rows))
-    for row, run in zip(rows, exits):
+    (imported, parsed, ran), exits = json.loads(out)
+    assert imported == parsed == [] and set(ran) <= {"decimal"}
+    for row, run in zip(rows, exits, strict=True):
         corpus.check(row, *run)
+
+
+def test_validate_loads_no_fractions_or_decimal():
+    # a fresh interpreter, since this one has loaded both
+    root = pathlib.Path(gup_dosc.__file__).parents[2]
+    code = (
+        "import contextlib, io, sys\n"
+        "from gup_dosc import cli\n"
+        "cli._load_solver()\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['validate', '--omega', '1', '--B', '1', '--gup-a', '1e-4',\n"
+        "                       '--cutoff', '12'])\n"
+        "print(status, sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out == "0 []\n"
+
+
+def test_one_parser_per_process_and_parses_stay_independent():
+    assert cli._build_parser() is cli._build_parser()
+    tuned = parse_config(["spectrum", "--omega", "1", "--tol", "cluster_window=1e-8"])
+    plain = parse_config(["spectrum", "--omega", "1"])
+    assert tuned.tolerances["cluster_window"] == 1e-8
+    assert plain.tolerances == dict.fromkeys(("cluster_window", "degeneracy_window"),
+                                             CLUSTER_WINDOW)
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"omega": 1}')
+    assert main(["spectrum", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"usage error: config file {path} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("make, change, invalid, text", [
+    (lambda: ModelParams(omega=1.0), {"omega": 2.0}, lambda p: p.with_field(math.nan),
+     "ModelParams(omega=1.0, b_field=0.0, gup_a=0.0, mass=1.0, light_speed=1.0, hbar=1.0, "
+     "charge=1.0)"),
+    (lambda: SpinorLevel(n=1, branch="-", energy=-3.0, c_n=-0.5, d_n=0.75), {"n": 2}, None,
+     "SpinorLevel(n=1, branch='-', energy=-3.0, c_n=-0.5, d_n=0.75)"),
+    (lambda: fock.FockSpace(12), {"cutoff": 13}, lambda s: s.replace(cutoff=1),
+     "FockSpace(cutoff=12)"),
+    (lambda: cli.Option("steps", int, None, "field values", scan_only=True), {"key": "B"},
+     None, "Option(key='steps', type=<class 'int'>, default=None, help='field values', "
+     "choices=None, param=None, scan_only=True)"),
+], ids=["ModelParams", "SpinorLevel", "FockSpace", "Option"])
+def test_value_types_keep_frozen_dataclass_semantics(make, change, invalid, text):
+    value = make()
+    assert value == make() and hash(value) == hash(make()) and value is not make()
+    assert repr(value) == text
+    ((key, new),) = change.items()
+    with pytest.raises(AttributeError):
+        setattr(value, key, new)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value) and repr(copied) == text
+    changed = value.replace(**change)
+    assert type(changed) is type(value) and changed != value and value == make()
+    if invalid is not None:
+        with pytest.raises(UsageError):
+            invalid(value)
 
 
 def test_diff_parent_reports_exactly_the_runs_whose_bytes_differ(tmp_path):

@@ -8,7 +8,6 @@ import json
 import math
 import pathlib
 import tempfile
-from dataclasses import replace
 from decimal import Context, Decimal
 
 import numpy as np
@@ -84,7 +83,7 @@ def test_shifts_are_linear_in_a(p, n, branch, spectators, t):
     # shifts are in units of a c m hbar wt, so a enters only through the unit
     assume(level_exists(p, n, branch))
     r = degenerate_shift(SPACE, p, n, spectators, branch)
-    scaled = degenerate_shift(SPACE, replace(p, gup_a=t * p.gup_a), n, spectators, branch)
+    scaled = degenerate_shift(SPACE, p.replace(gup_a=t * p.gup_a), n, spectators, branch)
     assert repr(scaled.shifts) == repr(r.shifts)
     assert scaled.sectors == r.sectors
     assert all(math.isclose(e2, t * e1, rel_tol=1e-12, abs_tol=0.0)
