@@ -156,56 +156,62 @@ class SpinorLevel(_Value):
     d_n: float
 
 
-def _level_root(p: ModelParams, n: int) -> float:
-    """sqrt(1 + 4 lam n): the positive energy of level n in units of m c^2."""
-    radicand = 1.0 + 4.0 * p.lam * n
-    if not math.isfinite(radicand):
-        raise UsageError(
-            f"1 + 4 lam n is not finite for level n={n} at lam = {p.lam!r}"
-        )
-    if radicand < 0.0:
-        raise ComputationError(
-            f"branch collapse: level n={n} has no real energy at "
-            f"reduced frequency {p.omega_tilde}"
-        )
-    return math.sqrt(radicand)
-
-
-def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
-    """Closed-form level energy ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2))."""
+def _level(p: ModelParams, n: int, branch: str, lam: float) -> tuple[float, float]:
+    """(energy, e) of level (n, branch) at the level-spacing parameter lam:
+    e = sqrt(1 + 4 lam n), and the energy ± m c^2 e."""
     if n < 0:
         raise UsageError(f"level index must be >= 0, got {n}")
     if branch not in BRANCHES:
         raise UsageError(f"branch must be '+' or '-', got {branch!r}")
-    energy = (1.0 if branch == POSITIVE else -1.0) * p.rest_energy * _level_root(p, n)
+    radicand = 1.0 + 4.0 * lam * n
+    if not math.isfinite(radicand):
+        raise UsageError(f"1 + 4 lam n is not finite for level n={n} at lam = {lam!r}")
+    if radicand < 0.0:
+        raise ComputationError(f"branch collapse: level n={n} has no real energy at "
+                               f"reduced frequency {p.omega_tilde}")
+    e = math.sqrt(radicand)
+    energy = (1.0 if branch == POSITIVE else -1.0) * p.rest_energy * e
     if not math.isfinite(energy):
         raise UsageError(f"energy of level n={n} overflows at m c^2 = {p.rest_energy!r}")
-    return energy
+    return energy, e
+
+
+def _spinor(n: int, branch: str, energy: float, e: float) -> SpinorLevel:
+    """Level (n, branch) of energy ± m c^2 e, with the weights
+    c_n(±) = ± sqrt((e ± 1) / (2 e)) (upper sign for +) and
+    d_n(±) = sqrt((e -+ 1) / (2 e)). At n = 0, e = 1: branch + is the pure
+    upper component (1, 0), branch - the pure lower one (-0, 1)."""
+    upper, lower = (math.sqrt((e + s) / (2.0 * e)) for s in (1.0, -1.0))
+    c, d = (upper, lower) if branch == POSITIVE else (-lower, upper)
+    return SpinorLevel(n=n, branch=branch, energy=energy, c_n=c, d_n=d)
+
+
+def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
+    """Closed-form level energy ± m c^2 sqrt(1 + 4 hbar wt n / (m c^2))."""
+    return _level(p, n, branch, p.lam)[0]
 
 
 def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
-    """Analytic eigenstate data for level n.
-
-    Weights: with e = sqrt(1 + 4 lam n) the positive-branch energy in units
-    of m c^2, c_n(±) = ± sqrt((e ± 1) / (2 e)) (upper sign for +) and
-    d_n(±) = sqrt((e -+ 1) / (2 e)). The ground level is a pure
-    upper-component state; its negative-branch partner has identically
-    vanishing weight and does not exist.
-    """
-    energy = landau_level(p, n, branch)
-    e = _level_root(p, n)
+    """Analytic eigenstate data for level n at the signed lam (`_spinor`). The
+    ground level is a pure upper-component state; its negative-branch partner
+    has identically vanishing weight and does not exist."""
+    energy, e = _level(p, n, branch, p.lam)
     if e == 0.0:
-        raise ComputationError(
-            f"branch collapse: level n={n} at reduced frequency {p.omega_tilde}"
-        )
-    if n == 0:
-        if branch == NEGATIVE:
-            raise UsageError(
-                "the ground level has no negative branch: its weight "
-                "vanishes identically"
-            )
-        return SpinorLevel(n=0, branch=POSITIVE, energy=energy, c_n=1.0, d_n=0.0)
-    upper = math.sqrt((e + 1.0) / (2.0 * e))
-    lower = math.sqrt((e - 1.0) / (2.0 * e))
-    c, d = (upper, lower) if branch == POSITIVE else (-lower, upper)
-    return SpinorLevel(n=n, branch=branch, energy=energy, c_n=c, d_n=d)
+        raise ComputationError(f"branch collapse: level n={n} at reduced frequency "
+                               f"{p.omega_tilde}")
+    if n == 0 and branch == NEGATIVE:
+        raise UsageError("the ground level has no negative branch: its weight "
+                         "vanishes identically")
+    return _spinor(n, branch, energy, e)
+
+
+def abs_level(p: ModelParams, n: int, branch: str) -> SpinorLevel | None:
+    """The level (n, branch) of the operators at these params, None where it
+    does not exist: `spinor_level`'s closed forms at |lam|, whose UsageErrors
+    it raises. The operators follow |wt| on both sides of the critical field
+    (CONVENTIONS.md), so the side sets only the branch of the rest level
+    n = 0, + up to the critical field (wt >= 0) and - beyond it, and where
+    `perturbation._placement` puts a state's quanta."""
+    rest = NEGATIVE if p.omega_tilde < 0.0 else POSITIVE
+    level = _spinor(n, branch, *_level(p, n, branch, abs(p.lam)))
+    return level if n > 0 or branch == rest else None

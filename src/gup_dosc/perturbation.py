@@ -34,8 +34,8 @@ from .params import (
     POSITIVE,
     ModelParams,
     SpinorLevel,
+    abs_level,
     landau_level,
-    spinor_level,
 )
 
 SHIFT_UNITS = "a·c·m·ħ·ω̃"
@@ -102,31 +102,16 @@ def critical_field(p: ModelParams) -> float:
 
 
 def level_exists(p: ModelParams, n: int, branch: str) -> bool:
-    """Whether level (n, branch) exists in the operator model at these params."""
-    if n > 0:
-        return True
-    return branch == (POSITIVE if p.omega_tilde >= 0.0 else NEGATIVE)
+    """Whether level (n, branch) exists in the operator model (`params.abs_level`)."""
+    return abs_level(p, n, branch) is not None
 
 
 def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
-    """Level data consistent with the assembled operators, and the level
-    gate: a level that `level_exists` denies raises UsageError.
-
-    For wt >= 0 this equals `spinor_level` exactly. For wt < 0 the operator
-    spectrum follows |wt| with the rest-energy level mirrored to the negative
-    branch, so weights are evaluated at |wt| and the ground level flips sign.
-    """
-    if not level_exists(p, n, branch):
+    """Level data consistent with the assembled operators, `params.abs_level`,
+    and the level gate: a level that does not exist raises UsageError."""
+    if (level := abs_level(p, n, branch)) is None:
         raise UsageError(f"level (n={n}, branch {branch}) does not exist here")
-    wt = p.omega_tilde
-    if wt >= 0.0:
-        return spinor_level(p, n, branch)
-    # the zero-field model with the same |wt|
-    mirror = p.replace(omega=abs(wt), b_field=0.0)
-    if n == 0:
-        ref = spinor_level(mirror, 0, POSITIVE)
-        return ref.replace(branch=NEGATIVE, energy=-ref.energy)
-    return spinor_level(mirror, n, branch)
+    return level
 
 
 def _check_headroom(space: FockSpace, n: int, spectator: int) -> None:
@@ -136,48 +121,48 @@ def _check_headroom(space: FockSpace, n: int, spectator: int) -> None:
                          f"cutoff {space.cutoff}; raise the cutoff")
 
 
+def _placement(p: ModelParams, n: int, spectator: int) -> tuple:
+    """(upper, lower, phase): the (n_a, n_b) of the upper and the lower spinor
+    component of the state (n, spectator), None for one with a negative
+    quantum, and the lower one's phase relative to the upper one.
+
+    Up to the critical field mode a holds the dynamical quanta and mode b the
+    spectator: (n, k) and (n - 1, k). Beyond it the modes swap, the
+    components exchange their dynamical quanta, and the lower one carries the
+    phase i, that of the i^{n_b} basis (CONVENTIONS.md, Sectors): (k, n - 1)
+    and (k, n).
+    """
+    if p.omega_tilde < 0.0:
+        cells, phase = ((spectator, n - 1), (spectator, n)), 1j
+    else:
+        cells, phase = ((n, spectator), (n - 1, spectator)), 1.0
+    upper, lower = (cell if min(cell) >= 0 else None for cell in cells)
+    # a lone component, the rest level's, has no relative phase
+    return upper, lower, phase if upper and lower else 1.0
+
+
 def _state_vector(p: ModelParams, level: SpinorLevel, spectator: int) -> tuple:
     """Nonzero amplitudes of the checked state (n, branch, spectator) of an
     operator level, an eigenstate of H0 off the critical field, its basis
     descriptor and its J-sector.
 
-    Amplitudes are (weight, n_a, n_b), the upper spinor component first. For
-    wt > 0 the state is c|n_a=n, n_b=k, up> + d|n_a=n-1, n_b=k, down>; for
-    wt < 0 the modes swap roles and the lower component carries a phase i
-    fixed by the mirrored block structure.
+    Amplitudes are (weight, n_a, n_b), the upper spinor component first:
+    c_n and d_n placed by `_placement`. A level exists where it weighs no
+    component without a state, so the rest level's state is one component.
     """
-    wt = p.omega_tilde
-    n = level.n
-    upper: tuple[int, int] | None
-    lower: tuple[int, int] | None
-    if n == 0:
-        # the undisplaced rest-energy level is a pure spinor component
-        if wt > 0.0:
-            upper, lower, lower_weight = (0, spectator), None, 0.0j
-        else:
-            upper, lower, lower_weight = None, (spectator, 0), 1.0 + 0.0j
-    elif wt > 0.0:
-        upper, lower = (n, spectator), (n - 1, spectator)
-        lower_weight = complex(level.d_n)
-    else:
-        upper, lower = (spectator, n - 1), (spectator, n)
-        lower_weight = 1j * level.d_n
-    amplitudes: list[tuple[complex, int, int]] = []
-    if upper is not None:
-        amplitudes.append((complex(level.c_n), *upper))
-    if lower is not None:
-        amplitudes.append((lower_weight, *lower))
+    upper, lower, phase = _placement(p, level.n, spectator)
+    lower_weight = complex(phase * level.d_n)
+    amplitudes = [(weight, *cell) for weight, cell
+                  in ((complex(level.c_n), upper), (lower_weight, lower)) if cell]
     descriptor = {
-        "upper_state": list(upper) if upper is not None else None,
-        "upper_weight": float(level.c_n) if upper is not None else 0.0,
-        "lower_state": list(lower) if lower is not None else None,
+        "upper_state": upper and list(upper),
+        "upper_weight": float(level.c_n) if upper else 0.0,
+        "lower_state": lower and list(lower),
         "lower_weight": [lower_weight.real, lower_weight.imag],
-        "n": n,
-        "branch": level.branch,
-        "spectator": spectator,
+        "n": level.n, "branch": level.branch, "spectator": spectator,
     }
     # both components lie in one J-sector: J = n_a - n_b, and one more down
-    j = upper[0] - upper[1] if upper is not None else lower[0] - lower[1] + 1
+    j = upper[0] - upper[1] if upper else lower[0] - lower[1] + 1
     return amplitudes, descriptor, j
 
 
@@ -479,11 +464,8 @@ def _scan_point(space: FockSpace, p: ModelParams) -> tuple[dict, list]:
                    "degeneracy_counts_before": None, "degeneracy_counts_after": None}
     try:
         branch0 = POSITIVE if level_exists(p, 0, POSITIVE) else NEGATIVE
-        for key, n, branch in (
-            ("ground_shift", 0, branch0),
-            ("first_shift", 1, POSITIVE),
-        ):
-            point[key] = first_order_shift(space, p, n, branch).shifts_energy[0]
+        point["ground_shift"] = first_order_shift(space, p, 0, branch0).shifts_energy[0]
+        point["first_shift"] = first_order_shift(space, p, 1).shifts_energy[0]
         # a negative shift unit (wt < 0) reverses the order of the energies
         cluster = degenerate_shift(space, p, 2, range(4))
         point["n2_shifts"] = sorted(cluster.shifts_energy)

@@ -348,6 +348,62 @@ def test_over_critical_levels_mirror():
     assert abs(r.oracle_slopes[0] - r.shifts[0]) <= 1e-5 * abs(r.shifts[0])
 
 
+# _state_vector's (amplitudes, descriptor, J) at wt = 0.5 (B = 1) and -0.5
+# (B = 3), omega = 1, keyed by (wt, n, branch, spectator), by repr so that
+# phases and signed zeros count: captured from the four-way branch that
+# preceded `_placement`, whose states the reports keep byte for byte
+STATE_VECTORS = {
+    (0.5, 0, "+", 0): "([((1+0j), 0, 0)], {'upper_state': [0, 0], 'upper_weight': 1.0, 'lower_state': None, 'lower_weight': [0.0, 0.0], 'n': 0, 'branch': '+', 'spectator': 0}, 0)",
+    (0.5, 0, "+", 3): "([((1+0j), 0, 3)], {'upper_state': [0, 3], 'upper_weight': 1.0, 'lower_state': None, 'lower_weight': [0.0, 0.0], 'n': 0, 'branch': '+', 'spectator': 3}, -3)",
+    (0.5, 1, "+", 0): "([((0.8880738339771153+0j), 1, 0), ((0.45970084338098305+0j), 0, 0)], {'upper_state': [1, 0], 'upper_weight': 0.8880738339771153, 'lower_state': [0, 0], 'lower_weight': [0.45970084338098305, 0.0], 'n': 1, 'branch': '+', 'spectator': 0}, 1)",
+    (0.5, 1, "+", 3): "([((0.8880738339771153+0j), 1, 3), ((0.45970084338098305+0j), 0, 3)], {'upper_state': [1, 3], 'upper_weight': 0.8880738339771153, 'lower_state': [0, 3], 'lower_weight': [0.45970084338098305, 0.0], 'n': 1, 'branch': '+', 'spectator': 3}, -2)",
+    (0.5, 1, "-", 0): "([((-0.45970084338098305+0j), 1, 0), ((0.8880738339771153+0j), 0, 0)], {'upper_state': [1, 0], 'upper_weight': -0.45970084338098305, 'lower_state': [0, 0], 'lower_weight': [0.8880738339771153, 0.0], 'n': 1, 'branch': '-', 'spectator': 0}, 1)",
+    (0.5, 1, "-", 3): "([((-0.45970084338098305+0j), 1, 3), ((0.8880738339771153+0j), 0, 3)], {'upper_state': [1, 3], 'upper_weight': -0.45970084338098305, 'lower_state': [0, 3], 'lower_weight': [0.8880738339771153, 0.0], 'n': 1, 'branch': '-', 'spectator': 3}, -2)",
+    (0.5, 2, "+", 0): "([((0.8506508083520399+0j), 2, 0), ((0.5257311121191336+0j), 1, 0)], {'upper_state': [2, 0], 'upper_weight': 0.8506508083520399, 'lower_state': [1, 0], 'lower_weight': [0.5257311121191336, 0.0], 'n': 2, 'branch': '+', 'spectator': 0}, 2)",
+    (0.5, 2, "+", 3): "([((0.8506508083520399+0j), 2, 3), ((0.5257311121191336+0j), 1, 3)], {'upper_state': [2, 3], 'upper_weight': 0.8506508083520399, 'lower_state': [1, 3], 'lower_weight': [0.5257311121191336, 0.0], 'n': 2, 'branch': '+', 'spectator': 3}, -1)",
+    (0.5, 2, "-", 0): "([((-0.5257311121191336+0j), 2, 0), ((0.8506508083520399+0j), 1, 0)], {'upper_state': [2, 0], 'upper_weight': -0.5257311121191336, 'lower_state': [1, 0], 'lower_weight': [0.8506508083520399, 0.0], 'n': 2, 'branch': '-', 'spectator': 0}, 2)",
+    (0.5, 2, "-", 3): "([((-0.5257311121191336+0j), 2, 3), ((0.8506508083520399+0j), 1, 3)], {'upper_state': [2, 3], 'upper_weight': -0.5257311121191336, 'lower_state': [1, 3], 'lower_weight': [0.8506508083520399, 0.0], 'n': 2, 'branch': '-', 'spectator': 3}, -1)",
+    (-0.5, 0, "-", 0): "([((1+0j), 0, 0)], {'upper_state': None, 'upper_weight': 0.0, 'lower_state': [0, 0], 'lower_weight': [1.0, 0.0], 'n': 0, 'branch': '-', 'spectator': 0}, 1)",
+    (-0.5, 0, "-", 3): "([((1+0j), 3, 0)], {'upper_state': None, 'upper_weight': 0.0, 'lower_state': [3, 0], 'lower_weight': [1.0, 0.0], 'n': 0, 'branch': '-', 'spectator': 3}, 4)",
+    (-0.5, 1, "+", 0): "([((0.8880738339771153+0j), 0, 0), (0.45970084338098305j, 0, 1)], {'upper_state': [0, 0], 'upper_weight': 0.8880738339771153, 'lower_state': [0, 1], 'lower_weight': [0.0, 0.45970084338098305], 'n': 1, 'branch': '+', 'spectator': 0}, 0)",
+    (-0.5, 1, "+", 3): "([((0.8880738339771153+0j), 3, 0), (0.45970084338098305j, 3, 1)], {'upper_state': [3, 0], 'upper_weight': 0.8880738339771153, 'lower_state': [3, 1], 'lower_weight': [0.0, 0.45970084338098305], 'n': 1, 'branch': '+', 'spectator': 3}, 3)",
+    (-0.5, 1, "-", 0): "([((-0.45970084338098305+0j), 0, 0), (0.8880738339771153j, 0, 1)], {'upper_state': [0, 0], 'upper_weight': -0.45970084338098305, 'lower_state': [0, 1], 'lower_weight': [0.0, 0.8880738339771153], 'n': 1, 'branch': '-', 'spectator': 0}, 0)",
+    (-0.5, 1, "-", 3): "([((-0.45970084338098305+0j), 3, 0), (0.8880738339771153j, 3, 1)], {'upper_state': [3, 0], 'upper_weight': -0.45970084338098305, 'lower_state': [3, 1], 'lower_weight': [0.0, 0.8880738339771153], 'n': 1, 'branch': '-', 'spectator': 3}, 3)",
+    (-0.5, 2, "+", 0): "([((0.8506508083520399+0j), 0, 1), (0.5257311121191336j, 0, 2)], {'upper_state': [0, 1], 'upper_weight': 0.8506508083520399, 'lower_state': [0, 2], 'lower_weight': [0.0, 0.5257311121191336], 'n': 2, 'branch': '+', 'spectator': 0}, -1)",
+    (-0.5, 2, "+", 3): "([((0.8506508083520399+0j), 3, 1), (0.5257311121191336j, 3, 2)], {'upper_state': [3, 1], 'upper_weight': 0.8506508083520399, 'lower_state': [3, 2], 'lower_weight': [0.0, 0.5257311121191336], 'n': 2, 'branch': '+', 'spectator': 3}, 2)",
+    (-0.5, 2, "-", 0): "([((-0.5257311121191336+0j), 0, 1), (0.8506508083520399j, 0, 2)], {'upper_state': [0, 1], 'upper_weight': -0.5257311121191336, 'lower_state': [0, 2], 'lower_weight': [0.0, 0.8506508083520399], 'n': 2, 'branch': '-', 'spectator': 0}, -1)",
+    (-0.5, 2, "-", 3): "([((-0.5257311121191336+0j), 3, 1), (0.8506508083520399j, 3, 2)], {'upper_state': [3, 1], 'upper_weight': -0.5257311121191336, 'lower_state': [3, 2], 'lower_weight': [0.0, 0.8506508083520399], 'n': 2, 'branch': '-', 'spectator': 3}, 2)",
+}
+
+
+def test_state_vectors_keep_their_placement():
+    found = {}
+    for (wt, b_field), n, branch, k in itertools.product(
+            ((0.5, 1.0), (-0.5, 3.0)), (0, 1, 2), BRANCHES, (0, 3)):
+        p = ModelParams(omega=1.0, b_field=b_field)
+        assert p.omega_tilde == wt
+        if level_exists(p, n, branch):
+            found[(wt, n, branch, k)] = repr(
+                perturbation._state_vector(p, operator_level(p, n, branch), k))
+    assert found == STATE_VECTORS
+
+
+def test_far_side_levels_are_the_near_side_levels_at_abs_lambda():
+    # beyond the critical field at B = 2e208 (B_c = 2e100, lambda = -1): a
+    # zero-field config with omega = |wt| and these m and c would have
+    # 2 omega m c / |e| beyond the float range, yet no level depends on it;
+    # the near-side config `near` shares |lambda| and m c^2 exactly
+    p = ModelParams(omega=1.0, b_field=2e208, mass=1e200, light_speed=1e-100,
+                    hbar=1e-108, gup_a=1e-104)
+    near = ModelParams(omega=abs(p.omega_tilde), mass=p.rest_energy, hbar=p.hbar)
+    assert p.omega_tilde < 0.0 < near.omega_tilde
+    assert (near.lam, near.rest_energy) == (abs(p.lam), p.rest_energy)
+    for n, branch in itertools.product((1, 2, 3), BRANCHES):
+        assert operator_level(p, n, branch) == spinor_level(near, n, branch)
+    assert operator_level(p, 0, "-").energy == -p.rest_energy
+    assert not level_exists(p, 0, "+")
+
+
 def test_shift_units_scaling_invariance():
     # ground shift: -1 in units a c m hbar wt for any unit system
     for params in (
@@ -493,7 +549,7 @@ def test_closed_form_shifts_match_dense_reference_algebra():
                 )
             return vec
 
-        branch0 = "+" if p.omega_tilde > 0 else "-"
+        branch0 = "+" if level_exists(p, 0, "+") else "-"
         for n, branch in ((0, branch0), (1, "+"), (1, "-")):
             r = first_order_shift(space, p, n, branch, spectator=2)
             vec = vector(r.subspace_basis[0])

@@ -4,6 +4,7 @@ Every draw is derandomized, so a run tests the same examples each time, and
 the example counts are bounded to keep the suite fast.
 """
 
+import itertools
 import json
 import math
 import pathlib
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gup_dosc import model
 from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
@@ -122,6 +124,100 @@ def test_pair_spectra_are_symmetric_under_negation(p):
     # interior spectrum onto itself exactly
     (row,) = interior_spectrum(SPACE, [sector_terms(SPACE, p, 0.0)])
     assert np.array_equal(row, -row[::-1])
+
+
+# the phase (-i)^{n_b} that takes an amplitude into the basis of the real
+# J-sector blocks, where |n_a, n_b, s> carries i^{n_b} (CONVENTIONS.md, Sectors)
+UNPHASE = (1.0, -1j, -1.0, 1j)
+
+
+def _phased(state: dict) -> dict:
+    """{(n_a, n_b, spin up): amplitude} of a report's basis descriptor, in
+    the basis of the real J-sector blocks."""
+    amplitudes = {}
+    for key, weight, up in (("upper_state", state["upper_weight"], True),
+                            ("lower_state", complex(*state["lower_weight"]), False)):
+        if state[key] is not None:
+            n_a, n_b = state[key]
+            amplitudes[(n_a, n_b, up)] = weight * UNPHASE[n_b % 4]
+    return amplitudes
+
+
+def _block_cells(j: int) -> list:
+    """The (n_a, n_b, spin up) of the rows of J-sector j's block
+    (`model.build_sectors`): spin up, then spin down, each ascending in n_b."""
+    return [(n_a, n_b, up) for d, up in ((j, True), (j - 1, False))
+            for n_a, n_b in zip(*(x.tolist() for x in model._diagonal_line(d, SPACE.top)))]
+
+
+def _sector_of(amplitudes: dict) -> int:
+    """The one J = n_a - n_b + [spin down] of a state's amplitudes."""
+    (j,) = {n_a - n_b + (not up) for n_a, n_b, up in amplitudes}
+    return j
+
+
+def _reported_states(p: ModelParams, spectators: list) -> dict:
+    """{(n, branch, spectator): (amplitudes, J, energy / m c^2)} of every state
+    that a first-order report of a level n <= 2 names, each checked to be an
+    eigenvector of its J-sector block at a = 0 with that eigenvalue."""
+    terms, found = sector_terms(SPACE, p, 0.0), {}
+    for n, branch in itertools.product((0, 1, 2), BRANCHES):
+        if not level_exists(p, n, branch):
+            continue
+        reports = [degenerate_shift(SPACE, p, n, spectators, branch)]
+        if n <= 1:
+            reports += [first_order_shift(SPACE, p, n, branch, k) for k in spectators]
+        for r in reports:
+            energy = r.unperturbed_energy / p.rest_energy
+            states = [_phased(state) for state in r.subspace_basis]
+            assert sorted(r.sectors) == sorted(map(_sector_of, states))
+            for state, amplitudes in zip(r.subspace_basis, states):
+                j = _sector_of(amplitudes)
+                (block,) = next(build_sectors(SPACE, [terms], [j]))
+                v = np.array([amplitudes.get(cell, 0.0) for cell in _block_cells(j)])
+                assert np.vdot(v, v).real == pytest.approx(1.0)
+                residual = np.max(np.abs(block @ v - energy * v))
+                assert residual <= 1e-12 * max(1.0, abs(energy))
+                found[(n, branch, state["spectator"])] = amplitudes, j, energy
+    return found
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(omega=scales, mass=scales, light_speed=scales, hbar=scales, charge=scales,
+       ratio=st.floats(0.0, 0.9),
+       spectators=st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+def test_reported_states_are_eigenvectors_and_mirror_across_the_critical_field(
+        omega, mass, light_speed, hbar, charge, ratio, spectators):
+    # a = 0 at B / B_c = ratio (near side) and 2 - ratio (far side, the same
+    # |lam| up to roundoff): every state a report names, n <= 2, the far-side
+    # rest level (0, -) included, is an eigenvector of its J-sector block
+    # with eigenvalue the report's energy / m c^2; each far-side state
+    # (n, branch, k) is the mirror of the near-side (n, -branch, k), under
+    # |n_a, n_b, up> -> |n_b, n_a, down>, |n_a, n_b, down> -> -|n_b, n_a, up>,
+    # which takes the near blocks to minus the far ones: J -> 1 - J, E -> -E
+    base = ModelParams(omega=omega, mass=mass, light_speed=light_speed, hbar=hbar,
+                       charge=charge)
+    bc = critical_field(base)
+    near, far = base.with_field(ratio * bc), base.with_field((2.0 - ratio) * bc)
+    assert near.omega_tilde > 0.0 > far.omega_tilde
+    assert math.isclose(near.lam, -far.lam, rel_tol=1e-14)
+    near_states = _reported_states(near, spectators)
+    far_states = _reported_states(far, spectators)
+    assert len(far_states) == len(near_states)
+    partner = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE}
+    for (n, branch, k), (amplitudes, j, energy) in far_states.items():
+        mirrored, j_near, energy_near = near_states[(n, partner[branch], k)]
+        assert j == 1 - j_near
+        assert energy == pytest.approx(-energy_near, rel=1e-12)
+        image = {(n_b, n_a, not up): x if up else -x
+                 for (n_a, n_b, up), x in mirrored.items()}
+        assert image.keys() == amplitudes.keys()
+        # equal up to one global phase
+        cell = next(iter(image))
+        phase = amplitudes[cell] / image[cell]
+        assert abs(phase) == pytest.approx(1.0)
+        for cell, x in image.items():
+            assert abs(amplitudes[cell] - phase * x) <= 1e-12
 
 
 def _validation_statuses(p):
