@@ -27,7 +27,8 @@ import sys
 
 from .errors import ComputationError, UsageError
 from .fock import MAX_CUTOFF, FockSpace
-from .params import BRANCHES, CLUSTER_WINDOW, NEGATIVE, POSITIVE, ModelParams, _Value
+from .params import (BRANCHES, CLUSTER_WINDOW, NEGATIVE, POSITIVE, ModelParams, _Value,
+                     abs_level)
 
 FORMATS = ("text", "json", "csv")
 BRANCH_CHOICES = (POSITIVE, NEGATIVE, "both")
@@ -458,10 +459,10 @@ def _run_spectrum(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
 
 
 def _run_correct(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
-    from .perturbation import first_order_shift, level_exists, oracle_check
+    from .perturbation import first_order_shift, oracle_check
 
     states = [(n, branch) for n in (0, 1) for branch in _branches(config)]
-    present = [s for s in states if level_exists(p, *s)]
+    present = [s for s in states if abs_level(p, *s) is not None]
     checked = oracle_check(space, p, [first_order_shift(space, p, *s) for s in present])
     results = dict(zip(present, checked))
     return {"corrections": [

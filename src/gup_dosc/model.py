@@ -232,8 +232,6 @@ def interior_spectrum(
     over the J-sectors each, and each J-stack is solved in one `eigvalsh`
     call as it is generated, so one stack of bounded bytes is held at a time.
     """
-    if not terms:  # no rows of (T + 1)(T + 2) interior eigenvalues
-        return np.empty((0, (space.top + 1) * (space.top + 2)))
     if js is not None:
         js = list(js)
     # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block

@@ -191,23 +191,9 @@ def landau_level(p: ModelParams, n: int, branch: str = POSITIVE) -> float:
     return _level(p, n, branch, p.lam)[0]
 
 
-def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
-    """Analytic eigenstate data for level n at the signed lam (`_spinor`). The
-    ground level is a pure upper-component state; its negative-branch partner
-    has identically vanishing weight and does not exist."""
-    energy, e = _level(p, n, branch, p.lam)
-    if e == 0.0:
-        raise ComputationError(f"branch collapse: level n={n} at reduced frequency "
-                               f"{p.omega_tilde}")
-    if n == 0 and branch == NEGATIVE:
-        raise UsageError("the ground level has no negative branch: its weight "
-                         "vanishes identically")
-    return _spinor(n, branch, energy, e)
-
-
 def abs_level(p: ModelParams, n: int, branch: str) -> SpinorLevel | None:
     """The level (n, branch) of the operators at these params, None where it
-    does not exist: `spinor_level`'s closed forms at |lam|, whose UsageErrors
+    does not exist: the closed forms at |lam| (`_spinor`), whose UsageErrors
     it raises. The operators follow |wt| on both sides of the critical field
     (CONVENTIONS.md), so the side sets only the branch of the rest level
     n = 0, + up to the critical field (wt >= 0) and - beyond it, and where
@@ -215,3 +201,11 @@ def abs_level(p: ModelParams, n: int, branch: str) -> SpinorLevel | None:
     rest = NEGATIVE if p.omega_tilde < 0.0 else POSITIVE
     level = _spinor(n, branch, *_level(p, n, branch, abs(p.lam)))
     return level if n > 0 or branch == rest else None
+
+
+def spinor_level(p: ModelParams, n: int, branch: str = POSITIVE) -> SpinorLevel:
+    """The level gate: `abs_level`'s level (n, branch), and UsageError where
+    it does not exist at these params."""
+    if (level := abs_level(p, n, branch)) is None:
+        raise UsageError(f"level (n={n}, branch {branch}) does not exist here")
+    return level

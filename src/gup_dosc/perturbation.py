@@ -36,12 +36,12 @@ from .params import (
     SpinorLevel,
     abs_level,
     landau_level,
+    spinor_level,
 )
 
 SHIFT_UNITS = "a·c·m·ħ·ω̃"
 # Flag of every shift report beyond the critical field.
-OVER_CRITICAL = ("over-critical: operator spectrum follows |wt| with mirrored "
-                 "branches; closed-form levels use the signed frequency")
+OVER_CRITICAL = "over-critical: operator spectrum follows |wt| with mirrored branches"
 
 # Deformation steps (in units of alpha = a m c) for the oracle stencil.
 ORACLE_STEP = 1e-5
@@ -99,19 +99,6 @@ def critical_field(p: ModelParams) -> float:
     kept as a public name, which perfbench/verify.py imports; the package
     reads the property."""
     return p.critical_field
-
-
-def level_exists(p: ModelParams, n: int, branch: str) -> bool:
-    """Whether level (n, branch) exists in the operator model (`params.abs_level`)."""
-    return abs_level(p, n, branch) is not None
-
-
-def operator_level(p: ModelParams, n: int, branch: str) -> SpinorLevel:
-    """Level data consistent with the assembled operators, `params.abs_level`,
-    and the level gate: a level that does not exist raises UsageError."""
-    if (level := abs_level(p, n, branch)) is None:
-        raise UsageError(f"level (n={n}, branch {branch}) does not exist here")
-    return level
 
 
 def _check_headroom(space: FockSpace, n: int, spectator: int) -> None:
@@ -308,7 +295,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: 
     """The first-order report of the states of level (n, branch) with the
     given spectator quanta.
 
-    The level is looked up once, through the level gate `operator_level`,
+    The level is looked up once, through the level gate `spinor_level`,
     and every spectator quantum is checked next, on both sides of the
     critical field. Both kinds sort the states' diagonal cluster matrix; a
     degenerate report carries the sorting permutation as its eigenvectors, a
@@ -318,7 +305,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: 
     `oracle_check`'s slopes.
     """
     size = len(spectators)
-    level = operator_level(p, n, branch)
+    level = spinor_level(p, n, branch)
     for k in spectators:
         if k < 0:
             raise UsageError(f"spectator quantum must be >= 0, got {k}")
@@ -463,7 +450,7 @@ def _scan_point(space: FockSpace, p: ModelParams) -> tuple[dict, list]:
                    "first_shift": None, "n2_shifts": None,
                    "degeneracy_counts_before": None, "degeneracy_counts_after": None}
     try:
-        branch0 = POSITIVE if level_exists(p, 0, POSITIVE) else NEGATIVE
+        branch0 = POSITIVE if abs_level(p, 0, POSITIVE) is not None else NEGATIVE
         point["ground_shift"] = first_order_shift(space, p, 0, branch0).shifts_energy[0]
         point["first_shift"] = first_order_shift(space, p, 1).shifts_energy[0]
         # a negative shift unit (wt < 0) reverses the order of the energies

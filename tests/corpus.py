@@ -4,11 +4,9 @@ a row must pass (the file's header states the row format and the checks).
 Run as a script, it runs every row in a fresh interpreter under
 `python -W error -m gup_dosc.cli`, the package taken from PYTHONPATH, and
 prints each row that fails its checks; the numpy-free rows run under
--X importtime, and no numpy module may load. `--list TAG` prints instead the
-argv of each row tagged TAG, one shell-quoted line each.
+-X importtime, and no numpy module may load.
 
     PYTHONPATH=src python tests/corpus.py
-    PYTHONPATH=src python tests/corpus.py --list readme
 """
 import json
 import os
@@ -105,8 +103,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--list"]:
-        (tag,) = sys.argv[2:]
-        print("\n".join(shlex.join(row.argv) for row in rows() if tag in row.tags))
-    else:
-        sys.exit(main())
+    sys.exit(main())

@@ -695,19 +695,18 @@ def test_spectrum_beyond_dense_reach(tmp_path):
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
+    # each README example in json, under the package's default of one
+    # OpenBLAS thread and under a user's setting of two
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
-    for argv in (["scan", "--omega", "1", "--B-min", "0", "--B-max", "3", "--steps", "4",
-                  "--gup-a", "1e-4"], ["validate", "--omega", "1", "--B", "1",
-                                      "--gup-a", "1e-4"]):
-        reports = {
-            threads: subprocess.run(
-                [sys.executable, "-m", "gup_dosc.cli", *argv, "--cutoff", "12",
-                 "--format", "json"],
-                env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
-                capture_output=True, timeout=120).stdout
-            for threads in ("1", "2")
-        }
-        assert reports["1"] and reports["1"] == reports["2"]
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    for argv in (row.argv for row in corpus.rows() if "readme" in row.tags):
+        reports = [
+            subprocess.run([sys.executable, "-m", "gup_dosc.cli", *argv, "--format", "json"],
+                           env=dict(env, **threads), check=True, capture_output=True,
+                           timeout=120).stdout
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"})
+        ]
+        assert reports[0] and reports[0] == reports[1], argv
 
 
 def test_only_the_cli_freezes_the_import_heap():

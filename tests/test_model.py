@@ -91,7 +91,7 @@ def test_spinor_level_ground():
     p = ModelParams(omega=0.1)
     level = spinor_level(p, 0, "+")
     assert (level.c_n, level.d_n) == (1.0, 0.0)
-    with pytest.raises(UsageError, match="negative branch"):
+    with pytest.raises(UsageError, match=re.escape("level (n=0, branch -) does not exist here")):
         spinor_level(p, 0, "-")
 
 

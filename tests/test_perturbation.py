@@ -13,7 +13,7 @@ from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
 from gup_dosc.model import build_sectors, interior_spectrum, paired, sector_terms
 from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
-from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, spinor_level
+from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, abs_level, spinor_level
 from gup_dosc.perturbation import (
     ORACLE_RTOL,
     ORACLE_STEP,
@@ -24,9 +24,7 @@ from gup_dosc.perturbation import (
     degenerate_shift,
     field_scan,
     first_order_shift,
-    level_exists,
     level_rows,
-    operator_level,
     oracle_check,
     shifts_of_matrix,
     spectral_clusters,
@@ -141,7 +139,7 @@ def test_both_report_kinds_go_through_one_level_path(b_field):
     apart = {"cluster_label", "method", "breakdown", "eigenvectors", "subspace_matrix"}
     compared = [f.name for f in dataclasses.fields(PTReport) if f.name not in apart]
     for n, branch, k in itertools.product((0, 1), BRANCHES, (0, 2)):
-        if not level_exists(p, n, branch):
+        if abs_level(p, n, branch) is None:
             continue
         one = first_order_shift(SPACE, p, n, branch, k)
         cluster = degenerate_shift(SPACE, p, n, [k], branch)
@@ -335,9 +333,8 @@ def test_level_rows_relative_errors_do_not_depend_on_the_units():
 def test_over_critical_levels_mirror():
     p = ModelParams(omega=0.1, b_field=0.3, gup_a=1e-4)  # wt = -0.05
     assert p.omega_tilde == pytest.approx(-0.05)
-    assert not level_exists(p, 0, "+")
-    assert level_exists(p, 0, "-")
-    level = operator_level(p, 0, "-")
+    assert abs_level(p, 0, "+") is None
+    level = spinor_level(p, 0, "-")
     assert level.energy == -p.rest_energy
     (r,) = oracle_check(SPACE, p, [first_order_shift(SPACE, p, 0, "-")])
     # natural-unit shift is still negative and proportional to |wt|
@@ -382,9 +379,8 @@ def test_state_vectors_keep_their_placement():
             ((0.5, 1.0), (-0.5, 3.0)), (0, 1, 2), BRANCHES, (0, 3)):
         p = ModelParams(omega=1.0, b_field=b_field)
         assert p.omega_tilde == wt
-        if level_exists(p, n, branch):
-            found[(wt, n, branch, k)] = repr(
-                perturbation._state_vector(p, operator_level(p, n, branch), k))
+        if (level := abs_level(p, n, branch)) is not None:
+            found[(wt, n, branch, k)] = repr(perturbation._state_vector(p, level, k))
     assert found == STATE_VECTORS
 
 
@@ -399,9 +395,31 @@ def test_far_side_levels_are_the_near_side_levels_at_abs_lambda():
     assert p.omega_tilde < 0.0 < near.omega_tilde
     assert (near.lam, near.rest_energy) == (abs(p.lam), p.rest_energy)
     for n, branch in itertools.product((1, 2, 3), BRANCHES):
-        assert operator_level(p, n, branch) == spinor_level(near, n, branch)
-    assert operator_level(p, 0, "-").energy == -p.rest_energy
-    assert not level_exists(p, 0, "+")
+        assert spinor_level(p, n, branch) == spinor_level(near, n, branch)
+    assert spinor_level(p, 0, "-").energy == -p.rest_energy
+    # at lambda = -0.025, 0 < 1 + 4 lambda n < 1 for n = 1 and 2, where the
+    # weights at the signed lambda have no real value: the level is still
+    # the one at |lambda|
+    slow = ModelParams(omega=0.05, b_field=0.15)
+    slow_near = ModelParams(omega=abs(slow.omega_tilde))
+    for n, branch in itertools.product((1, 2), BRANCHES):
+        assert spinor_level(slow, n, branch) == spinor_level(slow_near, n, branch)
+    # the level gate, below, at and beyond the critical field: abs_level's
+    # level where it exists, and a UsageError exactly where it does not,
+    # which is the rest level's other branch
+    for q in (near, slow_near, ModelParams(omega=1.0, b_field=1.0),
+              ModelParams(omega=1.0, b_field=2.0), ModelParams(omega=1.0, b_field=3.0),
+              slow, p):
+        absent = []
+        for n, branch in itertools.product((0, 1, 2, 3), BRANCHES):
+            if (level := abs_level(q, n, branch)) is not None:
+                assert spinor_level(q, n, branch) == level
+                continue
+            absent.append((n, branch))
+            with pytest.raises(UsageError, match=re.escape(
+                    f"level (n={n}, branch {branch}) does not exist here")):
+                spinor_level(q, n, branch)
+        assert absent == [(0, "+" if q.omega_tilde < 0.0 else "-")]
 
 
 def test_shift_units_scaling_invariance():
@@ -549,7 +567,7 @@ def test_closed_form_shifts_match_dense_reference_algebra():
                 )
             return vec
 
-        branch0 = "+" if level_exists(p, 0, "+") else "-"
+        branch0 = "+" if abs_level(p, 0, "+") is not None else "-"
         for n, branch in ((0, branch0), (1, "+"), (1, "-")):
             r = first_order_shift(space, p, n, branch, spectator=2)
             vec = vector(r.subspace_basis[0])
@@ -842,12 +860,6 @@ def test_a_paired_spectrum_holds_no_block_stack():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * row.nbytes
-
-
-def test_no_configs_give_no_rows():
-    rows = interior_spectrum(SPACE, [])
-    assert rows.shape == (0, (SPACE.cutoff - 1) * SPACE.cutoff)
-    assert rows.dtype == np.float64
 
 
 def test_one_config_per_stack_changes_no_row(monkeypatch):
