@@ -77,13 +77,13 @@ OPTIONS = (
 _TOLERANCE_KEYS = ("cluster_window", "degeneracy_window")
 
 
-class RunConfig:
-    """A resolved run; each setting reads as an attribute, e.g. `config.B_min`."""
+class RunConfig(_Value):
+    """A resolved run; each setting reads as an attribute, e.g. `config.B_min`.
+    It does not hash: its fields hold dicts."""
 
-    def __init__(self, command: str, values: dict, tolerances: dict):
-        self.command = command
-        self.values = values
-        self.tolerances = tolerances
+    command: str
+    values: dict
+    tolerances: dict
 
     def __getattr__(self, key: str):
         try:
@@ -254,7 +254,7 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"steps {values['steps']} exceeds the limit {MAX_STEPS}")
         if not values["B_min"] <= values["B_max"]:
             raise UsageError("B-min must not exceed B-max")
-        # the largest product the field grid forms (`_run_scan`)
+        # a bound on every product the field grid forms (`_run_scan`)
         if not math.isfinite((values["B_max"] - values["B_min"]) * (values["steps"] - 1)):
             raise UsageError("--B-min, --B-max and --steps span a field grid beyond "
                              "the float range: (B-max - B-min) (steps - 1) overflows")
@@ -411,7 +411,7 @@ def _pt_report_dict(r) -> dict:
         "shifts": list(r.shifts),
         "shifts_energy": list(r.shifts_energy),
         "oracle_slopes": list(r.oracle_slopes),
-        "subspace_basis": r.subspace_basis,
+        "subspace_basis": list(r.subspace_basis),
         "subspace_matrix": dump_matrix(r.subspace_matrix).split("\n"),
         "discrepancy_flags": list(r.discrepancy_flags),
     }
@@ -485,10 +485,9 @@ def _run_degenerate(config: RunConfig, p: ModelParams, space: FockSpace) -> dict
 def _run_scan(config: RunConfig, p: ModelParams, space: FockSpace) -> dict:
     from .perturbation import field_scan
 
-    values = [
-        config.B_min + (config.B_max - config.B_min) * i / (config.steps - 1)
-        for i in range(config.steps)
-    ]
+    # the last value is B_max itself, which B_min + span * i / last need not round to
+    span, last = config.B_max - config.B_min, config.steps - 1
+    values = [config.B_min + span * i / last for i in range(last)] + [config.B_max]
     points, critical_b = field_scan(
         space, p, values, degeneracy_window=config.tolerances["degeneracy_window"]
     )

@@ -24,10 +24,11 @@ CLUSTER_WINDOW = 1e-9
 
 
 class _Value:
-    """Base of the immutable value types, in place of frozen dataclasses, whose
-    import loads inspect, ast and dis. The fields are the annotated class
-    attributes, a value being the default, after those of the bases. Instances
-    run `_check`, compare, hash and print by type and fields, and pickle."""
+    """Base of the value types: plain classes, as the standard library's
+    frozen records load inspect, ast and dis. The fields are the annotated
+    class attributes, a value being the default, after those of the bases.
+    Instances run `_check`, compare and print by type and fields, hash where
+    their fields do, and pickle; no field can be rebound."""
 
     _fields: tuple[str, ...] = ()
 

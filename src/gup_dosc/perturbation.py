@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .params import (
     POSITIVE,
     ModelParams,
     SpinorLevel,
+    _Value,
     abs_level,
     landau_level,
     spinor_level,
@@ -74,24 +74,25 @@ ALLOWLISTED_DISCREPANCIES = frozenset(
 )
 
 
-@dataclass
-class PTReport:
-    """One perturbation-theory result with its oracle cross-check."""
+class PTReport(_Value):
+    """One perturbation-theory result, a value that `oracle_check` copies
+    with its cross-check. It does not hash: its fields hold lists and arrays.
+    A report of an external block, with no states, keeps the defaults."""
 
     cluster_label: str
     unperturbed_energy: float
     method: str
-    subspace_basis: list[dict]
+    subspace_basis: list[dict] = ()
     subspace_matrix: np.ndarray
     shifts: list[float]
-    shifts_energy: list[float]
-    oracle_slopes: list[float]
-    discrepancy_flags: list[str]
+    shifts_energy: list[float] = ()
+    oracle_slopes: list[float] = ()
+    discrepancy_flags: list[str] = ()
     breakdown: dict | None = None
     eigenvectors: np.ndarray | None = None
     # J = n_a - n_b + [spin down] of each shift's state, in shift order; empty
     # where no state is built (the critical field, an external block)
-    sectors: list[int] = field(default_factory=list)
+    sectors: list[int] = ()
 
 
 def critical_field(p: ModelParams) -> float:
@@ -260,8 +261,9 @@ def _agrees(slope: float, shift: float) -> bool:
 def oracle_check(
     space: FockSpace, p: ModelParams, reports: Sequence[PTReport]
 ) -> list[PTReport]:
-    """Set each shift's finite-difference slope, flag each shift it does not
-    agree with (`_agrees`), and return the reports as a list.
+    """Checked copies of `reports`: each shift's finite-difference slope set,
+    and each shift it does not agree with (`_agrees`) flagged after the
+    report's own flags. The inputs are left as they are.
 
     `reports` are all the built shift reports of one command. The slope of
     shift i is that of the one eigenvalue of its state's J-sector,
@@ -269,25 +271,26 @@ def oracle_check(
     Every J-sector the reports name is solved once, at the five stencil
     strengths reduced to their block terms once, before any slope is taken;
     nothing is kept after the call. A report that names no sector, as every
-    report at the critical field, keeps its slopes. Raises ComputationError
-    when such a block holds no eigenvalue there, and UsageError when it holds
-    several, which the stencil step cannot tell apart, or when the finite
-    differences are not finite.
+    report at the critical field, comes back unchanged. Raises
+    ComputationError when such a block holds no eigenvalue there, and
+    UsageError when it holds several, which the stencil step cannot tell
+    apart, or when the finite differences are not finite.
     """
-    named = [report for report in reports if report.sectors]
-    js = dict.fromkeys(j for report in named for j in report.sectors)
+    js = dict.fromkeys(j for report in reports for j in report.sectors)
     if js:
         strengths = [sector_terms(space, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
         stencils = {j: interior_spectrum(space, strengths, [j]) for j in js}
-    for report in named:
-        report.oracle_slopes = [_sector_slope(p, j, stencils[j], report.unperturbed_energy)
-                                for j in report.sectors]
-        for s, o in zip(report.shifts, report.oracle_slopes):
-            if not _agrees(o, s):
-                report.discrepancy_flags.append(
-                    f"oracle slope {o!r} disagrees with shift {s!r}"
-                )
-    return list(reports)
+    checked = []
+    for report in reports:
+        if report.sectors:
+            slopes = [_sector_slope(p, j, stencils[j], report.unperturbed_energy)
+                      for j in report.sectors]
+            flags = [f"oracle slope {o!r} disagrees with shift {s!r}"
+                     for s, o in zip(report.shifts, slopes) if not _agrees(o, s)]
+            report = report.replace(oracle_slopes=slopes,
+                                    discrepancy_flags=[*report.discrepancy_flags, *flags])
+        checked.append(report)
+    return checked
 
 
 def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: str,
@@ -404,12 +407,8 @@ def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport
         cluster_label=label,
         unperturbed_energy=math.nan,
         method="degenerate",
-        subspace_basis=[],
         subspace_matrix=np.asarray(block, dtype=np.complex128),
         shifts=[float(w) for w in values],
-        shifts_energy=[],
-        oracle_slopes=[],
-        discrepancy_flags=[],
         eigenvectors=vectors,
     )
 
@@ -469,8 +468,8 @@ def field_scan(
     degeneracy_window: float = CLUSTER_WINDOW,
 ) -> tuple[list[dict], float | None]:
     """Sweep the magnetic field: (points, critical field), one point per
-    value, errors kept per point, and the critical field None unless it lies
-    within the values.
+    value as given (`scan` gives B-min to B-max, both exactly), errors kept
+    per point, and the critical field None unless it lies within the values.
 
     The degeneracy window, in units of m c^2, which no field changes, is
     checked once, before the first point; one that is not finite or is below

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -137,7 +136,7 @@ def test_both_report_kinds_go_through_one_level_path(b_field):
     p = ModelParams(omega=1.0, b_field=b_field, gup_a=1e-4)
     # the matrix is compared below, through its dump, which keeps signed zeros
     apart = {"cluster_label", "method", "breakdown", "eigenvectors", "subspace_matrix"}
-    compared = [f.name for f in dataclasses.fields(PTReport) if f.name not in apart]
+    compared = [name for name in PTReport._fields if name not in apart]
     for n, branch, k in itertools.product((0, 1), BRANCHES, (0, 2)):
         if abs_level(p, n, branch) is None:
             continue
@@ -180,13 +179,18 @@ def test_oracle_slopes_match_whole_tower():
 
 def test_oracle_flags_shifts_paired_with_another_members_sector():
     # swapped shifts keep the cluster's set of shifts, which a nearest match
-    # over all its slopes accepts; each must meet its own member's slope
+    # over all its slopes accepts; each must meet its own member's slope. The
+    # check returns a checked copy and leaves its input as it was, so a second
+    # call flags the same two shifts
     r = degenerate_shift(SPACE, PARAMS, 2, range(4))
     r.shifts[0], r.shifts[1] = r.shifts[1], r.shifts[0]
-    (r,) = oracle_check(SPACE, PARAMS, [r])
-    flagged = [f for f in r.discrepancy_flags if "disagrees" in f]
-    assert len(flagged) == 2
-    assert sorted(r.oracle_slopes) == pytest.approx(sorted(r.shifts), rel=1e-6)
+    given = repr(r)
+    for _ in range(2):
+        (checked,) = oracle_check(SPACE, PARAMS, [r])
+        flagged = [f for f in checked.discrepancy_flags if "disagrees" in f]
+        assert len(flagged) == 2
+        assert sorted(checked.oracle_slopes) == pytest.approx(sorted(r.shifts), rel=1e-6)
+    assert r.oracle_slopes == [] and r.discrepancy_flags == [] and repr(r) == given
 
 
 def _histograms(space, p, window):

@@ -21,9 +21,10 @@ from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
 from gup_dosc.model import build_sectors, interior_spectrum, paired, sector_terms
-from gup_dosc.numerics import eigvalsh
+from gup_dosc.numerics import dump_matrix, eigvalsh
 from gup_dosc.params import BRANCHES, NEGATIVE, POSITIVE, ModelParams, abs_level
 from gup_dosc.perturbation import (
+    PTReport,
     _agrees,
     critical_field,
     degenerate_shift,
@@ -272,6 +273,40 @@ def test_oracle_agrees_with_every_shift_near_lam_one(
         assert all(_agrees(o, s) for o, s in zip(r.oracle_slopes, r.shifts))
 
 
+def _command_reports(space: FockSpace, p: ModelParams) -> list[PTReport]:
+    """The checked shift reports of `correct --branch both` (n = 0, 1 where
+    the level exists) and of `degenerate` (n = 2, k = 0 .. 3), one oracle
+    call per command, as the commands make them."""
+    states = [(n, b) for n in (0, 1) for b in BRANCHES if abs_level(p, n, b) is not None]
+    return [*oracle_check(space, p, [first_order_shift(space, p, *s) for s in states]),
+            *oracle_check(space, p, [degenerate_shift(space, p, 2, range(4))])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(abs_lam=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),  # over 0.1 .. 10
+       ratio=st.floats(0.0, 0.9) | st.floats(1.1, 3.0),
+       gup_a=st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e))  # over 1e-6 .. 1e-2
+def test_shift_reports_converge_in_the_cutoff(abs_lam, ratio, gup_a):
+    # every state these reports name lies well inside cutoff 12, so a larger
+    # truncation changes nothing but the slopes' last digits; wt = omega
+    # (1 - B / B_c) sets |lam| on either side of B_c
+    base = ModelParams(omega=abs_lam / abs(1.0 - ratio), gup_a=gup_a)
+    p = base.with_field(ratio * critical_field(base))
+    small, large = (_command_reports(FockSpace(cutoff), p) for cutoff in (12, 30))
+    assert [r.cluster_label for r in small] == [r.cluster_label for r in large]
+    for r, s in zip(small, large, strict=True):
+        for name in PTReport._fields:
+            a, b = getattr(r, name), getattr(s, name)
+            if name == "oracle_slopes":
+                assert len(a) == len(b) == len(r.shifts)
+                assert all(math.isclose(x, y, rel_tol=1e-8, abs_tol=0.0)
+                           for x, y in zip(a, b)), name
+            elif isinstance(a, np.ndarray):
+                assert dump_matrix(a) == dump_matrix(b), name
+            else:
+                assert repr(a) == repr(b), name
+
+
 @DRAWS
 @given(omega=unit, mass=unit, light_speed=unit, hbar=unit, charge=unit,
        gup_a=st.just(0.0) | st.floats(1e-8, 1e-2),
@@ -403,3 +438,24 @@ def test_reports_are_deterministic_and_the_config_echo_reproduces_them(command, 
             assert json.loads(report)["config"] == config.echo()
         echo.write_text(json.dumps(config.echo()), encoding="utf-8")
         assert _report([argv[0], "--config", str(echo)], out) == (code, report)
+
+
+b_fields = st.integers(1, 199).map(lambda k: k / 100) | st.just(2.0) | st.floats(-10.0, 10.0)
+
+
+@DRAWS
+@given(ends=st.lists(b_fields, min_size=2, max_size=2).map(sorted), steps=st.integers(2, 39))
+# the float 0.1 + (2 - 0.1) * 3 / 3 is 1.9999999999999998
+@example(ends=[0.1, 2.0], steps=4)
+def test_scan_grid_runs_from_b_min_to_b_max(ends, steps):
+    # at cutoff 2 every point records the n = 1 state's headroom error, so
+    # nothing is solved, and each point still reports its field
+    b_min, b_max = ends
+    argv = ["scan", "--omega=1", f"--B-min={b_min!r}", f"--B-max={b_max!r}",
+            f"--steps={steps}", "--cutoff=2", "--format=json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, report = _report(argv, pathlib.Path(tmp, "report"))
+    grid = [point["B"] for point in json.loads(report)["points"]]
+    assert code == 0 and len(grid) == steps
+    assert grid[0] == b_min and grid[-1] == b_max
+    assert all(b1 <= b2 for b1, b2 in zip(grid, grid[1:]))
