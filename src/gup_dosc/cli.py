@@ -10,9 +10,13 @@ text tables), so identical configurations give identical bytes.
 Exit codes: 0 success, 1 validation discrepancy outside the allowlist,
 2 usage error, 3 computation failure.
 
-This module loads no numpy. The parser, `ModelParams` and `FockSpace` check
-every input first, so an input error or `--help` exits before numpy's import;
-`run` imports the solver stack only once they have passed.
+This module loads no numpy, and neither do the report builders it calls:
+the closed forms, the a = 0 spectrum off the critical field, the shift
+reports and their emission are pure Python. numpy loads with a run's first
+eigensolve, that of a dense spectrum (a != 0, or the critical field), of the
+oracle stencil or of `validate`'s stored block, so a run that needs none
+never imports it. The parser, `ModelParams` and `FockSpace` check every
+input before anything is computed.
 """
 
 from __future__ import annotations
@@ -254,8 +258,10 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"steps {values['steps']} exceeds the limit {MAX_STEPS}")
         if not values["B_min"] <= values["B_max"]:
             raise UsageError("B-min must not exceed B-max")
-        # a bound on every product the field grid forms (`_run_scan`)
-        if not math.isfinite((values["B_max"] - values["B_min"]) * (values["steps"] - 1)):
+        # a bound on the span and on every product the field grid forms,
+        # span i for i <= steps - 2, the last value being B-max (`_run_scan`)
+        if not math.isfinite((values["B_max"] - values["B_min"])
+                             * max(values["steps"] - 2, 1)):
             raise UsageError("--B-min, --B-max and --steps span a field grid beyond "
                              "the float range: (B-max - B-min) (steps - 1) overflows")
 
@@ -305,6 +311,13 @@ def _json_emit(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ComputationError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def dump_matrix(rows) -> str:
+    """Text dump of a matrix, one of its rows per line, entries as `re+imi`
+    with 17 significant digits."""
+    return "\n".join(" ".join(f"{e.real:.17g}{e.imag:+.17g}i" for e in row)
+                     for row in rows)
 
 
 def to_json(report: dict) -> str:
@@ -396,11 +409,10 @@ def to_csv(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report builders; each imports the solver names it calls, loaded by `run`
+# report builders; each imports the solver names it calls when it runs
 
 def _pt_report_dict(r) -> dict:
     """The report form of a `perturbation.PTReport`."""
-    from .numerics import dump_matrix
     from .perturbation import SHIFT_UNITS
 
     out = {
@@ -523,30 +535,30 @@ def render(report: dict, fmt: str) -> str:
 
 
 @functools.cache
-def _load_solver() -> None:
-    """Import the solver stack, numpy with it, and freeze the import heap, once
-    per process.
+def _freeze_heap() -> None:
+    """Freeze the heap, once per process.
 
-    The freeze moves everything imported so far, numpy's module heap above
-    all, to the permanent generation, which the cyclic collector never
-    traverses: a run frees little of it, and the collections at interpreter
-    exit cost about 22 ms CPU per process over it (`validate` at cutoff 40
-    194 -> 179 ms, medians of 21 spawns on a 2-vCPU VM). Done in a command
-    run only, so a library user's GC is untouched.
+    The freeze moves everything allocated so far, numpy's module heap above
+    all where a run loaded it, to the permanent generation, which the cyclic
+    collector never traverses: a run frees little of it, and the collections
+    at interpreter exit cost about 22 ms CPU per process over it (`validate`
+    at cutoff 40 194 -> 179 ms, medians of 21 spawns on a 2-vCPU VM). Done in
+    a command run only, so a library user's GC is untouched.
     """
-    from . import perturbation  # and with it model, numerics and numpy
-
     gc.freeze()
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; emits the report and returns the exit status."""
+    """Execute one command; emits the report and returns the exit status.
+
+    The report is built first, loading numpy only if the command solves an
+    eigenproblem, and the heap is frozen once it is (`_freeze_heap`)."""
     # the last input checks: the physical scales, then the cutoff
     p = config.params()
     space = FockSpace(cutoff=config.cutoff)
-    _load_solver()
     report = _report_header(config, p)
     report.update(_RUNNERS[config.command](config, p, space))
+    _freeze_heap()
     payload = render(report, config.format)
     if config.output:
         try:

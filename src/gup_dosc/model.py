@@ -1,4 +1,4 @@
-"""The J-sector blocks of the Hamiltonian and their spectra.
+"""The J-sector structure of the Hamiltonian and its interior spectra.
 
 The unperturbed Hamiltonian couples the two spinor components through the
 dynamical boson mode only,
@@ -19,27 +19,23 @@ critical field wt = 0.
 Below `ModelParams` everything is in units of m c^2: off the critical field
 the blocks depend only on lam = hbar wt / (m c^2) and alpha = a m c, and
 energies are formed only where a result is reported.
+
+This module loads no numpy: a config's block terms and a closed-form
+(`paired`) spectrum are pure Python, and only the dense branch of
+`interior_spectrum` imports the block builder (`sectors`) and the
+eigensolver (`numerics`), numpy with them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
-
-import numpy as np
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 
 from .errors import UsageError
 from .fock import FockSpace, stack_configs
-from .numerics import eigvalsh
 # perfbench/verify.py reads the closed-form levels from here too
 from .params import ModelParams, landau_level, spinor_level
-
-
-def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_a, n_b) with n_a - n_b = d and n_a + n_b <= top, ascending in n_b."""
-    n_b = np.arange(max(0, -d), (top - d) // 2 + 1)
-    return n_b + d, n_b
 
 
 def _couplings(p: ModelParams) -> tuple[float, float]:
@@ -98,139 +94,76 @@ def paired(terms: tuple[float, float, float]) -> bool:
     return deform == 0.0 and (k_a == 0.0) != (k_b == 0.0)
 
 
-def _links(n_a: np.ndarray, n_b: np.ndarray, top: int) -> Iterator[tuple]:
-    """(link, up n_b, root) of each term of K = k_a a† + k_b b on the spin-down
-    states (n_a, n_b), k_a's first: a† takes a down state to up (n_a + 1, n_b)
-    while that stays interior, with root sqrt(n_a + 1), and b takes it to up
-    (n_a, n_b - 1), with root sqrt(n_b). `link` marks the down states a term
-    moves; each term is computed as it is drawn."""
-    yield n_a + n_b < top, n_b, np.sqrt(n_a + 1.0)
-    yield n_b >= 1, n_b - 1, np.sqrt(n_b.astype(float))
+def _line(d: int, top: int) -> int:
+    """How many interior (n_a, n_b) have n_a - n_b = d: n_a + n_b <= top."""
+    return max(0, (top - d) // 2 - max(0, -d) + 1)
 
 
 def pair_spectrum(
     space: FockSpace,
     terms: tuple[float, float, float],
-    js: Sequence[int] | None = None,
-) -> np.ndarray:
+    js: Iterable[int] | None = None,
+) -> list[float]:
     """The ascending spectrum, in units of m c^2, of a `paired` config over
     the J in `js` (every J-sector by default), in closed form.
 
-    With one coupling and no deformation, K (`_links`) couples each spin-down
-    state to at most one spin-up state, and no two to the same one; the pair
-    lies in J-sector n_a - n_b + 1 of its down state. It is the block
-    [[1, kappa], [kappa, -1]], kappa = k_a sqrt(n_a + 1) or k_b sqrt(n_b)
-    (the same float operations as `build_sectors`), with eigenvalues
-    +-hypot(1, kappa). Every other state is a 1x1 block: a spin-up state at
-    1 or a spin-down state at -1.
+    With one coupling and no deformation, K = k_a a† + k_b b couples each
+    spin-down state to at most one spin-up state, and no two to the same
+    one; the pair lies in J-sector n_a - n_b + 1 of its down state. It is
+    the block [[1, kappa], [kappa, -1]], kappa = k sqrt(r) with r = n_a + 1
+    for a† (down states with n_a + n_b < T) and r = n_b for b (n_b >= 1), the
+    same float operations as `sectors.build_sectors`, and its eigenvalues
+    are +-hypot(1, kappa), taken as abs(complex(1, kappa)), numpy's hypot
+    bit for bit. Every other state is a 1x1 block: a spin-up state at 1 or a
+    spin-down state at -1.
+
+    Each root r = 1 .. T is one run of equal pairs. Its down states have J
+    from 2r - T to r (a†) or from 1 - r to T - 2r + 1 (b), one state per J,
+    so a run counts the J of `js` in that range. The spectrum repeats each
+    run's two floats, so it holds about 8 bytes per eigenvalue.
     """
     top = space.top
     k_a, k_b, _ = terms
-    # every interior (n_a, n_b), n_a + n_b <= top
-    quanta = np.arange(top + 1)
-    n_a, n_b = np.nonzero(np.add.outer(quanta, quanta) <= top)
-    # the one coupling's term; k_a's is dropped before k_b's is computed
-    link, to_b, root = next(itertools.compress(_links(n_a, n_b, top), (k_a, k_b)))
-    ups = downs = len(n_a)
-    if js is not None:  # J of |n_a, n_b, up> is n_a - n_b, and of down one more
-        down = np.isin(n_a - n_b + 1, js)
-        ups, downs = np.count_nonzero(np.isin(n_a - n_b, js)), np.count_nonzero(down)
-        link &= down
-    levels = np.hypot(1.0, (k_a or k_b) * root[link])
-    del n_a, n_b, link, to_b, root  # the grid is not held with the spectrum
-    singles = np.repeat([1.0, -1.0], [ups - len(levels), downs - len(levels)])
-    return np.sort(np.concatenate([-levels, levels, singles]))
-
-
-def build_sectors(
-    space: FockSpace,
-    terms: Sequence[tuple[float, float, float]],
-    js: Iterable[int] | None = None,
-) -> Iterator[np.ndarray]:
-    """The interior blocks of H0 + H', in units of m c^2, for each of
-    `terms`, one stack per J = n_a - n_b + [spin down] in `js` (every
-    J-sector, ascending, by default); row k of every stack is the block of
-    terms[k].
-
-    Each of `terms` is the (k_a, k_b, deform) of one config
-    (`sector_terms`), checked there. Built from closed-form ladder matrix
-    elements on the interior n_a + n_b <= `space.top` only; the full space
-    is never allocated. The stacks are generated one at a time, in the order
-    of `js`, so a caller that consumes them in turn holds one stack at a
-    time. Each block runs over the spin-up states, then the spin-down
-    states, each ascending in n_b; it is real symmetric float64 in the basis
-    where |n_a, n_b, s> carries the phase i^{n_b} (CONVENTIONS.md, Sectors),
-    and holds
-
-      diagonal   ± 1 - alpha |lam| (n_a + n_b + 1)
-      pair       <n_a+1, n_b+1| H' |n_a, n_b> = -alpha |lam| sqrt((n_a+1)(n_b+1))
-      coupling   K = k_a a† + k_b b from spin down to spin up (`_couplings`, `_links`)
-
-    Per J the index pattern is built once for every row, and row k is
-    h_k + deform_k D, with h_k the ± 1 and coupling part and D the
-    deformation pattern (n_a + n_b + 1 and the pair root): the same float
-    operations as building each block alone. D is not added when every
-    deform is zero.
-    """
-    top = space.top
-    # one (row,) column per term
-    columns = np.array(terms, dtype=float).reshape(-1, 3).T
-    if js is None:
-        js = range(-top, top + 2)
-    return (_sector(j, top, *columns) for j in js)
-
-
-def _sector(j: int, top: int, k_a: np.ndarray, k_b: np.ndarray,
-            deform: np.ndarray) -> np.ndarray:
-    up_a, up_b = _diagonal_line(j, top)
-    dn_a, dn_b = _diagonal_line(j - 1, top)
-    u, v = len(up_b), len(dn_b)
-    n = u + v
-    stack = np.zeros((len(k_a), n, n))
-    # every element is set through its flat index i n + k
-    flat = stack.reshape(len(k_a), n * n)
-    flat[:, : u * (n + 1) : n + 1] = 1.0
-    flat[:, u * (n + 1) :: n + 1] = -1.0
-    # up positions are n_b - up_b[0]; down state q sits at u + q
-    first_b = max(0, -j)
-    for (link, to_b, root), k in zip(_links(dn_a, dn_b, top), (k_a, k_b)):
-        if k.any():
-            q = np.nonzero(link)[0]
-            up = to_b[q] - first_b
-            coeff = k[:, np.newaxis] * root[q]
-            flat[:, up * n + u + q] = coeff
-            flat[:, (u + q) * n + up] = coeff
-    if deform.any():
-        # the deformation pattern: n_a + n_b + 1 on the diagonal and the pair
-        # root beside it, added in place along the three diagonals
-        n_a, n_b = np.concatenate([up_a, dn_a]), np.concatenate([up_b, dn_b])
-        pair = np.sqrt((n_a[:-1] + 1.0) * (n_b[:-1] + 1.0))
-        if u and v:
-            pair[u - 1] = 0.0  # it does not flip the spin: last up, first down
-        weight = deform[:, np.newaxis]
-        flat[:, :: n + 1] += weight * (n_a + n_b + 1)
-        flat[:, 1 :: n + 1] += weight * pair
-        flat[:, n :: n + 1] += weight * pair
-    return stack
+    js = range(-top, top + 2) if js is None else sorted(set(js))
+    # J of |n_a, n_b, up> is n_a - n_b, and of down one more
+    ups, downs = (sum(_line(j - s, top) for j in js) for s in (0, 1))
+    span = (lambda r: (2 * r - top, r)) if k_a else (lambda r: (1 - r, top - 2 * r + 1))
+    runs = []
+    for r in range(1, top + 1):
+        lo, hi = span(r)
+        count = bisect_right(js, hi) - bisect_left(js, lo)
+        if count:
+            runs.append((abs(complex(1.0, (k_a or k_b) * math.sqrt(r))), count))
+    runs.sort()
+    pairs = sum(count for _, count in runs)
+    spectrum = []
+    for level, count in reversed(runs):
+        spectrum += [-level] * count
+    spectrum += [-1.0] * (downs - pairs) + [1.0] * (ups - pairs)
+    for level, count in runs:
+        spectrum += [level] * count
+    return spectrum
 
 
 def interior_spectrum(
     space: FockSpace,
     terms: Sequence[tuple[float, float, float]],
     js: Iterable[int] | None = None,
-) -> np.ndarray:
+) -> list[list[float]]:
     """Ascending eigenvalues, in units of m c^2, of the interior-projected
     full Hamiltonian for each of `terms`, the `sector_terms` of one config
-    each: the one solver entry, and its route table.
+    each: the one solver entry, and its route table. Each row is a list of
+    floats.
 
     H0 and H' both conserve J, so row k is the sorted union of the J-sector
     spectra of terms[k], over every J-sector or over those in `js`. Each
-    distinct terms is solved once, and its row copied to every config that
-    shares it. `paired` terms, at a = 0 off the critical field, are closed
-    form (`pair_spectrum`), with no eigensolver call. All others go through
-    `build_sectors` in consecutive chunks of `fock.stack_configs`, one pass
-    over the J-sectors each, and each J-stack is solved in one `eigvalsh`
-    call as it is generated, so one stack of bounded bytes is held at a time.
+    distinct terms is solved once, and its row shared by every config that
+    has it. `paired` terms, at a = 0 off the critical field, are closed
+    form (`pair_spectrum`), with no eigensolver call and no numpy. All
+    others go through `sectors.build_sectors` in consecutive chunks of
+    `fock.stack_configs`, one pass over the J-sectors each, and each J-stack
+    is solved in one `numerics.eigvalsh` call as it is generated, so one
+    stack of bounded bytes is held at a time.
     """
     if js is not None:
         js = list(js)
@@ -238,10 +171,16 @@ def interior_spectrum(
     distinct = list(dict.fromkeys(terms))
     spectra = {t: pair_spectrum(space, t, js) for t in distinct if paired(t)}
     dense = [t for t in distinct if not paired(t)]
-    size = stack_configs(space.cutoff)
-    for i in range(0, len(dense), size):
-        chunk = dense[i:i + size]
-        w = np.concatenate([eigvalsh(stack) for stack in build_sectors(space, chunk, js)],
-                           axis=-1)
-        spectra.update(zip(chunk, np.sort(w, axis=-1)))
-    return np.array([spectra[t] for t in terms])
+    if dense:
+        import numpy as np
+
+        from .numerics import eigvalsh
+        from .sectors import build_sectors
+
+        size = stack_configs(space.cutoff)
+        for i in range(0, len(dense), size):
+            chunk = dense[i:i + size]
+            w = np.concatenate([eigvalsh(stack) for stack in build_sectors(space, chunk, js)],
+                               axis=-1)
+            spectra.update(zip(chunk, np.sort(w, axis=-1).tolist()))
+    return [spectra[t] for t in terms]

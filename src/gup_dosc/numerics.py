@@ -1,10 +1,13 @@
 """Dense linear algebra with explicit accuracy contracts.
 
-All matrices in this package are square ``numpy`` arrays: ``float64`` when
-the input is real (the J-sector blocks are real symmetric), ``complex128``
-otherwise. The Hermitian eigensolver wraps LAPACK and enforces the residual,
-orthonormality and spectral-moment contracts the physics modules rely on,
-and fixes the phase of every eigenvector so that reports are reproducible.
+Every matrix this module takes is made a square ``numpy`` array:
+``float64`` when the input is real (the J-sector blocks are real symmetric),
+``complex128`` otherwise. The Hermitian eigensolver wraps LAPACK and
+enforces the residual, orthonormality and spectral-moment contracts the
+physics modules rely on, and fixes the phase of every eigenvector so that
+reports are reproducible. Only the dense branch of
+`model.interior_spectrum` and `perturbation.shifts_of_matrix` import this
+module, when they run, so numpy loads with a run's first eigensolve.
 """
 
 from __future__ import annotations
@@ -131,14 +134,3 @@ def eigvalsh(a) -> np.ndarray:
         raise ComputationError(f"eigensolver did not converge: {exc}") from exc
     _check_moments(h, w)
     return w
-
-
-def dump_matrix(a) -> str:
-    """Debug text dump: one row per line, entries as `re+imi`, 17 significant digits."""
-    a = as_matrix(a)
-    lines = []
-    for row in a:
-        lines.append(
-            " ".join(f"{e.real:.17g}{e.imag:+.17g}i" for e in row)
-        )
-    return "\n".join(lines)

@@ -13,19 +13,23 @@ numbers converted to energy for the configured deformation strength. Beyond
 the critical field wt flips sign, the level structure mirrors between the
 two boson modes, and the branch carrying the undisplaced rest-energy level
 flips from + to -; reports flag this.
+
+This module loads no numpy: the shift reports, their at most 4x4 matrices
+held as tuples of rows, the level rows and the scan's histograms are pure
+Python, and numpy loads with the first eigensolve, in `interior_spectrum`'s
+dense branch or in `shifts_of_matrix`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Sequence
-
-import numpy as np
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
 from .model import interior_spectrum, sector_terms
-from .numerics import eigh
 from .params import (
     BRANCHES,
     CLUSTER_WINDOW,
@@ -51,17 +55,19 @@ ORACLE_RTOL = 1e-6
 # Reference values for the validation command: the degenerate second-level
 # block quoted for this model (entries in units of a c m hbar wt), its
 # expected shift set, and the expected first-excited and ground shifts.
-REFERENCE_DEGENERATE_BLOCK = -0.5 * np.array(
-    [
-        [11.0, -5.0, -5.0, -5.0],
-        [-5.0, 11.0, -5.0, -5.0],
-        [-5.0, -5.0, 13.0, -5.0],
-        [-5.0, -5.0, -5.0, 9.0],
-    ],
-    dtype=np.complex128,
+# The block is a tuple of rows of complex entries, with the signed zeros of
+# the complex products: 2.5-0j off the diagonal.
+REFERENCE_DEGENERATE_BLOCK = tuple(
+    tuple(-0.5 * complex(x) for x in row)
+    for row in (
+        (11.0, -5.0, -5.0, -5.0),
+        (-5.0, 11.0, -5.0, -5.0),
+        (-5.0, -5.0, 13.0, -5.0),
+        (-5.0, -5.0, -5.0, 9.0),
+    )
 )
 REFERENCE_DEGENERATE_SHIFTS = (-8.7308, -8.0, -7.3192, 2.05)
-REFERENCE_DEGENERATE_EIGENVECTOR = np.array([-1.0, 1.0, 0.0, 0.0])
+REFERENCE_DEGENERATE_EIGENVECTOR = (-1.0, 1.0, 0.0, 0.0)
 REFERENCE_DEGENERATE_EIGENVECTOR_SHIFT = -8.0
 REFERENCE_FIRST_EXCITED_SHIFT = -2.5
 REFERENCE_GROUND_SHIFT = -1.0
@@ -76,20 +82,22 @@ ALLOWLISTED_DISCREPANCIES = frozenset(
 
 class PTReport(_Value):
     """One perturbation-theory result, a value that `oracle_check` copies
-    with its cross-check. It does not hash: its fields hold lists and arrays.
-    A report of an external block, with no states, keeps the defaults."""
+    with its cross-check. It does not hash: its fields hold lists. Its
+    matrices are tuples of rows of complex entries, so reports compare by
+    value. A report of an external block, with no states, keeps the
+    defaults."""
 
     cluster_label: str
     unperturbed_energy: float
     method: str
     subspace_basis: list[dict] = ()
-    subspace_matrix: np.ndarray
+    subspace_matrix: tuple[tuple[complex, ...], ...]
     shifts: list[float]
     shifts_energy: list[float] = ()
     oracle_slopes: list[float] = ()
     discrepancy_flags: list[str] = ()
     breakdown: dict | None = None
-    eigenvectors: np.ndarray | None = None
+    eigenvectors: tuple[tuple[complex, ...], ...] | None = None
     # J = n_a - n_b + [spin down] of each shift's state, in shift order; empty
     # where no state is built (the critical field, an external block)
     sectors: list[int] = ()
@@ -177,11 +185,29 @@ def _shift(p: ModelParams, state: list, term=_P2) -> complex:
     return -math.copysign(1.0, p.omega_tilde) * total
 
 
-def level_distances(spectrum: np.ndarray, energy: float) -> np.ndarray:
-    """|spectrum - energy|. A distance beyond the float range, between
-    energies of opposite sign near it, is inf: as far as any distance gets."""
-    with np.errstate(over="ignore"):
-        return np.abs(spectrum - energy)
+def nearest_level(spectrum: Sequence[float], energy: float,
+                  window: float) -> tuple[float, int]:
+    """(the eigenvalue nearest `energy`, how many lie within `window` of it)
+    in an ascending spectrum of floats, neither empty nor holding nan.
+
+    A distance is |x - energy| in floats: beyond the float range, between
+    energies of opposite sign near it, it is inf, as far as any distance
+    gets. Distances fall towards `energy` from either side, so a bisection
+    finds the nearest eigenvalue on each side, and walks outwards from them
+    count every distance within the window. Of equal distances the lowest
+    eigenvalue is nearest, as the first minimum of the distances would be.
+    """
+    i = bisect_left(spectrum, energy)  # spectrum[:i] < energy <= spectrum[i:]
+    lo, hi = i, i
+    while lo and energy - spectrum[lo - 1] <= window:
+        lo -= 1
+    while hi < len(spectrum) and spectrum[hi] - energy <= window:
+        hi += 1
+    if i and (i == len(spectrum) or energy - spectrum[i - 1] <= spectrum[i] - energy):
+        i -= 1  # the neighbour below, then the lowest as far as it
+        while i and energy - spectrum[i - 1] == energy - spectrum[i]:
+            i -= 1
+    return spectrum[i], hi - lo
 
 
 def level_rows(
@@ -203,14 +229,14 @@ def level_rows(
     """
     _check_window(window)
     _check_headroom(space, levels, 0)
-    spectrum = interior_spectrum(space, [sector_terms(space, p, 0.0)])[0]
+    (spectrum,) = interior_spectrum(space, [sector_terms(space, p, 0.0)])
     floor = 1e-30 * p.rest_energy
     rows = []
     for n in range(levels + 1):
         for branch in branches:
             analytic = landau_level(p, n, branch)
-            distances = level_distances(spectrum, analytic / p.rest_energy)
-            nearest = float(spectrum[int(np.argmin(distances))]) * p.rest_energy
+            nearest, count = nearest_level(spectrum, analytic / p.rest_energy, window)
+            nearest *= p.rest_energy
             if not math.isfinite(nearest):
                 raise UsageError(f"the exact eigenvalue nearest level (n={n}, branch "
                                  f"{branch}) overflows at rest energy {p.rest_energy!r}")
@@ -220,18 +246,18 @@ def level_rows(
                 "analytic": analytic,
                 "exact_nearest": nearest,
                 "rel_error": abs(nearest - analytic) / max(abs(analytic), floor),
-                "multiplicity": int(np.sum(distances <= window)),
+                "multiplicity": count,
             })
     return rows
 
 
-def _sector_slope(p: ModelParams, j: int, w: np.ndarray, energy: float) -> float:
+def _sector_slope(p: ModelParams, j: int, w: list[list[float]], energy: float) -> float:
     """d(E)/d(a) of the one eigenvalue of J-sector j near `energy`, in shift
     units, from the sector's spectra `w`, in units of m c^2, at alpha = 0, h,
     -h, 2h, -2h with h = ORACLE_STEP: central differences through a = 0 with
     one Richardson step, d(E / m c^2)/d(alpha) / lam."""
     h, level = ORACLE_STEP, energy / p.rest_energy
-    hits = np.flatnonzero(level_distances(w[0], level) <= CLUSTER_WINDOW)
+    hits = [i for i, x in enumerate(w[0]) if abs(x - level) <= CLUSTER_WINDOW]
     near = f"within {CLUSTER_WINDOW:.3e} m c^2 of {level!r} m c^2"
     if len(hits) == 0:
         raise ComputationError(f"no eigenvalue of J-sector {j} {near}")
@@ -241,10 +267,10 @@ def _sector_slope(p: ModelParams, j: int, w: np.ndarray, energy: float) -> float
             f"eigenvalues of J-sector {j} {near}"
         )
     (i,) = hits
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1 = (w[1, i] - w[2, i]) / (2.0 * h)
-        d2 = (w[3, i] - w[4, i]) / (4.0 * h)
-        slope = float((4.0 * d1 - d2) / 3.0)
+    # float arithmetic: an overflow is inf and inf - inf nan, with no warning
+    d1 = (w[1][i] - w[2][i]) / (2.0 * h)
+    d2 = (w[3][i] - w[4][i]) / (4.0 * h)
+    slope = (4.0 * d1 - d2) / 3.0
     if not math.isfinite(slope):
         raise UsageError(
             f"oracle stencil step {h!r}/(m c) is below the resolution of the "
@@ -315,7 +341,7 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: 
         _check_headroom(space, n, k)
     if p.omega_tilde == 0.0:
         basis, js = [], []
-        sub = np.zeros((size, size), dtype=np.complex128)
+        diagonal, off = [0j] * size, 0j
         # a unit of +0.0: the shift unit is -0.0 for a = -0.0
         unit, slopes = 0.0, [0.0] * size
         breakdown = dict.fromkeys(_P2_TERMS, 0.0)
@@ -323,19 +349,22 @@ def _shift_report(space: FockSpace, p: ModelParams, label: str, n: int, branch: 
                  "identically zero"]
     else:
         states, basis, js = zip(*(_state_vector(p, level, k) for k in spectators))
+        diagonal = [_shift(p, state) for state in states]
         # an off-diagonal element is -sign(wt) times an empty sum 0j
-        sub = np.full((size, size), -math.copysign(1.0, p.omega_tilde) * 0j)
-        np.fill_diagonal(sub, [_shift(p, state) for state in states])
+        off = -math.copysign(1.0, p.omega_tilde) * 0j
         if not degenerate:
             (state,) = states
             breakdown = {name: _shift(p, state, term).real
                          for name, term in _P2_TERMS.items()}
         unit, slopes = p.shift_unit, []
         flags = [OVER_CRITICAL] if p.omega_tilde < 0.0 else []
-    order = np.argsort(sub.diagonal().real, kind="stable")
-    shifts = sub.diagonal().real[order].tolist()
+    sub = tuple(tuple(diagonal[r] if r == c else off for c in range(size))
+                for r in range(size))
+    order = sorted(range(size), key=lambda i: diagonal[i].real)
+    shifts = [diagonal[i].real for i in order]
     sectors = [js[i] for i in order] if js else []
-    vectors = np.eye(size, dtype=np.complex128)[:, order]
+    # the identity's columns in that order: column c is 1 at row order[c]
+    vectors = tuple(tuple(complex(r == i) for i in order) for r in range(size))
     if not all(math.isfinite(s * unit) for s in shifts):
         raise UsageError(f"shift energy of level (n={n}, branch {branch}) "
                          f"overflows at the unit {unit!r}")
@@ -400,31 +429,36 @@ def degenerate_shift(
     return _shift_report(space, p, label, n, branch, spectators, degenerate=True)
 
 
-def shifts_of_matrix(block: np.ndarray, label: str = "stored block") -> PTReport:
-    """Shifts of an externally supplied cluster matrix (already in shift units)."""
+def shifts_of_matrix(block, label: str = "stored block") -> PTReport:
+    """Shifts of an externally supplied cluster matrix (already in shift
+    units), a Hermitian matrix or its rows: the one report that runs an
+    eigensolver, `numerics.eigh`, which loads numpy."""
+    import numpy as np
+
+    from .numerics import eigh
+
     values, vectors = eigh(block)
     return PTReport(
         cluster_label=label,
         unperturbed_energy=math.nan,
         method="degenerate",
-        subspace_matrix=np.asarray(block, dtype=np.complex128),
-        shifts=[float(w) for w in values],
-        eigenvectors=vectors,
+        subspace_matrix=tuple(map(tuple, np.asarray(block, dtype=np.complex128).tolist())),
+        shifts=values.tolist(),
+        eigenvectors=tuple(map(tuple, vectors.tolist())),
     )
 
 
-def spectral_clusters(spectrum: np.ndarray, window: float) -> np.ndarray:
-    """Multiplicities of the maximal runs closer than `window`, lowest first.
+def spectral_clusters(spectrum: Sequence[float], window: float) -> list[int]:
+    """Multiplicities of the maximal runs closer than `window`, lowest first,
+    in an ascending spectrum of finite floats.
 
-    A run breaks wherever `np.diff` of the ascending spectrum, inf where it
-    overflows, exceeds the window; the infinite gaps before the first and
-    after the last eigenvalue bound the outer runs, and an empty spectrum
-    has none.
+    A run breaks wherever the gap between neighbours, inf where it
+    overflows, exceeds the window; the first and the last eigenvalue bound
+    the outer runs, and an empty spectrum has none.
     """
-    w = np.asarray(spectrum, dtype=float)
-    with np.errstate(over="ignore"):
-        gaps = np.diff(w, prepend=-np.inf, append=np.inf)
-    return np.diff(np.flatnonzero(gaps > window))
+    n = len(spectrum)
+    starts = [0, *(i for i in range(1, n) if spectrum[i] - spectrum[i - 1] > window), n]
+    return [end - start for start, end in zip(starts, starts[1:])] if n else []
 
 
 def _check_window(window: float) -> None:
@@ -436,9 +470,9 @@ def _check_window(window: float) -> None:
         raise UsageError(f"window {window!r} below the numerical noise floor 1e-12")
 
 
-def _histogram(spectrum: np.ndarray, window: float) -> dict[int, int]:
-    sizes, counts = np.unique(spectral_clusters(spectrum, window), return_counts=True)
-    return dict(zip(sizes.tolist(), counts.tolist()))
+def _histogram(spectrum: list[float], window: float) -> dict[int, int]:
+    """{multiplicity: number of clusters}, ascending in the multiplicity."""
+    return dict(sorted(Counter(spectral_clusters(spectrum, window)).items()))
 
 
 def _scan_point(space: FockSpace, p: ModelParams) -> tuple[dict, list]:
@@ -499,7 +533,7 @@ def field_scan(
             for point, _ in group:
                 point["error"] = str(exc)
             continue
-        for (point, _), (before, after) in zip(group, spectra.reshape(len(group), 2, -1)):
+        for (point, _), before, after in zip(group, spectra[::2], spectra[1::2]):
             point["degeneracy_counts_before"] = _histogram(before, degeneracy_window)
             point["degeneracy_counts_after"] = _histogram(after, degeneracy_window)
     critical = base_params.critical_field
@@ -534,11 +568,13 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
     (f,), (f_slope,) = first.shifts, first.oracle_slopes
 
     stored = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK, "stored 4x4 block")
-    own_set, stored_set = np.array(own.shifts), np.array(stored.shifts)
-    printed = np.array(sorted(REFERENCE_DEGENERATE_SHIFTS))
+    own_set, stored_set = own.shifts, stored.shifts
+    printed = sorted(REFERENCE_DEGENERATE_SHIFTS)
     vec = REFERENCE_DEGENERATE_EIGENVECTOR
-    image = REFERENCE_DEGENERATE_BLOCK @ vec
-    vec_err = float(np.max(np.abs(image - REFERENCE_DEGENERATE_EIGENVECTOR_SHIFT * vec)))
+    # the largest |(B v)_i - s v_i|; B v is exact, its entries sums of halves
+    vec_err = max(abs(sum(b * x for b, x in zip(row, vec))
+                      - REFERENCE_DEGENERATE_EIGENVECTOR_SHIFT * v)
+                  for row, v in zip(REFERENCE_DEGENERATE_BLOCK, vec))
 
     # 5. critical field, against the field where |e| B / (m c) reaches 2 omega, exact
     # so nothing underflows: 2 omega m c / |e| as one ratio of integers, whose
@@ -562,13 +598,15 @@ def validation_report(space: FockSpace, p: ModelParams) -> dict:
         ("first-excited-oracle", f_slope, f,
          "internal consistency of shift vs exact spectrum slope",
          _agrees(f_slope, f), "first-excited-oracle"),
-        ("degenerate-block-basis", own_set.tolist(), stored_set.tolist(),
+        ("degenerate-block-basis", own_set, stored_set,
          "own-basis cluster matrix is diagonal in the spectator tower; stored "
          "block uses an unreconstructible basis",
-         np.all(np.abs(own_set - stored_set) <= 1e-6), "degenerate-block-basis"),
-        ("degenerate-block-eigenvalues", stored_set.tolist(), printed.tolist(),
+         all(abs(a - b) <= 1e-6 for a, b in zip(own_set, stored_set)),
+         "degenerate-block-basis"),
+        ("degenerate-block-eigenvalues", stored_set, printed,
          "eigensolver on the stored block vs its expected shifts",
-         np.all(np.abs(stored_set - printed) <= 5e-4), "degenerate-block-eigenvalues"),
+         all(abs(a - b) <= 5e-4 for a, b in zip(stored_set, printed)),
+         "degenerate-block-eigenvalues"),
         ("degenerate-block-eigenvector", vec_err, 0.0,
          "(-1, 1, 0, 0) must map to -8 times itself",
          vec_err <= 1e-12, "degenerate-block-eigenvector"),

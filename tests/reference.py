@@ -13,11 +13,15 @@ Products of ladder operators corrupt matrix elements near the cutoff, so
 assertions are made on the interior projection (`Space.interior_indices`).
 
 The module also keeps the per-cluster loop that the degeneracy histograms of
-`gup_dosc.perturbation` are checked against (`spectral_clusters_loop`).
+`gup_dosc.perturbation` are checked against (`spectral_clusters_loop`), and
+the a = 0 spectrum off the critical field as numpy forms it over the whole
+(n_a, n_b) grid (`pair_spectrum_grid`), which `gup_dosc.model.pair_spectrum`
+must equal bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +31,7 @@ from gup_dosc.errors import UsageError
 from gup_dosc.fock import INTERIOR_MARGIN, FockSpace
 from gup_dosc.numerics import as_matrix
 from gup_dosc.params import ModelParams
+from gup_dosc.sectors import _links
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -324,8 +329,7 @@ def build_h_prime(
 def spectral_clusters_loop(spectrum, window: float) -> list[tuple[float, int]]:
     """(mean energy, multiplicity) for maximal runs closer than `window`, one
     cluster at a time: the loop whose multiplicities
-    `perturbation.spectral_clusters` takes from one `np.diff` over the
-    spectrum."""
+    `perturbation.spectral_clusters` takes from one pass over the gaps."""
     out: list[tuple[float, int]] = []
     start = 0
     w = np.asarray(spectrum)
@@ -342,3 +346,27 @@ def degeneracy_histogram_loop(spectrum, window: float) -> dict[int, int]:
     for _, size in spectral_clusters_loop(spectrum, window):
         counts[size] = counts.get(size, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def pair_spectrum_grid(space: FockSpace, terms: tuple[float, float, float],
+                       js=None) -> np.ndarray:
+    """The ascending spectrum, in units of m c^2, of a `paired` config over
+    the J in `js` (every J-sector by default), from the whole interior grid:
+    each spin-down state linked by the one coupling (`sectors._links`) pairs
+    with its spin-up partner at +-hypot(1, kappa), every other state is a
+    single at +1 (up) or -1 (down)."""
+    top = space.top
+    k_a, k_b, _ = terms
+    # every interior (n_a, n_b), n_a + n_b <= top
+    quanta = np.arange(top + 1)
+    n_a, n_b = np.nonzero(np.add.outer(quanta, quanta) <= top)
+    # the one coupling's term
+    link, _, root = next(itertools.compress(_links(n_a, n_b, top), (k_a, k_b)))
+    ups = downs = len(n_a)
+    if js is not None:  # J of |n_a, n_b, up> is n_a - n_b, and of down one more
+        down = np.isin(n_a - n_b + 1, js)
+        ups, downs = np.count_nonzero(np.isin(n_a - n_b, js)), np.count_nonzero(down)
+        link &= down
+    levels = np.hypot(1.0, (k_a or k_b) * root[link])
+    singles = np.repeat([1.0, -1.0], [ups - len(levels), downs - len(levels)])
+    return np.sort(np.concatenate([-levels, levels, singles]))

@@ -51,7 +51,7 @@ def test_criterion_1_analytic_spectrum_reproduction():
     ok = True
     for lam in (0.05, 0.1, 0.5):
         p = ModelParams(omega=lam)
-        (w,) = interior_spectrum(space, [sector_terms(space, p, 0.0)])
+        (w,) = np.array(interior_spectrum(space, [sector_terms(space, p, 0.0)]))
         for n in range(9):
             for branch in ("+", "-"):
                 e = landau_level(p, n, branch)
@@ -75,8 +75,9 @@ def test_criterion_3_degenerate_block_replication():
     printed = sorted((-8.7308, -8.0, -7.3192, 2.05))
     ok = all(abs(s - e) <= 5e-4 for s, e in zip(r.shifts, printed))
     ok = ok and abs(sum(r.shifts) - (-22.0)) <= 1e-12
-    image = REFERENCE_DEGENERATE_BLOCK @ REFERENCE_DEGENERATE_EIGENVECTOR
-    expected = -8.0 * REFERENCE_DEGENERATE_EIGENVECTOR
+    vector = np.array(REFERENCE_DEGENERATE_EIGENVECTOR)
+    image = np.array(REFERENCE_DEGENERATE_BLOCK) @ vector
+    expected = -8.0 * vector
     ok = ok and norm_max(image - expected) <= 1e-12
     _report(3, "degenerate block eigenvalues and eigenvector", ok)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import gup_dosc
-from gup_dosc import cli, fock, model, perturbation
+from gup_dosc import cli, fock, model, numerics, perturbation
 from gup_dosc.cli import main, parse_config, to_json
 from gup_dosc.errors import UsageError
 from gup_dosc.params import CLUSTER_WINDOW, ModelParams, SpinorLevel
@@ -183,10 +183,11 @@ def test_steps_above_the_limit_are_usage_errors(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("b_min, b_max, steps", [
-    ("0", "1e308", "3"), ("-1e308", "1e308", "3"), ("0", "1e305", "10000")])
+    ("0", "1e308", "4"), ("-1e308", "1e308", "3"), ("0", "1e305", "10000")])
 def test_field_grids_beyond_the_float_range_are_usage_errors(b_min, b_max, steps):
-    # the grid forms (B-max - B-min) i before it divides by steps - 1: rejected
-    # while the config is parsed, where the product would overflow
+    # the grid forms (B-max - B-min) i, i <= steps - 2, before it divides by
+    # steps - 1: rejected while the config is parsed, where the span or a
+    # product would overflow
     scan = ["scan", "--omega", "1", f"--B-min={b_min}", f"--B-max={b_max}", "--cutoff", "8"]
     with pytest.raises(UsageError, match=re.escape(
             "--B-min, --B-max and --steps span a field grid beyond the float range")):
@@ -197,6 +198,19 @@ def test_the_widest_finite_field_grid_parses():
     config = parse_config(["scan", "--omega", "1", "--B-min=-1e307", "--B-max", "1e308",
                            "--steps", "2"])
     assert (config.B_max - config.B_min) * (config.steps - 1) == 1.1e308
+
+
+def test_a_grid_whose_formed_products_are_finite_runs(tmp_path):
+    # at 3 steps the grid forms (B-max - B-min) i for i <= 1 only, the last
+    # value being B-max itself, so a span of 1e308 runs, where
+    # (B-max - B-min) (steps - 1) would overflow
+    argv = ["scan", "--omega", "1", "--B-min", "0", "--B-max", "1e308", "--steps", "3",
+            "--cutoff", "8", "--format", "json"]
+    config = parse_config(argv)
+    assert math.isinf((config.B_max - config.B_min) * (config.steps - 1))
+    code, text = run_to_string(argv, tmp_path)
+    assert code == 0
+    assert [point["B"] for point in json.loads(text)["points"]] == [0.0, 5e307, 1e308]
 
 
 def test_unknown_tolerance_rejected():
@@ -292,7 +306,7 @@ def test_scan_csv_schema(tmp_path):
 
 def test_csv_only_for_scan(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(model, "eigvalsh", lambda a: calls.append(a))
+    monkeypatch.setattr(numerics, "eigvalsh", lambda a: calls.append(a))
     # rejected with the configuration, before any spectrum is solved
     assert main(["spectrum", "--omega", "1", "--format", "csv"] + FAST) == 2
     assert calls == []
@@ -315,7 +329,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 ], ids=["scan-degeneracy-window", "spectrum-cluster-window"])
 def test_windows_below_the_noise_floor_are_usage_errors(argv, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(model, "eigvalsh", lambda a: calls.append(a))
+    monkeypatch.setattr(numerics, "eigvalsh", lambda a: calls.append(a))
     # one line for the whole run, before any spectrum is solved
     assert main([argv[0], "--omega", "1", *FAST, *argv[1:]]) == 2
     assert calls == []
@@ -711,9 +725,10 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
 
 
 def test_only_the_cli_freezes_the_import_heap():
-    # gc.freeze is a side effect of a command run alone, once its input is
-    # checked and numpy is loaded: a library import or call leaves the
-    # collector as it found it, and a second run in the process freezes nothing
+    # gc.freeze is a side effect of a command run alone, once its report is
+    # built: a library import or call leaves the collector as it found it, a
+    # run that solves, here the critical field's dense spectrum, freezes the
+    # numpy it loaded, and a second run in the process freezes nothing
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     code = (
         "import gc, json, os\n"
@@ -723,7 +738,8 @@ def test_only_the_cli_freezes_the_import_heap():
         "gup_dosc.first_order_shift(gup_dosc.FockSpace(12),\n"
         "                           gup_dosc.ModelParams(1.0, b_field=1.0, gup_a=1e-4), 0)\n"
         "counts.append(gc.get_freeze_count())\n"
-        "argv = ['spectrum', '--omega', '1', '--cutoff', '12', '--output', os.devnull]\n"
+        "argv = ['spectrum', '--omega', '1', '--B', '2', '--cutoff', '12',\n"
+        "        '--output', os.devnull]\n"
         "assert cli.main(argv) == 0\n"
         "import numpy\n"
         "frozen = id(vars(numpy)) not in {id(o) for o in gc.get_objects()}\n"
@@ -846,10 +862,10 @@ def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
      None, "Option(key='steps', type=<class 'int'>, default=None, help='field values', "
      "choices=None, param=None, scan_only=True)"),
     (lambda: perturbation.PTReport(cluster_label="n=0, branch +", unperturbed_energy=1.0,
-                                   method="nondegenerate", subspace_matrix=np.zeros((1, 1)),
+                                   method="nondegenerate", subspace_matrix=((0j,),),
                                    shifts=[-1.0]), {"shifts": [-2.0]}, None,
      "PTReport(cluster_label='n=0, branch +', unperturbed_energy=1.0, "
-     "method='nondegenerate', subspace_basis=(), subspace_matrix=array([[0.]]), "
+     "method='nondegenerate', subspace_basis=(), subspace_matrix=((0j,),), "
      "shifts=[-1.0], shifts_energy=(), oracle_slopes=(), discrepancy_flags=(), "
      "breakdown=None, eigenvectors=None, sectors=())"),
     (lambda: cli.RunConfig("spectrum", {"omega": 1.0}, {}), {"command": "correct"}, None,
@@ -857,7 +873,7 @@ def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
 ], ids=["ModelParams", "SpinorLevel", "FockSpace", "Option", "PTReport", "RunConfig"])
 def test_value_types_keep_frozen_dataclass_semantics(make, change, invalid, text):
     value = make()
-    # a report holds lists and arrays, a run config dicts: neither hashes
+    # a report holds lists, a run config dicts: neither hashes
     hashable = not isinstance(value, (perturbation.PTReport, cli.RunConfig))
     assert value == make() and value is not make()
     if hashable:

@@ -14,9 +14,10 @@ from gup_dosc.fock import (
     sector_cost,
     stack_configs,
 )
-from gup_dosc.model import build_sectors, sector_terms
+from gup_dosc.model import sector_terms
 from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import ModelParams, landau_level, spinor_level
+from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
     adjoint,

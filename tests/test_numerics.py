@@ -10,9 +10,11 @@ import pytest
 import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import build_sectors, sector_terms
-from gup_dosc.numerics import as_matrix, dump_matrix, eigh, eigvalsh, norm_max
+from gup_dosc.cli import dump_matrix
+from gup_dosc.model import sector_terms
+from gup_dosc.numerics import as_matrix, eigh, eigvalsh, norm_max
 from gup_dosc.params import ModelParams
+from gup_dosc.sectors import build_sectors
 from reference import adjoint, commutator
 
 RNG = np.random.default_rng(20240817)
@@ -162,8 +164,9 @@ def test_import_sets_one_blas_thread_by_default(setting, expected):
         env["OPENBLAS_NUM_THREADS"] = setting
     env["PYTHONPATH"] = str(pathlib.Path(gup_dosc.__file__).parents[1])
     code = (
-        # the package itself loads no numpy; model does, through the package
-        "import os, sys, gup_dosc.model\n"
+        # the package itself loads no numpy; the block builder does, through
+        # the package
+        "import os, sys, gup_dosc.sectors\n"
         "tasks = '/proc/self/task'\n"
         "n = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
         "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], n)\n"

@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gup_dosc import fock, model, perturbation
-from gup_dosc.cli import main
+from gup_dosc import fock, numerics, perturbation, sectors
+from gup_dosc.cli import dump_matrix, main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
-from gup_dosc.model import build_sectors, interior_spectrum, paired, sector_terms
-from gup_dosc.numerics import dump_matrix, eigvalsh, norm_max
+from gup_dosc.model import interior_spectrum, paired, sector_terms
+from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, abs_level, spinor_level
 from gup_dosc.perturbation import (
     ORACLE_RTOL,
@@ -29,6 +29,7 @@ from gup_dosc.perturbation import (
     spectral_clusters,
     validation_report,
 )
+from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
     angular_momentum,
@@ -101,7 +102,8 @@ def test_lowest_tower_shifts_are_distinct():
 
 def test_degenerate_cluster_matrix_is_diagonal_in_spectator_tower():
     r = degenerate_shift(SPACE, PARAMS, 2, range(4))
-    off = r.subspace_matrix - np.diag(np.diag(r.subspace_matrix))
+    matrix = np.array(r.subspace_matrix)
+    off = matrix - np.diag(np.diag(matrix))
     assert norm_max(off) <= 1e-13
     c2 = spinor_level(PARAMS, 2, "+").c_n
     expected = sorted(-(2.0 + k + c2 ** 2) for k in range(4))
@@ -117,7 +119,7 @@ def test_degenerate_trace_identity():
 
 def test_degenerate_eigenvectors_unitary():
     r = degenerate_shift(SPACE, PARAMS, 2, range(4))
-    v = r.eigenvectors
+    v = np.array(r.eigenvectors)
     assert norm_max(v.conj().T @ v - np.eye(4)) <= 1e-10
 
 
@@ -156,8 +158,24 @@ def test_stored_block_shifts_eigenvector_and_trace():
     r = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)
     assert r.shifts == pytest.approx(BLOCK_SHIFTS, abs=1e-12)
     assert sum(r.shifts) == pytest.approx(-22.0, abs=1e-12)
-    image = REFERENCE_DEGENERATE_BLOCK @ REFERENCE_DEGENERATE_EIGENVECTOR
-    assert norm_max(image - (-8.0) * REFERENCE_DEGENERATE_EIGENVECTOR) <= 1e-12
+    vector = np.array(REFERENCE_DEGENERATE_EIGENVECTOR)
+    image = np.array(REFERENCE_DEGENERATE_BLOCK) @ vector
+    assert norm_max(image - (-8.0) * vector) <= 1e-12
+
+
+def test_reports_compare_by_value():
+    # a report's matrices are tuples of rows, so == compares whole reports,
+    # their 4x4 matrices and eigenvectors included, where arrays of more than
+    # one entry would raise ValueError
+    p = ModelParams(omega=1.0, b_field=1.0, gup_a=1e-4)
+    for build in (lambda: degenerate_shift(SPACE, p, 2, range(4)),
+                  lambda: shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)):
+        report, again = build(), build()
+        assert len(report.subspace_matrix) == len(report.eigenvectors) == 4
+        assert report is not again and report == again
+        shifts = list(report.shifts)
+        shifts[1] += 1.0
+        assert report.replace(shifts=shifts) != again
 
 
 def test_scalar_cluster_matrix_gives_repeated_shift():
@@ -468,7 +486,7 @@ def test_shift_reports_keep_their_kind_and_signed_zeros(omega, b_field, off_diag
     # on either side of the critical field and at it
     one = degenerate_shift(SPACE, p, 2, range(1))
     assert one.method == "degenerate" and one.breakdown is None
-    assert one.eigenvectors.shape == (1, 1)
+    assert np.shape(one.eigenvectors) == (1, 1)
     level = first_order_shift(SPACE, p, 1)
     assert level.method == "nondegenerate" and level.eigenvectors is None
     assert list(level.breakdown) == ["ladder", "position", "angular"]
@@ -480,7 +498,7 @@ def test_shift_reports_keep_their_kind_and_signed_zeros(omega, b_field, off_diag
     # no eigensolver: the shifts are the diagonal sorted, bit for bit, and
     # the eigenvectors the identity's columns in that order, every zero +0
     for r in (one, degenerate_shift(SPACE, p, 2, range(4))):
-        diagonal = r.subspace_matrix.diagonal().real
+        diagonal = np.array(r.subspace_matrix).diagonal().real
         assert r.shifts == sorted(diagonal.tolist())
         permutation = np.eye(len(diagonal), dtype=complex)[:, np.argsort(diagonal,
                                                                          kind="stable")]
@@ -581,7 +599,7 @@ def test_closed_form_shifts_match_dense_reference_algebra():
         r = degenerate_shift(space, p, 2, range(4))
         vecs = [vector(desc) for desc in r.subspace_basis]
         ref = np.array([[dense(u, p2, v) for v in vecs] for u in vecs])
-        assert norm_max(r.subspace_matrix - ref) <= 1e-12
+        assert norm_max(np.array(r.subspace_matrix) - ref) <= 1e-12
 
 
 # wt > 0, wt < 0 (mirrored towers) and wt = 0, where H' vanishes
@@ -595,7 +613,7 @@ def test_interior_spectrum_rows_equal_one_strength_solves(p):
     # J-sectors; each row must be bitwise the spectrum solved on its own, and
     # the J-sector rows must be bitwise pieces of the whole spectrum
     terms = [sector_terms(SPACE, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
-    rows = interior_spectrum(SPACE, terms)
+    rows = np.array(interior_spectrum(SPACE, terms))
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
     for t, row in zip(terms, rows):
         assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
@@ -614,8 +632,8 @@ def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
     assert after == degeneracy_histogram_loop(w1, window)
     for w in (w0, w1):
         sizes = spectral_clusters(w, window)
-        assert sizes.tolist() == [m for _, m in spectral_clusters_loop(w, window)]
-    sizes = spectral_clusters(np.array([]), window)
+        assert sizes == [m for _, m in spectral_clusters_loop(w, window)]
+    sizes = spectral_clusters([], window)
     assert len(sizes) == 0 and spectral_clusters_loop([], window) == []
 
 
@@ -643,7 +661,7 @@ def _count_eigvalsh(monkeypatch) -> list[int]:
         calls.append(len(a))
         return eigvalsh(a)
 
-    monkeypatch.setattr(model, "eigvalsh", counting)
+    monkeypatch.setattr(numerics, "eigvalsh", counting)
     return calls
 
 
@@ -651,7 +669,7 @@ def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
     # the two configs of the critical field have equal terms: 7 for 8
     terms = _scan_terms()
     assert terms[4] == terms[5] and len(set(terms)) == 7
-    rows = interior_spectrum(SPACE, terms)
+    rows = np.array(interior_spectrum(SPACE, terms))
     assert rows.shape == (8, (SPACE.cutoff - 1) * SPACE.cutoff)
     for t, row in zip(terms, rows):
         assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
@@ -710,7 +728,7 @@ def test_each_config_is_reduced_to_its_terms_once(monkeypatch, tmp_path):
         return build_sectors(space, terms, js)
 
     monkeypatch.setattr(perturbation, "sector_terms", reducing)
-    monkeypatch.setattr(model, "build_sectors", building)
+    monkeypatch.setattr(sectors, "build_sectors", building)
     field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     assert reduced == _scan_configs()
     # the three paired a = 0 configs are closed form; the other five,
@@ -770,7 +788,7 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
             stacks.append((j, len(stack)))
             yield stack
 
-    monkeypatch.setattr(model, "build_sectors", recording)
+    monkeypatch.setattr(sectors, "build_sectors", recording)
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
     # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
@@ -801,7 +819,7 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
     # every J-sector, the two outermost ones and the two at J = 0, 1, alone
     # and together
     for js in (None, [-top], [top + 1], [0, 1], [-top, 0, 1, top + 1]):
-        (row,) = interior_spectrum(space, [terms], js)
+        (row,) = np.array(interior_spectrum(space, [terms], js))
         # closed form: no eigensolver call and no J-block built
         assert calls == []
         (dense,) = _dense_rows(space, [terms], js)
@@ -830,7 +848,7 @@ def test_unpaired_configs_take_the_dense_blocks(p, a, monkeypatch):
         shapes.append(h.shape)
         return eigvalsh(h)
 
-    monkeypatch.setattr(model, "eigvalsh", recording)
+    monkeypatch.setattr(numerics, "eigvalsh", recording)
     row = interior_spectrum(space, [terms])
     # one one-config stack per J-sector, of its full dimension
     stacks = build_sectors(space, [terms])
@@ -852,8 +870,9 @@ def test_paired_scan_histograms_equal_the_dense_ones(cutoff):
 
 def test_a_paired_spectrum_holds_no_block_stack():
     # a = 0 at cutoff 300, on either side of the critical field: the closed
-    # form holds its row and index arrays over the (n_a, n_b) grid, never a
-    # stack of blocks (9x the row before)
+    # form holds its row, a list that repeats the float of each run of equal
+    # eigenvalues, never a stack of blocks (9x the row before) or an array
+    # over the (n_a, n_b) grid
     space = FockSpace(cutoff=300)
     for b_field in (1.0, 3.0):
         terms = sector_terms(space, ModelParams(omega=1.0, b_field=b_field), 0.0)
@@ -863,7 +882,8 @@ def test_a_paired_spectrum_holds_no_block_stack():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * row.nbytes
+        # the bytes the row takes as a float64 array
+        assert peak <= 4 * 8 * len(row)
 
 
 def test_one_config_per_stack_changes_no_row(monkeypatch):
@@ -889,7 +909,7 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
     def failing(a):
         raise ComputationError("eigensolver did not converge")
 
-    monkeypatch.setattr(model, "eigvalsh", failing)
+    monkeypatch.setattr(numerics, "eigvalsh", failing)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     assert critical_b == 2.0
     for pt in points:
@@ -914,7 +934,7 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
             raise ComputationError("eigensolver did not converge")
         return eigvalsh(a)
 
-    monkeypatch.setattr(model, "eigvalsh", second_pass_fails)
+    monkeypatch.setattr(numerics, "eigvalsh", second_pass_fails)
     points, critical_b = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     # the second pass fails on its first call, J-sector -10 of its two
     # distinct configs, the critical field's and B = 3's a != 0 one

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gup_dosc import model
+from gup_dosc import model, sectors
 from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import build_sectors, interior_spectrum, paired, sector_terms
-from gup_dosc.numerics import dump_matrix, eigvalsh
+from gup_dosc.model import interior_spectrum, paired, sector_terms
+from gup_dosc.numerics import eigvalsh
 from gup_dosc.params import BRANCHES, NEGATIVE, POSITIVE, ModelParams, abs_level
 from gup_dosc.perturbation import (
     PTReport,
@@ -29,11 +29,13 @@ from gup_dosc.perturbation import (
     critical_field,
     degenerate_shift,
     first_order_shift,
+    nearest_level,
     oracle_check,
     spectral_clusters,
     validation_report,
 )
-from reference import spectral_clusters_loop
+from gup_dosc.sectors import build_sectors
+from reference import pair_spectrum_grid, spectral_clusters_loop
 
 SPACE = FockSpace(cutoff=12)
 FLOAT_MAX = np.finfo(float).max
@@ -58,16 +60,16 @@ def model_params(draw):
        size=st.integers(1, 5))
 def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
     r = degenerate_shift(SPACE, p, n, range(size), branch)
-    matrix = r.subspace_matrix
+    matrix, vectors = np.array(r.subspace_matrix), np.array(r.eigenvectors)
     diagonal = matrix.diagonal().real
     assert np.all(matrix[~np.eye(size, dtype=bool)] == 0.0)
     assert r.shifts == sorted(diagonal.tolist())
     # the eigenvectors permute the cluster basis: column i picks the member
     # whose diagonal entry is shift i
-    assert np.array_equal(np.abs(r.eigenvectors), np.abs(r.eigenvectors) ** 2)
-    assert np.array_equal(r.eigenvectors.sum(axis=0), np.ones(size))
-    assert np.array_equal(r.eigenvectors.sum(axis=1), np.ones(size))
-    members = np.argmax(np.abs(r.eigenvectors), axis=0)
+    assert np.array_equal(np.abs(vectors), np.abs(vectors) ** 2)
+    assert np.array_equal(vectors.sum(axis=0), np.ones(size))
+    assert np.array_equal(vectors.sum(axis=1), np.ones(size))
+    members = np.argmax(np.abs(vectors), axis=0)
     assert diagonal[members].tolist() == r.shifts
     assert r.shifts_energy == [s * p.shift_unit for s in r.shifts]
     # each shift names the J-sector of its member's dominant basis state
@@ -109,7 +111,7 @@ def test_pair_spectra_equal_the_dense_blocks(p):
     # `pair_spectrum` against the J-sector blocks they are a sum of
     terms = sector_terms(SPACE, p, 0.0)
     assert paired(terms)
-    (row,) = interior_spectrum(SPACE, [terms])
+    (row,) = np.array(interior_spectrum(SPACE, [terms]))
     dense = np.sort(np.concatenate([eigvalsh(stack)[0]
                                     for stack in build_sectors(SPACE, [terms])]))
     assert row.shape == dense.shape
@@ -122,8 +124,67 @@ def test_pair_spectra_are_symmetric_under_negation(p):
     # a = 0 off the critical field: each pair gives +-hypot(1, kappa) m c^2,
     # and the m c^2 and -m c^2 singles are equally many, so E -> -E maps the
     # interior spectrum onto itself exactly
-    (row,) = interior_spectrum(SPACE, [sector_terms(SPACE, p, 0.0)])
+    (row,) = np.array(interior_spectrum(SPACE, [sector_terms(SPACE, p, 0.0)]))
     assert np.array_equal(row, -row[::-1])
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.5], ids=["a-dagger", "b"])  # B / B_c
+@pytest.mark.parametrize("cutoff", [4, 12, 40, 1000])
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(data=st.data())
+def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
+    # the runs of `pair_spectrum`, one per coupling root with its J-sectors
+    # counted in closed form, against numpy over the whole (n_a, n_b) grid:
+    # every J-sector and subsets, with J beyond the interior and repeats
+    space = FockSpace(cutoff)
+    top = space.top
+    base = ModelParams(omega=data.draw(scales), mass=data.draw(scales),
+                       light_speed=data.draw(scales), hbar=data.draw(scales))
+    terms = sector_terms(space, base.with_field(ratio * critical_field(base)), 0.0)
+    assert paired(terms) and (terms[0] == 0.0) == (ratio > 1.0)
+    subset = data.draw(st.lists(st.integers(-top - 2, top + 3), max_size=6)
+                       | st.sampled_from([[-top], [top + 1], [0, 1]]))
+    for js in (None, subset):
+        row = np.array(model.pair_spectrum(space, terms, js))
+        grid = pair_spectrum_grid(space, terms, js)
+        # bit for bit: equal as 64-bit integers
+        assert row.shape == grid.shape and np.array_equal(row.view(np.int64),
+                                                          grid.view(np.int64)), js
+
+
+@st.composite
+def spectra_around_a_level(draw):
+    """(ascending spectrum, energy, window): values that tie, lie on the
+    window's edge or beside it, at the energy itself, with signed zeros, at
+    either end of the float range, where distances overflow, and far from an
+    energy of 1e16, where distinct values lie equally far in floats."""
+    top = float(FLOAT_MAX)
+    energy = draw(st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e16, -1e16, 1e300, -top])
+                  | st.floats(-10.0, 10.0))
+    window = draw(st.sampled_from([1e-12, 1e-9, 1e-3, 0.5]))
+    edges = [energy + k * window for k in (-2, -1, 0, 1, 2)]
+    edges += [math.nextafter(x, math.inf) for x in edges]
+    edges += [math.nextafter(x, -math.inf) for x in edges]
+    values = st.sampled_from(edges + [0.0, -0.0, top, -top]) | st.floats(-10.0, 10.0)
+    spectrum = sorted(draw(st.lists(values, min_size=1, max_size=30)))
+    return spectrum, energy, window
+
+
+@DRAWS
+@given(drawn=spectra_around_a_level())
+# on both edges of the window, equally far on either side, and two values
+# equally far below 1e16 in floats
+@example(drawn=([0.5, 1.0, 1.5], 1.0, 0.5))
+@example(drawn=([-1.0, 1.0], 0.0, 0.5))
+@example(drawn=([-5.0, -4.0], 1e16, 0.5))
+def test_nearest_levels_equal_the_first_minimum_and_the_window_count(drawn):
+    # the bisection and its outward walks against the distances to every
+    # eigenvalue: the first of the least and how many are within the window
+    spectrum, energy, window = drawn
+    with np.errstate(over="ignore"):
+        distances = np.abs(np.array(spectrum) - energy)
+    expected = (spectrum[int(np.argmin(distances))], int(np.sum(distances <= window)))
+    assert repr(nearest_level(spectrum, energy, window)) == repr(expected)
 
 
 # the phase (-i)^{n_b} that takes an amplitude into the basis of the real
@@ -145,9 +206,9 @@ def _phased(state: dict) -> dict:
 
 def _block_cells(j: int) -> list:
     """The (n_a, n_b, spin up) of the rows of J-sector j's block
-    (`model.build_sectors`): spin up, then spin down, each ascending in n_b."""
+    (`sectors.build_sectors`): spin up, then spin down, each ascending in n_b."""
     return [(n_a, n_b, up) for d, up in ((j, True), (j - 1, False))
-            for n_a, n_b in zip(*(x.tolist() for x in model._diagonal_line(d, SPACE.top)))]
+            for n_a, n_b in zip(*(x.tolist() for x in sectors._diagonal_line(d, SPACE.top)))]
 
 
 def _sector_of(amplitudes: dict) -> int:
@@ -301,9 +362,7 @@ def test_shift_reports_converge_in_the_cutoff(abs_lam, ratio, gup_a):
                 assert len(a) == len(b) == len(r.shifts)
                 assert all(math.isclose(x, y, rel_tol=1e-8, abs_tol=0.0)
                            for x, y in zip(a, b)), name
-            elif isinstance(a, np.ndarray):
-                assert dump_matrix(a) == dump_matrix(b), name
-            else:
+            else:  # the matrices too: a complex repr keeps every bit and sign
                 assert repr(a) == repr(b), name
 
 
@@ -378,11 +437,11 @@ def spectra_and_windows(draw):
 @given(drawn=spectra_and_windows())
 def test_cluster_sizes_equal_the_per_cluster_loop(drawn):
     spectrum, window = drawn
-    sizes = spectral_clusters(spectrum, window)
-    assert sizes.sum() == len(spectrum)
+    sizes = spectral_clusters(spectrum.tolist(), window)
+    assert sum(sizes) == len(spectrum)
     with np.errstate(over="ignore"):  # the loop's gaps and means may overflow
         loop = spectral_clusters_loop(spectrum, window)
-    assert sizes.tolist() == [m for _, m in loop]
+    assert sizes == [m for _, m in loop]
 
 
 FORMATS = {"spectrum": ["text", "json"], "correct": ["text", "json"],
