@@ -26,7 +26,6 @@ import functools
 import gc
 import io
 import math
-import numbers
 import sys
 
 from .errors import ComputationError, UsageError
@@ -303,11 +302,11 @@ def _json_emit(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    # numpy registers its integer and floating scalars with these ABCs
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _fmt_float(float(obj))
+    # report values are Python values; numpy's float64 is a float
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ComputationError(f"cannot serialize {type(obj).__name__} to JSON")
@@ -327,8 +326,8 @@ def to_json(report: dict) -> str:
 def _text_value(v, digits: int = 12) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
-        s = _fmt_float(float(v), digits)
+    if isinstance(v, float):
+        s = _fmt_float(v, digits)
         return s if s != "null" else "-"
     if isinstance(v, (list, tuple)):
         return ", ".join(_text_value(x, digits) for x in v)
@@ -398,9 +397,9 @@ def to_csv(report: dict) -> str:
     ]
     writer.writerow(header)
     for point in report["points"]:
-        numbers = [point["B"], point["omega_tilde"], point["ground_shift"],
-                   point["first_shift"], *(point["n2_shifts"] or [None] * 4)]
-        row = ["" if x is None else _fmt_float(x) for x in numbers]
+        values = [point["B"], point["omega_tilde"], point["ground_shift"],
+                  point["first_shift"], *(point["n2_shifts"] or [None] * 4)]
+        row = ["" if x is None else _fmt_float(x) for x in values]
         row.append(_histogram_cell(point["degeneracy_counts_before"]))
         row.append(_histogram_cell(point["degeneracy_counts_after"]))
         row.append(point.get("error", ""))

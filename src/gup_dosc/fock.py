@@ -5,7 +5,8 @@ The planar problem is represented on two chiral boson modes `a` and `b`
 two-component spinor. Mode `a` is the dynamical mode that enters the
 oscillator Hamiltonian; mode `b` carries the level degeneracy. The operator
 conventions are listed in CONVENTIONS.md. This module builds no operators:
-it holds the cutoff, its interior and their costs.
+it holds the cutoff, its interior, whose J-sectors and diagonal lines both
+spectrum routes read (`FockSpace.sectors`, `FockSpace.line`), and their costs.
 
 Truncation note: products of ladder operators corrupt matrix elements near
 the cutoff, so every computation works on the interior
@@ -80,3 +81,13 @@ class FockSpace(_Value):
     def top(self) -> int:
         """T = cutoff - INTERIOR_MARGIN, the largest interior n_a + n_b."""
         return self.cutoff - INTERIOR_MARGIN
+
+    @property
+    def sectors(self) -> range:
+        """The J = n_a - n_b + [spin down] of the interior states, -T .. T + 1."""
+        return range(-self.top, self.top + 2)
+
+    def line(self, d: int) -> range:
+        """The n_b of the interior states with n_a - n_b = d, ascending:
+        n_b >= 0, n_a >= 0 and n_a + n_b <= T; empty beyond the interior."""
+        return range(max(0, -d), (self.top - d) // 2 + 1)

@@ -88,34 +88,27 @@ def sector_terms(
 
 def paired(terms: tuple[float, float, float]) -> bool:
     """Whether the J-sector blocks of a config with these `sector_terms` are a
-    direct sum of 2x2 and 1x1 blocks (`pair_spectrum`): no deformation, and
-    one coupling, as at a = 0 off the critical field."""
+    direct sum of 2x2 and 1x1 blocks (`pair_spectrum`): no deformation and at
+    most one coupling, as at a = 0 off the critical field or at omega = B = 0."""
     k_a, k_b, deform = terms
-    return deform == 0.0 and (k_a == 0.0) != (k_b == 0.0)
-
-
-def _line(d: int, top: int) -> int:
-    """How many interior (n_a, n_b) have n_a - n_b = d: n_a + n_b <= top."""
-    return max(0, (top - d) // 2 - max(0, -d) + 1)
+    return deform == 0.0 and (k_a == 0.0 or k_b == 0.0)
 
 
 def pair_spectrum(
-    space: FockSpace,
-    terms: tuple[float, float, float],
-    js: Iterable[int] | None = None,
+    space: FockSpace, terms: tuple[float, float, float], js: Sequence[int]
 ) -> list[float]:
     """The ascending spectrum, in units of m c^2, of a `paired` config over
-    the J in `js` (every J-sector by default), in closed form.
+    the J-sectors `js` (ascending, distinct, of the interior), in closed form.
 
-    With one coupling and no deformation, K = k_a a† + k_b b couples each
-    spin-down state to at most one spin-up state, and no two to the same
-    one; the pair lies in J-sector n_a - n_b + 1 of its down state. It is
-    the block [[1, kappa], [kappa, -1]], kappa = k sqrt(r) with r = n_a + 1
+    With at most one coupling and no deformation, K = k_a a† + k_b b couples
+    each spin-down state to at most one spin-up state, and no two to the
+    same one; the pair lies in J-sector n_a - n_b + 1 of its down state. It
+    is the block [[1, kappa], [kappa, -1]], kappa = k sqrt(r) with r = n_a + 1
     for a† (down states with n_a + n_b < T) and r = n_b for b (n_b >= 1), the
     same float operations as `sectors.build_sectors`, and its eigenvalues
     are +-hypot(1, kappa), taken as abs(complex(1, kappa)), numpy's hypot
     bit for bit. Every other state is a 1x1 block: a spin-up state at 1 or a
-    spin-down state at -1.
+    spin-down state at -1. With no coupling, kappa = 0 and a pair is +-1.
 
     Each root r = 1 .. T is one run of equal pairs. Its down states have J
     from 2r - T to r (a†) or from 1 - r to T - 2r + 1 (b), one state per J,
@@ -124,9 +117,8 @@ def pair_spectrum(
     """
     top = space.top
     k_a, k_b, _ = terms
-    js = range(-top, top + 2) if js is None else sorted(set(js))
     # J of |n_a, n_b, up> is n_a - n_b, and of down one more
-    ups, downs = (sum(_line(j - s, top) for j in js) for s in (0, 1))
+    ups, downs = (sum(len(space.line(j - s)) for j in js) for s in (0, 1))
     span = (lambda r: (2 * r - top, r)) if k_a else (lambda r: (1 - r, top - 2 * r + 1))
     runs = []
     for r in range(1, top + 1):
@@ -156,17 +148,20 @@ def interior_spectrum(
     floats.
 
     H0 and H' both conserve J, so row k is the sorted union of the J-sector
-    spectra of terms[k], over every J-sector or over those in `js`. Each
+    spectra of terms[k], over every J-sector or over the distinct J of
+    `space.sectors` in `js`, ascending: the one list both routes take. Each
     distinct terms is solved once, and its row shared by every config that
-    has it. `paired` terms, at a = 0 off the critical field, are closed
-    form (`pair_spectrum`), with no eigensolver call and no numpy. All
-    others go through `sectors.build_sectors` in consecutive chunks of
-    `fock.stack_configs`, one pass over the J-sectors each, and each J-stack
-    is solved in one `numerics.eigvalsh` call as it is generated, so one
-    stack of bounded bytes is held at a time.
+    has it. `paired` terms are closed form (`pair_spectrum`), with no
+    eigensolver call and no numpy. All others go through
+    `sectors.build_sectors` in consecutive chunks of `fock.stack_configs`,
+    one pass over the J-sectors each, and each J-stack is solved in one
+    `numerics.eigvalsh` call as it is generated, so one stack of bounded
+    bytes is held at a time.
     """
-    if js is not None:
-        js = list(js)
+    sectors = space.sectors
+    js = sectors if js is None else sorted({j for j in js if j in sectors})
+    if not js:
+        return [[] for _ in terms]
     # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
     distinct = list(dict.fromkeys(terms))
     spectra = {t: pair_spectrum(space, t, js) for t in distinct if paired(t)}

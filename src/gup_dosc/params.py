@@ -159,12 +159,13 @@ class SpinorLevel(_Value):
 
 def _level(p: ModelParams, n: int, branch: str, lam: float) -> tuple[float, float]:
     """(energy, e) of level (n, branch) at the level-spacing parameter lam:
-    e = sqrt(1 + 4 lam n), and the energy ± m c^2 e."""
+    e = sqrt(1 + 4 (lam n)), which keeps n = 0 at 1 where 4 lam overflows,
+    and the energy ± m c^2 e."""
     if n < 0:
         raise UsageError(f"level index must be >= 0, got {n}")
     if branch not in BRANCHES:
         raise UsageError(f"branch must be '+' or '-', got {branch!r}")
-    radicand = 1.0 + 4.0 * lam * n
+    radicand = 1.0 + 4.0 * (lam * n)
     if not math.isfinite(radicand):
         raise UsageError(f"1 + 4 lam n is not finite for level n={n} at lam = {lam!r}")
     if radicand < 0.0:

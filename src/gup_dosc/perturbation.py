@@ -257,16 +257,16 @@ def _sector_slope(p: ModelParams, j: int, w: list[list[float]], energy: float) -
     -h, 2h, -2h with h = ORACLE_STEP: central differences through a = 0 with
     one Richardson step, d(E / m c^2)/d(alpha) / lam."""
     h, level = ORACLE_STEP, energy / p.rest_energy
-    hits = [i for i, x in enumerate(w[0]) if abs(x - level) <= CLUSTER_WINDOW]
+    nearest, hits = nearest_level(w[0], level, CLUSTER_WINDOW)
     near = f"within {CLUSTER_WINDOW:.3e} m c^2 of {level!r} m c^2"
-    if len(hits) == 0:
+    if hits == 0:
         raise ComputationError(f"no eigenvalue of J-sector {j} {near}")
-    if len(hits) > 1:
+    if hits > 1:
         raise UsageError(
-            f"oracle stencil step {h!r}/(m c) cannot tell apart the {len(hits)} "
+            f"oracle stencil step {h!r}/(m c) cannot tell apart the {hits} "
             f"eigenvalues of J-sector {j} {near}"
         )
-    (i,) = hits
+    i = bisect_left(w[0], nearest)  # the one eigenvalue in the window
     # float arithmetic: an overflow is inf and inf - inf nan, with no warning
     d1 = (w[1][i] - w[2][i]) / (2.0 * h)
     d2 = (w[3][i] - w[4][i]) / (4.0 * h)

@@ -15,12 +15,6 @@ import numpy as np
 from .fock import FockSpace
 
 
-def _diagonal_line(d: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_a, n_b) with n_a - n_b = d and n_a + n_b <= top, ascending in n_b."""
-    n_b = np.arange(max(0, -d), (top - d) // 2 + 1)
-    return n_b + d, n_b
-
-
 def _links(n_a: np.ndarray, n_b: np.ndarray, top: int) -> Iterator[tuple]:
     """(link, up n_b, root) of each term of K = k_a a† + k_b b on the spin-down
     states (n_a, n_b), k_a's first: a† takes a down state to up (n_a + 1, n_b)
@@ -37,9 +31,9 @@ def build_sectors(
     js: Iterable[int] | None = None,
 ) -> Iterator[np.ndarray]:
     """The interior blocks of H0 + H', in units of m c^2, for each of
-    `terms`, one stack per J = n_a - n_b + [spin down] in `js` (every
-    J-sector, ascending, by default); row k of every stack is the block of
-    terms[k].
+    `terms`, one stack per J = n_a - n_b + [spin down] in `js`, a list of
+    J-sectors of `space` (`FockSpace.sectors`, all of them by default); row
+    k of every stack is the block of terms[k].
 
     Each of `terms` is the (k_a, k_b, deform) of one config
     (`model.sector_terms`), checked there. Built from closed-form ladder
@@ -62,18 +56,17 @@ def build_sectors(
     operations as building each block alone. D is not added when every
     deform is zero.
     """
-    top = space.top
     # one (row,) column per term
     columns = np.array(terms, dtype=float).reshape(-1, 3).T
-    if js is None:
-        js = range(-top, top + 2)
-    return (_sector(j, top, *columns) for j in js)
+    return (_sector(space, j, *columns) for j in (space.sectors if js is None else js))
 
 
-def _sector(j: int, top: int, k_a: np.ndarray, k_b: np.ndarray,
+def _sector(space: FockSpace, j: int, k_a: np.ndarray, k_b: np.ndarray,
             deform: np.ndarray) -> np.ndarray:
-    up_a, up_b = _diagonal_line(j, top)
-    dn_a, dn_b = _diagonal_line(j - 1, top)
+    # up states on line n_a - n_b = j, down ones on j - 1; arange keeps int dtype
+    up_line = space.line(j)
+    up_b, dn_b = (np.arange(r.start, r.stop) for r in (up_line, space.line(j - 1)))
+    up_a, dn_a = up_b + j, dn_b + (j - 1)
     u, v = len(up_b), len(dn_b)
     n = u + v
     stack = np.zeros((len(k_a), n, n))
@@ -81,12 +74,11 @@ def _sector(j: int, top: int, k_a: np.ndarray, k_b: np.ndarray,
     flat = stack.reshape(len(k_a), n * n)
     flat[:, : u * (n + 1) : n + 1] = 1.0
     flat[:, u * (n + 1) :: n + 1] = -1.0
-    # up positions are n_b - up_b[0]; down state q sits at u + q
-    first_b = max(0, -j)
-    for (link, to_b, root), k in zip(_links(dn_a, dn_b, top), (k_a, k_b)):
+    # up positions are n_b - up_line.start; down state q sits at u + q
+    for (link, to_b, root), k in zip(_links(dn_a, dn_b, space.top), (k_a, k_b)):
         if k.any():
             q = np.nonzero(link)[0]
-            up = to_b[q] - first_b
+            up = to_b[q] - up_line.start
             coeff = k[:, np.newaxis] * root[q]
             flat[:, up * n + u + q] = coeff
             flat[:, (u + q) * n + up] = coeff

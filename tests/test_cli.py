@@ -758,14 +758,16 @@ def test_only_the_cli_freezes_the_import_heap():
 
 # modules the parse path must not load: numpy, and the standard-library modules
 # that the value types, the emitters and validate's reference used to pull in
-LEAN = ("numpy", "inspect", "dataclasses", "json", "csv", "typing", "fractions", "decimal")
+LEAN = ("numpy", "inspect", "dataclasses", "json", "csv", "typing", "fractions", "decimal",
+        "numbers")
 
 
 def test_the_parse_path_loads_no_numpy():
     # the CLI import and parse_config on every perfbench workload's argv and
     # each numpy-free row of tests/commands.txt load none of LEAN; running the
     # rows loads no numpy, and only decimal besides, which formats the message
-    # of a cutoff above the limit (`FockSpace`); each row passes its checks.
+    # of a cutoff above the limit (`FockSpace`), and numbers, which decimal
+    # loads, in the same row; each row passes its checks.
     # The child runs without site, where no .pth file preloads typing, and
     # reads its argv lists as tab-separated lines, not JSON
     rows = [row for row in corpus.rows() if "numpy-free" in row.tags]
@@ -804,8 +806,7 @@ def test_the_parse_path_loads_no_numpy():
         "for argv in rows:\n"
         "    quiet(cli.parse_config, argv)\n"
         "found.append(loaded())\n"
-        "exits = [quiet(cli.main, argv) for argv in rows]\n"
-        "found.append(loaded())\n"
+        "exits = [[*quiet(cli.main, argv), loaded()] for argv in rows]\n"
         "import json\n"
         "print(json.dumps([found, exits]))\n"
     )
@@ -815,10 +816,15 @@ def test_the_parse_path_loads_no_numpy():
         [sys.executable, "-S", "-c", code, str(len(workloads))],
         input="\n".join("\t".join(argv) for argv in argvs),
         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
-    (imported, parsed, ran), exits = json.loads(out)
-    assert imported == parsed == [] and set(ran) <= {"decimal"}
-    for row, run in zip(rows, exits, strict=True):
+    (imported, parsed), exits = json.loads(out)
+    assert imported == parsed == []
+    seen = set()
+    for row, (*run, ran) in zip(rows, exits, strict=True):
         corpus.check(row, *run)
+        new = set(ran) - seen
+        assert new <= {"decimal", "numbers"}, row.id
+        assert "numbers" not in new or "decimal" in new, row.id
+        seen = set(ran)
 
 
 def test_validate_loads_no_fractions_decimal_or_dataclasses():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import UsageError
+from gup_dosc.fock import FockSpace
 from gup_dosc.numerics import eigvalsh, norm_max
 from reference import (
     OscParams,
@@ -198,3 +199,16 @@ def test_spinful_operators_act_identically_on_both_components():
     half = space.spinless_dim
     assert np.array_equal(a[:half, :half], a[half:, half:])
     assert norm_max(a[:half, half:]) == 0.0
+
+
+def test_sectors_and_lines_are_the_interior_states():
+    # FockSpace.sectors and FockSpace.line against every (n_a, n_b) with
+    # n_a + n_b <= T, and lines beyond the interior empty
+    for cutoff in range(2, 41):
+        space = FockSpace(cutoff)
+        top = space.top
+        states = [(n_a, n_b) for n_a in range(top + 1) for n_b in range(top + 1 - n_a)]
+        assert list(space.sectors) == sorted({n_a - n_b + down for n_a, n_b in states
+                                              for down in (0, 1)})
+        for d in range(-top - 3, top + 4):
+            assert list(space.line(d)) == [n_b for n_a, n_b in states if n_a - n_b == d]

@@ -16,7 +16,7 @@ from gup_dosc.fock import (
 )
 from gup_dosc.model import sector_terms
 from gup_dosc.numerics import eigvalsh, norm_max
-from gup_dosc.params import ModelParams, landau_level, spinor_level
+from gup_dosc.params import ModelParams, abs_level, landau_level, spinor_level
 from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
@@ -86,6 +86,20 @@ def test_landau_level_branch_collapse():
     p = ModelParams(omega=1.0, b_field=10.0)  # wt = -4
     with pytest.raises(ComputationError, match="branch collapse"):
         landau_level(p, 1, "+")
+
+
+@pytest.mark.parametrize("p, rest", [
+    (ModelParams(omega=5e307), "+"),  # lam = 5e307
+    (ModelParams(omega=1.0, b_field=1e308), "-"),  # lam = -5e307, beyond B_c
+], ids=["near-side", "far-side"])
+def test_the_rest_level_stays_finite_where_4_lam_overflows(p, rest):
+    # the radicand is 1 + 4 (lam n): at n = 0 it is 1 whatever lam, and at
+    # n = 1 it overflows with 4 lam
+    assert abs(p.lam) == 5e307 and math.isinf(4.0 * p.lam)
+    level = abs_level(p, 0, rest)
+    assert level.energy == (1.0 if rest == "+" else -1.0) * p.rest_energy
+    with pytest.raises(UsageError, match=re.escape("1 + 4 lam n is not finite for level n=1")):
+        abs_level(p, 1, rest)
 
 
 def test_spinor_level_ground():

@@ -832,12 +832,27 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
                           interior_spectrum(space, [sector_terms(space, mirror, 0.0)]))
 
 
+@pytest.mark.parametrize("p", [ModelParams(omega=0.0)], ids=["no-coupling"])
+def test_uncoupled_configs_take_the_closed_form(p, monkeypatch):
+    # omega = 0 at B = 0, the critical field, couples nothing and H' vanishes
+    # there: every block is diagonal +-1, and the closed form is the dense
+    # blocks' spectrum bit for bit, with no eigensolver call
+    space = FockSpace(cutoff=12)
+    terms = sector_terms(space, p, 1e-4)
+    assert terms == (0.0, 0.0, 0.0) and paired(terms)
+    calls = _count_eigvalsh(monkeypatch)
+    (row,) = np.array(interior_spectrum(space, [terms]))
+    assert calls == []
+    (dense,) = _dense_rows(space, [terms])
+    assert row.shape == dense.shape
+    assert np.array_equal(row.view(np.int64), dense.view(np.int64))
+
+
 @pytest.mark.parametrize("p, a", [
     (ModelParams(omega=1.0, b_field=2.0), 0.0),  # wt = 0: both couplings
-    (ModelParams(omega=0.0), 0.0),  # no coupling at all
     (ModelParams(omega=1.0, b_field=1.0), 1e-4),
     (ModelParams(omega=1.0, b_field=3.0), -1e-4),
-], ids=["critical-field", "no-coupling", "wt-positive-deformed", "wt-negative-deformed"])
+], ids=["critical-field", "wt-positive-deformed", "wt-negative-deformed"])
 def test_unpaired_configs_take_the_dense_blocks(p, a, monkeypatch):
     space = FockSpace(cutoff=12)
     terms = sector_terms(space, p, a)

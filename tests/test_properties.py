@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gup_dosc import model, sectors
 from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
@@ -35,7 +34,14 @@ from gup_dosc.perturbation import (
     validation_report,
 )
 from gup_dosc.sectors import build_sectors
-from reference import pair_spectrum_grid, spectral_clusters_loop
+from reference import (
+    Space,
+    build_h0,
+    build_h_prime,
+    pair_spectrum_grid,
+    sector_block,
+    spectral_clusters_loop,
+)
 
 SPACE = FockSpace(cutoff=12)
 FLOAT_MAX = np.finfo(float).max
@@ -135,7 +141,8 @@ def test_pair_spectra_are_symmetric_under_negation(p):
 def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
     # the runs of `pair_spectrum`, one per coupling root with its J-sectors
     # counted in closed form, against numpy over the whole (n_a, n_b) grid:
-    # every J-sector and subsets, with J beyond the interior and repeats
+    # every J-sector and subsets, with J beyond the interior and repeats,
+    # which the route table (`interior_spectrum`) reduces
     space = FockSpace(cutoff)
     top = space.top
     base = ModelParams(omega=data.draw(scales), mass=data.draw(scales),
@@ -145,11 +152,55 @@ def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
     subset = data.draw(st.lists(st.integers(-top - 2, top + 3), max_size=6)
                        | st.sampled_from([[-top], [top + 1], [0, 1]]))
     for js in (None, subset):
-        row = np.array(model.pair_spectrum(space, terms, js))
+        (row,) = np.array(interior_spectrum(space, [terms], js))
         grid = pair_spectrum_grid(space, terms, js)
         # bit for bit: equal as 64-bit integers
         assert row.shape == grid.shape and np.array_equal(row.view(np.int64),
                                                           grid.view(np.int64)), js
+
+
+@st.composite
+def route_configs(draw):
+    """(cutoff, params) of either route: model_params off the critical field
+    (closed form at a = 0, dense blocks at a != 0), the critical field and
+    the uncoupled omega = 0 (dense, and closed form)."""
+    p = draw(model_params())
+    p = draw(st.sampled_from([p, p.with_field(critical_field(p)),
+                              p.replace(omega=0.0, b_field=0.0)]))
+    return draw(st.sampled_from([2, 3, 6])), p
+
+
+def _reference_row(cutoff: int, p: ModelParams, strength: float, js) -> np.ndarray:
+    """The ascending spectrum, in units of m c^2, of the J-sectors `js` of the
+    dense reference H0 + H' (tests/reference.py) at deformation `strength`."""
+    space = Space(cutoff=cutoff, include_spin=True)
+    h = (build_h0(space, p) + build_h_prime(space, p, strength=strength)) / p.rest_energy
+    blocks = [sector_block(space, h, j) for j in js]
+    return np.sort(np.concatenate([[], *(np.linalg.eigvalsh(b) for b in blocks)]))
+
+
+@DRAWS
+@given(config=route_configs(), strengths=st.lists(st.sampled_from([0.0, 1e-3, -2e-3]),
+                                                  min_size=1, max_size=3),
+       js=st.none() | st.lists(st.integers(-8, 9), max_size=8))
+@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3], js=[0, 0])
+@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3], js=[9])
+@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3], js=[])
+def test_both_routes_solve_the_reduced_j_list(config, strengths, js):
+    # configs on both routes in one call, J lists unsorted, repeated, beyond
+    # the interior or empty: each row is the dense reference over the
+    # distinct J of the interior in the list
+    cutoff, p = config
+    space = FockSpace(cutoff)
+    terms = [sector_terms(space, p, a * p.mass * p.light_speed) for a in strengths]
+    reduced = space.sectors if js is None else sorted(set(js) & set(space.sectors))
+    rows = interior_spectrum(space, terms, js)
+    assert len(rows) == len(terms)
+    for row, a in zip(rows, strengths):
+        reference = _reference_row(cutoff, p, a, reduced)
+        assert len(row) == len(reference) and row == sorted(row)
+        scale = np.max(np.abs(reference), initial=1.0)
+        assert np.max(np.abs(np.array(row) - reference), initial=0.0) <= 1e-12 * scale
 
 
 @st.composite
@@ -207,8 +258,8 @@ def _phased(state: dict) -> dict:
 def _block_cells(j: int) -> list:
     """The (n_a, n_b, spin up) of the rows of J-sector j's block
     (`sectors.build_sectors`): spin up, then spin down, each ascending in n_b."""
-    return [(n_a, n_b, up) for d, up in ((j, True), (j - 1, False))
-            for n_a, n_b in zip(*(x.tolist() for x in sectors._diagonal_line(d, SPACE.top)))]
+    return [(n_b + d, n_b, up) for d, up in ((j, True), (j - 1, False))
+            for n_b in SPACE.line(d)]
 
 
 def _sector_of(amplitudes: dict) -> int:
