@@ -27,13 +27,14 @@ INTERIOR_MARGIN = 2
 # the limit), plus spectra of 8 MB each. Eigensolver work of a dense spectrum
 # (a != 0, or the critical field) grows as cutoff^4: 5e11 dim^3 at the limit.
 # An a = 0 spectrum off the critical field is closed form, cutoff^2 work. The
-# oracle solves only the J-sectors of its states, cutoff^3 each.
+# oracle solves only the J-sectors of its states, as bands: dim x counts per
+# eigenvalue, dim <= cutoff - 1, a few band passes where the Rayleigh-quotient
+# step is confirmed and about 40 counts where it falls back to bisection.
 MAX_CUTOFF = 1000
 # Bytes of the largest block of one J-sector stack, summed over its configs:
 # configs beyond it go in further passes over the J-sectors (`stack_configs`).
-# 2 MiB keeps the oracle stencil's four a != 0 strengths one pass up to cutoff
-# 257; a scan pass with the eigensolver's copies of its stack and its spectra
-# then adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
+# A scan pass with the eigensolver's copies of its stack and its spectra then
+# adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
 STACK_BYTES = 2 * 2 ** 20
 
 

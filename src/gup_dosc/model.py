@@ -20,22 +20,24 @@ Below `ModelParams` everything is in units of m c^2: off the critical field
 the blocks depend only on lam = hbar wt / (m c^2) and alpha = a m c, and
 energies are formed only where a result is reported.
 
-This module loads no numpy: a config's block terms and a closed-form
-(`paired`) spectrum are pure Python, and only the dense branch of
-`interior_spectrum` imports the block builder (`sectors`) and the
-eigensolver (`numerics`), numpy with them.
+This module loads no numpy: a config's block terms, a closed-form
+(`paired`) spectrum and the J-band kernel (`SectorBand`, `band_levels`),
+which gives the oracle its eigenvalues one at a time, are pure Python, and
+only the dense branch of `interior_spectrum` imports the block builder
+(`sectors`) and the eigensolver (`numerics`), numpy with them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 
-from .errors import UsageError
+from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
 # perfbench/verify.py reads the closed-form levels from here too
-from .params import ModelParams, landau_level, spinor_level
+from .params import DEFAULT_EIGH_TOL, ModelParams, landau_level, spinor_level
 
 
 def _couplings(p: ModelParams) -> tuple[float, float]:
@@ -137,6 +139,252 @@ def pair_spectrum(
     return spectrum
 
 
+EPS = sys.float_info.epsilon
+# A zero pivot is taken as -PIVMIN times the square of the largest
+# off-diagonal entry (at least 1), as LAPACK's dstebz takes it; FUDGE widens
+# a bracket for the roundoff of the counts, also as dstebz does.
+PIVMIN = sys.float_info.min
+FUDGE = 2.1
+# Inverse-iteration steps, with Rayleigh-quotient shifts from the a = 0
+# eigenvector or at a bisected eigenvalue, within which a residual must hold.
+STEPS = 3
+
+
+def _scales(band: tuple[list, list, list]) -> tuple[float, float, float]:
+    """(||A||_max, a Gershgorin bound of ||A||_2 (the largest diagonal entry
+    plus twice each largest off-diagonal one), the pivot floor of `_count`)
+    of a band."""
+    diag, off1, off2 = (max(map(abs, entries)) for entries in band)
+    off = max(1.0, off1, off2)
+    return max(diag, off1, off2), diag + 2.0 * (off1 + off2), off * PIVMIN * off
+
+
+def _count(band: tuple[list, list, list], sigma: float, pivmin: float) -> int:
+    """How many eigenvalues of a band lie below sigma: the negative pivots
+    of the LDL^T factors of A - sigma I, without pivoting (Sylvester's law
+    of inertia), a pivot within pivmin of zero taken as -pivmin.
+
+    `band` is (diagonal, entries (i, i - 1), entries (i, i - 2)), each
+    list as long as the diagonal, its first entries zero. Row i of the
+    factors needs only rows i - 1 and i - 2: L[i, i-1] d[i-1] = w and
+    L[i, i-2] d[i-2] = c, so each count is O(dim), with no division by zero.
+    """
+    below, d1, d2, l1 = 0, 1.0, 1.0, 0.0
+    for a, b, c in zip(*band):
+        w = b - c * l1  # l1 of row i - 1 here, L[i - 1, i - 2]
+        l1 = w / d1
+        d = a - sigma - w * l1 - c * (c / d2)
+        if abs(d) <= pivmin:
+            d = -pivmin
+        if d < 0.0:
+            below += 1
+        d1, d2 = d, d1
+    return below
+
+
+def _inverse_step(band: tuple[list, list, list], sigma: float, pivmin: float,
+                  v: list[float]) -> list[float] | None:
+    """(A - sigma I)^-1 v through the LDL^T factors of `_count`, scaled so
+    its largest entry is 1 in magnitude; None where that is not finite."""
+    diag, off1, off2 = band
+    n = len(diag)
+    # L[i, i-1] and L[i, i-2], two zeros beyond the last row
+    l1s, l2s, y = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * n
+    d1 = d2 = 1.0
+    l1 = z1 = z2 = 0.0
+    for i in range(n):  # factor, and solve L z = v as each row is factored
+        c = off2[i]
+        w = off1[i] - c * l1
+        l2, l1 = c / d2, w / d1
+        d = diag[i] - sigma - w * l1 - c * l2
+        if abs(d) <= pivmin:
+            d = -pivmin
+        z1, z2 = v[i] - l1 * z1 - l2 * z2, z1
+        l1s[i], l2s[i], y[i] = l1, l2, z1 / d
+        d1, d2 = d, d1
+    x1 = x2 = 0.0
+    for i in range(n - 1, -1, -1):  # L^T x = D^-1 z
+        x1, x2 = y[i] - l1s[i + 1] * x1 - l2s[i + 2] * x2, x1
+        y[i] = x1
+    top = max(map(abs, y))
+    if not 0.0 < top < math.inf:
+        return None
+    return [x / top for x in y]
+
+
+def _residual(band: tuple[list, list, list], v: list[float],
+              theta: float | None = None) -> tuple[float, float]:
+    """(theta, ||(A - theta I) v|| / ||v||) of a vector whose largest entry
+    is 1 in magnitude, theta its Rayleigh quotient unless given, a ratio of
+    exactly rounded sums (`math.fsum`): the same bits on every platform."""
+    diag, off1, off2 = band
+    pad = [0.0, 0.0]
+    w = [*pad, *v, *pad]
+    # row i: a v_i + b_i v_(i-1) + b_(i+1) v_(i+1) + c_i v_(i-2) + c_(i+2) v_(i+2)
+    av = [a * x + b * xb + bn * xn + c * xc + cn * xcn for a, x, b, xb, bn, xn, c, xc, cn, xcn
+          in zip(diag, v, off1, w[1:], [*off1[1:], 0.0], w[3:], off2, w,
+                 [*off2[2:], *pad], w[4:])]
+    norm = math.fsum(x * x for x in v)
+    if theta is None:
+        theta = math.fsum(x * y for x, y in zip(v, av)) / norm
+    return theta, math.hypot(*(y - theta * x for x, y in zip(v, av))) / math.sqrt(norm)
+
+
+class SectorBand:
+    """The block of J-sector j for one config's couplings (k_a, k_b), its
+    states ordered by N = n_a + n_b: a band of bandwidth 2, with the
+    deformation pattern built once and scaled for each strength.
+
+    The up states of the line n_a - n_b = j have N = 2 n_b + j and the down
+    states of line j - 1 have N = 2 n_b + j - 1, so every N from the
+    lowest to T holds one state and up and down alternate. A coupling joins
+    a down state to the up state one quantum away: a† (k_a, root
+    sqrt(n_a + 1)) to N + 1 and b (k_b, root sqrt(n_b)) to N - 1, so it lies
+    beside the diagonal. The pair term of the deformation joins (n_a, n_b)
+    to (n_a + 1, n_b + 1) on one spin, two rows away. The entries are
+    `sectors.build_sectors`' floats, computed by the same operations:
+
+      diagonal   ± 1 + deform (N + 1)                 `sign`, `pattern`
+      (i, i-1)   k_a sqrt(n_a + 1) or k_b sqrt(n_b)   `coupling`
+      (i, i-2)   deform sqrt((n_a + 1) (n_b + 1))     `pair`
+
+    `cells` lists the (n_a, n_b, spin up) of the rows, `norm` is a
+    Gershgorin bound of the pattern, so by Weyl's inequality eigenvalue k
+    at deform lies within |deform| `norm` of eigenvalue k at deform = 0.
+    With at most one coupling the a = 0 block is a direct sum of 2x2 pairs
+    and 1x1 singles: `levels` holds its eigenpairs, ascending, their
+    eigenvalues those of `pair_spectrum` over [j] bit for bit, each vector
+    as (first row, its one or two nonzero entries); with both couplings (the
+    critical field) it is empty.
+    """
+
+    def __init__(self, space: FockSpace, couplings: tuple[float, float], j: int):
+        k_a, k_b = couplings
+        self.j = j
+        cells = sorted((2 * n_b + d, n_b + d, n_b, d == j)
+                       for d in (j, j - 1) for n_b in space.line(d))
+        self.cells = [cell[1:] for cell in cells]
+        self.sign = [1.0 if up else -1.0 for _, _, up in self.cells]
+        self.pattern = [n + 1 for n, *_ in cells]
+        n = len(cells)
+        # the lower state's roots: a† from a down state, b to an up one
+        self.coupling = [0.0, *(
+            k_a * math.sqrt(m_a + 1.0) if up else k_b * math.sqrt(n_b)
+            for (m_a, _, _), (_, n_b, up) in zip(self.cells, self.cells[1:]))]
+        self.pair = [0.0, 0.0, *(math.sqrt((m_a + 1.0) * (m_b + 1.0))
+                                 for m_a, m_b, _ in self.cells[:-2])][:n]
+        self.norm = max(q + r + s for q, r, s in
+                        zip(self.pattern, self.pair, [*self.pair[2:], 0.0, 0.0]))
+        self.levels = [] if k_a and k_b else self._pair_levels()
+
+    def _pair_levels(self) -> list[tuple[float, int, tuple[float, ...]]]:
+        """The eigenpairs of the a = 0 block, ascending: +-hypot(1, kappa)
+        for each coupled pair, as `pair_spectrum` forms it, and the sign of
+        every other state, each vector's largest entry 1 in magnitude."""
+        levels, single = [], [True] * len(self.sign)
+        for i, kappa in enumerate(self.coupling):
+            if kappa:
+                single[i - 1] = single[i] = False
+                level, (s, t) = abs(complex(1.0, kappa)), self.sign[i - 1:i + 1]
+                for e in (-level, level):
+                    # the larger of the two forms of the pair's eigenvector
+                    x, y = (e - t, kappa) if e * s > 0.0 else (kappa, e - s)
+                    top = max(abs(x), abs(y))
+                    levels.append((e, i - 1, (x / top, y / top)))
+        levels += [(s, i, (1.0,)) for i, s in enumerate(self.sign) if single[i]]
+        levels.sort(key=lambda level: level[0])
+        return levels
+
+    def entries(self, deform: float) -> tuple[list, list, list]:
+        """(diagonal, entries (i, i - 1), entries (i, i - 2)) at deform."""
+        return ([s + deform * q for s, q in zip(self.sign, self.pattern)], self.coupling,
+                [deform * r for r in self.pair])
+
+    def eigenvalue(self, deform: float, k: int) -> float:
+        """Eigenvalue k (from 0, ascending) of the block at deform, in units
+        of m c^2, certified or ComputationError.
+
+        Rayleigh-quotient iteration from the a = 0 eigenvector k, where
+        there is one, gives a candidate theta, which stands if its residual
+        is within DEFAULT_EIGH_TOL max(1, ||A||_max dim), `numerics.eigh`'s
+        bound, and two counts confirm its index: exactly k eigenvalues below
+        theta - delta and k + 1 below theta + delta, delta its residual plus
+        the counts' roundoff. Otherwise eigenvalue k is bisected on the count
+        to adjacent floats, inside the Weyl bracket around a = 0 eigenvalue k
+        (or, with no a = 0 levels, the Gershgorin one), where exactly k
+        eigenvalues must lie below its lower end and k + 1 below its upper
+        end; inverse iteration at the result must then meet the same
+        residual bound within STEPS steps.
+        """
+        band = self.entries(deform)
+        n = len(band[0])
+        largest, reach, pivmin = _scales(band)
+        if not math.isfinite(4.0 * n * reach):
+            raise ComputationError(f"J-sector {self.j}: band entries of {largest!r} m c^2 "
+                                   "leave no headroom in the float range")
+        slack = FUDGE * (n * EPS * reach + 2.0 * pivmin)
+        bound = DEFAULT_EIGH_TOL * max(1.0, largest * n)
+        # a solve takes a pivot within roundoff of zero as that roundoff
+        floor = n * EPS * reach
+        if self.levels:
+            level, first, entries = self.levels[k]
+            v = [0.0] * n
+            v[first:first + len(entries)] = entries
+            theta, residual = _residual(band, v)
+            for _ in range(STEPS):
+                step = _inverse_step(band, theta, floor, v)
+                if step is None:
+                    break
+                v = step
+                theta, residual = _residual(band, v)
+                if residual <= floor:
+                    break
+            delta = residual + slack
+            if (residual <= bound and _count(band, theta - delta, pivmin) == k
+                    and _count(band, theta + delta, pivmin) == k + 1):
+                return theta
+            radius = abs(deform) * self.norm + slack
+        else:  # the Gershgorin bracket
+            level, radius = 0.0, reach + slack
+        lo, hi = level - radius, level + radius
+        below, above = _count(band, lo, pivmin), _count(band, hi, pivmin)
+        if below <= k < above:
+            while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+                count = _count(band, mid, pivmin)
+                if count <= k:
+                    lo, below = mid, count
+                else:
+                    hi, above = mid, count
+        if (below, above) != (k, k + 1):
+            raise ComputationError(
+                f"J-sector {self.j}: {below} and {above} eigenvalues below the ends of "
+                f"the bracket [{lo!r}, {hi!r}] of eigenvalue {k}, not {k} and {k + 1}")
+        # from a start with no symmetry of the band: eigenvalue k need not
+        # continue the a = 0 one, whose vector may be orthogonal to it
+        theta, residual = lo + 0.5 * (hi - lo), math.inf
+        v = [1.0 / (1 + i) for i in range(n)]
+        for _ in range(STEPS):
+            v = _inverse_step(band, theta, floor, v)
+            if v is None:
+                break
+            residual = _residual(band, v, theta)[1]
+            if residual <= bound:
+                return theta
+        raise ComputationError(f"J-sector {self.j}: band inverse-iteration residual "
+                               f"{residual:.3e} exceeds bound {bound:.3e}")
+
+
+def band_levels(space: FockSpace, couplings: tuple[float, float],
+                deforms: Sequence[float], j: int, ks: Sequence[int]) -> list[list[float]]:
+    """Eigenvalues ks (from 0, ascending) of J-sector j's block at each of
+    `deforms`, for one config's couplings: row r holds eigenvalue ks[r] at
+    each deform, in units of m c^2, each certified by
+    `SectorBand.eigenvalue`. The band and its deformation pattern are built
+    once, in pure Python."""
+    band = SectorBand(space, couplings, j)
+    return [[band.eigenvalue(deform, k) for deform in deforms] for k in ks]
+
+
 def interior_spectrum(
     space: FockSpace,
     terms: Sequence[tuple[float, float, float]],
@@ -144,7 +392,8 @@ def interior_spectrum(
 ) -> list[list[float]]:
     """Ascending eigenvalues, in units of m c^2, of the interior-projected
     full Hamiltonian for each of `terms`, the `sector_terms` of one config
-    each: the one solver entry, and its route table. Each row is a list of
+    each: the one entry of whole spectra, and its route table (the oracle's
+    single eigenvalues come from `band_levels`). Each row is a list of
     floats.
 
     H0 and H' both conserve J, so row k is the sorted union of the J-sector

@@ -6,8 +6,12 @@ Every matrix this module takes is made a square ``numpy`` array:
 enforces the residual, orthonormality and spectral-moment contracts the
 physics modules rely on, and fixes the phase of every eigenvector so that
 reports are reproducible. Only the dense branch of
-`model.interior_spectrum` and `perturbation.shifts_of_matrix` import this
-module, when they run, so numpy loads with a run's first eigensolve.
+`model.interior_spectrum` (a scan's a != 0 configs and the coupled critical
+field) and `perturbation.shifts_of_matrix` (validate's stored block) import
+this module, when they run, so numpy loads with a run's first eigensolve.
+The oracle's J-sector eigenvalues never come here: `model.SectorBand`
+certifies them in pure Python against the same residual bound,
+`DEFAULT_EIGH_TOL`, which `params` holds so that neither needs the other.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComputationError, UsageError
-
-# Bound on max_k ||A v_k - w_k v_k||_2 relative to max(1, ||A||_max * dim).
-DEFAULT_EIGH_TOL = 1e-10
+# the residual bound, max_k ||A v_k - w_k v_k||_2 relative to max(1,
+# ||A||_max * dim), which the numpy-free J-band kernel shares
+from .params import DEFAULT_EIGH_TOL
 
 
 def as_matrix(a, stack: bool = False) -> np.ndarray:

@@ -5,7 +5,11 @@ independent path: first-order shifts come from matrix elements of the
 perturbation over explicitly constructed eigenstates, while the oracle
 (`oracle_check`) differentiates the exact eigenvalue of each state's own
 J-sector with respect to the deformation parameter (Richardson-extrapolated
-central differences through a = 0).
+central differences through a = 0). The oracle picks that eigenvalue's index
+in the sector's closed-form a = 0 spectrum and takes it at the other
+strengths from the sector's band (`model.band_levels`): inertia counts,
+bisection and inverse iteration in Python floats, the same bits on every
+CPU and BLAS kernel.
 
 Shift bookkeeping: `shifts` are dimensionless multiples of the natural
 correction scale a c m hbar wt (`SHIFT_UNITS`); `shifts_energy` are the same
@@ -15,9 +19,10 @@ two boson modes, and the branch carrying the undisplaced rest-energy level
 flips from + to -; reports flag this.
 
 This module loads no numpy: the shift reports, their at most 4x4 matrices
-held as tuples of rows, the level rows and the scan's histograms are pure
-Python, and numpy loads with the first eigensolve, in `interior_spectrum`'s
-dense branch or in `shifts_of_matrix`.
+held as tuples of rows, the level rows, the oracle and the scan's
+histograms are pure Python, and numpy loads with the first eigensolve, in
+`interior_spectrum`'s dense branch (a scan's a != 0 configs, the coupled
+critical field) or in `shifts_of_matrix` (validate's stored block).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
-from .model import interior_spectrum, sector_terms
+from .model import band_levels, interior_spectrum, pair_spectrum, sector_terms
 from .params import (
     BRANCHES,
     CLUSTER_WINDOW,
@@ -251,13 +256,11 @@ def level_rows(
     return rows
 
 
-def _sector_slope(p: ModelParams, j: int, w: list[list[float]], energy: float) -> float:
-    """d(E)/d(a) of the one eigenvalue of J-sector j near `energy`, in shift
-    units, from the sector's spectra `w`, in units of m c^2, at alpha = 0, h,
-    -h, 2h, -2h with h = ORACLE_STEP: central differences through a = 0 with
-    one Richardson step, d(E / m c^2)/d(alpha) / lam."""
+def _level_index(p: ModelParams, j: int, row: list[float], energy: float) -> int:
+    """The index in J-sector j's ascending a = 0 spectrum `row`, in units of
+    m c^2, of its one eigenvalue within CLUSTER_WINDOW of `energy`."""
     h, level = ORACLE_STEP, energy / p.rest_energy
-    nearest, hits = nearest_level(w[0], level, CLUSTER_WINDOW)
+    nearest, hits = nearest_level(row, level, CLUSTER_WINDOW)
     near = f"within {CLUSTER_WINDOW:.3e} m c^2 of {level!r} m c^2"
     if hits == 0:
         raise ComputationError(f"no eigenvalue of J-sector {j} {near}")
@@ -266,15 +269,24 @@ def _sector_slope(p: ModelParams, j: int, w: list[list[float]], energy: float) -
             f"oracle stencil step {h!r}/(m c) cannot tell apart the {hits} "
             f"eigenvalues of J-sector {j} {near}"
         )
-    i = bisect_left(w[0], nearest)  # the one eigenvalue in the window
+    return bisect_left(row, nearest)  # the one eigenvalue in the window
+
+
+def _slope(p: ModelParams, w: list[float], energy: float) -> float:
+    """d(E)/d(a) of one eigenvalue in shift units, from its values `w`, in
+    units of m c^2, at alpha = h, -h, 2h, -2h with h = ORACLE_STEP: central
+    differences through a = 0 with one Richardson step, d(E / m c^2)/d(alpha)
+    / lam."""
+    h = ORACLE_STEP
     # float arithmetic: an overflow is inf and inf - inf nan, with no warning
-    d1 = (w[1][i] - w[2][i]) / (2.0 * h)
-    d2 = (w[3][i] - w[4][i]) / (4.0 * h)
+    d1 = (w[0] - w[1]) / (2.0 * h)
+    d2 = (w[2] - w[3]) / (4.0 * h)
     slope = (4.0 * d1 - d2) / 3.0
     if not math.isfinite(slope):
         raise UsageError(
             f"oracle stencil step {h!r}/(m c) is below the resolution of the "
-            f"spectrum at {level!r} m c^2: its finite differences are not finite"
+            f"spectrum at {energy / p.rest_energy!r} m c^2: its finite differences "
+            "are not finite"
         )
     return slope / p.lam
 
@@ -294,23 +306,37 @@ def oracle_check(
     `reports` are all the built shift reports of one command. The slope of
     shift i is that of the one eigenvalue of its state's J-sector,
     `sectors[i]`, within CLUSTER_WINDOW m c^2 of the unperturbed energy.
-    Every J-sector the reports name is solved once, at the five stencil
-    strengths reduced to their block terms once, before any slope is taken;
-    nothing is kept after the call. A report that names no sector, as every
-    report at the critical field, comes back unchanged. Raises
-    ComputationError when such a block holds no eigenvalue there, and
-    UsageError when it holds several, which the stencil step cannot tell
-    apart, or when the finite differences are not finite.
+    The five stencil strengths are reduced to their block terms once. The
+    a = 0 one is closed form (`model.pair_spectrum` over the J-sector), and
+    it gives each shift the index of its eigenvalue, for every report before
+    anything is solved: ComputationError when no eigenvalue lies in the
+    window, and UsageError when several do, which the stencil step cannot
+    tell apart. Then each J-sector the reports name is solved once, in pure
+    Python, for the eigenvalues of those indices at the four a != 0
+    strengths (`model.band_levels`, which raises ComputationError unless
+    each is certified), and nothing is kept after the call; UsageError when
+    a slope's finite differences are not finite. A report that names no
+    sector, as every report at the critical field, comes back unchanged.
     """
+    picks, stencils = [[] for _ in reports], {}
     js = dict.fromkeys(j for report in reports for j in report.sectors)
     if js:
-        strengths = [sector_terms(space, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
-        stencils = {j: interior_spectrum(space, strengths, [j]) for j in js}
+        zero, *strengths = (sector_terms(space, p, k * ORACLE_STEP)
+                            for k in (0, 1, -1, 2, -2))
+        rows = {j: pair_spectrum(space, zero, [j]) for j in js}
+        # (J-sector, index) of each shift's eigenvalue
+        picks = [[(j, _level_index(p, j, rows[j], report.unperturbed_energy))
+                  for j in report.sectors] for report in reports]
+        wanted = dict.fromkeys(jk for pick in picks for jk in pick)
+        deforms = [deform for *_, deform in strengths]
+        for j in js:
+            ks = [k for jj, k in wanted if jj == j]
+            stencils.update(zip([(j, k) for k in ks],
+                                band_levels(space, zero[:2], deforms, j, ks)))
     checked = []
-    for report in reports:
-        if report.sectors:
-            slopes = [_sector_slope(p, j, stencils[j], report.unperturbed_energy)
-                      for j in report.sectors]
+    for report, pick in zip(reports, picks):
+        if pick:
+            slopes = [_slope(p, stencils[jk], report.unperturbed_energy) for jk in pick]
             flags = [f"oracle slope {o!r} disagrees with shift {s!r}"
                      for s, o in zip(report.shifts, slopes) if not _agrees(o, s)]
             report = report.replace(oracle_slopes=slopes,

@@ -75,10 +75,12 @@ def check(row: Row, status: int, out: str, err: str) -> None:
         assert found == listed, f"{string!r} occurs {found} times, listed {listed}: {text}"
 
 
-def run(argv, src=None, importtime=False) -> tuple[int, str, str]:
+def run(argv, src=None, importtime=False, env=None) -> tuple[int, str, str]:
     """(status, stdout, stderr) of one command in a fresh interpreter, every
-    warning an error, with the package from src or else from PYTHONPATH."""
-    env = os.environ if src is None else dict(os.environ, PYTHONPATH=str(src))
+    warning an error, in `env` (this process's environment by default), with
+    the package from src or else from PYTHONPATH."""
+    env = os.environ if env is None else env
+    env = env if src is None else dict(env, PYTHONPATH=str(src))
     flags = ["-X", "importtime"] if importtime else []
     done = subprocess.run([sys.executable, *flags, "-W", "error", "-m", "gup_dosc.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=600)

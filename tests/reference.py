@@ -348,6 +348,17 @@ def degeneracy_histogram_loop(spectrum, window: float) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
+def band_matrix(entries) -> np.ndarray:
+    """The dense symmetric matrix of a J-band's (diagonal, entries (i, i - 1),
+    entries (i, i - 2)) (`gup_dosc.model.SectorBand.entries`)."""
+    diag, off1, off2 = entries
+    a = np.diag(diag)
+    for offset, off in ((1, off1), (2, off2)):
+        rows = np.arange(offset, len(diag))
+        a[rows, rows - offset] = a[rows - offset, rows] = off[offset:]
+    return a
+
+
 def pair_spectrum_grid(space: FockSpace, terms: tuple[float, float, float],
                        js=None) -> np.ndarray:
     """The ascending spectrum, in units of m c^2, of a `paired` config over

@@ -100,7 +100,7 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
 def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch, capsys):
     # the n = 2 cluster's spectator 3 does not fit in the interior
     # n_a + n_b <= 4 of cutoff 6: the level rows' one whole spectrum (js None)
-    # is solved before the usage error, and no oracle stencil
+    # is solved before the usage error, and no oracle J-sector
     solved = []
 
     def recording(space, terms, js=None):
@@ -108,6 +108,8 @@ def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch
         return model.interior_spectrum(space, terms, js)
 
     monkeypatch.setattr(perturbation, "interior_spectrum", recording)
+    monkeypatch.setattr(perturbation, "band_levels",
+                        lambda *args: pytest.fail("an oracle J-sector was solved"))
     assert main(["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
                  "--cutoff", "6"]) == 2
     assert capsys.readouterr().err == (

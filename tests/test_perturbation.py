@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tracemalloc
 import warnings
@@ -6,11 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from gup_dosc import fock, numerics, perturbation, sectors
+from gup_dosc import fock, model, numerics, perturbation, sectors
 from gup_dosc.cli import dump_matrix, main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace, sector_cost, stack_configs
-from gup_dosc.model import interior_spectrum, paired, sector_terms
+from gup_dosc.model import SectorBand, band_levels, interior_spectrum, paired, sector_terms
 from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, abs_level, spinor_level
 from gup_dosc.perturbation import (
@@ -33,6 +34,7 @@ from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
     angular_momentum,
+    band_matrix,
     degeneracy_histogram_loop,
     frame,
     ladder_a,
@@ -755,49 +757,112 @@ def test_each_config_is_reduced_to_its_terms_once(monkeypatch, tmp_path):
         assert len(reduced) == count, argv
 
 
+def _record_band_levels(monkeypatch) -> list[tuple]:
+    """Records (J, indices, strengths) of every oracle solve, one per call of
+    `model.band_levels`."""
+    solves = []
+
+    def recording(space, couplings, deforms, j, ks):
+        solves.append((j, list(ks), len(deforms)))
+        return band_levels(space, couplings, deforms, j, ks)
+
+    monkeypatch.setattr(perturbation, "band_levels", recording)
+    return solves
+
+
 def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
     calls = _count_eigvalsh(monkeypatch)
+    solves = _record_band_levels(monkeypatch)
 
     def run(command, b):
         calls.clear()
+        solves.clear()
         assert main([command, "--omega", "1", "--B", b, "--gup-a", "1e-4", "--cutoff",
                      "12", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
-        return calls
+        # no dense block and no LAPACK call: the a = 0 rows are closed form
+        # and the oracle's eigenvalues come from the J-band
+        assert calls == []
+        return [(j, strengths) for j, _, strengths in solves]
 
-    # one stencil per distinct J-sector of the reported states: J = 0 for
+    # one solve per distinct J-sector of the reported states: J = 0 for
     # (n=0, +), and J = 1 once for both (n=1, +) and (n=1, -); a second run
-    # in the same process solves them again. Each stencil is one stack of
-    # its four a != 0 strengths; its a = 0 strength is closed form
+    # in the same process solves them again. Each solve is of the four
+    # a != 0 strengths; its a = 0 strength is closed form
     for command in ("correct", "correct"):
-        assert run(command, "1") == [4, 4]
+        assert run(command, "1") == [(0, 4), (1, 4)]
+        assert [len(ks) for _, ks, _ in solves] == [1, 2]
     # validate's a = 0 level rows are closed form; its ground (J = 0), first
     # excited (J = 1) and four n = 2 states (by ascending shift J = -1, 0, 1,
-    # 2) then need four distinct stencils
-    assert run("validate", "1") == [4] * 4
-    # at the critical field every shift vanishes and no stencil is built
+    # 2) then need four distinct J-sectors, each solved once
+    assert run("validate", "1") == [(0, 4), (1, 4), (-1, 4), (2, 4)]
+    # at the critical field every shift vanishes and nothing is solved
     for command in ("correct", "degenerate"):
         assert run(command, "2") == []
 
 
 def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
         monkeypatch, tmp_path):
-    stacks = []
-
-    def recording(space, terms, js):
-        for j, stack in zip(js, build_sectors(space, terms, js)):
-            stacks.append((j, len(stack)))
-            yield stack
-
-    monkeypatch.setattr(sectors, "build_sectors", recording)
+    solves = _record_band_levels(monkeypatch)
+    monkeypatch.setattr(sectors, "build_sectors",
+                        lambda *args: pytest.fail("a dense J-block was built"))
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
     # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
-    # blocks, 399 states: the four a != 0 configs of one exceed STACK_BYTES,
-    # so each goes in four one-config passes (the a = 0 one is closed form,
-    # and builds no block), and J = 1 is built for one branch only;
-    # the other 796 J-sectors are never built
-    assert stack_configs(400) == 1
-    assert stacks == [(0, 1)] * 4 + [(1, 1)] * 4
+    # blocks, 399 states, each solved once as a band at its four a != 0
+    # strengths (the a = 0 one is closed form); no dense block is built, and
+    # the other 796 J-sectors are never solved
+    assert [(j, strengths) for j, _, strengths in solves] == [(0, 4), (1, 4)]
+
+
+def _failing_correct(monkeypatch, capsys, name, value) -> str:
+    """The error of `correct` at B = 1, cutoff 12, with the band kernel's
+    `name` replaced by `value`: its status is 3, and stderr a JSON body."""
+    monkeypatch.setattr(model, name, value)
+    assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
+                 "--cutoff", "12"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    return json.loads(err)["error"]
+
+
+def test_an_inconsistent_count_is_an_internal_error(monkeypatch, capsys):
+    # every count one too many: the Rayleigh-quotient candidate is not
+    # confirmed, and the Weyl bracket's ends hold k + 1 and k + 2
+    # eigenvalues; the ground state (n=0, +) is eigenvalue 5 of J-sector 0
+    count = model._count
+    message = _failing_correct(monkeypatch, capsys, "_count",
+                               lambda *args: count(*args) + 1)
+    assert re.fullmatch(r"J-sector 0: 6 and 7 eigenvalues below the ends of the bracket "
+                        r"\[.*\] of eigenvalue 5, not 5 and 6", message), message
+
+
+def test_a_residual_over_its_bound_is_an_internal_error(monkeypatch, capsys):
+    # no residual meets a zero bound: the certified candidate is refused,
+    # and so is every inverse-iteration step at the bisected eigenvalue
+    message = _failing_correct(monkeypatch, capsys, "DEFAULT_EIGH_TOL", 0.0)
+    assert re.fullmatch(r"J-sector 0: band inverse-iteration residual \S+ exceeds "
+                        r"bound 0\.000e\+00", message), message
+
+
+def test_band_eigenvalues_are_certified_or_refused_at_any_strength():
+    # deformations from roundoff to far beyond the band's own scale, and
+    # entries that leave no headroom: every eigenvalue is the dense one, or
+    # the kernel raises ComputationError, never a bare arithmetic error
+    space = FockSpace(cutoff=12)
+    p = ModelParams(omega=1.0, b_field=1.0)
+    band = SectorBand(space, sector_terms(space, p, 0.0)[:2], 0)
+    n = len(band.cells)
+    for deform in (1e-300, -1e-16, 1e-5, -0.3, 10.0, 1e6, -1e150, 1e307):
+        entries = band.entries(deform)
+        try:
+            values = [band.eigenvalue(deform, k) for k in range(n)]
+        except ComputationError as exc:
+            assert str(exc).startswith("J-sector 0: "), exc
+            assert abs(deform) >= 1e150
+            continue
+        dense = np.linalg.eigvalsh(band_matrix(entries))
+        scale = max(1.0, norm_max(band_matrix(entries)))
+        assert np.max(np.abs(np.array(values) - dense)) <= 1e-13 * scale, deform
 
 
 def _dense_rows(space, terms, js=None):

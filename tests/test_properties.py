@@ -17,10 +17,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gup_dosc.cli import main, parse_config
-from gup_dosc.errors import UsageError
+from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace
-from gup_dosc.model import interior_spectrum, paired, sector_terms
-from gup_dosc.numerics import eigvalsh
+from gup_dosc.model import (
+    SectorBand,
+    _count,
+    _scales,
+    interior_spectrum,
+    pair_spectrum,
+    paired,
+    sector_terms,
+)
+from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import BRANCHES, NEGATIVE, POSITIVE, ModelParams, abs_level
 from gup_dosc.perturbation import (
     PTReport,
@@ -36,6 +44,7 @@ from gup_dosc.perturbation import (
 from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
+    band_matrix,
     build_h0,
     build_h_prime,
     pair_spectrum_grid,
@@ -201,6 +210,104 @@ def test_both_routes_solve_the_reduced_j_list(config, strengths, js):
         assert len(row) == len(reference) and row == sorted(row)
         scale = np.max(np.abs(reference), initial=1.0)
         assert np.max(np.abs(np.array(row) - reference), initial=0.0) <= 1e-12 * scale
+
+
+@st.composite
+def band_configs(draw):
+    """(cutoff, params, alpha): model_params below, at and beyond the
+    critical field, with the oracle's strengths among others."""
+    p = draw(model_params())
+    p = draw(st.sampled_from([p, p.with_field(critical_field(p))]))
+    alpha = draw(st.sampled_from([0.0, 1e-5, -2e-5, 1e-3, 0.3]))
+    return draw(st.integers(2, 7)), p, alpha
+
+
+def _band_blocks(cutoff: int, p: ModelParams, alpha: float):
+    """Yield (J, its band, its dense band matrix, the permutation of the
+    band's rows in the rows of `build_sectors`' block, that block, and the
+    reference `sector_block`) for every J-sector, in units of m c^2."""
+    space, reference = FockSpace(cutoff), Space(cutoff=cutoff, include_spin=True)
+    terms = sector_terms(space, p, alpha)
+    h = (build_h0(reference, p) + build_h_prime(reference, p, strength=alpha / (
+        p.mass * p.light_speed))) / p.rest_energy
+    for j, (block,) in zip(space.sectors, build_sectors(space, [terms])):
+        band = SectorBand(space, terms[:2], j)
+        cells = [(n_b + d, n_b, up) for d, up in ((j, True), (j - 1, False))
+                 for n_b in space.line(d)]
+        order = [cells.index(cell) for cell in band.cells]
+        yield (j, band, band_matrix(band.entries(terms[2])), order, block,
+               sector_block(reference, h, j))
+
+
+@DRAWS
+@given(config=band_configs())
+def test_band_entries_are_the_sector_blocks_in_n_order(config):
+    # ordered by N = n_a + n_b, each J-block is the band bit for bit: every
+    # entry beyond the second off-diagonal is zero; against the dense
+    # reference, its entries agree to roundoff
+    for j, band, dense, order, block, ref in _band_blocks(*config):
+        n_total = [n_a + n_b for n_a, n_b, _ in band.cells]
+        assert n_total == list(range(n_total[0], n_total[0] + len(n_total)))
+        assert [up for *_, up in band.cells] == [(n - j) % 2 == 0 for n in n_total]
+        assert np.array_equal(dense, block[np.ix_(order, order)]), j
+        assert norm_max(ref.imag) == 0.0
+        scale = max(1.0, norm_max(block))
+        assert norm_max(dense - ref.real[np.ix_(order, order)]) <= 1e-13 * scale, j
+
+
+@DRAWS
+@given(config=band_configs())
+def test_band_eigenvalues_and_counts_equal_the_dense_reference(config):
+    # eigenvalue k of the kernel against numpy's of the reference block,
+    # within 1e-13 of the block's scale, and the inertia count at and one
+    # ulp beside every eigenvalue, and between neighbours: numpy's own
+    # eigenvalues are only that accurate, so a count at sigma lies between
+    # numpy's counts at sigma -+ that tolerance, and is exact between them
+    cutoff, p, alpha = config
+    deform = sector_terms(FockSpace(cutoff), p, alpha)[2]
+    for j, band, dense, _, _, ref in _band_blocks(*config):
+        w = np.linalg.eigvalsh(ref.real)
+        tol = 1e-13 * max(1.0, norm_max(dense))
+        gaps = np.diff(w, prepend=-np.inf, append=np.inf)
+        for k, e in enumerate(w):
+            try:
+                assert abs(band.eigenvalue(deform, k) - e) <= tol, (j, k)
+            except ComputationError:
+                # refused only where no count can single it out: a repeated
+                # eigenvalue, as at the critical field
+                assert min(gaps[k], gaps[k + 1]) <= 2.0 * tol, (j, k)
+        entries = band.entries(deform)
+        pivmin = _scales(entries)[2]
+        sigmas = [x for e in w.tolist() for x in (e, math.nextafter(e, -math.inf),
+                                                   math.nextafter(e, math.inf))]
+        for sigma in sigmas:
+            lowest, highest = np.searchsorted(w, [sigma - tol, sigma + tol])
+            assert lowest <= _count(entries, sigma, pivmin) <= highest, (j, sigma)
+        for k, (below, above) in enumerate(zip(w, w[1:])):
+            if above - below > 2.0 * tol:
+                assert _count(entries, (below + above) / 2, pivmin) == k + 1
+        assert _count(entries, w[0] - 1.0, pivmin) == 0
+        assert _count(entries, w[-1] + 1.0, pivmin) == len(w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(cutoff=st.integers(2, 120), p=model_params())
+@example(cutoff=2, p=ModelParams(omega=1.0, b_field=1.0))
+@example(cutoff=120, p=ModelParams(omega=1.0, b_field=3.0))
+def test_no_j_sector_repeats_an_a0_eigenvalue(cutoff, p):
+    # a = 0 off the critical field: within one J-sector each coupling root
+    # gives one pair +-hypot(1, kappa), hypot(1, kappa) > 1, and there is at
+    # most one +1 and one -1 single, so the oracle's index of the one
+    # eigenvalue in its window is exact; the band's a = 0 eigenpairs are
+    # that row bit for bit
+    space = FockSpace(cutoff)
+    terms = sector_terms(space, p, 0.0)
+    assert paired(terms)
+    for j in space.sectors:
+        row = pair_spectrum(space, terms, [j])
+        assert all(a < b for a, b in zip(row, row[1:])), j
+        levels = [e for e, *_ in SectorBand(space, terms[:2], j).levels]
+        assert [x.hex() for x in levels] == [x.hex() for x in row], j
 
 
 @st.composite
@@ -415,6 +522,58 @@ def test_shift_reports_converge_in_the_cutoff(abs_lam, ratio, gup_a):
                            for x, y in zip(a, b)), name
             else:  # the matrices too: a complex repr keeps every bit and sign
                 assert repr(a) == repr(b), name
+
+
+def _validate_json(p: ModelParams, cutoff: int) -> dict:
+    """validate's JSON report at these parameters and cutoff, its config
+    echo left out."""
+    argv = ["validate", f"--omega={p.omega!r}", f"--B={p.b_field!r}",
+            f"--gup-a={p.gup_a!r}", f"--cutoff={cutoff}", "--format=json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, report = _report(argv, pathlib.Path(tmp, "report"))
+    assert code in (0, 1)
+    return {k: v for k, v in json.loads(report).items() if k != "config"}
+
+
+# the oracle slopes of cutoffs 12 and 16 agree to this, relative
+SLOPE_RTOL = 1e-8
+
+
+def _converged(small, large, path="") -> None:
+    """Assert two decoded reports equal, field by field, the oracle's slopes
+    (a slope row's `computed` and `oracle_slopes`) within SLOPE_RTOL."""
+    if isinstance(small, dict):
+        assert small.keys() == large.keys(), path
+        oracle = str(small.get("row", "")).endswith("-oracle")
+        for key in small:
+            if key == "oracle_slopes" or (oracle and key == "computed"):
+                slopes = small[key] if isinstance(small[key], list) else [small[key]]
+                others = large[key] if isinstance(large[key], list) else [large[key]]
+                assert len(slopes) == len(others), path
+                assert all(math.isclose(x, y, rel_tol=SLOPE_RTOL, abs_tol=0.0)
+                           for x, y in zip(slopes, others)), f"{path}.{key}"
+            else:
+                _converged(small[key], large[key], f"{path}.{key}")
+    elif isinstance(small, list):
+        assert len(small) == len(large), path
+        for i, (a, b) in enumerate(zip(small, large)):
+            _converged(a, b, f"{path}[{i}]")
+    else:
+        assert repr(small) == repr(large), path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(abs_lam=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),  # over 0.1 .. 10
+       ratio=st.floats(0.0, 0.9),
+       gup_a=st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e))  # over 1e-6 .. 1e-2
+def test_validate_reports_converge_in_the_cutoff(abs_lam, ratio, gup_a):
+    # below the critical field every state validate names lies well inside
+    # cutoff 12, so cutoff 16 changes nothing but the slopes' last digits:
+    # every other field, each level row, verdict and stored-block value
+    # included, is the same float; validate prints no truncation count
+    base = ModelParams(omega=abs_lam / (1.0 - ratio), gup_a=gup_a)
+    p = base.with_field(ratio * critical_field(base))
+    _converged(_validate_json(p, 12), _validate_json(p, 16))
 
 
 @DRAWS
