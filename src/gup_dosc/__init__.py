@@ -7,12 +7,12 @@ So OpenBLAS defaults to one thread, set before this package loads numpy. An
 explicit OPENBLAS_NUM_THREADS still wins, and a numpy imported earlier keeps
 the threads it started with.
 
-Importing the package loads no numpy, and neither do the closed forms: the
-parameter, level and basis names are pure Python, the solver names load
-`perturbation` on first use, and a shift report, the a = 0 spectrum off the
-critical field and its level rows are pure Python too. numpy loads with the
-first eigensolve: a dense spectrum (a != 0, or the critical field), an
-oracle stencil, or `shifts_of_matrix`.
+Importing the package loads no numpy, and neither does anything but a
+scan's spectra: the parameter, level and basis names are pure Python, the
+solver names load `perturbation` on first use, and a shift report, the
+level rows at any field, the oracle's J-sector eigenvalues and the stored
+block's eigenpairs (`shifts_of_matrix`) are pure Python too. numpy loads
+with a scan's first dense spectrum (a != 0, or the critical field).
 """
 
 import os

@@ -10,13 +10,13 @@ text tables), so identical configurations give identical bytes.
 Exit codes: 0 success, 1 validation discrepancy outside the allowlist,
 2 usage error, 3 computation failure.
 
-This module loads no numpy, and neither do the report builders it calls:
-the closed forms, the a = 0 spectrum off the critical field, the shift
-reports and their emission are pure Python. numpy loads with a run's first
-eigensolve, that of a dense spectrum (a != 0, or the critical field), of the
-oracle stencil or of `validate`'s stored block, so a run that needs none
-never imports it. The parser, `ModelParams` and `FockSpace` check every
-input before anything is computed.
+This module loads no numpy, and neither do the report builders of
+`spectrum`, `correct`, `degenerate` and `validate`: the closed forms, the
+level rows at any field, the shift reports, the oracle, the stored block's
+eigenpairs and their emission are pure Python. numpy loads only with a
+scan's first dense spectrum (a != 0, or the critical field). The parser,
+`ModelParams` and `FockSpace` check every input before anything is
+computed.
 """
 
 from __future__ import annotations
@@ -550,8 +550,9 @@ def _freeze_heap() -> None:
 def run(config: RunConfig) -> int:
     """Execute one command; emits the report and returns the exit status.
 
-    The report is built first, loading numpy only if the command solves an
-    eigenproblem, and the heap is frozen once it is (`_freeze_heap`)."""
+    The report is built first, loading numpy only if the command solves a
+    dense spectrum (a scan), and the heap is frozen once it is
+    (`_freeze_heap`)."""
     # the last input checks: the physical scales, then the cutoff
     p = config.params()
     space = FockSpace(cutoff=config.cutoff)

@@ -24,9 +24,11 @@ from .params import _Value
 INTERIOR_MARGIN = 2
 # Largest accepted cutoff. Memory stays small there: one J-sector stack at a
 # time, its configs bounded by STACK_BYTES (a lone block may exceed it, 8 MB at
-# the limit), plus spectra of 8 MB each. Eigensolver work of a dense spectrum
-# (a != 0, or the critical field) grows as cutoff^4: 5e11 dim^3 at the limit.
-# An a = 0 spectrum off the critical field is closed form, cutoff^2 work. The
+# the limit), plus spectra of 8 MB each. Eigensolver work of a scan's dense
+# spectrum (a != 0, or the critical field) grows as cutoff^4: 5e11 dim^3 at the
+# limit. An a = 0 spectrum off the critical field is closed form, cutoff^2
+# work, and the critical field's level rows are two inertia counts per
+# distinct level over the J-chains, cutoff^2 work each. The
 # oracle solves only the J-sectors of its states, as bands: dim x counts per
 # eigenvalue, dim <= cutoff - 1, a few band passes where the Rayleigh-quotient
 # step is confirmed and about 40 counts where it falls back to bisection.

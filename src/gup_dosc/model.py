@@ -21,14 +21,17 @@ the blocks depend only on lam = hbar wt / (m c^2) and alpha = a m c, and
 energies are formed only where a result is reported.
 
 This module loads no numpy: a config's block terms, a closed-form
-(`paired`) spectrum and the J-band kernel (`SectorBand`, `band_levels`),
-which gives the oracle its eigenvalues one at a time, are pure Python, and
-only the dense branch of `interior_spectrum` imports the block builder
-(`sectors`) and the eigensolver (`numerics`), numpy with them.
+(`paired`) spectrum and the J-band kernel, which gives the oracle its
+eigenvalues one at a time (`SectorBand`, `band_levels`) and the critical
+field's level rows their window counts (`window_count`), are pure Python.
+Only the dense branch of `interior_spectrum`, which serves the scan alone,
+imports the block builder (`sectors`) and the eigensolver (`numerics`),
+numpy with them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -145,6 +148,9 @@ EPS = sys.float_info.epsilon
 # a bracket for the roundoff of the counts, also as dstebz does.
 PIVMIN = sys.float_info.min
 FUDGE = 2.1
+# The narrowest window, in pivot floors of a band scaled below 1, that
+# `window_count` resolves: its counts miss states at about half a floor.
+WINDOW_FLOORS = 1024.0
 # Inverse-iteration steps, with Rayleigh-quotient shifts from the a = 0
 # eigenvector or at a bisected eigenvalue, within which a residual must hold.
 STEPS = 3
@@ -233,7 +239,9 @@ def _residual(band: tuple[list, list, list], v: list[float],
 class SectorBand:
     """The block of J-sector j for one config's couplings (k_a, k_b), its
     states ordered by N = n_a + n_b: a band of bandwidth 2, with the
-    deformation pattern built once and scaled for each strength.
+    deformation pattern built once, on first use, and scaled for each
+    strength; at no deformation, the critical field's chain, it is never
+    built.
 
     The up states of the line n_a - n_b = j have N = 2 n_b + j and the down
     states of line j - 1 have N = 2 n_b + j - 1, so every N from the
@@ -265,17 +273,28 @@ class SectorBand:
                        for d in (j, j - 1) for n_b in space.line(d))
         self.cells = [cell[1:] for cell in cells]
         self.sign = [1.0 if up else -1.0 for _, _, up in self.cells]
-        self.pattern = [n + 1 for n, *_ in cells]
-        n = len(cells)
         # the lower state's roots: a† from a down state, b to an up one
         self.coupling = [0.0, *(
             k_a * math.sqrt(m_a + 1.0) if up else k_b * math.sqrt(n_b)
             for (m_a, _, _), (_, n_b, up) in zip(self.cells, self.cells[1:]))]
-        self.pair = [0.0, 0.0, *(math.sqrt((m_a + 1.0) * (m_b + 1.0))
-                                 for m_a, m_b, _ in self.cells[:-2])][:n]
-        self.norm = max(q + r + s for q, r, s in
-                        zip(self.pattern, self.pair, [*self.pair[2:], 0.0, 0.0]))
         self.levels = [] if k_a and k_b else self._pair_levels()
+
+    @functools.cached_property
+    def pattern(self) -> list[int]:
+        """N + 1 of each row, the deformation's diagonal pattern."""
+        return [n_a + n_b + 1 for n_a, n_b, _ in self.cells]
+
+    @functools.cached_property
+    def pair(self) -> list[float]:
+        """The pair roots, row i's entry (i, i - 2) of the pattern."""
+        return [0.0, 0.0, *(math.sqrt((m_a + 1.0) * (m_b + 1.0))
+                            for m_a, m_b, _ in self.cells[:-2])][:len(self.cells)]
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """A Gershgorin bound of the pattern."""
+        return max(q + r + s for q, r, s in
+                   zip(self.pattern, self.pair, [*self.pair[2:], 0.0, 0.0]))
 
     def _pair_levels(self) -> list[tuple[float, int, tuple[float, ...]]]:
         """The eigenpairs of the a = 0 block, ascending: +-hypot(1, kappa)
@@ -296,7 +315,11 @@ class SectorBand:
         return levels
 
     def entries(self, deform: float) -> tuple[list, list, list]:
-        """(diagonal, entries (i, i - 1), entries (i, i - 2)) at deform."""
+        """(diagonal, entries (i, i - 1), entries (i, i - 2)) at deform; at
+        no deformation the signs, the couplings and zeros, the pattern
+        unread (s + 0 q is s, and 0 r is a zero)."""
+        if not deform:
+            return self.sign, self.coupling, [0.0] * len(self.sign)
         return ([s + deform * q for s, q in zip(self.sign, self.pattern)], self.coupling,
                 [deform * r for r in self.pair])
 
@@ -385,6 +408,36 @@ def band_levels(space: FockSpace, couplings: tuple[float, float],
     return [[band.eigenvalue(deform, k) for deform in deforms] for k in ks]
 
 
+def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
+                 window: float) -> int:
+    """How many eigenvalues of the bands lie within `window` of `energy`,
+    |x - energy| <= window as `perturbation.nearest_level` tells it: per
+    band, the inertia count (`_count`) below nextafter(energy + window, inf)
+    less the one below energy - window, O(dim) each, in pure Python.
+
+    Each band and both ends are first scaled by the power of two that takes
+    its largest off-diagonal entry below 1. That is exact and leaves every
+    count as it is, but it keeps the pivot floor at the smallest normal
+    float: unscaled, the floor grows as the square of the couplings, and
+    at couplings above about 1e148 it swallows pivots of the window's width
+    (1e-12), so a count misses states inside the window. Scaled, a count
+    resolves the window while it stays WINDOW_FLOORS pivot floors wide;
+    a narrower one, at couplings above about 1e290 m c^2, is a UsageError.
+    """
+    above, below = math.nextafter(energy + window, math.inf), energy - window
+    total = 0
+    for band in bands:
+        largest = max(map(abs, [*band[1], *band[2]]))
+        scale = 2.0 ** -max(0, math.frexp(largest)[1])
+        if window * scale < WINDOW_FLOORS * PIVMIN:
+            raise UsageError(f"window {window!r} m c^2 is below what the inertia counts "
+                             f"resolve at couplings up to {largest!r} m c^2")
+        band = tuple([x * scale for x in entries] for entries in band)
+        pivmin = _scales(band)[2]
+        total += _count(band, above * scale, pivmin) - _count(band, below * scale, pivmin)
+    return total
+
+
 def interior_spectrum(
     space: FockSpace,
     terms: Sequence[tuple[float, float, float]],
@@ -393,8 +446,8 @@ def interior_spectrum(
     """Ascending eigenvalues, in units of m c^2, of the interior-projected
     full Hamiltonian for each of `terms`, the `sector_terms` of one config
     each: the one entry of whole spectra, and its route table (the oracle's
-    single eigenvalues come from `band_levels`). Each row is a list of
-    floats.
+    single eigenvalues come from `band_levels`, and the critical field's
+    level rows from `window_count`). Each row is a list of floats.
 
     H0 and H' both conserve J, so row k is the sorted union of the J-sector
     spectra of terms[k], over every J-sector or over the distinct J of

@@ -6,12 +6,16 @@ Every matrix this module takes is made a square ``numpy`` array:
 enforces the residual, orthonormality and spectral-moment contracts the
 physics modules rely on, and fixes the phase of every eigenvector so that
 reports are reproducible. Only the dense branch of
-`model.interior_spectrum` (a scan's a != 0 configs and the coupled critical
-field) and `perturbation.shifts_of_matrix` (validate's stored block) import
-this module, when they run, so numpy loads with a run's first eigensolve.
-The oracle's J-sector eigenvalues never come here: `model.SectorBand`
-certifies them in pure Python against the same residual bound,
-`DEFAULT_EIGH_TOL`, which `params` holds so that neither needs the other.
+`model.interior_spectrum`, a scan's spectra at a != 0 and at the coupled
+critical field, imports this module, when it runs, so numpy loads with a
+scan's first eigensolve. `eigh` has no caller in src: it stays because
+acceptance criterion 8 pins its contract at dimensions up to 512, as a
+single-matrix `eigvalsh` stays for criterion 7 (ROADMAP item 18). The
+package's other eigenvalues are pure Python, under the same residual bound,
+`DEFAULT_EIGH_TOL`, which `params` holds so that no module needs another:
+`model.SectorBand` certifies the oracle's J-sector eigenvalues, and
+`perturbation._jacobi_eigh` gives the stored 4x4 block's eigenpairs under
+`eigh`'s whole contract.
 """
 
 from __future__ import annotations

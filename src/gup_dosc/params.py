@@ -22,8 +22,9 @@ BRANCHES = (POSITIVE, NEGATIVE)
 # Window for locating unperturbed clusters, in units of m c^2.
 CLUSTER_WINDOW = 1e-9
 # Bound on an eigenpair residual ||A v - w v||_2 relative to
-# max(1, ||A||_max * dim), for `numerics.eigh` and the J-band kernel
-# (`model.SectorBand`) alike.
+# max(1, ||A||_max * dim), for `numerics.eigh`, the J-band kernel
+# (`model.SectorBand`) and the stored block's Jacobi rotations
+# (`perturbation._jacobi_eigh`) alike.
 DEFAULT_EIGH_TOL = 1e-10
 
 

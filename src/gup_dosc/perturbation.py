@@ -19,10 +19,10 @@ two boson modes, and the branch carrying the undisplaced rest-energy level
 flips from + to -; reports flag this.
 
 This module loads no numpy: the shift reports, their at most 4x4 matrices
-held as tuples of rows, the level rows, the oracle and the scan's
-histograms are pure Python, and numpy loads with the first eigensolve, in
-`interior_spectrum`'s dense branch (a scan's a != 0 configs, the coupled
-critical field) or in `shifts_of_matrix` (validate's stored block).
+held as tuples of rows, the stored block's eigenpairs (`_jacobi_eigh`), the
+level rows at any field, the oracle and the scan's histograms are pure
+Python. numpy loads only with a scan's spectra, in `interior_spectrum`'s
+dense branch (its a != 0 configs and the coupled critical field).
 """
 
 from __future__ import annotations
@@ -34,10 +34,19 @@ from collections.abc import Iterable, Sequence
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
-from .model import band_levels, interior_spectrum, pair_spectrum, sector_terms
+from .model import (
+    SectorBand,
+    band_levels,
+    interior_spectrum,
+    pair_spectrum,
+    paired,
+    sector_terms,
+    window_count,
+)
 from .params import (
     BRANCHES,
     CLUSTER_WINDOW,
+    DEFAULT_EIGH_TOL,
     NEGATIVE,
     POSITIVE,
     ModelParams,
@@ -231,16 +240,35 @@ def level_rows(
     energy. A window below the noise floor, or a level n = `levels` outside
     the interior, raises UsageError before anything is solved; so does a
     nearest eigenvalue beyond the float range.
+
+    A `paired` config's spectrum is closed form (`interior_spectrum`). The
+    other a = 0 config, the critical field with both couplings, needs no
+    spectrum: every level there is +-1 m c^2, itself an eigenvalue, the
+    unmatched states of the J-sectors whose up and down states differ in
+    number (CONVENTIONS.md, Sectors), so each distinct level needs only its
+    window count, from inertia counts on each J-sector's chain, the band
+    (`model.SectorBand`) at no deformation (`model.window_count`).
     """
     _check_window(window)
     _check_headroom(space, levels, 0)
-    (spectrum,) = interior_spectrum(space, [sector_terms(space, p, 0.0)])
+    terms = sector_terms(space, p, 0.0)
+    if paired(terms):
+        (spectrum,) = interior_spectrum(space, [terms])
+    else:
+        spectrum, counts = None, {}
+        chains = [SectorBand(space, terms[:2], j).entries(0.0) for j in space.sectors]
     floor = 1e-30 * p.rest_energy
     rows = []
     for n in range(levels + 1):
         for branch in branches:
             analytic = landau_level(p, n, branch)
-            nearest, count = nearest_level(spectrum, analytic / p.rest_energy, window)
+            level = analytic / p.rest_energy
+            if spectrum is not None:
+                nearest, count = nearest_level(spectrum, level, window)
+            else:
+                if level not in counts:
+                    counts[level] = window_count(chains, level, window)
+                nearest, count = level, counts[level]
             nearest *= p.rest_energy
             if not math.isfinite(nearest):
                 raise UsageError(f"the exact eigenvalue nearest level (n={n}, branch "
@@ -455,22 +483,127 @@ def degenerate_shift(
     return _shift_report(space, p, label, n, branch, spectators, degenerate=True)
 
 
+# Cyclic sweeps within which `_jacobi_eigh` must reduce a block to diagonal.
+JACOBI_SWEEPS = 50
+
+
+def _jacobi_eigh(block) -> tuple[list[float], list[list[complex]]]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix, given as its rows,
+    by cyclic Jacobi rotations in Python complex arithmetic, under the
+    contract of `numerics.eigh`: eigenvalues ascending, column k of the rows
+    of eigenvectors paired with eigenvalue k, each column's largest entry
+    made real and positive (the first of equal ones; the others turn by the
+    same phase, so their magnitudes change by roundoff), the spectral moments
+    checked against the whole matrix (the trace within 1e-10 n, the squared
+    Frobenius norm within DEFAULT_EIGH_TOL n, in units of max(1,
+    ||A||_max)), every residual ||A v - w v||_2 within DEFAULT_EIGH_TOL
+    max(1, ||A||_max n) and the columns orthonormal within 1e-10.
+
+    UsageError for a block that is not a nonempty square matrix of finite
+    numbers. Like LAPACK, the rotations read the lower triangle and the real
+    part of the diagonal, so a block that is not Hermitian fails the moment
+    check: ComputationError, as does any other broken contract.
+
+    Each rotation zeroes one entry (p, q) = r e^{i phi}: the phase diag(1,
+    e^{-i phi}) makes it real, and the real rotation of Rutishauser's
+    formulas, t = tan(theta) with |t| <= 1, diagonalizes the 2x2 block.
+    An entry too small to change either diagonal entry it couples, even a
+    hundredfold, is set to zero without one.
+    """
+    try:
+        rows = [[complex(x) for x in row] for row in block]
+    except TypeError:  # not a matrix of numbers
+        rows = []
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise UsageError("expected a nonempty square matrix of numbers")
+    if not all(math.isfinite(x.real) and math.isfinite(x.imag) for row in rows for x in row):
+        raise UsageError("matrix contains non-finite entries")
+    d = [rows[i][i].real for i in range(n)]
+    h = [[rows[i][j] if i > j else rows[j][i].conjugate() for j in range(n)]
+         for i in range(n)]
+    v = [[complex(i == j) for j in range(n)] for i in range(n)]
+    pairs = [(p, q) for q in range(n) for p in range(q)]
+    sweeps = 0
+    while any(h[p][q] for p, q in pairs):
+        if sweeps == JACOBI_SWEEPS:
+            raise ComputationError(f"Jacobi rotations left off-diagonal entries after "
+                                   f"{JACOBI_SWEEPS} sweeps")
+        sweeps += 1
+        for p, q in pairs:
+            r = abs(h[p][q])
+            g = 100.0 * r
+            if abs(d[p]) + g != abs(d[p]) or abs(d[q]) + g != abs(d[q]):
+                diff = d[q] - d[p]
+                if abs(diff) + g == abs(diff):
+                    t = r / diff
+                else:
+                    theta = 0.5 * diff / r
+                    t = math.copysign(1.0 / (abs(theta) + math.hypot(1.0, theta)), theta)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s, phase = t * c, (h[p][q] / r).conjugate()
+                d[p] -= t * r
+                d[q] += t * r
+                for j in range(n):
+                    if j != p and j != q:
+                        x, y = h[j][p], h[j][q]
+                        h[j][p], h[j][q] = c * x - s * phase * y, s * x + c * phase * y
+                        h[p][j], h[q][j] = h[j][p].conjugate(), h[j][q].conjugate()
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * phase * y, s * x + c * phase * y
+            h[p][q] = h[q][p] = 0j
+    order = sorted(range(n), key=d.__getitem__)
+    w = [d[k] for k in order]
+    columns = []
+    for k in order:
+        column = [row[k] for row in v]
+        top = max(range(n), key=lambda i: abs(column[i]))  # the first of equal ones
+        size = abs(column[top])
+        if size > 0.0:
+            column = [x * (column[top].conjugate() / size) for x in column]
+            column[top] = complex(size)  # real, not real up to roundoff
+        columns.append(column)
+    # the moments, in units of s = max(1, ||A||_max), so nothing overflows
+    largest = max(abs(x) for row in rows for x in row)
+    scale = max(1.0, largest)
+    trace_gap = abs(sum(x / scale for x in w) - sum(rows[i][i].real / scale for i in range(n)))
+    moment_gap = abs(sum((x / scale) ** 2 for x in w)
+                     - sum(abs(x / scale) ** 2 for row in rows for x in row))
+    for gap, bound, message in (
+        (trace_gap, 1e-10 * n, "eigenvalue sum deviates from trace by {:.3e} in "
+                               "units of {:.3e}"),
+        (moment_gap, DEFAULT_EIGH_TOL * n,
+         "sum of squared eigenvalues deviates from the squared Frobenius norm by "
+         "{:.3e} in units of {:.3e} squared"),
+    ):
+        if not gap <= bound:
+            raise ComputationError(message.format(gap, scale))
+    residual = max(math.hypot(*(abs(sum(a * y for a, y in zip(row, column)) - e * x)
+                                for row, x in zip(rows, column)))
+                   for e, column in zip(w, columns))
+    bound = DEFAULT_EIGH_TOL * max(1.0, largest * n)
+    if not residual <= bound:
+        raise ComputationError(f"Jacobi residual {residual:.3e} exceeds bound {bound:.3e}")
+    ortho = max(abs(sum(x.conjugate() * y for x, y in zip(a, b)) - (k == l))
+                for k, a in enumerate(columns) for l, b in enumerate(columns))
+    if not ortho <= 1e-10:
+        raise ComputationError(f"eigenvector orthonormality defect {ortho:.3e}")
+    return w, [list(row) for row in zip(*columns)]
+
+
 def shifts_of_matrix(block, label: str = "stored block") -> PTReport:
     """Shifts of an externally supplied cluster matrix (already in shift
     units), a Hermitian matrix or its rows: the one report that runs an
-    eigensolver, `numerics.eigh`, which loads numpy."""
-    import numpy as np
-
-    from .numerics import eigh
-
-    values, vectors = eigh(block)
+    eigensolver, `_jacobi_eigh`, in pure Python."""
+    values, vectors = _jacobi_eigh(block)
     return PTReport(
         cluster_label=label,
         unperturbed_energy=math.nan,
         method="degenerate",
-        subspace_matrix=tuple(map(tuple, np.asarray(block, dtype=np.complex128).tolist())),
-        shifts=values.tolist(),
-        eigenvectors=tuple(map(tuple, vectors.tolist())),
+        subspace_matrix=tuple(tuple(complex(x) for x in row) for row in block),
+        shifts=values,
+        eigenvectors=tuple(map(tuple, vectors)),
     )
 
 

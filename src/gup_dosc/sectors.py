@@ -1,8 +1,9 @@
 """The J-sector blocks of the Hamiltonian as numpy stacks, for the eigensolver.
 
-Only the dense branch of `model.interior_spectrum` imports this module, and
-numpy with it: a config whose spectrum is closed form (`model.paired`) never
-builds a block. The blocks hold the operators of `model` in units of m c^2,
+Only the dense branch of `model.interior_spectrum`, which serves the scan
+alone, imports this module, and numpy with it: a config whose spectrum is
+closed form (`model.paired`) never builds a block, and neither do the
+critical field's level rows (`model.window_count`). The blocks hold the operators of `model` in units of m c^2,
 one stack per J = n_a - n_b + [spin down], each config's block one row of it.
 """
 

@@ -1,6 +1,8 @@
-"""Run every correct, degenerate and validate row of tests/commands.txt under
-each OpenBLAS kernel, and print each run whose stdout, stderr or exit status
-differs from the run with OPENBLAS_CORETYPE unset.
+"""Run every spectrum, correct, degenerate and validate row of
+tests/commands.txt under each OpenBLAS kernel, and print each run whose
+stdout, stderr or exit status differs from the run with OPENBLAS_CORETYPE
+unset. None of these commands calls LAPACK: their spectra, oracle
+eigenvalues and the stored block's eigenpairs are pure Python.
 
     PYTHONPATH=src python tests/kernels.py
 
@@ -16,7 +18,7 @@ import corpus
 import diff_parent
 
 KERNELS = ("Prescott", "SandyBridge", "Haswell")
-COMMANDS = ("correct", "degenerate", "validate")
+COMMANDS = ("spectrum", "correct", "degenerate", "validate")
 
 
 def main() -> int:

@@ -729,8 +729,8 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
 def test_only_the_cli_freezes_the_import_heap():
     # gc.freeze is a side effect of a command run alone, once its report is
     # built: a library import or call leaves the collector as it found it, a
-    # run that solves, here the critical field's dense spectrum, freezes the
-    # numpy it loaded, and a second run in the process freezes nothing
+    # run that solves, here a scan's dense spectra, freezes the numpy it
+    # loaded, and a second run in the process freezes nothing
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     code = (
         "import gc, json, os\n"
@@ -740,8 +740,8 @@ def test_only_the_cli_freezes_the_import_heap():
         "gup_dosc.first_order_shift(gup_dosc.FockSpace(12),\n"
         "                           gup_dosc.ModelParams(1.0, b_field=1.0, gup_a=1e-4), 0)\n"
         "counts.append(gc.get_freeze_count())\n"
-        "argv = ['spectrum', '--omega', '1', '--B', '2', '--cutoff', '12',\n"
-        "        '--output', os.devnull]\n"
+        "argv = ['scan', '--omega', '1', '--B-min', '0', '--B-max', '3', '--steps', '2',\n"
+        "        '--gup-a', '1e-4', '--cutoff', '12', '--output', os.devnull]\n"
         "assert cli.main(argv) == 0\n"
         "import numpy\n"
         "frozen = id(vars(numpy)) not in {id(o) for o in gc.get_objects()}\n"
@@ -768,8 +768,9 @@ def test_the_parse_path_loads_no_numpy():
     # the CLI import and parse_config on every perfbench workload's argv and
     # each numpy-free row of tests/commands.txt load none of LEAN; running the
     # rows loads no numpy, and only decimal besides, which formats the message
-    # of a cutoff above the limit (`FockSpace`), and numbers, which decimal
-    # loads, in the same row; each row passes its checks.
+    # of a cutoff above the limit (`FockSpace`), numbers, which decimal
+    # loads, in the same row, and json, the emitter of a --format json row;
+    # each row passes its checks.
     # The child runs without site, where no .pth file preloads typing, and
     # reads its argv lists as tab-separated lines, not JSON
     rows = [row for row in corpus.rows() if "numpy-free" in row.tags]
@@ -824,7 +825,7 @@ def test_the_parse_path_loads_no_numpy():
     for row, (*run, ran) in zip(rows, exits, strict=True):
         corpus.check(row, *run)
         new = set(ran) - seen
-        assert new <= {"decimal", "numbers"}, row.id
+        assert new <= {"decimal", "numbers", *(["json"] if "json" in row.argv else [])}, row.id
         assert "numbers" not in new or "decimal" in new, row.id
         seen = set(ran)
 
@@ -836,7 +837,7 @@ def test_validate_loads_no_fractions_decimal_or_dataclasses():
                                    "--cutoff", "12"], src, importtime=True)
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
               if line.startswith(corpus.IMPORT_TIME)}
-    assert status == 0 and out and "numpy" in loaded
+    assert status == 0 and out and "numpy" not in loaded
     assert loaded.isdisjoint({"fractions", "decimal", "dataclasses"})
 
 

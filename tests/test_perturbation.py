@@ -1,6 +1,11 @@
 import itertools
 import json
+import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,7 +15,7 @@ import pytest
 from gup_dosc import fock, model, numerics, perturbation, sectors
 from gup_dosc.cli import dump_matrix, main
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.fock import FockSpace, sector_cost, stack_configs
+from gup_dosc.fock import MAX_CUTOFF, FockSpace, sector_cost, stack_configs
 from gup_dosc.model import SectorBand, band_levels, interior_spectrum, paired, sector_terms
 from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, abs_level, spinor_level
@@ -185,6 +190,33 @@ def test_scalar_cluster_matrix_gives_repeated_shift():
     assert r.shifts == [2.5, 2.5, 2.5, 2.5]
 
 
+def test_the_stored_block_solver_keeps_the_error_kinds_of_eigh():
+    # numerics.eigh's cases: a non-finite or non-square block is a usage
+    # error; the rotations read the lower triangle, the identity here, so
+    # one that is not Hermitian fails the second-moment check, which reads
+    # the whole block and finds the 5 above the diagonal
+    with pytest.raises(UsageError, match="non-finite"):
+        shifts_of_matrix(np.array([[np.nan, 0], [0, 1.0]]))
+    for block in (np.ones((2, 3)), np.ones((2, 3, 3)), np.ones(3), []):
+        with pytest.raises(UsageError, match="square matrix"):
+            shifts_of_matrix(block)
+    with pytest.raises(ComputationError, match="^sum of squared eigenvalues deviates"):
+        shifts_of_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
+def test_the_stored_block_loads_no_numpy():
+    # the block's eigenpairs come from Jacobi rotations in Python complex
+    # arithmetic, in a fresh interpreter that never imports numpy
+    code = ("import sys\n"
+            "from gup_dosc.perturbation import REFERENCE_DEGENERATE_BLOCK, shifts_of_matrix\n"
+            "r = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)\n"
+            "print(r.shifts[1], 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(perturbation.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "-8.0 False\n"
+
+
 def test_oracle_slopes_match_whole_tower():
     # internal PT-oracle consistency over the complete interior tower: member
     # k sits alone in J-sector -k, so each shift meets its own block's slope
@@ -339,6 +371,71 @@ def test_level_rows_stop_at_the_interior_top(monkeypatch):
     with pytest.raises(UsageError, match=re.escape(
             "state (n=9, spectator=0) too close to cutoff 10; raise the cutoff")):
         level_rows(space, p, 9, ("+",), CLUSTER_WINDOW)
+
+
+@pytest.mark.parametrize("cutoff", [2, 12, 40])
+def test_critical_field_level_rows_are_chain_counts(cutoff, monkeypatch):
+    # at the critical field every level is +-1 m c^2, and so is its nearest
+    # eigenvalue, exactly; its multiplicity is the dense spectrum's count
+    # within the window, here at omega = 1, where roundoff loses no single.
+    # No dense block is built and no eigensolver runs
+    space, p = FockSpace(cutoff), ModelParams(omega=1.0, b_field=2.0)
+    terms = sector_terms(space, p, 0.0)
+    assert not paired(terms)
+    (dense,) = _dense_rows(space, [terms])
+    monkeypatch.setattr(sectors, "build_sectors",
+                        lambda *args: pytest.fail("a dense J-block was built"))
+    monkeypatch.setattr(numerics, "eigvalsh",
+                        lambda *args: pytest.fail("an eigensolver ran"))
+    levels = space.top
+    rows = level_rows(space, p, levels, BRANCHES, CLUSTER_WINDOW)
+    assert len(rows) == 2 * (levels + 1)
+    for row in rows:
+        assert row["analytic"] == row["exact_nearest"] == (
+            1.0 if row["branch"] == "+" else -1.0)
+        assert row["rel_error"] == 0.0
+        energy = row["analytic"]
+        assert row["multiplicity"] == np.count_nonzero(
+            np.abs(dense - energy) <= CLUSTER_WINDOW), row
+    # validate and spectrum at the critical field take the same route
+    for argv in (["spectrum", "--levels", "0"], ["validate", "--gup-a", "1e-4"]):
+        assert main([*argv, "--omega", "1", "--B", "2", "--cutoff", str(max(cutoff, 8)),
+                     "--output", os.devnull]) in (0, 1)
+
+
+@pytest.mark.parametrize("cutoff", [4, 40, 200])
+def test_chain_counts_hold_up_to_the_float_range_of_their_pivots(cutoff):
+    # at the critical field every J-sector with one more up state than down
+    # states holds one at +1 exactly, and far from the other eigenvalues at
+    # large couplings, so a level row counts those alone, up to couplings of
+    # about 1e290 m c^2 at the narrowest window; beyond, where the window
+    # falls below the pivot floor of the scaled chains, it is a usage error
+    space = FockSpace(cutoff)
+    unmatched = sum(max(0, len(space.line(j)) - len(space.line(j - 1)))
+                    for j in space.sectors)
+    for coupling in (1e10, 1e150, 1e290):
+        p = ModelParams(omega=coupling, hbar=coupling, b_field=2.0 * coupling)
+        k_a, k_b, _ = sector_terms(space, p, 0.0)
+        assert k_a == k_b and math.isclose(k_a, coupling, rel_tol=1e-15)
+        rows = level_rows(space, p, 1, BRANCHES, 1e-12)
+        assert [r["multiplicity"] for r in rows] == [unmatched] * 4, coupling
+    p = ModelParams(omega=1e295, hbar=1e295, b_field=2e295)
+    with pytest.raises(UsageError, match=re.escape(
+            "window 1e-12 m c^2 is below what the inertia counts resolve")):
+        level_rows(space, p, 1, BRANCHES, 1e-12)
+
+
+def test_critical_field_levels_are_eigenvalues_at_every_cutoff():
+    # the J-block at the critical field and a = 0 is [[I_u, C_J], [C_J^T,
+    # -I_v]]: a vector of the kernel of C_J^T (of C_J) is an eigenvector at
+    # exactly +1 (-1), and there is one wherever u > v (v > u). At every
+    # cutoff 2 .. 1000 some J-sector has more up states than down states and
+    # another more down than up, so +-1 m c^2, every level there, is itself
+    # an eigenvalue and its own nearest
+    for cutoff in range(2, MAX_CUTOFF + 1):
+        space = FockSpace(cutoff)
+        excess = [len(space.line(j)) - len(space.line(j - 1)) for j in space.sectors]
+        assert max(excess) > 0 > min(excess), cutoff
 
 
 def test_level_rows_relative_errors_do_not_depend_on_the_units():

@@ -4,6 +4,7 @@ Every draw is derandomized, so a run tests the same examples each time, and
 the example counts are bounded to keep the suite fast.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -27,12 +28,23 @@ from gup_dosc.model import (
     pair_spectrum,
     paired,
     sector_terms,
+    window_count,
 )
 from gup_dosc.numerics import eigvalsh, norm_max
-from gup_dosc.params import BRANCHES, NEGATIVE, POSITIVE, ModelParams, abs_level
+from gup_dosc.params import (
+    BRANCHES,
+    CLUSTER_WINDOW,
+    DEFAULT_EIGH_TOL,
+    NEGATIVE,
+    POSITIVE,
+    ModelParams,
+    abs_level,
+)
 from gup_dosc.perturbation import (
+    REFERENCE_DEGENERATE_BLOCK,
     PTReport,
     _agrees,
+    _jacobi_eigh,
     critical_field,
     degenerate_shift,
     first_order_shift,
@@ -728,3 +740,130 @@ def test_scan_grid_runs_from_b_min_to_b_max(ends, steps):
     assert code == 0 and len(grid) == steps
     assert grid[0] == b_min and grid[-1] == b_max
     assert all(b1 <= b2 for b1, b2 in zip(grid, grid[1:]))
+
+
+@st.composite
+def hermitian_blocks(draw):
+    """A Hermitian matrix of dimension 1 - 6 as its rows, real or complex:
+    entries of magnitude 1e-150 to 1e150, a scalar matrix, or U diag(w) U^H
+    with U unitary and one eigenvalue of w repeated."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["entries", "scalar", "repeated"]))
+    dtype = draw(st.sampled_from([float, complex]))
+    if kind == "scalar":
+        value = draw(st.floats(-1e150, 1e150))
+        return [[dtype(value if i == j else 0.0) for j in range(n)] for i in range(n)]
+    if kind == "repeated":
+        w = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        w[-1] = w[0]
+        parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n, max_size=2 * n * n))
+        z = np.array(parts[:n * n]).reshape(n, n)
+        if dtype is complex:
+            z = z + 1j * np.array(parts[n * n:]).reshape(n, n)
+        u, _ = np.linalg.qr(z + 3.0 * np.eye(n))
+        a = (u * w) @ u.conj().T
+        a = np.tril(a, -1) + np.tril(a, -1).conj().T + np.diag(a.diagonal().real)
+        return a.tolist()
+    magnitudes = st.tuples(st.floats(-1.0, 1.0), st.integers(-150, 150)).map(
+        lambda m: m[0] * 10.0 ** m[1])
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = dtype(draw(magnitudes))
+        for j in range(i):
+            x = draw(magnitudes) + (1j * draw(magnitudes) if dtype is complex else 0.0)
+            rows[i][j], rows[j][i] = x, x.conjugate()
+    return rows
+
+
+@DRAWS
+@given(rows=hermitian_blocks())
+@example(rows=[list(row) for row in REFERENCE_DEGENERATE_BLOCK])
+@example(rows=(2.5 * np.eye(4, dtype=complex)).tolist())
+def test_jacobi_rotations_keep_the_eigh_contract(rows):
+    # against LAPACK (np.linalg.eigh) on the same block: the eigenvalues
+    # within eigh's residual bound, each residual within it, the columns
+    # orthonormal, one of each column's largest entries real and positive
+    # (the phase that makes it so turns the others by roundoff), and an
+    # isolated eigenvalue's vector LAPACK's up to its phase. The stored
+    # block's -8 is exact, and of its vector's two equal entries the first
+    # is the positive one
+    w, v = _jacobi_eigh(rows)
+    a, vectors = np.array(rows, dtype=complex), np.array(v)
+    n = len(rows)
+    bound = DEFAULT_EIGH_TOL * max(1.0, norm_max(a) * n)
+    lapack_w, lapack_v = np.linalg.eigh(a)
+    assert w == sorted(w) and all(type(x) is float for x in w)
+    assert np.max(np.abs(np.array(w) - lapack_w)) <= bound
+    assert np.max(np.linalg.norm(a @ vectors - vectors * np.array(w), axis=0)) <= bound
+    assert norm_max(vectors.conj().T @ vectors - np.eye(n)) <= 1e-10
+    gaps = np.diff(lapack_w, prepend=-np.inf, append=np.inf)
+    for k, column in enumerate(vectors.T):
+        largest = np.abs(column) >= np.max(np.abs(column)) * (1.0 - 4.0 * np.finfo(float).eps)
+        assert any(x.imag == 0.0 and x.real > 0.0 for x in column[largest]), k
+        if min(gaps[k], gaps[k + 1]) > 1e-3 * max(1.0, norm_max(a) * n):
+            assert abs(abs(np.vdot(lapack_v[:, k], column)) - 1.0) <= 1e-8, k
+    if rows == [list(row) for row in REFERENCE_DEGENERATE_BLOCK]:
+        assert w[1] == -8.0
+        first, second, *rest = vectors[:, 1]
+        assert first == -second and first.real > 0.0 and rest == [0.0, 0.0]
+
+
+@functools.cache
+def _unit_chains(cutoff: int) -> dict:
+    """{J: (its diagonal, its coupling entries)} of the reference H0 / (m c^2)
+    (tests/reference.py, `sector_block`) at the critical field of omega = m
+    = c = hbar = 1, where both couplings are 1: at a = 0 the couplings are
+    the only entries off the diagonal, so the block at coupling k is the
+    diagonal plus k times the rest."""
+    space = Space(cutoff=cutoff, include_spin=True)
+    p = ModelParams(omega=1.0, b_field=2.0)
+    assert p.rest_energy == 1.0  # so H0 is in units of m c^2 as built
+    h = build_h0(space, p)
+    chains = {}
+    for j in FockSpace(cutoff).sectors:
+        block = sector_block(space, h, j)
+        assert norm_max(block.imag) == 0.0
+        diagonal = np.diag(block.real.diagonal())
+        chains[j] = diagonal, block.real - diagonal
+    return chains
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cutoff=st.sampled_from([4, 12, 40]), coupling=st.floats(-8.0, 10.0),
+       window=st.floats(-12.0, 0.0))
+# FOUND 42's config: a coupling of 1e10 m c^2 and the default window, and
+# a coupling of 1e150, where an unscaled pivot floor swallows the window
+@example(cutoff=12, coupling=10.0, window=-9.0)
+@example(cutoff=40, coupling=150.0, window=-12.0)
+def test_chain_counts_equal_the_dense_reference(cutoff, coupling, window):
+    # the critical field's J-chains at a coupling of 10^coupling and a window
+    # of 10^window m c^2: the inertia count at and one ulp beside every
+    # eigenvalue lies between numpy's counts at sigma -+ its accuracy, so does
+    # each level row's window count at +-1, and no count misses an unmatched
+    # state, exactly at +-1, where a dense solver's roundoff can lose it
+    base = ModelParams(omega=10.0 ** (2.0 * coupling))
+    p = base.with_field(critical_field(base))
+    space, window = FockSpace(cutoff), 10.0 ** window
+    k_a, k_b, _ = sector_terms(space, p, 0.0)
+    assert k_a == k_b and math.isclose(k_a, 10.0 ** coupling, rel_tol=1e-12)
+    chains = [SectorBand(space, (k_a, k_b), j).entries(0.0) for j in space.sectors]
+    inside = {1.0: [0, 0], -1.0: [0, 0]}  # numpy's counts within window -+ tol
+    for (j, (diagonal, links)), chain in zip(_unit_chains(cutoff).items(), chains):
+        block = diagonal + k_a * links
+        w = np.linalg.eigvalsh(block)
+        tol = 1e-13 * max(1.0, norm_max(block))
+        pivmin = _scales(chain)[2]
+        for e in w.tolist():
+            for sigma in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)):
+                lowest, highest = np.searchsorted(w, [sigma - tol, sigma + tol])
+                assert lowest <= _count(chain, sigma, pivmin) <= highest, (j, sigma)
+        for level, counts in inside.items():
+            counts[0] += np.count_nonzero(np.abs(w - level) <= window - tol)
+            counts[1] += np.count_nonzero(np.abs(w - level) <= window + tol)
+    for level, (fewest, most) in inside.items():
+        unmatched = sum(max(0, int(level) * (len(space.line(j)) - len(space.line(j - 1))))
+                        for j in space.sectors)
+        count = window_count(chains, level, window)
+        assert max(fewest, unmatched) <= count <= most, level
+    if (cutoff, coupling, window) == (12, 10.0, CLUSTER_WINDOW):
+        assert window_count(chains, 1.0, window) == window_count(chains, -1.0, window) == 6
