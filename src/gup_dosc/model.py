@@ -31,7 +31,6 @@ numpy with them.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -239,9 +238,7 @@ def _residual(band: tuple[list, list, list], v: list[float],
 class SectorBand:
     """The block of J-sector j for one config's couplings (k_a, k_b), its
     states ordered by N = n_a + n_b: a band of bandwidth 2, with the
-    deformation pattern built once, on first use, and scaled for each
-    strength; at no deformation, the critical field's chain, it is never
-    built.
+    deformation pattern built once and scaled for each strength.
 
     The up states of the line n_a - n_b = j have N = 2 n_b + j and the down
     states of line j - 1 have N = 2 n_b + j - 1, so every N from the
@@ -273,28 +270,17 @@ class SectorBand:
                        for d in (j, j - 1) for n_b in space.line(d))
         self.cells = [cell[1:] for cell in cells]
         self.sign = [1.0 if up else -1.0 for _, _, up in self.cells]
+        self.pattern = [n + 1 for n, *_ in cells]
+        n = len(cells)
         # the lower state's roots: a† from a down state, b to an up one
         self.coupling = [0.0, *(
             k_a * math.sqrt(m_a + 1.0) if up else k_b * math.sqrt(n_b)
             for (m_a, _, _), (_, n_b, up) in zip(self.cells, self.cells[1:]))]
+        self.pair = [0.0, 0.0, *(math.sqrt((m_a + 1.0) * (m_b + 1.0))
+                                 for m_a, m_b, _ in self.cells[:-2])][:n]
+        self.norm = max(q + r + s for q, r, s in
+                        zip(self.pattern, self.pair, [*self.pair[2:], 0.0, 0.0]))
         self.levels = [] if k_a and k_b else self._pair_levels()
-
-    @functools.cached_property
-    def pattern(self) -> list[int]:
-        """N + 1 of each row, the deformation's diagonal pattern."""
-        return [n_a + n_b + 1 for n_a, n_b, _ in self.cells]
-
-    @functools.cached_property
-    def pair(self) -> list[float]:
-        """The pair roots, row i's entry (i, i - 2) of the pattern."""
-        return [0.0, 0.0, *(math.sqrt((m_a + 1.0) * (m_b + 1.0))
-                            for m_a, m_b, _ in self.cells[:-2])][:len(self.cells)]
-
-    @functools.cached_property
-    def norm(self) -> float:
-        """A Gershgorin bound of the pattern."""
-        return max(q + r + s for q, r, s in
-                   zip(self.pattern, self.pair, [*self.pair[2:], 0.0, 0.0]))
 
     def _pair_levels(self) -> list[tuple[float, int, tuple[float, ...]]]:
         """The eigenpairs of the a = 0 block, ascending: +-hypot(1, kappa)
@@ -315,11 +301,7 @@ class SectorBand:
         return levels
 
     def entries(self, deform: float) -> tuple[list, list, list]:
-        """(diagonal, entries (i, i - 1), entries (i, i - 2)) at deform; at
-        no deformation the signs, the couplings and zeros, the pattern
-        unread (s + 0 q is s, and 0 r is a zero)."""
-        if not deform:
-            return self.sign, self.coupling, [0.0] * len(self.sign)
+        """(diagonal, entries (i, i - 1), entries (i, i - 2)) at deform."""
         return ([s + deform * q for s, q in zip(self.sign, self.pattern)], self.coupling,
                 [deform * r for r in self.pair])
 
@@ -421,8 +403,11 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
     float: unscaled, the floor grows as the square of the couplings, and
     at couplings above about 1e148 it swallows pivots of the window's width
     (1e-12), so a count misses states inside the window. Scaled, a count
-    resolves the window while it stays WINDOW_FLOORS pivot floors wide;
-    a narrower one, at couplings above about 1e290 m c^2, is a UsageError.
+    resolves the window while it stays WINDOW_FLOORS pivot floors wide,
+    window 2^-e >= WINDOW_FLOORS PIVMIN for a largest coupling below 2^e;
+    a narrower one is a UsageError: couplings from 2^982, about 4e295 m c^2,
+    at the default window of 1e-9, and from 2^972, about 4e292 m c^2, at
+    the noise floor of 1e-12.
     """
     above, below = math.nextafter(energy + window, math.inf), energy - window
     total = 0
@@ -432,9 +417,9 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
         if window * scale < WINDOW_FLOORS * PIVMIN:
             raise UsageError(f"window {window!r} m c^2 is below what the inertia counts "
                              f"resolve at couplings up to {largest!r} m c^2")
+        # scaled, every off-diagonal entry is below 1, so the floor is PIVMIN
         band = tuple([x * scale for x in entries] for entries in band)
-        pivmin = _scales(band)[2]
-        total += _count(band, above * scale, pivmin) - _count(band, below * scale, pivmin)
+        total += _count(band, above * scale, PIVMIN) - _count(band, below * scale, PIVMIN)
     return total
 
 

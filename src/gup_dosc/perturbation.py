@@ -247,7 +247,8 @@ def level_rows(
     unmatched states of the J-sectors whose up and down states differ in
     number (CONVENTIONS.md, Sectors), so each distinct level needs only its
     window count, from inertia counts on each J-sector's chain, the band
-    (`model.SectorBand`) at no deformation (`model.window_count`).
+    (`model.SectorBand`) at no deformation (`model.window_count`); a count
+    of 0 contradicts that and is a ComputationError.
     """
     _check_window(window)
     _check_headroom(space, levels, 0)
@@ -269,6 +270,9 @@ def level_rows(
                 if level not in counts:
                     counts[level] = window_count(chains, level, window)
                 nearest, count = level, counts[level]
+                if count == 0:
+                    raise ComputationError(f"no eigenvalue counted within {window!r} m c^2 "
+                                           f"of level {level!r} m c^2")
             nearest *= p.rest_energy
             if not math.isfinite(nearest):
                 raise UsageError(f"the exact eigenvalue nearest level (n={n}, branch "

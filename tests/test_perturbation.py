@@ -408,7 +408,7 @@ def test_chain_counts_hold_up_to_the_float_range_of_their_pivots(cutoff):
     # at the critical field every J-sector with one more up state than down
     # states holds one at +1 exactly, and far from the other eigenvalues at
     # large couplings, so a level row counts those alone, up to couplings of
-    # about 1e290 m c^2 at the narrowest window; beyond, where the window
+    # about 4e292 m c^2 at the narrowest window; beyond, where the window
     # falls below the pivot floor of the scaled chains, it is a usage error
     space = FockSpace(cutoff)
     unmatched = sum(max(0, len(space.line(j)) - len(space.line(j - 1)))
@@ -423,6 +423,27 @@ def test_chain_counts_hold_up_to_the_float_range_of_their_pivots(cutoff):
     with pytest.raises(UsageError, match=re.escape(
             "window 1e-12 m c^2 is below what the inertia counts resolve")):
         level_rows(space, p, 1, BRANCHES, 1e-12)
+
+
+def test_window_count_refuses_windows_below_its_resolution():
+    # window 2^-e >= WINDOW_FLOORS PIVMIN for a largest coupling below 2^e:
+    # refused from 2^972 (about 4e292 m c^2) at the noise floor of 1e-12
+    # and from 2^982 (about 4e295 m c^2) at CLUSTER_WINDOW = 1e-9
+    for window, edge in ((1e-12, 2.0 ** 972), (CLUSTER_WINDOW, 2.0 ** 982)):
+        below = math.nextafter(edge, 0.0)
+        assert model.window_count([([1.0, -1.0], [0.0, below], [0.0, 0.0])], 1.0,
+                                  window) == 0
+        with pytest.raises(UsageError, match="below what the inertia counts resolve"):
+            model.window_count([([1.0, -1.0], [0.0, edge], [0.0, 0.0])], 1.0, window)
+
+
+def test_critical_field_level_row_with_no_eigenvalue_counted_is_an_error(monkeypatch):
+    # a level row reports the level as its nearest eigenvalue only on a
+    # count within the window, as the oracle's `_level_index` requires one
+    monkeypatch.setattr(perturbation, "window_count", lambda *args: 0)
+    with pytest.raises(ComputationError, match="no eigenvalue counted within"):
+        level_rows(FockSpace(12), ModelParams(omega=1.0, b_field=2.0), 0, BRANCHES,
+                   CLUSTER_WINDOW)
 
 
 def test_critical_field_levels_are_eigenvalues_at_every_cutoff():
