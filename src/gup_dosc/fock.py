@@ -33,8 +33,9 @@ INTERIOR_MARGIN = 2
 # eigenvalue, dim <= cutoff - 1, a few band passes where the Rayleigh-quotient
 # step is confirmed and about 40 counts where it falls back to bisection.
 MAX_CUTOFF = 1000
-# Bytes of the largest block of one J-sector stack, summed over its configs:
-# configs beyond it go in further passes over the J-sectors (`stack_configs`).
+# Bytes of the largest block of one J-sector stack (`model.sector_stacks`,
+# the J-band scattered into dense blocks), summed over its configs: configs
+# beyond it go in further passes over the J-sectors (`stack_configs`).
 # A scan pass with the eigensolver's copies of its stack and its spectra then
 # adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
 STACK_BYTES = 2 * 2 ** 20

@@ -24,9 +24,10 @@ This module loads no numpy: a config's block terms, a closed-form
 (`paired`) spectrum and the J-band kernel, which gives the oracle its
 eigenvalues one at a time (`SectorBand`, `band_levels`) and the critical
 field's level rows their window counts (`window_count`), are pure Python.
-Only the dense branch of `interior_spectrum`, which serves the scan alone,
-imports the block builder (`sectors`) and the eigensolver (`numerics`),
-numpy with them.
+`SectorBand` is the one statement of a J-block's entries. Only the dense
+branch of `interior_spectrum`, which serves the scan alone, loads numpy:
+`sector_stacks` scatters the band's entries into dense stacks, and the
+eigensolver (`numerics`) solves them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
@@ -109,7 +110,7 @@ def pair_spectrum(
     same one; the pair lies in J-sector n_a - n_b + 1 of its down state. It
     is the block [[1, kappa], [kappa, -1]], kappa = k sqrt(r) with r = n_a + 1
     for a† (down states with n_a + n_b < T) and r = n_b for b (n_b >= 1), the
-    same float operations as `sectors.build_sectors`, and its eigenvalues
+    same float operations as `SectorBand.coupling`, and its eigenvalues
     are +-hypot(1, kappa), taken as abs(complex(1, kappa)), numpy's hypot
     bit for bit. Every other state is a 1x1 block: a spin-up state at 1 or a
     spin-down state at -1. With no coupling, kappa = 0 and a pair is +-1.
@@ -246,8 +247,8 @@ class SectorBand:
     a down state to the up state one quantum away: a† (k_a, root
     sqrt(n_a + 1)) to N + 1 and b (k_b, root sqrt(n_b)) to N - 1, so it lies
     beside the diagonal. The pair term of the deformation joins (n_a, n_b)
-    to (n_a + 1, n_b + 1) on one spin, two rows away. The entries are
-    `sectors.build_sectors`' floats, computed by the same operations:
+    to (n_a + 1, n_b + 1) on one spin, two rows away. The entries, which
+    `sector_stacks` scatters into its dense stacks, are
 
       diagonal   ± 1 + deform (N + 1)                 `sign`, `pattern`
       (i, i-1)   k_a sqrt(n_a + 1) or k_b sqrt(n_b)   `coupling`
@@ -423,10 +424,43 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
     return total
 
 
+def sector_stacks(space: FockSpace,
+                  terms: Sequence[tuple[float, float, float]]) -> Iterator:
+    """The interior blocks of H0 + H', in units of m c^2, for each of `terms`
+    (`sector_terms`), as numpy stacks, one per J of `space.sectors`,
+    generated one at a time: row k of every stack is the block of terms[k].
+
+    Each stack scatters the entries of J's `SectorBand` at unit couplings,
+    whose `coupling` holds the roots, into zeros. Each config's entries are
+    formed by `SectorBand.entries`' float operations, vectorized across the
+    configs: s + deform q on the diagonal, k root for each coupling (k_a for
+    a†, k_b for b) and deform r for each pair. The rows run over the spin-up
+    states, then the spin-down ones, each ascending in n_b, not the band's N
+    order: LAPACK's last bits depend on the order. The off-diagonal entries
+    are added, not assigned, so an a = 0 config's pair entries are +0.0.
+    """
+    import numpy as np
+
+    k_a, k_b, deform = np.array(terms, dtype=float).reshape(-1, 3).T[:, :, np.newaxis]
+    for j in space.sectors:
+        band = SectorBand(space, (1.0, 1.0), j)
+        up = np.array([cell[2] for cell in band.cells])
+        # row[i] is band state i's row: spin up first, each spin in N order
+        row = np.empty(len(up), dtype=int)
+        row[np.argsort(~up, kind="stable")] = np.arange(len(up))
+        stack = np.zeros((len(deform), len(up), len(up)))
+        stack[:, row, row] = np.array(band.sign) + deform * np.array(band.pattern)
+        for offset, entries in (
+                (1, np.where(up[1:], k_a, k_b) * np.array(band.coupling[1:])),
+                (2, deform * np.array(band.pair[2:]))):
+            lower, upper = row[offset:], row[:-offset]
+            stack[:, lower, upper] += entries
+            stack[:, upper, lower] += entries
+        yield stack
+
+
 def interior_spectrum(
-    space: FockSpace,
-    terms: Sequence[tuple[float, float, float]],
-    js: Iterable[int] | None = None,
+    space: FockSpace, terms: Sequence[tuple[float, float, float]]
 ) -> list[list[float]]:
     """Ascending eigenvalues, in units of m c^2, of the interior-projected
     full Hamiltonian for each of `terms`, the `sector_terms` of one config
@@ -435,34 +469,27 @@ def interior_spectrum(
     level rows from `window_count`). Each row is a list of floats.
 
     H0 and H' both conserve J, so row k is the sorted union of the J-sector
-    spectra of terms[k], over every J-sector or over the distinct J of
-    `space.sectors` in `js`, ascending: the one list both routes take. Each
-    distinct terms is solved once, and its row shared by every config that
-    has it. `paired` terms are closed form (`pair_spectrum`), with no
-    eigensolver call and no numpy. All others go through
-    `sectors.build_sectors` in consecutive chunks of `fock.stack_configs`,
-    one pass over the J-sectors each, and each J-stack is solved in one
-    `numerics.eigvalsh` call as it is generated, so one stack of bounded
-    bytes is held at a time.
+    spectra of terms[k] over every J-sector. Each distinct terms is solved
+    once, and its row shared by every config that has it. `paired` terms
+    are closed form (`pair_spectrum`), with no eigensolver call and no
+    numpy. All others go through `sector_stacks` in consecutive chunks of
+    `fock.stack_configs`, one pass over the J-sectors each, and each
+    J-stack is solved in one `numerics.eigvalsh` call as it is generated,
+    so one stack of bounded bytes is held at a time.
     """
-    sectors = space.sectors
-    js = sectors if js is None else sorted({j for j in js if j in sectors})
-    if not js:
-        return [[] for _ in terms]
     # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
     distinct = list(dict.fromkeys(terms))
-    spectra = {t: pair_spectrum(space, t, js) for t in distinct if paired(t)}
+    spectra = {t: pair_spectrum(space, t, space.sectors) for t in distinct if paired(t)}
     dense = [t for t in distinct if not paired(t)]
     if dense:
         import numpy as np
 
         from .numerics import eigvalsh
-        from .sectors import build_sectors
 
         size = stack_configs(space.cutoff)
         for i in range(0, len(dense), size):
             chunk = dense[i:i + size]
-            w = np.concatenate([eigvalsh(stack) for stack in build_sectors(space, chunk, js)],
+            w = np.concatenate([eigvalsh(stack) for stack in sector_stacks(space, chunk)],
                                axis=-1)
             spectra.update(zip(chunk, np.sort(w, axis=-1).tolist()))
     return [spectra[t] for t in terms]

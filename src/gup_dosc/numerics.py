@@ -5,14 +5,16 @@ Every matrix this module takes is made a square ``numpy`` array:
 ``complex128`` otherwise. The Hermitian eigensolver wraps LAPACK and
 enforces the residual, orthonormality and spectral-moment contracts the
 physics modules rely on, and fixes the phase of every eigenvector so that
-reports are reproducible. Only the dense branch of
-`model.interior_spectrum`, a scan's spectra at a != 0 and at the coupled
-critical field, imports this module, when it runs, so numpy loads with a
-scan's first eigensolve. `eigh` has no caller in src: it stays because
-acceptance criterion 8 pins its contract at dimensions up to 512, as a
-single-matrix `eigvalsh` stays for criterion 7 (ROADMAP item 18). The
-package's other eigenvalues are pure Python, under the same residual bound,
-`DEFAULT_EIGH_TOL`, which `params` holds so that no module needs another:
+reports are reproducible. It is the package's one module that imports
+numpy at module level. Only the dense branch of `model.interior_spectrum`,
+a scan's spectra at a != 0 and at the coupled critical field, imports it,
+when it runs, to solve the stacks that `model.sector_stacks` scatters from
+the J-bands, so numpy loads with a scan's first eigensolve. `eigh` has no
+caller in src: it stays because acceptance criterion 8 pins its contract
+at dimensions up to 512, as a single-matrix `eigvalsh` stays for
+criterion 7 (ROADMAP item 18). The package's other eigenvalues are pure
+Python, under the same residual bound, `DEFAULT_EIGH_TOL`, which `params`
+holds so that no module needs another:
 `model.SectorBand` certifies the oracle's J-sector eigenvalues, and
 `perturbation._jacobi_eigh` gives the stored 4x4 block's eigenpairs under
 `eigh`'s whole contract.

@@ -22,7 +22,8 @@ This module loads no numpy: the shift reports, their at most 4x4 matrices
 held as tuples of rows, the stored block's eigenpairs (`_jacobi_eigh`), the
 level rows at any field, the oracle and the scan's histograms are pure
 Python. numpy loads only with a scan's spectra, in `interior_spectrum`'s
-dense branch (its a != 0 configs and the coupled critical field).
+dense branch (its a != 0 configs and the coupled critical field), which
+scatters the J-bands into dense stacks for the eigensolver.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Dense reference algebra on the full truncated basis, for the tests only.
 
 No command builds these operators: reports come from the J-sector blocks of
-`gup_dosc.model.build_sectors` and the closed-form tower elements of
+`gup_dosc.model.SectorBand` and the closed-form tower elements of
 `gup_dosc.perturbation`. The tests compare those against the dense
 transcription of CONVENTIONS.md here, with l = sqrt(hbar / (m |omega|)):
 
@@ -31,7 +31,6 @@ from gup_dosc.errors import UsageError
 from gup_dosc.fock import INTERIOR_MARGIN, FockSpace
 from gup_dosc.numerics import as_matrix
 from gup_dosc.params import ModelParams
-from gup_dosc.sectors import _links
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -125,16 +124,17 @@ def sector_j(space: Space, index) -> int:
 
 
 def sector_indices(space: Space, j: int) -> np.ndarray:
-    """Flat indices of the interior states with J = j, ascending: the rows of
-    the J = j block of `build_sectors` in its own order."""
+    """Flat indices of the interior states with J = j, ascending: spin up,
+    then spin down, each ascending in n_b, the rows of the J = j stack of
+    `gup_dosc.model.sector_stacks`."""
     return np.array(
         [i for i in space.interior_indices() if sector_j(space, i) == j], dtype=int
     )
 
 
 def sector_block(space: Space, dense: np.ndarray, j: int) -> np.ndarray:
-    """The J = j interior block of a dense operator in the basis of
-    `build_sectors`: each state |n_a, n_b, s> carries the phase i^{n_b}.
+    """The J = j interior block of a dense operator in the basis of the
+    J-sector blocks: each state |n_a, n_b, s> carries the phase i^{n_b}.
 
     The phases are exact, [1, i, -1, -i][n_b % 4]; 1j ** n_b leaves roundoff
     in the imaginary parts.
@@ -311,8 +311,8 @@ def build_h_prime(
 ) -> np.ndarray:
     """Minimal-length perturbation -a c p^2 on both spinor components.
 
-    `strength` overrides p.gup_a and may be negative, as in
-    `build_sectors`. Identically zero at the critical field, where the
+    `strength` overrides p.gup_a and may be negative, as in the oracle's
+    stencil. Identically zero at the critical field, where the
     ladder representation of p^2 carries a vanishing prefactor.
     """
     a = p.gup_a if strength is None else strength
@@ -359,13 +359,23 @@ def band_matrix(entries) -> np.ndarray:
     return a
 
 
+def _links(n_a: np.ndarray, n_b: np.ndarray, top: int):
+    """(link, up n_b, root) of each term of K = k_a a† + k_b b on the spin-down
+    states (n_a, n_b), k_a's first: a† takes a down state to the up state
+    (n_a + 1, n_b) while n_a + n_b < top, with root sqrt(n_a + 1), and b
+    takes it to the up state (n_a, n_b - 1) while n_b >= 1, with root
+    sqrt(n_b). `link` marks the down states a term moves."""
+    yield n_a + n_b < top, n_b, np.sqrt(n_a + 1.0)
+    yield n_b >= 1, n_b - 1, np.sqrt(n_b.astype(float))
+
+
 def pair_spectrum_grid(space: FockSpace, terms: tuple[float, float, float],
                        js=None) -> np.ndarray:
     """The ascending spectrum, in units of m c^2, of a `paired` config over
     the J in `js` (every J-sector by default), from the whole interior grid:
-    each spin-down state linked by the one coupling (`sectors._links`) pairs
-    with its spin-up partner at +-hypot(1, kappa), every other state is a
-    single at +1 (up) or -1 (down)."""
+    each spin-down state linked by the one coupling (`_links`) pairs with its
+    spin-up partner at +-hypot(1, kappa), every other state is a single at +1
+    (up) or -1 (down)."""
     top = space.top
     k_a, k_b, _ = terms
     # every interior (n_a, n_b), n_a + n_b <= top

@@ -99,13 +99,13 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
 
 def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch, capsys):
     # the n = 2 cluster's spectator 3 does not fit in the interior
-    # n_a + n_b <= 4 of cutoff 6: the level rows' one whole spectrum (js None)
-    # is solved before the usage error, and no oracle J-sector
+    # n_a + n_b <= 4 of cutoff 6: the level rows' one whole spectrum, of their
+    # one a = 0 config, is solved before the usage error, and no oracle J-sector
     solved = []
 
-    def recording(space, terms, js=None):
-        solved.append(js)
-        return model.interior_spectrum(space, terms, js)
+    def recording(space, terms):
+        solved.append(len(terms))
+        return model.interior_spectrum(space, terms)
 
     monkeypatch.setattr(perturbation, "interior_spectrum", recording)
     monkeypatch.setattr(perturbation, "band_levels",
@@ -114,7 +114,7 @@ def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch
                  "--cutoff", "6"]) == 2
     assert capsys.readouterr().err == (
         "usage error: state (n=2, spectator=3) too close to cutoff 6; raise the cutoff\n")
-    assert solved == [None]
+    assert solved == [1]
 
 
 def test_only_spectrum_needs_headroom_for_its_levels(tmp_path, capsys):

@@ -14,10 +14,9 @@ from gup_dosc.fock import (
     sector_cost,
     stack_configs,
 )
-from gup_dosc.model import sector_terms
+from gup_dosc.model import sector_stacks, sector_terms
 from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import ModelParams, abs_level, landau_level, spinor_level
-from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
     adjoint,
@@ -37,7 +36,7 @@ def interior_eigs(h, space=SPACE, margin=2):
 
 
 def all_js(space):
-    """Every J-sector of the interior, ascending: the default of `build_sectors`."""
+    """Every J-sector of the interior, ascending: the J of `sector_stacks`."""
     top = space.cutoff - INTERIOR_MARGIN
     return range(-top, top + 2)
 
@@ -251,7 +250,7 @@ def test_sectors_equal_dense_interior_blocks(omega, b_field, strength, units):
              for a in strengths]
     terms = [sector_terms(space, p, a * mass * light_speed) for a in strengths]
     assert len(set(terms)) == (1 if same else 3)
-    stacks = build_sectors(space, terms)
+    stacks = sector_stacks(space, terms)
     sectors = dict(zip(all_js(space), stacks))
     indices = {j: sector_indices(space, j) for j in sectors}
     covered = np.sort(np.concatenate(list(indices.values())))
@@ -289,7 +288,7 @@ def test_sector_couplings_are_exact_zeros():
     space = Space(cutoff=8, include_spin=True)
     for b_field, step in ((1.0, (1, 0)), (3.0, (0, -1))):  # wt = 0.5, -0.5
         p = ModelParams(omega=1.0, b_field=b_field)
-        stacks = build_sectors(space, [sector_terms(space, p, p.alpha_gup)])
+        stacks = sector_stacks(space, [sector_terms(space, p, p.alpha_gup)])
         for j, stack in zip(all_js(space), stacks):
             states = [space.unpack(int(i)) for i in sector_indices(space, j)]
             for r, (n_a, n_b, row_up) in enumerate(states):
@@ -305,7 +304,7 @@ def test_fock_space_rejects_cutoff_inside_margin(cutoff):
         FockSpace(cutoff=cutoff)
 
 
-def test_build_sectors_rejects_cutoff_inside_margin():
+def test_sector_stacks_start_at_the_interior_margin():
     # no space without an interior is built (`FockSpace`), so none reaches
     # the blocks; the smallest cutoff with one, T = 0, has one state per
     # spin, n_a = n_b = 0
@@ -313,14 +312,14 @@ def test_build_sectors_rejects_cutoff_inside_margin():
     space = FockSpace(cutoff=INTERIOR_MARGIN)
     assert space.top == 0 and FockSpace(cutoff=40).top == 38
     terms = sector_terms(space, p, 0.0)
-    stacks = build_sectors(space, [terms])
+    stacks = sector_stacks(space, [terms])
     assert [stack.shape for stack in stacks] == [(1, 1, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 7, 12, 40])
 def test_sector_cost_counts_the_built_blocks(cutoff):
     space = FockSpace(cutoff)
-    stacks = build_sectors(space, [sector_terms(space, ModelParams(omega=1.0), 0.0)])
+    stacks = sector_stacks(space, [sector_terms(space, ModelParams(omega=1.0), 0.0)])
     dims = [stack.shape[-1] for stack in stacks]
     assert sector_cost(cutoff) == (sum(d ** 3 for d in dims), 8 * max(dims) ** 2)
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -11,10 +12,9 @@ import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import FockSpace
 from gup_dosc.cli import dump_matrix
-from gup_dosc.model import sector_terms
+from gup_dosc.model import sector_stacks, sector_terms
 from gup_dosc.numerics import as_matrix, eigh, eigvalsh, norm_max
 from gup_dosc.params import ModelParams
-from gup_dosc.sectors import build_sectors
 from reference import adjoint, commutator
 
 RNG = np.random.default_rng(20240817)
@@ -164,9 +164,9 @@ def test_import_sets_one_blas_thread_by_default(setting, expected):
         env["OPENBLAS_NUM_THREADS"] = setting
     env["PYTHONPATH"] = str(pathlib.Path(gup_dosc.__file__).parents[1])
     code = (
-        # the package itself loads no numpy; the block builder does, through
+        # the package itself loads no numpy; the eigensolver does, through
         # the package
-        "import os, sys, gup_dosc.sectors\n"
+        "import os, sys, gup_dosc.numerics\n"
         "tasks = '/proc/self/task'\n"
         "n = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
         "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], n)\n"
@@ -178,6 +178,31 @@ def test_import_sets_one_blas_thread_by_default(setting, expected):
         if out[2] == "None":
             pytest.skip("thread count needs Linux /proc/self/task")
         assert out[2] == "1"
+
+
+def _import_time_modules(tree: ast.Module):
+    """The absolute module names imported by the statements that run when a
+    module is imported: every import outside a function body."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_only_numerics_imports_numpy_at_module_level():
+    # every other module of the package imports numpy, if at all, inside the
+    # function that needs it, so numpy loads only where a solve needs it
+    package = pathlib.Path(gup_dosc.__file__).parent
+    importers = {path.stem for path in package.glob("*.py")
+                 if any(name.split(".")[0] == "numpy"
+                        for name in _import_time_modules(ast.parse(path.read_text())))}
+    assert importers == {"numerics"}
 
 
 def test_eigvalsh_matches_eigh():
@@ -265,7 +290,7 @@ def test_eigvalsh_stack_equals_per_matrix_calls_bitwise(dtype):
 def test_eigvalsh_stack_of_sector_blocks_equals_per_block_calls_bitwise():
     p = ModelParams(omega=1.0, b_field=1.0)
     space = FockSpace(cutoff=40)
-    stacks = build_sectors(space, [sector_terms(space, p, a) for a in (0.0, 1e-5, -2e-5)])
+    stacks = sector_stacks(space, [sector_terms(space, p, a) for a in (0.0, 1e-5, -2e-5)])
     for stack in stacks:
         w = eigvalsh(stack)
         for k, block in enumerate(stack):

@@ -12,11 +12,19 @@ import warnings
 import numpy as np
 import pytest
 
-from gup_dosc import fock, model, numerics, perturbation, sectors
+from gup_dosc import fock, model, numerics, perturbation
 from gup_dosc.cli import dump_matrix, main
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import MAX_CUTOFF, FockSpace, sector_cost, stack_configs
-from gup_dosc.model import SectorBand, band_levels, interior_spectrum, paired, sector_terms
+from gup_dosc.model import (
+    SectorBand,
+    band_levels,
+    interior_spectrum,
+    pair_spectrum,
+    paired,
+    sector_stacks,
+    sector_terms,
+)
 from gup_dosc.numerics import eigvalsh, norm_max
 from gup_dosc.params import BRANCHES, CLUSTER_WINDOW, ModelParams, abs_level, spinor_level
 from gup_dosc.perturbation import (
@@ -35,7 +43,6 @@ from gup_dosc.perturbation import (
     spectral_clusters,
     validation_report,
 )
-from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
     angular_momentum,
@@ -383,7 +390,7 @@ def test_critical_field_level_rows_are_chain_counts(cutoff, monkeypatch):
     terms = sector_terms(space, p, 0.0)
     assert not paired(terms)
     (dense,) = _dense_rows(space, [terms])
-    monkeypatch.setattr(sectors, "build_sectors",
+    monkeypatch.setattr(model, "sector_stacks",
                         lambda *args: pytest.fail("a dense J-block was built"))
     monkeypatch.setattr(numerics, "eigvalsh",
                         lambda *args: pytest.fail("an eigensolver ran"))
@@ -729,17 +736,20 @@ BATCH_PARAMS = [PARAMS, ModelParams(omega=0.1, b_field=0.3, gup_a=1e-4),
 
 @pytest.mark.parametrize("p", BATCH_PARAMS)
 def test_interior_spectrum_rows_equal_one_strength_solves(p):
-    # the oracle stencil solves its five strengths in one pass over its
-    # J-sectors; each row must be bitwise the spectrum solved on its own, and
-    # the J-sector rows must be bitwise pieces of the whole spectrum
+    # five strengths solved in one pass over the J-sectors; each row must be
+    # bitwise the spectrum solved on its own, and the J-sector pieces must be
+    # bitwise pieces of the whole spectrum: `pair_spectrum` over [j] for a
+    # paired config, a row of the J-stack's one eigvalsh call otherwise
     terms = [sector_terms(SPACE, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
     rows = np.array(interior_spectrum(SPACE, terms))
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
     for t, row in zip(terms, rows):
         assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
         assert np.all(np.diff(row) >= 0.0)
-    top = SPACE.cutoff - fock.INTERIOR_MARGIN
-    sectors = [interior_spectrum(SPACE, terms, [j]) for j in range(-top, top + 2)]
+    sectors = [[pair_spectrum(SPACE, t, [j]) if paired(t) else w
+                for t, w in zip(terms, eigvalsh(stack))]
+               for j, stack in zip(SPACE.sectors, sector_stacks(SPACE, terms))]
+    assert len(sectors) == 2 * SPACE.top + 2
     assert np.array_equal(np.sort(np.concatenate(sectors, axis=-1), axis=-1), rows)
 
 
@@ -843,12 +853,12 @@ def test_each_config_is_reduced_to_its_terms_once(monkeypatch, tmp_path):
         reduced.append((p, a))
         return sector_terms(space, p, a)
 
-    def building(space, terms, js):
+    def building(space, terms):
         built.append(list(terms))
-        return build_sectors(space, terms, js)
+        return sector_stacks(space, terms)
 
     monkeypatch.setattr(perturbation, "sector_terms", reducing)
-    monkeypatch.setattr(sectors, "build_sectors", building)
+    monkeypatch.setattr(model, "sector_stacks", building)
     field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     assert reduced == _scan_configs()
     # the three paired a = 0 configs are closed form; the other five,
@@ -921,7 +931,7 @@ def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
 def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
         monkeypatch, tmp_path):
     solves = _record_band_levels(monkeypatch)
-    monkeypatch.setattr(sectors, "build_sectors",
+    monkeypatch.setattr(model, "sector_stacks",
                         lambda *args: pytest.fail("a dense J-block was built"))
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
@@ -984,9 +994,11 @@ def test_band_eigenvalues_are_certified_or_refused_at_any_strength():
 
 
 def _dense_rows(space, terms, js=None):
-    """Sorted rows of the `build_sectors` blocks, each J-stack in one eigvalsh
-    call: the dense path, whatever the terms."""
-    stacks = build_sectors(space, terms, js)
+    """Sorted rows of the `sector_stacks` blocks of the J in `js` (every
+    J-sector by default), each J-stack in one eigvalsh call: the dense path,
+    whatever the terms."""
+    stacks = [stack for j, stack in zip(space.sectors, sector_stacks(space, terms))
+              if js is None or j in js]
     return np.sort(np.concatenate([eigvalsh(s) for s in stacks], axis=-1), axis=-1)
 
 
@@ -999,10 +1011,11 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
     assert paired(terms)
     top = cutoff - fock.INTERIOR_MARGIN
     calls = _count_eigvalsh(monkeypatch)
-    # every J-sector, the two outermost ones and the two at J = 0, 1, alone
-    # and together
+    # every J-sector (the route table), and the two outermost ones and the
+    # two at J = 0, 1, alone and together (`pair_spectrum`)
     for js in (None, [-top], [top + 1], [0, 1], [-top, 0, 1, top + 1]):
-        (row,) = np.array(interior_spectrum(space, [terms], js))
+        row = np.array(interior_spectrum(space, [terms])[0] if js is None
+                       else pair_spectrum(space, terms, js))
         # closed form: no eigensolver call and no J-block built
         assert calls == []
         (dense,) = _dense_rows(space, [terms], js)
@@ -1049,7 +1062,7 @@ def test_unpaired_configs_take_the_dense_blocks(p, a, monkeypatch):
     monkeypatch.setattr(numerics, "eigvalsh", recording)
     row = interior_spectrum(space, [terms])
     # one one-config stack per J-sector, of its full dimension
-    stacks = build_sectors(space, [terms])
+    stacks = sector_stacks(space, [terms])
     assert shapes == [stack.shape for stack in stacks]
     assert np.array_equal(row, _dense_rows(space, [terms]))
 

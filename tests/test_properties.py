@@ -27,6 +27,7 @@ from gup_dosc.model import (
     interior_spectrum,
     pair_spectrum,
     paired,
+    sector_stacks,
     sector_terms,
     window_count,
 )
@@ -53,7 +54,6 @@ from gup_dosc.perturbation import (
     spectral_clusters,
     validation_report,
 )
-from gup_dosc.sectors import build_sectors
 from reference import (
     Space,
     band_matrix,
@@ -61,6 +61,7 @@ from reference import (
     build_h_prime,
     pair_spectrum_grid,
     sector_block,
+    sector_indices,
     spectral_clusters_loop,
 )
 
@@ -140,7 +141,7 @@ def test_pair_spectra_equal_the_dense_blocks(p):
     assert paired(terms)
     (row,) = np.array(interior_spectrum(SPACE, [terms]))
     dense = np.sort(np.concatenate([eigvalsh(stack)[0]
-                                    for stack in build_sectors(SPACE, [terms])]))
+                                    for stack in sector_stacks(SPACE, [terms])]))
     assert row.shape == dense.shape
     assert np.max(np.abs(row - dense)) <= 1e-12
 
@@ -162,8 +163,9 @@ def test_pair_spectra_are_symmetric_under_negation(p):
 def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
     # the runs of `pair_spectrum`, one per coupling root with its J-sectors
     # counted in closed form, against numpy over the whole (n_a, n_b) grid:
-    # every J-sector and subsets, with J beyond the interior and repeats,
-    # which the route table (`interior_spectrum`) reduces
+    # every J-sector (the route table, `interior_spectrum`) and subsets,
+    # the grid's with J beyond the interior and repeats, which
+    # `pair_spectrum` takes reduced, ascending and distinct
     space = FockSpace(cutoff)
     top = space.top
     base = ModelParams(omega=data.draw(scales), mass=data.draw(scales),
@@ -173,7 +175,8 @@ def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
     subset = data.draw(st.lists(st.integers(-top - 2, top + 3), max_size=6)
                        | st.sampled_from([[-top], [top + 1], [0, 1]]))
     for js in (None, subset):
-        (row,) = np.array(interior_spectrum(space, [terms], js))
+        row = np.array(interior_spectrum(space, [terms])[0] if js is None else
+                       pair_spectrum(space, terms, sorted(set(js) & set(space.sectors))))
         grid = pair_spectrum_grid(space, terms, js)
         # bit for bit: equal as 64-bit integers
         assert row.shape == grid.shape and np.array_equal(row.view(np.int64),
@@ -203,25 +206,29 @@ def _reference_row(cutoff: int, p: ModelParams, strength: float, js) -> np.ndarr
 @DRAWS
 @given(config=route_configs(), strengths=st.lists(st.sampled_from([0.0, 1e-3, -2e-3]),
                                                   min_size=1, max_size=3),
-       js=st.none() | st.lists(st.integers(-8, 9), max_size=8))
-@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3], js=[0, 0])
-@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3], js=[9])
-@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3], js=[])
-def test_both_routes_solve_the_reduced_j_list(config, strengths, js):
-    # configs on both routes in one call, J lists unsorted, repeated, beyond
-    # the interior or empty: each row is the dense reference over the
-    # distinct J of the interior in the list
+       js=st.sets(st.integers(-8, 9), max_size=8))
+@example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3],
+         js={-4, 0, 1, 5})
+def test_both_routes_equal_the_dense_reference_per_j_sector(config, strengths, js):
+    # configs on both routes in one call: each row is the dense reference
+    # over every J-sector, and each route's pieces over the J of the
+    # interior in `js`, ascending (`pair_spectrum` for a paired config, the
+    # rows of the J-stacks otherwise), are the reference over those J
     cutoff, p = config
     space = FockSpace(cutoff)
     terms = [sector_terms(space, p, a * p.mass * p.light_speed) for a in strengths]
-    reduced = space.sectors if js is None else sorted(set(js) & set(space.sectors))
-    rows = interior_spectrum(space, terms, js)
+    js = sorted(js & set(space.sectors))
+    rows = interior_spectrum(space, terms)
     assert len(rows) == len(terms)
-    for row, a in zip(rows, strengths):
-        reference = _reference_row(cutoff, p, a, reduced)
-        assert len(row) == len(reference) and row == sorted(row)
-        scale = np.max(np.abs(reference), initial=1.0)
-        assert np.max(np.abs(np.array(row) - reference), initial=0.0) <= 1e-12 * scale
+    stacks = dict(zip(space.sectors, sector_stacks(space, terms)))
+    for k, (row, t, a) in enumerate(zip(rows, terms, strengths)):
+        pieces = pair_spectrum(space, t, js) if paired(t) else np.sort(
+            np.concatenate([[], *(eigvalsh(stacks[j][k]) for j in js)]))
+        for got, sectors in ((row, space.sectors), (pieces, js)):
+            reference = _reference_row(cutoff, p, a, sectors)
+            assert len(got) == len(reference) and np.all(np.diff(got) >= 0.0)
+            scale = np.max(np.abs(reference), initial=1.0)
+            assert np.max(np.abs(np.array(got) - reference), initial=0.0) <= 1e-12 * scale
 
 
 @st.composite
@@ -234,37 +241,56 @@ def band_configs(draw):
     return draw(st.integers(2, 7)), p, alpha
 
 
+def _reference_h(reference: Space, p: ModelParams, alpha: float) -> np.ndarray:
+    """The dense reference H0 + H' at alpha = a m c, in units of m c^2."""
+    strength = alpha / (p.mass * p.light_speed)
+    return (build_h0(reference, p) + build_h_prime(reference, p, strength=strength)
+            ) / p.rest_energy
+
+
 def _band_blocks(cutoff: int, p: ModelParams, alpha: float):
-    """Yield (J, its band, its dense band matrix, the permutation of the
-    band's rows in the rows of `build_sectors`' block, that block, and the
-    reference `sector_block`) for every J-sector, in units of m c^2."""
+    """Yield (J, its band, its dense band matrix, the reference
+    `sector_block`) for every J-sector, in units of m c^2."""
     space, reference = FockSpace(cutoff), Space(cutoff=cutoff, include_spin=True)
     terms = sector_terms(space, p, alpha)
-    h = (build_h0(reference, p) + build_h_prime(reference, p, strength=alpha / (
-        p.mass * p.light_speed))) / p.rest_energy
-    for j, (block,) in zip(space.sectors, build_sectors(space, [terms])):
+    h = _reference_h(reference, p, alpha)
+    for j in space.sectors:
         band = SectorBand(space, terms[:2], j)
-        cells = [(n_b + d, n_b, up) for d, up in ((j, True), (j - 1, False))
-                 for n_b in space.line(d)]
-        order = [cells.index(cell) for cell in band.cells]
-        yield (j, band, band_matrix(band.entries(terms[2])), order, block,
-               sector_block(reference, h, j))
+        yield j, band, band_matrix(band.entries(terms[2])), sector_block(reference, h, j)
 
 
 @DRAWS
 @given(config=band_configs())
 def test_band_entries_are_the_sector_blocks_in_n_order(config):
-    # ordered by N = n_a + n_b, each J-block is the band bit for bit: every
-    # entry beyond the second off-diagonal is zero; against the dense
-    # reference, its entries agree to roundoff
-    for j, band, dense, order, block, ref in _band_blocks(*config):
-        n_total = [n_a + n_b for n_a, n_b, _ in band.cells]
-        assert n_total == list(range(n_total[0], n_total[0] + len(n_total)))
-        assert [up for *_, up in band.cells] == [(n - j) % 2 == 0 for n in n_total]
-        assert np.array_equal(dense, block[np.ix_(order, order)]), j
-        assert norm_max(ref.imag) == 0.0
-        scale = max(1.0, norm_max(block))
-        assert norm_max(dense - ref.real[np.ix_(order, order)]) <= 1e-13 * scale, j
+    # the dense route scatters the band: in one stack of a = 0 and a != 0
+    # configs, each block's rows are those of `sector_indices` (spin up,
+    # then spin down, each ascending in n_b), and under the permutation from
+    # the band's N = n_a + n_b order its entries are `SectorBand.entries`
+    # bit for bit, signed zeros included: added into zeros, an a = 0 pair
+    # entry is +0.0 where `entries` holds -0.0 r. Every entry beyond the
+    # band's second off-diagonal is zero, and against the dense reference
+    # each block agrees to roundoff
+    cutoff, p, alpha = config
+    space, reference = FockSpace(cutoff), Space(cutoff=cutoff, include_spin=True)
+    alphas = (0.0, alpha, 1e-3)
+    terms = [sector_terms(space, p, a) for a in alphas]
+    hs = [_reference_h(reference, p, a) for a in alphas]
+    for j, stack in zip(space.sectors, sector_stacks(space, terms)):
+        rows = [reference.unpack(int(i)) for i in sector_indices(reference, j)]
+        assert stack.shape == (len(terms), len(rows), len(rows))
+        for (k_a, k_b, deform), h, block in zip(terms, hs, stack):
+            band = SectorBand(space, (k_a, k_b), j)
+            n_total = [n_a + n_b for n_a, n_b, _ in band.cells]
+            assert n_total == list(range(n_total[0], n_total[0] + len(n_total)))
+            assert [up for *_, up in band.cells] == [(n - j) % 2 == 0 for n in n_total]
+            order = [rows.index(cell) for cell in band.cells]
+            dense = band_matrix(band.entries(deform)) + 0.0
+            assert np.array_equal(block[np.ix_(order, order)].view(np.int64),
+                                  dense.view(np.int64)), j
+            ref = sector_block(reference, h, j)
+            assert norm_max(ref.imag) == 0.0
+            scale = max(1.0, norm_max(block))
+            assert norm_max(block - ref.real) <= 1e-13 * scale, j
 
 
 @DRAWS
@@ -277,7 +303,7 @@ def test_band_eigenvalues_and_counts_equal_the_dense_reference(config):
     # numpy's counts at sigma -+ that tolerance, and is exact between them
     cutoff, p, alpha = config
     deform = sector_terms(FockSpace(cutoff), p, alpha)[2]
-    for j, band, dense, _, _, ref in _band_blocks(*config):
+    for j, band, dense, ref in _band_blocks(*config):
         w = np.linalg.eigvalsh(ref.real)
         tol = 1e-13 * max(1.0, norm_max(dense))
         gaps = np.diff(w, prepend=-np.inf, append=np.inf)
@@ -376,7 +402,7 @@ def _phased(state: dict) -> dict:
 
 def _block_cells(j: int) -> list:
     """The (n_a, n_b, spin up) of the rows of J-sector j's block
-    (`sectors.build_sectors`): spin up, then spin down, each ascending in n_b."""
+    (`sector_stacks`): spin up, then spin down, each ascending in n_b."""
     return [(n_b + d, n_b, up) for d, up in ((j, True), (j - 1, False))
             for n_b in SPACE.line(d)]
 
@@ -392,6 +418,7 @@ def _reported_states(p: ModelParams, spectators: list) -> dict:
     that a first-order report of a level n <= 2 names, each checked to be an
     eigenvector of its J-sector block at a = 0 with that eigenvalue."""
     terms, found = sector_terms(SPACE, p, 0.0), {}
+    blocks = {j: block for j, (block,) in zip(SPACE.sectors, sector_stacks(SPACE, [terms]))}
     for n, branch in itertools.product((0, 1, 2), BRANCHES):
         if abs_level(p, n, branch) is None:
             continue
@@ -404,7 +431,7 @@ def _reported_states(p: ModelParams, spectators: list) -> dict:
             assert sorted(r.sectors) == sorted(map(_sector_of, states))
             for state, amplitudes in zip(r.subspace_basis, states):
                 j = _sector_of(amplitudes)
-                (block,) = next(build_sectors(SPACE, [terms], [j]))
+                block = blocks[j]
                 v = np.array([amplitudes.get(cell, 0.0) for cell in _block_cells(j)])
                 assert np.vdot(v, v).real == pytest.approx(1.0)
                 residual = np.max(np.abs(block @ v - energy * v))
