@@ -5,8 +5,8 @@ The planar problem is represented on two chiral boson modes `a` and `b`
 two-component spinor. Mode `a` is the dynamical mode that enters the
 oscillator Hamiltonian; mode `b` carries the level degeneracy. The operator
 conventions are listed in CONVENTIONS.md. This module builds no operators:
-it holds the cutoff, its interior, whose J-sectors and diagonal lines both
-spectrum routes read (`FockSpace.sectors`, `FockSpace.line`), and their costs.
+it holds the cutoff, its interior, whose J-sectors and diagonal lines every
+J-block is built from (`FockSpace.sectors`, `FockSpace.line`), and their costs.
 
 Truncation note: products of ladder operators corrupt matrix elements near
 the cutoff, so every computation works on the interior
@@ -34,8 +34,8 @@ INTERIOR_MARGIN = 2
 # step is confirmed and about 40 counts where it falls back to bisection.
 MAX_CUTOFF = 1000
 # Bytes of the largest block of one J-sector stack (`model.sector_stacks`,
-# the J-band scattered into dense blocks), summed over its configs: configs
-# beyond it go in further passes over the J-sectors (`stack_configs`).
+# the J-band scattered into dense blocks), summed over its configs: it bounds
+# each pass of a scan (`stack_configs`, `perturbation.field_scan`).
 # A scan pass with the eigensolver's copies of its stack and its spectra then
 # adds under 10 MB of peak RSS (measured at cutoffs 120 and 200).
 STACK_BYTES = 2 * 2 ** 20

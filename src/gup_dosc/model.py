@@ -21,8 +21,8 @@ the blocks depend only on lam = hbar wt / (m c^2) and alpha = a m c, and
 energies are formed only where a result is reported.
 
 This module loads no numpy: a config's block terms, a closed-form
-(`paired`) spectrum and the J-band kernel, which gives the oracle its
-eigenvalues one at a time (`SectorBand`, `band_levels`) and the critical
+(`paired`) spectrum and the J-band kernel, which gives the oracle its a = 0
+row and its eigenvalues one at a time (`SectorBand`) and the critical
 field's level rows their window counts (`window_count`), are pure Python.
 `SectorBand` is the one statement of a J-block's entries. Only the dense
 branch of `interior_spectrum`, which serves the scan alone, loads numpy:
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, UsageError
-from .fock import FockSpace, stack_configs
+from .fock import FockSpace
 # perfbench/verify.py reads the closed-form levels from here too
 from .params import DEFAULT_EIGH_TOL, ModelParams, landau_level, spinor_level
 
@@ -99,44 +98,30 @@ def paired(terms: tuple[float, float, float]) -> bool:
     return deform == 0.0 and (k_a == 0.0 or k_b == 0.0)
 
 
-def pair_spectrum(
-    space: FockSpace, terms: tuple[float, float, float], js: Sequence[int]
-) -> list[float]:
-    """The ascending spectrum, in units of m c^2, of a `paired` config over
-    the J-sectors `js` (ascending, distinct, of the interior), in closed form.
+def pair_spectrum(space: FockSpace, terms: tuple[float, float, float]) -> list[float]:
+    """The ascending interior spectrum, in units of m c^2, of a `paired`
+    config, in closed form.
 
     With at most one coupling and no deformation, K = k_a a† + k_b b couples
     each spin-down state to at most one spin-up state, and no two to the
-    same one; the pair lies in J-sector n_a - n_b + 1 of its down state. It
-    is the block [[1, kappa], [kappa, -1]], kappa = k sqrt(r) with r = n_a + 1
-    for a† (down states with n_a + n_b < T) and r = n_b for b (n_b >= 1), the
-    same float operations as `SectorBand.coupling`, and its eigenvalues
-    are +-hypot(1, kappa), taken as abs(complex(1, kappa)), numpy's hypot
-    bit for bit. Every other state is a 1x1 block: a spin-up state at 1 or a
-    spin-down state at -1. With no coupling, kappa = 0 and a pair is +-1.
-
-    Each root r = 1 .. T is one run of equal pairs. Its down states have J
-    from 2r - T to r (a†) or from 1 - r to T - 2r + 1 (b), one state per J,
-    so a run counts the J of `js` in that range. The spectrum repeats each
-    run's two floats, so it holds about 8 bytes per eigenvalue.
+    same one. The pair is the block [[1, kappa], [kappa, -1]], kappa = k
+    sqrt(r) with r = n_a + 1 for a† (down states with n_a + n_b < T) and
+    r = n_b for b (n_b >= 1), the same float operations as
+    `SectorBand.coupling`, and its eigenvalues are +-hypot(1, kappa), taken
+    as abs(complex(1, kappa)), numpy's hypot bit for bit. Root r = 1 .. T
+    gives T + 1 - r pairs, and the T + 1 states of each spin that no
+    coupling reaches are singles at +-1. With no coupling, kappa = 0 and a
+    pair is +-1. The spectrum repeats each root's two floats, so it holds
+    about 8 bytes per eigenvalue.
     """
     top = space.top
     k_a, k_b, _ = terms
-    # J of |n_a, n_b, up> is n_a - n_b, and of down one more
-    ups, downs = (sum(len(space.line(j - s)) for j in js) for s in (0, 1))
-    span = (lambda r: (2 * r - top, r)) if k_a else (lambda r: (1 - r, top - 2 * r + 1))
-    runs = []
-    for r in range(1, top + 1):
-        lo, hi = span(r)
-        count = bisect_right(js, hi) - bisect_left(js, lo)
-        if count:
-            runs.append((abs(complex(1.0, (k_a or k_b) * math.sqrt(r))), count))
-    runs.sort()
-    pairs = sum(count for _, count in runs)
+    runs = sorted((abs(complex(1.0, (k_a or k_b) * math.sqrt(r))), top + 1 - r)
+                  for r in range(1, top + 1))
     spectrum = []
     for level, count in reversed(runs):
         spectrum += [-level] * count
-    spectrum += [-1.0] * (downs - pairs) + [1.0] * (ups - pairs)
+    spectrum += [-1.0] * (top + 1) + [1.0] * (top + 1)
     for level, count in runs:
         spectrum += [level] * count
     return spectrum
@@ -166,9 +151,10 @@ def _scales(band: tuple[list, list, list]) -> tuple[float, float, float]:
 
 
 def _count(band: tuple[list, list, list], sigma: float, pivmin: float) -> int:
-    """How many eigenvalues of a band lie below sigma: the negative pivots
-    of the LDL^T factors of A - sigma I, without pivoting (Sylvester's law
-    of inertia), a pivot within pivmin of zero taken as -pivmin.
+    """How many eigenvalues of a band lie below sigma, or at it: the
+    negative pivots of the LDL^T factors of A - sigma I, without pivoting
+    (Sylvester's law of inertia), a pivot within pivmin of zero taken as
+    -pivmin, so an exact band counts an eigenvalue exactly at sigma.
 
     `band` is (diagonal, entries (i, i - 1), entries (i, i - 2)), each
     list as long as the diagonal, its first entries zero. Row i of the
@@ -258,10 +244,10 @@ class SectorBand:
     Gershgorin bound of the pattern, so by Weyl's inequality eigenvalue k
     at deform lies within |deform| `norm` of eigenvalue k at deform = 0.
     With at most one coupling the a = 0 block is a direct sum of 2x2 pairs
-    and 1x1 singles: `levels` holds its eigenpairs, ascending, their
-    eigenvalues those of `pair_spectrum` over [j] bit for bit, each vector
-    as (first row, its one or two nonzero entries); with both couplings (the
-    critical field) it is empty.
+    and 1x1 singles: `levels` holds its eigenpairs, ascending, each vector
+    as (first row, its one or two nonzero entries), and their eigenvalues
+    are the J-sector's a = 0 row, in which the oracle picks its index; with
+    both couplings (the critical field) it is empty.
     """
 
     def __init__(self, space: FockSpace, couplings: tuple[float, float], j: int):
@@ -380,23 +366,12 @@ class SectorBand:
                                f"{residual:.3e} exceeds bound {bound:.3e}")
 
 
-def band_levels(space: FockSpace, couplings: tuple[float, float],
-                deforms: Sequence[float], j: int, ks: Sequence[int]) -> list[list[float]]:
-    """Eigenvalues ks (from 0, ascending) of J-sector j's block at each of
-    `deforms`, for one config's couplings: row r holds eigenvalue ks[r] at
-    each deform, in units of m c^2, each certified by
-    `SectorBand.eigenvalue`. The band and its deformation pattern are built
-    once, in pure Python."""
-    band = SectorBand(space, couplings, j)
-    return [[band.eigenvalue(deform, k) for deform in deforms] for k in ks]
-
-
 def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
                  window: float) -> int:
     """How many eigenvalues of the bands lie within `window` of `energy`,
-    |x - energy| <= window as `perturbation.nearest_level` tells it: per
-    band, the inertia count (`_count`) below nextafter(energy + window, inf)
-    less the one below energy - window, O(dim) each, in pure Python.
+    |x - energy| <= window as `perturbation.nearest_level` tells it, both
+    edges included: per band, the inertia count (`_count`) at energy +
+    window less the one at nextafter(energy - window, -inf), O(dim) each.
 
     Each band and both ends are first scaled by the power of two that takes
     its largest off-diagonal entry below 1. That is exact and leaves every
@@ -410,7 +385,7 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
     at the default window of 1e-9, and from 2^972, about 4e292 m c^2, at
     the noise floor of 1e-12.
     """
-    above, below = math.nextafter(energy + window, math.inf), energy - window
+    above, below = energy + window, math.nextafter(energy - window, -math.inf)
     total = 0
     for band in bands:
         largest = max(map(abs, [*band[1], *band[2]]))
@@ -464,32 +439,27 @@ def interior_spectrum(
 ) -> list[list[float]]:
     """Ascending eigenvalues, in units of m c^2, of the interior-projected
     full Hamiltonian for each of `terms`, the `sector_terms` of one config
-    each: the one entry of whole spectra, and its route table (the oracle's
-    single eigenvalues come from `band_levels`, and the critical field's
-    level rows from `window_count`). Each row is a list of floats.
+    each: a scan's whole spectra, one list of floats per row.
 
     H0 and H' both conserve J, so row k is the sorted union of the J-sector
     spectra of terms[k] over every J-sector. Each distinct terms is solved
     once, and its row shared by every config that has it. `paired` terms
     are closed form (`pair_spectrum`), with no eigensolver call and no
-    numpy. All others go through `sector_stacks` in consecutive chunks of
-    `fock.stack_configs`, one pass over the J-sectors each, and each
-    J-stack is solved in one `numerics.eigvalsh` call as it is generated,
-    so one stack of bounded bytes is held at a time.
+    numpy. All others go through `sector_stacks` in one pass over the
+    J-sectors, and each J-stack is solved in one `numerics.eigvalsh` call as
+    it is generated, so one stack is held at a time. The caller bounds its
+    bytes: `perturbation.field_scan` passes at most `fock.stack_configs`
+    distinct unpaired terms.
     """
     # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
     distinct = list(dict.fromkeys(terms))
-    spectra = {t: pair_spectrum(space, t, space.sectors) for t in distinct if paired(t)}
+    spectra = {t: pair_spectrum(space, t) for t in distinct if paired(t)}
     dense = [t for t in distinct if not paired(t)]
     if dense:
         import numpy as np
 
         from .numerics import eigvalsh
 
-        size = stack_configs(space.cutoff)
-        for i in range(0, len(dense), size):
-            chunk = dense[i:i + size]
-            w = np.concatenate([eigvalsh(stack) for stack in sector_stacks(space, chunk)],
-                               axis=-1)
-            spectra.update(zip(chunk, np.sort(w, axis=-1).tolist()))
+        w = np.concatenate([eigvalsh(stack) for stack in sector_stacks(space, dense)], axis=-1)
+        spectra.update(zip(dense, np.sort(w, axis=-1).tolist()))
     return [spectra[t] for t in terms]

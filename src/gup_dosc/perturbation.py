@@ -7,7 +7,7 @@ perturbation over explicitly constructed eigenstates, while the oracle
 J-sector with respect to the deformation parameter (Richardson-extrapolated
 central differences through a = 0). The oracle picks that eigenvalue's index
 in the sector's closed-form a = 0 spectrum and takes it at the other
-strengths from the sector's band (`model.band_levels`): inertia counts,
+strengths from the same sector band (`model.SectorBand`): inertia counts,
 bisection and inverse iteration in Python floats, the same bits on every
 CPU and BLAS kernel.
 
@@ -37,7 +37,6 @@ from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
 from .model import (
     SectorBand,
-    band_levels,
     interior_spectrum,
     pair_spectrum,
     paired,
@@ -242,7 +241,7 @@ def level_rows(
     the interior, raises UsageError before anything is solved; so does a
     nearest eigenvalue beyond the float range.
 
-    A `paired` config's spectrum is closed form (`interior_spectrum`). The
+    A `paired` config's spectrum is closed form (`pair_spectrum`). The
     other a = 0 config, the critical field with both couplings, needs no
     spectrum: every level there is +-1 m c^2, itself an eigenvalue, the
     unmatched states of the J-sectors whose up and down states differ in
@@ -255,7 +254,7 @@ def level_rows(
     _check_headroom(space, levels, 0)
     terms = sector_terms(space, p, 0.0)
     if paired(terms):
-        (spectrum,) = interior_spectrum(space, [terms])
+        spectrum = pair_spectrum(space, terms)
     else:
         spectrum, counts = None, {}
         chains = [SectorBand(space, terms[:2], j).entries(0.0) for j in space.sectors]
@@ -339,16 +338,16 @@ def oracle_check(
     `reports` are all the built shift reports of one command. The slope of
     shift i is that of the one eigenvalue of its state's J-sector,
     `sectors[i]`, within CLUSTER_WINDOW m c^2 of the unperturbed energy.
-    The five stencil strengths are reduced to their block terms once. The
-    a = 0 one is closed form (`model.pair_spectrum` over the J-sector), and
-    it gives each shift the index of its eigenvalue, for every report before
+    The five stencil strengths are reduced to their block terms once, and
+    each J-sector the reports name is built once, as one `model.SectorBand`
+    at the a = 0 couplings. Its closed-form a = 0 eigenvalues (`levels`)
+    give each shift the index of its eigenvalue, for every report before
     anything is solved: ComputationError when no eigenvalue lies in the
     window, and UsageError when several do, which the stencil step cannot
-    tell apart. Then each J-sector the reports name is solved once, in pure
-    Python, for the eigenvalues of those indices at the four a != 0
-    strengths (`model.band_levels`, which raises ComputationError unless
-    each is certified), and nothing is kept after the call; UsageError when
-    a slope's finite differences are not finite. A report that names no
+    tell apart. Then the same band gives each index's eigenvalue at the
+    four a != 0 strengths (`SectorBand.eigenvalue`, ComputationError unless
+    certified), and nothing is kept after the call; UsageError when a
+    slope's finite differences are not finite. A report that names no
     sector, as every report at the critical field, comes back unchanged.
     """
     picks, stencils = [[] for _ in reports], {}
@@ -356,16 +355,14 @@ def oracle_check(
     if js:
         zero, *strengths = (sector_terms(space, p, k * ORACLE_STEP)
                             for k in (0, 1, -1, 2, -2))
-        rows = {j: pair_spectrum(space, zero, [j]) for j in js}
+        bands = {j: SectorBand(space, zero[:2], j) for j in js}
+        rows = {j: [level for level, *_ in band.levels] for j, band in bands.items()}
         # (J-sector, index) of each shift's eigenvalue
         picks = [[(j, _level_index(p, j, rows[j], report.unperturbed_energy))
                   for j in report.sectors] for report in reports]
         wanted = dict.fromkeys(jk for pick in picks for jk in pick)
-        deforms = [deform for *_, deform in strengths]
-        for j in js:
-            ks = [k for jj, k in wanted if jj == j]
-            stencils.update(zip([(j, k) for k in ks],
-                                band_levels(space, zero[:2], deforms, j, ks)))
+        stencils = {(j, k): [band.eigenvalue(deform, k) for *_, deform in strengths]
+                    for j, band in bands.items() for jj, k in wanted if jj == j}
     checked = []
     for report, pick in zip(reports, picks):
         if pick:
@@ -675,12 +672,12 @@ def field_scan(
     input order: its shifts and the reduction of its two configs, at alpha =
     0 and a m c, to their block terms, and a point that fails records its
     first error. The histograms of the remaining points then come from
-    shared passes over the J-sectors, each of as many points as
-    `fock.stack_configs` allows, which bounds how many spectra are held at
-    once (identical blocks, such as the two of a point at the critical
-    field, are solved once). Each histogram is {multiplicity: number of
-    clusters} of one spectrum. An error raised inside a shared pass is
-    recorded on every point of that pass.
+    shared passes over the J-sectors (`interior_spectrum`), one per group
+    of max(1, `fock.stack_configs` // 2) points. A point's a = 0 config is
+    `paired` off the critical field, and on it its two configs are one, so
+    no pass stacks more configs than `stack_configs` allows. Each histogram
+    is {multiplicity: number of clusters} of one spectrum. An error raised
+    inside a shared pass is recorded on every point of that pass.
     """
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):

@@ -1,0 +1,148 @@
+"""Seeded mutants of the pure-Python kernels, each with the tests that must
+kill it: a mutant is killed when one of its tests fails.
+
+    python tests/mutants.py
+
+Each row of MUTANTS replaces one exact text, which must occur once, in one
+module of src/gup_dosc. The mutant lives in a copy of src in a temporary
+directory, and the tree is never edited. Its tests run under pytest, with
+PYTHONPATH pointing at the copy and the temporary directory as the working
+directory, stopping at the first failure. The tests of every row must first
+pass on an unmutated copy. The script prints each mutant's fate and "k of n
+mutants killed", and exits 1 unless every mutant is killed.
+"""
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+PERTURBATION = "tests/test_perturbation.py::"
+PROPERTIES = "tests/test_properties.py::"
+EDGES = (PERTURBATION + "test_window_count_includes_both_edges_of_the_window",
+         PROPERTIES + "test_window_counts_include_both_edges_of_the_window")
+CERTIFIED = PERTURBATION + "test_band_eigenvalues_are_certified_or_refused_at_any_strength"
+DENSE_BAND = PROPERTIES + "test_band_eigenvalues_and_counts_equal_the_dense_reference"
+N_ORDER = PROPERTIES + "test_band_entries_are_the_sector_blocks_in_n_order"
+JACOBI = PROPERTIES + "test_jacobi_rotations_keep_the_eigh_contract"
+STORED = PERTURBATION + "test_the_stored_block_solver_keeps_the_error_kinds_of_eigh"
+
+# (name, module, old text, new text, the tests that must kill it)
+MUTANTS = [
+    ("_count's zero pivot taken as +pivmin, not -pivmin", "model.py",
+     "            d = -pivmin\n        if d < 0.0:",
+     "            d = pivmin\n        if d < 0.0:", EDGES),
+    ("_count counts the positive pivots", "model.py",
+     "        if d < 0.0:\n            below += 1",
+     "        if d > 0.0:\n            below += 1", (CERTIFIED,)),
+    ("the Weyl radius cut to its slack", "model.py",
+     "radius = abs(deform) * self.norm + slack", "radius = slack", (CERTIFIED,)),
+    ("FUDGE = 0", "model.py", "FUDGE = 2.1", "FUDGE = 0.0", (CERTIFIED, DENSE_BAND)),
+    ("the Rayleigh-quotient candidate taken without its index confirmation", "model.py",
+     "            if (residual <= bound and _count(band, theta - delta, pivmin) == k\n"
+     "                    and _count(band, theta + delta, pivmin) == k + 1):",
+     "            if residual <= bound:",
+     (PERTURBATION + "test_an_inconsistent_count_is_an_internal_error",)),
+    ("the band's headroom check dropped", "model.py",
+     "        if not math.isfinite(4.0 * n * reach):",
+     "        if not math.isfinite(4.0 * n * reach) and False:", (CERTIFIED,)),
+    ("the band's bracket count check dropped", "model.py",
+     "        if (below, above) != (k, k + 1):", "        if False:",
+     (PERTURBATION + "test_an_inconsistent_count_is_an_internal_error",)),
+    ("the band's inverse-iteration residual bound dropped", "model.py",
+     "            if residual <= bound:\n                return theta",
+     "            if True:\n                return theta",
+     (PERTURBATION + "test_a_residual_over_its_bound_is_an_internal_error",)),
+    ("a coupling root one quantum off", "model.py",
+     "k_a * math.sqrt(m_a + 1.0) if up", "k_a * math.sqrt(m_a + 2.0) if up",
+     ("tests/test_model.py::test_sectors_equal_dense_interior_blocks",)),
+    ("window_count's scaling dropped", "model.py",
+     "scale = 2.0 ** -max(0, math.frexp(largest)[1])", "scale = 1.0",
+     (PERTURBATION + "test_window_count_refuses_windows_below_its_resolution",
+      PERTURBATION + "test_chain_counts_hold_up_to_the_float_range_of_their_pivots")),
+    ("window_count's lower edge at energy - window", "model.py",
+     "math.nextafter(energy - window, -math.inf)", "energy - window", EDGES),
+    ("window_count's upper edge one float beyond energy + window", "model.py",
+     "above, below = energy + window,",
+     "above, below = math.nextafter(energy + window, math.inf),", EDGES),
+    ("sector_stacks assigns its off-diagonal entries where it adds them", "model.py",
+     "            stack[:, lower, upper] += entries\n"
+     "            stack[:, upper, lower] += entries",
+     "            stack[:, lower, upper] = entries\n"
+     "            stack[:, upper, lower] = entries", (N_ORDER,)),
+    ("sector_stacks in the band's N order", "model.py",
+     'row[np.argsort(~up, kind="stable")] = np.arange(len(up))',
+     "row[:] = np.arange(len(up))", (N_ORDER,)),
+    ("the stored block's square-matrix check dropped", "perturbation.py",
+     "    if not n or any(len(row) != n for row in rows):", "    if not n:", (STORED,)),
+    ("the stored block's finite-entry check dropped", "perturbation.py",
+     '        raise UsageError("matrix contains non-finite entries")', "        pass",
+     (STORED,)),
+    ("the Jacobi moment checks dropped", "perturbation.py",
+     "        if not gap <= bound:\n            raise ComputationError(message",
+     "        if False:\n            raise ComputationError(message", (STORED,)),
+    ("the Jacobi sweep limit never reached", "perturbation.py",
+     "        if sweeps == JACOBI_SWEEPS:", "        if sweeps < 0:",
+     (PERTURBATION + "test_jacobi_rotations_left_unfinished_are_an_internal_error",)),
+    ("the Jacobi eigenvectors' phase fix dropped", "perturbation.py",
+     "        if size > 0.0:\n            column = [x * (column[top].conjugate() / size)",
+     "        if size < 0.0:\n            column = [x * (column[top].conjugate() / size)",
+     (JACOBI,)),
+    ("the Jacobi rotation's phase not conjugated", "perturbation.py",
+     "s, phase = t * c, (h[p][q] / r).conjugate()", "s, phase = t * c, h[p][q] / r",
+     (JACOBI,)),
+]
+
+
+def run_tests(src: pathlib.Path, tests) -> subprocess.CompletedProcess:
+    """pytest on `tests`, stopping at the first failure, with the package
+    taken from `src` and the working directory beside it."""
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *(str(ROOT / test) for test in tests)],
+        cwd=src.parent, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True)
+
+
+def mutated_run(tests, module: str = "", old: str = "", new: str = ""):
+    """The tests' run on a copy of src, with `old` replaced by `new` in
+    `module` if one is named."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = pathlib.Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if module:
+            path = src / "gup_dosc" / module
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                sys.exit(f"{module}: {old!r} does not occur exactly once")
+            path.write_text(text.replace(old, new), encoding="utf-8")
+        return run_tests(src, tests)
+
+
+def main() -> int:
+    tests = list(dict.fromkeys(test for *_, row_tests in MUTANTS for test in row_tests))
+    unmutated = mutated_run(tests)
+    if unmutated.returncode != 0:
+        print(unmutated.stdout[-3000:], unmutated.stderr[-3000:], sep="\n")
+        print("the mutants' tests fail on the unmutated tree")
+        return 1
+    killed = 0
+    for name, module, old, new, row_tests in MUTANTS:
+        result = mutated_run(row_tests, module, old, new)
+        # pytest exits 1 when a test fails, and 2 or more when it cannot run them
+        fate = {0: "SURVIVED", 1: "killed"}.get(result.returncode,
+                                                 f"ERROR (pytest exit {result.returncode})")
+        killed += fate == "killed"
+        print(f"{fate}: {name} ({module})")
+        if fate != "killed":
+            print(result.stdout[-3000:], result.stderr[-3000:], sep="\n")
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

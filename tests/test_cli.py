@@ -84,7 +84,7 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
     # config parses, and the level rows reject it before anything is solved
     argv = ["spectrum", "--omega", "1", "--levels", "40", "--cutoff", "20"]
     assert parse_config(argv).levels == 40
-    monkeypatch.setattr(perturbation, "interior_spectrum",
+    monkeypatch.setattr(perturbation, "pair_spectrum",
                         lambda *args: pytest.fail("a spectrum was solved"))
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -100,21 +100,22 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
 def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch, capsys):
     # the n = 2 cluster's spectator 3 does not fit in the interior
     # n_a + n_b <= 4 of cutoff 6: the level rows' one whole spectrum, of their
-    # one a = 0 config, is solved before the usage error, and no oracle J-sector
+    # one a = 0 config, is solved before the usage error, and no oracle
+    # J-sector is built
     solved = []
 
     def recording(space, terms):
-        solved.append(len(terms))
-        return model.interior_spectrum(space, terms)
+        solved.append(terms)
+        return model.pair_spectrum(space, terms)
 
-    monkeypatch.setattr(perturbation, "interior_spectrum", recording)
-    monkeypatch.setattr(perturbation, "band_levels",
-                        lambda *args: pytest.fail("an oracle J-sector was solved"))
+    monkeypatch.setattr(perturbation, "pair_spectrum", recording)
+    monkeypatch.setattr(perturbation, "SectorBand",
+                        lambda *args: pytest.fail("an oracle J-sector was built"))
     assert main(["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
                  "--cutoff", "6"]) == 2
     assert capsys.readouterr().err == (
         "usage error: state (n=2, spectator=3) too close to cutoff 6; raise the cutoff\n")
-    assert solved == [1]
+    assert len(solved) == 1
 
 
 def test_only_spectrum_needs_headroom_for_its_levels(tmp_path, capsys):

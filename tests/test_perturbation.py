@@ -18,9 +18,7 @@ from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import MAX_CUTOFF, FockSpace, sector_cost, stack_configs
 from gup_dosc.model import (
     SectorBand,
-    band_levels,
     interior_spectrum,
-    pair_spectrum,
     paired,
     sector_stacks,
     sector_terms,
@@ -211,6 +209,16 @@ def test_the_stored_block_solver_keeps_the_error_kinds_of_eigh():
         shifts_of_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
+def test_jacobi_rotations_left_unfinished_are_an_internal_error(monkeypatch):
+    # with no sweep allowed, a block with an entry off its diagonal is
+    # refused; a diagonal one needs no rotation
+    monkeypatch.setattr(perturbation, "JACOBI_SWEEPS", 0)
+    with pytest.raises(ComputationError, match=re.escape(
+            "Jacobi rotations left off-diagonal entries after 0 sweeps")):
+        shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)
+    assert shifts_of_matrix(2.5 * np.eye(4)).shifts == [2.5] * 4
+
+
 def test_the_stored_block_loads_no_numpy():
     # the block's eigenpairs come from Jacobi rotations in Python complex
     # arithmetic, in a fresh interpreter that never imports numpy
@@ -373,7 +381,7 @@ def test_level_rows_stop_at_the_interior_top(monkeypatch):
     rows = level_rows(space, p, 8, ("+", "-"), CLUSTER_WINDOW)
     assert [(r["n"], r["branch"]) for r in rows[-2:]] == [(8, "+"), (8, "-")]
     assert all(r["rel_error"] <= 1e-15 and r["multiplicity"] == 1 for r in rows[-2:])
-    monkeypatch.setattr(perturbation, "interior_spectrum",
+    monkeypatch.setattr(perturbation, "pair_spectrum",
                         lambda *args: pytest.fail("a spectrum was solved"))
     with pytest.raises(UsageError, match=re.escape(
             "state (n=9, spectator=0) too close to cutoff 10; raise the cutoff")):
@@ -442,6 +450,19 @@ def test_window_count_refuses_windows_below_its_resolution():
                                   window) == 0
         with pytest.raises(UsageError, match="below what the inertia counts resolve"):
             model.window_count([([1.0, -1.0], [0.0, edge], [0.0, 0.0])], 1.0, window)
+
+
+@pytest.mark.parametrize("energy, window, count", [
+    (-1.5, 0.5, 1), (-0.5, 0.5, 1), (0.0, 0.5, 0), (0.5, 0.5, 1), (1.5, 0.5, 1),
+    # an eigenvalue one ulp beyond the upper edge, and one below the lower
+    (0.25, 0.75 - 2.0 ** -53, 0), (-0.25, 0.75 - 2.0 ** -53, 0),
+])
+def test_window_count_includes_both_edges_of_the_window(energy, window, count):
+    # on the exact band diag(-1, 1), with eigenvalues on the window's edges:
+    # |x - E| <= w, as `nearest_level` counts it
+    band = ([-1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+    assert model.window_count([band], energy, window) == count
+    assert perturbation.nearest_level([-1.0, 1.0], energy, window)[1] == count
 
 
 def test_critical_field_level_row_with_no_eigenvalue_counted_is_an_error(monkeypatch):
@@ -738,15 +759,16 @@ BATCH_PARAMS = [PARAMS, ModelParams(omega=0.1, b_field=0.3, gup_a=1e-4),
 def test_interior_spectrum_rows_equal_one_strength_solves(p):
     # five strengths solved in one pass over the J-sectors; each row must be
     # bitwise the spectrum solved on its own, and the J-sector pieces must be
-    # bitwise pieces of the whole spectrum: `pair_spectrum` over [j] for a
-    # paired config, a row of the J-stack's one eigvalsh call otherwise
+    # bitwise pieces of the whole spectrum: the a = 0 eigenvalues of J's
+    # `SectorBand` for a paired config, a row of the J-stack's one eigvalsh
+    # call otherwise
     terms = [sector_terms(SPACE, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
     rows = np.array(interior_spectrum(SPACE, terms))
     assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
     for t, row in zip(terms, rows):
         assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
         assert np.all(np.diff(row) >= 0.0)
-    sectors = [[pair_spectrum(SPACE, t, [j]) if paired(t) else w
+    sectors = [[_band_levels(SPACE, t, [j]) if paired(t) else w
                 for t, w in zip(terms, eigvalsh(stack))]
                for j, stack in zip(SPACE.sectors, sector_stacks(SPACE, terms))]
     assert len(sectors) == 2 * SPACE.top + 2
@@ -885,40 +907,55 @@ def test_each_config_is_reduced_to_its_terms_once(monkeypatch, tmp_path):
         assert len(reduced) == count, argv
 
 
-def _record_band_levels(monkeypatch) -> list[tuple]:
-    """Records (J, indices, strengths) of every oracle solve, one per call of
-    `model.band_levels`."""
-    solves = []
+def _record_oracle_bands(monkeypatch) -> list[tuple]:
+    """Records every `SectorBand` the oracle builds, as (J, {index: the
+    strengths of its `eigenvalue` calls}), in the order they are built."""
+    bands = []
 
-    def recording(space, couplings, deforms, j, ks):
-        solves.append((j, list(ks), len(deforms)))
-        return band_levels(space, couplings, deforms, j, ks)
+    class Recording(SectorBand):
+        def __init__(self, space, couplings, j):
+            super().__init__(space, couplings, j)
+            self.solves = {}
+            bands.append((j, self.solves))
 
-    monkeypatch.setattr(perturbation, "band_levels", recording)
-    return solves
+        def eigenvalue(self, deform, k):
+            self.solves.setdefault(k, []).append(deform)
+            return super().eigenvalue(deform, k)
+
+    monkeypatch.setattr(perturbation, "SectorBand", Recording)
+    return bands
+
+
+def _oracle_solves(bands) -> list[tuple]:
+    """(J, strengths per index) of each recorded band: one eigenvalue call
+    per (J, index) and distinct strength, so a band whose every index took
+    the four a != 0 strengths reads (J, 4)."""
+    for _, solves in bands:
+        assert all(len(set(deforms)) == len(deforms) for deforms in solves.values())
+    return [(j, *{len(deforms) for deforms in solves.values()}) for j, solves in bands]
 
 
 def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
     calls = _count_eigvalsh(monkeypatch)
-    solves = _record_band_levels(monkeypatch)
+    bands = _record_oracle_bands(monkeypatch)
 
     def run(command, b):
         calls.clear()
-        solves.clear()
+        bands.clear()
         assert main([command, "--omega", "1", "--B", b, "--gup-a", "1e-4", "--cutoff",
                      "12", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
         # no dense block and no LAPACK call: the a = 0 rows are closed form
         # and the oracle's eigenvalues come from the J-band
         assert calls == []
-        return [(j, strengths) for j, _, strengths in solves]
+        return _oracle_solves(bands)
 
-    # one solve per distinct J-sector of the reported states: J = 0 for
+    # one band per distinct J-sector of the reported states: J = 0 for
     # (n=0, +), and J = 1 once for both (n=1, +) and (n=1, -); a second run
-    # in the same process solves them again. Each solve is of the four
-    # a != 0 strengths; its a = 0 strength is closed form
+    # in the same process builds them again. Each index is solved at the
+    # four a != 0 strengths; its a = 0 eigenvalue is the band's closed form
     for command in ("correct", "correct"):
         assert run(command, "1") == [(0, 4), (1, 4)]
-        assert [len(ks) for _, ks, _ in solves] == [1, 2]
+        assert [len(solves) for _, solves in bands] == [1, 2]
     # validate's a = 0 level rows are closed form; its ground (J = 0), first
     # excited (J = 1) and four n = 2 states (by ascending shift J = -1, 0, 1,
     # 2) then need four distinct J-sectors, each solved once
@@ -930,16 +967,16 @@ def test_each_run_solves_its_own_oracle_stencil(monkeypatch, tmp_path):
 
 def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
         monkeypatch, tmp_path):
-    solves = _record_band_levels(monkeypatch)
+    bands = _record_oracle_bands(monkeypatch)
     monkeypatch.setattr(model, "sector_stacks",
                         lambda *args: pytest.fail("a dense J-block was built"))
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4", "--cutoff",
                  "400", "--branch", "both", "--output", str(tmp_path / "report")]) == 0
     # J = 0 and 1, of (n=0, +) and both n = 1 branches, are the largest
-    # blocks, 399 states, each solved once as a band at its four a != 0
-    # strengths (the a = 0 one is closed form); no dense block is built, and
-    # the other 796 J-sectors are never solved
-    assert [(j, strengths) for j, _, strengths in solves] == [(0, 4), (1, 4)]
+    # blocks, 399 states, each built once as a band and solved at its four
+    # a != 0 strengths (the a = 0 one is closed form); no dense block is
+    # built, and the other 796 J-sectors are never solved
+    assert _oracle_solves(bands) == [(0, 4), (1, 4)]
 
 
 def _failing_correct(monkeypatch, capsys, name, value) -> str:
@@ -985,12 +1022,20 @@ def test_band_eigenvalues_are_certified_or_refused_at_any_strength():
         try:
             values = [band.eigenvalue(deform, k) for k in range(n)]
         except ComputationError as exc:
-            assert str(exc).startswith("J-sector 0: "), exc
-            assert abs(deform) >= 1e150
+            # refused up front where 4 dim ||A|| leaves the float range
+            assert str(exc).startswith("J-sector 0: band entries of "), exc
+            assert str(exc).endswith(" leave no headroom in the float range"), exc
+            assert deform == 1e307
             continue
         dense = np.linalg.eigvalsh(band_matrix(entries))
         scale = max(1.0, norm_max(band_matrix(entries)))
         assert np.max(np.abs(np.array(values) - dense)) <= 1e-13 * scale, deform
+
+
+def _band_levels(space, terms, js) -> list[float]:
+    """The ascending a = 0 eigenvalues of the `SectorBand`s of the J in
+    `js`, for a paired config's terms: its spectrum over those J-sectors."""
+    return sorted(level for j in js for level, *_ in SectorBand(space, terms[:2], j).levels)
 
 
 def _dense_rows(space, terms, js=None):
@@ -1012,10 +1057,10 @@ def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
     top = cutoff - fock.INTERIOR_MARGIN
     calls = _count_eigvalsh(monkeypatch)
     # every J-sector (the route table), and the two outermost ones and the
-    # two at J = 0, 1, alone and together (`pair_spectrum`)
+    # two at J = 0, 1, alone and together (the bands' a = 0 eigenvalues)
     for js in (None, [-top], [top + 1], [0, 1], [-top, 0, 1, top + 1]):
         row = np.array(interior_spectrum(space, [terms])[0] if js is None
-                       else pair_spectrum(space, terms, js))
+                       else _band_levels(space, terms, js))
         # closed form: no eigensolver call and no J-block built
         assert calls == []
         (dense,) = _dense_rows(space, [terms], js)
@@ -1098,17 +1143,10 @@ def test_a_paired_spectrum_holds_no_block_stack():
 
 
 def test_one_config_per_stack_changes_no_row(monkeypatch):
-    terms = _scan_terms()
-    rows = interior_spectrum(SPACE, terms)
     scan = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
     monkeypatch.setattr(fock, "STACK_BYTES", sector_cost(SPACE.cutoff)[1])
     assert stack_configs(SPACE.cutoff) == 1
     calls = _count_eigvalsh(monkeypatch)
-    assert np.array_equal(interior_spectrum(SPACE, terms), rows)
-    # the paired a = 0 configs are closed form, then one pass per distinct
-    # other config: the critical field's two are one
-    assert calls == [1] * 4 * 22
-    calls.clear()
     # a group of one point: its a != 0 config in a pass of its own, its a = 0
     # config in closed form; the critical field's two equal configs are one,
     # solved once, although no two configs share a stack

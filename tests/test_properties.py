@@ -11,6 +11,7 @@ import math
 import pathlib
 import tempfile
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from gup_dosc.model import (
     _count,
     _scales,
     interior_spectrum,
-    pair_spectrum,
     paired,
     sector_stacks,
     sector_terms,
@@ -46,6 +46,7 @@ from gup_dosc.perturbation import (
     PTReport,
     _agrees,
     _jacobi_eigh,
+    _scan_point,
     critical_field,
     degenerate_shift,
     first_order_shift,
@@ -132,6 +133,12 @@ def _dominant_j(state: dict) -> int:
     return lower[0] - lower[1] + 1
 
 
+def _band_levels(space: FockSpace, terms, js) -> list[float]:
+    """The ascending a = 0 eigenvalues of the `SectorBand`s of the J in
+    `js`, for a paired config's terms: its spectrum over those J-sectors."""
+    return sorted(level for j in js for level, *_ in SectorBand(space, terms[:2], j).levels)
+
+
 @DRAWS
 @given(p=model_params())
 def test_pair_spectra_equal_the_dense_blocks(p):
@@ -161,11 +168,11 @@ def test_pair_spectra_are_symmetric_under_negation(p):
 @settings(derandomize=True, database=None, deadline=None, max_examples=12)
 @given(data=st.data())
 def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
-    # the runs of `pair_spectrum`, one per coupling root with its J-sectors
-    # counted in closed form, against numpy over the whole (n_a, n_b) grid:
-    # every J-sector (the route table, `interior_spectrum`) and subsets,
-    # the grid's with J beyond the interior and repeats, which
-    # `pair_spectrum` takes reduced, ascending and distinct
+    # the runs of `pair_spectrum`, one per coupling root, against numpy over
+    # the whole (n_a, n_b) grid: every J-sector (the route table,
+    # `interior_spectrum`), and subsets, the grid's with J beyond the
+    # interior and repeats, whose J-sectors of the interior give their a = 0
+    # eigenvalues as `SectorBand.levels`
     space = FockSpace(cutoff)
     top = space.top
     base = ModelParams(omega=data.draw(scales), mass=data.draw(scales),
@@ -174,13 +181,43 @@ def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
     assert paired(terms) and (terms[0] == 0.0) == (ratio > 1.0)
     subset = data.draw(st.lists(st.integers(-top - 2, top + 3), max_size=6)
                        | st.sampled_from([[-top], [top + 1], [0, 1]]))
-    for js in (None, subset):
-        row = np.array(interior_spectrum(space, [terms])[0] if js is None else
-                       pair_spectrum(space, terms, sorted(set(js) & set(space.sectors))))
-        grid = pair_spectrum_grid(space, terms, js)
+    rows = [(None, interior_spectrum(space, [terms])[0]),
+            (subset, _band_levels(space, terms, set(subset) & set(space.sectors)))]
+    for js, row in rows:
+        row, grid = np.array(row), pair_spectrum_grid(space, terms, js)
         # bit for bit: equal as 64-bit integers
         assert row.shape == grid.shape and np.array_equal(row.view(np.int64),
                                                           grid.view(np.int64)), js
+
+
+# moderate scales, or any from 1e-300 to 1e300
+any_scale = scales | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@DRAWS
+@given(omega=st.just(0.0) | any_scale, mass=any_scale, light_speed=any_scale,
+       hbar=any_scale, charge=any_scale, gup_a=st.just(0.0) | any_scale,
+       ratio=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))
+@example(omega=0.0, mass=1.0, light_speed=1.0, hbar=1.0, charge=1.0, gup_a=1e-4,
+         ratio=0.0)
+@example(omega=1.0, mass=1.0, light_speed=1.0, hbar=1.0, charge=1.0, gup_a=1e-4,
+         ratio=1.0)
+def test_a_scan_point_has_at_most_one_distinct_unpaired_config(
+        omega, mass, light_speed, hbar, charge, gup_a, ratio):
+    # a scan point's configs at alpha = 0 and a m c, at omega = 0, B = 0,
+    # the critical field, a = 0 and extreme scales: the a = 0 one is paired
+    # off the critical field, and on it the deformation vanishes, so the
+    # two are one. field_scan's groups of stack_configs // 2 points thus
+    # bound every pass of interior_spectrum
+    try:
+        base = ModelParams(omega=omega, mass=mass, light_speed=light_speed, hbar=hbar,
+                           charge=charge, gup_a=gup_a)
+        p = base.with_field(ratio * critical_field(base))
+    except UsageError:  # a derived scale beyond the float range
+        assume(False)
+    point, terms = _scan_point(SPACE, p)
+    assert len(terms) == (0 if "error" in point else 2)
+    assert len(dict.fromkeys(t for t in terms if not paired(t))) <= 1
 
 
 @st.composite
@@ -212,8 +249,9 @@ def _reference_row(cutoff: int, p: ModelParams, strength: float, js) -> np.ndarr
 def test_both_routes_equal_the_dense_reference_per_j_sector(config, strengths, js):
     # configs on both routes in one call: each row is the dense reference
     # over every J-sector, and each route's pieces over the J of the
-    # interior in `js`, ascending (`pair_spectrum` for a paired config, the
-    # rows of the J-stacks otherwise), are the reference over those J
+    # interior in `js`, ascending (the J-sectors' `SectorBand.levels` for a
+    # paired config, the rows of the J-stacks otherwise), are the reference
+    # over those J
     cutoff, p = config
     space = FockSpace(cutoff)
     terms = [sector_terms(space, p, a * p.mass * p.light_speed) for a in strengths]
@@ -222,7 +260,7 @@ def test_both_routes_equal_the_dense_reference_per_j_sector(config, strengths, j
     assert len(rows) == len(terms)
     stacks = dict(zip(space.sectors, sector_stacks(space, terms)))
     for k, (row, t, a) in enumerate(zip(rows, terms, strengths)):
-        pieces = pair_spectrum(space, t, js) if paired(t) else np.sort(
+        pieces = _band_levels(space, t, js) if paired(t) else np.sort(
             np.concatenate([[], *(eigvalsh(stacks[j][k]) for j in js)]))
         for got, sectors in ((row, space.sectors), (pieces, js)):
             reference = _reference_row(cutoff, p, a, sectors)
@@ -336,16 +374,17 @@ def test_no_j_sector_repeats_an_a0_eigenvalue(cutoff, p):
     # a = 0 off the critical field: within one J-sector each coupling root
     # gives one pair +-hypot(1, kappa), hypot(1, kappa) > 1, and there is at
     # most one +1 and one -1 single, so the oracle's index of the one
-    # eigenvalue in its window is exact; the band's a = 0 eigenpairs are
-    # that row bit for bit
+    # eigenvalue in its window is exact; the band's a = 0 eigenvalues, the
+    # oracle's row, are the grid formula's over [j] bit for bit
     space = FockSpace(cutoff)
     terms = sector_terms(space, p, 0.0)
     assert paired(terms)
     for j in space.sectors:
-        row = pair_spectrum(space, terms, [j])
+        # as the band holds them, the order whose positions the oracle indexes
+        row = [level for level, *_ in SectorBand(space, terms[:2], j).levels]
         assert all(a < b for a, b in zip(row, row[1:])), j
-        levels = [e for e, *_ in SectorBand(space, terms[:2], j).levels]
-        assert [x.hex() for x in levels] == [x.hex() for x in row], j
+        grid = pair_spectrum_grid(space, terms, [j]).tolist()
+        assert [x.hex() for x in row] == [x.hex() for x in grid], j
 
 
 @st.composite
@@ -381,6 +420,28 @@ def test_nearest_levels_equal_the_first_minimum_and_the_window_count(drawn):
         distances = np.abs(np.array(spectrum) - energy)
     expected = (spectrum[int(np.argmin(distances))], int(np.sum(distances <= window)))
     assert repr(nearest_level(spectrum, energy, window)) == repr(expected)
+
+
+@DRAWS
+@given(drawn=spectra_around_a_level())
+@example(drawn=([-1.0, 1.0], -0.5, 0.5))
+@example(drawn=([-1.0, 1.0], 0.25, 0.75 - 2.0 ** -53))
+def test_window_counts_include_both_edges_of_the_window(drawn):
+    # on the exact band diag(spectrum), wherever the window's edges E -+ w
+    # are floats: the inertia counts give #{x : |x - E| <= w} in exact
+    # arithmetic, an eigenvalue on either edge included and one an ulp
+    # beyond excluded, and `nearest_level` counts the same wherever each
+    # distance |x - E| is a float too
+    spectrum, energy, window = drawn
+    assume(all(map(math.isfinite, spectrum)) and all(
+        Fraction(energy + s * window) == Fraction(energy) + s * Fraction(window)
+        for s in (1, -1)))
+    exact = [abs(Fraction(x) - Fraction(energy)) for x in spectrum]
+    count = sum(d <= Fraction(window) for d in exact)
+    zeros = [0.0] * len(spectrum)
+    assert window_count([(spectrum, zeros, zeros)], energy, window) == count
+    if all(Fraction(abs(x - energy)) == d for x, d in zip(spectrum, exact)):
+        assert nearest_level(spectrum, energy, window)[1] == count
 
 
 # the phase (-i)^{n_b} that takes an amplitude into the basis of the real
@@ -806,6 +867,8 @@ def hermitian_blocks(draw):
 @given(rows=hermitian_blocks())
 @example(rows=[list(row) for row in REFERENCE_DEGENERATE_BLOCK])
 @example(rows=(2.5 * np.eye(4, dtype=complex)).tolist())
+# complex entries, whose rotations each need their phase
+@example(rows=[[1.0, -2j, 0.5], [2j, 3.0, 1 + 1j], [0.5, 1 - 1j, -1.0]])
 def test_jacobi_rotations_keep_the_eigh_contract(rows):
     # against LAPACK (np.linalg.eigh) on the same block: the eigenvalues
     # within eigh's residual bound, each residual within it, the columns
