@@ -21,25 +21,28 @@ the blocks depend only on lam = hbar wt / (m c^2) and alpha = a m c, and
 energies are formed only where a result is reported.
 
 This module loads no numpy: a config's block terms, a closed-form
-(`paired`) spectrum and the J-band kernel, which gives the oracle its a = 0
-row and its eigenvalues one at a time (`SectorBand`) and the critical
-field's level rows their window counts (`window_count`), are pure Python.
-`SectorBand` is the one statement of a J-block's entries. Only the dense
-branch of `interior_spectrum`, which serves the scan alone, loads numpy:
-`sector_stacks` scatters the band's entries into dense stacks, and the
-eigensolver (`numerics`) solves them.
+(`paired`) spectrum as runs of equal eigenvalues and the J-band kernel,
+which gives the oracle its a = 0 row and its eigenvalues one at a time
+(`SectorBand`) and the critical field its window counts (`window_count`),
+are pure Python. `SectorBand` is the one statement of a J-block's entries.
+This module alone picks the route of an a = 0 spectrum from its block
+terms: `level_windows` for the level rows, and `interior_spectrum` for a
+scan's whole spectra. Only the dense branch of `interior_spectrum`, which
+serves the scan alone, loads numpy: `sector_stacks` scatters the band's
+entries into dense stacks, and the eigensolver (`numerics`) solves them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace
 # perfbench/verify.py reads the closed-form levels from here too
-from .params import DEFAULT_EIGH_TOL, ModelParams, landau_level, spinor_level
+from .params import ModelParams, landau_level, residual_bound, spinor_level
 
 
 def _couplings(p: ModelParams) -> tuple[float, float]:
@@ -98,9 +101,11 @@ def paired(terms: tuple[float, float, float]) -> bool:
     return deform == 0.0 and (k_a == 0.0 or k_b == 0.0)
 
 
-def pair_spectrum(space: FockSpace, terms: tuple[float, float, float]) -> list[float]:
-    """The ascending interior spectrum, in units of m c^2, of a `paired`
-    config, in closed form.
+def pair_spectrum(space: FockSpace,
+                  terms: tuple[float, float, float]) -> list[tuple[float, int]]:
+    """The interior spectrum, in units of m c^2, of a `paired` config, in
+    closed form, as 2T + 2 runs (eigenvalue, count), ascending in the
+    eigenvalue, T = `space.top`.
 
     With at most one coupling and no deformation, K = k_a a† + k_b b couples
     each spin-down state to at most one spin-up state, and no two to the
@@ -109,22 +114,16 @@ def pair_spectrum(space: FockSpace, terms: tuple[float, float, float]) -> list[f
     r = n_b for b (n_b >= 1), the same float operations as
     `SectorBand.coupling`, and its eigenvalues are +-hypot(1, kappa), taken
     as abs(complex(1, kappa)), numpy's hypot bit for bit. Root r = 1 .. T
-    gives T + 1 - r pairs, and the T + 1 states of each spin that no
-    coupling reaches are singles at +-1. With no coupling, kappa = 0 and a
-    pair is +-1. The spectrum repeats each root's two floats, so it holds
-    about 8 bytes per eigenvalue.
+    gives a run of T + 1 - r pairs, and the T + 1 states of each spin that
+    no coupling reaches are a run of singles at +-1. With no coupling, kappa
+    = 0 and a pair is +-1, so neighbouring runs can hold equal eigenvalues.
     """
     top = space.top
     k_a, k_b, _ = terms
     runs = sorted((abs(complex(1.0, (k_a or k_b) * math.sqrt(r))), top + 1 - r)
                   for r in range(1, top + 1))
-    spectrum = []
-    for level, count in reversed(runs):
-        spectrum += [-level] * count
-    spectrum += [-1.0] * (top + 1) + [1.0] * (top + 1)
-    for level, count in runs:
-        spectrum += [level] * count
-    return spectrum
+    return [*((-level, count) for level, count in reversed(runs)),
+            (-1.0, top + 1), (1.0, top + 1), *runs]
 
 
 EPS = sys.float_info.epsilon
@@ -298,10 +297,10 @@ class SectorBand:
 
         Rayleigh-quotient iteration from the a = 0 eigenvector k, where
         there is one, gives a candidate theta, which stands if its residual
-        is within DEFAULT_EIGH_TOL max(1, ||A||_max dim), `numerics.eigh`'s
-        bound, and two counts confirm its index: exactly k eigenvalues below
-        theta - delta and k + 1 below theta + delta, delta its residual plus
-        the counts' roundoff. Otherwise eigenvalue k is bisected on the count
+        is within `numerics.eigh`'s bound (`params.residual_bound`), and two
+        counts confirm its index: exactly k eigenvalues below theta - delta
+        and k + 1 below theta + delta, delta its residual plus the counts'
+        roundoff. Otherwise eigenvalue k is bisected on the count
         to adjacent floats, inside the Weyl bracket around a = 0 eigenvalue k
         (or, with no a = 0 levels, the Gershgorin one), where exactly k
         eigenvalues must lie below its lower end and k + 1 below its upper
@@ -315,7 +314,7 @@ class SectorBand:
             raise ComputationError(f"J-sector {self.j}: band entries of {largest!r} m c^2 "
                                    "leave no headroom in the float range")
         slack = FUDGE * (n * EPS * reach + 2.0 * pivmin)
-        bound = DEFAULT_EIGH_TOL * max(1.0, largest * n)
+        bound = residual_bound(largest, n)
         # a solve takes a pivot within roundoff of zero as that roundoff
         floor = n * EPS * reach
         if self.levels:
@@ -366,12 +365,44 @@ class SectorBand:
                                f"{residual:.3e} exceeds bound {bound:.3e}")
 
 
+def nearest_level(runs: Sequence[tuple[float, int]], energy: float,
+                  window: float) -> tuple[int, int]:
+    """(the index of the run nearest `energy`, how many eigenvalues the runs
+    within `window` of it hold) in runs (eigenvalue, count), ascending in
+    the eigenvalue, neither empty nor holding nan.
+
+    A run lies within the window where its distance fl(|x - energy|), the
+    difference rounded to a float, is at most `window`; rounding can take
+    in an eigenvalue beyond the window, never leave out one inside it.
+    Beyond the float range, between energies of opposite sign near it, a
+    distance is inf, as far as any distance gets. Distances fall towards
+    `energy` from either side, so a bisection finds the nearest run on
+    each side, and walks outwards from them take in every run within the
+    window. Of equal distances the lowest run is nearest, as the first
+    minimum of the distances would be.
+    """
+    i = bisect_left(runs, energy, key=lambda run: run[0])  # runs[:i] below energy
+    lo, hi = i, i
+    while lo and energy - runs[lo - 1][0] <= window:
+        lo -= 1
+    while hi < len(runs) and runs[hi][0] - energy <= window:
+        hi += 1
+    if i and (i == len(runs) or energy - runs[i - 1][0] <= runs[i][0] - energy):
+        i -= 1  # the neighbour below, then the lowest as far as it
+        while i and energy - runs[i - 1][0] == energy - runs[i][0]:
+            i -= 1
+    return i, sum(count for _, count in runs[lo:hi])
+
+
 def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
                  window: float) -> int:
-    """How many eigenvalues of the bands lie within `window` of `energy`,
-    |x - energy| <= window as `perturbation.nearest_level` tells it, both
-    edges included: per band, the inertia count (`_count`) at energy +
-    window less the one at nextafter(energy - window, -inf), O(dim) each.
+    """How many eigenvalues x of the bands lie within the window's edges
+    rounded to floats, fl(energy - window) <= x <= fl(energy + window): per
+    band, the inertia count (`_count`) at the upper edge less the one at
+    nextafter(lower edge, -inf), O(dim) each, exact on an exact band. An
+    edge that rounds outwards takes in an eigenvalue beyond |x - energy| <=
+    window; no float lies between an edge and its rounding, so none inside
+    is left out.
 
     Each band and both ends are first scaled by the power of two that takes
     its largest off-diagonal entry below 1. That is exact and leaves every
@@ -397,6 +428,32 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
         band = tuple([x * scale for x in entries] for entries in band)
         total += _count(band, above * scale, PIVMIN) - _count(band, below * scale, PIVMIN)
     return total
+
+
+def level_windows(space: FockSpace, terms: tuple[float, float, float],
+                  levels: Sequence[float], window: float) -> list[tuple[float, int]]:
+    """(the eigenvalue nearest each of `levels`, how many lie within `window`
+    of it), in units of m c^2, in the interior spectrum of an a = 0 config
+    with these `sector_terms`: the level rows' route table.
+
+    A `paired` config's runs (`pair_spectrum`) give both (`nearest_level`).
+    At the critical field with both couplings every level is +-1 m c^2,
+    itself an eigenvalue (CONVENTIONS.md, Sectors) and its own nearest one,
+    so each distinct level needs only its `window_count` on the J-sectors'
+    chains, the bands at no deformation; a count of 0 contradicts that and
+    is a ComputationError.
+    """
+    if paired(terms):
+        runs = pair_spectrum(space, terms)
+        return [(runs[i][0], count) for i, count
+                in (nearest_level(runs, level, window) for level in levels)]
+    chains = [SectorBand(space, terms[:2], j).entries(0.0) for j in space.sectors]
+    counts = {level: window_count(chains, level, window) for level in dict.fromkeys(levels)}
+    for level, count in counts.items():
+        if count == 0:
+            raise ComputationError(f"no eigenvalue counted within {window!r} m c^2 "
+                                   f"of level {level!r} m c^2")
+    return [(level, counts[level]) for level in levels]
 
 
 def sector_stacks(space: FockSpace,
@@ -444,8 +501,8 @@ def interior_spectrum(
     H0 and H' both conserve J, so row k is the sorted union of the J-sector
     spectra of terms[k] over every J-sector. Each distinct terms is solved
     once, and its row shared by every config that has it. `paired` terms
-    are closed form (`pair_spectrum`), with no eigensolver call and no
-    numpy. All others go through `sector_stacks` in one pass over the
+    are closed form, `pair_spectrum`'s runs expanded, with no eigensolver
+    call and no numpy. All others go through `sector_stacks` in one pass over the
     J-sectors, and each J-stack is solved in one `numerics.eigvalsh` call as
     it is generated, so one stack is held at a time. The caller bounds its
     bytes: `perturbation.field_scan` passes at most `fock.stack_configs`
@@ -453,7 +510,8 @@ def interior_spectrum(
     """
     # zeros compare equal, and h + (-0.0) D and h + 0.0 D are the same block
     distinct = list(dict.fromkeys(terms))
-    spectra = {t: pair_spectrum(space, t) for t in distinct if paired(t)}
+    spectra = {t: [level for level, count in pair_spectrum(space, t) for _ in range(count)]
+               for t in distinct if paired(t)}
     dense = [t for t in distinct if not paired(t)]
     if dense:
         import numpy as np

@@ -13,8 +13,8 @@ the J-bands, so numpy loads with a scan's first eigensolve. `eigh` has no
 caller in src: it stays because acceptance criterion 8 pins its contract
 at dimensions up to 512, as a single-matrix `eigvalsh` stays for
 criterion 7 (ROADMAP item 18). The package's other eigenvalues are pure
-Python, under the same residual bound, `DEFAULT_EIGH_TOL`, which `params`
-holds so that no module needs another:
+Python, under the same residual bound, `params.residual_bound`, which
+every solver calls so that no module states another:
 `model.SectorBand` certifies the oracle's J-sector eigenvalues, and
 `perturbation._jacobi_eigh` gives the stored 4x4 block's eigenpairs under
 `eigh`'s whole contract.
@@ -25,9 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComputationError, UsageError
-# the residual bound, max_k ||A v_k - w_k v_k||_2 relative to max(1,
-# ||A||_max * dim), which the numpy-free J-band kernel shares
-from .params import DEFAULT_EIGH_TOL
+# the residual bound, which the numpy-free J-band kernel and Jacobi
+# rotations share, and the tolerance of the second moment
+from .params import DEFAULT_EIGH_TOL, residual_bound
 
 
 def as_matrix(a, stack: bool = False) -> np.ndarray:
@@ -107,7 +107,6 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     and UsageError on non-finite input.
     """
     h = as_matrix(a)
-    scale = max(1.0, norm_max(h) * h.shape[0])
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -116,7 +115,7 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     v = _fix_phases(v)
 
     residual = float(np.max(np.linalg.norm(h @ v - v * w[np.newaxis, :], axis=0)))
-    bound = DEFAULT_EIGH_TOL * scale
+    bound = residual_bound(norm_max(h), h.shape[0])
     if not residual <= bound:
         raise ComputationError(f"eigh residual {residual:.3e} exceeds bound {bound:.3e}")
     ortho = norm_max(v.conj().T @ v - np.eye(len(w)))

@@ -21,11 +21,17 @@ NEGATIVE = "-"
 BRANCHES = (POSITIVE, NEGATIVE)
 # Window for locating unperturbed clusters, in units of m c^2.
 CLUSTER_WINDOW = 1e-9
-# Bound on an eigenpair residual ||A v - w v||_2 relative to
-# max(1, ||A||_max * dim), for `numerics.eigh`, the J-band kernel
-# (`model.SectorBand`) and the stored block's Jacobi rotations
-# (`perturbation._jacobi_eigh`) alike.
+# Tolerance of the eigensolver contracts: `residual_bound`, and the second
+# spectral moment's within DEFAULT_EIGH_TOL dim.
 DEFAULT_EIGH_TOL = 1e-10
+
+
+def residual_bound(largest: float, dim: int) -> float:
+    """The bound on an eigenpair residual ||A v - w v||_2 of a dim x dim
+    matrix of largest entry magnitude `largest`, for `numerics.eigh`, the
+    J-band kernel (`model.SectorBand`) and the Jacobi rotations
+    (`perturbation._jacobi_eigh`) alike."""
+    return DEFAULT_EIGH_TOL * max(1.0, largest * dim)
 
 
 class _Value:

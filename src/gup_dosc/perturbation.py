@@ -20,29 +20,22 @@ flips from + to -; reports flag this.
 
 This module loads no numpy: the shift reports, their at most 4x4 matrices
 held as tuples of rows, the stored block's eigenpairs (`_jacobi_eigh`), the
-level rows at any field, the oracle and the scan's histograms are pure
-Python. numpy loads only with a scan's spectra, in `interior_spectrum`'s
-dense branch (its a != 0 configs and the coupled critical field), which
-scatters the J-bands into dense stacks for the eigensolver.
+level rows at any field, whose route `model.level_windows` picks, the
+oracle and the scan's histograms are pure Python. numpy loads only with a
+scan's spectra, in `interior_spectrum`'s dense branch (its a != 0 configs
+and the coupled critical field), which scatters the J-bands into dense
+stacks for the eigensolver.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .errors import ComputationError, UsageError
 from .fock import FockSpace, stack_configs
-from .model import (
-    SectorBand,
-    interior_spectrum,
-    pair_spectrum,
-    paired,
-    sector_terms,
-    window_count,
-)
+from .model import SectorBand, interior_spectrum, level_windows, nearest_level, sector_terms
 from .params import (
     BRANCHES,
     CLUSTER_WINDOW,
@@ -54,6 +47,7 @@ from .params import (
     _Value,
     abs_level,
     landau_level,
+    residual_bound,
     spinor_level,
 )
 
@@ -199,31 +193,6 @@ def _shift(p: ModelParams, state: list, term=_P2) -> complex:
     return -math.copysign(1.0, p.omega_tilde) * total
 
 
-def nearest_level(spectrum: Sequence[float], energy: float,
-                  window: float) -> tuple[float, int]:
-    """(the eigenvalue nearest `energy`, how many lie within `window` of it)
-    in an ascending spectrum of floats, neither empty nor holding nan.
-
-    A distance is |x - energy| in floats: beyond the float range, between
-    energies of opposite sign near it, it is inf, as far as any distance
-    gets. Distances fall towards `energy` from either side, so a bisection
-    finds the nearest eigenvalue on each side, and walks outwards from them
-    count every distance within the window. Of equal distances the lowest
-    eigenvalue is nearest, as the first minimum of the distances would be.
-    """
-    i = bisect_left(spectrum, energy)  # spectrum[:i] < energy <= spectrum[i:]
-    lo, hi = i, i
-    while lo and energy - spectrum[lo - 1] <= window:
-        lo -= 1
-    while hi < len(spectrum) and spectrum[hi] - energy <= window:
-        hi += 1
-    if i and (i == len(spectrum) or energy - spectrum[i - 1] <= spectrum[i] - energy):
-        i -= 1  # the neighbour below, then the lowest as far as it
-        while i and energy - spectrum[i - 1] == energy - spectrum[i]:
-            i -= 1
-    return spectrum[i], hi - lo
-
-
 def level_rows(
     space: FockSpace,
     p: ModelParams,
@@ -239,60 +208,40 @@ def level_rows(
     of eigenvalues within `window`, in units of m c^2, of the closed-form
     energy. A window below the noise floor, or a level n = `levels` outside
     the interior, raises UsageError before anything is solved; so does a
-    nearest eigenvalue beyond the float range.
-
-    A `paired` config's spectrum is closed form (`pair_spectrum`). The
-    other a = 0 config, the critical field with both couplings, needs no
-    spectrum: every level there is +-1 m c^2, itself an eigenvalue, the
-    unmatched states of the J-sectors whose up and down states differ in
-    number (CONVENTIONS.md, Sectors), so each distinct level needs only its
-    window count, from inertia counts on each J-sector's chain, the band
-    (`model.SectorBand`) at no deformation (`model.window_count`); a count
-    of 0 contradicts that and is a ComputationError.
+    nearest eigenvalue beyond the float range. Both columns come from one
+    `model.level_windows` call on the a = 0 config, which picks the route.
     """
     _check_window(window)
     _check_headroom(space, levels, 0)
-    terms = sector_terms(space, p, 0.0)
-    if paired(terms):
-        spectrum = pair_spectrum(space, terms)
-    else:
-        spectrum, counts = None, {}
-        chains = [SectorBand(space, terms[:2], j).entries(0.0) for j in space.sectors]
+    cells = [(n, branch, landau_level(p, n, branch))
+             for n in range(levels + 1) for branch in branches]
+    windows = level_windows(space, sector_terms(space, p, 0.0),
+                            [analytic / p.rest_energy for *_, analytic in cells], window)
     floor = 1e-30 * p.rest_energy
     rows = []
-    for n in range(levels + 1):
-        for branch in branches:
-            analytic = landau_level(p, n, branch)
-            level = analytic / p.rest_energy
-            if spectrum is not None:
-                nearest, count = nearest_level(spectrum, level, window)
-            else:
-                if level not in counts:
-                    counts[level] = window_count(chains, level, window)
-                nearest, count = level, counts[level]
-                if count == 0:
-                    raise ComputationError(f"no eigenvalue counted within {window!r} m c^2 "
-                                           f"of level {level!r} m c^2")
-            nearest *= p.rest_energy
-            if not math.isfinite(nearest):
-                raise UsageError(f"the exact eigenvalue nearest level (n={n}, branch "
-                                 f"{branch}) overflows at rest energy {p.rest_energy!r}")
-            rows.append({
-                "n": n,
-                "branch": branch,
-                "analytic": analytic,
-                "exact_nearest": nearest,
-                "rel_error": abs(nearest - analytic) / max(abs(analytic), floor),
-                "multiplicity": count,
-            })
+    for (n, branch, analytic), (nearest, count) in zip(cells, windows):
+        nearest *= p.rest_energy
+        if not math.isfinite(nearest):
+            raise UsageError(f"the exact eigenvalue nearest level (n={n}, branch "
+                             f"{branch}) overflows at rest energy {p.rest_energy!r}")
+        rows.append({
+            "n": n,
+            "branch": branch,
+            "analytic": analytic,
+            "exact_nearest": nearest,
+            "rel_error": abs(nearest - analytic) / max(abs(analytic), floor),
+            "multiplicity": count,
+        })
     return rows
 
 
-def _level_index(p: ModelParams, j: int, row: list[float], energy: float) -> int:
+def _level_index(p: ModelParams, j: int, row: list[tuple[float, int]],
+                 energy: float) -> int:
     """The index in J-sector j's ascending a = 0 spectrum `row`, in units of
-    m c^2, of its one eigenvalue within CLUSTER_WINDOW of `energy`."""
+    m c^2 and as runs of one eigenvalue each, of its one eigenvalue within
+    CLUSTER_WINDOW of `energy`."""
     h, level = ORACLE_STEP, energy / p.rest_energy
-    nearest, hits = nearest_level(row, level, CLUSTER_WINDOW)
+    index, hits = nearest_level(row, level, CLUSTER_WINDOW)
     near = f"within {CLUSTER_WINDOW:.3e} m c^2 of {level!r} m c^2"
     if hits == 0:
         raise ComputationError(f"no eigenvalue of J-sector {j} {near}")
@@ -301,7 +250,7 @@ def _level_index(p: ModelParams, j: int, row: list[float], energy: float) -> int
             f"oracle stencil step {h!r}/(m c) cannot tell apart the {hits} "
             f"eigenvalues of J-sector {j} {near}"
         )
-    return bisect_left(row, nearest)  # the one eigenvalue in the window
+    return index
 
 
 def _slope(p: ModelParams, w: list[float], energy: float) -> float:
@@ -356,7 +305,7 @@ def oracle_check(
         zero, *strengths = (sector_terms(space, p, k * ORACLE_STEP)
                             for k in (0, 1, -1, 2, -2))
         bands = {j: SectorBand(space, zero[:2], j) for j in js}
-        rows = {j: [level for level, *_ in band.levels] for j, band in bands.items()}
+        rows = {j: [(level, 1) for level, *_ in band.levels] for j, band in bands.items()}
         # (J-sector, index) of each shift's eigenvalue
         picks = [[(j, _level_index(p, j, rows[j], report.unperturbed_energy))
                   for j in report.sectors] for report in reports]
@@ -498,8 +447,8 @@ def _jacobi_eigh(block) -> tuple[list[float], list[list[complex]]]:
     same phase, so their magnitudes change by roundoff), the spectral moments
     checked against the whole matrix (the trace within 1e-10 n, the squared
     Frobenius norm within DEFAULT_EIGH_TOL n, in units of max(1,
-    ||A||_max)), every residual ||A v - w v||_2 within DEFAULT_EIGH_TOL
-    max(1, ||A||_max n) and the columns orthonormal within 1e-10.
+    ||A||_max)), every residual ||A v - w v||_2 within `residual_bound`
+    and the columns orthonormal within 1e-10.
 
     UsageError for a block that is not a nonempty square matrix of finite
     numbers. Like LAPACK, the rotations read the lower triangle and the real
@@ -584,7 +533,7 @@ def _jacobi_eigh(block) -> tuple[list[float], list[list[complex]]]:
     residual = max(math.hypot(*(abs(sum(a * y for a, y in zip(row, column)) - e * x)
                                 for row, x in zip(rows, column)))
                    for e, column in zip(w, columns))
-    bound = DEFAULT_EIGH_TOL * max(1.0, largest * n)
+    bound = residual_bound(largest, n)
     if not residual <= bound:
         raise ComputationError(f"Jacobi residual {residual:.3e} exceeds bound {bound:.3e}")
     ortho = max(abs(sum(x.conjugate() * y for x, y in zip(a, b)) - (k == l))

@@ -15,8 +15,9 @@ assertions are made on the interior projection (`Space.interior_indices`).
 The module also keeps the per-cluster loop that the degeneracy histograms of
 `gup_dosc.perturbation` are checked against (`spectral_clusters_loop`), and
 the a = 0 spectrum off the critical field as numpy forms it over the whole
-(n_a, n_b) grid (`pair_spectrum_grid`), which `gup_dosc.model.pair_spectrum`
-must equal bit for bit, and over one J-sector its `SectorBand.levels`.
+(n_a, n_b) grid (`pair_spectrum_grid`), which the runs of
+`gup_dosc.model.pair_spectrum`, expanded, must equal bit for bit, and over
+one J-sector its `SectorBand.levels`.
 """
 
 from __future__ import annotations

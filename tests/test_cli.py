@@ -84,7 +84,7 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
     # config parses, and the level rows reject it before anything is solved
     argv = ["spectrum", "--omega", "1", "--levels", "40", "--cutoff", "20"]
     assert parse_config(argv).levels == 40
-    monkeypatch.setattr(perturbation, "pair_spectrum",
+    monkeypatch.setattr(perturbation, "level_windows",
                         lambda *args: pytest.fail("a spectrum was solved"))
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -99,16 +99,16 @@ def test_cutoff_headroom_rule(monkeypatch, capsys):
 
 def test_validate_builds_every_shift_report_before_the_oracle_solves(monkeypatch, capsys):
     # the n = 2 cluster's spectator 3 does not fit in the interior
-    # n_a + n_b <= 4 of cutoff 6: the level rows' one whole spectrum, of their
-    # one a = 0 config, is solved before the usage error, and no oracle
+    # n_a + n_b <= 4 of cutoff 6: the level rows' one route call, on their
+    # one a = 0 config, runs before the usage error, and no oracle
     # J-sector is built
     solved = []
 
-    def recording(space, terms):
+    def recording(space, terms, levels, window):
         solved.append(terms)
-        return model.pair_spectrum(space, terms)
+        return model.level_windows(space, terms, levels, window)
 
-    monkeypatch.setattr(perturbation, "pair_spectrum", recording)
+    monkeypatch.setattr(perturbation, "level_windows", recording)
     monkeypatch.setattr(perturbation, "SectorBand",
                         lambda *args: pytest.fail("an oracle J-sector was built"))
     assert main(["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4",

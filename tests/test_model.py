@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gup_dosc
 from gup_dosc.errors import ComputationError, UsageError
 from gup_dosc.fock import (
     INTERIOR_MARGIN,
@@ -350,3 +353,18 @@ def test_cutoff_beyond_the_cost_limit_is_rejected():
     # an estimate beyond the float range still formats
     with pytest.raises(UsageError, match=r"5\.0e\+399 dim\^3"):
         FockSpace(cutoff=10 ** 100)
+
+
+def test_only_model_reads_the_a0_routes():
+    # `model` picks the route of every a = 0 spectrum from its block terms:
+    # no other module imports or reads the closed form (`paired`,
+    # `pair_spectrum`) or the chain counts (`window_count`); they ask
+    # `level_windows` or `interior_spectrum`
+    routes = {"paired", "pair_spectrum", "window_count"}
+    package = pathlib.Path(gup_dosc.__file__).parent
+    readers = {path.stem for path in package.glob("*.py") if path.stem != "model"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and routes & {alias.name for alias in node.names}
+               or isinstance(node, ast.Attribute) and node.attr in routes}
+    assert readers == set()

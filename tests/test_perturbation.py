@@ -219,6 +219,15 @@ def test_jacobi_rotations_left_unfinished_are_an_internal_error(monkeypatch):
     assert shifts_of_matrix(2.5 * np.eye(4)).shifts == [2.5] * 4
 
 
+def test_a_jacobi_residual_over_its_bound_is_an_internal_error(monkeypatch):
+    # the stored block's eigenvalues are not all floats, so no residual of
+    # its eigenpairs meets a zero bound
+    monkeypatch.setattr(perturbation, "residual_bound", lambda *args: 0.0)
+    with pytest.raises(ComputationError, match=r"^Jacobi residual \S+ exceeds bound "
+                                               r"0\.000e\+00$"):
+        shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)
+
+
 def test_the_stored_block_loads_no_numpy():
     # the block's eigenpairs come from Jacobi rotations in Python complex
     # arithmetic, in a fresh interpreter that never imports numpy
@@ -381,7 +390,7 @@ def test_level_rows_stop_at_the_interior_top(monkeypatch):
     rows = level_rows(space, p, 8, ("+", "-"), CLUSTER_WINDOW)
     assert [(r["n"], r["branch"]) for r in rows[-2:]] == [(8, "+"), (8, "-")]
     assert all(r["rel_error"] <= 1e-15 and r["multiplicity"] == 1 for r in rows[-2:])
-    monkeypatch.setattr(perturbation, "pair_spectrum",
+    monkeypatch.setattr(perturbation, "level_windows",
                         lambda *args: pytest.fail("a spectrum was solved"))
     with pytest.raises(UsageError, match=re.escape(
             "state (n=9, spectator=0) too close to cutoff 10; raise the cutoff")):
@@ -462,13 +471,13 @@ def test_window_count_includes_both_edges_of_the_window(energy, window, count):
     # |x - E| <= w, as `nearest_level` counts it
     band = ([-1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
     assert model.window_count([band], energy, window) == count
-    assert perturbation.nearest_level([-1.0, 1.0], energy, window)[1] == count
+    assert model.nearest_level([(-1.0, 1), (1.0, 1)], energy, window)[1] == count
 
 
 def test_critical_field_level_row_with_no_eigenvalue_counted_is_an_error(monkeypatch):
     # a level row reports the level as its nearest eigenvalue only on a
     # count within the window, as the oracle's `_level_index` requires one
-    monkeypatch.setattr(perturbation, "window_count", lambda *args: 0)
+    monkeypatch.setattr(model, "window_count", lambda *args: 0)
     with pytest.raises(ComputationError, match="no eigenvalue counted within"):
         level_rows(FockSpace(12), ModelParams(omega=1.0, b_field=2.0), 0, BRANCHES,
                    CLUSTER_WINDOW)
@@ -1004,9 +1013,24 @@ def test_an_inconsistent_count_is_an_internal_error(monkeypatch, capsys):
 def test_a_residual_over_its_bound_is_an_internal_error(monkeypatch, capsys):
     # no residual meets a zero bound: the certified candidate is refused,
     # and so is every inverse-iteration step at the bisected eigenvalue
-    message = _failing_correct(monkeypatch, capsys, "DEFAULT_EIGH_TOL", 0.0)
+    message = _failing_correct(monkeypatch, capsys, "residual_bound", lambda *args: 0.0)
     assert re.fullmatch(r"J-sector 0: band inverse-iteration residual \S+ exceeds "
                         r"bound 0\.000e\+00", message), message
+
+
+def test_the_rayleigh_step_certifies_every_stencil_eigenvalue(monkeypatch):
+    # at lambda = 0.5, as in the README, every eigenvalue of a J-sector at
+    # the oracle's four strengths is the Rayleigh-quotient candidate that
+    # its two counts confirm: no bisection, whose ~40 counts would show
+    calls, count = [], model._count
+    monkeypatch.setattr(model, "_count", lambda *args: calls.append(args[1]) or count(*args))
+    space, p = FockSpace(cutoff=12), ModelParams(omega=1.0, b_field=1.0)
+    band = SectorBand(space, sector_terms(space, p, 0.0)[:2], 1)
+    for k in range(len(band.cells)):
+        for step in (1, -1, 2, -2):
+            calls.clear()
+            band.eigenvalue(sector_terms(space, p, step * ORACLE_STEP)[2], k)
+            assert len(calls) == 2, (k, step)
 
 
 def test_band_eigenvalues_are_certified_or_refused_at_any_strength():

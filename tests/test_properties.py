@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import tempfile
+from bisect import bisect_right
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from gup_dosc.model import (
     _count,
     _scales,
     interior_spectrum,
+    nearest_level,
+    pair_spectrum,
     paired,
     sector_stacks,
     sector_terms,
@@ -50,7 +53,6 @@ from gup_dosc.perturbation import (
     critical_field,
     degenerate_shift,
     first_order_shift,
-    nearest_level,
     oracle_check,
     spectral_clusters,
     validation_report,
@@ -179,6 +181,9 @@ def test_pair_spectra_are_the_grid_formula_bit_for_bit(cutoff, ratio, data):
                        light_speed=data.draw(scales), hbar=data.draw(scales))
     terms = sector_terms(space, base.with_field(ratio * critical_field(base)), 0.0)
     assert paired(terms) and (terms[0] == 0.0) == (ratio > 1.0)
+    # 2T + 2 runs, ascending, which `interior_spectrum` expands
+    runs = pair_spectrum(space, terms)
+    assert len(runs) == 2 * top + 2 and all(a <= b for (a, _), (b, _) in zip(runs, runs[1:]))
     subset = data.draw(st.lists(st.integers(-top - 2, top + 3), max_size=6)
                        | st.sampled_from([[-top], [top + 1], [0, 1]]))
     rows = [(None, interior_spectrum(space, [terms])[0]),
@@ -406,20 +411,28 @@ def spectra_around_a_level(draw):
 
 
 @DRAWS
-@given(drawn=spectra_around_a_level())
-# on both edges of the window, equally far on either side, and two values
-# equally far below 1e16 in floats
-@example(drawn=([0.5, 1.0, 1.5], 1.0, 0.5))
-@example(drawn=([-1.0, 1.0], 0.0, 0.5))
-@example(drawn=([-5.0, -4.0], 1e16, 0.5))
-def test_nearest_levels_equal_the_first_minimum_and_the_window_count(drawn):
-    # the bisection and its outward walks against the distances to every
-    # eigenvalue: the first of the least and how many are within the window
+@given(drawn=spectra_around_a_level(),
+       counts=st.lists(st.integers(1, 4), min_size=30, max_size=30))
+# on both edges of the window, equally far on either side, two values
+# equally far below 1e16 in floats, and equal neighbouring runs
+@example(drawn=([0.5, 1.0, 1.5], 1.0, 0.5), counts=[1, 2, 3])
+@example(drawn=([-1.0, 1.0], 0.0, 0.5), counts=[2, 1])
+@example(drawn=([-5.0, -4.0], 1e16, 0.5), counts=[1, 3])
+@example(drawn=([-1.0, -1.0, 1.0, 1.0], 0.0, 1.0), counts=[1, 2, 2, 1])
+def test_nearest_levels_equal_the_first_minimum_and_the_window_count(drawn, counts):
+    # the bisection over runs (eigenvalue, count) and its outward walks
+    # against the distances to every eigenvalue of the expanded list: the
+    # run that holds the first of the least, and how many are within the
+    # window
     spectrum, energy, window = drawn
+    runs = list(zip(spectrum, counts))
+    expanded = [x for x, count in runs for _ in range(count)]
     with np.errstate(over="ignore"):
-        distances = np.abs(np.array(spectrum) - energy)
-    expected = (spectrum[int(np.argmin(distances))], int(np.sum(distances <= window)))
-    assert repr(nearest_level(spectrum, energy, window)) == repr(expected)
+        distances = np.abs(np.array(expanded) - energy)
+    ends = list(itertools.accumulate(count for _, count in runs))
+    expected = (bisect_right(ends, int(np.argmin(distances))),
+                int(np.sum(distances <= window)))
+    assert nearest_level(runs, energy, window) == expected
 
 
 @DRAWS
@@ -441,7 +454,7 @@ def test_window_counts_include_both_edges_of_the_window(drawn):
     zeros = [0.0] * len(spectrum)
     assert window_count([(spectrum, zeros, zeros)], energy, window) == count
     if all(Fraction(abs(x - energy)) == d for x, d in zip(spectrum, exact)):
-        assert nearest_level(spectrum, energy, window)[1] == count
+        assert nearest_level([(x, 1) for x in spectrum], energy, window)[1] == count
 
 
 # the phase (-i)^{n_b} that takes an amplitude into the basis of the real
@@ -552,7 +565,14 @@ def _units_params(mass, light_speed, hbar, charge):
     return p.with_field(0.5 * critical_field(p))
 
 
-NATURAL_STATUSES = _validation_statuses(_units_params(1.0, 1.0, 1.0, 1.0))
+@functools.cache
+def _natural_statuses():
+    """`validate`'s statuses in natural units, computed at the first test
+    that reads them, so a broken `validate` fails that test and leaves the
+    module's collection alone."""
+    return _validation_statuses(_units_params(1.0, 1.0, 1.0, 1.0))
+
+
 unit = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-4 .. 1e4
 
 
@@ -560,7 +580,7 @@ unit = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-4 ..
 @given(mass=unit, light_speed=unit, hbar=unit, charge=unit)
 def test_validation_does_not_depend_on_the_units(mass, light_speed, hbar, charge):
     p = _units_params(mass, light_speed, hbar, charge)
-    assert _validation_statuses(p) == NATURAL_STATUSES
+    assert _validation_statuses(p) == _natural_statuses()
 
 
 milli = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-3 .. 1e3
