@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, UsageError
@@ -365,28 +365,48 @@ class SectorBand:
                                f"{residual:.3e} exceeds bound {bound:.3e}")
 
 
+def _sum_error(a: float, b: float) -> float:
+    """a + b - fl(a + b), exact in round-to-nearest (Knuth's TwoSum); nan
+    where the sum overflows."""
+    total = a + b
+    part = total - a
+    return (a - (total - part)) + (b - part)
+
+
+def window_edges(energy: float, window: float) -> tuple[float, float]:
+    """The window's exact float edges: the smallest float at or above
+    energy - window and the largest at or below energy + window, so a float
+    x lies between them exactly where |x - energy| <= window. Each is the
+    rounded sum, moved one float inwards where its error (`_sum_error`) says
+    that rounding took it outwards; an edge beyond the float range stays
+    infinite.
+    """
+    low, high = energy - window, energy + window
+    if _sum_error(energy, -window) > 0.0:  # rounded down, below energy - window
+        low = math.nextafter(low, math.inf)
+    if _sum_error(energy, window) < 0.0:  # rounded up, beyond energy + window
+        high = math.nextafter(high, -math.inf)
+    return low, high
+
+
 def nearest_level(runs: Sequence[tuple[float, int]], energy: float,
                   window: float) -> tuple[int, int]:
     """(the index of the run nearest `energy`, how many eigenvalues the runs
     within `window` of it hold) in runs (eigenvalue, count), ascending in
     the eigenvalue, neither empty nor holding nan.
 
-    A run lies within the window where its distance fl(|x - energy|), the
-    difference rounded to a float, is at most `window`; rounding can take
-    in an eigenvalue beyond the window, never leave out one inside it.
-    Beyond the float range, between energies of opposite sign near it, a
-    distance is inf, as far as any distance gets. Distances fall towards
-    `energy` from either side, so a bisection finds the nearest run on
-    each side, and walks outwards from them take in every run within the
-    window. Of equal distances the lowest run is nearest, as the first
-    minimum of the distances would be.
+    A run lies within the window where |x - energy| <= window exactly,
+    between the window's float edges (`window_edges`), which two bisections
+    find. Beyond the float range, between energies of opposite sign near
+    it, a distance is inf, as far as any distance gets. Distances fall
+    towards `energy` from either side, so a bisection finds the nearest run
+    on each side. Of equal distances the lowest run is nearest, as the
+    first minimum of the distances would be.
     """
+    low, high = window_edges(energy, window)
+    lo = bisect_left(runs, low, key=lambda run: run[0])
+    hi = bisect_right(runs, high, key=lambda run: run[0])
     i = bisect_left(runs, energy, key=lambda run: run[0])  # runs[:i] below energy
-    lo, hi = i, i
-    while lo and energy - runs[lo - 1][0] <= window:
-        lo -= 1
-    while hi < len(runs) and runs[hi][0] - energy <= window:
-        hi += 1
     if i and (i == len(runs) or energy - runs[i - 1][0] <= runs[i][0] - energy):
         i -= 1  # the neighbour below, then the lowest as far as it
         while i and energy - runs[i - 1][0] == energy - runs[i][0]:
@@ -396,13 +416,11 @@ def nearest_level(runs: Sequence[tuple[float, int]], energy: float,
 
 def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
                  window: float) -> int:
-    """How many eigenvalues x of the bands lie within the window's edges
-    rounded to floats, fl(energy - window) <= x <= fl(energy + window): per
-    band, the inertia count (`_count`) at the upper edge less the one at
-    nextafter(lower edge, -inf), O(dim) each, exact on an exact band. An
-    edge that rounds outwards takes in an eigenvalue beyond |x - energy| <=
-    window; no float lies between an edge and its rounding, so none inside
-    is left out.
+    """How many eigenvalues x of the bands lie within the window,
+    |x - energy| <= window exactly: per band, the inertia count (`_count`)
+    at the window's upper float edge less the one just below its lower
+    edge (`window_edges`), each edge lowered by the pivot floor, O(dim)
+    each, exact on an exact band.
 
     Each band and both ends are first scaled by the power of two that takes
     its largest off-diagonal entry below 1. That is exact and leaves every
@@ -416,7 +434,8 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
     at the default window of 1e-9, and from 2^972, about 4e292 m c^2, at
     the noise floor of 1e-12.
     """
-    above, below = energy + window, math.nextafter(energy - window, -math.inf)
+    low, above = window_edges(energy, window)
+    below = math.nextafter(low, -math.inf)
     total = 0
     for band in bands:
         largest = max(map(abs, [*band[1], *band[2]]))
@@ -424,9 +443,12 @@ def window_count(bands: Iterable[tuple[list, list, list]], energy: float,
         if window * scale < WINDOW_FLOORS * PIVMIN:
             raise UsageError(f"window {window!r} m c^2 is below what the inertia counts "
                              f"resolve at couplings up to {largest!r} m c^2")
-        # scaled, every off-diagonal entry is below 1, so the floor is PIVMIN
+        # scaled, every off-diagonal entry is below 1, so the floor is PIVMIN;
+        # a pivot within it counts as negative, which would take in an
+        # eigenvalue up to PIVMIN above sigma, so each sigma is lowered by it
         band = tuple([x * scale for x in entries] for entries in band)
-        total += _count(band, above * scale, PIVMIN) - _count(band, below * scale, PIVMIN)
+        total += (_count(band, above * scale - PIVMIN, PIVMIN)
+                  - _count(band, below * scale - PIVMIN, PIVMIN))
     return total
 
 

@@ -1,5 +1,5 @@
-"""Seeded mutants of the pure-Python kernels, each with the tests that must
-kill it: a mutant is killed when one of its tests fails.
+"""Seeded mutants of the package, each with the tests that must kill it: a
+mutant is killed when one of its tests fails.
 
     python tests/mutants.py
 
@@ -11,8 +11,8 @@ directory, stopping at the first failure. The tests of every row must first
 pass on an unmutated copy. A row whose last field is a reason, not tests,
 records an equivalent mutant, which no input tells from the program: its
 text must still occur once, and it is not run. The script prints each
-mutant's fate and "k of n mutants killed, e equivalent", and exits 1 unless
-every mutant is killed or equivalent.
+mutant's fate and seconds, and "k of n mutants killed, e equivalent, in t s",
+and exits 1 unless every mutant is killed or equivalent.
 """
 import os
 import pathlib
@@ -20,28 +20,31 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+ACCEPTANCE = "tests/test_acceptance.py::test_criterion_"
 PERTURBATION = "tests/test_perturbation.py::"
 PROPERTIES = "tests/test_properties.py::"
-EDGES = (PERTURBATION + "test_window_count_includes_both_edges_of_the_window",
-         PROPERTIES + "test_window_counts_include_both_edges_of_the_window")
 CERTIFIED = PERTURBATION + "test_band_eigenvalues_are_certified_or_refused_at_any_strength"
 DENSE_BAND = PROPERTIES + "test_band_eigenvalues_and_counts_equal_the_dense_reference"
 N_ORDER = PROPERTIES + "test_band_entries_are_the_sector_blocks_in_n_order"
 JACOBI = PROPERTIES + "test_jacobi_rotations_keep_the_eigh_contract"
 STORED = PERTURBATION + "test_the_stored_block_solver_keeps_the_error_kinds_of_eigh"
-
+SORTED_DIAGONAL = PROPERTIES + "test_degenerate_shifts_are_the_sorted_diagonal"
 NEAREST = PROPERTIES + "test_nearest_levels_equal_the_first_minimum_and_the_window_count"
 RAYLEIGH = PERTURBATION + "test_the_rayleigh_step_certifies_every_stencil_eigenvalue"
+# corpus sections of tests/commands.txt, each run as one test of test_cli.py
+USAGE_ROWS = "tests/test_cli.py::test_inputs_that_are_one_line_usage_errors"
+KNOWN_GAPS = "tests/test_cli.py::test_known_gaps_keep_their_status"
 
 # (name, module, old text, new text, the tests that must kill it, or the
 # reason why the mutant is equivalent)
 MUTANTS = [
     ("_count's zero pivot taken as +pivmin, not -pivmin", "model.py",
      "            d = -pivmin\n        if d < 0.0:",
-     "            d = pivmin\n        if d < 0.0:", EDGES),
+     "            d = pivmin\n        if d < 0.0:", (NEAREST,)),
     ("_count counts the positive pivots", "model.py",
      "        if d < 0.0:\n            below += 1",
      "        if d > 0.0:\n            below += 1", (CERTIFIED,)),
@@ -76,13 +79,16 @@ MUTANTS = [
      "scale = 2.0 ** -max(0, math.frexp(largest)[1])", "scale = 1.0",
      (PERTURBATION + "test_window_count_refuses_windows_below_its_resolution",
       PERTURBATION + "test_chain_counts_hold_up_to_the_float_range_of_their_pivots")),
-    ("window_count's lower edge at energy - window", "model.py",
-     "math.nextafter(energy - window, -math.inf)", "energy - window", EDGES),
-    ("window_count's upper edge one float beyond energy + window", "model.py",
-     "above, below = energy + window,",
-     "above, below = math.nextafter(energy + window, math.inf),", EDGES),
+    ("window_edges' TwoSum correction dropped", "model.py",
+     "    return (a - (total - part)) + (b - part)", "    return 0.0", (NEAREST,)),
+    ("window_edges' upper edge one float beyond", "model.py",
+     "    return low, high", "    return low, math.nextafter(high, math.inf)", (NEAREST,)),
+    ("window_count counts from its lower edge, not below it", "model.py",
+     "below = math.nextafter(low, -math.inf)", "below = low", (NEAREST,)),
+    ("window_count's lower sigma not lowered by the pivot floor", "model.py",
+     "below * scale - PIVMIN, PIVMIN))", "below * scale, PIVMIN))", (NEAREST,)),
     ("nearest_level counts one run short of the window", "model.py",
-     "runs[lo:hi])", "runs[lo:hi - 1])", (EDGES[0], NEAREST)),
+     "runs[lo:hi])", "runs[lo:hi - 1])", (NEAREST,)),
     ("nearest_level takes the upper of two equally near runs", "model.py",
      "energy - runs[i - 1][0] <= runs[i][0] - energy",
      "energy - runs[i - 1][0] < runs[i][0] - energy", (NEAREST,)),
@@ -125,6 +131,40 @@ MUTANTS = [
     ("the Jacobi rotation's phase not conjugated", "perturbation.py",
      "s, phase = t * c, (h[p][q] / r).conjugate()", "s, phase = t * c, h[p][q] / r",
      (JACOBI,)),
+    ("the shift unit squared in a", "params.py", "self.gup_a * self.light_speed",
+     "self.gup_a ** 2 * self.light_speed", (ACCEPTANCE + "9_linearity_and_determinism",)),
+    ("the first-order shift's sign flipped", "perturbation.py",
+     "    return -math.copysign(1.0, p.omega_tilde) * total",
+     "    return math.copysign(1.0, p.omega_tilde) * total",
+     (ACCEPTANCE + "2_ground_state_correction",)),
+    ("the critical field halved", "params.py", "return 2.0 * self.omega",
+     "return 1.0 * self.omega", (ACCEPTANCE + "4_critical_field",)),
+    ("with_field keeps the old field", "params.py", "        return self.replace(b_field=b_field)",
+     "        return self", ("tests/test_model.py::test_reduced_frequency",)),
+    ("a degenerate report's shifts all its lowest", "perturbation.py",
+     "shifts = [diagonal[i].real for i in order]",
+     "shifts = [diagonal[order[0]].real for i in order]", (SORTED_DIAGONAL,)),
+    ("a degenerate report's eigenvectors all its first column", "perturbation.py",
+     "complex(r == i) for i in order", "complex(r == order[0]) for i in order",
+     (SORTED_DIAGONAL,)),
+    ("a scan point's after config deformed at a = 0", "perturbation.py",
+     "for alpha in (0.0, p.alpha_gup)]", "for alpha in (0.0, p.alpha_gup or 1e-3)]",
+     (ACCEPTANCE + "5_degeneracy_lifting",)),
+    ("the window noise floor lowered to 1e-21", "perturbation.py",
+     "    if window < 1e-12:", "    if window < 1e-21:", (USAGE_ROWS,)),
+    ("csv output allowed for every command", "cli.py",
+     'if values["format"] == "csv" and command != "scan":', "if False:", (USAGE_ROWS,)),
+    ("an unwritable output file not caught", "cli.py", "        except OSError as exc:",
+     "        except ValueError as exc:", (USAGE_ROWS,)),
+    ("a computation error exits 1", "cli.py", "        return 3\n    except Exception",
+     "        return 1\n    except Exception", (KNOWN_GAPS,)),
+    ("the config echo keeps only default tolerances", "cli.py",
+     "dict(sorted(self.tolerances.items()))", "dict.fromkeys(sorted(self.tolerances), 1e-9)",
+     ("tests/test_cli.py::test_config_echo_reproduces_report",)),
+    ("eigh's eigenvalues descending", "numerics.py",
+     "        w, v = np.linalg.eigh(h)\n    except",
+     "        w, v = np.linalg.eigh(h)\n        w, v = w[::-1], v[:, ::-1]\n    except",
+     (ACCEPTANCE + "8_eigensolver_contract",)),
 ]
 
 
@@ -157,6 +197,7 @@ def mutated_run(tests, module: str = "", old: str = "", new: str = ""):
 def main() -> int:
     tests = list(dict.fromkeys(test for *_, row_tests in MUTANTS
                                if not isinstance(row_tests, str) for test in row_tests))
+    start = time.perf_counter()
     unmutated = mutated_run(tests)
     if unmutated.returncode != 0:
         print(unmutated.stdout[-3000:], unmutated.stderr[-3000:], sep="\n")
@@ -171,15 +212,17 @@ def main() -> int:
             equivalent += 1
             print(f"equivalent: {name} ({module}): {row_tests}")
             continue
+        began = time.perf_counter()
         result = mutated_run(row_tests, module, old, new)
         # pytest exits 1 when a test fails, and 2 or more when it cannot run them
         fate = {0: "SURVIVED", 1: "killed"}.get(result.returncode,
                                                  f"ERROR (pytest exit {result.returncode})")
         killed += fate == "killed"
-        print(f"{fate}: {name} ({module})")
+        print(f"{fate}: {name} ({module}), {time.perf_counter() - began:.1f} s")
         if fate != "killed":
             print(result.stdout[-3000:], result.stderr[-3000:], sep="\n")
-    print(f"{killed} of {len(MUTANTS)} mutants killed, {equivalent} equivalent")
+    print(f"{killed} of {len(MUTANTS)} mutants killed, {equivalent} equivalent, "
+          f"in {time.perf_counter() - start:.0f} s")
     return 0 if killed + equivalent == len(MUTANTS) else 1
 
 

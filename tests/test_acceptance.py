@@ -31,6 +31,7 @@ from reference import (
     commutator,
     compress,
     ladder_a,
+    ladder_b,
     momentum_ops,
     p_squared,
     p_squared_ladder_form,
@@ -39,6 +40,8 @@ from reference import (
 )
 
 PRODUCTION_CUTOFF = 40
+# The stored block's shifts, frozen from its exact characteristic polynomial.
+BLOCK_SHIFTS = [-8.7307879247336544, -8.0, -7.3192108377341745, 2.049998762467828]
 
 
 def _report(number: int, name: str, ok: bool) -> None:
@@ -61,12 +64,15 @@ def test_criterion_1_analytic_spectrum_reproduction():
 
 
 def test_criterion_2_ground_state_correction():
-    space = FockSpace(cutoff=PRODUCTION_CUTOFF)
     p = ModelParams(omega=0.1, b_field=0.0, gup_a=1e-4)
-    (r,) = oracle_check(space, p, [first_order_shift(space, p, 0, "+")])
-    ok = abs(r.shifts[0] - (-1.0)) <= 1e-10
-    slope = r.oracle_slopes[0]
-    ok = ok and abs(slope - (-1.0)) <= 1e-6
+    ok = True
+    for cutoff in (12, PRODUCTION_CUTOFF):
+        space = FockSpace(cutoff=cutoff)
+        (r,) = oracle_check(space, p, [first_order_shift(space, p, 0, "+")])
+        ok = ok and r.shifts == [-1.0] and r.method == "nondegenerate"
+        ok = ok and abs(r.shifts_energy[0] + p.shift_unit) <= 1e-14 * p.shift_unit
+        slope = r.oracle_slopes[0]
+        ok = ok and abs(slope - (-1.0)) <= 1e-6
     _report(2, "ground-state correction -1 with oracle slope", ok)
 
 
@@ -74,6 +80,7 @@ def test_criterion_3_degenerate_block_replication():
     r = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)
     printed = sorted((-8.7308, -8.0, -7.3192, 2.05))
     ok = all(abs(s - e) <= 5e-4 for s, e in zip(r.shifts, printed))
+    ok = ok and all(abs(s - e) <= 1e-12 for s, e in zip(r.shifts, BLOCK_SHIFTS))
     ok = ok and abs(sum(r.shifts) - (-22.0)) <= 1e-12
     vector = np.array(REFERENCE_DEGENERATE_EIGENVECTOR)
     image = np.array(REFERENCE_DEGENERATE_BLOCK) @ vector
@@ -84,13 +91,20 @@ def test_criterion_3_degenerate_block_replication():
 
 def test_criterion_4_critical_field():
     p = ModelParams(omega=1.0, gup_a=1e-4)
-    ok = critical_field(p) == 2.0
+    ok = critical_field(p) == 2.0 and p.with_field(2.0).omega_tilde == 0.0
+    ok = ok and critical_field(ModelParams(omega=0.0)) == 0.0
     space = FockSpace(cutoff=10)
-    points, critical_b = field_scan(space, p, [1.9, 1.99, 1.999, 2.0])
-    shifts = [pt["ground_shift"] for pt in points]
+    # the approach to B_c, and the fields B_c / 2 apart across it
+    points, critical_b = field_scan(space, p, [0.0, 1.0, 1.9, 1.99, 1.999, 2.0, 3.0])
+    ok = ok and [points[i]["omega_tilde"] for i in (0, 1, 5, 6)] == [1.0, 0.5, 0.0, -0.5]
     for pt in points:
-        bound = p.alpha_gup * abs(pt["omega_tilde"]) * (1 + 1e-6)
+        wt = pt["omega_tilde"]
+        bound = p.alpha_gup * abs(wt) * (1 + 1e-6)
         ok = ok and abs(pt["ground_shift"]) <= bound
+        if wt >= 0.0:
+            ok = ok and abs(pt["ground_shift"] + p.gup_a * wt) <= max(1e-12 * p.gup_a * wt,
+                                                                        1e-18)
+    shifts = [pt["ground_shift"] for pt in points[2:6]]
     ok = ok and shifts[-1] == 0.0
     ok = ok and all(abs(a) > abs(b) for a, b in zip(shifts, shifts[1:]))
     ok = ok and critical_b == 2.0
@@ -100,10 +114,15 @@ def test_criterion_4_critical_field():
 def test_criterion_5_degeneracy_lifting():
     space = FockSpace(cutoff=12)
     p = ModelParams(omega=0.1, gup_a=1e-4)
-    tower = degenerate_shift(space, p, 0, range(6))
-    expected = [-(k + 1.0) for k in reversed(range(6))]
-    ok = np.allclose(tower.shifts, expected, atol=1e-10)
-    ok = ok and len(set(np.round(tower.shifts, 8))) == 6
+    # the whole interior tower: member k sits alone in J-sector -k, so each
+    # shift meets its own block's slope
+    size = space.cutoff - 1
+    (tower,) = oracle_check(space, p, [degenerate_shift(space, p, 0, range(size))])
+    expected = [-(k + 1.0) for k in reversed(range(size))]
+    ok = np.allclose(tower.shifts, expected, atol=1e-12, rtol=0.0)
+    ok = ok and len(set(np.round(tower.shifts, 9))) == size and not tower.discrepancy_flags
+    ok = ok and len(tower.oracle_slopes) == size and all(
+        abs(s - o) <= 1e-6 * abs(s) for s, o in zip(tower.shifts, tower.oracle_slopes))
 
     w0, w1 = interior_spectrum(space, [sector_terms(space, p, a) for a in (0.0, p.alpha_gup)])
     lll_before = [m for e, m in spectral_clusters_loop(w0, 1e-9) if abs(e - 1.0) < 1e-6]
@@ -140,36 +159,43 @@ def test_criterion_6_first_excited_replication_report(tmp_path):
 
 
 def test_criterion_7_algebra_property_suite():
-    space = Space(cutoff=12, include_spin=False)
     osc = OscParams(mass=1.0, omega_tilde=0.5)
-    idx = space.interior_indices(2)
-    eye = np.eye(space.dim)
-
-    def inorm(m):
-        return norm_max(compress(m, idx))
-
-    a = ladder_a(space)
-    ok = inorm(commutator(a, adjoint(a)) - eye) <= 1e-13
-
     unit = osc.mass * abs(osc.omega_tilde) * osc.hbar
-    direct = p_squared(space, osc)
-    ladder_form = p_squared_ladder_form(space, osc)
-    ok = ok and inorm(direct - ladder_form) <= 1e-10 * unit
+    ok = True
+    for cutoff in (10, 12):
+        space = Space(cutoff=cutoff, include_spin=False)
+        idx = space.interior_indices(2)
+        eye = np.eye(space.dim)
 
-    inner = compress(direct, idx)
-    ok = ok and norm_max(inner - adjoint(inner)) <= 1e-13
-    ok = ok and eigvalsh(inner)[0] >= -1e-12 * unit
+        def inorm(m):
+            return norm_max(compress(m, idx))
 
-    z, _ = position_ops(space, osc)
-    pz, pzbar = momentum_ops(space, osc)
-    ok = ok and inorm(commutator(z, pz) - 1j * osc.hbar * eye) <= 1e-13
-    ok = ok and inorm(commutator(z, pzbar)) <= 1e-13
+        a, b = ladder_a(space), ladder_b(space)
+        for mode in (a, b):
+            ok = ok and inorm(commutator(mode, adjoint(mode)) - eye) <= 1e-13
+        # independent modes commute exactly, everywhere
+        ok = ok and norm_max(commutator(a, b)) == norm_max(commutator(a, adjoint(b))) == 0.0
+
+        direct = p_squared(space, osc)
+        ladder_form = p_squared_ladder_form(space, osc)
+        ok = ok and inorm(direct - ladder_form) <= 1e-10 * unit
+
+        inner = compress(direct, idx)
+        ok = ok and norm_max(inner - adjoint(inner)) <= 1e-13
+        ok = ok and eigvalsh(inner)[0] >= -1e-12 * unit
+
+        z, zbar = position_ops(space, osc)
+        pz, pzbar = momentum_ops(space, osc)
+        ok = ok and np.array_equal(adjoint(pz), pzbar)
+        for q, p_q, p_other in ((z, pz, pzbar), (zbar, pzbar, pz)):
+            ok = ok and inorm(commutator(q, p_q) - 1j * osc.hbar * eye) <= 1e-13
+            ok = ok and inorm(commutator(q, p_other)) <= 1e-13
     _report(7, "operator algebra property suite", ok)
 
 
 def test_criterion_8_eigensolver_contract():
     rng = np.random.default_rng(512)
-    dims = [2, 512] + list(rng.integers(2, 513, size=98))
+    dims = [2, 512] + list(rng.integers(2, 513, size=98)) + [5, 8, 16, 33, 64]
     ok = True
     for dim in dims:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -180,9 +206,10 @@ def test_criterion_8_eigensolver_contract():
         ok = ok and residual <= 1e-10 * scale
         ortho = norm_max(v.conj().T @ v - np.eye(dim))
         ok = ok and ortho <= 1e-10
+        ok = ok and bool(np.all(np.diff(w) >= 0))
         gap = abs(np.sum(w) - np.trace(a).real)
         ok = ok and gap <= 1e-10 * dim * max(1.0, norm_max(a))
-    _report(8, "eigensolver residual and orthonormality contract", ok)
+    _report(8, "eigensolver residual, orthonormality and ascending-order contract", ok)
 
 
 def test_criterion_9_linearity_and_determinism(tmp_path):

@@ -13,10 +13,8 @@ from reference import (
     compress,
     embed_spinor,
     ladder_a,
-    ladder_b,
     momentum_ops,
     p_squared,
-    p_squared_ladder_form,
     position_ops,
 )
 
@@ -70,16 +68,6 @@ def test_ladder_matrix_elements():
     assert np.count_nonzero(a) == SPACE.cutoff * SPACE.n_states
 
 
-def test_canonical_ladder_algebra():
-    a, b = ladder_a(SPACE), ladder_b(SPACE)
-    eye = np.eye(SPACE.dim)
-    assert interior_norm(commutator(a, adjoint(a)) - eye) <= 1e-13
-    assert interior_norm(commutator(b, adjoint(b)) - eye) <= 1e-13
-    # independent modes commute exactly, everywhere
-    assert norm_max(commutator(a, b)) == 0.0
-    assert norm_max(commutator(a, adjoint(b))) == 0.0
-
-
 def test_position_operators():
     z, zbar = position_ops(SPACE, OSC)
     assert np.array_equal(adjoint(z), zbar)
@@ -97,18 +85,6 @@ def test_position_needs_a_length_scale():
         position_ops(SPACE, OscParams(mass=1.0, omega_tilde=0.0))
 
 
-def test_momentum_commutators():
-    z, zbar = position_ops(SPACE, OSC)
-    pz, pzbar = momentum_ops(SPACE, OSC)
-    eye = np.eye(SPACE.dim)
-    hbar = OSC.hbar
-    assert np.array_equal(adjoint(pz), pzbar)
-    assert interior_norm(commutator(z, pz) - 1j * hbar * eye) <= 1e-13
-    assert interior_norm(commutator(zbar, pzbar) - 1j * hbar * eye) <= 1e-13
-    assert interior_norm(commutator(z, pzbar)) <= 1e-13
-    assert interior_norm(commutator(zbar, pz)) <= 1e-13
-
-
 def test_p_squared_expectations_and_positivity():
     p2 = p_squared(SPACE, OSC)
     unit = OSC.mass * abs(OSC.omega_tilde) * OSC.hbar
@@ -121,13 +97,6 @@ def test_p_squared_expectations_and_positivity():
     inner = compress(p2, INTERIOR)
     assert norm_max(inner - adjoint(inner)) <= 1e-13
     assert eigvalsh(inner)[0] >= -1e-12 * unit
-
-
-def test_p_squared_two_constructions_agree_on_interior():
-    direct = p_squared(SPACE, OSC)
-    ladder_form = p_squared_ladder_form(SPACE, OSC)
-    unit = OSC.mass * abs(OSC.omega_tilde) * OSC.hbar
-    assert interior_norm(direct - ladder_form) <= 1e-10 * unit
 
 
 def test_ladder_identification_pins_the_convention():

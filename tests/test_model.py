@@ -48,6 +48,9 @@ def test_reduced_frequency():
     assert ModelParams(omega=1.0, b_field=1.0).omega_tilde == 0.5
     assert ModelParams(omega=1.0, b_field=2.0).omega_tilde == 0.0
     assert ModelParams(omega=0.7, b_field=0.0).omega_tilde == 0.7
+    # a value changed field by field leaves the original as it was
+    p = ModelParams(omega=1.0, b_field=1.0)
+    assert p.with_field(3.0).omega_tilde == -0.5 and p.omega_tilde == 0.5
 
 
 def test_params_validation():
@@ -66,14 +69,6 @@ def test_params_validation():
 def test_params_reject_non_finite(name, value):
     with pytest.raises(UsageError, match=f"{name} must be finite"):
         ModelParams(**{"omega": 1.0, name: value})
-
-
-def test_derived_quantities_recompute():
-    p = ModelParams(omega=1.0, b_field=1.0)
-    assert p.omega_tilde == 0.5
-    shifted = p.with_field(3.0)
-    assert shifted.omega_tilde == -0.5
-    assert p.omega_tilde == 0.5  # original untouched
 
 
 def test_landau_levels_closed_form():

@@ -89,6 +89,9 @@ def model_params(draw):
 @DRAWS
 @given(p=model_params(), n=st.integers(1, 3), branch=st.sampled_from(BRANCHES),
        size=st.integers(1, 5))
+# the lowest level's tower, and the n = 2 cluster, at lambda = 0.1
+@example(p=ModelParams(omega=0.1, gup_a=1e-4), n=0, branch=POSITIVE, size=5)
+@example(p=ModelParams(omega=0.1, gup_a=1e-4), n=2, branch=POSITIVE, size=4)
 def test_degenerate_shifts_are_the_sorted_diagonal(p, n, branch, size):
     r = degenerate_shift(SPACE, p, n, range(size), branch)
     matrix, vectors = np.array(r.subspace_matrix), np.array(r.eigenvectors)
@@ -410,6 +413,9 @@ def spectra_around_a_level(draw):
     return spectrum, energy, window
 
 
+ROUNDED_EDGE_E = 12164.011089465297  # fl(E - 1e-12) = nextafter(E, -inf)
+
+
 @DRAWS
 @given(drawn=spectra_around_a_level(),
        counts=st.lists(st.integers(1, 4), min_size=30, max_size=30))
@@ -419,42 +425,37 @@ def spectra_around_a_level(draw):
 @example(drawn=([-1.0, 1.0], 0.0, 0.5), counts=[2, 1])
 @example(drawn=([-5.0, -4.0], 1e16, 0.5), counts=[1, 3])
 @example(drawn=([-1.0, -1.0, 1.0, 1.0], 0.0, 1.0), counts=[1, 2, 2, 1])
+# eigenvalues on the window's edges, and one an ulp beyond either edge
+@example(drawn=([-1.0, 1.0], -1.5, 0.5), counts=[1, 1])
+@example(drawn=([-1.0, 1.0], -0.5, 0.5), counts=[1, 1])
+@example(drawn=([-1.0, 1.0], 0.5, 0.5), counts=[1, 1])
+@example(drawn=([-1.0, 1.0], 1.5, 0.5), counts=[1, 1])
+@example(drawn=([-1.0, 1.0], 0.25, 0.75 - 2.0 ** -53), counts=[1, 1])
+@example(drawn=([-1.0, 1.0], -0.25, 0.75 - 2.0 ** -53), counts=[1, 1])
+# on a lower edge at 0, within the pivot floor of the count just below it
+@example(drawn=([0.0], 0.5, 0.5), counts=[1])
+# FOUNDs 76 and 78: just beyond the window, where the rounded distance, or
+# the rounded lower edge, lies on the window's edge
+@example(drawn=([-0.49999999999999994], -1.0, 0.5), counts=[1])
+@example(drawn=([math.nextafter(ROUNDED_EDGE_E, -math.inf)], ROUNDED_EDGE_E, 1e-12),
+         counts=[1])
 def test_nearest_levels_equal_the_first_minimum_and_the_window_count(drawn, counts):
-    # the bisection over runs (eigenvalue, count) and its outward walks
-    # against the distances to every eigenvalue of the expanded list: the
-    # run that holds the first of the least, and how many are within the
-    # window
+    # against the distances to each eigenvalue of the expanded list: the run
+    # holding the first of the least, and how many lie within the window in
+    # exact arithmetic, which the inertia counts on diag(expanded) give too
     spectrum, energy, window = drawn
     runs = list(zip(spectrum, counts))
     expanded = [x for x, count in runs for _ in range(count)]
     with np.errstate(over="ignore"):
         distances = np.abs(np.array(expanded) - energy)
     ends = list(itertools.accumulate(count for _, count in runs))
-    expected = (bisect_right(ends, int(np.argmin(distances))),
-                int(np.sum(distances <= window)))
-    assert nearest_level(runs, energy, window) == expected
-
-
-@DRAWS
-@given(drawn=spectra_around_a_level())
-@example(drawn=([-1.0, 1.0], -0.5, 0.5))
-@example(drawn=([-1.0, 1.0], 0.25, 0.75 - 2.0 ** -53))
-def test_window_counts_include_both_edges_of_the_window(drawn):
-    # on the exact band diag(spectrum), wherever the window's edges E -+ w
-    # are floats: the inertia counts give #{x : |x - E| <= w} in exact
-    # arithmetic, an eigenvalue on either edge included and one an ulp
-    # beyond excluded, and `nearest_level` counts the same wherever each
-    # distance |x - E| is a float too
-    spectrum, energy, window = drawn
-    assume(all(map(math.isfinite, spectrum)) and all(
-        Fraction(energy + s * window) == Fraction(energy) + s * Fraction(window)
-        for s in (1, -1)))
-    exact = [abs(Fraction(x) - Fraction(energy)) for x in spectrum]
-    count = sum(d <= Fraction(window) for d in exact)
-    zeros = [0.0] * len(spectrum)
-    assert window_count([(spectrum, zeros, zeros)], energy, window) == count
-    if all(Fraction(abs(x - energy)) == d for x, d in zip(spectrum, exact)):
-        assert nearest_level([(x, 1) for x in spectrum], energy, window)[1] == count
+    inside = sum(math.isfinite(x) and abs(Fraction(x) - Fraction(energy)) <= Fraction(window)
+                 for x in expanded)
+    assert nearest_level(runs, energy, window) == (
+        bisect_right(ends, int(np.argmin(distances))), inside)
+    if all(map(math.isfinite, expanded)):
+        zeros = [0.0] * len(expanded)
+        assert window_count([(expanded, zeros, zeros)], energy, window) == inside
 
 
 # the phase (-i)^{n_b} that takes an amplitude into the basis of the real
@@ -590,6 +591,11 @@ milli = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # log-uniform over 1e-3 .
 @given(mass=milli, light_speed=milli, hbar=milli, charge=milli,
        abs_lam=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),  # over 0.1 .. 10
        ratio=st.floats(0.0, 0.9) | st.floats(1.1, 3.0))
+# lambda = 0.1 at B = 0 in four unit systems, and lambda = 0.1 / 9 at c = 3
+@example(mass=1.0, light_speed=1.0, hbar=1.0, charge=1.0, abs_lam=0.1, ratio=0.0)
+@example(mass=2.0, light_speed=1.0, hbar=1.0, charge=1.0, abs_lam=0.1, ratio=0.0)
+@example(mass=1.0, light_speed=3.0, hbar=1.0, charge=1.0, abs_lam=0.1 / 9.0, ratio=0.0)
+@example(mass=1.0, light_speed=1.0, hbar=2.0, charge=1.0, abs_lam=0.1, ratio=0.0)
 def test_oracle_agrees_with_every_shift_near_lam_one(
         mass, light_speed, hbar, charge, abs_lam, ratio):
     # wt = omega (1 - B / B_c), so omega sets |lam| on either side of B_c
@@ -606,6 +612,13 @@ def test_oracle_agrees_with_every_shift_near_lam_one(
         first_order_shift(SPACE, p, 1, NEGATIVE),
         degenerate_shift(SPACE, p, 2, range(4)),
     ])
+    # in units of a c m hbar wt the ground shift is -sign(lam), and every
+    # shift is that of natural units at the same lambda
+    assert reports[0].shifts == [-math.copysign(1.0, p.lam)]
+    natural = (ModelParams(omega=p.lam) if p.lam >= 0.0
+               else ModelParams(omega=0.0, b_field=-2.0 * p.lam))
+    assert reports[1].shifts == pytest.approx(
+        first_order_shift(SPACE, natural, 1, POSITIVE).shifts, rel=1e-12, abs=0.0)
     for r in reports:
         assert not [f for f in r.discrepancy_flags if f.startswith("oracle slope")]
         assert len(r.oracle_slopes) == len(r.shifts)
@@ -903,6 +916,8 @@ def test_jacobi_rotations_keep_the_eigh_contract(rows):
     bound = DEFAULT_EIGH_TOL * max(1.0, norm_max(a) * n)
     lapack_w, lapack_v = np.linalg.eigh(a)
     assert w == sorted(w) and all(type(x) is float for x in w)
+    if all(rows[i][j] == 0.0 for i in range(n) for j in range(n) if i != j):
+        assert w == sorted(complex(rows[i][i]).real for i in range(n))  # no rotation
     assert np.max(np.abs(np.array(w) - lapack_w)) <= bound
     assert np.max(np.linalg.norm(a @ vectors - vectors * np.array(w), axis=0)) <= bound
     assert norm_max(vectors.conj().T @ vectors - np.eye(n)) <= 1e-10
