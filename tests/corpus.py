@@ -2,9 +2,9 @@
 a row must pass (the file's header states the row format and the checks).
 
 Run as a script, it runs every row in a fresh interpreter under
-`python -W error -m gup_dosc.cli`, the package taken from PYTHONPATH, and
-prints each row that fails its checks; the numpy-free rows run under
--X importtime, and no numpy module may load.
+`python -W error -m gup_dosc.cli` under -X importtime, the package taken
+from PYTHONPATH, and prints each row that fails its checks, or that loads a
+numpy module where `may_load_numpy` is false or none where it is true.
 
     PYTHONPATH=src python tests/corpus.py
 """
@@ -55,6 +55,12 @@ def rows() -> list[Row]:
     return found
 
 
+def may_load_numpy(row: Row) -> bool:
+    """The numpy rule: no command but scan loads numpy, and a scan row loads
+    it unless it is tagged numpy-free."""
+    return row.argv[:1] == ("scan",) and "numpy-free" not in row.tags
+
+
 def check(row: Row, status: int, out: str, err: str) -> None:
     """Assert that one run of row, (status, stdout, stderr), passes its checks."""
     assert status == row.status, f"exit {status}, expected {row.status}: {err}"
@@ -90,13 +96,15 @@ def run(argv, src=None, importtime=False, env=None) -> tuple[int, str, str]:
 def main() -> int:
     corpus, failed = rows(), 0
     for row in corpus:
-        status, out, err = run(row.argv, importtime="numpy-free" in row.tags)
+        status, out, err = run(row.argv, importtime=True)
         lines = err.splitlines(keepends=True)
         imported = [line for line in lines if line.startswith(IMPORT_TIME)]
         try:
             check(row, status, out,
                   "".join(line for line in lines if not line.startswith(IMPORT_TIME)))
-            assert not any("numpy" in line for line in imported), "numpy loaded"
+            loaded = any("numpy" in line for line in imported)
+            assert loaded == may_load_numpy(row), (
+                "numpy loaded" if loaded else "no numpy loaded, yet not tagged numpy-free")
         except AssertionError as exc:
             failed += 1
             print(f"FAIL [{row.section}] {row.id}: {exc}")

@@ -8,11 +8,12 @@ module of src/gup_dosc. The mutant lives in a copy of src in a temporary
 directory, and the tree is never edited. Its tests run under pytest, with
 PYTHONPATH pointing at the copy and the temporary directory as the working
 directory, stopping at the first failure. The tests of every row must first
-pass on an unmutated copy. A row whose last field is a reason, not tests,
-records an equivalent mutant, which no input tells from the program: its
-text must still occur once, and it is not run. The script prints each
-mutant's fate and seconds, and "k of n mutants killed, e equivalent, in t s",
-and exits 1 unless every mutant is killed or equivalent.
+pass on an unmutated copy; then the rows run on two workers, each in its own
+temporary directory. A row whose last field is a reason, not tests, records
+an equivalent mutant, which no input tells from the program: its text must
+still occur once, and it is not run. The script prints each mutant's fate
+and seconds, in table order, and "k of n mutants killed, e equivalent, in
+t s", and exits 1 unless every mutant is killed or equivalent.
 """
 import os
 import pathlib
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -38,6 +40,8 @@ RAYLEIGH = PERTURBATION + "test_the_rayleigh_step_certifies_every_stencil_eigenv
 # corpus sections of tests/commands.txt, each run as one test of test_cli.py
 USAGE_ROWS = "tests/test_cli.py::test_inputs_that_are_one_line_usage_errors"
 KNOWN_GAPS = "tests/test_cli.py::test_known_gaps_keep_their_status"
+# the numpy rule (corpus.may_load_numpy) on every row that it forbids numpy
+NUMPY_RULE = "tests/test_cli.py::test_the_parse_path_loads_no_numpy"
 
 # (name, module, old text, new text, the tests that must kill it, or the
 # reason why the mutant is equivalent)
@@ -164,7 +168,17 @@ MUTANTS = [
     ("eigh's eigenvalues descending", "numerics.py",
      "        w, v = np.linalg.eigh(h)\n    except",
      "        w, v = np.linalg.eigh(h)\n        w, v = w[::-1], v[:, ::-1]\n    except",
-     (ACCEPTANCE + "8_eigensolver_contract",)),
+     ("tests/test_numerics.py::test_eigh_closed_form_2x2", ACCEPTANCE + "8_eigensolver_contract")),
+    ("cli.py imports numpy", "cli.py", "import argparse\n", "import argparse\nimport numpy\n",
+     (NUMPY_RULE,)),
+    ("perturbation.py imports numpy", "perturbation.py", "import math\nfrom collections",
+     "import math\nimport numpy\nfrom collections", (NUMPY_RULE,)),
+    ("model.py imports numpy", "model.py", "import math\nimport sys\n",
+     "import math\nimport numpy\nimport sys\n", (NUMPY_RULE,)),
+    ("the stored block solved by numerics.eigh", "perturbation.py",
+     "    values, vectors = _jacobi_eigh(block)\n",
+     "    from .numerics import eigh\n"
+     "    values, vectors = (x.tolist() for x in eigh(block))\n", (NUMPY_RULE,)),
 ]
 
 
@@ -194,6 +208,26 @@ def mutated_run(tests, module: str = "", old: str = "", new: str = ""):
         return run_tests(src, tests)
 
 
+def fate(row) -> tuple[str, str]:
+    """(verdict, what to print) of one row of MUTANTS: its fate line, and
+    pytest's output unless the row is killed or equivalent."""
+    name, module, old, new, row_tests = row
+    if isinstance(row_tests, str):
+        text = (ROOT / "src" / "gup_dosc" / module).read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            sys.exit(f"{module}: {old!r} does not occur exactly once")
+        return "equivalent", f"equivalent: {name} ({module}): {row_tests}"
+    began = time.perf_counter()
+    result = mutated_run(row_tests, module, old, new)
+    # pytest exits 1 when a test fails, and 2 or more when it cannot run them
+    verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode,
+                                                f"ERROR (pytest exit {result.returncode})")
+    line = f"{verdict}: {name} ({module}), {time.perf_counter() - began:.1f} s"
+    if verdict != "killed":
+        line += f"\n{result.stdout[-3000:]}\n{result.stderr[-3000:]}"
+    return verdict, line
+
+
 def main() -> int:
     tests = list(dict.fromkeys(test for *_, row_tests in MUTANTS
                                if not isinstance(row_tests, str) for test in row_tests))
@@ -204,23 +238,11 @@ def main() -> int:
         print("the mutants' tests fail on the unmutated tree")
         return 1
     killed = equivalent = 0
-    for name, module, old, new, row_tests in MUTANTS:
-        if isinstance(row_tests, str):
-            text = (ROOT / "src" / "gup_dosc" / module).read_text(encoding="utf-8")
-            if text.count(old) != 1:
-                sys.exit(f"{module}: {old!r} does not occur exactly once")
-            equivalent += 1
-            print(f"equivalent: {name} ({module}): {row_tests}")
-            continue
-        began = time.perf_counter()
-        result = mutated_run(row_tests, module, old, new)
-        # pytest exits 1 when a test fails, and 2 or more when it cannot run them
-        fate = {0: "SURVIVED", 1: "killed"}.get(result.returncode,
-                                                 f"ERROR (pytest exit {result.returncode})")
-        killed += fate == "killed"
-        print(f"{fate}: {name} ({module}), {time.perf_counter() - began:.1f} s")
-        if fate != "killed":
-            print(result.stdout[-3000:], result.stderr[-3000:], sep="\n")
+    with ThreadPoolExecutor(2) as pool:
+        for verdict, text in pool.map(fate, MUTANTS):
+            killed += verdict == "killed"
+            equivalent += verdict == "equivalent"
+            print(text, flush=True)
     print(f"{killed} of {len(MUTANTS)} mutants killed, {equivalent} equivalent, "
           f"in {time.perf_counter() - start:.0f} s")
     return 0 if killed + equivalent == len(MUTANTS) else 1

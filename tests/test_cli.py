@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import dataclasses
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -658,11 +660,13 @@ def test_spectrum_beyond_dense_reach(tmp_path):
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
-    # each README example in json, under the package's default of one
-    # OpenBLAS thread and under a user's setting of two
+    # each README example that may load numpy (`corpus.may_load_numpy`, the
+    # scan) in json, under the package's default of one OpenBLAS thread and
+    # under a user's setting of two
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gup_dosc.__file__).parents[1]))
     env.pop("OPENBLAS_NUM_THREADS", None)
-    for argv in (row.argv for row in corpus.rows() if "readme" in row.tags):
+    for argv in (row.argv for row in corpus.rows()
+                 if "readme" in row.tags and corpus.may_load_numpy(row)):
         reports = [
             subprocess.run([sys.executable, "-m", "gup_dosc.cli", *argv, "--format", "json"],
                            env=dict(env, **threads), check=True, capture_output=True,
@@ -712,16 +716,22 @@ LEAN = ("numpy", "inspect", "dataclasses", "json", "csv", "typing", "fractions",
 
 def test_the_parse_path_loads_no_numpy():
     # the CLI import and parse_config on every perfbench workload's argv and
-    # each numpy-free row of tests/commands.txt load none of LEAN; running the
-    # rows loads no numpy, and only decimal besides, which formats the message
-    # of a cutoff above the limit (`FockSpace`), numbers, which decimal
-    # loads, in the same row, and json, the emitter of a --format json row;
-    # each row passes its checks.
-    # The child runs without site, where no .pth file preloads typing, and
-    # reads its argv lists as tab-separated lines, not JSON
-    rows = [row for row in corpus.rows() if "numpy-free" in row.tags]
-    root = pathlib.Path(gup_dosc.__file__).parents[2]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # each run below load none of LEAN. The runs are every row of
+    # tests/commands.txt that `corpus.may_load_numpy` forbids numpy, in each
+    # of its diff_parent.variants; each passes its row's checks (a variant
+    # all but the row's strings, which are those of its own format) and loads
+    # no numpy, and only its emitter besides (json for a json report or an
+    # exit 3 error body, csv for a csv one) and, in the run whose message
+    # names the cutoff limit (`FockSpace`), decimal and the numbers module it
+    # loads.
+    # The child runs without site, where no .pth file preloads typing, with
+    # numpy's directory on its path, so that a run that loads numpy shows
+    # here; it reads its argv lists as tab-separated lines, not JSON
+    runs = [(row, argv) for row in corpus.rows() if not corpus.may_load_numpy(row)
+            for argv in diff_parent.variants(row.argv)]
+    numpy_dir = pathlib.Path(importlib.util.find_spec("numpy").origin).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        map(str, (pathlib.Path(gup_dosc.__file__).parents[1], numpy_dir))))
     workloads = json.loads(subprocess.run(
         [sys.executable, "-c",
          "import json, random, sys\n"
@@ -730,7 +740,7 @@ def test_the_parse_path_loads_no_numpy():
          "print(json.dumps([bench._argv(call)\n"
          "                  for name, workload in sorted(bench.WORKLOADS.items())\n"
          "                  for call in workload(random.Random(f'{name}:1'))]))\n",
-         str(root / "perfbench")],
+         str(pathlib.Path(__file__).parents[1] / "perfbench")],
         env=env, check=True, capture_output=True, text=True, timeout=60).stdout)
     code = (
         "import sys\n"
@@ -759,7 +769,7 @@ def test_the_parse_path_loads_no_numpy():
         "import json\n"
         "print(json.dumps([found, exits]))\n"
     )
-    argvs = [*workloads, *(row.argv for row in rows)]
+    argvs = [*workloads, *(argv for _, argv in runs)]
     assert all("\t" not in arg and "\n" not in arg for argv in argvs for arg in argv)
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, str(len(workloads))],
@@ -768,23 +778,14 @@ def test_the_parse_path_loads_no_numpy():
     (imported, parsed), exits = json.loads(out)
     assert imported == parsed == []
     seen = set()
-    for row, (*run, ran) in zip(rows, exits, strict=True):
-        corpus.check(row, *run)
-        new = set(ran) - seen
-        assert new <= {"decimal", "numbers", *(["json"] if "json" in row.argv else [])}, row.id
-        assert "numbers" not in new or "decimal" in new, row.id
+    for (row, argv), (status, stdout, stderr, ran) in zip(runs, exits, strict=True):
+        checked = row if argv == row.argv else dataclasses.replace(row, strings=())
+        corpus.check(checked, status, stdout, stderr)
+        allowed = {m for m in ("json", "csv") if m in argv} | ({"json"} if status == 3 else set())
+        if f"exceeds the limit {fock.MAX_CUTOFF}" in stderr:
+            allowed |= {"decimal", "numbers"}
+        assert set(ran) - seen <= allowed, argv
         seen = set(ran)
-
-
-def test_validate_loads_no_fractions_decimal_or_dataclasses():
-    # one whole run in a fresh interpreter, the solver stack's imports included
-    src = pathlib.Path(gup_dosc.__file__).parents[1]
-    status, out, err = corpus.run(["validate", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
-                                   "--cutoff", "12"], src, importtime=True)
-    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
-              if line.startswith(corpus.IMPORT_TIME)}
-    assert status == 0 and out and "numpy" not in loaded
-    assert loaded.isdisjoint({"fractions", "decimal", "dataclasses"})
 
 
 def test_one_parser_per_process_and_parses_stay_independent():

@@ -2,10 +2,7 @@ import itertools
 import json
 import math
 import os
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -170,19 +167,6 @@ def test_a_jacobi_residual_over_its_bound_is_an_internal_error(monkeypatch):
     with pytest.raises(ComputationError, match=r"^Jacobi residual \S+ exceeds bound "
                                                r"0\.000e\+00$"):
         shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)
-
-
-def test_the_stored_block_loads_no_numpy():
-    # the block's eigenpairs come from Jacobi rotations in Python complex
-    # arithmetic, in a fresh interpreter that never imports numpy
-    code = ("import sys\n"
-            "from gup_dosc.perturbation import REFERENCE_DEGENERATE_BLOCK, shifts_of_matrix\n"
-            "r = shifts_of_matrix(REFERENCE_DEGENERATE_BLOCK)\n"
-            "print(r.shifts[1], 'numpy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(perturbation.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "-8.0 False\n"
 
 
 def test_oracle_flags_shifts_paired_with_another_members_sector():
