@@ -29,9 +29,9 @@ INTERIOR_MARGIN = 2
 # limit. An a = 0 spectrum off the critical field is closed form, cutoff^2
 # work, and the critical field's level rows are two inertia counts per
 # distinct level over the J-chains, cutoff^2 work each. The
-# oracle solves only the J-sectors of its states, as bands: dim x counts per
-# eigenvalue, dim <= cutoff - 1, a few band passes where the Rayleigh-quotient
-# step is confirmed and about 40 counts where it falls back to bisection.
+# oracle solves only the J-sectors of its states, as bands: at most
+# `model.STEPS` inverse-iteration passes of O(dim) per eigenvalue,
+# dim <= cutoff - 1.
 MAX_CUTOFF = 1000
 # Bytes of the largest block of one J-sector stack (`model.sector_stacks`,
 # the J-band scattered into dense blocks), summed over its configs: it bounds

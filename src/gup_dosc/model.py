@@ -127,26 +127,16 @@ def pair_spectrum(space: FockSpace,
 
 
 EPS = sys.float_info.epsilon
-# A zero pivot is taken as -PIVMIN times the square of the largest
-# off-diagonal entry (at least 1), as LAPACK's dstebz takes it; FUDGE widens
-# a bracket for the roundoff of the counts, also as dstebz does.
+# `window_count` takes a zero pivot as -PIVMIN on a band scaled below 1: the
+# pivot floor of LAPACK's dstebz, PIVMIN times the square of the largest
+# off-diagonal entry (at least 1).
 PIVMIN = sys.float_info.min
-FUDGE = 2.1
 # The narrowest window, in pivot floors of a band scaled below 1, that
 # `window_count` resolves: its counts miss states at about half a floor.
 WINDOW_FLOORS = 1024.0
 # Inverse-iteration steps, with Rayleigh-quotient shifts from the a = 0
-# eigenvector or at a bisected eigenvalue, within which a residual must hold.
+# eigenvector, within which a residual must hold.
 STEPS = 3
-
-
-def _scales(band: tuple[list, list, list]) -> tuple[float, float, float]:
-    """(||A||_max, a Gershgorin bound of ||A||_2 (the largest diagonal entry
-    plus twice each largest off-diagonal one), the pivot floor of `_count`)
-    of a band."""
-    diag, off1, off2 = (max(map(abs, entries)) for entries in band)
-    off = max(1.0, off1, off2)
-    return max(diag, off1, off2), diag + 2.0 * (off1 + off2), off * PIVMIN * off
 
 
 def _count(band: tuple[list, list, list], sigma: float, pivmin: float) -> int:
@@ -203,11 +193,10 @@ def _inverse_step(band: tuple[list, list, list], sigma: float, pivmin: float,
     return [x / top for x in y]
 
 
-def _residual(band: tuple[list, list, list], v: list[float],
-              theta: float | None = None) -> tuple[float, float]:
+def _residual(band: tuple[list, list, list], v: list[float]) -> tuple[float, float]:
     """(theta, ||(A - theta I) v|| / ||v||) of a vector whose largest entry
-    is 1 in magnitude, theta its Rayleigh quotient unless given, a ratio of
-    exactly rounded sums (`math.fsum`): the same bits on every platform."""
+    is 1 in magnitude, theta its Rayleigh quotient, a ratio of exactly
+    rounded sums (`math.fsum`): the same bits on every platform."""
     diag, off1, off2 = band
     pad = [0.0, 0.0]
     w = [*pad, *v, *pad]
@@ -216,8 +205,7 @@ def _residual(band: tuple[list, list, list], v: list[float],
           in zip(diag, v, off1, w[1:], [*off1[1:], 0.0], w[3:], off2, w,
                  [*off2[2:], *pad], w[4:])]
     norm = math.fsum(x * x for x in v)
-    if theta is None:
-        theta = math.fsum(x * y for x, y in zip(v, av)) / norm
+    theta = math.fsum(x * y for x, y in zip(v, av)) / norm
     return theta, math.hypot(*(y - theta * x for x, y in zip(v, av))) / math.sqrt(norm)
 
 
@@ -239,14 +227,12 @@ class SectorBand:
       (i, i-1)   k_a sqrt(n_a + 1) or k_b sqrt(n_b)   `coupling`
       (i, i-2)   deform sqrt((n_a + 1) (n_b + 1))     `pair`
 
-    `cells` lists the (n_a, n_b, spin up) of the rows, `norm` is a
-    Gershgorin bound of the pattern, so by Weyl's inequality eigenvalue k
-    at deform lies within |deform| `norm` of eigenvalue k at deform = 0.
-    With at most one coupling the a = 0 block is a direct sum of 2x2 pairs
-    and 1x1 singles: `levels` holds its eigenpairs, ascending, each vector
-    as (first row, its one or two nonzero entries), and their eigenvalues
-    are the J-sector's a = 0 row, in which the oracle picks its index; with
-    both couplings (the critical field) it is empty.
+    `cells` lists the (n_a, n_b, spin up) of the rows. With at most one
+    coupling the a = 0 block is a direct sum of 2x2 pairs and 1x1 singles:
+    `levels` holds its eigenpairs, ascending, each vector as (first row,
+    its one or two nonzero entries), and their eigenvalues are the
+    J-sector's a = 0 row, in which the oracle picks its index; with both
+    couplings (the critical field) it is empty.
     """
 
     def __init__(self, space: FockSpace, couplings: tuple[float, float], j: int):
@@ -264,8 +250,6 @@ class SectorBand:
             for (m_a, _, _), (_, n_b, up) in zip(self.cells, self.cells[1:]))]
         self.pair = [0.0, 0.0, *(math.sqrt((m_a + 1.0) * (m_b + 1.0))
                                  for m_a, m_b, _ in self.cells[:-2])][:n]
-        self.norm = max(q + r + s for q, r, s in
-                        zip(self.pattern, self.pair, [*self.pair[2:], 0.0, 0.0]))
         self.levels = [] if k_a and k_b else self._pair_levels()
 
     def _pair_levels(self) -> list[tuple[float, int, tuple[float, ...]]]:
@@ -292,77 +276,49 @@ class SectorBand:
                 [deform * r for r in self.pair])
 
     def eigenvalue(self, deform: float, k: int) -> float:
-        """Eigenvalue k (from 0, ascending) of the block at deform, in units
-        of m c^2, certified or ComputationError.
+        """The eigenvalue at deform, in units of m c^2, of the eigenpair
+        that continues a = 0 eigenpair k (`levels`, from 0, ascending),
+        certified, or a UsageError where the band cannot follow it.
 
-        Rayleigh-quotient iteration from the a = 0 eigenvector k, where
-        there is one, gives a candidate theta, which stands if its residual
-        is within `numerics.eigh`'s bound (`params.residual_bound`), and two
-        counts confirm its index: exactly k eigenvalues below theta - delta
-        and k + 1 below theta + delta, delta its residual plus the counts'
-        roundoff. Otherwise eigenvalue k is bisected on the count
-        to adjacent floats, inside the Weyl bracket around a = 0 eigenvalue k
-        (or, with no a = 0 levels, the Gershgorin one), where exactly k
-        eigenvalues must lie below its lower end and k + 1 below its upper
-        end; inverse iteration at the result must then meet the same
-        residual bound within STEPS steps.
+        Up to STEPS steps of inverse iteration, each shifted to the last
+        Rayleigh quotient theta, start from a = 0 eigenvector k. theta
+        stands where its residual is within `numerics.eigh`'s bound
+        (`params.residual_bound`) and its vector v keeps cos^2 > 1/2 with
+        a = 0 eigenvector u. Eigenvectors are orthonormal, so their squared
+        cosines with u sum to 1 and at most one eigenpair passes: theta
+        follows the state whatever its index at deform, also where another
+        state crosses it. ComputationError where the entries leave no
+        headroom in the float range.
         """
         band = self.entries(deform)
         n = len(band[0])
-        largest, reach, pivmin = _scales(band)
+        diag, off1, off2 = (max(map(abs, entries)) for entries in band)
+        # ||A||_max, and a Gershgorin bound of ||A||_2
+        largest, reach = max(diag, off1, off2), diag + 2.0 * (off1 + off2)
         if not math.isfinite(4.0 * n * reach):
             raise ComputationError(f"J-sector {self.j}: band entries of {largest!r} m c^2 "
                                    "leave no headroom in the float range")
-        slack = FUDGE * (n * EPS * reach + 2.0 * pivmin)
-        bound = residual_bound(largest, n)
         # a solve takes a pivot within roundoff of zero as that roundoff
         floor = n * EPS * reach
-        if self.levels:
-            level, first, entries = self.levels[k]
-            v = [0.0] * n
-            v[first:first + len(entries)] = entries
-            theta, residual = _residual(band, v)
-            for _ in range(STEPS):
-                step = _inverse_step(band, theta, floor, v)
-                if step is None:
-                    break
-                v = step
-                theta, residual = _residual(band, v)
-                if residual <= floor:
-                    break
-            delta = residual + slack
-            if (residual <= bound and _count(band, theta - delta, pivmin) == k
-                    and _count(band, theta + delta, pivmin) == k + 1):
-                return theta
-            radius = abs(deform) * self.norm + slack
-        else:  # the Gershgorin bracket
-            level, radius = 0.0, reach + slack
-        lo, hi = level - radius, level + radius
-        below, above = _count(band, lo, pivmin), _count(band, hi, pivmin)
-        if below <= k < above:
-            while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-                count = _count(band, mid, pivmin)
-                if count <= k:
-                    lo, below = mid, count
-                else:
-                    hi, above = mid, count
-        if (below, above) != (k, k + 1):
-            raise ComputationError(
-                f"J-sector {self.j}: {below} and {above} eigenvalues below the ends of "
-                f"the bracket [{lo!r}, {hi!r}] of eigenvalue {k}, not {k} and {k + 1}")
-        # from a start with no symmetry of the band: eigenvalue k need not
-        # continue the a = 0 one, whose vector may be orthogonal to it
-        theta, residual = lo + 0.5 * (hi - lo), math.inf
-        v = [1.0 / (1 + i) for i in range(n)]
+        _, first, u = self.levels[k]
+        v = [0.0] * n
+        v[first:first + len(u)] = u
+        theta, residual = _residual(band, v)
         for _ in range(STEPS):
-            v = _inverse_step(band, theta, floor, v)
-            if v is None:
+            step = _inverse_step(band, theta, floor, v)
+            if step is None:
                 break
-            residual = _residual(band, v, theta)[1]
-            if residual <= bound:
-                return theta
-        raise ComputationError(f"J-sector {self.j}: band inverse-iteration residual "
-                               f"{residual:.3e} exceeds bound {bound:.3e}")
+            v = step
+            theta, residual = _residual(band, v)
+            if residual <= floor:
+                break
+        # the squared cosine between v and u, each largest entry 1
+        cos2 = math.fsum(x * y for x, y in zip(u, v[first:])) ** 2 / (
+            math.fsum(x * x for x in u) * math.fsum(x * x for x in v))
+        if residual <= residual_bound(largest, n) and cos2 > 0.5:
+            return theta
+        raise UsageError(f"oracle stencil step cannot follow eigenvalue {k} of J-sector "
+                         f"{self.j} to deform = -alpha |lam| = {deform!r} m c^2")
 
 
 def _sum_error(a: float, b: float) -> float:

@@ -5,11 +5,10 @@ independent path: first-order shifts come from matrix elements of the
 perturbation over explicitly constructed eigenstates, while the oracle
 (`oracle_check`) differentiates the exact eigenvalue of each state's own
 J-sector with respect to the deformation parameter (Richardson-extrapolated
-central differences through a = 0). The oracle picks that eigenvalue's index
-in the sector's closed-form a = 0 spectrum and takes it at the other
-strengths from the same sector band (`model.SectorBand`): inertia counts,
-bisection and inverse iteration in Python floats, the same bits on every
-CPU and BLAS kernel.
+central differences through a = 0). The oracle picks the state's eigenpair
+in the sector's closed-form a = 0 spectrum and follows it to the other
+strengths on the same sector band (`model.SectorBand`): inverse iteration
+in Python floats, the same bits on every CPU and BLAS kernel.
 
 Shift bookkeeping: `shifts` are dimensionless multiples of the natural
 correction scale a c m hbar wt (`SHIFT_UNITS`); `shifts_energy` are the same
@@ -293,11 +292,12 @@ def oracle_check(
     give each shift the index of its eigenvalue, for every report before
     anything is solved: ComputationError when no eigenvalue lies in the
     window, and UsageError when several do, which the stencil step cannot
-    tell apart. Then the same band gives each index's eigenvalue at the
-    four a != 0 strengths (`SectorBand.eigenvalue`, ComputationError unless
-    certified), and nothing is kept after the call; UsageError when a
-    slope's finite differences are not finite. A report that names no
-    sector, as every report at the critical field, comes back unchanged.
+    tell apart. Then the same band follows each index's eigenpair to the
+    four a != 0 strengths (`SectorBand.eigenvalue`: UsageError where it
+    cannot follow the state), and nothing is kept after the call;
+    UsageError when a slope's finite differences are not finite. A report
+    that names no sector, as every report at the critical field, comes
+    back unchanged.
     """
     picks, stencils = [[] for _ in reports], {}
     js = dict.fromkeys(j for report in reports for j in report.sectors)

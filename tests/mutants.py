@@ -30,7 +30,6 @@ ACCEPTANCE = "tests/test_acceptance.py::test_criterion_"
 PERTURBATION = "tests/test_perturbation.py::"
 PROPERTIES = "tests/test_properties.py::"
 CERTIFIED = PERTURBATION + "test_band_eigenvalues_are_certified_or_refused_at_any_strength"
-DENSE_BAND = PROPERTIES + "test_band_eigenvalues_and_counts_equal_the_dense_reference"
 N_ORDER = PROPERTIES + "test_band_entries_are_the_sector_blocks_in_n_order"
 JACOBI = PROPERTIES + "test_jacobi_rotations_keep_the_eigh_contract"
 STORED = PERTURBATION + "test_the_stored_block_solver_keeps_the_error_kinds_of_eigh"
@@ -51,15 +50,8 @@ MUTANTS = [
      "            d = pivmin\n        if d < 0.0:", (NEAREST,)),
     ("_count counts the positive pivots", "model.py",
      "        if d < 0.0:\n            below += 1",
-     "        if d > 0.0:\n            below += 1", (CERTIFIED,)),
-    ("the Weyl radius cut to its slack", "model.py",
-     "radius = abs(deform) * self.norm + slack", "radius = slack", (CERTIFIED,)),
-    ("FUDGE = 0", "model.py", "FUDGE = 2.1", "FUDGE = 0.0", (CERTIFIED, DENSE_BAND)),
-    ("the Rayleigh-quotient candidate taken without its index confirmation", "model.py",
-     "            if (residual <= bound and _count(band, theta - delta, pivmin) == k\n"
-     "                    and _count(band, theta + delta, pivmin) == k + 1):",
-     "            if residual <= bound:",
-     (PERTURBATION + "test_an_inconsistent_count_is_an_internal_error",)),
+     "        if d > 0.0:\n            below += 1",
+     (PERTURBATION + "test_chain_counts_hold_up_to_the_float_range_of_their_pivots",)),
     ("_inverse_step's back-substitution with a sign flipped", "model.py",
      "x1, x2 = y[i] - l1s[i + 1] * x1 - l2s[i + 2] * x2, x1",
      "x1, x2 = y[i] + l1s[i + 1] * x1 - l2s[i + 2] * x2, x1", (CERTIFIED, RAYLEIGH)),
@@ -69,13 +61,11 @@ MUTANTS = [
     ("the band's headroom check dropped", "model.py",
      "        if not math.isfinite(4.0 * n * reach):",
      "        if not math.isfinite(4.0 * n * reach) and False:", (CERTIFIED,)),
-    ("the band's bracket count check dropped", "model.py",
-     "        if (below, above) != (k, k + 1):", "        if False:",
-     (PERTURBATION + "test_an_inconsistent_count_is_an_internal_error",)),
-    ("the band's inverse-iteration residual bound dropped", "model.py",
-     "            if residual <= bound:\n                return theta",
-     "            if True:\n                return theta",
-     (PERTURBATION + "test_a_residual_over_its_bound_is_an_internal_error",)),
+    ("the band's overlap check dropped", "model.py",
+     " and cos2 > 0.5:", ":", (CERTIFIED,)),
+    ("the band's residual bound dropped", "model.py",
+     "if residual <= residual_bound(largest, n) and ", "if ",
+     (PERTURBATION + "test_a_residual_over_its_bound_is_a_refusal",)),
     ("a coupling root one quantum off", "model.py",
      "k_a * math.sqrt(m_a + 1.0) if up", "k_a * math.sqrt(m_a + 2.0) if up",
      ("tests/test_model.py::test_sectors_equal_dense_interior_blocks",)),
@@ -135,6 +125,13 @@ MUTANTS = [
     ("the Jacobi rotation's phase not conjugated", "perturbation.py",
      "s, phase = t * c, (h[p][q] / r).conjugate()", "s, phase = t * c, h[p][q] / r",
      (JACOBI,)),
+    ("ORACLE_RTOL = 1e-4", "perturbation.py", "ORACLE_RTOL = 1e-6", "ORACLE_RTOL = 1e-4",
+     (PERTURBATION + "test_an_oracle_slope_agrees_to_one_part_in_a_million",)),
+    ("the oracle slope without its Richardson step", "perturbation.py",
+     "    slope = (4.0 * d1 - d2) / 3.0", "    slope = d1",
+     (PERTURBATION + "test_the_oracle_slope_is_exact_on_a_cubic",)),
+    ("_level_index takes one of two eigenvalues in its window", "perturbation.py",
+     "    if hits > 1:", "    if hits > 2:", (USAGE_ROWS,)),
     ("the shift unit squared in a", "params.py", "self.gup_a * self.light_speed",
      "self.gup_a ** 2 * self.light_speed", (ACCEPTANCE + "9_linearity_and_determinism",)),
     ("the first-order shift's sign flipped", "perturbation.py",

@@ -360,6 +360,15 @@ def band_matrix(entries) -> np.ndarray:
     return a
 
 
+def followed_eigenvalues(band, deform: float) -> list[float]:
+    """For each a = 0 eigenpair k of a `SectorBand` (its `levels`), numpy's
+    eigenvalue of the band matrix at deform whose eigenvector overlaps a = 0
+    eigenvector k most: the state that k continues."""
+    values, vectors = np.linalg.eigh(band_matrix(band.entries(deform)))
+    return [float(values[np.argmax(np.abs(np.array(u) @ vectors[first:first + len(u)]))])
+            for _, first, u in band.levels]
+
+
 def _links(n_a: np.ndarray, n_b: np.ndarray, top: int):
     """(link, up n_b, root) of each term of K = k_a a† + k_b b on the spin-down
     states (n_a, n_b), k_a's first: a† takes a down state to the up state

@@ -1,10 +1,10 @@
 import itertools
-import json
 import math
 import os
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from gup_dosc.perturbation import (
     ORACLE_STEP,
     PTReport,
     REFERENCE_DEGENERATE_BLOCK,
+    _agrees,
+    _slope,
     critical_field,
     degenerate_shift,
     field_scan,
@@ -42,6 +44,7 @@ from reference import (
     angular_momentum,
     band_matrix,
     degeneracy_histogram_loop,
+    followed_eigenvalues,
     frame,
     ladder_a,
     p_squared,
@@ -834,72 +837,78 @@ def test_correct_at_a_large_cutoff_solves_only_the_sectors_of_its_states(
     assert _oracle_solves(bands) == [(0, 4), (1, 4)]
 
 
-def _failing_correct(monkeypatch, capsys, name, value) -> str:
-    """The error of `correct` at B = 1, cutoff 12, with the band kernel's
-    `name` replaced by `value`: its status is 3, and stderr a JSON body."""
-    monkeypatch.setattr(model, name, value)
+def test_an_oracle_slope_agrees_to_one_part_in_a_million():
+    # the agreement rule's threshold by its value, on either side of a shift
+    shift = -1.5
+    assert _agrees(shift * (1.0 + 5e-7), shift) and _agrees(shift * (1.0 - 5e-7), shift)
+    assert not _agrees(shift * (1.0 + 2e-6), shift)
+    assert not _agrees(shift * (1.0 - 2e-6), shift)
+
+
+def test_the_oracle_slope_is_exact_on_a_cubic():
+    # on E(alpha) = 1 + lam s alpha + 1e6 alpha^2 + 1e6 alpha^3 the central
+    # difference at h is off by the cubic's 1e6 h^2 = 1e-4, and the
+    # Richardson step cancels it: what is left is roundoff
+    p, h, s = ModelParams(omega=1.0, b_field=1.0), Fraction(ORACLE_STEP), 1.25
+    lam = Fraction(p.lam)
+    w = [float(1 + lam * Fraction(s) * a + 10**6 * a**2 + 10**6 * a**3)
+         for a in (h, -h, 2 * h, -2 * h)]
+    assert _slope(p, w, 1.0) == pytest.approx(s, rel=1e-9)
+
+
+def test_a_residual_over_its_bound_is_a_refusal(monkeypatch, capsys):
+    # no residual meets a zero bound: the band cannot follow the ground
+    # state (n=0, +), a = 0 eigenpair 5 of J-sector 0, to the oracle's first
+    # strength, and `correct` refuses in one line
+    monkeypatch.setattr(model, "residual_bound", lambda *args: 0.0)
     assert main(["correct", "--omega", "1", "--B", "1", "--gup-a", "1e-4",
-                 "--cutoff", "12"]) == 3
+                 "--cutoff", "12"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    return json.loads(err)["error"]
-
-
-def test_an_inconsistent_count_is_an_internal_error(monkeypatch, capsys):
-    # every count one too many: the Rayleigh-quotient candidate is not
-    # confirmed, and the Weyl bracket's ends hold k + 1 and k + 2
-    # eigenvalues; the ground state (n=0, +) is eigenvalue 5 of J-sector 0
-    count = model._count
-    message = _failing_correct(monkeypatch, capsys, "_count",
-                               lambda *args: count(*args) + 1)
-    assert re.fullmatch(r"J-sector 0: 6 and 7 eigenvalues below the ends of the bracket "
-                        r"\[.*\] of eigenvalue 5, not 5 and 6", message), message
-
-
-def test_a_residual_over_its_bound_is_an_internal_error(monkeypatch, capsys):
-    # no residual meets a zero bound: the certified candidate is refused,
-    # and so is every inverse-iteration step at the bisected eigenvalue
-    message = _failing_correct(monkeypatch, capsys, "residual_bound", lambda *args: 0.0)
-    assert re.fullmatch(r"J-sector 0: band inverse-iteration residual \S+ exceeds "
-                        r"bound 0\.000e\+00", message), message
+    assert re.fullmatch(r"usage error: oracle stencil step cannot follow eigenvalue 5 of "
+                        r"J-sector 0 to deform = -alpha \|lam\| = \S+ m c\^2\n", err), err
 
 
 def test_the_rayleigh_step_certifies_every_stencil_eigenvalue(monkeypatch):
-    # at lambda = 0.5, as in the README, every eigenvalue of a J-sector at
-    # the oracle's four strengths is the Rayleigh-quotient candidate that
-    # its two counts confirm: no bisection, whose ~40 counts would show
+    # at lambda = 0.5, as in the README, every a = 0 eigenpair of a J-sector
+    # is followed to the oracle's four strengths by inverse iteration alone,
+    # the state that numpy's eigenvectors continue, and no eigenvalue takes
+    # an inertia count
     calls, count = [], model._count
     monkeypatch.setattr(model, "_count", lambda *args: calls.append(args[1]) or count(*args))
     space, p = FockSpace(cutoff=12), ModelParams(omega=1.0, b_field=1.0)
     band = SectorBand(space, sector_terms(space, p, 0.0)[:2], 1)
-    for k in range(len(band.cells)):
-        for step in (1, -1, 2, -2):
-            calls.clear()
-            band.eigenvalue(sector_terms(space, p, step * ORACLE_STEP)[2], k)
-            assert len(calls) == 2, (k, step)
+    for step in (1, -1, 2, -2):
+        deform = sector_terms(space, p, step * ORACLE_STEP)[2]
+        values = [band.eigenvalue(deform, k) for k in range(len(band.cells))]
+        assert np.max(np.abs(np.array(values) - followed_eigenvalues(band, deform))) <= 1e-13
+    assert calls == []
 
 
 def test_band_eigenvalues_are_certified_or_refused_at_any_strength():
     # deformations from roundoff to far beyond the band's own scale, and
-    # entries that leave no headroom: every eigenvalue is the dense one, or
-    # the kernel raises ComputationError, never a bare arithmetic error
+    # entries that leave no headroom: every eigenvalue is the dense one of
+    # the state that its a = 0 eigenpair continues, or a one-line refusal
+    # where the band cannot follow it, which a perturbation of the band
+    # never meets, or a ComputationError, never a bare arithmetic error
     space = FockSpace(cutoff=12)
     p = ModelParams(omega=1.0, b_field=1.0)
     band = SectorBand(space, sector_terms(space, p, 0.0)[:2], 0)
-    n = len(band.cells)
     for deform in (1e-300, -1e-16, 1e-5, -0.3, 10.0, 1e6, -1e150, 1e307):
-        entries = band.entries(deform)
-        try:
-            values = [band.eigenvalue(deform, k) for k in range(n)]
-        except ComputationError as exc:
+        if deform == 1e307:
             # refused up front where 4 dim ||A|| leaves the float range
-            assert str(exc).startswith("J-sector 0: band entries of "), exc
-            assert str(exc).endswith(" leave no headroom in the float range"), exc
-            assert deform == 1e307
+            with pytest.raises(ComputationError, match=r"^J-sector 0: band entries of .* "
+                               "leave no headroom in the float range$"):
+                band.eigenvalue(deform, 0)
             continue
-        dense = np.linalg.eigvalsh(band_matrix(entries))
-        scale = max(1.0, norm_max(band_matrix(entries)))
-        assert np.max(np.abs(np.array(values) - dense)) <= 1e-13 * scale, deform
+        scale = max(1.0, norm_max(band_matrix(band.entries(deform))))
+        for k, followed in enumerate(followed_eigenvalues(band, deform)):
+            try:
+                assert abs(band.eigenvalue(deform, k) - followed) <= 1e-13 * scale, (deform, k)
+            except UsageError as exc:
+                assert str(exc) == (f"oracle stencil step cannot follow eigenvalue {k} of "
+                                    f"J-sector 0 to deform = -alpha |lam| = {deform!r} m c^2")
+                assert abs(deform) > 1e-5, (deform, k)
 
 
 def _band_levels(space, terms, js) -> list[float]:
