@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import re
@@ -854,6 +855,20 @@ def test_the_oracle_slope_is_exact_on_a_cubic():
     w = [float(1 + lam * Fraction(s) * a + 10**6 * a**2 + 10**6 * a**3)
          for a in (h, -h, 2 * h, -2 * h)]
     assert _slope(p, w, 1.0) == pytest.approx(s, rel=1e-9)
+
+
+def test_an_inconsistent_count_is_an_internal_error(monkeypatch, capsys):
+    # every inertia count 0, whatever its shift: at the critical field the
+    # window around +-1 m c^2, itself an eigenvalue, counts none, and
+    # `validate` stops with status 3 and a JSON body on stderr
+    monkeypatch.setattr(model, "_count", lambda *args: 0)
+    assert main(["validate", "--omega", "1", "--B", "2", "--gup-a", "1e-4",
+                 "--cutoff", "12"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "no eigenvalue counted within 1e-09 m c^2 of level 1.0 m c^2",
+        "kind": "computation"}
 
 
 def test_a_residual_over_its_bound_is_a_refusal(monkeypatch, capsys):
