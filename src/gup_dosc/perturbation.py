@@ -622,11 +622,12 @@ def field_scan(
     0 and a m c, to their block terms, and a point that fails records its
     first error. The histograms of the remaining points then come from
     shared passes over the J-sectors (`interior_spectrum`), one per group
-    of max(1, `fock.stack_configs` // 2) points. A point's a = 0 config is
-    `paired` off the critical field, and on it its two configs are one, so
-    no pass stacks more configs than `stack_configs` allows. Each histogram
-    is {multiplicity: number of clusters} of one spectrum. An error raised
-    inside a shared pass is recorded on every point of that pass.
+    of `fock.stack_configs` points. A point's a = 0 config is `paired` off
+    the critical field, and on it its two configs are one, so each point
+    stacks at most one config and no pass more than `stack_configs` allows.
+    Each histogram is {multiplicity: number of clusters} of one spectrum. An
+    error raised inside a shared pass is recorded on every point of that
+    pass.
     """
     values = [float(b) for b in b_values]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
@@ -634,7 +635,7 @@ def field_scan(
     _check_window(degeneracy_window)
     scanned = [_scan_point(space, base_params.with_field(b)) for b in values]
     pending = [(point, terms) for point, terms in scanned if "error" not in point]
-    size = max(1, stack_configs(space.cutoff) // 2)  # two configs per point
+    size = stack_configs(space.cutoff)
     for i in range(0, len(pending), size):
         group = pending[i:i + size]
         try:

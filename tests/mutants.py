@@ -35,7 +35,6 @@ JACOBI = PROPERTIES + "test_jacobi_rotations_keep_the_eigh_contract"
 STORED = PERTURBATION + "test_the_stored_block_solver_keeps_the_error_kinds_of_eigh"
 SORTED_DIAGONAL = PROPERTIES + "test_degenerate_shifts_are_the_sorted_diagonal"
 NEAREST = PROPERTIES + "test_nearest_levels_equal_the_first_minimum_and_the_window_count"
-RAYLEIGH = PERTURBATION + "test_the_rayleigh_step_certifies_every_stencil_eigenvalue"
 # corpus sections of tests/commands.txt, each run as one test of test_cli.py
 USAGE_ROWS = "tests/test_cli.py::test_inputs_that_are_one_line_usage_errors"
 KNOWN_GAPS = "tests/test_cli.py::test_known_gaps_keep_their_status"
@@ -54,10 +53,10 @@ MUTANTS = [
      (PERTURBATION + "test_chain_counts_hold_up_to_the_float_range_of_their_pivots",)),
     ("_inverse_step's back-substitution with a sign flipped", "model.py",
      "x1, x2 = y[i] - l1s[i + 1] * x1 - l2s[i + 2] * x2, x1",
-     "x1, x2 = y[i] + l1s[i + 1] * x1 - l2s[i + 2] * x2, x1", (CERTIFIED, RAYLEIGH)),
+     "x1, x2 = y[i] + l1s[i + 1] * x1 - l2s[i + 2] * x2, x1", (CERTIFIED,)),
     ("_residual's Rayleigh quotient over v.v, not v.Av", "model.py",
      "theta = math.fsum(x * y for x, y in zip(v, av)) / norm",
-     "theta = math.fsum(x * x for x, y in zip(v, av)) / norm", (RAYLEIGH,)),
+     "theta = math.fsum(x * x for x, y in zip(v, av)) / norm", (CERTIFIED,)),
     ("the band's headroom check dropped", "model.py",
      "        if not math.isfinite(4.0 * n * reach):",
      "        if not math.isfinite(4.0 * n * reach) and False:", (CERTIFIED,)),
@@ -127,11 +126,15 @@ MUTANTS = [
      (JACOBI,)),
     ("ORACLE_RTOL = 1e-4", "perturbation.py", "ORACLE_RTOL = 1e-6", "ORACLE_RTOL = 1e-4",
      (PERTURBATION + "test_an_oracle_slope_agrees_to_one_part_in_a_million",)),
+    ("_agrees refuses an exact tie", "perturbation.py",
+     "abs(slope - shift) <= ORACLE_RTOL", "abs(slope - shift) < ORACLE_RTOL", (KNOWN_GAPS,)),
     ("the oracle slope without its Richardson step", "perturbation.py",
      "    slope = (4.0 * d1 - d2) / 3.0", "    slope = d1",
      (PERTURBATION + "test_the_oracle_slope_is_exact_on_a_cubic",)),
     ("_level_index takes one of two eigenvalues in its window", "perturbation.py",
      "    if hits > 1:", "    if hits > 2:", (USAGE_ROWS,)),
+    ("level_rows' relative-error floor raised to 1e-20", "perturbation.py",
+     "floor = 1e-30 * p.rest_energy", "floor = 1e-20 * p.rest_energy", (KNOWN_GAPS,)),
     ("the shift unit squared in a", "params.py", "self.gup_a * self.light_speed",
      "self.gup_a ** 2 * self.light_speed", (ACCEPTANCE + "9_linearity_and_determinism",)),
     ("the first-order shift's sign flipped", "perturbation.py",
@@ -142,6 +145,19 @@ MUTANTS = [
      "return 1.0 * self.omega", (ACCEPTANCE + "4_critical_field",)),
     ("with_field keeps the old field", "params.py", "        return self.replace(b_field=b_field)",
      "        return self", ("tests/test_model.py::test_reduced_frequency",)),
+    ("line() without its floor at n_b = 0", "fock.py",
+     "return range(max(0, -d), ", "return range(-d, ",
+     ("tests/test_fock.py::test_sectors_and_lines_are_the_interior_states",)),
+    ("sectors ends one J-sector short", "fock.py",
+     "range(-self.top, self.top + 2)", "range(-self.top, self.top + 1)",
+     ("tests/test_fock.py::test_sectors_and_lines_are_the_interior_states",)),
+    ("a cutoff of one below the margin accepted", "fock.py",
+     "if self.cutoff < INTERIOR_MARGIN:", "if self.cutoff < INTERIOR_MARGIN - 1:",
+     ("tests/test_model.py::test_fock_space_rejects_cutoff_inside_margin",)),
+    ("stack_configs without its floor of one", "fock.py",
+     "return max(1, STACK_BYTES // max(1, sector_cost(cutoff)[1]))",
+     "return STACK_BYTES // max(1, sector_cost(cutoff)[1])",
+     ("tests/test_model.py::test_stack_configs_fill_the_bound_without_building_a_block",)),
     ("a degenerate report's shifts all its lowest", "perturbation.py",
      "shifts = [diagonal[i].real for i in order]",
      "shifts = [diagonal[order[0]].real for i in order]", (SORTED_DIAGONAL,)),
@@ -151,6 +167,10 @@ MUTANTS = [
     ("a scan point's after config deformed at a = 0", "perturbation.py",
      "for alpha in (0.0, p.alpha_gup)]", "for alpha in (0.0, p.alpha_gup or 1e-3)]",
      (ACCEPTANCE + "5_degeneracy_lifting",)),
+    ("field_scan groups half the points a pass holds", "perturbation.py",
+     "    size = stack_configs(space.cutoff)\n",
+     "    size = max(1, stack_configs(space.cutoff) // 2)\n",
+     (PERTURBATION + "test_a_failed_shared_pass_is_recorded_on_its_points",)),
     ("the window noise floor lowered to 1e-21", "perturbation.py",
      "    if window < 1e-12:", "    if window < 1e-21:", (USAGE_ROWS,)),
     ("csv output allowed for every command", "cli.py",

@@ -323,10 +323,16 @@ def test_validate_exit_zero_with_allowlisted_rows(tmp_path):
     )
     assert code == 0
     report = json.loads(text)
-    assert report["passed"] is True
-    statuses = {r["row"]: r["status"] for r in report["rows"]}
-    assert statuses["ground-shift"] == "MATCH"
-    assert statuses["first-excited-shift"] == "DISCREPANCY"
+    assert report["passed"] is True and report["unexpected_discrepancies"] == []
+    by_row = {r["row"]: r for r in report["rows"]}
+    assert by_row["first-excited-shift"]["reference"] == -2.5
+    discrepancies = {"first-excited-shift", "degenerate-block-basis"}
+    assert {row: r["status"] for row, r in by_row.items()} == {
+        row: "DISCREPANCY" if row in discrepancies else "MATCH" for row in [
+            *(f"level n={n} branch {b}" for n in range(5) for b in ("+", "-")),
+            "ground-shift", "ground-shift-oracle", "first-excited-shift",
+            "first-excited-oracle", "degenerate-block-basis", "degenerate-block-eigenvalues",
+            "degenerate-block-eigenvector", "critical-field"]}
 
 
 def test_json_round_trip_values(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gup_dosc.errors import UsageError
-from gup_dosc.fock import FockSpace
+from gup_dosc.fock import MAX_CUTOFF, FockSpace
 from gup_dosc.numerics import eigvalsh, norm_max
 from reference import (
     OscParams,
@@ -181,3 +181,15 @@ def test_sectors_and_lines_are_the_interior_states():
                                               for down in (0, 1)})
         for d in range(-top - 3, top + 4):
             assert list(space.line(d)) == [n_b for n_a, n_b in states if n_a - n_b == d]
+    # at every cutoff the outermost J-sector -T holds the one up state
+    # (0, T) and no down state, and J = T + 1 the one down state (T, 0) and
+    # no up state. At the critical field and a = 0 the J-block is [[I_u, C_J],
+    # [C_J^T, -I_v]], and a vector of the kernel of C_J^T (of C_J) is an
+    # eigenvector at exactly +1 (-1) wherever u > v (v > u); so +-1 m c^2,
+    # every level there, is itself an eigenvalue and its own nearest
+    for cutoff in range(2, MAX_CUTOFF + 1):
+        space = FockSpace(cutoff)
+        top = space.top
+        assert (space.sectors[0], space.sectors[-1]) == (-top, top + 1)
+        assert [list(space.line(d)) for d in (-top - 1, -top, top, top + 1)] == [
+            [], [top], [0], []]

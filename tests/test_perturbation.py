@@ -1,10 +1,8 @@
 import itertools
 import json
 import math
-import os
 import re
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +11,7 @@ import pytest
 from gup_dosc import fock, model, numerics, perturbation
 from gup_dosc.cli import dump_matrix, main
 from gup_dosc.errors import ComputationError, UsageError
-from gup_dosc.fock import MAX_CUTOFF, FockSpace, sector_cost, stack_configs
+from gup_dosc.fock import FockSpace, sector_cost, stack_configs
 from gup_dosc.model import (
     SectorBand,
     interior_spectrum,
@@ -289,36 +287,6 @@ def test_level_rows_stop_at_the_interior_top(monkeypatch):
         level_rows(space, p, 9, ("+",), CLUSTER_WINDOW)
 
 
-@pytest.mark.parametrize("cutoff", [2, 12, 40])
-def test_critical_field_level_rows_are_chain_counts(cutoff, monkeypatch):
-    # at the critical field every level is +-1 m c^2, and so is its nearest
-    # eigenvalue, exactly; its multiplicity is the dense spectrum's count
-    # within the window, here at omega = 1, where roundoff loses no single.
-    # No dense block is built and no eigensolver runs
-    space, p = FockSpace(cutoff), ModelParams(omega=1.0, b_field=2.0)
-    terms = sector_terms(space, p, 0.0)
-    assert not paired(terms)
-    (dense,) = _dense_rows(space, [terms])
-    monkeypatch.setattr(model, "sector_stacks",
-                        lambda *args: pytest.fail("a dense J-block was built"))
-    monkeypatch.setattr(numerics, "eigvalsh",
-                        lambda *args: pytest.fail("an eigensolver ran"))
-    levels = space.top
-    rows = level_rows(space, p, levels, BRANCHES, CLUSTER_WINDOW)
-    assert len(rows) == 2 * (levels + 1)
-    for row in rows:
-        assert row["analytic"] == row["exact_nearest"] == (
-            1.0 if row["branch"] == "+" else -1.0)
-        assert row["rel_error"] == 0.0
-        energy = row["analytic"]
-        assert row["multiplicity"] == np.count_nonzero(
-            np.abs(dense - energy) <= CLUSTER_WINDOW), row
-    # validate and spectrum at the critical field take the same route
-    for argv in (["spectrum", "--levels", "0"], ["validate", "--gup-a", "1e-4"]):
-        assert main([*argv, "--omega", "1", "--B", "2", "--cutoff", str(max(cutoff, 8)),
-                     "--output", os.devnull]) in (0, 1)
-
-
 @pytest.mark.parametrize("cutoff", [4, 40, 200])
 def test_chain_counts_hold_up_to_the_float_range_of_their_pivots(cutoff):
     # at the critical field every J-sector with one more up state than down
@@ -360,19 +328,6 @@ def test_critical_field_level_row_with_no_eigenvalue_counted_is_an_error(monkeyp
     with pytest.raises(ComputationError, match="no eigenvalue counted within"):
         level_rows(FockSpace(12), ModelParams(omega=1.0, b_field=2.0), 0, BRANCHES,
                    CLUSTER_WINDOW)
-
-
-def test_critical_field_levels_are_eigenvalues_at_every_cutoff():
-    # the J-block at the critical field and a = 0 is [[I_u, C_J], [C_J^T,
-    # -I_v]]: a vector of the kernel of C_J^T (of C_J) is an eigenvector at
-    # exactly +1 (-1), and there is one wherever u > v (v > u). At every
-    # cutoff 2 .. 1000 some J-sector has more up states than down states and
-    # another more down than up, so +-1 m c^2, every level there, is itself
-    # an eigenvalue and its own nearest
-    for cutoff in range(2, MAX_CUTOFF + 1):
-        space = FockSpace(cutoff)
-        excess = [len(space.line(j)) - len(space.line(j - 1)) for j in space.sectors]
-        assert max(excess) > 0 > min(excess), cutoff
 
 
 def test_level_rows_relative_errors_do_not_depend_on_the_units():
@@ -539,27 +494,6 @@ def test_members_are_checked_on_both_sides_of_the_critical_field(b_field):
         first_order_shift(SPACE, p, 1, "+", spectator=10)
 
 
-def test_validation_report_passes_with_allowlisted_rows():
-    space = FockSpace(cutoff=14)
-    p = ModelParams(omega=1.0, b_field=1.0, gup_a=1e-4)
-    result = validation_report(space, p)
-    assert result["passed"]
-    assert result["unexpected_discrepancies"] == []
-    by_row = {r["row"]: r for r in result["rows"]}
-    assert by_row["ground-shift"]["status"] == "MATCH"
-    assert by_row["ground-shift-oracle"]["status"] == "MATCH"
-    assert by_row["first-excited-shift"]["status"] == "DISCREPANCY"
-    assert by_row["first-excited-shift"]["reference"] == -2.5
-    assert by_row["first-excited-oracle"]["status"] == "MATCH"
-    assert by_row["degenerate-block-basis"]["status"] == "DISCREPANCY"
-    assert by_row["degenerate-block-eigenvalues"]["status"] == "MATCH"
-    assert by_row["degenerate-block-eigenvector"]["status"] == "MATCH"
-    assert by_row["critical-field"]["status"] == "MATCH"
-    for n in range(5):
-        for branch in ("+", "-"):
-            assert by_row[f"level n={n} branch {branch}"]["status"] == "MATCH"
-
-
 def test_closed_form_shifts_match_dense_reference_algebra():
     # the ladder-form pieces of p^2, built densely in tests/reference.py,
     # against the closed-form matrix elements used for shifts, breakdowns
@@ -609,45 +543,6 @@ def test_closed_form_shifts_match_dense_reference_algebra():
         assert norm_max(np.array(r.subspace_matrix) - ref) <= 1e-12
 
 
-# wt > 0, wt < 0 (mirrored towers) and wt = 0, where H' vanishes
-BATCH_PARAMS = [PARAMS, ModelParams(omega=0.1, b_field=0.3, gup_a=1e-4),
-                ModelParams(omega=0.1, b_field=0.2, gup_a=1e-4)]
-
-
-@pytest.mark.parametrize("p", BATCH_PARAMS)
-def test_interior_spectrum_rows_equal_one_strength_solves(p):
-    # five strengths solved in one pass over the J-sectors; each row must be
-    # bitwise the spectrum solved on its own, and the J-sector pieces must be
-    # bitwise pieces of the whole spectrum: the a = 0 eigenvalues of J's
-    # `SectorBand` for a paired config, a row of the J-stack's one eigvalsh
-    # call otherwise
-    terms = [sector_terms(SPACE, p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)]
-    rows = np.array(interior_spectrum(SPACE, terms))
-    assert rows.shape == (5, (SPACE.cutoff - 1) * SPACE.cutoff)
-    for t, row in zip(terms, rows):
-        assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
-        assert np.all(np.diff(row) >= 0.0)
-    sectors = [[_band_levels(SPACE, t, [j]) if paired(t) else w
-                for t, w in zip(terms, eigvalsh(stack))]
-               for j, stack in zip(SPACE.sectors, sector_stacks(SPACE, terms))]
-    assert len(sectors) == 2 * SPACE.top + 2
-    assert np.array_equal(np.sort(np.concatenate(sectors, axis=-1), axis=-1), rows)
-
-
-@pytest.mark.parametrize("p", BATCH_PARAMS + [ModelParams(omega=0.1, gup_a=0.0)])
-@pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
-def test_degeneracy_histograms_equal_the_per_cluster_loop(p, window):
-    before, after = _histograms(SPACE, p, window)
-    w0, w1 = _point_spectra(SPACE, p)
-    assert before == degeneracy_histogram_loop(w0, window)
-    assert after == degeneracy_histogram_loop(w1, window)
-    for w in (w0, w1):
-        sizes = spectral_clusters(w, window)
-        assert sizes == [m for _, m in spectral_clusters_loop(w, window)]
-    sizes = spectral_clusters([], window)
-    assert len(sizes) == 0 and spectral_clusters_loop([], window) == []
-
-
 # wt = 1, 0.5, 0 (the critical field, where H' vanishes) and -0.5
 SCAN_BASE = ModelParams(omega=1.0, gup_a=1e-4)
 SCAN_FIELDS = [0.0, 1.0, 2.0, 3.0]
@@ -664,6 +559,33 @@ def _scan_terms():
     return [sector_terms(SPACE, p, a) for p, a in _scan_configs()]
 
 
+@pytest.mark.parametrize("configs", [
+    # five strengths of one field, as the oracle's stencil: wt > 0, wt < 0
+    # (mirrored towers) and wt = 0, where H' vanishes
+    *([(p, k * ORACLE_STEP) for k in (0, 1, -1, 2, -2)] for p in (
+        PARAMS, PARAMS.with_field(0.3), PARAMS.with_field(0.2))),
+    # a scan's, where the two configs of the critical field have equal terms
+    _scan_configs(),
+], ids=["wt-positive", "wt-negative", "critical-field", "scan"])
+def test_interior_spectrum_rows_equal_one_config_solves(configs):
+    # the configs solved in one pass over the J-sectors; each row must be
+    # bitwise the spectrum solved on its own, and the J-sector pieces must be
+    # bitwise pieces of the whole spectrum: the a = 0 eigenvalues of J's
+    # `SectorBand` for a paired config, a row of the J-stack's one eigvalsh
+    # call otherwise
+    terms = [sector_terms(SPACE, p, a) for p, a in configs]
+    rows = np.array(interior_spectrum(SPACE, terms))
+    assert rows.shape == (len(terms), (SPACE.cutoff - 1) * SPACE.cutoff)
+    for t, row in zip(terms, rows):
+        assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
+        assert np.all(np.diff(row) >= 0.0)
+    sectors = [[_band_levels(SPACE, t, [j]) if paired(t) else w
+                for t, w in zip(terms, eigvalsh(stack))]
+               for j, stack in zip(SPACE.sectors, sector_stacks(SPACE, terms))]
+    assert len(sectors) == 2 * SPACE.top + 2
+    assert np.array_equal(np.sort(np.concatenate(sectors, axis=-1), axis=-1), rows)
+
+
 def _count_eigvalsh(monkeypatch) -> list[int]:
     """Records the stack length of every eigvalsh call made by the solver."""
     calls = []
@@ -676,45 +598,32 @@ def _count_eigvalsh(monkeypatch) -> list[int]:
     return calls
 
 
-def test_interior_spectrum_rows_of_a_scan_equal_one_config_solves():
-    # the two configs of the critical field have equal terms: 7 for 8
-    terms = _scan_terms()
-    assert terms[4] == terms[5] and len(set(terms)) == 7
-    rows = np.array(interior_spectrum(SPACE, terms))
-    assert rows.shape == (8, (SPACE.cutoff - 1) * SPACE.cutoff)
-    for t, row in zip(terms, rows):
-        assert np.array_equal(row, interior_spectrum(SPACE, [t])[0])
-
-
-def test_scan_histograms_equal_per_point_analysis():
-    points, _ = field_scan(SPACE, SCAN_BASE, SCAN_FIELDS)
-    window = CLUSTER_WINDOW
-    for pt in points:
-        p = SCAN_BASE.with_field(pt["B"])
-        counts = (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"])
-        # the point scanned alone, in a pass of its own
-        assert counts == _histograms(SPACE, p, window)
-        spectra = _point_spectra(SPACE, p)
-        assert counts == tuple(degeneracy_histogram_loop(w, window) for w in spectra)
-
-
-def test_a_scan_near_the_float_maximum_runs_without_warnings():
+@pytest.mark.parametrize("cutoff, base, fields", [
+    # wt = 0.1, 0 (where H' vanishes) and -0.05 (mirrored towers), and a = 0
+    (12, dict(omega=0.1, gup_a=1e-4), [0.0, 0.2, 0.3]),
+    (12, dict(omega=0.1, gup_a=0.0), [0.0]),
+    (12, dict(omega=1.0, gup_a=1e-4), SCAN_FIELDS),
     # a c m hbar wt = 1e307 at B = 0: the n = 2 shift energies stay finite,
     # and the eigenvalues reach -1e308 in energy, -1e301 m c^2; the scan's
     # window and spectra are in units of m c^2, and a histogram reads only
-    # the cluster sizes
-    base = ModelParams(omega=1.0, gup_a=1e300, mass=1e7)
-    space = FockSpace(cutoff=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        points, _ = field_scan(space, base, [0.0, 1.5, 3.0])
-    window = CLUSTER_WINDOW
+    # the cluster sizes, so the scan runs without warnings
+    (8, dict(omega=1.0, gup_a=1e300, mass=1e7), [0.0, 1.5, 3.0]),
+], ids=["lambda-0.1", "a-0", "lambda-1", "near-the-float-maximum"])
+@pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
+def test_degeneracy_histograms_equal_the_per_cluster_loop(cutoff, base, fields, window):
+    # every point's histograms, from the scan's shared pass, against the
+    # loop over the spectra the point solves alone, and the cluster sizes
+    # of those spectra against the loop's, in order
+    space, base = FockSpace(cutoff), ModelParams(**base)
+    points, _ = field_scan(space, base, fields, window)
     for pt in points:
         assert "error" not in pt
-        p = base.with_field(pt["B"])
-        spectra = _point_spectra(space, p)
-        loop = tuple(degeneracy_histogram_loop(w, window) for w in spectra)
-        assert (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"]) == loop
+        spectra = _point_spectra(space, base.with_field(pt["B"]))
+        assert (pt["degeneracy_counts_before"], pt["degeneracy_counts_after"]) == tuple(
+            degeneracy_histogram_loop(w, window) for w in spectra)
+        for w in spectra:
+            loop = [m for _, m in spectral_clusters_loop(w, window)]
+            assert spectral_clusters(w, window) == loop
 
 
 def test_a_scan_solves_each_sector_once(monkeypatch):
@@ -884,46 +793,39 @@ def test_a_residual_over_its_bound_is_a_refusal(monkeypatch, capsys):
                         r"J-sector 0 to deform = -alpha \|lam\| = \S+ m c\^2\n", err), err
 
 
-def test_the_rayleigh_step_certifies_every_stencil_eigenvalue(monkeypatch):
-    # at lambda = 0.5, as in the README, every a = 0 eigenpair of a J-sector
-    # is followed to the oracle's four strengths by inverse iteration alone,
-    # the state that numpy's eigenvectors continue, and no eigenvalue takes
-    # an inertia count
-    calls, count = [], model._count
-    monkeypatch.setattr(model, "_count", lambda *args: calls.append(args[1]) or count(*args))
+def test_band_eigenvalues_are_certified_or_refused_at_any_strength(monkeypatch):
+    # at lambda = 0.5, as in the README, in J-sectors 0 and 1: at the
+    # oracle's four strengths every a = 0 eigenpair is followed by inverse
+    # iteration alone, within 1e-13 of numpy's eigenvalue of the state that
+    # it continues, and no eigenvalue takes an inertia count. From roundoff
+    # to far beyond the band's own scale, and with entries that leave no
+    # headroom, every eigenvalue is the dense one within 1e-13 of the band's
+    # scale, or a one-line refusal where the band cannot follow it, which a
+    # perturbation of the band never meets, or a ComputationError, never a
+    # bare arithmetic error
+    monkeypatch.setattr(model, "_count", lambda *args: pytest.fail("an inertia count was taken"))
     space, p = FockSpace(cutoff=12), ModelParams(omega=1.0, b_field=1.0)
-    band = SectorBand(space, sector_terms(space, p, 0.0)[:2], 1)
-    for step in (1, -1, 2, -2):
-        deform = sector_terms(space, p, step * ORACLE_STEP)[2]
-        values = [band.eigenvalue(deform, k) for k in range(len(band.cells))]
-        assert np.max(np.abs(np.array(values) - followed_eigenvalues(band, deform))) <= 1e-13
-    assert calls == []
-
-
-def test_band_eigenvalues_are_certified_or_refused_at_any_strength():
-    # deformations from roundoff to far beyond the band's own scale, and
-    # entries that leave no headroom: every eigenvalue is the dense one of
-    # the state that its a = 0 eigenpair continues, or a one-line refusal
-    # where the band cannot follow it, which a perturbation of the band
-    # never meets, or a ComputationError, never a bare arithmetic error
-    space = FockSpace(cutoff=12)
-    p = ModelParams(omega=1.0, b_field=1.0)
-    band = SectorBand(space, sector_terms(space, p, 0.0)[:2], 0)
-    for deform in (1e-300, -1e-16, 1e-5, -0.3, 10.0, 1e6, -1e150, 1e307):
-        if deform == 1e307:
-            # refused up front where 4 dim ||A|| leaves the float range
-            with pytest.raises(ComputationError, match=r"^J-sector 0: band entries of .* "
-                               "leave no headroom in the float range$"):
-                band.eigenvalue(deform, 0)
-            continue
-        scale = max(1.0, norm_max(band_matrix(band.entries(deform))))
-        for k, followed in enumerate(followed_eigenvalues(band, deform)):
-            try:
-                assert abs(band.eigenvalue(deform, k) - followed) <= 1e-13 * scale, (deform, k)
-            except UsageError as exc:
-                assert str(exc) == (f"oracle stencil step cannot follow eigenvalue {k} of "
-                                    f"J-sector 0 to deform = -alpha |lam| = {deform!r} m c^2")
-                assert abs(deform) > 1e-5, (deform, k)
+    stencil = [sector_terms(space, p, step * ORACLE_STEP)[2] for step in (1, -1, 2, -2)]
+    for j in (0, 1):
+        band = SectorBand(space, sector_terms(space, p, 0.0)[:2], j)
+        for deform in (*stencil, 1e-300, -1e-16, -0.3, 10.0, 1e6, -1e150, 1e307):
+            if deform == 1e307:
+                # refused up front where 4 dim ||A|| leaves the float range
+                with pytest.raises(ComputationError, match=rf"^J-sector {j}: band entries of "
+                                   ".* leave no headroom in the float range$"):
+                    band.eigenvalue(deform, 0)
+                continue
+            scale = 1.0 if deform in stencil else max(
+                1.0, norm_max(band_matrix(band.entries(deform))))
+            for k, followed in enumerate(followed_eigenvalues(band, deform)):
+                try:
+                    assert abs(band.eigenvalue(deform, k) - followed) <= 1e-13 * scale, (
+                        j, deform, k)
+                except UsageError as exc:
+                    assert str(exc) == (f"oracle stencil step cannot follow eigenvalue {k} "
+                                        f"of J-sector {j} to deform = -alpha |lam| = "
+                                        f"{deform!r} m c^2")
+                    assert abs(deform) > 1e-5, (j, deform, k)
 
 
 def _band_levels(space, terms, js) -> list[float]:
@@ -941,7 +843,9 @@ def _dense_rows(space, terms, js=None):
     return np.sort(np.concatenate([eigvalsh(s) for s in stacks], axis=-1), axis=-1)
 
 
-@pytest.mark.parametrize("cutoff", [4, 12, 40])
+# the production cutoff, beyond the dense reference's reach: against the
+# J-sector blocks of the dense route
+@pytest.mark.parametrize("cutoff", [40])
 @pytest.mark.parametrize("b_field", [1.0, 3.0])  # wt = 0.5 and wt = -0.5
 def test_paired_spectra_equal_the_dense_blocks(cutoff, b_field, monkeypatch):
     space = FockSpace(cutoff)
@@ -1064,9 +968,9 @@ def test_a_failed_shared_pass_is_recorded_on_its_points(monkeypatch):
     points, _ = field_scan(FockSpace(cutoff=5), SCAN_BASE, SCAN_FIELDS)
     assert [pt["error"] for pt in points] == [
         "state (n=2, spectator=2) too close to cutoff 5; raise the cutoff"] * 4
-    # four configs per stack: the scan goes in two passes of two points
+    # two configs per stack: the scan goes in two passes of two points
     # each, and a failure of the second is recorded on its points only
-    monkeypatch.setattr(fock, "STACK_BYTES", 4 * sector_cost(SPACE.cutoff)[1])
+    monkeypatch.setattr(fock, "STACK_BYTES", 2 * sector_cost(SPACE.cutoff)[1])
     calls = []
 
     def second_pass_fails(a):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gup_dosc import model, numerics
 from gup_dosc.cli import main, parse_config
 from gup_dosc.errors import UsageError
 from gup_dosc.fock import FockSpace
@@ -53,6 +54,7 @@ from gup_dosc.perturbation import (
     critical_field,
     degenerate_shift,
     first_order_shift,
+    level_rows,
     oracle_check,
     spectral_clusters,
     validation_report,
@@ -147,20 +149,6 @@ def _band_levels(space: FockSpace, terms, js) -> list[float]:
 
 @DRAWS
 @given(p=model_params())
-def test_pair_spectra_equal_the_dense_blocks(p):
-    # a = 0 off the critical field: the closed-form pairs and singles of
-    # `pair_spectrum` against the J-sector blocks they are a sum of
-    terms = sector_terms(SPACE, p, 0.0)
-    assert paired(terms)
-    (row,) = np.array(interior_spectrum(SPACE, [terms]))
-    dense = np.sort(np.concatenate([eigvalsh(stack)[0]
-                                    for stack in sector_stacks(SPACE, [terms])]))
-    assert row.shape == dense.shape
-    assert np.max(np.abs(row - dense)) <= 1e-12
-
-
-@DRAWS
-@given(p=model_params())
 def test_pair_spectra_are_symmetric_under_negation(p):
     # a = 0 off the critical field: each pair gives +-hypot(1, kappa) m c^2,
     # and the m c^2 and -m c^2 singles are equally many, so E -> -E maps the
@@ -216,8 +204,8 @@ def test_a_scan_point_has_at_most_one_distinct_unpaired_config(
     # a scan point's configs at alpha = 0 and a m c, at omega = 0, B = 0,
     # the critical field, a = 0 and extreme scales: the a = 0 one is paired
     # off the critical field, and on it the deformation vanishes, so the
-    # two are one. field_scan's groups of stack_configs // 2 points thus
-    # bound every pass of interior_spectrum
+    # two are one. field_scan's groups of stack_configs points thus bound
+    # every pass of interior_spectrum
     try:
         base = ModelParams(omega=omega, mass=mass, light_speed=light_speed, hbar=hbar,
                            charge=charge, gup_a=gup_a)
@@ -237,7 +225,7 @@ def route_configs(draw):
     p = draw(model_params())
     p = draw(st.sampled_from([p, p.with_field(critical_field(p)),
                               p.replace(omega=0.0, b_field=0.0)]))
-    return draw(st.sampled_from([2, 3, 6])), p
+    return draw(st.sampled_from([2, 3, 6, 12])), p
 
 
 def _reference_row(cutoff: int, p: ModelParams, strength: float, js) -> np.ndarray:
@@ -255,6 +243,14 @@ def _reference_row(cutoff: int, p: ModelParams, strength: float, js) -> np.ndarr
        js=st.sets(st.integers(-8, 9), max_size=8))
 @example(config=(6, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0, 1e-3],
          js={-4, 0, 1, 5})
+# a = 0 on either side of the critical field: the outermost J-sectors and
+# the two at J = 0, 1
+@example(config=(4, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0], js={-2, 0, 1, 3})
+@example(config=(4, ModelParams(omega=1.0, b_field=3.0)), strengths=[0.0], js={-2, 0, 1, 3})
+@example(config=(12, ModelParams(omega=1.0, b_field=1.0)), strengths=[0.0],
+         js={-10, 0, 1, 11})
+@example(config=(12, ModelParams(omega=1.0, b_field=3.0)), strengths=[0.0],
+         js={-10, 0, 1, 11})
 def test_both_routes_equal_the_dense_reference_per_j_sector(config, strengths, js):
     # configs on both routes in one call: each row is the dense reference
     # over every J-sector, and each route's pieces over the J of the
@@ -785,6 +781,7 @@ def spectra_and_windows(draw):
 
 @DRAWS
 @given(drawn=spectra_and_windows())
+@example(drawn=(np.array([]), 1e-9))  # no eigenvalue: no cluster
 def test_cluster_sizes_equal_the_per_cluster_loop(drawn):
     spectrum, window = drawn
     sizes = spectral_clusters(spectrum.tolist(), window)
@@ -967,12 +964,18 @@ def _unit_chains(cutoff: int) -> dict:
 # a coupling of 1e150, where an unscaled pivot floor swallows the window
 @example(cutoff=12, coupling=10.0, window=-9.0)
 @example(cutoff=40, coupling=150.0, window=-12.0)
+# omega = 1 at B = 2 and the default window, where roundoff loses no single
+@example(cutoff=2, coupling=0.0, window=-9.0)
+@example(cutoff=12, coupling=0.0, window=-9.0)
+@example(cutoff=40, coupling=0.0, window=-9.0)
 def test_chain_counts_equal_the_dense_reference(cutoff, coupling, window):
     # the critical field's J-chains at a coupling of 10^coupling and a window
     # of 10^window m c^2: the inertia count at and one ulp beside every
-    # eigenvalue lies between numpy's counts at sigma -+ its accuracy, so does
-    # each level row's window count at +-1, and no count misses an unmatched
-    # state, exactly at +-1, where a dense solver's roundoff can lose it
+    # eigenvalue lies between numpy's counts at sigma -+ its accuracy, and so
+    # does the multiplicity of every level row, n = 0 .. T, each at +-1 m c^2
+    # and its own nearest eigenvalue, with no dense block built and no
+    # eigensolver run; no count misses an unmatched state, exactly at +-1,
+    # where a dense solver's roundoff can lose it
     base = ModelParams(omega=10.0 ** (2.0 * coupling))
     p = base.with_field(critical_field(base))
     space, window = FockSpace(cutoff), 10.0 ** window
@@ -992,10 +995,17 @@ def test_chain_counts_equal_the_dense_reference(cutoff, coupling, window):
         for level, counts in inside.items():
             counts[0] += np.count_nonzero(np.abs(w - level) <= window - tol)
             counts[1] += np.count_nonzero(np.abs(w - level) <= window + tol)
-    for level, (fewest, most) in inside.items():
-        unmatched = sum(max(0, int(level) * (len(space.line(j)) - len(space.line(j - 1))))
-                        for j in space.sectors)
-        count = window_count(chains, level, window)
-        assert max(fewest, unmatched) <= count <= most, level
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "sector_stacks", lambda *args: pytest.fail("a J-block was built"))
+        patch.setattr(numerics, "eigvalsh", lambda *args: pytest.fail("an eigensolver ran"))
+        rows = level_rows(space, p, space.top, BRANCHES, window)
+    unmatched = {level: sum(max(0, int(level) * (len(space.line(j)) - len(space.line(j - 1))))
+                            for j in space.sectors) for level in inside}
+    assert len(rows) == 2 * (space.top + 1)
+    for row in rows:
+        level = 1.0 if row["branch"] == POSITIVE else -1.0
+        assert row["analytic"] == row["exact_nearest"] == level and row["rel_error"] == 0.0
+        fewest, most = inside[level]
+        assert max(fewest, unmatched[level]) <= row["multiplicity"] <= most, row
     if (cutoff, coupling, window) == (12, 10.0, CLUSTER_WINDOW):
-        assert window_count(chains, 1.0, window) == window_count(chains, -1.0, window) == 6
+        assert {row["multiplicity"] for row in rows} == {6}
