@@ -599,8 +599,9 @@ def _count_eigvalsh(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("cutoff, base, fields", [
-    # wt = 0.1, 0 (where H' vanishes) and -0.05 (mirrored towers), and a = 0
-    (12, dict(omega=0.1, gup_a=1e-4), [0.0, 0.2, 0.3]),
+    # one-point scans: wt = 0.1, -0.05 (mirrored towers) and 0 (where H'
+    # vanishes), and a = 0
+    *((12, dict(omega=0.1, gup_a=1e-4), [b]) for b in (0.0, 0.3, 0.2)),
     (12, dict(omega=0.1, gup_a=0.0), [0.0]),
     (12, dict(omega=1.0, gup_a=1e-4), SCAN_FIELDS),
     # a c m hbar wt = 1e307 at B = 0: the n = 2 shift energies stay finite,
@@ -608,7 +609,7 @@ def _count_eigvalsh(monkeypatch) -> list[int]:
     # window and spectra are in units of m c^2, and a histogram reads only
     # the cluster sizes, so the scan runs without warnings
     (8, dict(omega=1.0, gup_a=1e300, mass=1e7), [0.0, 1.5, 3.0]),
-], ids=["lambda-0.1", "a-0", "lambda-1", "near-the-float-maximum"])
+], ids=["p0", "p1", "p2", "p3", "lambda-1", "near-the-float-maximum"])
 @pytest.mark.parametrize("window", [1e-9, 1e-6, 1e-3])
 def test_degeneracy_histograms_equal_the_per_cluster_loop(cutoff, base, fields, window):
     # every point's histograms, from the scan's shared pass, against the
